@@ -23,7 +23,40 @@
 //! communication schedule — envelope matching, deadlock freedom, match
 //! determinism (certified `MatchPlan`), and per-phase load balance.
 
+use bwb_core::trace::json::escape;
+use bwb_dslcheck::Violation;
 use std::process::ExitCode;
+
+/// A report's violations, indented under its table row.
+fn print_violations<'a>(violations: impl IntoIterator<Item = &'a Violation>) {
+    for v in violations {
+        eprintln!("    {v}");
+    }
+}
+
+fn json_list<T>(items: &[T], to_json: impl Fn(&T) -> String) -> String {
+    items.iter().map(to_json).collect::<Vec<_>>().join(",")
+}
+
+/// Write `(file name, contents)` pairs under `dir`, created on demand.
+fn export(dir: &str, json_only: bool, files: impl Iterator<Item = (String, String)>) {
+    std::fs::create_dir_all(dir).expect("create export dir");
+    for (name, contents) in files {
+        let path = std::path::Path::new(dir).join(name);
+        std::fs::write(&path, contents).expect("write export");
+        if !json_only {
+            eprintln!("wrote {}", path.display());
+        }
+    }
+}
+
+/// The one-line stdout document every mode ends with: the gating total,
+/// the per-app objects, and any mode-specific trailing fields. Returns
+/// `total` (the exit status is 0 iff it is).
+fn envelope(total: usize, apps: String, extra: &str) -> usize {
+    println!("{{\"total_violations\":{total},\"apps\":[{apps}]{extra}}}");
+    total
+}
 
 fn access_report(json_only: bool) -> usize {
     let reports = bwb_dslcheck::check_all();
@@ -35,34 +68,28 @@ fn access_report(json_only: bool) -> usize {
                 "{:<14} {:>3} loop invocations checked ... {status}",
                 r.app, r.loops_checked
             );
-            for v in &r.violations {
-                eprintln!("    {v}");
-            }
+            print_violations(&r.violations);
         }
     }
 
-    // JSON report on stdout: one object with per-app summaries and the flat
-    // violation list (each violation already renders itself as JSON).
-    let total: usize = reports.iter().map(|r| r.violations.len()).sum();
-    let apps = reports
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"app\":\"{}\",\"loops_checked\":{},\"violations\":{}}}",
-                r.app,
-                r.loops_checked,
-                r.violations.len()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let violations = reports
-        .iter()
-        .flat_map(|r| r.violations.iter().map(|v| v.to_json()))
-        .collect::<Vec<_>>()
-        .join(",");
-    println!("{{\"total_violations\":{total},\"apps\":[{apps}],\"violations\":[{violations}]}}");
-    total
+    // Per-app summaries plus the flat violation list.
+    let apps = json_list(&reports, |r| {
+        format!(
+            "{{\"app\":\"{}\",\"loops_checked\":{},\"violations\":{}}}",
+            escape(&r.app),
+            r.loops_checked,
+            r.violations.len()
+        )
+    });
+    let violations: Vec<&Violation> = reports.iter().flat_map(|r| &r.violations).collect();
+    envelope(
+        violations.len(),
+        apps,
+        &format!(
+            ",\"violations\":[{}]",
+            json_list(&violations, |v| v.to_json())
+        ),
+    )
 }
 
 fn dataflow_report(json_only: bool, export_dir: Option<&str>) -> usize {
@@ -96,31 +123,21 @@ fn dataflow_report(json_only: bool, export_dir: Option<&str>) -> usize {
                 r.traffic.streaming_gain_bound(),
                 r.violations.len(),
             );
-            for v in &r.violations {
-                eprintln!("    {v}");
-            }
+            print_violations(&r.violations);
         }
     }
 
     if let Some(dir) = export_dir {
-        std::fs::create_dir_all(dir).expect("create export dir");
-        for r in reports.iter().filter(|r| r.analyzed) {
-            let path = std::path::Path::new(dir).join(format!("{}.json", r.app));
-            std::fs::write(&path, r.export_plan().to_json()).expect("write plan");
-            if !json_only {
-                eprintln!("wrote {}", path.display());
-            }
-        }
+        let plans = reports.iter().filter(|r| r.analyzed);
+        export(
+            dir,
+            json_only,
+            plans.map(|r| (format!("{}.json", r.app), r.export_plan().to_json())),
+        );
     }
 
-    let total: usize = reports.iter().map(|r| r.violations.len()).sum();
-    let apps = reports
-        .iter()
-        .map(|r| r.to_json())
-        .collect::<Vec<_>>()
-        .join(",");
-    println!("{{\"total_violations\":{total},\"apps\":[{apps}]}}");
-    total
+    let total = reports.iter().map(|r| r.violations.len()).sum();
+    envelope(total, json_list(&reports, |r| r.to_json()), "")
 }
 
 /// `--static`: execution-free certification. Derives every app's
@@ -166,28 +183,23 @@ fn static_report(json_only: bool, export_dir: Option<&str>) -> usize {
                 s.nanos / 1_000,
                 r.violations.len(),
             );
-            for v in &r.violations {
-                eprintln!("    {v}");
-            }
+            print_violations(&r.violations);
             if let Some(c) = cc {
-                for v in c.divergent.iter().chain(&c.missed).chain(&c.unstable) {
-                    eprintln!("    {v}");
-                }
+                print_violations(c.divergent.iter().chain(&c.missed).chain(&c.unstable));
             }
         }
     }
 
     if let Some(dir) = export_dir {
-        std::fs::create_dir_all(dir).expect("create export dir");
-        for s in statics.iter().filter(|s| s.report.analyzed) {
-            if let Some(plan) = bwb_dslcheck::static_plan(&s.report.app) {
-                let path = std::path::Path::new(dir).join(format!("{}.static.json", s.report.app));
-                std::fs::write(&path, plan.to_json()).expect("write static plan");
-                if !json_only {
-                    eprintln!("wrote {}", path.display());
-                }
-            }
-        }
+        let analyzed = statics.iter().filter(|s| s.report.analyzed);
+        export(
+            dir,
+            json_only,
+            analyzed.filter_map(|s| {
+                let plan = bwb_dslcheck::static_plan(&s.report.app)?;
+                Some((format!("{}.static.json", s.report.app), plan.to_json()))
+            }),
+        );
     }
 
     let static_violations: usize = statics.iter().map(|s| s.report.violations.len()).sum();
@@ -195,42 +207,34 @@ fn static_report(json_only: bool, export_dir: Option<&str>) -> usize {
         .iter()
         .map(|c| c.divergent.len() + c.missed.len() + c.unstable.len())
         .sum();
-    let apps = statics
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"static_ns\":{},\"report\":{}}}",
-                s.nanos,
-                s.report.to_json()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let crosschecks = checks
-        .iter()
-        .map(|c| {
-            let list = |vs: &[bwb_dslcheck::Violation]| {
-                vs.iter().map(|v| v.to_json()).collect::<Vec<_>>().join(",")
-            };
-            format!(
-                "{{\"app\":\"{}\",\"static_certs\":{},\"dynamic_certs\":{},\
-                 \"static_ns\":{},\"dynamic_ns\":{},\
-                 \"divergent\":[{}],\"missed\":[{}],\"unstable\":[{}]}}",
-                c.app,
-                c.static_certs,
-                c.dynamic_certs,
-                c.static_nanos,
-                c.dynamic_nanos,
-                list(&c.divergent),
-                list(&c.missed),
-                list(&c.unstable),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let total = static_violations + divergences;
-    println!("{{\"total_violations\":{total},\"apps\":[{apps}],\"crosscheck\":[{crosschecks}]}}");
-    total
+    let apps = json_list(&statics, |s| {
+        format!(
+            "{{\"static_ns\":{},\"report\":{}}}",
+            s.nanos,
+            s.report.to_json()
+        )
+    });
+    let crosschecks = json_list(&checks, |c| {
+        let list = |vs: &[Violation]| json_list(vs, |v| v.to_json());
+        format!(
+            "{{\"app\":\"{}\",\"static_certs\":{},\"dynamic_certs\":{},\
+             \"static_ns\":{},\"dynamic_ns\":{},\
+             \"divergent\":[{}],\"missed\":[{}],\"unstable\":[{}]}}",
+            escape(&c.app),
+            c.static_certs,
+            c.dynamic_certs,
+            c.static_nanos,
+            c.dynamic_nanos,
+            list(&c.divergent),
+            list(&c.missed),
+            list(&c.unstable),
+        )
+    });
+    envelope(
+        static_violations + divergences,
+        apps,
+        &format!(",\"crosscheck\":[{crosschecks}]"),
+    )
 }
 
 fn parametric_report(json_only: bool) -> usize {
@@ -265,23 +269,15 @@ fn parametric_report(json_only: bool) -> usize {
             } else {
                 eprintln!("{:<14} (template lift failed)  {status}", r.app);
             }
-            for v in &r.violations {
-                eprintln!("    {v}");
-            }
+            print_violations(&r.violations);
         }
     }
 
-    let total: usize = reports
+    let total = reports
         .iter()
         .map(|r| r.violations.len() + usize::from(!r.clean() && r.violations.is_empty()))
         .sum();
-    let apps = reports
-        .iter()
-        .map(|r| r.to_json())
-        .collect::<Vec<_>>()
-        .join(",");
-    println!("{{\"total_violations\":{total},\"apps\":[{apps}]}}");
-    total
+    envelope(total, json_list(&reports, |r| r.to_json()), "")
 }
 
 fn comm_report(json_only: bool) -> usize {
@@ -305,20 +301,12 @@ fn comm_report(json_only: bool) -> usize {
                 r.deadlock_free,
                 r.match_plan.certified(),
             );
-            for v in &r.violations {
-                eprintln!("    {v}");
-            }
+            print_violations(&r.violations);
         }
     }
 
-    let total: usize = reports.iter().map(|r| r.violations.len()).sum();
-    let apps = reports
-        .iter()
-        .map(|r| r.to_json())
-        .collect::<Vec<_>>()
-        .join(",");
-    println!("{{\"total_violations\":{total},\"apps\":[{apps}]}}");
-    total
+    let total = reports.iter().map(|r| r.violations.len()).sum();
+    envelope(total, json_list(&reports, |r| r.to_json()), "")
 }
 
 /// `--placement`: placecheck. Statically derive every distributed
@@ -357,33 +345,21 @@ fn placement_report(json_only: bool, export_dir: Option<&str>) -> usize {
                     r.violations.len(),
                 );
             }
-            for v in &r.violations {
-                eprintln!("    {v}");
-            }
+            print_violations(&r.violations);
         }
     }
 
     if let Some(dir) = export_dir {
-        std::fs::create_dir_all(dir).expect("create export dir");
-        for r in &reports {
-            for p in &r.plans {
-                let path = std::path::Path::new(dir).join(format!("{}.n{}.json", p.app, p.ranks));
-                std::fs::write(&path, p.to_json()).expect("write placement plan");
-                if !json_only {
-                    eprintln!("wrote {}", path.display());
-                }
-            }
-        }
+        let plans = reports.iter().flat_map(|r| &r.plans);
+        export(
+            dir,
+            json_only,
+            plans.map(|p| (format!("{}.n{}.json", p.app, p.ranks), p.to_json())),
+        );
     }
 
-    let total: usize = reports.iter().map(|r| r.violations.len()).sum();
-    let apps = reports
-        .iter()
-        .map(|r| r.to_json())
-        .collect::<Vec<_>>()
-        .join(",");
-    println!("{{\"total_violations\":{total},\"apps\":[{apps}]}}");
-    total
+    let total = reports.iter().map(|r| r.violations.len()).sum();
+    envelope(total, json_list(&reports, |r| r.to_json()), "")
 }
 
 fn main() -> ExitCode {

@@ -6,19 +6,19 @@
 //!   the host: BabelStream, message-passing latency, one representative
 //!   kernel per application, and the tiled vs untiled loop chain. These are
 //!   the honest, runnable counterparts of the paper's measurements.
-//! * **Figure binaries** (`cargo run -p bwb-bench --bin figN`) print each
-//!   paper figure's reproduction — host measurements where the hardware
+//! * **The figure binary** (`cargo run -p bwb-bench --bin figures [N]`)
+//!   prints each paper figure's reproduction — host measurements where the hardware
 //!   allows, model outputs for the cross-platform comparisons — and write
 //!   the data as CSV under `target/figures/`.
 
 use std::path::PathBuf;
 
-/// Directory the figure binaries write their CSVs to.
+/// Directory the figure binary writes its CSVs to.
 pub fn figures_dir() -> PathBuf {
     PathBuf::from("target/figures")
 }
 
-/// Run one figure binary's standard flow: render + save CSV.
+/// One figure's standard flow: render + save CSV.
 pub fn emit(figure: bwb_core::Figure) {
     let exp = bwb_core::Experiment::new(figure);
     println!("{}", exp.render());

@@ -82,7 +82,7 @@ impl PhaseBalance {
             .collect();
         format!(
             "{{\"phase\":\"{}\",\"ranks\":[{}]}}",
-            crate::comm::json_escape(&self.phase),
+            bwb_trace::json::escape(&self.phase),
             ranks.join(",")
         )
     }

@@ -22,9 +22,9 @@
 //!   that `Universe::run_placed` injects.
 //!
 //! [`CommReport::analyze`] bundles all four over one merged log;
-//! [`comm_check_all`] records the registered distributed apps at 4 ranks
-//! under a Xeon MAX placement and is the library entry behind
-//! `analyze --comm` (the CI gate).
+//! [`comm_check_all`] records every app-table entry with a distributed
+//! half at 4 ranks under a Xeon MAX placement and is the library entry
+//! behind `analyze --comm` (the CI gate).
 
 pub mod deadlock;
 pub mod determinism;
@@ -40,12 +40,12 @@ pub use imbalance::{check_imbalance, phase_balance, PhaseBalance, IMBALANCE_THRE
 pub use matching::check_matching;
 pub use replay::{replay, BlockState, MatchRec, Outcome, Replay};
 
-pub(crate) use crate::violation::json_escape;
-
+use crate::registry::{self, CI_RANKS};
 use crate::violation::{Kind, Violation};
 use bwb_machine::platforms::xeon_max_9480;
 use bwb_machine::{LatencyProfile, PlacementPolicy, RankPlacement};
 use bwb_shmpi::{CommLog, CommOp, Universe};
+use bwb_trace::json::escape;
 
 /// The commcheck verdict for one app's recorded run.
 #[derive(Debug, Clone)]
@@ -124,7 +124,7 @@ impl CommReport {
              \"match_plan\":{{\"certified\":{},\"entries\":{},\
              \"deterministic\":{},\"matches\":{}}},\
              \"phases\":[{}],\"violations\":[{}]}}",
-            json_escape(&self.app),
+            escape(&self.app),
             self.ranks,
             self.events,
             self.sends,
@@ -150,87 +150,22 @@ impl CommReport {
     }
 }
 
-/// The placement the registry prices traffic with: one rank per NUMA
-/// domain of a Xeon MAX 9480 (the paper's MPI+X configuration), which
-/// puts 4 CI ranks on the 4 NUMA domains of socket 0.
-fn registry_placement() -> (RankPlacement, LatencyProfile) {
-    let plat = xeon_max_9480();
-    (
-        plat.topology.place_ranks(PlacementPolicy::OnePerNuma),
-        plat.latency,
-    )
-}
-
-const REGISTRY_RANKS: usize = 4;
-
-fn record<F, R>(app: &str, f: F) -> CommReport
-where
-    F: Fn(&mut bwb_shmpi::Comm) -> R + Sync,
-    R: Send,
-{
-    let (placement, latency) = registry_placement();
-    let (_out, logs) =
-        Universe::run_placed_logged(REGISTRY_RANKS, Some((placement.clone(), latency)), f);
-    CommReport::analyze(app, &logs, Some((&placement, &latency)))
-}
-
 /// Record and verify the communication schedule of every registered
-/// distributed app at 4 ranks. Zero violations across this registry is the
-/// repo's correctness claim for its inter-rank schedules; the `analyze
-/// --comm` CLI gates CI on it.
+/// distributed app's CI-sized run, priced with one rank per NUMA domain of
+/// a Xeon MAX 9480 (the paper's MPI+X configuration: the 4 CI ranks sit on
+/// the 4 NUMA domains of socket 0). Zero violations is the repo's
+/// correctness claim for its inter-rank schedules; the `analyze --comm`
+/// CLI gates CI on it.
 pub fn comm_check_all() -> Vec<CommReport> {
-    use bwb_apps::{acoustic, cloverleaf2d, mgcfd, minibude, miniweather};
-    use bwb_ops::ExecMode;
-
-    vec![
-        record("cloverleaf2d", |c| {
-            let cfg = cloverleaf2d::Config {
-                nx: 24,
-                ny: 24,
-                iterations: 2,
-                mode: ExecMode::Serial,
-                advection: cloverleaf2d::Advection::VanLeer,
-                ..cloverleaf2d::Config::default()
-            };
-            cloverleaf2d::Clover2::run_distributed(c, cfg).1
-        }),
-        record("acoustic", |c| {
-            let cfg = acoustic::Config {
-                n: 16,
-                iterations: 3,
-                mode: ExecMode::Serial,
-                ..acoustic::Config::default()
-            };
-            acoustic::Acoustic::run_distributed(c, cfg).1
-        }),
-        record("miniweather", |c| {
-            let cfg = miniweather::Config {
-                nx: 24,
-                nz: 12,
-                mode: ExecMode::Serial,
-                ..miniweather::Config::default()
-            };
-            miniweather::MiniWeather::run_distributed(c, cfg, 2).1
-        }),
-        record("mgcfd", |c| {
-            let cfg = mgcfd::Config {
-                n: 17,
-                levels: 2,
-                ..mgcfd::Config::default()
-            };
-            mgcfd::distributed_flux(c, &cfg)
-        }),
-        record("minibude", |c| {
-            let sim = minibude::MiniBude::new(minibude::Config {
-                n_poses: 13,
-                n_ligand: 8,
-                n_protein: 24,
-                parallel: false,
-                ..minibude::Config::default()
-            });
-            sim.energies_distributed(c)
-        }),
-    ]
+    let plat = xeon_max_9480();
+    let placement = plat.topology.place_ranks(PlacementPolicy::OnePerNuma);
+    let priced = Some((placement.clone(), plat.latency));
+    registry::distributed()
+        .map(|(e, d)| {
+            let (_out, logs) = Universe::run_placed_logged(CI_RANKS, priced.clone(), d.ci);
+            CommReport::analyze(e.name, &logs, Some((&placement, &plat.latency)))
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Rank-parametric communication-schedule verification.
 //!
 //! [`super`] (commcheck) certifies one *concrete* run: the schedule the
-//! registry apps execute at 4 ranks. This module lifts those concrete
+//! app-table entries execute at 4 ranks. This module lifts those concrete
 //! [`CommLog`]s into **rank-parametric schedule templates** — symbolic
 //! rank identifiers over a declared [`TopologyFamily`] (Cartesian grids
 //! under `dims_create`, rings, RCB partition graphs, gather stars) with
@@ -53,9 +53,11 @@ pub mod lift;
 pub use lift::lift;
 
 use super::CommReport;
-use crate::violation::{json_escape, Kind, Violation};
+use crate::registry;
+use crate::violation::{Kind, Violation};
 use bwb_shmpi::cart::dims_create;
 use bwb_shmpi::{CartComm, CommLog, Universe};
+use bwb_trace::json::escape;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -82,6 +84,17 @@ impl TopologyFamily {
             TopologyFamily::Ring => "ring".to_string(),
             TopologyFamily::RcbGraph => "rcb_graph".to_string(),
             TopologyFamily::Star => "star".to_string(),
+        }
+    }
+
+    /// Smallest world size at which every phase of the family moves
+    /// messages — a Cartesian dim is inert until `dims_create` gives it
+    /// extent 2. A template lifted from fewer ranks would silently lack
+    /// those phases.
+    pub fn min_base_ranks(&self) -> usize {
+        match self {
+            TopologyFamily::Cart { ndims } => 1 << ndims,
+            _ => 2,
         }
     }
 }
@@ -406,8 +419,8 @@ impl ParametricCert {
              \"phases\":{},\"matching_complete\":{},\"deadlock_free\":{},\
              \"collision_free_to\":{},\"deterministic\":{},\
              \"certified\":{},\"crosschecks\":[{}],\"verify_ms\":{:.1}}}",
-            json_escape(&self.app),
-            json_escape(&self.family),
+            escape(&self.app),
+            escape(&self.family),
             self.base_ranks,
             self.phases,
             self.matching_complete,
@@ -439,7 +452,7 @@ impl ParametricReport {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"app\":\"{}\",\"cert\":{},\"violations\":[{}]}}",
-            json_escape(&self.app),
+            escape(&self.app),
             self.cert
                 .as_ref()
                 .map_or_else(|| "null".to_string(), |c| c.to_json()),
@@ -465,6 +478,10 @@ pub fn verify_app<F>(app: &str, family: TopologyFamily, base_n: usize, run: F) -
 where
     F: Fn(usize) -> Vec<CommLog>,
 {
+    assert!(
+        base_n >= family.min_base_ranks(),
+        "{app}: {base_n} base ranks leave phases of {family:?} inert"
+    );
     let t0 = Instant::now();
     let base_logs = run(base_n);
     let template = match lift(app, &family, &base_logs) {
@@ -559,102 +576,17 @@ where
     }
 }
 
-pub(crate) fn run_cloverleaf2d(n: usize) -> Vec<CommLog> {
-    use bwb_apps::cloverleaf2d;
-    Universe::run_logged(n, |c| {
-        let cfg = cloverleaf2d::Config {
-            nx: 56,
-            ny: 56,
-            iterations: 1,
-            mode: bwb_ops::ExecMode::Serial,
-            advection: cloverleaf2d::Advection::VanLeer,
-            ..cloverleaf2d::Config::default()
-        };
-        cloverleaf2d::Clover2::run_distributed(c, cfg).1
-    })
-    .1
-}
-
-pub(crate) fn run_acoustic(n: usize) -> Vec<CommLog> {
-    use bwb_apps::acoustic;
-    Universe::run_logged(n, |c| {
-        let cfg = acoustic::Config {
-            n: 42,
-            iterations: 2,
-            mode: bwb_ops::ExecMode::Serial,
-            ..acoustic::Config::default()
-        };
-        acoustic::Acoustic::run_distributed(c, cfg).1
-    })
-    .1
-}
-
-pub(crate) fn run_miniweather(n: usize) -> Vec<CommLog> {
-    use bwb_apps::miniweather;
-    Universe::run_logged(n, move |c| {
-        let cfg = miniweather::Config {
-            nx: 8 * n, // the ring decomposition requires nx % n == 0
-            nz: 12,
-            mode: bwb_ops::ExecMode::Serial,
-            ..miniweather::Config::default()
-        };
-        miniweather::MiniWeather::run_distributed(c, cfg, 2).1
-    })
-    .1
-}
-
-pub(crate) fn run_mgcfd(n: usize) -> Vec<CommLog> {
-    use bwb_apps::mgcfd;
-    Universe::run_logged(n, |c| {
-        let cfg = mgcfd::Config {
-            n: 33, // 1089 nodes: every RCB part keeps cut edges at 112 ranks
-            levels: 2,
-            ..mgcfd::Config::default()
-        };
-        mgcfd::distributed_flux(c, &cfg)
-    })
-    .1
-}
-
-pub(crate) fn run_minibude(n: usize) -> Vec<CommLog> {
-    use bwb_apps::minibude;
-    Universe::run_logged(n, move |c| {
-        let sim = minibude::MiniBude::new(minibude::Config {
-            n_poses: 3 * n + 1, // uneven on purpose: exercises remainder slicing
-            n_ligand: 8,
-            n_protein: 24,
-            parallel: false,
-            ..minibude::Config::default()
-        });
-        sim.energies_distributed(c)
-    })
-    .1
-}
-
 /// Lift, symbolically verify, and cross-check every registered
 /// distributed app. Every report clean is the repo's rank-parametric
 /// correctness claim; `analyze --comm --parametric` gates CI on it.
 pub fn parametric_check_all() -> Vec<ParametricReport> {
-    vec![
-        verify_app(
-            "cloverleaf2d",
-            TopologyFamily::Cart { ndims: 2 },
-            4,
-            run_cloverleaf2d,
-        ),
-        // Base 8 = dims [2,2,2]: every dim has extent >= 2, so all three
-        // halo dims are live in the lifted template (at N = 4 the
-        // template itself predicts dim 2 inert via dims_create).
-        verify_app(
-            "acoustic",
-            TopologyFamily::Cart { ndims: 3 },
-            8,
-            run_acoustic,
-        ),
-        verify_app("miniweather", TopologyFamily::Ring, 4, run_miniweather),
-        verify_app("mgcfd", TopologyFamily::RcbGraph, 4, run_mgcfd),
-        verify_app("minibude", TopologyFamily::Star, 4, run_minibude),
-    ]
+    registry::distributed()
+        .map(|(e, d)| {
+            verify_app(e.name, d.family.clone(), d.base_ranks, |n| {
+                Universe::run_logged(n, d.scaled).1
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

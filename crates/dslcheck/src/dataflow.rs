@@ -10,6 +10,13 @@ use crate::traffic::{derive, nt_certs, AppTraffic, DEFAULT_RESIDENCY_BYTES};
 use crate::violation::Violation;
 use bwb_ops::access::{LoopSpec, Recording};
 use bwb_ops::plan::{lower_recording, ElisionCert, FusionGroupCert, LoopIr, NtCert, OptPlan};
+use bwb_trace::json::escape;
+
+/// `"a","b",…` — the body of a JSON array of strings.
+pub(crate) fn json_strings(items: &[String]) -> String {
+    let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
+    quoted.join(",")
+}
 
 /// Why the whole-chain analysis cannot soundly cover an app. Structured
 /// replacements for the bare prose notes the "explicitly limited" entries
@@ -163,13 +170,9 @@ impl DataflowReport {
             .map(|l| {
                 format!(
                     "{{\"loop\":\"{}\",\"at\":{},\"dats\":[{}]}}",
-                    l.name,
+                    escape(&l.name),
                     l.at,
-                    l.nt_eligible
-                        .iter()
-                        .map(|d| format!("\"{d}\""))
-                        .collect::<Vec<_>>()
-                        .join(",")
+                    json_strings(&l.nt_eligible)
                 )
             })
             .collect();
@@ -180,11 +183,7 @@ impl DataflowReport {
                 format!(
                     "{{\"start\":{},\"names\":[{}]}}",
                     g.start,
-                    g.names
-                        .iter()
-                        .map(|n| format!("\"{n}\""))
-                        .collect::<Vec<_>>()
-                        .join(",")
+                    json_strings(&g.names)
                 )
             })
             .collect();
@@ -194,7 +193,9 @@ impl DataflowReport {
             .map(|e| {
                 format!(
                     "{{\"site\":\"{}\",\"dat\":\"{}\",\"depth\":{}}}",
-                    e.site, e.dat, e.depth
+                    escape(&e.site),
+                    escape(&e.dat),
+                    e.depth
                 )
             })
             .collect();
@@ -206,7 +207,7 @@ impl DataflowReport {
              \"traffic\":{{\"read_bytes\":{:.0},\"write_bytes\":{:.0},\
              \"nt_eligible_write_bytes\":{:.0},\"elidable_fraction\":{:.4},\
              \"streaming_gain_bound\":{:.4},\"nt_eligible\":[{}]}}}}",
-            self.app,
+            escape(&self.app),
             self.loops,
             self.exchanges,
             self.analyzed,

@@ -41,12 +41,11 @@
 //!   model, and emit a certified [`PlacementPlan`] — crosschecked
 //!   byte-exact against recorded `CommLog`s at small rank counts.
 //!
-//! [`check_all`] runs all registered apps (CloverLeaf 2D/3D, Acoustic —
-//! local and decomposed —, OpenSBLI SA/SN, miniWeather, MG-CFD, Volna,
-//! miniBUDE, and a tiled chain demo) under the applicable analyzers;
-//! [`dataflow_all`] produces the whole-chain dataflow report for the same
-//! apps. The `analyze` binary in `bwb-bench` renders both as JSON reports
-//! and gates CI on them.
+//! Every registered app is stated once, as an [`AppEntry`] of
+//! [`registry::APPS`]; [`check_all`], [`dataflow_all`], [`static_all`],
+//! [`crosscheck_all`], [`comm_check_all`], [`parametric_check_all`] and
+//! [`placement_check_all`] are passes over that table. The `analyze`
+//! binary in `bwb-bench` renders them as JSON reports and gates CI on them.
 
 pub mod checked;
 pub mod comm;
@@ -80,12 +79,12 @@ pub use placecheck::{
 };
 pub use plan::{check_chain_plan, check_halo_depth};
 pub use race::check_unstructured;
-pub use registry::{
-    check_all, crosscheck_all, dataflow_all, static_all, static_chain, static_plan,
-    static_report_for, AppReport, CrosscheckReport, StaticAppReport,
-};
+pub use registry::{check_all, dataflow_all, AppEntry, AppReport};
 pub use replay::{replay, ReplayConfig, ReplayStats};
-pub use speccheck::{analyze_static, crosscheck, stability, Crosscheck};
+pub use speccheck::{
+    analyze_static, crosscheck, crosscheck_all, stability, static_all, static_plan,
+    static_report_for, Crosscheck, CrosscheckReport, StaticAppReport,
+};
 pub use traffic::{
     check_streaming_claims, derive as derive_traffic, nt_certs, nt_certs_with_floor, AppTraffic,
     DEFAULT_NT_MIN_RUN_BYTES, DEFAULT_RESIDENCY_BYTES,

@@ -10,6 +10,7 @@
 use crate::graph::{DefUseGraph, Event, Touch};
 use crate::violation::{Kind, Violation};
 use bwb_ops::plan::{ElisionCert, FusionGroupCert};
+use bwb_trace::json::escape;
 
 /// Dead-store detection: a field fully written by a pure-`Write` loop and
 /// fully rewritten by a later pure-`Write` loop, with no read, read-write,
@@ -252,19 +253,15 @@ impl FusionPlan {
                 format!(
                     "{{\"first\":\"{}\",\"first_at\":{},\"second\":\"{}\",\"second_at\":{},\
                      \"legal\":{},\"shared\":[{}]{}}}",
-                    c.first,
+                    escape(&c.first),
                     c.first_at,
-                    c.second,
+                    escape(&c.second),
                     c.second_at,
                     c.legal,
-                    c.shared
-                        .iter()
-                        .map(|s| format!("\"{s}\""))
-                        .collect::<Vec<_>>()
-                        .join(","),
+                    crate::dataflow::json_strings(&c.shared),
                     c.reason
                         .as_ref()
-                        .map(|r| format!(",\"reason\":\"{r}\""))
+                        .map(|r| format!(",\"reason\":\"{}\"", escape(r)))
                         .unwrap_or_default(),
                 )
             })

@@ -15,6 +15,8 @@
 //! transport detail, while placement certification is about the app-level
 //! point-to-point schedule.
 
+use crate::registry;
+use bwb_apps::{acoustic, cloverleaf2d};
 use bwb_machine::{CommDistance, RankPlacement};
 use bwb_shmpi::event::{CommLog, CommOp};
 use bwb_shmpi::{CartComm, COLL_TAG_BASE};
@@ -142,93 +144,66 @@ impl PairFlows {
     }
 }
 
-/// The static flow model of a registry app at `n` ranks, or `None` for an
-/// unknown app. Phase order follows the app's execution order; the
-/// configurations are byte-for-byte those of the parametric registry
-/// runners, so the crosscheck replays the exact modelled program.
+/// The static flow model of a registered app at `n` ranks, or `None` for
+/// an app without a distributed half. Phase order follows the app's
+/// execution order; each model reads its sizes from the config the entry's
+/// `scaled` driver runs with, so the crosscheck replays the exact
+/// modelled program.
 pub fn static_flows(app: &str, n: usize) -> Option<Vec<PhaseFlow>> {
     assert!(
         (1..=FLOW_MAX_RANKS).contains(&n),
         "flow models are certified for 1..={FLOW_MAX_RANKS} ranks"
     );
-    match app {
-        "cloverleaf2d" => Some(cloverleaf2d_flows(n)),
-        "acoustic" => Some(acoustic_flows(n)),
-        "miniweather" => Some(miniweather_flows(n)),
-        "mgcfd" => Some(mgcfd_flows(n)),
-        "minibude" => Some(minibude_flows(n)),
-        _ => None,
-    }
+    Some((registry::entry(app)?.dist.as_ref()?.flows)(n))
 }
 
-/// Names of every app with a flow model, in registry order.
-pub const FLOW_APPS: [&str; 5] = [
-    "cloverleaf2d",
-    "acoustic",
-    "miniweather",
-    "mgcfd",
-    "minibude",
-];
+/// Names of every app with a flow model, in table order.
+pub const FLOW_APPS: [&str; 5] = {
+    let mut names = [""; 5];
+    let (mut i, mut k) = (0, 0);
+    while i < registry::APPS.len() {
+        if registry::APPS[i].dist.is_some() {
+            names[k] = registry::APPS[i].name;
+            k += 1;
+        }
+        i += 1;
+    }
+    assert!(k == names.len());
+    names
+};
 
-/// Face-neighbour sends of one `DistBlock2`-style per-dimension cell
-/// exchange: dim-0 strips are `d × ny` elements, dim-1 strips are
+/// Face-neighbour sends of one `DistBlock2` exchange of an f64 field with
+/// `extra` more points per dimension than cells (0 for cell fields, 1 for
+/// node fields): dim-0 strips are `d × ny` elements, dim-1 strips are
 /// `d × (nx + 2d)` (rows extended into the x halos) — exactly the packing
-/// loops in `bwb_ops::halo::DistBlock2::exchange_halo_dim`.
-fn cell_exchange_sends(
+/// loops in `bwb_ops::halo::DistBlock2::{exchange_halo_dim,
+/// exchange_node_halo_inner}`.
+fn exchange_sends(
     cart: &CartComm,
-    gnx: usize,
-    gny: usize,
+    (gnx, gny): (usize, usize),
+    extra: usize,
     depth: usize,
-    elem_bytes: usize,
     out: &mut PhaseFlow,
 ) {
-    let n = cart.size();
-    for r in 0..n {
-        let nx = cart.decompose_1d(r, 0, gnx).1;
-        let ny = cart.decompose_1d(r, 1, gny).1;
+    for r in 0..cart.size() {
+        let nx = cart.decompose_1d(r, 0, gnx).1 + extra;
+        let ny = cart.decompose_1d(r, 1, gny).1 + extra;
         for (dim, strip) in [(0usize, depth * ny), (1, depth * (nx + 2 * depth))] {
             for dir in [-1isize, 1] {
                 if let Some(nbr) = cart.shift(r, dim, dir) {
-                    out.sends.push((r, nbr, (strip * elem_bytes) as u64));
+                    out.sends.push((r, nbr, (strip * 8) as u64));
                 }
             }
         }
     }
 }
 
-/// Node-field exchange sends: node fields are `(nx+1) × (ny+1)`, the x pass
-/// ships `d × (ny+1)` columns, the y pass `d × (nx+1 + 2d)` rows — the
-/// packing of `DistBlock2::exchange_node_halo_inner`.
-fn node_exchange_sends(
-    cart: &CartComm,
-    gnx: usize,
-    gny: usize,
-    depth: usize,
-    elem_bytes: usize,
-    out: &mut PhaseFlow,
-) {
-    let n = cart.size();
-    for r in 0..n {
-        let nnx = cart.decompose_1d(r, 0, gnx).1 + 1;
-        let nny = cart.decompose_1d(r, 1, gny).1 + 1;
-        for (dim, strip) in [(0usize, depth * nny), (1, depth * (nnx + 2 * depth))] {
-            for dir in [-1isize, 1] {
-                if let Some(nbr) = cart.shift(r, dim, dir) {
-                    out.sends.push((r, nbr, (strip * elem_bytes) as u64));
-                }
-            }
-        }
-    }
-}
-
-/// CloverLeaf 2D, registry configuration: 56×56 cells, 1 hydro cycle,
-/// depth-2 cell halos (f64), depth-1 node-velocity halos. Per cycle the
-/// exchange sites run in execution order `cells0`, `vel0`, `cells1`,
-/// `cells2`, `vel1`; cell sites move six fields, velocity sites four.
-/// (`calc_dt`'s allreduce and the final density gather are collectives.)
-fn cloverleaf2d_flows(n: usize) -> Vec<PhaseFlow> {
-    const GN: usize = 56;
-    const HALO: usize = 2;
+/// CloverLeaf 2D: depth-2 cell halos (f64), depth-1 node-velocity halos.
+/// Per cycle the exchange sites run in execution order `cells0`, `vel0`,
+/// `cells1`, `cells2`, `vel1`; cell sites move six fields, velocity sites
+/// four. (`calc_dt`'s allreduce and the final density gather are
+/// collectives.)
+pub(crate) fn cloverleaf2d(n: usize) -> Vec<PhaseFlow> {
     const CELL_FIELDS: [&str; 6] = [
         "density0",
         "energy0",
@@ -238,47 +213,41 @@ fn cloverleaf2d_flows(n: usize) -> Vec<PhaseFlow> {
         "energy1",
     ];
     const VEL_FIELDS: [&str; 4] = ["xvel0", "yvel0", "xvel1", "yvel1"];
+    let cfg = registry::clover2_scaled_cfg();
     let cart = CartComm::balanced(n, 2);
     let mut phases = Vec::new();
-    let cell_site = |site: &str, phases: &mut Vec<PhaseFlow>| {
-        for f in CELL_FIELDS {
+    let mut site = |site: &str, fields: &[&str], extra: usize, depth: usize| {
+        for f in fields {
             let mut p = PhaseFlow::new(format!("{site}/{f}"));
-            cell_exchange_sends(&cart, GN, GN, HALO, 8, &mut p);
+            exchange_sends(&cart, (cfg.nx, cfg.ny), extra, depth, &mut p);
             phases.push(p);
         }
     };
-    let vel_site = |site: &str, phases: &mut Vec<PhaseFlow>| {
-        for f in VEL_FIELDS {
-            let mut p = PhaseFlow::new(format!("{site}/{f}"));
-            node_exchange_sends(&cart, GN, GN, 1, 8, &mut p);
-            phases.push(p);
-        }
-    };
-    cell_site("cells0", &mut phases);
-    vel_site("vel0", &mut phases);
-    cell_site("cells1", &mut phases);
-    cell_site("cells2", &mut phases);
-    vel_site("vel1", &mut phases);
+    for _ in 0..cfg.iterations {
+        site("cells0", &CELL_FIELDS, 0, cloverleaf2d::HALO);
+        site("vel0", &VEL_FIELDS, 1, 1);
+        site("cells1", &CELL_FIELDS, 0, cloverleaf2d::HALO);
+        site("cells2", &CELL_FIELDS, 0, cloverleaf2d::HALO);
+        site("vel1", &VEL_FIELDS, 1, 1);
+    }
     phases
 }
 
-/// Acoustic, registry configuration: 42³ grid, 2 iterations, radius-4 f32
-/// halos over a balanced 3-D decomposition. Per iteration one exchange:
-/// X strips `d·ny·nz`, Y strips `d·(nx+2d)·nz` (X-extended), Z strips
-/// `d·(nx+2d)·(ny+2d)` (XY-extended) — `DistBlock3::exchange_halo`.
-fn acoustic_flows(n: usize) -> Vec<PhaseFlow> {
-    const GN: usize = 42;
-    const RADIUS: usize = 4;
-    const ITERS: usize = 2;
+/// Acoustic: radius-4 f32 halos over a balanced 3-D decomposition. Per
+/// iteration one exchange: X strips `d·ny·nz`, Y strips `d·(nx+2d)·nz`
+/// (X-extended), Z strips `d·(nx+2d)·(ny+2d)` (XY-extended) —
+/// `DistBlock3::exchange_halo`.
+pub(crate) fn acoustic(n: usize) -> Vec<PhaseFlow> {
+    let cfg = registry::acoustic_scaled_cfg();
+    let d = acoustic::RADIUS;
     let cart = CartComm::balanced(n, 3);
     let mut phases = Vec::new();
-    for it in 0..ITERS {
+    for it in 0..cfg.iterations {
         let mut p = PhaseFlow::new(format!("u_curr@{it}"));
         for r in 0..n {
-            let nx = cart.decompose_1d(r, 0, GN).1;
-            let ny = cart.decompose_1d(r, 1, GN).1;
-            let nz = cart.decompose_1d(r, 2, GN).1;
-            let d = RADIUS;
+            let nx = cart.decompose_1d(r, 0, cfg.n).1;
+            let ny = cart.decompose_1d(r, 1, cfg.n).1;
+            let nz = cart.decompose_1d(r, 2, cfg.n).1;
             let strips = [
                 d * ny * nz,
                 d * (nx + 2 * d) * nz,
@@ -297,21 +266,18 @@ fn acoustic_flows(n: usize) -> Vec<PhaseFlow> {
     phases
 }
 
-/// miniWeather, registry configuration: weak-scaled ring (nx = 8·n, nz =
-/// 12), 2 steps. Each step runs both dimensional-split passes (x then z,
-/// alternating order), each pass three RK3 stages, and *every* stage's
-/// tendencies call refreshes the ring halos of the four state fields:
-/// every rank ships its 2-deep edge columns (`2·nz` f64) to both periodic
-/// neighbours.
-fn miniweather_flows(n: usize) -> Vec<PhaseFlow> {
-    const NZ: usize = 12;
-    const STEPS: usize = 2;
+/// miniWeather on its weak-scaled ring. Each step runs both
+/// dimensional-split passes (x then z, alternating order), each pass three
+/// RK3 stages, and *every* stage's tendencies call refreshes the ring
+/// halos of the four state fields: every rank ships its 2-deep edge
+/// columns (`2·nz` f64) to both periodic neighbours.
+pub(crate) fn miniweather(n: usize) -> Vec<PhaseFlow> {
     const DIRS: usize = 2;
     const RK_STAGES: usize = 3;
     const FIELDS: [&str; 4] = ["dens", "umom", "wmom", "rhot"];
-    let strip = (2 * NZ * 8) as u64;
+    let strip = (2 * registry::miniweather_scaled_cfg(n).nz * 8) as u64;
     let mut phases = Vec::new();
-    for step in 0..STEPS {
+    for step in 0..registry::MINIWEATHER_STEPS {
         for dir in 0..DIRS {
             for stage in 0..RK_STAGES {
                 for f in FIELDS {
@@ -330,20 +296,15 @@ fn miniweather_flows(n: usize) -> Vec<PhaseFlow> {
     phases
 }
 
-/// MG-CFD, registry configuration: 33×33 fine grid, 2 levels. Every rank
-/// deterministically rebuilds the mesh, so the import/export lists are a
+/// MG-CFD: every rank deterministically rebuilds the mesh, so the
+/// import/export lists are a
 /// pure function of `(cfg, n)`: one `RankHalo` gather exchange of the
 /// state (`q`, NVAR f64 per exported node) and one scatter-add of the
 /// residual (`res`, NVAR f64 per *imported* node).
-fn mgcfd_flows(n: usize) -> Vec<PhaseFlow> {
-    use bwb_apps::mgcfd::{self, MgCfd, NVAR};
+pub(crate) fn mgcfd(n: usize) -> Vec<PhaseFlow> {
+    use bwb_apps::mgcfd::{MgCfd, NVAR};
     use bwb_op2::{edge_ownership, rcb_partition, CutEdgeRule, RankHalo};
-    let cfg = mgcfd::Config {
-        n: 33,
-        levels: 2,
-        ..mgcfd::Config::default()
-    };
-    let mut sim = MgCfd::new(cfg);
+    let mut sim = MgCfd::new(registry::mgcfd_scaled_cfg());
     sim.perturb(0.05);
     let lv = &sim.levels[0];
     let n_nodes = lv.nodes.size;
@@ -377,12 +338,11 @@ fn mgcfd_flows(n: usize) -> Vec<PhaseFlow> {
     vec![q, res]
 }
 
-/// miniBUDE, registry configuration: `3n + 1` poses (uneven on purpose).
-/// One many-to-one phase: rank `r > 0` sends its contiguous pose-energy
-/// slice (f32) to rank 0, slice bounds by the same `n·r/size` remainder
-/// arithmetic the app uses.
-fn minibude_flows(n: usize) -> Vec<PhaseFlow> {
-    let n_poses = 3 * n + 1;
+/// miniBUDE: one many-to-one phase: rank `r > 0` sends its contiguous
+/// pose-energy slice (f32) to rank 0, slice bounds by the same `n·r/size`
+/// remainder arithmetic the app uses.
+pub(crate) fn minibude(n: usize) -> Vec<PhaseFlow> {
+    let n_poses = registry::minibude_scaled_cfg(n).n_poses;
     let mut p = PhaseFlow::new("pose_energies");
     for r in 1..n {
         let lo = n_poses * r / n;
@@ -430,7 +390,7 @@ mod tests {
         let n = 7;
         let phases = static_flows("minibude", n).unwrap();
         let total: u64 = phases[0].sends.iter().map(|&(_, _, b)| b).sum();
-        let n_poses = 3 * n + 1;
+        let n_poses = registry::minibude_scaled_cfg(n).n_poses;
         let rank0 = n_poses / n; // rank 0 keeps its own slice
         assert_eq!(total, ((n_poses - rank0) * 4) as u64);
     }

@@ -25,9 +25,12 @@ pub use search::{
     candidates, phase_cost_ns, search, verify_plan, CandidateCost, DomainPerm, PlacementPlan,
 };
 
+use crate::registry;
 use crate::violation::{Kind, Violation};
 use bwb_machine::{platforms, Platform, ShardPolicy};
 use bwb_shmpi::event::CommLog;
+use bwb_shmpi::Universe;
+use bwb_trace::json::escape;
 
 /// Rank counts where static flows are diffed against recorded runs.
 pub const CROSSCHECK_RANKS: [usize; 2] = [4, 16];
@@ -37,18 +40,12 @@ pub const CROSSCHECK_RANKS: [usize; 2] = [4, 16];
 /// carries the extrapolation, exactly as in the commcheck family).
 pub const GATE_RANKS: [usize; 4] = [4, 16, 64, 112];
 
-/// Record the communication log of a registry app at `n` ranks (executes
-/// the app — crosscheck only; the static path never calls this).
+/// Record the communication log of a registered app's `scaled` driver at
+/// `n` ranks (executes the app — crosscheck only; the static path never
+/// calls this).
 pub fn recorded_logs(app: &str, n: usize) -> Option<Vec<CommLog>> {
-    use crate::comm::parametric as par;
-    match app {
-        "cloverleaf2d" => Some(par::run_cloverleaf2d(n)),
-        "acoustic" => Some(par::run_acoustic(n)),
-        "miniweather" => Some(par::run_miniweather(n)),
-        "mgcfd" => Some(par::run_mgcfd(n)),
-        "minibude" => Some(par::run_minibude(n)),
-        _ => None,
-    }
+    let dist = registry::entry(app)?.dist.as_ref()?;
+    Some(Universe::run_logged(n, dist.scaled).1)
 }
 
 /// Diff the static per-pair byte flows against a recorded run at `n`
@@ -115,7 +112,7 @@ impl PlacementReport {
                 "{{\"app\":\"{}\",\"clean\":{},\"searched\":{},",
                 "\"crosschecked\":[{}],\"plans\":[{}],\"violations\":[{}]}}"
             ),
-            self.app,
+            escape(&self.app),
             self.clean(),
             self.searched,
             xs.join(","),
@@ -168,9 +165,8 @@ pub fn placement_check_app(app: &str, platform: &Platform) -> PlacementReport {
 /// The CI gate: certify every registry app on the Xeon MAX descriptor.
 pub fn placement_check_all() -> Vec<PlacementReport> {
     let platform = platforms::xeon_max_9480();
-    FLOW_APPS
-        .iter()
-        .map(|app| placement_check_app(app, &platform))
+    registry::distributed()
+        .map(|(e, _)| placement_check_app(e.name, &platform))
         .collect()
 }
 
@@ -222,6 +218,31 @@ mod tests {
                 vs.first().map(|v| v.to_string())
             );
         }
+    }
+
+    /// Report JSON must survive any app name: every string field goes
+    /// through the one escape function.
+    #[test]
+    fn report_json_escapes_hostile_names() {
+        use bwb_trace::json::{parse, Json};
+        let name = "a\"b\\c";
+        let dataflow = crate::DataflowReport::limited(name, 0, crate::Limitation::NoDslLoops);
+        let doc = parse(&dataflow.to_json()).expect("dataflow report parses");
+        assert_eq!(doc.get("app").and_then(Json::as_str), Some(name));
+
+        let mut plan = search("minibude", 4, &platforms::xeon_max_9480()).unwrap();
+        plan.app = name.to_string();
+        let report = PlacementReport {
+            app: name.to_string(),
+            plans: vec![plan],
+            crosschecked: vec![4],
+            searched: 1,
+            violations: Vec::new(),
+        };
+        let doc = parse(&report.to_json()).expect("placement report parses");
+        assert_eq!(doc.get("app").and_then(Json::as_str), Some(name));
+        let plans = doc.get("plans").and_then(Json::as_array).unwrap();
+        assert_eq!(plans[0].get("app").and_then(Json::as_str), Some(name));
     }
 
     #[test]

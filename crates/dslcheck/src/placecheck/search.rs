@@ -7,6 +7,7 @@ use super::flows::{static_flows, LinkFlows, PairFlows, PhaseFlow};
 use crate::violation::{Kind, Violation};
 use bwb_machine::{CoreId, PlacementPolicy, Platform, RankPlacement};
 use bwb_shmpi::SW_OVERHEAD_NS;
+use bwb_trace::json::escape;
 
 /// Cost-comparison slack: candidate costs are sums of exact f64 latency
 /// table entries, so anything past rounding noise is a real difference.
@@ -130,7 +131,13 @@ impl PlacementPlan {
         let space: Vec<String> = self
             .space
             .iter()
-            .map(|c| format!("{{\"label\":\"{}\",\"cost_ns\":{:.3}}}", c.label, c.cost_ns))
+            .map(|c| {
+                format!(
+                    "{{\"label\":\"{}\",\"cost_ns\":{:.3}}}",
+                    escape(&c.label),
+                    c.cost_ns
+                )
+            })
             .collect();
         format!(
             concat!(
@@ -139,13 +146,13 @@ impl PlacementPlan {
                 "\"baseline\":\"{}\",\"baseline_cost_ns\":{:.3},",
                 "\"links\":{},\"assignments\":[{}],\"space\":[{}]}}"
             ),
-            self.app,
+            escape(&self.app),
             self.ranks,
-            self.machine,
-            self.best,
+            escape(&self.machine),
+            escape(&self.best),
             self.best_cost_ns,
-            self.policy.label(),
-            self.baseline,
+            escape(self.policy.label()),
+            escape(&self.baseline),
             self.baseline_cost_ns,
             self.links.to_json(),
             assigns.join(","),

@@ -1,9 +1,13 @@
 //! Plan-time schedule validators: tiled-chain skew reach, in-place
 //! stencils, and decomposed halo-exchange depths.
 
+use crate::checked::check_structured;
+use crate::registry::AppReport;
 use crate::violation::{Kind, Violation};
-use bwb_ops::access::{LoopObs, LoopSpec};
-use bwb_ops::ChainPlan;
+use bwb_ops::access::{ExchangeObs, LoopObs, LoopSpec};
+use bwb_ops::{
+    with_recording, ArgSpec, ChainPlan, Dat2, ExecMode, LoopChain2, Profile, Range2, Stencil,
+};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
@@ -56,9 +60,9 @@ pub fn check_chain_plan(app: &str, plan: &ChainPlan, obs: &[LoopObs]) -> Vec<Vio
 
 /// Validate halo-exchange depths against stencil radii.
 ///
-/// `trace` is a [`bwb_shmpi::Comm`] exchange trace: every `(dat, depth)`
-/// pair actually exchanged during a recorded distributed run. For each
-/// traced dat, the exchanged depth must cover the largest radius any loop
+/// `exchanges` are a distributed run's recorded halo exchanges
+/// ([`bwb_ops::access::Recording::exchanges`]). For each exchanged dat,
+/// the exchanged depth must cover the largest radius any loop
 /// reads that dat with — declared radius when a contract matches, observed
 /// radius otherwise (so under-declared loops cannot mask a shallow
 /// exchange). Dats never exchanged are not judged here: apps legitimately
@@ -67,7 +71,7 @@ pub fn check_halo_depth(
     app: &str,
     specs: &[LoopSpec],
     obs: &[LoopObs],
-    trace: &[(String, usize)],
+    exchanges: &[ExchangeObs],
 ) -> Vec<Violation> {
     // Required radius per runtime dat name.
     let mut required: BTreeMap<String, isize> = BTreeMap::new();
@@ -89,9 +93,9 @@ pub fn check_halo_depth(
     // Smallest depth each dat was ever exchanged at: one shallow exchange
     // taints the run even if others were deep enough.
     let mut exchanged: BTreeMap<&str, usize> = BTreeMap::new();
-    for (name, depth) in trace {
-        let e = exchanged.entry(name.as_str()).or_insert(*depth);
-        *e = (*e).min(*depth);
+    for x in exchanges {
+        let e = exchanged.entry(x.dat.as_str()).or_insert(x.depth);
+        *e = (*e).min(x.depth);
     }
 
     let mut out = Vec::new();
@@ -110,6 +114,68 @@ pub fn check_halo_depth(
         }
     }
     out
+}
+
+/// Two-stage blur chain: the tiled-chain demo whose plan the schedule
+/// validator proves (declared reach vs. observed reach, no in-place loops).
+pub(crate) fn blur_chain() -> AppReport {
+    let n: usize = 32;
+    let range = Range2::new(0, n as isize, 0, n as isize);
+    let mut chain = LoopChain2::<f64>::new(ExecMode::Serial);
+    // Store: 0 = src, 1 = tmp, 2 = dst.
+    chain.add(
+        "blur_a",
+        range,
+        1,
+        4.0,
+        vec![1],
+        vec![0],
+        |_i, _j, out, ins| {
+            let v = 0.5 * ins.get(0, 0, 0) + 0.25 * (ins.get(0, 0, -1) + ins.get(0, 0, 1));
+            out.set(0, v);
+        },
+    );
+    chain.add(
+        "blur_b",
+        range,
+        1,
+        4.0,
+        vec![2],
+        vec![1],
+        |_i, _j, out, ins| {
+            let v = 0.5 * ins.get(0, 0, 0) + 0.25 * (ins.get(0, -1, 0) + ins.get(0, 1, 0));
+            out.set(0, v);
+        },
+    );
+    let specs = vec![
+        LoopSpec::new(
+            "blur_a",
+            vec![ArgSpec::write("tmp")],
+            vec![ArgSpec::read("src", Stencil::plus2(1))],
+        ),
+        LoopSpec::new(
+            "blur_b",
+            vec![ArgSpec::write("dst")],
+            vec![ArgSpec::read("tmp", Stencil::plus2(1))],
+        ),
+    ];
+    let mut store = vec![
+        Dat2::<f64>::new("src", n, n, 1),
+        Dat2::<f64>::new("tmp", n, n, 1),
+        Dat2::<f64>::new("dst", n, n, 1),
+    ];
+    store[0].fill_interior(1.0);
+    let ((), obs) = with_recording(|| {
+        let mut p = Profile::new();
+        chain.execute_tiled(&mut store, &mut p, 8);
+    });
+    let mut violations = check_structured("blur_chain", &specs, &obs);
+    violations.extend(check_chain_plan("blur_chain", &chain.plan(), &obs));
+    AppReport {
+        app: "blur_chain".into(),
+        loops_checked: obs.len(),
+        violations,
+    }
 }
 
 #[cfg(test)]

@@ -1,24 +1,438 @@
-//! Registered apps and chains: record each one under checked execution at a
-//! CI-sized configuration and run every applicable analyzer.
+//! The app table: every registered app stated once, every analysis a pass
+//! over it.
 //!
-//! `check_all` is the library entry behind the `analyze` binary and the CI
-//! gate: zero violations across this registry is the repo's correctness
-//! claim for its parallel schedules.
+//! An [`AppEntry`] carries an app's CI-sized local run, its loop
+//! contracts, its declared chain (or the typed reason none can exist) and
+//! — for the distributed apps — the topology family, drivers and flow
+//! model of its distributed half. [`check_all`] and [`dataflow_all`] here,
+//! `static_all` / `crosscheck_all` in `speccheck`, `comm_check_all`,
+//! `parametric_check_all` and `placement_check_all` in their own modules
+//! are passes over [`APPS`]; zero violations across them is the repo's
+//! correctness claim for its parallel schedules, and the `analyze` binary
+//! gates CI on it.
 
 use crate::checked::check_structured;
+use crate::comm::parametric::TopologyFamily;
 use crate::dataflow::{DataflowReport, Limitation};
-use crate::plan::{check_chain_plan, check_halo_depth};
+use crate::placecheck::flows::{self, PhaseFlow};
+use crate::plan::check_halo_depth;
 use crate::race::check_unstructured;
 use crate::violation::Violation;
 use bwb_apps::{
     acoustic, cloverleaf2d, cloverleaf3d, mgcfd, minibude, miniweather, opensbli, volna,
 };
-use bwb_op2::{with_recording_u, ExecModeU};
+use bwb_op2::{with_recording_u, ULoopObs, ULoopSpec};
 use bwb_ops::access::{with_recording_full, Recording};
-use bwb_ops::{
-    with_recording, ArgSpec, Dat2, ExecMode, LoopChain2, LoopSpec, Profile, Range2, Stencil,
-};
-use bwb_shmpi::Universe;
+use bwb_ops::{ChainSpec, LoopSpec, Profile};
+use bwb_shmpi::{Comm, Universe};
+
+/// An app's CI-sized local run under the engine's recorder, with the loop
+/// contracts it is checked against.
+pub enum LocalRun {
+    /// ops app: the recording's loops feed checked execution and the
+    /// halo-depth audit, the whole recording the dataflow analysis.
+    Structured(fn() -> Recording, fn() -> Vec<LoopSpec>),
+    /// op2 app: the observation list feeds the coloring race check. The
+    /// op2 recorder sees output accesses only, so whole-chain dataflow over
+    /// closure reads would be unsound and reports are limited.
+    Unstructured(fn() -> Vec<ULoopObs>, fn() -> Vec<ULoopSpec>),
+}
+
+/// The declared loop chain that reproduces a structured entry's recording
+/// without executing it — the static analyzer's input.
+pub enum Chain {
+    /// The chain, its parameter binding at the CI size, and the number of
+    /// body iterations.
+    Declared(fn() -> ChainSpec, &'static [(&'static str, isize)], usize),
+    /// Why no parametric chain can describe the app.
+    Undeclarable(Limitation),
+}
+
+/// Ranks of every CI-sized distributed run (comm pass, `_dist` recordings).
+pub const CI_RANKS: usize = 4;
+
+/// The distributed half of an app.
+pub struct Distributed {
+    /// Which ranks talk at every world size.
+    pub family: TopologyFamily,
+    /// World size the parametric template is lifted from.
+    pub base_ranks: usize,
+    /// The distributed driver at the CI size, run on [`CI_RANKS`] ranks.
+    pub ci: fn(&mut Comm),
+    /// The driver with its rank-count-parametrised config, valid at every
+    /// world size up to [`flows::FLOW_MAX_RANKS`].
+    pub scaled: fn(&mut Comm),
+    /// The execution-free flow model of `scaled` at `n` ranks; it reads its
+    /// sizes from the config `scaled` runs with.
+    pub flows: fn(usize) -> Vec<PhaseFlow>,
+}
+
+/// One registered app: everything any analysis needs to know about it.
+pub struct AppEntry {
+    pub name: &'static str,
+    pub local: LocalRun,
+    pub chain: Chain,
+    pub dist: Option<Distributed>,
+}
+
+pub const APPS: &[AppEntry] = &[
+    AppEntry {
+        name: "cloverleaf2d",
+        local: LocalRun::Structured(clover2_local, cloverleaf2d::loop_specs),
+        chain: Chain::Declared(
+            || cloverleaf2d::chain_spec(false),
+            &[("nx", 24), ("ny", 24)],
+            2,
+        ),
+        dist: Some(Distributed {
+            family: TopologyFamily::Cart { ndims: 2 },
+            base_ranks: 4,
+            ci: clover2_ci,
+            scaled: clover2_scaled,
+            flows: flows::cloverleaf2d,
+        }),
+    },
+    // Rank 0 of the 4-rank CI run: 24×24 over 2×2 ranks is 12×12 locally.
+    // Its recording interleaves the site-labelled halo exchanges with the
+    // hydro loops, which is what the elision certifier walks.
+    AppEntry {
+        name: "clover2d_dist",
+        local: LocalRun::Structured(|| record_rank0(clover2_ci), cloverleaf2d::loop_specs),
+        chain: Chain::Declared(
+            || cloverleaf2d::chain_spec(true),
+            &[("nx", 12), ("ny", 12)],
+            2,
+        ),
+        dist: None,
+    },
+    AppEntry {
+        name: "cloverleaf3d",
+        local: LocalRun::Structured(clover3_local, cloverleaf3d::loop_specs),
+        chain: Chain::Declared(cloverleaf3d::chain_spec, &[("n", 12)], 2),
+        dist: None,
+    },
+    AppEntry {
+        name: "acoustic",
+        local: LocalRun::Structured(acoustic_local, acoustic::loop_specs),
+        chain: Chain::Declared(
+            || acoustic::chain_spec(false),
+            &[("nx", 16), ("ny", 16), ("nz", 16)],
+            2,
+        ),
+        // Base 8 = dims [2,2,2]: all three halo dims are live in the lifted
+        // template (at N = 4 the template itself predicts dim 2 inert).
+        dist: Some(Distributed {
+            family: TopologyFamily::Cart { ndims: 3 },
+            base_ranks: 8,
+            ci: acoustic_ci,
+            scaled: acoustic_scaled,
+            flows: flows::acoustic,
+        }),
+    },
+    // Rank 0 of the 4-rank CI run: 16³ over (2,2,1) ranks is 8×8×16 locally.
+    AppEntry {
+        name: "acoustic_dist",
+        local: LocalRun::Structured(|| record_rank0(acoustic_ci), acoustic::loop_specs),
+        chain: Chain::Declared(
+            || acoustic::chain_spec(true),
+            &[("nx", 8), ("ny", 8), ("nz", 16)],
+            3,
+        ),
+        dist: None,
+    },
+    AppEntry {
+        name: "opensbli_sa",
+        local: LocalRun::Structured(
+            || opensbli_local(opensbli::Variant::StoreAll),
+            opensbli::loop_specs,
+        ),
+        chain: Chain::Declared(|| opensbli::chain_spec(true), &[("n", 10)], 2),
+        dist: None,
+    },
+    AppEntry {
+        name: "opensbli_sn",
+        local: LocalRun::Structured(
+            || opensbli_local(opensbli::Variant::StoreNone),
+            opensbli::loop_specs,
+        ),
+        chain: Chain::Declared(|| opensbli::chain_spec(false), &[("n", 10)], 2),
+        dist: None,
+    },
+    // One chain body is the two-step period of the x,z / z,x split order.
+    AppEntry {
+        name: "miniweather",
+        local: LocalRun::Structured(miniweather_local, miniweather::loop_specs),
+        chain: Chain::Declared(
+            miniweather::chain_spec,
+            &[("nx", 24), ("nz", 12)],
+            MINIWEATHER_STEPS / 2,
+        ),
+        dist: Some(Distributed {
+            family: TopologyFamily::Ring,
+            base_ranks: 4,
+            ci: |c| miniweather_dist(c, miniweather_cfg()),
+            scaled: |c| miniweather_dist(c, miniweather_scaled_cfg(c.size())),
+            flows: flows::miniweather,
+        }),
+    },
+    AppEntry {
+        name: "mgcfd",
+        local: LocalRun::Unstructured(mgcfd_local, mgcfd::loop_specs),
+        chain: Chain::Undeclarable(Limitation::IndirectAccesses),
+        dist: Some(Distributed {
+            family: TopologyFamily::RcbGraph,
+            base_ranks: 4,
+            ci: |c| drop(mgcfd::distributed_flux(c, &mgcfd_cfg())),
+            scaled: |c| drop(mgcfd::distributed_flux(c, &mgcfd_scaled_cfg())),
+            flows: flows::mgcfd,
+        }),
+    },
+    AppEntry {
+        name: "volna",
+        local: LocalRun::Unstructured(volna_local, volna::loop_specs),
+        chain: Chain::Undeclarable(Limitation::IndirectAccesses),
+        dist: None,
+    },
+    // miniBUDE has no DSL loops (its docking kernel is a hand-rolled pose
+    // sweep): recording it anyway makes "nothing to analyze" a checked
+    // claim rather than an omission.
+    AppEntry {
+        name: "minibude",
+        local: LocalRun::Structured(minibude_local, minibude::loop_specs),
+        chain: Chain::Undeclarable(Limitation::NoDslLoops),
+        dist: Some(Distributed {
+            family: TopologyFamily::Star,
+            base_ranks: 4,
+            ci: minibude_dist,
+            scaled: minibude_dist,
+            flows: flows::minibude,
+        }),
+    },
+];
+
+/// The entry registered under `name`.
+pub fn entry(name: &str) -> Option<&'static AppEntry> {
+    APPS.iter().find(|e| e.name == name)
+}
+
+/// Every entry with a distributed half, in table order.
+pub fn distributed() -> impl Iterator<Item = (&'static AppEntry, &'static Distributed)> {
+    APPS.iter().filter_map(|e| Some((e, e.dist.as_ref()?)))
+}
+
+fn record(run: impl FnOnce(&mut Profile)) -> Recording {
+    with_recording_full(|| run(&mut Profile::new())).1
+}
+
+/// Rank 0's recording of a distributed driver on [`CI_RANKS`] ranks (every
+/// rank records the same loop shapes; rank 0 is representative).
+fn record_rank0(run: fn(&mut Comm)) -> Recording {
+    Universe::run(CI_RANKS, |c| with_recording_full(|| run(c)).1)
+        .results
+        .swap_remove(0)
+}
+
+fn clover2_cfg() -> cloverleaf2d::Config {
+    cloverleaf2d::Config {
+        nx: 24,
+        ny: 24,
+        iterations: 2,
+        advection: cloverleaf2d::Advection::VanLeer,
+        ..Default::default()
+    }
+}
+
+pub(crate) fn clover2_scaled_cfg() -> cloverleaf2d::Config {
+    cloverleaf2d::Config {
+        nx: 56,
+        ny: 56,
+        iterations: 1,
+        ..clover2_cfg()
+    }
+}
+
+fn clover2_local() -> Recording {
+    record(|p| {
+        let mut sim = cloverleaf2d::Clover2::new(clover2_cfg());
+        for _ in 0..2 {
+            sim.cycle(p, None);
+        }
+        sim.field_summary(p);
+    })
+}
+
+fn clover2_ci(c: &mut Comm) {
+    cloverleaf2d::Clover2::run_distributed(c, clover2_cfg());
+}
+
+fn clover2_scaled(c: &mut Comm) {
+    cloverleaf2d::Clover2::run_distributed(c, clover2_scaled_cfg());
+}
+
+fn clover3_local() -> Recording {
+    record(|p| {
+        let mut sim = cloverleaf3d::Clover3::new(cloverleaf3d::Config {
+            n: 12,
+            iterations: 2,
+            ..Default::default()
+        });
+        for _ in 0..2 {
+            sim.cycle(p);
+        }
+        sim.field_summary(p);
+    })
+}
+
+fn acoustic_cfg() -> acoustic::Config {
+    acoustic::Config {
+        n: 16,
+        iterations: 2,
+        ..Default::default()
+    }
+}
+
+pub(crate) fn acoustic_scaled_cfg() -> acoustic::Config {
+    acoustic::Config {
+        n: 42,
+        ..acoustic_cfg()
+    }
+}
+
+fn acoustic_local() -> Recording {
+    record(|p| {
+        let mut sim = acoustic::Acoustic::new(acoustic_cfg());
+        for _ in 0..2 {
+            sim.step_once(p);
+        }
+        sim.energy(p);
+    })
+}
+
+/// The distributed CI run takes one step more than the local one.
+fn acoustic_ci(c: &mut Comm) {
+    let cfg = acoustic::Config {
+        iterations: 3,
+        ..acoustic_cfg()
+    };
+    acoustic::Acoustic::run_distributed(c, cfg);
+}
+
+fn acoustic_scaled(c: &mut Comm) {
+    acoustic::Acoustic::run_distributed(c, acoustic_scaled_cfg());
+}
+
+fn opensbli_local(variant: opensbli::Variant) -> Recording {
+    record(|p| {
+        let mut sim = opensbli::OpenSbli::new(opensbli::Config {
+            n: 10,
+            iterations: 2,
+            variant,
+            ..Default::default()
+        });
+        for _ in 0..2 {
+            sim.step(p);
+        }
+    })
+}
+
+pub(crate) const MINIWEATHER_STEPS: usize = 2;
+
+fn miniweather_cfg() -> miniweather::Config {
+    miniweather::Config {
+        nx: 24,
+        nz: 12,
+        ..Default::default()
+    }
+}
+
+/// Weak-scaled: the ring decomposition requires `nx % n == 0`.
+pub(crate) fn miniweather_scaled_cfg(n: usize) -> miniweather::Config {
+    miniweather::Config {
+        nx: 8 * n,
+        ..miniweather_cfg()
+    }
+}
+
+fn miniweather_local() -> Recording {
+    record(|p| {
+        let mut sim = miniweather::MiniWeather::new(miniweather_cfg());
+        for _ in 0..MINIWEATHER_STEPS {
+            sim.step(p);
+        }
+        sim.totals(p);
+    })
+}
+
+fn miniweather_dist(c: &mut Comm, cfg: miniweather::Config) {
+    miniweather::MiniWeather::run_distributed(c, cfg, MINIWEATHER_STEPS);
+}
+
+fn mgcfd_cfg() -> mgcfd::Config {
+    mgcfd::Config {
+        n: 17,
+        levels: 2,
+        cycles: 1,
+        smooth_steps: 1,
+        ..Default::default()
+    }
+}
+
+/// 1089 nodes: every RCB part keeps cut edges at 112 ranks.
+pub(crate) fn mgcfd_scaled_cfg() -> mgcfd::Config {
+    mgcfd::Config {
+        n: 33,
+        ..mgcfd_cfg()
+    }
+}
+
+fn mgcfd_local() -> Vec<ULoopObs> {
+    with_recording_u(|| {
+        let mut sim = mgcfd::MgCfd::new(mgcfd_cfg());
+        sim.perturb(0.01);
+        sim.v_cycle(&mut Profile::new());
+    })
+    .1
+}
+
+fn volna_local() -> Vec<ULoopObs> {
+    with_recording_u(|| {
+        let mut sim = volna::Volna::new(volna::Config {
+            n: 12,
+            iterations: 2,
+            ..Default::default()
+        });
+        let mut p = Profile::new();
+        for _ in 0..2 {
+            sim.step(&mut p);
+        }
+    })
+    .1
+}
+
+fn minibude_local() -> Recording {
+    record(|p| {
+        let sim = minibude::MiniBude::new(minibude::Config {
+            n_poses: 16,
+            n_protein: 32,
+            ..Default::default()
+        });
+        let _ = sim.energies(p);
+    })
+}
+
+/// `3n + 1` poses: uneven on purpose, exercises remainder slicing.
+pub(crate) fn minibude_scaled_cfg(n: usize) -> minibude::Config {
+    minibude::Config {
+        n_poses: 3 * n + 1,
+        n_ligand: 8,
+        n_protein: 24,
+        ..Default::default()
+    }
+}
+
+fn minibude_dist(c: &mut Comm) {
+    minibude::MiniBude::new(minibude_scaled_cfg(c.size())).energies_distributed(c);
+}
 
 /// Analyzer results for one registered app (or chain).
 #[derive(Debug)]
@@ -35,709 +449,65 @@ impl AppReport {
     }
 }
 
-fn clover2() -> AppReport {
-    let cfg = cloverleaf2d::Config {
-        nx: 24,
-        ny: 24,
-        iterations: 2,
-        mode: ExecMode::Serial,
-        advection: cloverleaf2d::Advection::VanLeer,
-        ..cloverleaf2d::Config::default()
-    };
-    let specs = cloverleaf2d::loop_specs();
-    let ((), obs) = with_recording(|| {
-        let mut sim = cloverleaf2d::Clover2::new(cfg);
-        let mut p = Profile::new();
-        for _ in 0..2 {
-            sim.cycle(&mut p, None);
+impl AppEntry {
+    /// Checked execution and halo-depth audit (ops) or coloring race check
+    /// (op2) of the local run.
+    fn check(&self) -> AppReport {
+        let (loops_checked, violations) = match self.local {
+            LocalRun::Structured(record, specs) => {
+                let (rec, specs) = (record(), specs());
+                let mut violations = check_structured(self.name, &specs, &rec.loops);
+                violations.extend(check_halo_depth(
+                    self.name,
+                    &specs,
+                    &rec.loops,
+                    &rec.exchanges,
+                ));
+                (rec.loops.len(), violations)
+            }
+            LocalRun::Unstructured(record, specs) => {
+                let obs = record();
+                (obs.len(), check_unstructured(self.name, &specs(), &obs))
+            }
+        };
+        AppReport {
+            app: self.name.into(),
+            loops_checked,
+            violations,
         }
-        sim.field_summary(&mut p);
-    });
-    AppReport {
-        app: "cloverleaf2d".into(),
-        loops_checked: obs.len(),
-        violations: check_structured("cloverleaf2d", &specs, &obs),
     }
-}
 
-fn acoustic_local() -> AppReport {
-    let cfg = acoustic::Config {
-        n: 16,
-        iterations: 2,
-        mode: ExecMode::Serial,
-        ..acoustic::Config::default()
-    };
-    let specs = acoustic::loop_specs();
-    let ((), obs) = with_recording(|| {
-        let mut sim = acoustic::Acoustic::new(cfg);
-        let mut p = Profile::new();
-        for _ in 0..2 {
-            sim.step_once(&mut p);
+    /// Whole-chain dataflow report of the local run — the *dynamic* half of
+    /// the static/dynamic cross-check. Apps the analysis cannot soundly
+    /// cover get an honest limited report.
+    pub fn dataflow(&self) -> DataflowReport {
+        match self.local {
+            LocalRun::Structured(record, specs) => {
+                let rec = record();
+                if rec.loops.is_empty() {
+                    DataflowReport::limited(self.name, 0, Limitation::NoDslLoops)
+                } else {
+                    DataflowReport::analyze(self.name, &specs(), &rec)
+                }
+            }
+            LocalRun::Unstructured(record, _) => {
+                DataflowReport::limited(self.name, record().len(), Limitation::OutputOnlyRecording)
+            }
         }
-        sim.energy(&mut p);
-    });
-    AppReport {
-        app: "acoustic".into(),
-        loops_checked: obs.len(),
-        violations: check_structured("acoustic", &specs, &obs),
     }
 }
 
-/// Distributed acoustic run: per-rank checked execution plus the
-/// halo-exchange depth audit against the recorded exchange trace.
-fn acoustic_distributed() -> AppReport {
-    let cfg = acoustic::Config {
-        n: 16,
-        iterations: 3,
-        mode: ExecMode::Serial,
-        ..acoustic::Config::default()
-    };
-    let specs = acoustic::loop_specs();
-    let out = Universe::run(4, move |c| {
-        c.enable_exchange_trace();
-        let (_run, obs) = with_recording(|| acoustic::Acoustic::run_distributed(c, cfg.clone()));
-        (obs, c.exchange_trace().to_vec())
-    });
-    // Every rank records the same loop shapes; rank 0 is representative.
-    let (obs, trace) = &out.results[0];
-    let mut violations = check_structured("acoustic_dist", &specs, obs);
-    violations.extend(check_halo_depth("acoustic_dist", &specs, obs, trace));
-    AppReport {
-        app: "acoustic_dist".into(),
-        loops_checked: obs.len(),
-        violations,
-    }
-}
-
-fn clover3_record() -> Recording {
-    let cfg = cloverleaf3d::Config {
-        n: 12,
-        iterations: 2,
-        mode: ExecMode::Serial,
-        ..cloverleaf3d::Config::default()
-    };
-    let ((), rec) = with_recording_full(|| {
-        let mut sim = cloverleaf3d::Clover3::new(cfg);
-        let mut p = Profile::new();
-        for _ in 0..2 {
-            sim.cycle(&mut p);
-        }
-        sim.field_summary(&mut p);
-    });
-    rec
-}
-
-fn clover3() -> AppReport {
-    let specs = cloverleaf3d::loop_specs();
-    let rec = clover3_record();
-    AppReport {
-        app: "cloverleaf3d".into(),
-        loops_checked: rec.loops.len(),
-        violations: check_structured("cloverleaf3d", &specs, &rec.loops),
-    }
-}
-
-fn opensbli_record(variant: opensbli::Variant) -> Recording {
-    let cfg = opensbli::Config {
-        n: 10,
-        iterations: 2,
-        variant,
-        mode: ExecMode::Serial,
-        ..opensbli::Config::default()
-    };
-    let ((), rec) = with_recording_full(|| {
-        let mut sim = opensbli::OpenSbli::new(cfg);
-        let mut p = Profile::new();
-        for _ in 0..2 {
-            sim.step(&mut p);
-        }
-    });
-    rec
-}
-
-fn opensbli_app(name: &str, variant: opensbli::Variant) -> AppReport {
-    let specs = opensbli::loop_specs();
-    let rec = opensbli_record(variant);
-    AppReport {
-        app: name.into(),
-        loops_checked: rec.loops.len(),
-        violations: check_structured(name, &specs, &rec.loops),
-    }
-}
-
-/// miniBUDE has no DSL loops (its docking kernel is a hand-rolled pose
-/// sweep), so its checked-execution report is honestly empty: zero loops,
-/// zero violations. Registering it anyway makes "nothing to analyze" a
-/// checked claim rather than an omission.
-fn minibude_app() -> AppReport {
-    let specs = minibude::loop_specs();
-    let ((), obs) = with_recording(|| {
-        let sim = minibude::MiniBude::new(minibude::Config {
-            n_poses: 16,
-            n_protein: 32,
-            ..minibude::Config::default()
-        });
-        let mut p = Profile::new();
-        let _ = sim.energies(&mut p);
-    });
-    AppReport {
-        app: "minibude".into(),
-        loops_checked: obs.len(),
-        violations: check_structured("minibude", &specs, &obs),
-    }
-}
-
-fn miniweather_app() -> AppReport {
-    let cfg = miniweather::Config {
-        nx: 24,
-        nz: 12,
-        mode: ExecMode::Serial,
-        ..miniweather::Config::default()
-    };
-    let specs = miniweather::loop_specs();
-    let ((), obs) = with_recording(|| {
-        let mut sim = miniweather::MiniWeather::new(cfg);
-        let mut p = Profile::new();
-        for _ in 0..2 {
-            sim.step(&mut p);
-        }
-        sim.totals(&mut p);
-    });
-    AppReport {
-        app: "miniweather".into(),
-        loops_checked: obs.len(),
-        violations: check_structured("miniweather", &specs, &obs),
-    }
-}
-
-fn mgcfd_app() -> AppReport {
-    let cfg = mgcfd::Config {
-        n: 17,
-        levels: 2,
-        cycles: 1,
-        smooth_steps: 1,
-        mode: ExecModeU::Serial,
-        seed: 7,
-    };
-    let specs = mgcfd::loop_specs();
-    let ((), obs) = with_recording_u(|| {
-        let mut sim = mgcfd::MgCfd::new(cfg);
-        sim.perturb(0.01);
-        let mut p = Profile::new();
-        sim.v_cycle(&mut p);
-    });
-    AppReport {
-        app: "mgcfd".into(),
-        loops_checked: obs.len(),
-        violations: check_unstructured("mgcfd", &specs, &obs),
-    }
-}
-
-fn volna_app() -> AppReport {
-    let cfg = volna::Config {
-        n: 12,
-        iterations: 2,
-        mode: ExecModeU::Serial,
-        ..volna::Config::default()
-    };
-    let specs = volna::loop_specs();
-    let ((), obs) = with_recording_u(|| {
-        let mut sim = volna::Volna::new(cfg);
-        let mut p = Profile::new();
-        for _ in 0..2 {
-            sim.step(&mut p);
-        }
-    });
-    AppReport {
-        app: "volna".into(),
-        loops_checked: obs.len(),
-        violations: check_unstructured("volna", &specs, &obs),
-    }
-}
-
-/// Two-stage blur chain: the tiled-chain demo whose plan the schedule
-/// validator proves (declared reach vs. observed reach, no in-place loops).
-fn blur_chain() -> AppReport {
-    let n: usize = 32;
-    let range = Range2::new(0, n as isize, 0, n as isize);
-    let mut chain = LoopChain2::<f64>::new(ExecMode::Serial);
-    // Store: 0 = src, 1 = tmp, 2 = dst.
-    chain.add(
-        "blur_a",
-        range,
-        1,
-        4.0,
-        vec![1],
-        vec![0],
-        |_i, _j, out, ins| {
-            let v = 0.5 * ins.get(0, 0, 0) + 0.25 * (ins.get(0, 0, -1) + ins.get(0, 0, 1));
-            out.set(0, v);
-        },
-    );
-    chain.add(
-        "blur_b",
-        range,
-        1,
-        4.0,
-        vec![2],
-        vec![1],
-        |_i, _j, out, ins| {
-            let v = 0.5 * ins.get(0, 0, 0) + 0.25 * (ins.get(0, -1, 0) + ins.get(0, 1, 0));
-            out.set(0, v);
-        },
-    );
-    let specs = vec![
-        LoopSpec::new(
-            "blur_a",
-            vec![ArgSpec::write("tmp")],
-            vec![ArgSpec::read("src", Stencil::plus2(1))],
-        ),
-        LoopSpec::new(
-            "blur_b",
-            vec![ArgSpec::write("dst")],
-            vec![ArgSpec::read("tmp", Stencil::plus2(1))],
-        ),
-    ];
-    let mut store = vec![
-        Dat2::<f64>::new("src", n, n, 1),
-        Dat2::<f64>::new("tmp", n, n, 1),
-        Dat2::<f64>::new("dst", n, n, 1),
-    ];
-    store[0].fill_interior(1.0);
-    let ((), obs) = with_recording(|| {
-        let mut p = Profile::new();
-        chain.execute_tiled(&mut store, &mut p, 8);
-    });
-    let mut violations = check_structured("blur_chain", &specs, &obs);
-    violations.extend(check_chain_plan("blur_chain", &chain.plan(), &obs));
-    AppReport {
-        app: "blur_chain".into(),
-        loops_checked: obs.len(),
-        violations,
-    }
-}
-
-/// Record and analyze every registered app and chain.
+/// Record and analyze every registered app, plus the tiled-chain demo.
 pub fn check_all() -> Vec<AppReport> {
-    vec![
-        clover2(),
-        clover3(),
-        acoustic_local(),
-        acoustic_distributed(),
-        opensbli_app("opensbli_sa", opensbli::Variant::StoreAll),
-        opensbli_app("opensbli_sn", opensbli::Variant::StoreNone),
-        miniweather_app(),
-        minibude_app(),
-        mgcfd_app(),
-        volna_app(),
-        blur_chain(),
-    ]
+    APPS.iter()
+        .map(AppEntry::check)
+        .chain([crate::plan::blur_chain()])
+        .collect()
 }
-
-fn df_clover2() -> DataflowReport {
-    let cfg = cloverleaf2d::Config {
-        nx: 24,
-        ny: 24,
-        iterations: 2,
-        mode: ExecMode::Serial,
-        advection: cloverleaf2d::Advection::VanLeer,
-        ..cloverleaf2d::Config::default()
-    };
-    let ((), rec) = with_recording_full(|| {
-        let mut sim = cloverleaf2d::Clover2::new(cfg);
-        let mut p = Profile::new();
-        for _ in 0..2 {
-            sim.cycle(&mut p, None);
-        }
-        sim.field_summary(&mut p);
-    });
-    DataflowReport::analyze("cloverleaf2d", &cloverleaf2d::loop_specs(), &rec)
-}
-
-/// Distributed CloverLeaf2D: the recording interleaves the per-site
-/// halo exchanges ("cells0"/"cells1"/"cells2") with the hydro loops,
-/// which is what the elision certifier needs — fields whose halos are
-/// re-exchanged without an intervening write certify as elidable at
-/// that site.
-fn df_clover2_dist() -> DataflowReport {
-    let cfg = cloverleaf2d::Config {
-        nx: 24,
-        ny: 24,
-        iterations: 2,
-        mode: ExecMode::Serial,
-        advection: cloverleaf2d::Advection::VanLeer,
-        ..cloverleaf2d::Config::default()
-    };
-    let out = Universe::run(4, move |c| {
-        let (_r, rec) =
-            with_recording_full(|| cloverleaf2d::Clover2::run_distributed(c, cfg.clone()));
-        rec
-    });
-    DataflowReport::analyze(
-        "clover2d_dist",
-        &cloverleaf2d::loop_specs(),
-        &out.results[0],
-    )
-}
-
-fn df_clover3() -> DataflowReport {
-    DataflowReport::analyze(
-        "cloverleaf3d",
-        &cloverleaf3d::loop_specs(),
-        &clover3_record(),
-    )
-}
-
-fn df_acoustic() -> DataflowReport {
-    let cfg = acoustic::Config {
-        n: 16,
-        iterations: 3,
-        mode: ExecMode::Serial,
-        ..acoustic::Config::default()
-    };
-    let ((), rec) = with_recording_full(|| {
-        let mut sim = acoustic::Acoustic::new(cfg);
-        let mut p = Profile::new();
-        for _ in 0..2 {
-            sim.step_once(&mut p);
-        }
-        sim.energy(&mut p);
-    });
-    DataflowReport::analyze("acoustic", &acoustic::loop_specs(), &rec)
-}
-
-/// Distributed run: the recording carries the rank's exchange stream
-/// ordered against its loops, which is what the halo lints walk.
-fn df_acoustic_dist() -> DataflowReport {
-    let cfg = acoustic::Config {
-        n: 16,
-        iterations: 3,
-        mode: ExecMode::Serial,
-        ..acoustic::Config::default()
-    };
-    let out = Universe::run(4, move |c| {
-        let (_r, rec) = with_recording_full(|| acoustic::Acoustic::run_distributed(c, cfg.clone()));
-        rec
-    });
-    DataflowReport::analyze("acoustic_dist", &acoustic::loop_specs(), &out.results[0])
-}
-
-fn df_opensbli_sa() -> DataflowReport {
-    DataflowReport::analyze(
-        "opensbli_sa",
-        &opensbli::loop_specs(),
-        &opensbli_record(opensbli::Variant::StoreAll),
-    )
-}
-
-fn df_opensbli_sn() -> DataflowReport {
-    DataflowReport::analyze(
-        "opensbli_sn",
-        &opensbli::loop_specs(),
-        &opensbli_record(opensbli::Variant::StoreNone),
-    )
-}
-
-fn df_miniweather() -> DataflowReport {
-    let cfg = miniweather::Config {
-        nx: 24,
-        nz: 12,
-        mode: ExecMode::Serial,
-        ..miniweather::Config::default()
-    };
-    let ((), rec) = with_recording_full(|| {
-        let mut sim = miniweather::MiniWeather::new(cfg);
-        let mut p = Profile::new();
-        for _ in 0..2 {
-            sim.step(&mut p);
-        }
-        sim.totals(&mut p);
-    });
-    DataflowReport::analyze("miniweather", &miniweather::loop_specs(), &rec)
-}
-
-fn df_mgcfd() -> DataflowReport {
-    let cfg = mgcfd::Config {
-        n: 17,
-        levels: 2,
-        cycles: 1,
-        smooth_steps: 1,
-        mode: ExecModeU::Serial,
-        seed: 7,
-    };
-    let ((), obs) = with_recording_u(|| {
-        let mut sim = mgcfd::MgCfd::new(cfg);
-        sim.perturb(0.01);
-        let mut p = Profile::new();
-        sim.v_cycle(&mut p);
-    });
-    DataflowReport::limited("mgcfd", obs.len(), Limitation::OutputOnlyRecording)
-}
-
-fn df_volna() -> DataflowReport {
-    let cfg = volna::Config {
-        n: 12,
-        iterations: 2,
-        mode: ExecModeU::Serial,
-        ..volna::Config::default()
-    };
-    let ((), obs) = with_recording_u(|| {
-        let mut sim = volna::Volna::new(cfg);
-        let mut p = Profile::new();
-        for _ in 0..2 {
-            sim.step(&mut p);
-        }
-    });
-    DataflowReport::limited("volna", obs.len(), Limitation::OutputOnlyRecording)
-}
-
-fn df_minibude() -> DataflowReport {
-    DataflowReport::limited("minibude", 0, Limitation::NoDslLoops)
-}
-
-/// Every registered app's recording-derived dataflow entry, in report
-/// order. The function pointer records the app under instrumented
-/// execution and analyzes it — the *dynamic* half of the static/dynamic
-/// cross-check, and the per-app unit the wall-time comparison times.
-type DataflowFn = fn() -> DataflowReport;
-const DATAFLOW_ENTRIES: [(&str, DataflowFn); 11] = [
-    ("cloverleaf2d", df_clover2),
-    ("clover2d_dist", df_clover2_dist),
-    ("cloverleaf3d", df_clover3),
-    ("acoustic", df_acoustic),
-    ("acoustic_dist", df_acoustic_dist),
-    ("opensbli_sa", df_opensbli_sa),
-    ("opensbli_sn", df_opensbli_sn),
-    ("miniweather", df_miniweather),
-    ("mgcfd", df_mgcfd),
-    ("volna", df_volna),
-    ("minibude", df_minibude),
-];
 
 /// Whole-chain dataflow reports for every registered app.
-///
-/// Structured apps are re-recorded with [`with_recording_full`] so the
-/// graph sees halo exchanges interleaved with loops (the distributed
-/// acoustic run contributes the exchange-bearing recording). Unstructured
-/// apps and miniBUDE get honest limited reports — the op2 recorder only
-/// observes output accesses, so whole-chain dataflow over closure reads
-/// would be unsound there.
 pub fn dataflow_all() -> Vec<DataflowReport> {
-    DATAFLOW_ENTRIES.iter().map(|&(_, f)| f()).collect()
-}
-
-/// The declared chain, parameter binding, and body-iteration count that
-/// reproduce the registry's CI-sized recording for `app` — the static
-/// analyzer's input. `None` for apps whose access patterns no parametric
-/// chain can describe (op2 indirect apps, the hand-rolled miniBUDE).
-///
-/// The bindings mirror the registry configs above: e.g. the distributed
-/// 2-D clover run decomposes 24×24 over 4 ranks into 12×12 locals, and
-/// the distributed acoustic run decomposes 16³ over (2,2,1) into
-/// 8×8×16 locals.
-pub fn static_chain(app: &str) -> Option<(bwb_ops::ChainSpec, bwb_ops::Binding, usize)> {
-    use bwb_ops::Binding;
-    match app {
-        "cloverleaf2d" => Some((
-            cloverleaf2d::chain_spec(false),
-            Binding::new().set("nx", 24).set("ny", 24),
-            2,
-        )),
-        "clover2d_dist" => Some((
-            cloverleaf2d::chain_spec(true),
-            Binding::new().set("nx", 12).set("ny", 12),
-            2,
-        )),
-        "cloverleaf3d" => Some((cloverleaf3d::chain_spec(), Binding::new().set("n", 12), 2)),
-        "acoustic" => Some((
-            acoustic::chain_spec(false),
-            Binding::new().set("nx", 16).set("ny", 16).set("nz", 16),
-            2,
-        )),
-        "acoustic_dist" => Some((
-            acoustic::chain_spec(true),
-            Binding::new().set("nx", 8).set("ny", 8).set("nz", 16),
-            3,
-        )),
-        "opensbli_sa" => Some((opensbli::chain_spec(true), Binding::new().set("n", 10), 2)),
-        "opensbli_sn" => Some((opensbli::chain_spec(false), Binding::new().set("n", 10), 2)),
-        "miniweather" => Some((
-            miniweather::chain_spec(),
-            Binding::new().set("nx", 24).set("nz", 12),
-            1,
-        )),
-        _ => None,
-    }
-}
-
-/// The loop contracts the chain for `app` validates against.
-fn static_specs(app: &str) -> Vec<bwb_ops::LoopSpec> {
-    match app {
-        "cloverleaf2d" | "clover2d_dist" => cloverleaf2d::loop_specs(),
-        "cloverleaf3d" => cloverleaf3d::loop_specs(),
-        "acoustic" | "acoustic_dist" => acoustic::loop_specs(),
-        "opensbli_sa" | "opensbli_sn" => opensbli::loop_specs(),
-        "miniweather" => miniweather::loop_specs(),
-        _ => Vec::new(),
-    }
-}
-
-/// One app's execution-free verdict: the dataflow report derived purely
-/// from its declared chain (or a limited report where no chain can
-/// exist), plus the analyzer wall time.
-#[derive(Debug)]
-pub struct StaticAppReport {
-    pub report: DataflowReport,
-    /// Wall time of validate + instantiate + analyze + stability, in ns.
-    pub nanos: u128,
-}
-
-impl StaticAppReport {
-    pub fn clean(&self) -> bool {
-        self.report.clean()
-    }
-}
-
-/// Execution-free report for one app: validate + instantiate + analyze
-/// its declared chain, folding parametric-stability findings into the
-/// report's violations. `None` when the app declares no chain.
-pub fn static_report_for(app: &str) -> Option<StaticAppReport> {
-    use crate::speccheck::{analyze_static, stability};
-    use std::time::Instant;
-    let (chain, binding, iters) = static_chain(app)?;
-    let specs = static_specs(app);
-    let t0 = Instant::now();
-    let report = match analyze_static(&chain, &specs, &binding, iters) {
-        Ok(mut rep) => {
-            rep.violations
-                .extend(stability(&chain, &specs, &binding, iters));
-            rep
-        }
-        Err(violations) => {
-            let mut rep = DataflowReport::limited(app, 0, Limitation::NoDslLoops);
-            rep.limitation = None;
-            rep.violations = violations;
-            rep
-        }
-    };
-    Some(StaticAppReport {
-        report,
-        nanos: t0.elapsed().as_nanos(),
-    })
-}
-
-/// Statically certify every registered app from its declared chain —
-/// no app code executes. Apps without a declarable chain appear with an
-/// honest [`Limitation`]: the op2 apps address data through runtime index
-/// maps ([`Limitation::IndirectAccesses`]), miniBUDE has no DSL loops at
-/// all. Underspecified chains and parametric instabilities surface as
-/// violations on the report, never as silent gaps.
-pub fn static_all() -> Vec<StaticAppReport> {
-    DATAFLOW_ENTRIES
-        .iter()
-        .map(|&(app, _)| {
-            static_report_for(app).unwrap_or_else(|| {
-                let limitation = if app == "minibude" {
-                    Limitation::NoDslLoops
-                } else {
-                    Limitation::IndirectAccesses
-                };
-                StaticAppReport {
-                    report: DataflowReport::limited(app, 0, limitation),
-                    nanos: 0,
-                }
-            })
-        })
-        .collect()
-}
-
-/// The statically derived optimization plan for `app`, ready for an
-/// executor — `None` when no chain exists, the chain is underspecified,
-/// parametrically unstable, or the static analysis itself found
-/// violations. Callers get a plan only when every static check passed.
-pub fn static_plan(app: &str) -> Option<bwb_ops::OptPlan> {
-    use crate::speccheck::{analyze_static, stability};
-    let (chain, binding, iters) = static_chain(app)?;
-    let specs = static_specs(app);
-    let rep = analyze_static(&chain, &specs, &binding, iters).ok()?;
-    if !rep.clean() || !stability(&chain, &specs, &binding, iters).is_empty() {
-        return None;
-    }
-    Some(rep.export_plan())
-}
-
-/// Static-vs-dynamic verdict for one structured app.
-#[derive(Debug)]
-pub struct CrosscheckReport {
-    pub app: String,
-    /// Certificates derived statically but refuted by the recording —
-    /// unsound static claims; any entry is a hard CI failure.
-    pub divergent: Vec<Violation>,
-    /// Certificates the recording derived that the chain missed.
-    pub missed: Vec<Violation>,
-    /// Parametric-stability violations of the chain itself.
-    pub unstable: Vec<Violation>,
-    pub static_certs: usize,
-    pub dynamic_certs: usize,
-    pub static_nanos: u128,
-    pub dynamic_nanos: u128,
-}
-
-impl CrosscheckReport {
-    /// Zero divergence in either direction and a stable chain.
-    pub fn exact(&self) -> bool {
-        self.divergent.is_empty() && self.missed.is_empty() && self.unstable.is_empty()
-    }
-}
-
-fn cert_count(r: &DataflowReport) -> usize {
-    r.groups.len() + r.elisions.len() + r.nt.len()
-}
-
-/// Cross-validate every declarable app: record it (dynamic), derive the
-/// same certificates from its declared chain (static), and diff the two
-/// cert sets family by family. The soundness contract is
-/// static ⊆ dynamic; the registry's stronger checked claim is exact
-/// equality — the declared chains reproduce the recorded streams
-/// rule-for-rule.
-pub fn crosscheck_all() -> Vec<CrosscheckReport> {
-    use crate::speccheck::{analyze_static, crosscheck, stability};
-    use std::time::Instant;
-    DATAFLOW_ENTRIES
-        .iter()
-        .filter(|&&(app, _)| static_chain(app).is_some())
-        .map(|&(app, dynamic_fn)| {
-            let (chain, binding, iters) = static_chain(app).expect("filtered");
-            let specs = static_specs(app);
-            let t0 = Instant::now();
-            let dynamic = dynamic_fn();
-            let dynamic_nanos = t0.elapsed().as_nanos();
-            let t1 = Instant::now();
-            let stat = analyze_static(&chain, &specs, &binding, iters);
-            let unstable = match &stat {
-                Ok(_) => stability(&chain, &specs, &binding, iters),
-                Err(_) => Vec::new(),
-            };
-            let static_nanos = t1.elapsed().as_nanos();
-            let (divergent, missed, static_certs) = match stat {
-                Ok(stat) => {
-                    let cc = crosscheck(&stat, &dynamic);
-                    (cc.divergent, cc.missed, cert_count(&stat))
-                }
-                Err(violations) => (violations, Vec::new(), 0),
-            };
-            CrosscheckReport {
-                app: app.to_string(),
-                divergent,
-                missed,
-                unstable,
-                static_certs,
-                dynamic_certs: cert_count(&dynamic),
-                static_nanos,
-                dynamic_nanos,
-            }
-        })
-        .collect()
+    APPS.iter().map(AppEntry::dataflow).collect()
 }
 
 #[cfg(test)]
@@ -819,123 +589,34 @@ mod tests {
         );
     }
 
-    /// Satellite claim: *every* registry app appears in the static report —
-    /// structured apps with a clean execution-free analysis, op2 apps with
-    /// the honest indirect-access limitation, miniBUDE with no-DSL-loops.
-    /// Partial coverage is declared, never silent.
+    /// The table itself: every paper app is registered under its slug,
+    /// names are unique, chains sit on ops entries, and every distributed
+    /// half can show all of its family's phases and has a flow model.
     #[test]
-    fn static_report_covers_every_registry_app() {
-        let reports = static_all();
-        let names: Vec<&str> = reports.iter().map(|r| r.report.app.as_str()).collect();
-        for expected in [
-            "cloverleaf2d",
-            "clover2d_dist",
-            "cloverleaf3d",
-            "acoustic",
-            "acoustic_dist",
-            "opensbli_sa",
-            "opensbli_sn",
-            "miniweather",
-            "mgcfd",
-            "volna",
-            "minibude",
-        ] {
-            assert!(names.contains(&expected), "missing app {expected}");
+    fn table_is_complete_and_consistent() {
+        for id in bwb_apps::AppId::ALL {
+            let name = id.slug().replace('-', "_");
+            assert!(entry(&name).is_some(), "{name} is not registered");
         }
-        for r in &reports {
-            let app = r.report.app.as_str();
-            assert!(r.clean(), "{app}: {:?}", r.report.violations);
-            match app {
-                "mgcfd" | "volna" => assert_eq!(
-                    r.report.limitation,
-                    Some(Limitation::IndirectAccesses),
-                    "{app}: op2 apps must state why static coverage is partial"
-                ),
-                "minibude" => {
-                    assert_eq!(r.report.limitation, Some(Limitation::NoDslLoops), "{app}")
-                }
-                _ => {
-                    assert!(r.report.analyzed, "{app}: chain not analyzed");
-                    assert!(r.report.loops > 0, "{app}: empty synthetic recording");
-                }
+        for (i, e) in APPS.iter().enumerate() {
+            assert!(APPS[..i].iter().all(|o| o.name != e.name), "{}", e.name);
+            if matches!(e.chain, Chain::Declared(..)) {
+                assert!(matches!(e.local, LocalRun::Structured(..)), "{}", e.name);
             }
         }
-        // The declarations are worth having: the distributed clover chain
-        // must statically certify halo elisions, and the Store-All OpenSBLI
-        // chain the ten-loop RHS fusion group — without executing anything.
-        let cdist = reports
-            .iter()
-            .find(|r| r.report.app == "clover2d_dist")
-            .unwrap();
-        assert!(
-            !cdist.report.elisions.is_empty(),
-            "clover2d_dist: no static elision certificates"
+        assert_eq!(
+            flows::FLOW_APPS.to_vec(),
+            distributed().map(|(e, _)| e.name).collect::<Vec<_>>()
         );
-        let sa = reports
-            .iter()
-            .find(|r| r.report.app == "opensbli_sa")
-            .unwrap();
-        assert!(
-            sa.report.groups.iter().any(|g| g.names.len() >= 10),
-            "opensbli_sa: RHS fusion group not statically certified"
-        );
-    }
-
-    /// The repo's soundness gate: certificates derived from the declared
-    /// chains agree with certificates derived from instrumented runs,
-    /// rule for rule, in both directions, for every declarable app — and
-    /// the chains are parametrically stable (certs unchanged at one more
-    /// iteration).
-    #[test]
-    fn static_certs_match_recorded_certs_exactly() {
-        let reports = crosscheck_all();
-        assert_eq!(reports.len(), 8, "expected all structured apps");
-        for r in &reports {
+        for (e, d) in distributed() {
             assert!(
-                r.divergent.is_empty(),
-                "{}: unsound static certs: {:?}",
-                r.app,
-                r.divergent
+                d.base_ranks >= d.family.min_base_ranks(),
+                "{}: base {} leaves phases of {:?} inert",
+                e.name,
+                d.base_ranks,
+                d.family
             );
-            assert!(
-                r.missed.is_empty(),
-                "{}: chain missed recorded certs: {:?}",
-                r.app,
-                r.missed
-            );
-            assert!(
-                r.unstable.is_empty(),
-                "{}: parametric instability: {:?}",
-                r.app,
-                r.unstable
-            );
-            assert_eq!(r.static_certs, r.dynamic_certs, "{}", r.app);
-        }
-        // The cross-check must compare something real somewhere.
-        assert!(
-            reports.iter().map(|r| r.static_certs).sum::<usize>() > 0,
-            "no certificates compared"
-        );
-    }
-
-    /// `static_plan` is the executor-facing entry: it must produce a
-    /// non-trivial plan for every declarable app and nothing for the rest.
-    #[test]
-    fn static_plans_exist_exactly_for_declarable_apps() {
-        for (app, declarable) in [
-            ("cloverleaf2d", true),
-            ("clover2d_dist", true),
-            ("opensbli_sa", true),
-            ("mgcfd", false),
-            ("volna", false),
-            ("minibude", false),
-            ("unknown_app", false),
-        ] {
-            let plan = static_plan(app);
-            assert_eq!(plan.is_some(), declarable, "{app}");
-            if let Some(plan) = plan {
-                assert!(!plan.loops.is_empty(), "{app}: empty plan IR");
-            }
+            assert!(!(d.flows)(d.base_ranks).is_empty(), "{}: no flows", e.name);
         }
     }
 }

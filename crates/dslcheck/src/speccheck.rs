@@ -7,8 +7,8 @@
 //! chain once as a [`ChainSpec`] — an ordered, parametric program of
 //! loops, halo exchanges, and buffer swaps over symbolically-sized dats —
 //! and [`analyze_static`] abstractly interprets that declaration into a
-//! synthetic [`Recording`] which the unmodified [`DataflowReport`]
-//! analyzers consume.
+//! synthetic [`bwb_ops::access::Recording`] which the unmodified
+//! [`DataflowReport`] analyzers consume.
 //!
 //! # Abstract domains
 //!
@@ -47,11 +47,12 @@
 //! projections must not change when the chain runs one more iteration,
 //! catching declarations that only coincidentally match at the CI size.
 
-use crate::dataflow::DataflowReport;
+use crate::dataflow::{DataflowReport, Limitation};
+use crate::registry::{entry, AppEntry, Chain, LocalRun, APPS};
 use crate::violation::{Kind, Violation};
-use bwb_ops::access::Recording;
-use bwb_ops::{Binding, ChainSpec, LoopSpec};
+use bwb_ops::{Binding, ChainSpec, LoopSpec, OptPlan};
 use std::collections::BTreeSet;
+use std::time::Instant;
 
 /// Statically analyze a declared chain: validate it against the loop
 /// contracts, instantiate the synthetic recording at `binding`/`iters`,
@@ -85,37 +86,6 @@ pub fn analyze_static(
         }]
     })?;
     Ok(DataflowReport::analyze(spec.app, specs, &rec))
-}
-
-/// Like [`analyze_static`] but also returns the synthetic recording (the
-/// executor-facing entry: `bwb-serve` plans jobs from it without any
-/// worker executing a recording pass).
-pub fn instantiate_checked(
-    spec: &ChainSpec,
-    specs: &[LoopSpec],
-    binding: &Binding,
-    iters: usize,
-) -> Result<Recording, Vec<Violation>> {
-    let errs = spec.validate(specs);
-    if !errs.is_empty() {
-        return Err(errs
-            .into_iter()
-            .map(|e| Violation {
-                app: spec.app.to_string(),
-                kind: Kind::UnderspecifiedChain {
-                    detail: e.to_string(),
-                },
-            })
-            .collect());
-    }
-    spec.instantiate(binding, iters).map_err(|e| {
-        vec![Violation {
-            app: spec.app.to_string(),
-            kind: Kind::UnderspecifiedChain {
-                detail: e.to_string(),
-            },
-        }]
-    })
 }
 
 /// The two directions a static/dynamic comparison can diverge in.
@@ -308,6 +278,171 @@ pub fn stability(
     out
 }
 
+/// One execution-free pass over an entry's declared chain.
+struct StaticPass {
+    analysis: Result<DataflowReport, Vec<Violation>>,
+    /// Parametric-stability violations (none when the analysis failed).
+    unstable: Vec<Violation>,
+    /// Wall time of validate + instantiate + analyze + stability, in ns.
+    nanos: u128,
+}
+
+impl AppEntry {
+    /// Analyze the declared chain and check its parametric stability,
+    /// without executing anything. `None` when the entry declares no chain.
+    fn static_pass(&self) -> Option<StaticPass> {
+        let (LocalRun::Structured(_, specs), Chain::Declared(chain, binding, iters)) =
+            (&self.local, &self.chain)
+        else {
+            return None;
+        };
+        let (chain, specs) = (chain(), specs());
+        let binding = binding
+            .iter()
+            .fold(Binding::new(), |b, &(name, v)| b.set(name, v));
+        let t0 = Instant::now();
+        let analysis = analyze_static(&chain, &specs, &binding, *iters);
+        let unstable = match analysis {
+            Ok(_) => stability(&chain, &specs, &binding, *iters),
+            Err(_) => Vec::new(),
+        };
+        Some(StaticPass {
+            analysis,
+            unstable,
+            nanos: t0.elapsed().as_nanos(),
+        })
+    }
+}
+
+/// One app's execution-free verdict: the dataflow report derived purely
+/// from its declared chain (or a limited report where no chain can
+/// exist), plus the analyzer wall time.
+#[derive(Debug)]
+pub struct StaticAppReport {
+    pub report: DataflowReport,
+    /// Wall time of validate + instantiate + analyze + stability, in ns.
+    pub nanos: u128,
+}
+
+impl StaticAppReport {
+    pub fn clean(&self) -> bool {
+        self.report.clean()
+    }
+}
+
+impl AppEntry {
+    /// Execution-free report, parametric-stability findings folded into
+    /// its violations. `None` when the entry declares no chain.
+    fn static_report(&self) -> Option<StaticAppReport> {
+        let pass = self.static_pass()?;
+        let report = match pass.analysis {
+            Ok(mut rep) => {
+                rep.violations.extend(pass.unstable);
+                rep
+            }
+            Err(violations) => {
+                let mut rep = DataflowReport::limited(self.name, 0, Limitation::NoDslLoops);
+                rep.limitation = None;
+                rep.violations = violations;
+                rep
+            }
+        };
+        Some(StaticAppReport {
+            report,
+            nanos: pass.nanos,
+        })
+    }
+}
+
+/// Execution-free report for one app; `None` when it declares no chain.
+pub fn static_report_for(app: &str) -> Option<StaticAppReport> {
+    entry(app)?.static_report()
+}
+
+/// Statically certify every registered app from its declared chain — no
+/// app code executes. Apps without a declarable chain appear with their
+/// entry's [`Limitation`]; underspecified chains and parametric
+/// instabilities surface as violations, never as silent gaps.
+pub fn static_all() -> Vec<StaticAppReport> {
+    APPS.iter()
+        .map(|e| match e.chain {
+            Chain::Declared(..) => e.static_report().expect("declared on an ops entry"),
+            Chain::Undeclarable(why) => StaticAppReport {
+                report: DataflowReport::limited(e.name, 0, why),
+                nanos: 0,
+            },
+        })
+        .collect()
+}
+
+/// The statically derived optimization plan for `app`, ready for an
+/// executor — only when a chain exists and every static check passed.
+pub fn static_plan(app: &str) -> Option<OptPlan> {
+    static_report_for(app)
+        .filter(|s| s.report.analyzed && s.clean())
+        .map(|s| s.report.export_plan())
+}
+
+/// Static-vs-dynamic verdict for one structured app.
+#[derive(Debug)]
+pub struct CrosscheckReport {
+    pub app: String,
+    /// Certificates derived statically but refuted by the recording —
+    /// unsound static claims; any entry is a hard CI failure.
+    pub divergent: Vec<Violation>,
+    /// Certificates the recording derived that the chain missed.
+    pub missed: Vec<Violation>,
+    /// Parametric-stability violations of the chain itself.
+    pub unstable: Vec<Violation>,
+    pub static_certs: usize,
+    pub dynamic_certs: usize,
+    pub static_nanos: u128,
+    pub dynamic_nanos: u128,
+}
+
+impl CrosscheckReport {
+    /// Zero divergence in either direction and a stable chain.
+    pub fn exact(&self) -> bool {
+        self.divergent.is_empty() && self.missed.is_empty() && self.unstable.is_empty()
+    }
+}
+
+fn cert_count(r: &DataflowReport) -> usize {
+    r.groups.len() + r.elisions.len() + r.nt.len()
+}
+
+/// Cross-validate every declarable app: derive its certificates from the
+/// declared chain (static) and from its recording (dynamic), and diff the
+/// two sets family by family. The soundness contract is static ⊆ dynamic;
+/// the table's stronger checked claim is exact equality.
+pub fn crosscheck_all() -> Vec<CrosscheckReport> {
+    APPS.iter()
+        .filter_map(|e| {
+            let pass = e.static_pass()?;
+            let t0 = Instant::now();
+            let dynamic = e.dataflow();
+            let dynamic_nanos = t0.elapsed().as_nanos();
+            let (divergent, missed, static_certs) = match pass.analysis {
+                Ok(stat) => {
+                    let cc = crosscheck(&stat, &dynamic);
+                    (cc.divergent, cc.missed, cert_count(&stat))
+                }
+                Err(violations) => (violations, Vec::new(), 0),
+            };
+            Some(CrosscheckReport {
+                app: e.name.to_string(),
+                divergent,
+                missed,
+                unstable: pass.unstable,
+                static_certs,
+                dynamic_certs: cert_count(&dynamic),
+                static_nanos: pass.nanos,
+                dynamic_nanos,
+            })
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,5 +569,125 @@ mod tests {
     fn toy_chain_is_parametrically_stable() {
         let b = Binding::new().set("n", 16);
         assert!(stability(&toy_chain(), &toy_specs(), &b, 2).is_empty());
+    }
+
+    /// Satellite claim: *every* registry app appears in the static report —
+    /// structured apps with a clean execution-free analysis, op2 apps with
+    /// the honest indirect-access limitation, miniBUDE with no-DSL-loops.
+    /// Partial coverage is declared, never silent.
+    #[test]
+    fn static_report_covers_every_registry_app() {
+        let reports = static_all();
+        let names: Vec<&str> = reports.iter().map(|r| r.report.app.as_str()).collect();
+        for expected in [
+            "cloverleaf2d",
+            "clover2d_dist",
+            "cloverleaf3d",
+            "acoustic",
+            "acoustic_dist",
+            "opensbli_sa",
+            "opensbli_sn",
+            "miniweather",
+            "mgcfd",
+            "volna",
+            "minibude",
+        ] {
+            assert!(names.contains(&expected), "missing app {expected}");
+        }
+        for r in &reports {
+            let app = r.report.app.as_str();
+            assert!(r.clean(), "{app}: {:?}", r.report.violations);
+            match app {
+                "mgcfd" | "volna" => assert_eq!(
+                    r.report.limitation,
+                    Some(Limitation::IndirectAccesses),
+                    "{app}: op2 apps must state why static coverage is partial"
+                ),
+                "minibude" => {
+                    assert_eq!(r.report.limitation, Some(Limitation::NoDslLoops), "{app}")
+                }
+                _ => {
+                    assert!(r.report.analyzed, "{app}: chain not analyzed");
+                    assert!(r.report.loops > 0, "{app}: empty synthetic recording");
+                }
+            }
+        }
+        // The declarations are worth having: the distributed clover chain
+        // must statically certify halo elisions, and the Store-All OpenSBLI
+        // chain the ten-loop RHS fusion group — without executing anything.
+        let cdist = reports
+            .iter()
+            .find(|r| r.report.app == "clover2d_dist")
+            .unwrap();
+        assert!(
+            !cdist.report.elisions.is_empty(),
+            "clover2d_dist: no static elision certificates"
+        );
+        let sa = reports
+            .iter()
+            .find(|r| r.report.app == "opensbli_sa")
+            .unwrap();
+        assert!(
+            sa.report.groups.iter().any(|g| g.names.len() >= 10),
+            "opensbli_sa: RHS fusion group not statically certified"
+        );
+    }
+
+    /// The repo's soundness gate: certificates derived from the declared
+    /// chains agree with certificates derived from instrumented runs,
+    /// rule for rule, in both directions, for every declarable app — and
+    /// the chains are parametrically stable (certs unchanged at one more
+    /// iteration).
+    #[test]
+    fn static_certs_match_recorded_certs_exactly() {
+        let reports = crosscheck_all();
+        assert_eq!(reports.len(), 8, "expected all structured apps");
+        for r in &reports {
+            assert!(
+                r.divergent.is_empty(),
+                "{}: unsound static certs: {:?}",
+                r.app,
+                r.divergent
+            );
+            assert!(
+                r.missed.is_empty(),
+                "{}: chain missed recorded certs: {:?}",
+                r.app,
+                r.missed
+            );
+            assert!(
+                r.unstable.is_empty(),
+                "{}: parametric instability: {:?}",
+                r.app,
+                r.unstable
+            );
+            assert_eq!(r.static_certs, r.dynamic_certs, "{}", r.app);
+        }
+        // The cross-check must compare something real somewhere.
+        assert!(
+            reports.iter().map(|r| r.static_certs).sum::<usize>() > 0,
+            "no certificates compared"
+        );
+    }
+
+    /// `static_plan` is the executor-facing entry: it must produce a
+    /// non-trivial plan for every declarable app and nothing for the rest.
+    #[test]
+    fn static_plans_exist_exactly_for_declarable_apps() {
+        for (app, declarable) in [
+            ("cloverleaf2d", true),
+            ("clover2d_dist", true),
+            ("opensbli_sa", true),
+            ("mgcfd", false),
+            ("volna", false),
+            ("minibude", false),
+            ("unknown_app", false),
+        ] {
+            let plan = static_plan(app);
+            assert_eq!(plan.is_some(), declarable, "{app}");
+            if let Some(plan) = plan {
+                assert!(!plan.loops.is_empty(), "{app}: empty plan IR");
+            }
+        }
     }
 }

@@ -2,6 +2,7 @@
 //! hand-rolled JSON rendering (the workspace has no JSON serializer and the
 //! report schema is three flat fields).
 
+use bwb_trace::json::escape;
 use std::fmt;
 
 /// One confirmed contract violation, attributed to an app (or chain).
@@ -603,28 +604,14 @@ impl fmt::Display for Violation {
     }
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Violation {
     /// One JSON object: `{"app": ..., "kind": ..., "message": ...}`.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"app\":\"{}\",\"kind\":\"{}\",\"message\":\"{}\"}}",
-            json_escape(&self.app),
+            escape(&self.app),
             self.kind.tag(),
-            json_escape(&self.kind.to_string())
+            escape(&self.kind.to_string())
         )
     }
 }

@@ -1,6 +1,6 @@
 //! App-level bit-identity gate for the lock-free SPSC mailbox.
 //!
-//! The `SHMPI_MAILBOX=spsc` transport is certified by the DPOR model
+//! The `MailboxKind::Spsc` transport is certified by the DPOR model
 //! suite (`loom_spsc.rs`: every interleaving of the ring protocol
 //! explored, zero violations); this test is the complementary evidence
 //! at full-application scale: a real distributed CloverLeaf run must

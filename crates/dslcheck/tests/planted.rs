@@ -12,7 +12,7 @@ use bwb_dslcheck::{
     check_chain_plan, check_halo_depth, check_structured, check_unstructured, Kind,
 };
 use bwb_op2::{with_recording_u, Coloring, DatU, ExecModeU, Map, Set, UArgSpec, ULoopSpec};
-use bwb_ops::access::Access;
+use bwb_ops::access::{with_recording_full, Access};
 use bwb_ops::{
     par_loop2, with_recording, ArgSpec, Dat2, DistBlock2, ExecMode, LoopChain2, LoopSpec, Profile,
     Range2, Stencil,
@@ -127,12 +127,11 @@ fn halo_depth_violations(exchange_depth: usize) -> Vec<bwb_dslcheck::Violation> 
         vec![ArgSpec::read("u", Stencil::plus2(2))],
     )];
     let out = Universe::run(4, move |c| {
-        c.enable_exchange_trace();
         let block = DistBlock2::new(c, 16, 16);
         let mut u = block.alloc_f64("u", 2);
         let mut w = block.alloc_f64("w", 2);
         u.fill_interior(1.0);
-        let ((), obs) = with_recording(|| {
+        let ((), rec) = with_recording_full(|| {
             block.exchange_halo(c, &mut u, exchange_depth);
             let mut p = Profile::new();
             let (nx, ny) = (block.nx() as isize, block.ny() as isize);
@@ -152,11 +151,16 @@ fn halo_depth_violations(exchange_depth: usize) -> Vec<bwb_dslcheck::Violation> 
                 },
             );
         });
-        (obs, c.exchange_trace().to_vec())
+        rec
     });
-    let (obs, trace) = &out.results[0];
-    let mut v = check_structured("planted", &specs, obs);
-    v.extend(check_halo_depth("planted", &specs, obs, trace));
+    let rec = &out.results[0];
+    let mut v = check_structured("planted", &specs, &rec.loops);
+    v.extend(check_halo_depth(
+        "planted",
+        &specs,
+        &rec.loops,
+        &rec.exchanges,
+    ));
     v
 }
 

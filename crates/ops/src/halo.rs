@@ -138,7 +138,6 @@ impl DistBlock2 {
         dat: &mut Dat2<T>,
         depth: usize,
     ) {
-        comm.note_exchange(dat.name(), depth);
         if crate::access::recording_active() {
             crate::access::note_exchange_obs(dat.name(), depth);
         }
@@ -235,11 +234,8 @@ impl DistBlock2 {
         dim: usize,
         site: &str,
     ) {
-        if dim == 1 {
-            comm.note_exchange(dat.name(), depth);
-            if crate::access::recording_active() {
-                crate::access::note_exchange_obs_site(dat.name(), depth, site);
-            }
+        if dim == 1 && crate::access::recording_active() {
+            crate::access::note_exchange_obs_site(dat.name(), depth, site);
         }
         self.exchange_halo_dim(comm, dat, depth, dim);
         #[cfg(debug_assertions)]
@@ -335,7 +331,6 @@ impl DistBlock2 {
         dat: &mut Dat2<T>,
         depth: usize,
     ) {
-        comm.note_exchange(dat.name(), depth);
         if crate::access::recording_active() {
             crate::access::note_exchange_obs(dat.name(), depth);
         }
@@ -354,7 +349,6 @@ impl DistBlock2 {
         depth: usize,
         site: &str,
     ) {
-        comm.note_exchange(dat.name(), depth);
         if crate::access::recording_active() {
             crate::access::note_exchange_obs_site(dat.name(), depth, site);
         }
@@ -710,7 +704,6 @@ impl DistBlock3 {
         dat: &mut Dat3<T>,
         depth: usize,
     ) {
-        comm.note_exchange(dat.name(), depth);
         if crate::access::recording_active() {
             crate::access::note_exchange_obs(dat.name(), depth);
         }

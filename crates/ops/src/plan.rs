@@ -8,8 +8,8 @@
 //! A plan is a whitelist, never a command: executors refuse any transform
 //! the plan does not certify ([`PlanError::UncertifiedFusion`]), and apps
 //! fall back to the unoptimized path wherever a certificate is absent.
-//! Plans serialize to JSON (`to_json`/`from_json`, hand-rolled — the
-//! workspace deliberately carries no JSON dependency) so
+//! Plans serialize to JSON (`to_json`/`from_json`, over the workspace's
+//! one JSON module `bwb_trace::json`) so
 //! `analyze --dataflow --export-plans` can emit the exact artifact CI
 //! validates and the executor consumes.
 
@@ -17,6 +17,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::access::Recording;
+use bwb_trace::json::{self, Json};
 
 /// One loop of an app's recorded schedule, lowered to the planner's
 /// dialect: just names, shape, and the field footprint. `dims == 0` marks
@@ -187,17 +188,17 @@ impl OptPlan {
     }
 
     /// Parse a plan from the JSON `to_json` emits (tolerant of arbitrary
-    /// whitespace and key order; unknown keys are errors so drift between
-    /// exporter and executor is loud).
+    /// whitespace and key order). Strict where drift between exporter and
+    /// executor must be loud: unknown keys, wrongly typed values, and
+    /// numbers that are not exact non-negative integers are errors.
     pub fn from_json(src: &str) -> Result<OptPlan, String> {
-        let v = Json::parse(src)?;
-        let obj = v.obj("plan")?;
+        let doc = json::parse(src)?;
         let mut plan = OptPlan::default();
-        for (k, v) in obj {
+        for (k, v) in obj(&doc, "plan")? {
             match k.as_str() {
-                "app" => plan.app = v.str("app")?.to_string(),
+                "app" => plan.app = string(v, "app")?,
                 "loops" => {
-                    for item in v.arr("loops")? {
+                    for item in arr(v, "loops")? {
                         let mut l = LoopIr {
                             name: String::new(),
                             dims: 0,
@@ -205,13 +206,13 @@ impl OptPlan {
                             outs: Vec::new(),
                             ins: Vec::new(),
                         };
-                        for (lk, lv) in item.obj("loop")? {
+                        for (lk, lv) in obj(item, "loop")? {
                             match lk.as_str() {
-                                "name" => l.name = lv.str("name")?.to_string(),
-                                "dims" => l.dims = lv.usize("dims")?,
-                                "points" => l.points = lv.usize("points")?,
-                                "outs" => l.outs = lv.str_vec("outs")?,
-                                "ins" => l.ins = lv.str_vec("ins")?,
+                                "name" => l.name = string(lv, "name")?,
+                                "dims" => l.dims = uint(lv, "dims")?,
+                                "points" => l.points = uint(lv, "points")?,
+                                "outs" => l.outs = str_vec(lv, "outs")?,
+                                "ins" => l.ins = str_vec(lv, "ins")?,
                                 other => return Err(format!("unknown loop key {other:?}")),
                             }
                         }
@@ -219,15 +220,15 @@ impl OptPlan {
                     }
                 }
                 "groups" => {
-                    for item in v.arr("groups")? {
+                    for item in arr(v, "groups")? {
                         let mut g = FusionGroupCert {
                             start: 0,
                             names: Vec::new(),
                         };
-                        for (gk, gv) in item.obj("group")? {
+                        for (gk, gv) in obj(item, "group")? {
                             match gk.as_str() {
-                                "start" => g.start = gv.usize("start")?,
-                                "names" => g.names = gv.str_vec("names")?,
+                                "start" => g.start = uint(gv, "start")?,
+                                "names" => g.names = str_vec(gv, "names")?,
                                 other => return Err(format!("unknown group key {other:?}")),
                             }
                         }
@@ -235,17 +236,17 @@ impl OptPlan {
                     }
                 }
                 "elisions" => {
-                    for item in v.arr("elisions")? {
+                    for item in arr(v, "elisions")? {
                         let mut e = ElisionCert {
                             site: String::new(),
                             dat: String::new(),
                             depth: 0,
                         };
-                        for (ek, ev) in item.obj("elision")? {
+                        for (ek, ev) in obj(item, "elision")? {
                             match ek.as_str() {
-                                "site" => e.site = ev.str("site")?.to_string(),
-                                "dat" => e.dat = ev.str("dat")?.to_string(),
-                                "depth" => e.depth = ev.usize("depth")?,
+                                "site" => e.site = string(ev, "site")?,
+                                "dat" => e.dat = string(ev, "dat")?,
+                                "depth" => e.depth = uint(ev, "depth")?,
                                 other => return Err(format!("unknown elision key {other:?}")),
                             }
                         }
@@ -253,15 +254,15 @@ impl OptPlan {
                     }
                 }
                 "nt" => {
-                    for item in v.arr("nt")? {
+                    for item in arr(v, "nt")? {
                         let mut c = NtCert {
                             loop_name: String::new(),
                             dat: String::new(),
                         };
-                        for (ck, cv) in item.obj("nt cert")? {
+                        for (ck, cv) in obj(item, "nt cert")? {
                             match ck.as_str() {
-                                "loop" => c.loop_name = cv.str("loop")?.to_string(),
-                                "dat" => c.dat = cv.str("dat")?.to_string(),
+                                "loop" => c.loop_name = string(cv, "loop")?,
+                                "dat" => c.dat = string(cv, "dat")?,
                                 other => return Err(format!("unknown nt key {other:?}")),
                             }
                         }
@@ -300,17 +301,7 @@ pub fn lower_recording(rec: &Recording) -> Vec<LoopIr> {
 
 fn push_json_str(s: &mut String, v: &str) {
     s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\t' => s.push_str("\\t"),
-            '\r' => s.push_str("\\r"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
+    s.push_str(&json::escape(v));
     s.push('"');
 }
 
@@ -325,191 +316,39 @@ fn push_str_array(s: &mut String, items: &[String]) {
     s.push(']');
 }
 
-/// Minimal JSON value for the plan parser. Numbers are kept as unsigned
-/// integers — plans never contain floats or negatives.
-#[derive(Debug)]
-enum Json {
-    Obj(Vec<(String, Json)>),
-    Arr(Vec<Json>),
-    Str(String),
-    Num(u64),
-}
-
-impl Json {
-    fn parse(src: &str) -> Result<Json, String> {
-        let b = src.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn obj(&self, what: &str) -> Result<&[(String, Json)], String> {
-        match self {
-            Json::Obj(kv) => Ok(kv),
-            other => Err(format!("expected {what} to be an object, got {other:?}")),
-        }
-    }
-
-    fn arr(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            other => Err(format!("expected {what} to be an array, got {other:?}")),
-        }
-    }
-
-    fn str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(format!("expected {what} to be a string, got {other:?}")),
-        }
-    }
-
-    fn usize(&self, what: &str) -> Result<usize, String> {
-        match self {
-            Json::Num(n) => Ok(*n as usize),
-            other => Err(format!("expected {what} to be a number, got {other:?}")),
-        }
-    }
-
-    fn str_vec(&self, what: &str) -> Result<Vec<String>, String> {
-        self.arr(what)?
-            .iter()
-            .map(|v| v.str(what).map(String::from))
-            .collect()
+fn obj<'a>(v: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
+    match v {
+        Json::Obj(kv) => Ok(kv),
+        other => Err(format!("expected {what} to be an object, got {other}")),
     }
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+fn arr<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], String> {
+    v.as_array()
+        .ok_or_else(|| format!("expected {what} to be an array, got {v}"))
+}
+
+fn string(v: &Json, what: &str) -> Result<String, String> {
+    v.as_str()
+        .map(String::from)
+        .ok_or_else(|| format!("expected {what} to be a string, got {v}"))
+}
+
+/// Plans hold counts and positions only: a number that is negative,
+/// fractional, or beyond f64's exact-integer range (2^53) is refused
+/// rather than rounded into a different plan.
+fn uint(v: &Json, what: &str) -> Result<usize, String> {
+    const MAX_EXACT: f64 = (1u64 << 53) as f64;
+    match v.as_f64() {
+        Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= MAX_EXACT => Ok(n as usize),
+        _ => Err(format!(
+            "expected {what} to be a non-negative integer, got {v}"
+        )),
     }
 }
 
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "expected {:?} at byte {} (found {:?})",
-            c as char,
-            *pos,
-            b.get(*pos).map(|&x| x as char)
-        ))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut kv = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(kv));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
-                kv.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(kv));
-                    }
-                    other => return Err(format!("expected ',' or '}}', got {other:?}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    other => return Err(format!("expected ',' or ']', got {other:?}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(c) if c.is_ascii_digit() => {
-            let start = *pos;
-            while *pos < b.len() && b[*pos].is_ascii_digit() {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .unwrap()
-                .parse::<u64>()
-                .map(Json::Num)
-                .map_err(|e| format!("bad number at byte {start}: {e}"))
-        }
-        other => Err(format!("unexpected token {other:?} at byte {}", *pos)),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multibyte sequences pass through).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
+fn str_vec(v: &Json, what: &str) -> Result<Vec<String>, String> {
+    arr(v, what)?.iter().map(|s| string(s, what)).collect()
 }
 
 #[cfg(test)]
@@ -594,6 +433,27 @@ mod tests {
     fn unknown_keys_are_rejected() {
         assert!(OptPlan::from_json("{\"app\": \"x\", \"bogus\": []}").is_err());
         assert!(OptPlan::from_json("{\"loops\": [{\"nam\": \"x\"}]}").is_err());
+    }
+
+    #[test]
+    fn wrong_types_and_inexact_numbers_are_rejected() {
+        let with_dims =
+            |dims: &str| OptPlan::from_json(&format!("{{\"loops\": [{{\"dims\": {dims}}}]}}"));
+        assert_eq!(with_dims("2").unwrap().loops[0].dims, 2);
+        for bad in [
+            "-1",
+            "1.5",
+            "9007199254740994",
+            "1e400",
+            "\"2\"",
+            "true",
+            "null",
+        ] {
+            assert!(with_dims(bad).is_err(), "dims = {bad} must be refused");
+        }
+        assert!(OptPlan::from_json("{\"app\": 3}").is_err());
+        assert!(OptPlan::from_json("{\"loops\": {}}").is_err());
+        assert!(OptPlan::from_json("[]").is_err());
     }
 
     #[test]

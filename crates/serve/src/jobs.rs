@@ -28,6 +28,7 @@ use crate::key::{CacheKey, KeyMaterial};
 use crate::shard::ShardPool;
 use bwb_apps::jobspec::{BenchOutcome, BenchSpec};
 use bwb_apps::AppId;
+use bwb_dslcheck::registry;
 use bwb_machine::ShardPolicy;
 use bwb_ops::OptPlan;
 use bwb_perfmodel::figures;
@@ -314,12 +315,12 @@ fn execute_analyze(app: &str) -> Result<String, String> {
             ));
         }
     }
-    let reports = bwb_dslcheck::dataflow_all();
-    let known: Vec<&str> = reports.iter().map(|r| r.app.as_str()).collect();
-    let report = reports
-        .iter()
-        .find(|r| r.app == app)
-        .ok_or_else(|| format!("unknown app '{}' (known: {})", app, known.join(", ")))?;
+    let report = registry::entry(app)
+        .ok_or_else(|| {
+            let known: Vec<&str> = registry::APPS.iter().map(|e| e.name).collect();
+            format!("unknown app '{}' (known: {})", app, known.join(", "))
+        })?
+        .dataflow();
     // The report and its exported plan already render themselves as JSON;
     // splice them in raw rather than re-modelling their schemas here.
     Ok(format!(

@@ -31,10 +31,6 @@ pub struct Comm {
     pub(crate) detail: CommDetail,
     /// Sequence number giving each collective invocation a unique tag.
     pub(crate) coll_seq: u32,
-    /// When enabled, each halo exchange is logged as `(dat name, depth)` so
-    /// analyzers (bwb-dslcheck) can compare exchanged depths against
-    /// declared stencil radii. `None` (the default) costs nothing.
-    pub(crate) exchange_trace: Option<Vec<(String, usize)>>,
     /// Full communication event log for commcheck. `None` (the default)
     /// costs one branch per operation.
     pub(crate) comm_log: Option<CommLog>,
@@ -67,7 +63,6 @@ impl Comm {
             stats: RankStats::default(),
             detail: CommDetail::default(),
             coll_seq: 0,
-            exchange_trace: None,
             comm_log: None,
             comm_ctx: None,
         }
@@ -110,28 +105,6 @@ impl Comm {
                 ctx: self.comm_ctx.clone(),
             });
         }
-    }
-
-    /// Start logging halo exchanges (dat name, depth) for later inspection
-    /// via [`Comm::exchange_trace`]. Intended for analyzer runs, not
-    /// production timing.
-    pub fn enable_exchange_trace(&mut self) {
-        if self.exchange_trace.is_none() {
-            self.exchange_trace = Some(Vec::new());
-        }
-    }
-
-    /// Record one halo exchange in the trace (no-op unless enabled).
-    pub fn note_exchange(&mut self, name: &str, depth: usize) {
-        if let Some(trace) = &mut self.exchange_trace {
-            trace.push((name.to_string(), depth));
-        }
-    }
-
-    /// The exchanges logged since [`Comm::enable_exchange_trace`], in call
-    /// order. Empty if tracing was never enabled.
-    pub fn exchange_trace(&self) -> &[(String, usize)] {
-        self.exchange_trace.as_deref().unwrap_or(&[])
     }
 
     pub fn rank(&self) -> usize {

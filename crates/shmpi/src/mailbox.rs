@@ -8,8 +8,8 @@
 //!   semantics — a send never blocks); the receiver scans for the first
 //!   envelope matching `(source, tag)` and parks on the condvar when
 //!   none is present.
-//! * [`SpscMailbox`] (`SHMPI_MAILBOX=spsc`, or
-//!   `Universe::run_with_mailbox`) — one lock-free single-producer /
+//! * [`SpscMailbox`] (`Universe::run_with_mailbox` /
+//!   `Universe::run_pinned`) — one lock-free single-producer /
 //!   single-consumer ring per source rank plus a receiver-owned stash
 //!   for envelopes popped out of tag order. The hot deliver/take path is
 //!   wait-free except when a ring is full (sender spin-yields) or the
@@ -282,17 +282,10 @@ impl<T> Drop for SpscRing<T> {
     }
 }
 
-/// Default per-source ring capacity (envelopes); override with
-/// `SHMPI_MAILBOX_CAP`. Small is fine: a full ring only spin-yields the
-/// sender, and halo exchanges post a handful of messages per neighbor.
-const DEFAULT_RING_CAP: usize = 16;
-
-fn ring_cap_from_env() -> usize {
-    std::env::var("SHMPI_MAILBOX_CAP")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(DEFAULT_RING_CAP)
-}
+/// Per-source ring capacity (envelopes). Small is fine: a full ring only
+/// spin-yields the sender, and halo exchanges post a handful of messages
+/// per neighbor.
+const RING_CAP: usize = 16;
 
 /// Lock-free mailbox: one [`SpscRing`] per source rank plus a
 /// receiver-owned stash for envelopes popped while scanning for a
@@ -316,7 +309,7 @@ pub struct SpscMailbox {
 impl SpscMailbox {
     /// A mailbox able to receive from `world_size` source ranks.
     pub fn new(world_size: usize) -> Self {
-        Self::with_ring_capacity(world_size, ring_cap_from_env())
+        Self::with_ring_capacity(world_size, RING_CAP)
     }
 
     pub fn with_ring_capacity(world_size: usize, ring_cap: usize) -> Self {
@@ -439,7 +432,7 @@ impl SpscMailbox {
 
 /// Which mailbox transport a world uses. Worlds default to
 /// [`MailboxKind::Locked`]; opt in to the lock-free transport with
-/// `Universe::run_with_mailbox` or `SHMPI_MAILBOX=spsc`.
+/// `Universe::run_with_mailbox` or `Universe::run_pinned`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MailboxKind {
     /// Mutex + condvar queue (default).
@@ -447,17 +440,6 @@ pub enum MailboxKind {
     Locked,
     /// Lock-free per-source SPSC rings + receiver stash.
     Spsc,
-}
-
-impl MailboxKind {
-    /// `SHMPI_MAILBOX=spsc` selects the lock-free transport; anything
-    /// else (including unset) selects the locked default.
-    pub fn from_env() -> Self {
-        match std::env::var("SHMPI_MAILBOX").as_deref() {
-            Ok("spsc") => MailboxKind::Spsc,
-            _ => MailboxKind::Locked,
-        }
-    }
 }
 
 /// One rank's incoming-message buffer (transport-dispatching facade).
@@ -769,9 +751,7 @@ mod tests {
     }
 
     #[test]
-    fn mailbox_kind_from_env_defaults_locked() {
-        // Not testing the env-set path (process-global state); the
-        // parser itself is covered by with_kind + kind().
+    fn mailbox_kind_defaults_locked() {
         assert_eq!(Mailbox::new().kind(), MailboxKind::Locked);
         assert_eq!(
             Mailbox::with_kind(MailboxKind::Spsc, 4).kind(),

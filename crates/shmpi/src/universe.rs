@@ -45,8 +45,9 @@ impl Universe {
     }
 
     /// Like [`Universe::run`] but with an explicit mailbox transport
-    /// ([`MailboxKind::Spsc`] selects the lock-free SPSC ring path).
-    /// The default entry points honor `SHMPI_MAILBOX=spsc` instead.
+    /// ([`MailboxKind::Spsc`] selects the lock-free SPSC ring path); every
+    /// other entry point except [`Universe::run_pinned`] runs on
+    /// [`MailboxKind::Locked`].
     pub fn run_with_mailbox<F, R>(size: usize, kind: MailboxKind, f: F) -> RunOutput<R>
     where
         F: Fn(&mut Comm) -> R + Sync,
@@ -68,7 +69,7 @@ impl Universe {
         F: Fn(&mut Comm) -> R + Sync,
         R: Send,
     {
-        Self::run_impl(size, placement, false, MailboxKind::from_env(), f).0
+        Self::run_impl(size, placement, false, MailboxKind::Locked, f).0
     }
 
     /// Run a universe pinned to a carved core set: the serve-shard entry
@@ -76,8 +77,7 @@ impl Universe {
     /// [`bwb_machine::CpuTopology::carve_shards`]); ranks map onto its
     /// cores in order, messages are priced with the placement-aware
     /// latency model, and the transport is explicit so the service can put
-    /// the lock-free SPSC rings on its hot path unconditionally (instead
-    /// of the `SHMPI_MAILBOX` env default).
+    /// the lock-free SPSC rings on its hot path.
     ///
     /// Panics if the shard's core set has fewer cores than ranks — a shard
     /// never oversubscribes its carve.
@@ -121,7 +121,7 @@ impl Universe {
         F: Fn(&mut Comm) -> R + Sync,
         R: Send,
     {
-        let (out, logs) = Self::run_impl(size, placement, true, MailboxKind::from_env(), f);
+        let (out, logs) = Self::run_impl(size, placement, true, MailboxKind::Locked, f);
         (out, logs.expect("logging was enabled"))
     }
 

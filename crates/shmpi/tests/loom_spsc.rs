@@ -5,7 +5,7 @@
 //! the randomized predecessor, the vendored loom explorer enumerates
 //! *every* schedule of these models (persistent + sleep sets, no
 //! preemption bound here) and reports the explored-schedule count — the
-//! proof the `SHMPI_MAILBOX=spsc` transport is gated on.
+//! proof the `MailboxKind::Spsc` transport is gated on.
 //!
 //! Certified properties:
 //! 1. The 2-thread `SpscRing` producer/consumer protocol: every value is

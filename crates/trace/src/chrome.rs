@@ -11,6 +11,7 @@
 //! `bw_pct_of_roofline`, so an exported trace directly answers the paper's
 //! Figure 8 question per kernel invocation.
 
+use crate::json::escape;
 use crate::record::{Cat, Kind, Trace};
 use bwb_machine::Roofline;
 use std::fmt::Write as _;
@@ -20,25 +21,6 @@ use std::fmt::Write as _;
 pub struct ChromeOptions {
     /// Annotate loop spans with `bw_pct_of_roofline` against this roofline.
     pub roofline: Option<Roofline>,
-}
-
-/// Escape a string for a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Format an f64 as a JSON number (never NaN/inf, which JSON forbids).
@@ -136,7 +118,7 @@ pub fn to_chrome_json(trace: &Trace, opts: &ChromeOptions) -> String {
              \"args\":{{\"name\":\"{}\"}}}}",
             t.pid,
             t.tid,
-            esc(&t.label)
+            escape(&t.label)
         ));
     }
 
@@ -145,7 +127,7 @@ pub fn to_chrome_json(trace: &Trace, opts: &ChromeOptions) -> String {
         // in place so malformed tails degrade gracefully (skipped).
         let mut stack: Vec<(u32, u64)> = Vec::new();
         for e in &t.events {
-            let name = esc(trace.name(e.name));
+            let name = escape(trace.name(e.name));
             match e.kind {
                 Kind::Begin => stack.push((e.name, e.ts_ns)),
                 Kind::End => {

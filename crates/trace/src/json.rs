@@ -63,19 +63,7 @@ impl Json {
             }
             Json::Str(s) => {
                 out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            out.push_str(&format!("\\u{:04x}", c as u32));
-                        }
-                        c => out.push(c),
-                    }
-                }
+                escape_into(out, s);
                 out.push('"');
             }
             Json::Arr(items) => {
@@ -102,6 +90,29 @@ impl Json {
             }
         }
     }
+}
+
+fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+}
+
+/// Escape `s` for the inside of a JSON string literal (no surrounding
+/// quotes). The workspace's one escape routine: every hand-formatted JSON
+/// writer routes its string fields through it.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
 }
 
 /// Compact serialization (round-trips [`parse`] output).

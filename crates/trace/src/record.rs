@@ -470,8 +470,8 @@ impl Trace {
 /// are omitted. Call at quiescence (see module docs); typically right after
 /// [`set_enabled`]`(false)`.
 pub fn take() -> Trace {
-    let bufs: Vec<Arc<RingBuf>> = REGISTRY.lock().unwrap().clone();
-    let mut threads: Vec<ThreadTrace> = bufs
+    let mut registry = REGISTRY.lock().unwrap();
+    let mut threads: Vec<ThreadTrace> = registry
         .iter()
         .map(|b| {
             let (events, dropped) = b.drain();
@@ -485,6 +485,8 @@ pub fn take() -> Trace {
         })
         .filter(|t| !t.events.is_empty() || t.dropped > 0)
         .collect();
+    drop_dead_buffers(&mut registry);
+    drop(registry);
     threads.sort_by_key(|t| (t.pid, t.tid));
     let names = INTERNER.lock().unwrap().names.clone();
     Trace { names, threads }
@@ -492,9 +494,18 @@ pub fn take() -> Trace {
 
 /// Discard all buffered events without building a [`Trace`].
 pub fn clear() {
-    for b in REGISTRY.lock().unwrap().iter() {
+    let mut registry = REGISTRY.lock().unwrap();
+    for b in registry.iter() {
         let _ = b.drain();
     }
+    drop_dead_buffers(&mut registry);
+}
+
+/// Forget the (drained) buffers of threads that have exited: once a
+/// thread's `TL_BUF` is destroyed the registry holds the only reference,
+/// and nothing can ever write to that ~3 MB ring again.
+fn drop_dead_buffers(registry: &mut Vec<Arc<RingBuf>>) {
+    registry.retain(|b| Arc::strong_count(b) > 1);
 }
 
 /// Convenience harness: clear, enable, run `f`, disable, harvest.
@@ -602,5 +613,30 @@ mod tests {
         assert_eq!(mine.len(), 1);
         assert_eq!(mine[0].events.len(), 16);
         assert_eq!(mine[0].dropped, 24);
+
+        // Exited threads' buffers leave the registry at the next harvest;
+        // a live thread's buffer (this one's) survives it.
+        let round = || {
+            let ((), trace) = with_tracing(|| {
+                let _g = span(Cat::App, "main");
+                let workers: Vec<_> = (0..8)
+                    .map(|_| std::thread::spawn(|| instant(Cat::Other, "tick", [0.0; 3])))
+                    .collect();
+                for w in workers {
+                    w.join().unwrap();
+                }
+            });
+            assert_eq!(trace.threads.len(), 9);
+            REGISTRY.lock().unwrap().len()
+        };
+        let after_first = round();
+        assert_eq!(round(), after_first);
+        assert_eq!(round(), after_first);
+        let mine = TL_BUF.with(|b| Arc::clone(b.borrow().as_ref().unwrap()));
+        assert!(REGISTRY
+            .lock()
+            .unwrap()
+            .iter()
+            .any(|b| Arc::ptr_eq(b, &mine)));
     }
 }

@@ -31,5 +31,5 @@ fn main() {
     for f in Figure::ALL {
         println!("  {:?}: {}", f, f.title());
     }
-    println!("\nRun `cargo run --release -p bwb-bench --bin figN` to print each one.");
+    println!("\nRun `cargo run --release -p bwb-bench --bin figures N` to print each one.");
 }
