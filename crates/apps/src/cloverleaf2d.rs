@@ -20,7 +20,7 @@
 
 use crate::{AppId, AppRun};
 use bwb_ops::{
-    fused2_rows, par_loop2, par_loop2_reduce, par_loop2_rows, recording_active, Dat2, DistBlock2,
+    fused2_rows, par_loop2_rows, par_loop2_rows_reduce, recording_active, Dat2, DistBlock2,
     ExecMode, FusedLoop2, OptPlan, Profile, Range2, RowIn2, RowOut2,
 };
 use bwb_shmpi::{Comm, ReduceOp};
@@ -96,6 +96,106 @@ fn van_leer(r: f64) -> f64 {
     }
 }
 
+/// Face value of one advected quantity: the donor cell's `d`, with optional
+/// van Leer-limited reconstruction toward the face from its downstream
+/// (`down`) and upstream (`up`) neighbours.
+#[inline(always)]
+fn face_val(scheme: Advection, vol: f64, fv: f64, d: f64, down: f64, up: f64) -> f64 {
+    if scheme == Advection::DonorCell {
+        return d;
+    }
+    let dd = down - d;
+    if dd == 0.0 {
+        return d;
+    }
+    let r = (d - up) / dd;
+    let sigma = (fv / vol).abs().min(1.0);
+    d + 0.5 * van_leer(r) * (1.0 - sigma) * dd
+}
+
+/// Mass and energy carried through one face by volume flux `fv`, from the
+/// four cells along the sweep axis around it: `w[1] | w[2]` share the face,
+/// `w[0]` and `w[3]` lie beyond them. Flux is from `w[1]` to `w[2]` when
+/// `fv > 0`. Pure, so a face evaluated for either of its two cells gives
+/// the same bits.
+#[inline(always)]
+fn face_flux(scheme: Advection, vol: f64, fv: f64, rho: [f64; 4], e: [f64; 4]) -> (f64, f64) {
+    let val = |w: [f64; 4]| {
+        if fv > 0.0 {
+            face_val(scheme, vol, fv, w[1], w[2], w[0])
+        } else {
+            face_val(scheme, vol, fv, w[2], w[1], w[3])
+        }
+    };
+    let m = fv * val(rho);
+    (m, m * val(e))
+}
+
+/// Element `x` of four consecutive windows starting at `w[k]`: with windows
+/// one cell apart along the sweep axis, the four cells around a face (see
+/// [`face_flux`]).
+#[inline(always)]
+fn window4(w: &[&[f64]; 5], k: usize, x: usize) -> [f64; 4] {
+    [w[k][x], w[k + 1][x], w[k + 2][x], w[k + 3][x]]
+}
+
+/// Remapped `(density, energy)` of one cell from the mass and energy
+/// fluxes through its inflow (low) and outflow (high) face.
+#[inline(always)]
+pub(crate) fn remap_cell(
+    vol: f64,
+    rho: f64,
+    e: f64,
+    flux_in: (f64, f64),
+    flux_out: (f64, f64),
+) -> (f64, f64) {
+    let mass = rho * vol + flux_in.0 - flux_out.0;
+    let energy_mass = rho * e * vol + flux_in.1 - flux_out.1;
+    (mass / vol, energy_mass / mass.max(1e-300))
+}
+
+/// Cells per block of the X sweep: the block's face fluxes live on the
+/// stack (two arrays of `X_BLOCK + 1`) between the face pass and the cell
+/// pass, so neither pass carries a dependency from one point to the next.
+const X_BLOCK: usize = 256;
+
+/// Reflective ghosts in x over the interior rows: ghost `-hh` mirrors
+/// interior column `hh - 1`, ghost `nx - 1 + hh` mirrors `nx - hh`.
+fn mirror_x(f: &mut Dat2<f64>, low: bool, high: bool) {
+    let (h, nx, ny, pitch) = (f.halo(), f.nx(), f.ny(), f.pitch());
+    for row in f.raw_mut().chunks_exact_mut(pitch).skip(h).take(ny) {
+        if low {
+            for hh in 1..=h {
+                row[h - hh] = row[h + hh - 1];
+            }
+        }
+        if high {
+            for hh in 1..=h {
+                row[h + nx - 1 + hh] = row[h + nx - hh];
+            }
+        }
+    }
+}
+
+/// Reflective ghosts in y: whole padded rows (x ghosts included), ghost
+/// row `-hh` mirrors interior row `hh - 1`, `ny - 1 + hh` mirrors `ny - hh`.
+fn mirror_y(f: &mut Dat2<f64>, low: bool, high: bool) {
+    let (h, ny, pitch) = (f.halo(), f.ny(), f.pitch());
+    let data = f.raw_mut();
+    let mut copy_row =
+        |src: usize, dst: usize| data.copy_within(src * pitch..(src + 1) * pitch, dst * pitch);
+    if low {
+        for hh in 1..=h {
+            copy_row(h + hh - 1, h - hh);
+        }
+    }
+    if high {
+        for hh in 1..=h {
+            copy_row(h + ny - hh, h + ny - 1 + hh);
+        }
+    }
+}
+
 /// The solver state (one rank's sub-block when distributed).
 pub struct Clover2 {
     cfg: Config,
@@ -125,6 +225,10 @@ pub struct Clover2 {
     // Face-centred volume fluxes:
     vol_flux_x: Dat2<f64>,
     vol_flux_y: Dat2<f64>,
+    /// Run `advec_cell_x/y`, `advec_mom` and `calc_dt` as the per-point
+    /// closure kernels they were ported from (the tests' reference).
+    #[cfg(test)]
+    oracle: bool,
 }
 
 impl Clover2 {
@@ -202,6 +306,22 @@ impl Clover2 {
             density0,
             energy0,
             cfg,
+            #[cfg(test)]
+            oracle: false,
+        }
+    }
+
+    /// Which physical boundaries this block touches: (low x, high x, low
+    /// y, high y).
+    fn walls(&self) -> (bool, bool, bool, bool) {
+        match &self.dist {
+            None => (true, true, true, true),
+            Some(b) => (
+                b.at_low_boundary(0),
+                b.at_high_boundary(0),
+                b.at_low_boundary(1),
+                b.at_high_boundary(1),
+            ),
         }
     }
 
@@ -233,25 +353,19 @@ impl Clover2 {
         mut comm: Option<&mut Comm>,
         site: &str,
     ) {
-        let nx = self.nx as isize;
-        let ny = self.ny as isize;
-        let h = HALO as isize;
-        let (low_x, high_x, low_y, high_y) = match &self.dist {
-            None => (true, true, true, true),
-            Some(b) => (
-                b.at_low_boundary(0),
-                b.at_high_boundary(0),
-                b.at_low_boundary(1),
-                b.at_high_boundary(1),
-            ),
-        };
-        let block = self.dist.clone();
+        let (low_x, high_x, low_y, high_y) = self.walls();
+        let block = self.dist.as_ref();
         let plan = if recording_active() {
             None
         } else {
             self.cfg.plan.as_ref()
         };
-        let mut points = 0usize;
+        // Ghost points filled per field: HALO columns over the interior
+        // rows per x wall, HALO x-extended rows per y wall.
+        let points = 6
+            * HALO
+            * ((low_x as usize + high_x as usize) * self.ny
+                + (low_y as usize + high_y as usize) * (self.nx + 2 * HALO));
         let t0 = Instant::now();
         let mut comm_seconds = 0.0;
 
@@ -263,52 +377,20 @@ impl Clover2 {
             &mut self.density1,
             &mut self.energy1,
         ] {
-            // Mirror X: physical-boundary ghosts over interior rows.
-            if low_x {
-                for j in 0..ny {
-                    for hh in 1..=h {
-                        f.set(-hh, j, f.get(hh - 1, j));
-                        points += 1;
-                    }
-                }
-            }
-            if high_x {
-                for j in 0..ny {
-                    for hh in 1..=h {
-                        f.set(nx - 1 + hh, j, f.get(nx - hh, j));
-                        points += 1;
-                    }
-                }
-            }
+            mirror_x(f, low_x, high_x);
             let elide = plan.is_some_and(|p| p.elides(site, f.name()));
-            if let (Some(b), Some(c)) = (&block, comm.as_deref_mut()) {
+            if let (Some(b), Some(c)) = (block, comm.as_deref_mut()) {
                 if !elide {
                     let tc = Instant::now();
                     b.exchange_halo_dim_site(c, f, HALO, 0, site);
                     comm_seconds += tc.elapsed().as_secs_f64();
                 }
             }
-            // Mirror Y: over x-extended rows (reads the x ghosts above).
-            if low_y {
-                for i in -h..nx + h {
-                    for hh in 1..=h {
-                        f.set(i, -hh, f.get(i, hh - 1));
-                        points += 1;
-                    }
-                }
-            }
-            if high_y {
-                for i in -h..nx + h {
-                    for hh in 1..=h {
-                        f.set(i, ny - 1 + hh, f.get(i, ny - hh));
-                        points += 1;
-                    }
-                }
-            }
-            if let (Some(b), Some(c)) = (&block, comm.as_deref_mut()) {
+            // Mirror Y copies x-extended rows (reads the x ghosts above).
+            mirror_y(f, low_y, high_y);
+            if let (Some(b), Some(c)) = (block, comm.as_deref_mut()) {
                 if elide {
                     b.elide_halo(f, HALO, site);
-                    let _ = c;
                 } else {
                     let tc = Instant::now();
                     b.exchange_halo_dim_site(c, f, HALO, 1, site);
@@ -335,46 +417,36 @@ impl Clover2 {
     /// Reflective node-velocity boundary: zero normal velocity on walls.
     fn apply_velocity_bcs(&mut self, profile: &mut Profile) {
         let t0 = Instant::now();
-        let nnx = self.nx as isize; // last node index
-        let nny = self.ny as isize;
-        let (low_x, high_x, low_y, high_y) = match &self.dist {
-            None => (true, true, true, true),
-            Some(b) => (
-                b.at_low_boundary(0),
-                b.at_high_boundary(0),
-                b.at_low_boundary(1),
-                b.at_high_boundary(1),
-            ),
-        };
-        let mut points = 0usize;
+        let (nnx, nny) = (self.nx, self.ny); // last node indices
+        let (low_x, high_x, low_y, high_y) = self.walls();
         for v in [&mut self.xvel0, &mut self.xvel1] {
-            if low_x {
-                for j in 0..=nny {
-                    v.set(0, j, 0.0);
-                    points += 1;
+            let pitch = v.pitch();
+            for row in v.raw_mut().chunks_exact_mut(pitch).skip(HALO).take(nny + 1) {
+                if low_x {
+                    row[HALO] = 0.0;
                 }
-            }
-            if high_x {
-                for j in 0..=nny {
-                    v.set(nnx, j, 0.0);
-                    points += 1;
+                if high_x {
+                    row[HALO + nnx] = 0.0;
                 }
             }
         }
         for v in [&mut self.yvel0, &mut self.yvel1] {
+            let pitch = v.pitch();
+            let data = v.raw_mut();
+            let mut zero_row = |j: usize| {
+                let start = (HALO + j) * pitch + HALO;
+                data[start..=start + nnx].fill(0.0);
+            };
             if low_y {
-                for i in 0..=nnx {
-                    v.set(i, 0, 0.0);
-                    points += 1;
-                }
+                zero_row(0);
             }
             if high_y {
-                for i in 0..=nnx {
-                    v.set(i, nny, 0.0);
-                    points += 1;
-                }
+                zero_row(nny);
             }
         }
+        let points = 2
+            * ((low_x as usize + high_x as usize) * (nny + 1)
+                + (low_y as usize + high_y as usize) * (nnx + 1));
         profile.record(
             "update_halo_vel",
             points,
@@ -389,7 +461,7 @@ impl Clover2 {
     /// with the velocity double-buffer swap, so the certificate's dat name
     /// matches whatever buffer currently sits in each slot).
     fn exchange_velocities(&mut self, comm: Option<&mut Comm>, site: &str) {
-        if let (Some(block), Some(comm)) = (self.dist.clone(), comm) {
+        if let (Some(block), Some(comm)) = (self.dist.as_ref(), comm) {
             let plan = if recording_active() {
                 None
             } else {
@@ -449,8 +521,9 @@ impl Clover2 {
     /// written by `ideal_gas` (the certificate's radius-0 all-pairs check);
     /// bit-identical because the bodies are the very same functions the
     /// sequential path runs.
-    fn ideal_gas_viscosity_fused(&mut self, profile: &mut Profile, plan: &OptPlan) {
+    fn ideal_gas_viscosity_fused(&mut self, profile: &mut Profile) {
         let (dx, dy) = (self.dx, self.dy);
+        let plan = self.cfg.plan.as_ref().expect("fusion implies a plan");
         // Store: mut [pressure, soundspeed, viscosity], ro [density0,
         // energy0, xvel0, yvel0] → global field indices 3..=6.
         let loops = [
@@ -479,8 +552,12 @@ impl Clover2 {
 
     /// CFL time step (local min; allreduced when distributed).
     fn calc_dt(&mut self, profile: &mut Profile, comm: Option<&mut Comm>) -> f64 {
+        #[cfg(test)]
+        if self.oracle {
+            return self.calc_dt_closure(profile, comm);
+        }
         let (dx, dy, cfl) = (self.dx, self.dy, self.cfg.cfl);
-        let local = par_loop2_reduce(
+        let local = par_loop2_rows_reduce(
             profile,
             "calc_dt",
             self.cfg.mode,
@@ -488,11 +565,17 @@ impl Clover2 {
             &[&self.soundspeed, &self.xvel0, &self.yvel0],
             f64::INFINITY,
             8.0,
-            move |_i, _j, ins| {
-                let ss = ins.get(0, 0, 0);
-                let u = ins.get(1, 0, 0).abs().max(ins.get(1, 1, 1).abs());
-                let v = ins.get(2, 0, 0).abs().max(ins.get(2, 1, 1).abs());
-                cfl * (dx / (ss + u + 1e-12)).min(dy / (ss + v + 1e-12))
+            move |_j, mut dt, ins| {
+                let ss = ins.row(0);
+                let n = ss.len();
+                let (u00, u11) = (&ins.row(1)[..n], &ins.row_off(1, 1, 1)[..n]);
+                let (v00, v11) = (&ins.row(2)[..n], &ins.row_off(2, 1, 1)[..n]);
+                for i in 0..n {
+                    let u = u00[i].abs().max(u11[i].abs());
+                    let v = v00[i].abs().max(v11[i].abs());
+                    dt = dt.min(cfl * (dx / (ss[i] + u + 1e-12)).min(dy / (ss[i] + v + 1e-12)));
+                }
+                dt
             },
             f64::min,
         );
@@ -646,11 +729,17 @@ impl Clover2 {
 
     /// Conservative remap, X sweep (donor-cell or van Leer per the
     /// config). Reads density1/energy1 + vol_flux_x, writes work arrays
-    /// (swapped back by the caller).
+    /// (swapped back by the caller). Each face's limited flux is evaluated
+    /// once per row — it is the outflow of the cell on its left and the
+    /// inflow of the cell on its right.
     fn advec_cell_x(&mut self, profile: &mut Profile) {
+        #[cfg(test)]
+        if self.oracle {
+            return self.advec_cell_x_closure(profile);
+        }
         let vol = self.dx * self.dy;
         let scheme = self.cfg.advection;
-        par_loop2(
+        par_loop2_rows(
             profile,
             "advec_cell_x",
             self.cfg.mode,
@@ -662,50 +751,61 @@ impl Clover2 {
             } else {
                 18.0
             },
-            move |_i, _j, out, ins| {
-                // Face value with optional van Leer-limited reconstruction
-                // from the donor cell toward the face.
-                let face_val = |f: usize, face: isize, fv: f64| -> f64 {
-                    let (donor, toward) = if fv > 0.0 { (face - 1, 1) } else { (face, -1) };
-                    let d = ins.get(f, donor, 0);
-                    if scheme == Advection::DonorCell {
-                        return d;
+            move |_j, out, ins| {
+                // Window `w[di + 2]`: element `x` is the value at cell
+                // `x + di`. Cell `x`'s high face sees cells `x-1 ..= x+2`.
+                let rho = [-2, -1, 0, 1, 2].map(|di| ins.row_off(0, di, 0));
+                let e = [-2, -1, 0, 1, 2].map(|di| ins.row_off(1, di, 0));
+                let (fv_lo, fv_hi) = (ins.row_off(2, 0, 0), ins.row_off(2, 1, 0));
+                let (d1, e1) = out.rows2(0, 1);
+                let n = d1.len();
+                let mut fm = [0.0; X_BLOCK + 1];
+                let mut fe = [0.0; X_BLOCK + 1];
+                // The row's first face is cell 0's low face.
+                (fm[0], fe[0]) = face_flux(
+                    scheme,
+                    vol,
+                    fv_lo[0],
+                    window4(&rho, 0, 0),
+                    window4(&e, 0, 0),
+                );
+                for b0 in (0..n).step_by(X_BLOCK) {
+                    let nb = X_BLOCK.min(n - b0);
+                    let r = rho.map(|w| &w[b0..b0 + nb]);
+                    let en = e.map(|w| &w[b0..b0 + nb]);
+                    let fv = &fv_hi[b0..b0 + nb];
+                    for x in 0..nb {
+                        (fm[x + 1], fe[x + 1]) =
+                            face_flux(scheme, vol, fv[x], window4(&r, 1, x), window4(&en, 1, x));
                     }
-                    let down = ins.get(f, donor + toward, 0);
-                    let up = ins.get(f, donor - toward, 0);
-                    let dd = down - d;
-                    if dd == 0.0 {
-                        return d;
+                    let (d1, e1) = (&mut d1[b0..b0 + nb], &mut e1[b0..b0 + nb]);
+                    for x in 0..nb {
+                        (d1[x], e1[x]) = remap_cell(
+                            vol,
+                            r[2][x],
+                            en[2][x],
+                            (fm[x], fe[x]),
+                            (fm[x + 1], fe[x + 1]),
+                        );
                     }
-                    let r = (d - up) / dd;
-                    let sigma = (fv / vol).abs().min(1.0);
-                    d + 0.5 * van_leer(r) * (1.0 - sigma) * dd
-                };
-                // Face i (left of cell): flux from cell i-1 → i when > 0.
-                let flux_mass = |face: isize| -> (f64, f64) {
-                    let fv = ins.get(2, face, 0);
-                    let m = fv * face_val(0, face, fv);
-                    (m, m * face_val(1, face, fv))
-                };
-                let (m_in, e_in) = flux_mass(0);
-                let (m_out, e_out) = flux_mass(1);
-                let rho = ins.get(0, 0, 0);
-                let e = ins.get(1, 0, 0);
-                let mass = rho * vol + m_in - m_out;
-                let energy_mass = rho * e * vol + e_in - e_out;
-                out.set(0, mass / vol);
-                out.set(1, energy_mass / mass.max(1e-300));
+                    (fm[0], fe[0]) = (fm[nb], fe[nb]);
+                }
             },
         );
         std::mem::swap(&mut self.density1, &mut self.work_d);
         std::mem::swap(&mut self.energy1, &mut self.work_e);
     }
 
-    /// Conservative remap, Y sweep.
+    /// Conservative remap, Y sweep. A face is shared by two rows, which
+    /// may sit in different chunks, so each row evaluates both its faces.
     fn advec_cell_y(&mut self, profile: &mut Profile) {
+        #[cfg(test)]
+        if self.oracle {
+            return self.advec_cell_y_closure(profile);
+        }
         let vol = self.dx * self.dy;
         let scheme = self.cfg.advection;
-        par_loop2(
+        par_loop2_rows(
             profile,
             "advec_cell_y",
             self.cfg.mode,
@@ -717,36 +817,30 @@ impl Clover2 {
             } else {
                 18.0
             },
-            move |_i, _j, out, ins| {
-                let face_val = |f: usize, face: isize, fv: f64| -> f64 {
-                    let (donor, toward) = if fv > 0.0 { (face - 1, 1) } else { (face, -1) };
-                    let d = ins.get(f, 0, donor);
-                    if scheme == Advection::DonorCell {
-                        return d;
-                    }
-                    let down = ins.get(f, 0, donor + toward);
-                    let up = ins.get(f, 0, donor - toward);
-                    let dd = down - d;
-                    if dd == 0.0 {
-                        return d;
-                    }
-                    let r = (d - up) / dd;
-                    let sigma = (fv / vol).abs().min(1.0);
-                    d + 0.5 * van_leer(r) * (1.0 - sigma) * dd
-                };
-                let flux_mass = |face: isize| -> (f64, f64) {
-                    let fv = ins.get(2, 0, face);
-                    let m = fv * face_val(0, face, fv);
-                    (m, m * face_val(1, face, fv))
-                };
-                let (m_in, e_in) = flux_mass(0);
-                let (m_out, e_out) = flux_mass(1);
-                let rho = ins.get(0, 0, 0);
-                let e = ins.get(1, 0, 0);
-                let mass = rho * vol + m_in - m_out;
-                let energy_mass = rho * e * vol + e_in - e_out;
-                out.set(0, mass / vol);
-                out.set(1, energy_mass / mass.max(1e-300));
+            move |_j, out, ins| {
+                let (d1, e1) = out.rows2(0, 1);
+                let n = d1.len();
+                // Window `w[dj + 2]` is row `j + dj`.
+                let rho = [-2, -1, 0, 1, 2].map(|dj| &ins.row_off(0, 0, dj)[..n]);
+                let e = [-2, -1, 0, 1, 2].map(|dj| &ins.row_off(1, 0, dj)[..n]);
+                let (fv_lo, fv_hi) = (&ins.row_off(2, 0, 0)[..n], &ins.row_off(2, 0, 1)[..n]);
+                for x in 0..n {
+                    let flux_in = face_flux(
+                        scheme,
+                        vol,
+                        fv_lo[x],
+                        window4(&rho, 0, x),
+                        window4(&e, 0, x),
+                    );
+                    let flux_out = face_flux(
+                        scheme,
+                        vol,
+                        fv_hi[x],
+                        window4(&rho, 1, x),
+                        window4(&e, 1, x),
+                    );
+                    (d1[x], e1[x]) = remap_cell(vol, rho[2][x], e[2][x], flux_in, flux_out);
+                }
             },
         );
         std::mem::swap(&mut self.density1, &mut self.work_d);
@@ -755,8 +849,12 @@ impl Clover2 {
 
     /// Upwind momentum advection (both sweeps fused per direction).
     fn advec_mom(&mut self, profile: &mut Profile, dt: f64) {
+        #[cfg(test)]
+        if self.oracle {
+            return self.advec_mom_closure(profile, dt);
+        }
         let (dx, dy) = (self.dx, self.dy);
-        par_loop2(
+        par_loop2_rows(
             profile,
             "advec_mom",
             self.cfg.mode,
@@ -764,24 +862,25 @@ impl Clover2 {
             &mut [&mut self.work_u, &mut self.work_v],
             &[&self.xvel1, &self.yvel1],
             20.0,
-            move |_i, _j, out, ins| {
-                let u = ins.get(0, 0, 0);
-                let v = ins.get(1, 0, 0);
-                let upwind = |f: usize, du: f64, dv: f64| -> f64 {
-                    let ddx = if du > 0.0 {
-                        ins.get(f, 0, 0) - ins.get(f, -1, 0)
-                    } else {
-                        ins.get(f, 1, 0) - ins.get(f, 0, 0)
-                    } / dx;
-                    let ddy = if dv > 0.0 {
-                        ins.get(f, 0, 0) - ins.get(f, 0, -1)
-                    } else {
-                        ins.get(f, 0, 1) - ins.get(f, 0, 0)
-                    } / dy;
-                    du * ddx + dv * ddy
-                };
-                out.set(0, u - dt * upwind(0, u, v));
-                out.set(1, v - dt * upwind(1, u, v));
+            move |_j, out, ins| {
+                let (wu, wv) = out.rows2(0, 1);
+                let n = wu.len();
+                // Centre, then the -x, +x, -y, +y neighbours.
+                let star = [(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)];
+                let u = star.map(|(di, dj)| &ins.row_off(0, di, dj)[..n]);
+                let v = star.map(|(di, dj)| &ins.row_off(1, di, dj)[..n]);
+                for i in 0..n {
+                    let (du, dv) = (u[0][i], v[0][i]);
+                    // Both sides are loaded before the upwind one is chosen,
+                    // so the choice is a select, not a branch.
+                    let upwind = |c: f64, xm: f64, xp: f64, ym: f64, yp: f64| -> f64 {
+                        let ddx = if du > 0.0 { c - xm } else { xp - c } / dx;
+                        let ddy = if dv > 0.0 { c - ym } else { yp - c } / dy;
+                        du * ddx + dv * ddy
+                    };
+                    wu[i] = du - dt * upwind(du, u[1][i], u[2][i], u[3][i], u[4][i]);
+                    wv[i] = dv - dt * upwind(dv, v[1][i], v[2][i], v[3][i], v[4][i]);
+                }
             },
         );
     }
@@ -819,8 +918,7 @@ impl Clover2 {
                 .as_ref()
                 .is_some_and(|p| p.certifies_fusion(&["ideal_gas", "viscosity"]));
         if fuse {
-            let plan = self.cfg.plan.clone().expect("fusion implies a plan");
-            self.ideal_gas_viscosity_fused(profile, &plan);
+            self.ideal_gas_viscosity_fused(profile);
         } else {
             self.ideal_gas(profile);
             self.viscosity_kernel(profile);
@@ -846,7 +944,7 @@ impl Clover2 {
     /// Field summary: (total mass, total energy incl. kinetic).
     pub fn field_summary(&self, profile: &mut Profile) -> (f64, f64) {
         let vol = self.dx * self.dy;
-        let (mass, ie) = par_loop2_reduce(
+        let (mass, ie) = par_loop2_rows_reduce(
             profile,
             "field_summary",
             ExecMode::Serial,
@@ -854,16 +952,18 @@ impl Clover2 {
             &[&self.density0, &self.energy0],
             (0.0f64, 0.0f64),
             4.0,
-            move |_i, _j, ins| {
-                let rho = ins.get(0, 0, 0);
-                (rho * vol, rho * ins.get(1, 0, 0) * vol)
+            move |_j, (mut mass, mut ie), ins| {
+                for (rho, e) in ins.row(0).iter().zip(ins.row(1)) {
+                    mass += rho * vol;
+                    ie += rho * e * vol;
+                }
+                (mass, ie)
             },
             |a, b| (a.0 + b.0, a.1 + b.1),
         );
         // Kinetic energy from nodes (quarter-cell masses omitted at walls —
         // summary only).
-        let vol4 = vol;
-        let ke = par_loop2_reduce(
+        let ke = par_loop2_rows_reduce(
             profile,
             "field_summary_ke",
             ExecMode::Serial,
@@ -871,13 +971,17 @@ impl Clover2 {
             &[&self.density0, &self.xvel0, &self.yvel0],
             0.0f64,
             8.0,
-            move |_i, _j, ins| {
-                let rho = ins.get(0, 0, 0);
-                let u = 0.25
-                    * (ins.get(1, 0, 0) + ins.get(1, 1, 0) + ins.get(1, 0, 1) + ins.get(1, 1, 1));
-                let v = 0.25
-                    * (ins.get(2, 0, 0) + ins.get(2, 1, 0) + ins.get(2, 0, 1) + ins.get(2, 1, 1));
-                0.5 * rho * (u * u + v * v) * vol4
+            move |_j, mut ke, ins| {
+                let rho = ins.row(0);
+                let quad = [(0, 0), (1, 0), (0, 1), (1, 1)];
+                let u = quad.map(|(di, dj)| ins.row_off(1, di, dj));
+                let v = quad.map(|(di, dj)| ins.row_off(2, di, dj));
+                for i in 0..rho.len() {
+                    let u = 0.25 * (u[0][i] + u[1][i] + u[2][i] + u[3][i]);
+                    let v = 0.25 * (v[0][i] + v[1][i] + v[2][i] + v[3][i]);
+                    ke += 0.5 * rho[i] * (u * u + v * v) * vol;
+                }
+                ke
             },
             |a, b| a + b,
         );
@@ -918,7 +1022,7 @@ impl Clover2 {
             aspan.set_args(it as f64, 0.0, 0.0);
             sim.cycle(&mut profile, Some(comm));
         }
-        let block = sim.dist.clone().expect("distributed");
+        let block = sim.dist.as_ref().expect("distributed");
         let gathered = block.gather_global(comm, &sim.density0);
         (profile, gathered)
     }
@@ -1281,6 +1385,179 @@ pub fn loop_specs() -> Vec<bwb_ops::LoopSpec> {
     ]
 }
 
+/// The per-point closure kernels the four hottest loops ran as before they
+/// moved onto the row-slice path, kept verbatim as the tests' reference:
+/// `oracle = true` routes a cycle through them.
+#[cfg(test)]
+impl Clover2 {
+    /// CFL time step (local min; allreduced when distributed).
+    fn calc_dt_closure(&mut self, profile: &mut Profile, comm: Option<&mut Comm>) -> f64 {
+        let (dx, dy, cfl) = (self.dx, self.dy, self.cfg.cfl);
+        let local = bwb_ops::par_loop2_reduce(
+            profile,
+            "calc_dt",
+            self.cfg.mode,
+            self.cells(),
+            &[&self.soundspeed, &self.xvel0, &self.yvel0],
+            f64::INFINITY,
+            8.0,
+            move |_i, _j, ins| {
+                let ss = ins.get(0, 0, 0);
+                let u = ins.get(1, 0, 0).abs().max(ins.get(1, 1, 1).abs());
+                let v = ins.get(2, 0, 0).abs().max(ins.get(2, 1, 1).abs());
+                cfl * (dx / (ss + u + 1e-12)).min(dy / (ss + v + 1e-12))
+            },
+            f64::min,
+        );
+        match comm {
+            Some(c) => c.allreduce_scalar(local, ReduceOp::Min),
+            None => local,
+        }
+    }
+
+    /// Conservative remap, X sweep (donor-cell or van Leer per the
+    /// config). Reads density1/energy1 + vol_flux_x, writes work arrays
+    /// (swapped back by the caller).
+    fn advec_cell_x_closure(&mut self, profile: &mut Profile) {
+        let vol = self.dx * self.dy;
+        let scheme = self.cfg.advection;
+        bwb_ops::par_loop2(
+            profile,
+            "advec_cell_x",
+            self.cfg.mode,
+            self.cells(),
+            &mut [&mut self.work_d, &mut self.work_e],
+            &[&self.density1, &self.energy1, &self.vol_flux_x],
+            if scheme == Advection::VanLeer {
+                38.0
+            } else {
+                18.0
+            },
+            move |_i, _j, out, ins| {
+                // Face value with optional van Leer-limited reconstruction
+                // from the donor cell toward the face.
+                let face_val = |f: usize, face: isize, fv: f64| -> f64 {
+                    let (donor, toward) = if fv > 0.0 { (face - 1, 1) } else { (face, -1) };
+                    let d = ins.get(f, donor, 0);
+                    if scheme == Advection::DonorCell {
+                        return d;
+                    }
+                    let down = ins.get(f, donor + toward, 0);
+                    let up = ins.get(f, donor - toward, 0);
+                    let dd = down - d;
+                    if dd == 0.0 {
+                        return d;
+                    }
+                    let r = (d - up) / dd;
+                    let sigma = (fv / vol).abs().min(1.0);
+                    d + 0.5 * van_leer(r) * (1.0 - sigma) * dd
+                };
+                // Face i (left of cell): flux from cell i-1 → i when > 0.
+                let flux_mass = |face: isize| -> (f64, f64) {
+                    let fv = ins.get(2, face, 0);
+                    let m = fv * face_val(0, face, fv);
+                    (m, m * face_val(1, face, fv))
+                };
+                let (m_in, e_in) = flux_mass(0);
+                let (m_out, e_out) = flux_mass(1);
+                let rho = ins.get(0, 0, 0);
+                let e = ins.get(1, 0, 0);
+                let mass = rho * vol + m_in - m_out;
+                let energy_mass = rho * e * vol + e_in - e_out;
+                out.set(0, mass / vol);
+                out.set(1, energy_mass / mass.max(1e-300));
+            },
+        );
+        std::mem::swap(&mut self.density1, &mut self.work_d);
+        std::mem::swap(&mut self.energy1, &mut self.work_e);
+    }
+
+    /// Conservative remap, Y sweep.
+    fn advec_cell_y_closure(&mut self, profile: &mut Profile) {
+        let vol = self.dx * self.dy;
+        let scheme = self.cfg.advection;
+        bwb_ops::par_loop2(
+            profile,
+            "advec_cell_y",
+            self.cfg.mode,
+            self.cells(),
+            &mut [&mut self.work_d, &mut self.work_e],
+            &[&self.density1, &self.energy1, &self.vol_flux_y],
+            if scheme == Advection::VanLeer {
+                38.0
+            } else {
+                18.0
+            },
+            move |_i, _j, out, ins| {
+                let face_val = |f: usize, face: isize, fv: f64| -> f64 {
+                    let (donor, toward) = if fv > 0.0 { (face - 1, 1) } else { (face, -1) };
+                    let d = ins.get(f, 0, donor);
+                    if scheme == Advection::DonorCell {
+                        return d;
+                    }
+                    let down = ins.get(f, 0, donor + toward);
+                    let up = ins.get(f, 0, donor - toward);
+                    let dd = down - d;
+                    if dd == 0.0 {
+                        return d;
+                    }
+                    let r = (d - up) / dd;
+                    let sigma = (fv / vol).abs().min(1.0);
+                    d + 0.5 * van_leer(r) * (1.0 - sigma) * dd
+                };
+                let flux_mass = |face: isize| -> (f64, f64) {
+                    let fv = ins.get(2, 0, face);
+                    let m = fv * face_val(0, face, fv);
+                    (m, m * face_val(1, face, fv))
+                };
+                let (m_in, e_in) = flux_mass(0);
+                let (m_out, e_out) = flux_mass(1);
+                let rho = ins.get(0, 0, 0);
+                let e = ins.get(1, 0, 0);
+                let mass = rho * vol + m_in - m_out;
+                let energy_mass = rho * e * vol + e_in - e_out;
+                out.set(0, mass / vol);
+                out.set(1, energy_mass / mass.max(1e-300));
+            },
+        );
+        std::mem::swap(&mut self.density1, &mut self.work_d);
+        std::mem::swap(&mut self.energy1, &mut self.work_e);
+    }
+
+    /// Upwind momentum advection (both sweeps fused per direction).
+    fn advec_mom_closure(&mut self, profile: &mut Profile, dt: f64) {
+        let (dx, dy) = (self.dx, self.dy);
+        bwb_ops::par_loop2(
+            profile,
+            "advec_mom",
+            self.cfg.mode,
+            self.nodes(),
+            &mut [&mut self.work_u, &mut self.work_v],
+            &[&self.xvel1, &self.yvel1],
+            20.0,
+            move |_i, _j, out, ins| {
+                let u = ins.get(0, 0, 0);
+                let v = ins.get(1, 0, 0);
+                let upwind = |f: usize, du: f64, dv: f64| -> f64 {
+                    let ddx = if du > 0.0 {
+                        ins.get(f, 0, 0) - ins.get(f, -1, 0)
+                    } else {
+                        ins.get(f, 1, 0) - ins.get(f, 0, 0)
+                    } / dx;
+                    let ddy = if dv > 0.0 {
+                        ins.get(f, 0, 0) - ins.get(f, 0, -1)
+                    } else {
+                        ins.get(f, 0, 1) - ins.get(f, 0, 0)
+                    } / dy;
+                    du * ddx + dv * ddy
+                };
+                out.set(0, u - dt * upwind(0, u, v));
+                out.set(1, v - dt * upwind(1, u, v));
+            },
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1564,5 +1841,172 @@ mod tests {
         sim.ideal_gas(&mut profile);
         let dt = sim.calc_dt(&mut profile, None);
         assert!(dt > 0.0 && dt < 1.0, "dt = {dt}");
+    }
+
+    /// Every bit of the solver state, plus the time steps taken.
+    fn state_bits(sim: &Clover2, dts: &[f64]) -> Vec<Vec<u64>> {
+        let mut all: Vec<Vec<u64>> = [
+            &sim.density0,
+            &sim.density1,
+            &sim.energy0,
+            &sim.energy1,
+            &sim.pressure,
+            &sim.viscosity,
+            &sim.soundspeed,
+            &sim.work_d,
+            &sim.work_e,
+            &sim.xvel0,
+            &sim.xvel1,
+            &sim.yvel0,
+            &sim.yvel1,
+            &sim.work_u,
+            &sim.work_v,
+            &sim.vol_flux_x,
+            &sim.vol_flux_y,
+        ]
+        .iter()
+        .map(|f| f.raw().iter().map(|v| v.to_bits()).collect())
+        .collect();
+        all.push(dts.iter().map(|v| v.to_bits()).collect());
+        all
+    }
+
+    /// Five cycles through the row-slice kernels or, with `oracle`, through
+    /// the closure kernels they replaced.
+    fn five_cycles(mut sim: Clover2, oracle: bool, mut comm: Option<&mut Comm>) -> Vec<Vec<u64>> {
+        sim.oracle = oracle;
+        let mut profile = Profile::new();
+        let dts: Vec<f64> = (0..5)
+            .map(|_| sim.cycle(&mut profile, comm.as_deref_mut()))
+            .collect();
+        state_bits(&sim, &dts)
+    }
+
+    #[test]
+    fn row_kernels_bit_equal_closure_oracle() {
+        // 1×N and N×1 put every cell on two walls; 257×61 is two chunks of
+        // rows and two X_BLOCKs with a one-cell tail.
+        for (nx, ny) in [(1, 37), (37, 1), (3, 3), (257, 61)] {
+            for advection in [Advection::DonorCell, Advection::VanLeer] {
+                for mode in [ExecMode::Serial, ExecMode::Rayon] {
+                    let cfg = Config {
+                        nx,
+                        ny,
+                        mode,
+                        advection,
+                        ..Config::default()
+                    };
+                    let rows = five_cycles(Clover2::new(cfg.clone()), false, None);
+                    let oracle = five_cycles(Clover2::new(cfg), true, None);
+                    assert!(
+                        rows == oracle,
+                        "{nx}x{ny} {advection:?} {mode:?}: state differs from the closure kernels"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_kernels_bit_equal_closure_oracle_distributed() {
+        for ranks in [2, 4] {
+            for advection in [Advection::DonorCell, Advection::VanLeer] {
+                for mode in [ExecMode::Serial, ExecMode::Rayon] {
+                    let cfg = Config {
+                        nx: 26,
+                        ny: 19,
+                        mode,
+                        advection,
+                        ..Config::default()
+                    };
+                    let run = |oracle: bool| {
+                        let cfg = cfg.clone();
+                        Universe::run(ranks, move |c| {
+                            let sim = Clover2::new_distributed(c, cfg.clone());
+                            five_cycles(sim, oracle, Some(c))
+                        })
+                        .results
+                    };
+                    assert!(
+                        run(false) == run(true),
+                        "{ranks} ranks {advection:?} {mode:?}: state differs from the closure kernels"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn field_summary_sums_rows_in_order() {
+        let mut sim = Clover2::new(Config {
+            nx: 23,
+            ny: 9,
+            ..Config::default()
+        });
+        let mut profile = Profile::new();
+        for _ in 0..3 {
+            sim.cycle(&mut profile, None);
+        }
+        // Per-row partial sums from zero, rows added in ascending order.
+        let vol = sim.dx * sim.dy;
+        let (mut mass, mut energy, mut kinetic) = (0.0, 0.0, 0.0);
+        for j in 0..9 {
+            let (mut m, mut ie, mut ke) = (0.0, 0.0, 0.0);
+            for i in 0..23 {
+                let rho = sim.density0.get(i, j);
+                m += rho * vol;
+                ie += rho * sim.energy0.get(i, j) * vol;
+                let node_avg = |f: &Dat2<f64>| {
+                    0.25 * (f.get(i, j) + f.get(i + 1, j) + f.get(i, j + 1) + f.get(i + 1, j + 1))
+                };
+                let (u, v) = (node_avg(&sim.xvel0), node_avg(&sim.yvel0));
+                ke += 0.5 * rho * (u * u + v * v) * vol;
+            }
+            mass += m;
+            energy += ie;
+            kinetic += ke;
+        }
+        let (got_mass, got_energy) = sim.field_summary(&mut profile);
+        assert_eq!(got_mass.to_bits(), mass.to_bits());
+        assert_eq!(got_energy.to_bits(), (energy + kinetic).to_bits());
+    }
+
+    #[test]
+    fn ported_loops_observe_exactly_their_declared_stencils() {
+        let ported = [
+            "calc_dt",
+            "advec_cell_x",
+            "advec_cell_y",
+            "advec_mom",
+            "field_summary",
+            "field_summary_ke",
+        ];
+        let specs = loop_specs();
+        for advection in [Advection::DonorCell, Advection::VanLeer] {
+            let ((), loops) = bwb_ops::with_recording(|| {
+                let mut profile = Profile::new();
+                let mut sim = Clover2::new(Config {
+                    nx: 12,
+                    ny: 10,
+                    advection,
+                    ..Config::default()
+                });
+                sim.cycle(&mut profile, None);
+                sim.field_summary(&mut profile);
+            });
+            for name in ported {
+                let spec = specs.iter().find(|s| s.name == name).expect("declared");
+                let obs = loops.iter().find(|l| l.name == name).expect("recorded");
+                assert_eq!(obs.ins.len(), spec.ins.len(), "{name}: argument count");
+                for (o, a) in obs.ins.iter().zip(&spec.ins) {
+                    let declared: std::collections::BTreeSet<_> =
+                        a.stencil.offsets().copied().collect();
+                    assert_eq!(o.offsets, declared, "{name}: stencil of '{}'", a.name);
+                }
+                for o in &obs.outs {
+                    assert!(o.wrote && !o.read_back && !o.inced, "{name}: '{}'", o.name);
+                }
+            }
+        }
     }
 }

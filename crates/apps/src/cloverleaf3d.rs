@@ -8,8 +8,9 @@
 //! access patterns are more complicated" — §6): nodal kernels gather 8
 //! cells, the remap runs three sweeps.
 
+use crate::cloverleaf2d::remap_cell;
 use crate::{AppId, AppRun};
-use bwb_ops::{par_loop3, par_loop3_planes, par_loop3_reduce, Dat3, ExecMode, Profile, Range3};
+use bwb_ops::{par_loop3_planes, par_loop3_planes_reduce, Dat3, ExecMode, Profile, Range3};
 use std::time::Instant;
 
 pub const GAMMA: f64 = 1.4;
@@ -282,7 +283,7 @@ impl Clover3 {
 
     fn calc_dt(&mut self, profile: &mut Profile) -> f64 {
         let (dx, cfl) = (self.dx, self.cfg.cfl);
-        par_loop3_reduce(
+        par_loop3_planes_reduce(
             profile,
             "calc_dt3",
             self.cfg.mode,
@@ -290,14 +291,15 @@ impl Clover3 {
             &[&self.soundspeed, &self.xvel, &self.yvel, &self.zvel],
             f64::INFINITY,
             10.0,
-            move |_i, _j, _k, ins| {
-                let ss = ins.get(0, 0, 0, 0);
-                let vmax = ins
-                    .get(1, 0, 0, 0)
-                    .abs()
-                    .max(ins.get(2, 0, 0, 0).abs())
-                    .max(ins.get(3, 0, 0, 0).abs());
-                cfl * dx / (ss + vmax + 1e-12)
+            move |_j, _k, mut dt, ins| {
+                let ss = ins.row(0);
+                let n = ss.len();
+                let (u, v, w) = (&ins.row(1)[..n], &ins.row(2)[..n], &ins.row(3)[..n]);
+                for i in 0..n {
+                    let vmax = u[i].abs().max(v[i].abs()).max(w[i].abs());
+                    dt = dt.min(cfl * dx / (ss[i] + vmax + 1e-12));
+                }
+                dt
             },
             f64::min,
         )
@@ -511,7 +513,7 @@ impl Clover3 {
             1 => &self.vol_flux_y,
             _ => &self.vol_flux_z,
         };
-        par_loop3(
+        par_loop3_planes(
             profile,
             name,
             self.cfg.mode,
@@ -519,30 +521,38 @@ impl Clover3 {
             &mut [&mut self.work_d, &mut self.work_e],
             &[&self.density1, &self.energy1, flux_field],
             22.0,
-            move |_i, _j, _k, out, ins| {
-                let off = |face: isize, d: isize| -> (isize, isize, isize) {
-                    match dir {
-                        0 => (face + d, 0, 0),
-                        1 => (0, face + d, 0),
-                        _ => (0, 0, face + d),
-                    }
+            move |_j, _k, out, ins| {
+                // Row of input `f` shifted by `d` cells along the sweep axis.
+                let win = |f: usize, d: isize| match dir {
+                    0 => ins.row_off(f, d, 0, 0),
+                    1 => ins.row_off(f, 0, d, 0),
+                    _ => ins.row_off(f, 0, 0, d),
                 };
-                let flux = |face: isize| -> (f64, f64) {
-                    let (fi, fj, fk) = off(face, 0);
-                    let fv = ins.get(2, fi, fj, fk);
-                    let d = if fv > 0.0 { -1 } else { 0 };
-                    let (di, dj, dk) = off(face, d);
-                    let m = fv * ins.get(0, di, dj, dk);
-                    (m, m * ins.get(1, di, dj, dk))
-                };
-                let (m_in, e_in) = flux(0);
-                let (m_out, e_out) = flux(1);
-                let rho = ins.get(0, 0, 0, 0);
-                let e = ins.get(1, 0, 0, 0);
-                let mass = rho * vol + m_in - m_out;
-                let energy_mass = rho * e * vol + e_in - e_out;
-                out.set(0, mass / vol);
-                out.set(1, energy_mass / mass.max(1e-300));
+                let (d1, e1) = out.rows2(0, 1);
+                let n = d1.len();
+                let rho = [-1, 0, 1].map(|d| &win(0, d)[..n]);
+                let e = [-1, 0, 1].map(|d| &win(1, d)[..n]);
+                let (fv_lo, fv_hi) = (&win(2, 0)[..n], &win(2, 1)[..n]);
+                for x in 0..n {
+                    // Face between cells `lo` and `lo + 1` of the window:
+                    // the donor is the low cell when the flux is positive.
+                    let flux = |fv: f64, lo: usize| -> (f64, f64) {
+                        let (r, en) = if fv > 0.0 {
+                            (rho[lo][x], e[lo][x])
+                        } else {
+                            (rho[lo + 1][x], e[lo + 1][x])
+                        };
+                        let m = fv * r;
+                        (m, m * en)
+                    };
+                    (d1[x], e1[x]) = remap_cell(
+                        vol,
+                        rho[1][x],
+                        e[1][x],
+                        flux(fv_lo[x], 0),
+                        flux(fv_hi[x], 1),
+                    );
+                }
             },
         );
         std::mem::swap(&mut self.density1, &mut self.work_d);
@@ -552,7 +562,7 @@ impl Clover3 {
     /// Upwind momentum advection for all three velocity components.
     fn advec_mom(&mut self, profile: &mut Profile, dt: f64) {
         let dx = self.dx;
-        par_loop3(
+        par_loop3_planes(
             profile,
             "advec_mom3",
             self.cfg.mode,
@@ -560,33 +570,36 @@ impl Clover3 {
             &mut [&mut self.xvel, &mut self.yvel, &mut self.zvel],
             &[&self.xvel1, &self.yvel1, &self.zvel1],
             45.0,
-            move |_i, _j, _k, out, ins| {
-                let u = ins.get(0, 0, 0, 0);
-                let v = ins.get(1, 0, 0, 0);
-                let w = ins.get(2, 0, 0, 0);
-                let upwind = |f: usize| -> f64 {
-                    let g = |di: isize, dj: isize, dk: isize| ins.get(f, di, dj, dk);
-                    let c = g(0, 0, 0);
-                    let ddx = if u > 0.0 {
-                        c - g(-1, 0, 0)
-                    } else {
-                        g(1, 0, 0) - c
-                    } / dx;
-                    let ddy = if v > 0.0 {
-                        c - g(0, -1, 0)
-                    } else {
-                        g(0, 1, 0) - c
-                    } / dx;
-                    let ddz = if w > 0.0 {
-                        c - g(0, 0, -1)
-                    } else {
-                        g(0, 0, 1) - c
-                    } / dx;
-                    u * ddx + v * ddy + w * ddz
-                };
-                out.set(0, u - dt * upwind(0));
-                out.set(1, v - dt * upwind(1));
-                out.set(2, w - dt * upwind(2));
+            move |_j, _k, out, ins| {
+                let (u1, v1, w1) = out.rows3(0, 1, 2);
+                let n = u1.len();
+                // Centre, then the -x, +x, -y, +y, -z, +z neighbours.
+                let star = [
+                    (0, 0, 0),
+                    (-1, 0, 0),
+                    (1, 0, 0),
+                    (0, -1, 0),
+                    (0, 1, 0),
+                    (0, 0, -1),
+                    (0, 0, 1),
+                ];
+                let f =
+                    [0, 1, 2].map(|f| star.map(|(di, dj, dk)| &ins.row_off(f, di, dj, dk)[..n]));
+                for i in 0..n {
+                    let (u, v, w) = (f[0][0][i], f[1][0][i], f[2][0][i]);
+                    // Both sides are loaded before the upwind one is chosen,
+                    // so the choice is a select, not a branch.
+                    let upwind = |s: [f64; 7]| -> f64 {
+                        let [c, xm, xp, ym, yp, zm, zp] = s;
+                        let ddx = if u > 0.0 { c - xm } else { xp - c } / dx;
+                        let ddy = if v > 0.0 { c - ym } else { yp - c } / dx;
+                        let ddz = if w > 0.0 { c - zm } else { zp - c } / dx;
+                        u * ddx + v * ddy + w * ddz
+                    };
+                    u1[i] = u - dt * upwind(f[0].map(|s| s[i]));
+                    v1[i] = v - dt * upwind(f[1].map(|s| s[i]));
+                    w1[i] = w - dt * upwind(f[2].map(|s| s[i]));
+                }
             },
         );
     }
@@ -632,7 +645,7 @@ impl Clover3 {
     /// (total mass, total internal energy).
     pub fn field_summary(&self, profile: &mut Profile) -> (f64, f64) {
         let vol = self.dx * self.dx * self.dx;
-        par_loop3_reduce(
+        par_loop3_planes_reduce(
             profile,
             "field_summary3",
             ExecMode::Serial,
@@ -640,9 +653,12 @@ impl Clover3 {
             &[&self.density0, &self.energy0],
             (0.0f64, 0.0f64),
             4.0,
-            move |_i, _j, _k, ins| {
-                let rho = ins.get(0, 0, 0, 0);
-                (rho * vol, rho * ins.get(1, 0, 0, 0) * vol)
+            move |_j, _k, (mut mass, mut ie), ins| {
+                for (rho, e) in ins.row(0).iter().zip(ins.row(1)) {
+                    mass += rho * vol;
+                    ie += rho * e * vol;
+                }
+                (mass, ie)
             },
             |a, b| (a.0 + b.0, a.1 + b.1),
         )
@@ -1128,5 +1144,60 @@ mod tests {
         // Internal energy may convert to kinetic; it must stay positive and
         // not blow up.
         assert!(e1 > 0.0 && e1 < 2.0 * e0, "internal energy {e0} -> {e1}");
+    }
+
+    /// FNV-1a over the bits of every field and of the time steps taken.
+    fn state_hash(sim: &Clover3, dts: &[f64]) -> u64 {
+        let fields = [
+            &sim.density0,
+            &sim.density1,
+            &sim.energy0,
+            &sim.energy1,
+            &sim.pressure,
+            &sim.viscosity,
+            &sim.soundspeed,
+            &sim.work_d,
+            &sim.work_e,
+            &sim.xvel,
+            &sim.yvel,
+            &sim.zvel,
+            &sim.xvel1,
+            &sim.yvel1,
+            &sim.zvel1,
+            &sim.vol_flux_x,
+            &sim.vol_flux_y,
+            &sim.vol_flux_z,
+        ];
+        fields
+            .iter()
+            .flat_map(|f| f.raw())
+            .chain(dts)
+            .fold(bwb_ops::hash::FNV_OFFSET, |h, v| {
+                bwb_ops::hash::step_u64(h, v.to_bits())
+            })
+    }
+
+    #[test]
+    fn state_bits_pinned_to_the_closure_kernels() {
+        // Hashes taken from the per-point closure versions of advec_cell,
+        // advec_mom3, calc_dt3 and field_summary3 before they moved onto the
+        // plane/row path. The arithmetic is +, -, *, /, sqrt, abs, min and
+        // max only, so the bits do not depend on the host.
+        for (n, mode, golden) in [
+            (10, ExecMode::Serial, 0x24db_06a8_c2b6_bbae_u64),
+            (24, ExecMode::Rayon, 0x572f_a537_2ea3_f934),
+        ] {
+            let mut sim = Clover3::new(Config {
+                n,
+                mode,
+                ..Config::default()
+            });
+            let mut profile = Profile::new();
+            let mut dts: Vec<f64> = (0..4).map(|_| sim.cycle(&mut profile)).collect();
+            let (mass, energy) = sim.field_summary(&mut profile);
+            dts.extend([mass, energy]);
+            let hash = state_hash(&sim, &dts);
+            assert_eq!(hash, golden, "n={n} {mode:?}: {hash:#018x}");
+        }
     }
 }

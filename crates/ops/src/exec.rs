@@ -284,12 +284,22 @@ pub struct Out2<'a, T> {
     names: &'a [String],
     i: isize,
     j: isize,
+    /// [`access::recording_active`], read once per loop by the driver: a
+    /// thread-local read per `set`/`get` is the larger part of what a
+    /// pointwise kernel costs in core.
+    recording: bool,
 }
 
 impl<'a, T> Out2<'a, T> {
     #[inline]
     pub(crate) fn at(views: &'a [WView2<T>], names: &'a [String], i: isize, j: isize) -> Self {
-        Out2 { views, names, i, j }
+        Out2 {
+            views,
+            names,
+            i,
+            j,
+            recording: access::recording_active(),
+        }
     }
 }
 
@@ -304,7 +314,7 @@ impl<T: Copy> Out2<'_, T> {
             self.i,
             self.j
         );
-        if access::recording_active() {
+        if self.recording {
             access::note_out(f, OutKind::Wrote);
         }
         self.views[f].write(self.i, self.j, v);
@@ -320,7 +330,7 @@ impl<T: Copy> Out2<'_, T> {
             self.i,
             self.j
         );
-        if access::recording_active() {
+        if self.recording {
             access::note_out(f, OutKind::ReadBack);
         }
         self.views[f].read(self.i, self.j)
@@ -338,7 +348,7 @@ impl Out2<'_, f64> {
             self.i,
             self.j
         );
-        if access::recording_active() {
+        if self.recording {
             access::note_out(f, OutKind::Inced);
         }
         let cur = self.views[f].read(self.i, self.j);
@@ -352,12 +362,20 @@ pub struct In2<'a, T> {
     names: &'a [String],
     i: isize,
     j: isize,
+    /// See [`Out2`]'s field of the same name.
+    recording: bool,
 }
 
 impl<'a, T> In2<'a, T> {
     #[inline]
     pub(crate) fn at(views: &'a [RView2<'a, T>], names: &'a [String], i: isize, j: isize) -> Self {
-        In2 { views, names, i, j }
+        In2 {
+            views,
+            names,
+            i,
+            j,
+            recording: access::recording_active(),
+        }
     }
 }
 
@@ -372,7 +390,7 @@ impl<T: Copy> In2<'_, T> {
             self.i,
             self.j
         );
-        if access::recording_active() {
+        if self.recording {
             access::note_read(f, di, dj, 0);
         }
         self.views[f].read(self.i + di, self.j + dj)
@@ -647,12 +665,14 @@ pub fn par_loop2<T, F>(
                     names: &out_names,
                     i,
                     j,
+                    recording,
                 };
                 let inp = In2 {
                     views: &r,
                     names: &in_names,
                     i,
                     j,
+                    recording,
                 };
                 kernel(i, j, &mut out, &inp);
             }
@@ -789,6 +809,103 @@ where
     F: Fn(isize, isize, &In2<T>) -> R + Sync,
     C: Fn(R, R) -> R + Sync + Send,
 {
+    let in_names = in_names2(ins);
+    let recording = access::recording_active();
+    let row = |j: isize, views: &[RView2<T>]| {
+        let mut acc = identity.clone();
+        for i in range.i0..range.i1 {
+            let inp = In2 {
+                views,
+                names: &in_names,
+                i,
+                j,
+                recording,
+            };
+            acc = combine(acc, kernel(i, j, &inp));
+        }
+        acc
+    };
+    reduce2(
+        profile,
+        name,
+        mode,
+        range,
+        ins,
+        identity.clone(),
+        flops_per_point,
+        row,
+        &combine,
+    )
+}
+
+/// Execute a 2-D reduction loop on the slice fast path: `kernel(j, acc,
+/// row)` folds the contiguous row `j` into the accumulator it is handed
+/// (the identity) and the per-row results are combined exactly as
+/// [`par_loop2_reduce`] combines its rows — ascending `j` from the
+/// identity in Serial mode, the same chunks in Rayon mode — so a kernel
+/// that folds its row left to right reproduces that driver bit for bit.
+/// Recording, span and [`Profile`] accounting are the same too.
+#[allow(clippy::too_many_arguments)]
+pub fn par_loop2_rows_reduce<T, R, F, C>(
+    profile: &mut Profile,
+    name: &str,
+    mode: ExecMode,
+    range: Range2,
+    ins: &[&Dat2<T>],
+    identity: R,
+    flops_per_point: f64,
+    kernel: F,
+    combine: C,
+) -> R
+where
+    T: Copy + Send + Sync,
+    R: Clone + Send + Sync,
+    F: Fn(isize, R, &RowIn2<T>) -> R + Sync,
+    C: Fn(R, R) -> R + Sync + Send,
+{
+    let width = (range.i1 - range.i0).max(0) as usize;
+    let row = |j: isize, views: &[RView2<T>]| {
+        let inp = RowIn2 {
+            views,
+            i0: range.i0,
+            width,
+            j,
+        };
+        kernel(j, identity.clone(), &inp)
+    };
+    reduce2(
+        profile,
+        name,
+        mode,
+        range,
+        ins,
+        identity.clone(),
+        flops_per_point,
+        row,
+        &combine,
+    )
+}
+
+/// What the two 2-D reduction drivers share: recording, chunked
+/// scheduling, span and profile accounting around `row(j, views) -> R`.
+#[allow(clippy::too_many_arguments)]
+fn reduce2<T, R, W, C>(
+    profile: &mut Profile,
+    name: &str,
+    mode: ExecMode,
+    range: Range2,
+    ins: &[&Dat2<T>],
+    identity: R,
+    flops_per_point: f64,
+    row: W,
+    combine: &C,
+) -> R
+where
+    T: Copy + Send + Sync,
+    R: Clone + Send + Sync,
+    W: Fn(isize, &[RView2<T>]) -> R + Sync,
+    C: Fn(R, R) -> R + Sync + Send,
+{
     let bytes_per_point = ins.len() * std::mem::size_of::<T>();
     let recording = access::recording_active();
     let mode = if recording { ExecMode::Serial } else { mode };
@@ -801,21 +918,7 @@ where
             ins.iter().map(|d| meta2(d)).collect(),
         );
     }
-    let in_names = in_names2(ins);
     let r = rviews2(ins);
-    let row = |j: isize| {
-        let mut acc = identity.clone();
-        for i in range.i0..range.i1 {
-            let inp = In2 {
-                views: &r,
-                names: &in_names,
-                i,
-                j,
-            };
-            acc = combine(acc, kernel(i, j, &inp));
-        }
-        acc
-    };
     let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
     let t0 = Instant::now();
     let result = if range.is_empty() {
@@ -825,15 +928,15 @@ where
             ExecMode::Serial => {
                 let mut acc = identity.clone();
                 for j in range.j0..range.j1 {
-                    acc = combine(acc, row(j));
+                    acc = combine(acc, row(j, &r));
                 }
                 acc
             }
             ExecMode::Rayon => (range.j0..range.j1)
                 .into_par_iter()
                 .with_min_len(chunk_rows(range.i1 - range.i0))
-                .map(row)
-                .reduce(|| identity.clone(), &combine),
+                .map(|j| row(j, &r))
+                .reduce(|| identity.clone(), combine),
         }
     };
     let seconds = t0.elapsed().as_secs_f64();
@@ -1039,6 +1142,8 @@ pub struct Out3<'a, T> {
     i: isize,
     j: isize,
     k: isize,
+    /// See [`Out2`]'s field of the same name.
+    recording: bool,
 }
 
 impl<T: Copy> Out3<'_, T> {
@@ -1052,7 +1157,7 @@ impl<T: Copy> Out3<'_, T> {
             self.j,
             self.k
         );
-        if access::recording_active() {
+        if self.recording {
             access::note_out(f, OutKind::Wrote);
         }
         self.views[f].write(self.i, self.j, self.k, v);
@@ -1068,7 +1173,7 @@ impl<T: Copy> Out3<'_, T> {
             self.j,
             self.k
         );
-        if access::recording_active() {
+        if self.recording {
             access::note_out(f, OutKind::ReadBack);
         }
         self.views[f].read(self.i, self.j, self.k)
@@ -1082,6 +1187,8 @@ pub struct In3<'a, T> {
     i: isize,
     j: isize,
     k: isize,
+    /// See [`Out2`]'s field of the same name.
+    recording: bool,
 }
 
 impl<T: Copy> In3<'_, T> {
@@ -1095,7 +1202,7 @@ impl<T: Copy> In3<'_, T> {
             self.j,
             self.k
         );
-        if access::recording_active() {
+        if self.recording {
             access::note_read(f, di, dj, dk);
         }
         self.views[f].read(self.i + di, self.j + dj, self.k + dk)
@@ -1358,6 +1465,7 @@ pub fn par_loop3<T, F>(
                         i,
                         j,
                         k,
+                        recording,
                     };
                     let inp = In3 {
                         views: &r,
@@ -1365,6 +1473,7 @@ pub fn par_loop3<T, F>(
                         i,
                         j,
                         k,
+                        recording,
                     };
                     kernel(i, j, k, &mut out, &inp);
                 }
@@ -1503,6 +1612,109 @@ where
     F: Fn(isize, isize, isize, &In3<T>) -> R + Sync,
     C: Fn(R, R) -> R + Sync + Send,
 {
+    let in_names = in_names3(ins);
+    let recording = access::recording_active();
+    let plane = |k: isize, views: &[RView3<T>]| {
+        let mut acc = identity.clone();
+        for j in range.j0..range.j1 {
+            for i in range.i0..range.i1 {
+                let inp = In3 {
+                    views,
+                    names: &in_names,
+                    i,
+                    j,
+                    k,
+                    recording,
+                };
+                acc = combine(acc, kernel(i, j, k, &inp));
+            }
+        }
+        acc
+    };
+    reduce3(
+        profile,
+        name,
+        mode,
+        range,
+        ins,
+        identity.clone(),
+        flops_per_point,
+        plane,
+        &combine,
+    )
+}
+
+/// 3-D reduction on the plane/row fast path: `kernel(j, k, acc, row)`
+/// folds the contiguous `i`-row at `(j, k)` into the accumulator it is
+/// handed. One accumulator runs through all rows of a plane in ascending
+/// `j`, and planes are combined as in [`par_loop3_reduce`], so a kernel
+/// that folds its row left to right reproduces that driver bit for bit.
+#[allow(clippy::too_many_arguments)]
+pub fn par_loop3_planes_reduce<T, R, F, C>(
+    profile: &mut Profile,
+    name: &str,
+    mode: ExecMode,
+    range: Range3,
+    ins: &[&Dat3<T>],
+    identity: R,
+    flops_per_point: f64,
+    kernel: F,
+    combine: C,
+) -> R
+where
+    T: Copy + Send + Sync,
+    R: Clone + Send + Sync,
+    F: Fn(isize, isize, R, &RowIn3<T>) -> R + Sync,
+    C: Fn(R, R) -> R + Sync + Send,
+{
+    let width = (range.i1 - range.i0).max(0) as usize;
+    let plane = |k: isize, views: &[RView3<T>]| {
+        let mut acc = identity.clone();
+        for j in range.j0..range.j1 {
+            let inp = RowIn3 {
+                views,
+                i0: range.i0,
+                width,
+                j,
+                k,
+            };
+            acc = kernel(j, k, acc, &inp);
+        }
+        acc
+    };
+    reduce3(
+        profile,
+        name,
+        mode,
+        range,
+        ins,
+        identity.clone(),
+        flops_per_point,
+        plane,
+        &combine,
+    )
+}
+
+/// What the two 3-D reduction drivers share (see [`reduce2`]), around
+/// `plane(k, views) -> R`.
+#[allow(clippy::too_many_arguments)]
+fn reduce3<T, R, W, C>(
+    profile: &mut Profile,
+    name: &str,
+    mode: ExecMode,
+    range: Range3,
+    ins: &[&Dat3<T>],
+    identity: R,
+    flops_per_point: f64,
+    plane: W,
+    combine: &C,
+) -> R
+where
+    T: Copy + Send + Sync,
+    R: Clone + Send + Sync,
+    W: Fn(isize, &[RView3<T>]) -> R + Sync,
+    C: Fn(R, R) -> R + Sync + Send,
+{
     let bytes_per_point = ins.len() * std::mem::size_of::<T>();
     let recording = access::recording_active();
     let mode = if recording { ExecMode::Serial } else { mode };
@@ -1515,24 +1727,7 @@ where
             ins.iter().map(|d| meta3(d)).collect(),
         );
     }
-    let in_names = in_names3(ins);
     let r = rviews3(ins);
-    let plane = |k: isize| {
-        let mut acc = identity.clone();
-        for j in range.j0..range.j1 {
-            for i in range.i0..range.i1 {
-                let inp = In3 {
-                    views: &r,
-                    names: &in_names,
-                    i,
-                    j,
-                    k,
-                };
-                acc = combine(acc, kernel(i, j, k, &inp));
-            }
-        }
-        acc
-    };
     let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
     let t0 = Instant::now();
     let result = if range.is_empty() {
@@ -1542,15 +1737,15 @@ where
             ExecMode::Serial => {
                 let mut acc = identity.clone();
                 for k in range.k0..range.k1 {
-                    acc = combine(acc, plane(k));
+                    acc = combine(acc, plane(k, &r));
                 }
                 acc
             }
             ExecMode::Rayon => (range.k0..range.k1)
                 .into_par_iter()
                 .with_min_len(chunk_planes(range.i1 - range.i0, range.j1 - range.j0))
-                .map(plane)
-                .reduce(|| identity.clone(), &combine),
+                .map(|k| plane(k, &r))
+                .reduce(|| identity.clone(), combine),
         }
     };
     let seconds = t0.elapsed().as_secs_f64();

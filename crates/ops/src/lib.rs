@@ -69,8 +69,9 @@ pub use access::{
 };
 pub use chain::{Binding, ChainError, ChainSpec, DatDecl, Expr, Step};
 pub use exec::{
-    par_loop2, par_loop2_reduce, par_loop2_rows, par_loop3, par_loop3_planes, par_loop3_reduce,
-    ExecMode, In2, In3, Out2, Out3, Range2, Range3, RowIn2, RowIn3, RowOut2, RowOut3,
+    par_loop2, par_loop2_reduce, par_loop2_rows, par_loop2_rows_reduce, par_loop3,
+    par_loop3_planes, par_loop3_planes_reduce, par_loop3_reduce, ExecMode, In2, In3, Out2, Out3,
+    Range2, Range3, RowIn2, RowIn3, RowOut2, RowOut3,
 };
 pub use field::{Dat2, Dat3};
 pub use halo::{BitHash, DistBlock2, DistBlock3};
