@@ -12,13 +12,19 @@
 //! substitute a synthetic unstructured mesh generated by randomly
 //! perturbing and re-indexing a structured quad grid (same topology class:
 //! bounded vertex degree, spatially compact RCB partitions), sized by
-//! `Config`. Validation: free-stream preservation (a uniform flow is an
+//! `Config`. The generator's numbering is a scramble — a mesh file owes
+//! the solver no locality — and `MgCfd::new` renumbers every level with
+//! `bwb_op2::renumber` before it colours, partitions or runs anything, as
+//! OP2 does at partition time. Validation: free-stream preservation (a uniform flow is an
 //! exact steady state), conservation of the accumulated residual, and
 //! multigrid V-cycles reducing the residual norm faster than smoothing
 //! alone.
 
 use crate::{AppId, AppRun};
-use bwb_op2::{par_loop_colored, par_loop_direct, Coloring, DatU, ExecModeU, Map, Set};
+use bwb_op2::{
+    group_by_min_target, order_by_min_target, par_loop_colored, par_loop_direct, sfc_order,
+    sweep_direct, Coloring, DatU, ExecModeU, Map, Permutation, Set,
+};
 use bwb_ops::Profile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,6 +73,30 @@ impl Config {
     }
 }
 
+/// The reverse of a level's `n2c` in CSR form: the fine nodes under every
+/// coarse node, ascending. Restriction gathers through it, one coarse node
+/// per iteration, so it needs neither a race guard nor a scratch sum.
+pub struct Children {
+    start: Vec<u32>,
+    fine: Vec<u32>,
+}
+
+impl Children {
+    fn of_map(n2c: &Map) -> Self {
+        let (start, by_coarse) = group_by_min_target(n2c);
+        Children {
+            start,
+            fine: by_coarse.into_old_of_new(),
+        }
+    }
+
+    /// The fine nodes that `n2c` sends to coarse node `cn`.
+    #[inline]
+    pub fn of(&self, cn: usize) -> &[u32] {
+        &self.fine[self.start[cn] as usize..self.start[cn + 1] as usize]
+    }
+}
+
 /// One mesh level.
 pub struct Level {
     pub nodes: Set,
@@ -81,58 +111,79 @@ pub struct Level {
     pub volume: DatU<f64>,
     /// node → coarse-node map (absent on the coarsest level).
     pub n2c: Option<Map>,
+    /// coarse node → its fine nodes, the reverse of `n2c`.
+    pub children: Option<Children>,
     pub coloring: Coloring,
     /// Domain-boundary nodes (held at the free-stream Dirichlet state).
     pub is_boundary: Vec<bool>,
 }
 
-/// Build a synthetic unstructured quad-derived mesh level of `n × n`
-/// vertices, with jittered coordinates and a scrambled node numbering (the
-/// indirection the paper's "indirect memory accesses" refer to).
-fn build_level(n: usize, coarse_n: Option<usize>, seed: u64) -> Level {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n_nodes = n * n;
-    let nodes = Set::new("nodes", n_nodes);
+/// One level as a mesh file would hold it: no schedule yet.
+struct Mesh {
+    nodes: Set,
+    edges: Set,
+    e2n: Map,
+    coords: DatU<f64>,
+    weights: DatU<f64>,
+    volume: DatU<f64>,
+    n2c: Option<Map>,
+    is_boundary: Vec<bool>,
+}
 
-    // Scrambled numbering: perm[structured index] = unstructured id.
-    let mut perm: Vec<u32> = (0..n_nodes as u32).collect();
-    for i in (1..n_nodes).rev() {
+/// A Fisher–Yates scramble of `0..n`: `perm[structured index] = mesh id`.
+fn scramble(n: usize, rng: &mut StdRng) -> Vec<u32> {
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
         let j = rng.gen_range(0..=i);
         perm.swap(i, j);
     }
+    perm
+}
+
+/// Build a synthetic unstructured quad-derived mesh level of `n × n`
+/// vertices, with jittered coordinates and a scrambled node numbering: an
+/// arbitrary mesh file, with no locality for the solver to inherit.
+/// `coarse` is the next level's side and scramble; this level's scramble is
+/// returned for the level above.
+fn build_level(n: usize, coarse: Option<&(usize, Vec<u32>)>, seed: u64) -> (Mesh, Vec<u32>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n_nodes = n * n;
+    let nodes = Set::new("nodes", n_nodes);
+    let perm = scramble(n_nodes, &mut rng);
 
     // Edges of the quad grid (horizontal + vertical). Dual-face normals are
     // taken from the unperturbed grid so that the discrete divergence
     // telescopes exactly (free-stream preservation); coordinates below are
     // jittered only for partitioning realism.
     let h = 1.0 / (n - 1).max(1) as f64;
-    let mut idx = Vec::new();
-    let mut wvec: Vec<(f64, f64)> = Vec::new();
+    let n_edges = 2 * n * (n - 1);
+    let mut idx = Vec::with_capacity(2 * n_edges);
+    let mut w = Vec::with_capacity(2 * n_edges);
     for j in 0..n {
         for i in 0..n {
             let s = j * n + i;
             if i + 1 < n {
-                idx.push(perm[s]);
-                idx.push(perm[s + 1]);
-                wvec.push((h, 0.0));
+                idx.extend([perm[s], perm[s + 1]]);
+                w.extend([h, 0.0]);
             }
             if j + 1 < n {
-                idx.push(perm[s]);
-                idx.push(perm[s + n]);
-                wvec.push((0.0, h));
+                idx.extend([perm[s], perm[s + n]]);
+                w.extend([0.0, h]);
             }
         }
     }
-    let n_edges = idx.len() / 2;
     let edges = Set::new("edges", n_edges);
     let e2n = Map::new("e2n", &edges, &nodes, 2, idx);
+    // Edge weights: unperturbed dual-face normals (see note above).
+    let weights = DatU::from_vec("w", &edges, 2, w);
 
     // Jittered coordinates (keep boundary nodes on the boundary).
     let mut coords = DatU::<f64>::new("x", &nodes, 2);
+    let mut is_boundary = vec![false; n_nodes];
+    let jitter = 0.15 * h;
     for j in 0..n {
         for i in 0..n {
             let id = perm[j * n + i] as usize;
-            let jitter = 0.15 * h;
             let dx = if i > 0 && i + 1 < n {
                 rng.gen_range(-jitter..jitter)
             } else {
@@ -145,31 +196,19 @@ fn build_level(n: usize, coarse_n: Option<usize>, seed: u64) -> Level {
             };
             coords.set(id, 0, i as f64 * h + dx);
             coords.set(id, 1, j as f64 * h + dy);
+            is_boundary[id] = i == 0 || j == 0 || i == n - 1 || j == n - 1;
         }
     }
 
-    // Edge weights: unperturbed dual-face normals (see note above); node
-    // volumes: uniform h².
-    let mut weights = DatU::<f64>::new("w", &edges, 2);
-    for (e, &(wx, wy)) in wvec.iter().enumerate() {
-        weights.set(e, 0, wx);
-        weights.set(e, 1, wy);
-    }
+    // Node volumes: uniform h².
     let mut volume = DatU::<f64>::new("vol", &nodes, 1);
     volume.fill(h * h);
 
-    // Node → coarse-node map: structured coarsening by 2 (requires the
-    // coarse level to be built with the same seed+1 scrambling — the caller
-    // passes its n).
-    let n2c = coarse_n.map(|cn| {
-        let mut crng = StdRng::seed_from_u64(seed + 1);
-        let cn_nodes = cn * cn;
-        let mut cperm: Vec<u32> = (0..cn_nodes as u32).collect();
-        for i in (1..cn_nodes).rev() {
-            let j = crng.gen_range(0..=i);
-            cperm.swap(i, j);
-        }
-        let coarse_set = Set::new("coarse", cn_nodes);
+    // Node → coarse-node map: structured coarsening by 2, onto the coarse
+    // level's own scrambling.
+    let n2c = coarse.map(|(cn, cperm)| {
+        let cn = *cn;
+        let coarse_set = Set::new("coarse", cn * cn);
         let mut cidx = vec![0u32; n_nodes];
         for j in 0..n {
             for i in 0..n {
@@ -181,18 +220,7 @@ fn build_level(n: usize, coarse_n: Option<usize>, seed: u64) -> Level {
         Map::new("n2c", &nodes, &coarse_set, 1, cidx)
     });
 
-    let coloring = Coloring::greedy(n_edges, &[&e2n]);
-
-    let mut is_boundary = vec![false; n_nodes];
-    for j in 0..n {
-        for i in 0..n {
-            if i == 0 || j == 0 || i == n - 1 || j == n - 1 {
-                is_boundary[perm[j * n + i] as usize] = true;
-            }
-        }
-    }
-
-    Level {
+    let mesh = Mesh {
         nodes,
         edges,
         e2n,
@@ -200,8 +228,65 @@ fn build_level(n: usize, coarse_n: Option<usize>, seed: u64) -> Level {
         weights,
         volume,
         n2c,
-        coloring,
         is_boundary,
+    };
+    (mesh, perm)
+}
+
+/// The meshes of all levels as the generator numbers them: level `l`
+/// scrambles its numbering with `seed + l`, and is built after level
+/// `l + 1` so that its `n2c` targets that level's actual numbering.
+fn generate(cfg: &Config) -> Vec<Mesh> {
+    let mut meshes = Vec::new();
+    let mut coarse = None;
+    for l in (0..cfg.levels).rev() {
+        let n = (0..l).fold(cfg.n, |n, _| n.div_ceil(2));
+        let (mesh, perm) = build_level(n, coarse.as_ref(), cfg.seed + l as u64);
+        meshes.push(mesh);
+        coarse = Some((n, perm));
+    }
+    meshes.reverse();
+    meshes
+}
+
+/// Renumber every level for locality: nodes along a space-filling curve
+/// through their coordinates, edges after their nodes (orientation and
+/// weights travel with the edge), `n2c` on its fine side and on its coarse
+/// side. Returns each level's node permutation.
+fn renumber(meshes: &mut [Mesh]) -> Vec<Permutation> {
+    let node_order: Vec<Permutation> = meshes.iter().map(|m| sfc_order(&m.coords)).collect();
+    for (l, m) in meshes.iter_mut().enumerate() {
+        let by_node = &node_order[l];
+        m.coords = by_node.permute_dat(&m.coords);
+        m.volume = by_node.permute_dat(&m.volume);
+        m.is_boundary = by_node.permute_slice(&m.is_boundary);
+        by_node.relabel_targets(&mut m.e2n);
+        let by_edge = order_by_min_target(&m.e2n);
+        m.e2n = by_edge.permute_rows(&m.e2n);
+        m.weights = by_edge.permute_dat(&m.weights);
+        if let Some(n2c) = &mut m.n2c {
+            node_order[l + 1].relabel_targets(n2c);
+            *n2c = by_node.permute_rows(n2c);
+        }
+    }
+    node_order
+}
+
+impl Level {
+    /// Colour a mesh for the indirect increments through `e2n`.
+    fn of_mesh(m: Mesh) -> Level {
+        Level {
+            coloring: Coloring::greedy(m.edges.size, &[&m.e2n]),
+            children: m.n2c.as_ref().map(Children::of_map),
+            nodes: m.nodes,
+            edges: m.edges,
+            e2n: m.e2n,
+            coords: m.coords,
+            weights: m.weights,
+            volume: m.volume,
+            n2c: m.n2c,
+            is_boundary: m.is_boundary,
+        }
     }
 }
 
@@ -215,7 +300,8 @@ pub struct MgCfd {
     pub res: Vec<DatU<f64>>,
     /// Per-level FAS forcing (zero on the finest level).
     pub force: Vec<DatU<f64>>,
-    /// Saved injected coarse states (prolongation baselines).
+    /// Saved injected coarse states (prolongation baselines): `q_save[l]`
+    /// is the state restriction left on level `l + 1`.
     pub q_save: Vec<DatU<f64>>,
 }
 
@@ -266,40 +352,32 @@ pub fn rusanov_edge_flux(qa: &[f64; NVAR], qb: &[f64; NVAR], wx: f64, wy: f64) -
 }
 
 impl MgCfd {
+    /// The solver on the mesh `cfg` generates, renumbered for locality
+    /// before anything is scheduled on it: colouring, partitioning and every
+    /// analyzer see the one renumbered mesh.
     pub fn new(cfg: Config) -> Self {
-        let mut sizes = Vec::new();
-        let mut n = cfg.n;
-        for _ in 0..cfg.levels {
-            sizes.push(n);
-            n = n.div_ceil(2);
-        }
-        // Seed chaining: level l scrambles its numbering with seed+l, and
-        // build_level derives the coarse map's scrambling from seed+1 —
-        // which is exactly level l+1's own seed, so n2c targets the actual
-        // coarse numbering.
-        let mut levels = Vec::new();
-        for (l, &sz) in sizes.iter().enumerate() {
-            let coarse = sizes.get(l + 1).copied();
-            levels.push(build_level(sz, coarse, cfg.seed + l as u64));
-        }
+        let mut meshes = generate(&cfg);
+        renumber(&mut meshes);
+        Self::on_meshes(cfg, meshes)
+    }
+
+    fn on_meshes(cfg: Config, meshes: Vec<Mesh>) -> Self {
+        let levels: Vec<Level> = meshes.into_iter().map(Level::of_mesh).collect();
+        let state = |name: &str, lv: &Level| DatU::<f64>::new(name, &lv.nodes, NVAR);
         let q = levels
             .iter()
             .map(|lv| {
-                let mut d = DatU::<f64>::new("q", &lv.nodes, NVAR);
-                let fs = freestream();
-                d.init_with(|_e, c| fs[c]);
+                let mut d = state("q", lv);
+                for node in d.raw_mut().chunks_exact_mut(NVAR) {
+                    node.copy_from_slice(&freestream());
+                }
                 d
             })
             .collect();
-        let res: Vec<DatU<f64>> = levels
-            .iter()
-            .map(|lv| DatU::<f64>::new("res", &lv.nodes, NVAR))
-            .collect();
-        let force = levels
-            .iter()
-            .map(|lv| DatU::<f64>::new("force", &lv.nodes, NVAR))
-            .collect();
-        let q_save = res.clone();
+        let res = levels.iter().map(|lv| state("res", lv)).collect();
+        let force = levels.iter().map(|lv| state("force", lv)).collect();
+        // Zeroed allocations that only a restriction touches.
+        let q_save = levels[1..].iter().map(|lv| state("q_save", lv)).collect();
         MgCfd {
             cfg,
             levels,
@@ -418,30 +496,35 @@ impl MgCfd {
     pub fn restrict_to(&mut self, profile: &mut Profile, fine: usize) {
         let t0 = std::time::Instant::now();
         let coarse = fine + 1;
+        let mode = self.cfg.mode;
         let n_fine = self.levels[fine].nodes.size;
         let n_coarse = self.levels[coarse].nodes.size;
 
-        // 1. Volume-weighted state injection q_c = R(q_f).
+        // 1. State injection q_c = R(q_f), the mean over each coarse node's
+        //    fine nodes (dual volumes are uniform), kept as the baseline too.
         {
-            let map = self.levels[fine].n2c.as_ref().expect("coarse map");
-            let mut sums = vec![0.0f64; n_coarse * NVAR];
-            let mut counts = vec![0u32; n_coarse];
-            let qf = &self.q[fine];
-            for nid in 0..n_fine {
-                let cn = map.get(nid, 0);
-                counts[cn] += 1;
-                for c in 0..NVAR {
-                    sums[cn * NVAR + c] += qf.get(nid, c);
-                }
-            }
-            let qc = &mut self.q[coarse];
-            for cn in 0..n_coarse {
-                let k = counts[cn].max(1) as f64;
-                for c in 0..NVAR {
-                    qc.set(cn, c, sums[cn * NVAR + c] / k);
-                }
-            }
-            self.q_save[coarse] = qc.clone();
+            let children = self.levels[fine].children.as_ref().expect("coarse map");
+            let (upper, lower) = self.q.split_at_mut(coarse);
+            let qf = &upper[fine];
+            sweep_direct(
+                mode,
+                n_coarse,
+                &mut [&mut lower[0], &mut self.q_save[fine]],
+                |cn, out| {
+                    let under = children.of(cn);
+                    let mut sum = [0.0f64; NVAR];
+                    for &nid in under {
+                        for (c, s) in sum.iter_mut().enumerate() {
+                            *s += qf.get(nid as usize, c);
+                        }
+                    }
+                    let k = under.len().max(1) as f64;
+                    for (c, &s) in sum.iter().enumerate() {
+                        out.set(0, cn, c, s / k);
+                        out.set(1, cn, c, s / k);
+                    }
+                },
+            );
         }
 
         // 2. Coarse residual of the injected state: A_c(R q_f).
@@ -449,27 +532,24 @@ impl MgCfd {
 
         // 3. force_c = R(res_f + force_f) − A_c(R q_f).
         {
-            let map = self.levels[fine].n2c.as_ref().expect("coarse map");
-            let resf = &self.res[fine];
-            let forf = &self.force[fine];
-            let is_bf = &self.levels[fine].is_boundary;
-            let mut restricted = vec![0.0f64; n_coarse * NVAR];
-            for (nid, &on_boundary) in is_bf.iter().enumerate() {
-                if on_boundary {
-                    continue; // boundary closure stays on the fine level
+            let lv = &self.levels[fine];
+            let children = lv.children.as_ref().expect("coarse map");
+            let is_bf = &lv.is_boundary;
+            let (resf, resc) = (&self.res[fine], &self.res[coarse]);
+            let (upper, lower) = self.force.split_at_mut(coarse);
+            let forf = &upper[fine];
+            sweep_direct(mode, n_coarse, &mut [&mut lower[0]], |cn, out| {
+                let mut sum = [0.0f64; NVAR];
+                // The boundary closure stays on the fine level.
+                for &nid in children.of(cn).iter().filter(|&&n| !is_bf[n as usize]) {
+                    for (c, s) in sum.iter_mut().enumerate() {
+                        *s += resf.get(nid as usize, c) + forf.get(nid as usize, c);
+                    }
                 }
-                let cn = map.get(nid, 0);
-                for c in 0..NVAR {
-                    restricted[cn * NVAR + c] += resf.get(nid, c) + forf.get(nid, c);
+                for (c, &s) in sum.iter().enumerate() {
+                    out.set(0, cn, c, s - resc.get(cn, c));
                 }
-            }
-            let resc = &self.res[coarse];
-            let forc = &mut self.force[coarse];
-            for cn in 0..n_coarse {
-                for c in 0..NVAR {
-                    forc.set(cn, c, restricted[cn * NVAR + c] - resc.get(cn, c));
-                }
-            }
+            });
         }
         profile.record(
             "mg_restrict",
@@ -485,21 +565,26 @@ impl MgCfd {
     pub fn prolong_from(&mut self, profile: &mut Profile, fine: usize) {
         let lv = &self.levels[fine];
         let map = lv.n2c.as_ref().expect("fine level has a coarse map");
-        let coarse_before = &self.q_save[fine + 1];
-        let (lo, hi) = self.q.split_at_mut(fine + 1);
-        let coarse_now = &hi[0];
-        let fine_q = &mut lo[fine];
+        let is_boundary = &lv.is_boundary;
+        let coarse_before = &self.q_save[fine];
+        let (upper, lower) = self.q.split_at_mut(fine + 1);
+        let coarse_now = &lower[0];
         let t0 = std::time::Instant::now();
-        for nid in 0..lv.nodes.size {
-            if lv.is_boundary[nid] {
-                continue; // Dirichlet nodes receive no correction
-            }
-            let cn = map.get(nid, 0);
-            for c in 0..NVAR {
-                let delta = coarse_now.get(cn, c) - coarse_before.get(cn, c);
-                fine_q.set(nid, c, fine_q.get(nid, c) + delta);
-            }
-        }
+        sweep_direct(
+            self.cfg.mode,
+            lv.nodes.size,
+            &mut [&mut upper[fine]],
+            |nid, out| {
+                if is_boundary[nid] {
+                    return; // Dirichlet nodes receive no correction
+                }
+                let cn = map.get(nid, 0);
+                for c in 0..NVAR {
+                    let delta = coarse_now.get(cn, c) - coarse_before.get(cn, c);
+                    out.set(0, nid, c, out.get(0, nid, c) + delta);
+                }
+            },
+        );
         profile.record(
             "mg_prolong",
             lv.nodes.size,
@@ -655,9 +740,148 @@ pub fn loop_specs() -> Vec<bwb_op2::ULoopSpec> {
     ]
 }
 
+/// The solver on the generator's own numbering, as every run was before
+/// the renumbering pass: the oracle the renumbered solver is held against.
+#[cfg(test)]
+impl MgCfd {
+    fn in_generator_numbering(cfg: Config) -> Self {
+        let meshes = generate(&cfg);
+        Self::on_meshes(cfg, meshes)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn generator_still_emits_the_scrambled_mesh() {
+        // The renumbering pass is the solver's; the input it is handed is
+        // the mesh of the commit before it, bit for bit (hash taken there).
+        let mut h = bwb_ops::hash::FNV_OFFSET;
+        let mut fold = |words: &mut dyn Iterator<Item = u64>| {
+            h = words.fold(h, bwb_ops::hash::step_u64);
+        };
+        for m in generate(&Config::default()) {
+            fold(&mut m.e2n.raw().iter().map(|&i| i as u64));
+            fold(&mut m.coords.raw().iter().map(|x| x.to_bits()));
+            fold(&mut m.weights.raw().iter().map(|x| x.to_bits()));
+            fold(&mut m.volume.raw().iter().map(|x| x.to_bits()));
+            fold(&mut m.is_boundary.iter().map(|&b| b as u64));
+            if let Some(n2c) = &m.n2c {
+                fold(&mut n2c.raw().iter().map(|&i| i as u64));
+            }
+        }
+        assert_eq!(h, 0x0ac9_db4b_176a_dd2d);
+    }
+
+    #[test]
+    fn renumbered_v_cycle_equals_the_generator_numbering() {
+        for n in [17, 33] {
+            let cfg = Config {
+                n,
+                levels: 3,
+                ..Config::default()
+            };
+            let new_of_old: Vec<Permutation> = renumber(&mut generate(&cfg));
+            let mut oracle = MgCfd::in_generator_numbering(cfg.clone());
+            let mut sim = MgCfd::new(cfg);
+            for s in [&mut oracle, &mut sim] {
+                s.perturb(0.05);
+                s.v_cycle(&mut Profile::new());
+            }
+            // Edge order changes the order residuals are summed in, so the
+            // two agree to rounding, not to the bit.
+            let fields = [(&oracle.q, &sim.q), (&oracle.res, &sim.res)];
+            for (l, perm) in new_of_old.iter().enumerate() {
+                for (old, &new) in perm.new_of_old().iter().enumerate() {
+                    for (theirs, ours) in fields {
+                        for c in 0..NVAR {
+                            let (want, got) = (theirs[l].get(old, c), ours[l].get(new as usize, c));
+                            assert!(
+                                (want - got).abs() < 1e-12,
+                                "n={n} level {l} node {old}->{new} comp {c}: {want} vs {got}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn renumbered_levels_keep_their_geometry() {
+        for n in [17, 33] {
+            let sim = MgCfd::new(Config {
+                n,
+                levels: 3,
+                ..Config::default()
+            });
+            for (l, lv) in sim.levels.iter().enumerate() {
+                // Grid position of a node from its (jittered) coordinates.
+                let side = |lv: &Level| (lv.nodes.size as f64).sqrt().round() as usize;
+                let cell = |lv: &Level, nid: usize| {
+                    let h = 1.0 / (side(lv) - 1) as f64;
+                    let at = |c| (lv.coords.get(nid, c) / h).round() as usize;
+                    (at(0), at(1))
+                };
+                for nid in 0..lv.nodes.size {
+                    let (i, j) = cell(lv, nid);
+                    let edge = side(lv) - 1;
+                    let on_boundary = i == 0 || j == 0 || i == edge || j == edge;
+                    assert_eq!(
+                        lv.is_boundary[nid], on_boundary,
+                        "n={n} level {l} node {nid}"
+                    );
+                }
+                let (Some(n2c), Some(children)) = (&lv.n2c, &lv.children) else {
+                    assert_eq!(l, 2);
+                    continue;
+                };
+                // Every n2c target is the coarse node over its fine node,
+                // and `children` is exactly the reverse of n2c.
+                let coarse = &sim.levels[l + 1];
+                let mut listed = 0;
+                for cn in 0..coarse.nodes.size {
+                    for &nid in children.of(cn) {
+                        assert_eq!(n2c.get(nid as usize, 0), cn);
+                        listed += 1;
+                    }
+                    assert!(children.of(cn).windows(2).all(|w| w[0] < w[1]));
+                }
+                assert_eq!(listed, lv.nodes.size);
+                let top = side(coarse) - 1;
+                for nid in 0..lv.nodes.size {
+                    let (i, j) = cell(lv, nid);
+                    let over = ((i / 2).min(top), (j / 2).min(top));
+                    assert_eq!(cell(coarse, n2c.get(nid, 0)), over, "n={n} level {l}");
+                }
+            }
+        }
+    }
+
+    /// Mean id distance between the two ends of an edge.
+    fn mean_edge_span(e2n: &Map) -> f64 {
+        let rows = e2n.raw().chunks_exact(2);
+        rows.map(|r| r[0].abs_diff(r[1]) as f64).sum::<f64>() / e2n.from_size as f64
+    }
+
+    #[test]
+    fn renumbered_edges_are_short() {
+        // The locality the V-cycle's speed rests on, as an exact count: a
+        // Z-order measures about 0.5·√N, the generator's scramble N/3. A
+        // lost renumbering fails here on a host where no timing can.
+        let cfg = Config {
+            n: 65,
+            levels: 1,
+            ..Config::default()
+        };
+        let n_nodes = (cfg.n * cfg.n) as f64;
+        let scrambled = mean_edge_span(&generate(&cfg)[0].e2n);
+        assert!(scrambled > n_nodes / 4.0, "generator span {scrambled}");
+        let span = mean_edge_span(&MgCfd::new(cfg).levels[0].e2n);
+        assert!(span < 2.0 * n_nodes.sqrt(), "renumbered span {span}");
+    }
 
     #[test]
     fn freestream_is_exactly_preserved() {
@@ -828,14 +1052,16 @@ mod tests {
 
     #[test]
     fn coloring_is_valid_on_all_levels() {
-        let sim = MgCfd::new(Config {
-            n: 17,
-            levels: 3,
-            ..Config::default()
-        });
-        for lv in &sim.levels {
-            assert!(lv.coloring.validate(&[&lv.e2n]));
-            assert!(lv.coloring.n_colors >= 2);
+        for n in [17, 33] {
+            let sim = MgCfd::new(Config {
+                n,
+                levels: 3,
+                ..Config::default()
+            });
+            for lv in &sim.levels {
+                assert!(lv.coloring.validate(&[&lv.e2n]));
+                assert!(lv.coloring.n_colors >= 2);
+            }
         }
     }
 

@@ -46,19 +46,22 @@ impl Coloring {
         for (e, color_slot) in colors.iter_mut().enumerate() {
             // Forbidden colors = union over maps/targets of used colors.
             let mut forbidden: u64 = 0;
-            let mut forbidden_hi: Vec<u32> = Vec::new();
-            for (mi, m) in write_maps.iter().enumerate() {
+            for (m, used) in write_maps.iter().zip(&target_used) {
                 for &t in m.targets(e) {
-                    forbidden |= target_used[mi][t as usize];
-                    if let Some(hi) = overflow[mi].get(&(t as usize)) {
-                        forbidden_hi.extend_from_slice(hi);
-                    }
+                    forbidden |= used[t as usize];
                 }
             }
             let mut c = forbidden.trailing_ones();
             if c >= 64 {
-                // Rare: fall back to scanning beyond 64 colors.
+                // Rare: fall back to scanning beyond 64 colors, which only
+                // now need looking up.
                 c = 64;
+                let mut forbidden_hi: Vec<u32> = Vec::new();
+                for (m, over) in write_maps.iter().zip(&overflow) {
+                    for &t in m.targets(e) {
+                        forbidden_hi.extend(over.get(&(t as usize)).into_iter().flatten());
+                    }
+                }
                 forbidden_hi.sort_unstable();
                 while forbidden_hi.binary_search(&c).is_ok() {
                     c += 1;
@@ -77,7 +80,11 @@ impl Coloring {
             }
         }
 
-        let mut by_color = vec![Vec::new(); n_colors as usize];
+        let mut class_len = vec![0usize; n_colors as usize];
+        for &c in &colors {
+            class_len[c as usize] += 1;
+        }
+        let mut by_color: Vec<Vec<u32>> = class_len.into_iter().map(Vec::with_capacity).collect();
         for (e, &c) in colors.iter().enumerate() {
             by_color[c as usize].push(e as u32);
         }
@@ -318,6 +325,20 @@ mod tests {
         assert_eq!(c.n_colors, 6);
         assert!(c.validate(&[&m]));
         assert!(c.n_colors as usize >= m.max_target_degree());
+    }
+
+    #[test]
+    fn star_of_seventy_edges_goes_past_the_bitmask() {
+        // 70 edges on one node: colours 64..69 live in the overflow lists,
+        // which are looked up only once the 64-bit mask is full.
+        let nodes = Set::new("nodes", 71);
+        let edges = Set::new("edges", 70);
+        let idx: Vec<u32> = (0..70).flat_map(|e| [0u32, e + 1]).collect();
+        let m = Map::new("e2n", &edges, &nodes, 2, idx);
+        let c = Coloring::greedy(70, &[&m]);
+        assert_eq!(c.n_colors, 70);
+        assert!(c.validate(&[&m]));
+        assert_eq!(c.colors, (0..70).collect::<Vec<u32>>());
     }
 
     #[test]

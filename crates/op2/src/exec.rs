@@ -1,7 +1,8 @@
 //! Direct and indirect parallel loops over unstructured sets.
 //!
 //! * [`par_loop_direct`] — every element writes only its own entries;
-//!   trivially parallel.
+//!   trivially parallel. [`sweep_direct`] is the same sweep with no
+//!   accounting, for set-up passes and transfer operators.
 //! * [`par_loop_colored`] — elements make *indirect* increments through
 //!   maps; parallel execution proceeds color class by color class using a
 //!   [`Coloring`] whose conflict-freedom guarantees race-freedom (OP2's
@@ -81,13 +82,17 @@ impl<T: Copy> WViewU<T> {
 /// element index is explicit, because indirect loops write *mapped* targets.
 pub struct UOut<'a, T> {
     views: &'a [WViewU<T>],
+    /// `recording_active_u()`, read once per loop by the driver: a
+    /// thread-local read per access is what an indirect kernel's eight
+    /// increments per edge cannot afford.
+    recording: bool,
 }
 
 impl<T: Copy> UOut<'_, T> {
     /// Overwrite component `c` of element `e` of output dataset `f`.
     #[inline]
     pub fn set(&self, f: usize, e: usize, c: usize, v: T) {
-        if access::recording_active_u() {
+        if self.recording {
             access::note_access(f, e, UKind::Set);
         }
         self.views[f].write(e, c, v);
@@ -96,7 +101,7 @@ impl<T: Copy> UOut<'_, T> {
     /// Read back (for read-modify-write of owned targets).
     #[inline]
     pub fn get(&self, f: usize, e: usize, c: usize) -> T {
-        if access::recording_active_u() {
+        if self.recording {
             access::note_access(f, e, UKind::Get);
         }
         self.views[f].read(e, c)
@@ -107,7 +112,7 @@ impl UOut<'_, f64> {
     /// Increment — the canonical OP2 indirect access (`OP_INC`).
     #[inline]
     pub fn add(&self, f: usize, e: usize, c: usize, v: f64) {
-        if access::recording_active_u() {
+        if self.recording {
             access::note_access(f, e, UKind::Inc);
         }
         let cur = self.views[f].read(e, c);
@@ -118,7 +123,7 @@ impl UOut<'_, f64> {
 impl UOut<'_, f32> {
     #[inline]
     pub fn add32(&self, f: usize, e: usize, c: usize, v: f32) {
-        if access::recording_active_u() {
+        if self.recording {
             access::note_access(f, e, UKind::Inc);
         }
         let cur = self.views[f].read(e, c);
@@ -134,6 +139,44 @@ fn uviews<T: Copy>(outs: &mut [&mut DatU<T>]) -> Vec<WViewU<T>> {
             len: d.raw().len(),
         })
         .collect()
+}
+
+/// The element sweep of a direct loop, shared by [`par_loop_direct`] and
+/// [`sweep_direct`].
+fn run_direct<T, F>(
+    mode: ExecModeU,
+    set_size: usize,
+    views: &[WViewU<T>],
+    recording: bool,
+    kernel: &F,
+) where
+    T: Copy + Send + Sync,
+    F: Fn(usize, &UOut<T>) + Sync,
+{
+    let out = UOut { views, recording };
+    match mode {
+        ExecModeU::Serial => {
+            for e in 0..set_size {
+                if recording {
+                    access::set_current(e);
+                }
+                kernel(e, &out);
+            }
+        }
+        ExecModeU::Colored => (0..set_size).into_par_iter().for_each(|e| kernel(e, &out)),
+    }
+}
+
+/// A direct loop with no accounting: `kernel(e, out)` may write only
+/// element `e` of each output, and nothing is recorded — no [`Profile`]
+/// entry, no trace span, and the access recorder does not see it. For mesh
+/// set-up passes and for transfer operators that keep their own account.
+pub fn sweep_direct<T, F>(mode: ExecModeU, set_size: usize, outs: &mut [&mut DatU<T>], kernel: F)
+where
+    T: Copy + Send + Sync,
+    F: Fn(usize, &UOut<T>) + Sync,
+{
+    run_direct(mode, set_size, &uviews(outs), false, &kernel);
 }
 
 /// Direct loop: `kernel(e, out)` may write only element `e` of each output.
@@ -162,23 +205,9 @@ pub fn par_loop_direct<T, F>(
         );
     }
     let views = uviews(outs);
-    let body = |e: usize| {
-        let out = UOut { views: &views };
-        kernel(e, &out);
-    };
     let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
     let t0 = Instant::now();
-    match mode {
-        ExecModeU::Serial => {
-            for e in 0..set_size {
-                if recording {
-                    access::set_current(e);
-                }
-                body(e);
-            }
-        }
-        ExecModeU::Colored => (0..set_size).into_par_iter().for_each(body),
-    }
+    run_direct(mode, set_size, &views, recording, &kernel);
     let seconds = t0.elapsed().as_secs_f64();
     tspan.set_args(
         (set_size * bytes_per_elem) as f64,
@@ -230,12 +259,15 @@ pub fn par_loop_colored<T, F>(
         );
     }
     let views = uviews(outs);
+    let out = UOut {
+        views: &views,
+        recording,
+    };
     let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
     let t0 = Instant::now();
     match mode {
         ExecModeU::Serial => {
             // Sequential: element order, ignoring colors (no races possible).
-            let out = UOut { views: &views };
             for e in 0..set_size {
                 if recording {
                     access::set_current(e);
@@ -247,10 +279,7 @@ pub fn par_loop_colored<T, F>(
             for (color, class) in coloring.by_color.iter().enumerate() {
                 let mut cspan = bwb_trace::span(bwb_trace::Cat::Color, "color_round");
                 cspan.set_args(color as f64, class.len() as f64, 0.0);
-                class.par_iter().for_each(|&e| {
-                    let out = UOut { views: &views };
-                    kernel(e as usize, &out);
-                });
+                class.par_iter().for_each(|&e| kernel(e as usize, &out));
             }
         }
     }
@@ -315,11 +344,14 @@ pub fn par_loop_block_colored<T, F>(
         );
     }
     let views = uviews(outs);
+    let out = UOut {
+        views: &views,
+        recording,
+    };
     let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
     let t0 = Instant::now();
     match mode {
         ExecModeU::Serial => {
-            let out = UOut { views: &views };
             for e in 0..set_size {
                 if recording {
                     access::set_current(e);
@@ -337,7 +369,6 @@ pub fn par_loop_block_colored<T, F>(
                     .sum();
                 cspan.set_args(color as f64, elems as f64, 0.0);
                 class.par_iter().for_each(|&b| {
-                    let out = UOut { views: &views };
                     for e in coloring.block_range(b as usize) {
                         kernel(e, &out);
                     }
@@ -572,6 +603,21 @@ mod tests {
         );
         assert_eq!(d.get(7, 0), 7.0);
         assert_eq!(d.get(7, 1), -7.0);
+    }
+
+    #[test]
+    fn sweep_direct_writes_and_leaves_no_record() {
+        let s = Set::new("s", 1000);
+        for mode in [ExecModeU::Serial, ExecModeU::Colored] {
+            let mut d = DatU::<u32>::new("d", &s, 2);
+            let ((), observed) = access::with_recording_u(|| {
+                sweep_direct(mode, 1000, &mut [&mut d], |e, out| {
+                    out.set(0, e, 1, out.get(0, e, 0) + e as u32);
+                });
+            });
+            assert!(observed.is_empty(), "the recorder saw a sweep");
+            assert!((0..1000).all(|e| d.get(e, 0) == 0 && d.get(e, 1) == e as u32));
+        }
     }
 
     #[test]

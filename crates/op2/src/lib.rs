@@ -17,7 +17,9 @@
 //!   (the "MPI vec" pack/unpack overhead of §6);
 //! * [`partition`] — recursive coordinate bisection (standing in for
 //!   PT-Scotch's owner-compute partitioning) and halo plans that count the
-//!   import/export volumes each rank pair would exchange.
+//!   import/export volumes each rank pair would exchange;
+//! * [`renumber`] — a space-filling-curve renumbering of a mesh handed over
+//!   in an arbitrary numbering, so that indirect accesses hit cache.
 //!
 //! [Reguly 2012]: https://doi.org/10.1109/InPar.2012.6339594
 
@@ -26,6 +28,7 @@ pub mod color;
 pub mod exec;
 pub mod halo_exchange;
 pub mod partition;
+pub mod renumber;
 pub mod set;
 
 pub use access::{
@@ -34,9 +37,12 @@ pub use access::{
 };
 pub use color::{BlockColoring, Coloring};
 pub use exec::{
-    par_loop_block_colored, par_loop_colored, par_loop_direct, par_loop_gather, ExecModeU,
-    GatherScratch, UOut, UStage,
+    par_loop_block_colored, par_loop_colored, par_loop_direct, par_loop_gather, sweep_direct,
+    ExecModeU, GatherScratch, UOut, UStage,
 };
 pub use halo_exchange::RankHalo;
 pub use partition::{edge_ownership, rcb_partition, CutEdgeRule, HaloPlan};
+pub use renumber::{
+    group_by_min_target, order_by_min_target, sfc_order, NotAPermutation, Permutation,
+};
 pub use set::{DatU, Map, Set};

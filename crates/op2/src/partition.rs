@@ -89,9 +89,14 @@ pub enum CutEdgeRule {
     /// resulting >2x halo-byte skew. Kept as the planted-negative rule
     /// the fixture suite exercises.
     FirstEndpoint,
-    /// Cut edges split between the two sides by endpoint-index-sum
-    /// parity: on average half of each interface is owned by each side,
-    /// so the halo exchange stays balanced. The production rule.
+    /// Cut edges split between the two sides by a coin that is a function
+    /// of the endpoint-index sum: on average half of each interface is
+    /// owned by each side, so the halo exchange stays balanced. The coin is
+    /// the top bit of a multiplicative hash of the sum, not its low bit: on
+    /// a mesh numbered for locality (`renumber`) the low bit follows the
+    /// geometry — along a Z-order every edge crossing a cut in x has an
+    /// odd sum — and would hand one side the whole interface again. The
+    /// production rule.
     Parity,
 }
 
@@ -110,7 +115,8 @@ pub fn edge_ownership(e2n: &Map, node_part: &[u32], rule: CutEdgeRule) -> Vec<u3
             match rule {
                 CutEdgeRule::FirstEndpoint => pa,
                 CutEdgeRule::Parity => {
-                    if pa == pb || (a + b).is_multiple_of(2) {
+                    let coin = ((a + b) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63;
+                    if pa == pb || coin == 0 {
                         pa
                     } else {
                         pb
@@ -251,6 +257,32 @@ mod tests {
                 assert_eq!(p, u32::from(i >= 16), "element ({i},{j})");
             }
         }
+    }
+
+    #[test]
+    fn parity_rule_splits_an_interface_on_a_structured_numbering() {
+        // Row-major ids: every edge across a cut in x is (s, s + 1), an odd
+        // sum, so a low-bit coin would hand all 64 to one side.
+        let (nx, ny) = (66, 64);
+        let part = rcb_partition(&grid_coords(nx, ny), 2, 2);
+        let idx: Vec<u32> = (0..ny)
+            .flat_map(|j| (0..nx - 1).flat_map(move |i| [j * nx + i, j * nx + i + 1]))
+            .map(|s| s as u32)
+            .collect();
+        let nodes = crate::set::Set::new("nodes", nx * ny);
+        let edges = crate::set::Set::new("edges", idx.len() / 2);
+        let e2n = Map::new("e2n", &edges, &nodes, 2, idx);
+        let owner = edge_ownership(&e2n, &part, CutEdgeRule::Parity);
+        let cut = (0..e2n.from_size).filter(|&e| part[e2n.get(e, 0)] != part[e2n.get(e, 1)]);
+        let kept_by_first = cut
+            .clone()
+            .filter(|&e| owner[e] == part[e2n.get(e, 0)])
+            .count();
+        assert_eq!(cut.count(), ny);
+        assert!(
+            (ny / 4..=3 * ny / 4).contains(&kept_by_first),
+            "{kept_by_first} of {ny}"
+        );
     }
 
     #[test]

@@ -49,6 +49,30 @@ impl Map {
         }
     }
 
+    /// For `renumber`, which maps in-range indices through a validated
+    /// permutation of the target set.
+    pub(crate) fn indices_mut(&mut self) -> &mut [u32] {
+        &mut self.idx
+    }
+
+    /// This map's shape over other indices, which the caller has built from
+    /// in-range ones (`renumber` moves whole rows), so the range scan of
+    /// [`Map::new`] is skipped.
+    pub(crate) fn with_indices(&self, idx: Vec<u32>) -> Map {
+        assert_eq!(
+            idx.len(),
+            self.idx.len(),
+            "map '{}' index length",
+            self.name
+        );
+        debug_assert!(idx.iter().all(|&i| (i as usize) < self.to_size));
+        Map {
+            idx,
+            name: self.name.clone(),
+            ..*self
+        }
+    }
+
     /// Target `k` of element `e`.
     #[inline]
     pub fn get(&self, e: usize, k: usize) -> usize {
@@ -122,6 +146,25 @@ impl<T: Copy + Default> DatU<T> {
 }
 
 impl<T: Copy> DatU<T> {
+    /// This dat's name and shape over other values.
+    pub(crate) fn with_data(&self, data: Vec<T>) -> DatU<T> {
+        assert_eq!(
+            data.len(),
+            self.data.len(),
+            "dat '{}' data length",
+            self.name
+        );
+        DatU {
+            data,
+            name: self.name.clone(),
+            ..*self
+        }
+    }
+
+    pub fn into_vec(self) -> Vec<T> {
+        self.data
+    }
+
     #[inline]
     pub fn get(&self, e: usize, c: usize) -> T {
         debug_assert!(c < self.dim);

@@ -542,12 +542,14 @@ mod tests {
             let mut g = span(Cat::Loop, "alpha");
             g.set_args(100.0, 50.0, 10.0);
             drop(g);
-            span_retro(
-                Cat::Mpi,
-                "wait",
-                std::time::Duration::from_micros(5),
-                [1.0, 64.0, 7.0],
-            );
+            // A retro span begins `dur` before now: wait `dur` out, so that
+            // it cannot begin before `alpha` ended however short that was.
+            let dur = std::time::Duration::from_micros(5);
+            let alpha_end = std::time::Instant::now();
+            while alpha_end.elapsed() < dur {
+                std::hint::spin_loop();
+            }
+            span_retro(Cat::Mpi, "wait", dur, [1.0, 64.0, 7.0]);
             instant(Cat::Mpi, "send", [1.0, 64.0, 7.0]);
             counter("queue", 2.0);
             let t = std::thread::spawn(|| {
