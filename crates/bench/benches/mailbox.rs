@@ -3,9 +3,11 @@
 //! stash), over the two traffic shapes the apps actually generate.
 //!
 //! * **ping-pong** — two ranks alternate one envelope each way; every
-//!   `take_blocking` races a fresh delivery, so the receiver's
-//!   sleep/wake path (condvar vs Dekker-flag + park) dominates. This is
-//!   the halo-exchange critical path when ranks run in lockstep.
+//!   `take_blocking` races a fresh delivery, so the receiver's empty-
+//!   mailbox path dominates: the poll when the host has a core per rank
+//!   (arrival counter vs ring cursors), the sleep/wake path (condvar vs
+//!   Dekker-flag + park) when it has not. This is the halo-exchange
+//!   critical path when ranks run in lockstep.
 //! * **halo mix** — one receiver drains a burst of messages from
 //!   several sources under distinct tags, out of tag order (posted
 //!   receives never match delivery order exactly); exercises the

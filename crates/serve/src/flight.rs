@@ -14,9 +14,16 @@
 //!   followers that joined the losing flight, since they would have been
 //!   rejected too.
 //!
+//! A flight's table entry is owned by a drop guard on the leader's stack,
+//! so a leader that leaves without a payload — rejected, or unwinding out
+//! of a panicking job — takes the entry with it: its followers get an
+//! error instead of waiting forever, and the next identical submission
+//! starts a fresh flight instead of joining a dead one.
+//!
 //! The leader runs its work *synchronously on its own calling thread*
-//! (connection threads are cheap; the async runtime only orchestrates
-//! waiting), so heavy compute never occupies an executor worker.
+//! (one of the server's connection workers; the async runtime only
+//! orchestrates waiting), so heavy compute never occupies an executor
+//! worker.
 
 use crate::key::CacheKey;
 use std::collections::HashMap;
@@ -54,6 +61,38 @@ pub struct FlightOutcome {
     pub payload: Payload,
     /// True when this submission rode on another's execution.
     pub coalesced: bool,
+}
+
+/// The leader's claim on `key`'s table entry; see the module docs. The
+/// entry is removed exactly once: by [`Lead::land`], which consumes the
+/// claim, or else by dropping it. Once the entry is gone the key is free
+/// for the next leader, whose entry this claim must never touch.
+struct Lead<'a> {
+    flights: &'a Mutex<HashMap<u64, Vec<oneshot::Sender<Payload>>>>,
+    key: u64,
+}
+
+impl Lead<'_> {
+    fn remove_entry(&self) -> Vec<oneshot::Sender<Payload>> {
+        // A poisoned table means a panic under this lock, which only
+        // map operations run under: carry on with what is there.
+        let mut flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
+        flights.remove(&self.key).unwrap_or_default()
+    }
+
+    /// Close the flight: nobody can join it any more. Returns who did.
+    fn land(self) -> Vec<oneshot::Sender<Payload>> {
+        let waiters = self.remove_entry();
+        std::mem::forget(self);
+        waiters
+    }
+}
+
+impl Drop for Lead<'_> {
+    fn drop(&mut self) {
+        // Dropping the senders is the followers' error.
+        self.remove_entry();
+    }
 }
 
 pub struct SingleFlight {
@@ -123,8 +162,8 @@ impl SingleFlight {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
             let payload = match rx.await {
                 Ok(p) => p,
-                // Leader dropped without resolving (rejected): mirror it.
-                Err(_) => Err("coalesced leader was rejected by admission".into()),
+                // Leader left without a payload: mirror it.
+                Err(_) => Err("coalesced leader was rejected by admission or panicked".into()),
             };
             return Ok(FlightOutcome {
                 payload,
@@ -133,11 +172,14 @@ impl SingleFlight {
         }
 
         // Leader path: bounded-queue admission.
+        let lead = Lead {
+            flights: &self.flights,
+            key: key.0,
+        };
         let permit = match self.sem.try_acquire_owned() {
             Some(p) => p,
             None if self.sem.waiters() >= self.max_queue => {
-                // Abandon the flight; followers see the drop as rejection.
-                self.flights.lock().unwrap().remove(&key.0);
+                // `lead` drops: followers see the rejection.
                 self.rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(QueueFull {
                     retry_after_secs: 1,
@@ -151,13 +193,7 @@ impl SingleFlight {
         drop(permit);
 
         // Resolve the flight: everyone who joined gets the payload.
-        let waiters = self
-            .flights
-            .lock()
-            .unwrap()
-            .remove(&key.0)
-            .unwrap_or_default();
-        for tx in waiters {
+        for tx in lead.land() {
             let _ = tx.send(payload.clone());
         }
         Ok(FlightOutcome {
@@ -285,5 +321,100 @@ mod tests {
         gate_tx.send(()).unwrap();
         assert_eq!(rt.block_on(holder).unwrap().payload.unwrap(), "held");
         assert_eq!(sf.stats().rejected, 1);
+    }
+
+    #[test]
+    fn a_landed_leader_leaves_the_next_flight_on_its_key_alone() {
+        let rt = Runtime::with_workers(2);
+        let sf = Arc::new(SingleFlight::new(2, 4));
+        let key = CacheKey(11);
+
+        // A first leader, stopped between closing its flight and
+        // returning: the result is not cached yet, so ...
+        sf.flights.lock().unwrap().insert(key.0, Vec::new());
+        let first = Lead {
+            flights: &sf.flights,
+            key: key.0,
+        };
+        let first_waiters = first.land();
+        assert_eq!(sf.waiters_for(key), None, "the key is free");
+
+        // ... an identical submission leads a flight of its own, and a
+        // follower joins that one.
+        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+        let second = {
+            let sf = Arc::clone(&sf);
+            rt.spawn(async move {
+                sf.run_or_join(key, move || {
+                    gate_rx.recv().unwrap();
+                    Ok("second".to_string())
+                })
+                .await
+            })
+        };
+        while sf.waiters_for(key).is_none() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let follower = {
+            let sf = Arc::clone(&sf);
+            rt.spawn(async move { sf.run_or_join(key, || Ok("never runs".into())).await })
+        };
+        while sf.waiters_for(key) != Some(1) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // The first leader finishes returning. Landing consumed its claim,
+        // so nothing of it is left to fire at the second flight's entry.
+        drop(first_waiters);
+        assert_eq!(sf.waiters_for(key), Some(1), "second flight untouched");
+
+        gate_tx.send(()).unwrap();
+        let led = rt.block_on(second).unwrap().unwrap();
+        let joined = rt.block_on(follower).unwrap().unwrap();
+        assert!(!led.coalesced && joined.coalesced);
+        assert_eq!(joined.payload.as_deref(), Ok("second"));
+        assert_eq!(sf.waiters_for(key), None);
+    }
+
+    #[test]
+    fn panicking_leader_releases_its_followers_its_key_and_its_permit() {
+        let rt = Runtime::with_workers(2);
+        let sf = Arc::new(SingleFlight::new(1, 4));
+        let key = CacheKey(9);
+
+        // As in the server: the leader blocks on the runtime from a plain
+        // thread, and its work runs — here, panics — on that thread.
+        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+        let leader = {
+            let (sf, handle) = (Arc::clone(&sf), rt.handle().clone());
+            std::thread::spawn(move || {
+                handle.block_on(sf.run_or_join(key, move || {
+                    gate_rx.recv().unwrap();
+                    panic!("the job panics by design")
+                }))
+            })
+        };
+        while sf.waiters_for(key).is_none() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let follower = {
+            let sf = Arc::clone(&sf);
+            rt.spawn(async move { sf.run_or_join(key, || Ok("never runs".into())).await })
+        };
+        while sf.waiters_for(key) != Some(1) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        gate_tx.send(()).unwrap();
+
+        assert!(leader.join().is_err(), "the panic reaches the caller");
+        let joined = rt.block_on(follower).unwrap().unwrap();
+        assert!(joined.coalesced);
+        assert!(joined.payload.unwrap_err().contains("panicked"));
+        assert_eq!(sf.waiters_for(key), None, "entry left with the leader");
+        assert_eq!(sf.stats().running_now, 0, "permit left with the leader");
+
+        // The key is usable again.
+        let again = rt.block_on(sf.run_or_join(key, || Ok("fresh".into())));
+        assert_eq!(again.unwrap().payload.unwrap(), "fresh");
     }
 }

@@ -5,6 +5,14 @@
 //! connection (`Connection: close`), which keeps the framing trivial and
 //! matches the one-request-per-job usage pattern of the load generator
 //! and CI smoke tests. No chunked encoding, no keep-alive, no TLS.
+//!
+//! The layer owns no thread and no listener: [`read_request`] and
+//! [`Response::write_to`] run on whichever of `server`'s connection
+//! workers accepted the stream, one blocking read side and one blocking
+//! write side per connection. A peer that connects and closes without a
+//! byte — which is how the server gets its own workers out of `accept`
+//! for a drain — reads as `Err("connection closed mid-head")`, and the
+//! `400` written back goes nowhere.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

@@ -56,6 +56,13 @@ pub enum Job {
     Analyze {
         app: String,
     },
+    /// A job whose execution panics — `inside` a traced run (`"trace"`),
+    /// a ranked run on the next packed shard (`"shard"`), or on its own:
+    /// what the server's unwind handling is tested against.
+    #[cfg(test)]
+    Panic {
+        inside: String,
+    },
 }
 
 fn get_usize(body: &Json, key: &str, default: usize) -> Result<usize, String> {
@@ -155,6 +162,14 @@ impl Job {
                     .ok_or("missing field 'app'")?;
                 Ok(Job::Analyze { app: app.into() })
             }
+            #[cfg(test)]
+            "panic" => Ok(Job::Panic {
+                inside: body
+                    .get("inside")
+                    .and_then(Json::as_str)
+                    .unwrap_or("job")
+                    .into(),
+            }),
             other => Err(format!(
                 "unknown kind '{other}' (benchmark|trace|figure|analyze)"
             )),
@@ -167,6 +182,8 @@ impl Job {
             Job::Trace { .. } => "trace",
             Job::Figure { .. } => "figure",
             Job::Analyze { .. } => "analyze",
+            #[cfg(test)]
+            Job::Panic { .. } => "panic",
         }
     }
 
@@ -184,6 +201,8 @@ impl Job {
             Job::Benchmark { spec, .. } | Job::Trace { spec } => spec.canonical(),
             Job::Figure { figure } => format!("figure={figure}"),
             Job::Analyze { app } => format!("analyze={app}"),
+            #[cfg(test)]
+            Job::Panic { inside } => format!("panic={inside}"),
         };
         let plan = match self {
             Job::Benchmark { plan, .. } => plan.clone().unwrap_or_else(|| "none".into()),
@@ -209,6 +228,18 @@ impl Job {
             Job::Trace { spec } => execute_trace(ctx, spec, job_id),
             Job::Figure { figure } => Ok(figure_payload(*figure)),
             Job::Analyze { app } => execute_analyze(app),
+            #[cfg(test)]
+            Job::Panic { inside } => {
+                let boom = || -> String { panic!("the test job panics by design") };
+                match inside.as_str() {
+                    "trace" => Ok(traced(boom).0),
+                    "shard" => ctx
+                        .shards
+                        .on_next_shard(ShardPolicy::Packed, 2, |_| boom())
+                        .map(|_| unreachable!("both ranks panic")),
+                    _ => Ok(boom()),
+                }
+            }
         }
     }
 }
@@ -219,12 +250,20 @@ pub struct ExecContext {
     pub traces: Arc<TraceStore>,
 }
 
-/// Per-job-id Perfetto exports, plus the global tracer gate: `bwb_trace`
-/// records into process-global thread rings, so traced executions must
-/// serialize — the gate is held for the whole traced run.
+/// Run `f` as the process's one traced execution: `bwb_trace` records
+/// into process-global thread rings, so traced executions serialize on a
+/// gate that is as global, held for the whole traced run.
+fn traced<R>(f: impl FnOnce() -> R) -> (R, bwb_trace::Trace) {
+    static GATE: Mutex<()> = Mutex::new(());
+    // The gate guards no data: poisoned by a run that panicked under it,
+    // it serializes the next one as well as ever.
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    bwb_trace::with_tracing(f)
+}
+
+/// Per-job-id Perfetto exports.
 #[derive(Default)]
 pub struct TraceStore {
-    gate: Mutex<()>,
     map: Mutex<HashMap<u64, String>>,
 }
 
@@ -287,8 +326,7 @@ fn execute_benchmark(
 }
 
 fn execute_trace(ctx: &ExecContext, spec: &BenchSpec, job_id: u64) -> Result<String, String> {
-    let _gate = ctx.traces.gate.lock().unwrap();
-    let (result, trace) = bwb_trace::with_tracing(|| spec.run());
+    let (result, trace) = traced(|| spec.run());
     let out = result?;
     let chrome = bwb_trace::to_chrome_json(&trace, &Default::default());
     let events = trace.total_events();

@@ -22,7 +22,7 @@
 
 use bwb_apps::jobspec::{BenchOutcome, BenchSpec};
 use bwb_machine::{CpuTopology, Platform, RankPlacement, ShardPolicy};
-use bwb_shmpi::{MailboxKind, Universe};
+use bwb_shmpi::{Comm, MailboxKind, RunOutput, Universe};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -163,36 +163,47 @@ impl ShardPool {
     ) -> Result<ShardedRun, String> {
         spec.validate()?;
         let policy = policy.unwrap_or_else(|| self.certified_policy(spec));
+        let (shard, out) = self.on_next_shard(policy, spec.ranks, |c| spec.run_ranked(c))?;
+        Ok(ShardedRun {
+            outcome: spec.merge_ranked(&out.results),
+            shard,
+            policy,
+            mpi_fraction: out.mpi_fraction(),
+            wall_seconds: out.wall_seconds,
+        })
+    }
+
+    /// Run `f` as a `ranks`-rank universe that has `policy`'s next shard
+    /// (round-robin) to itself; returns which shard that was.
+    pub(crate) fn on_next_shard<R: Send>(
+        &self,
+        policy: ShardPolicy,
+        ranks: usize,
+        f: impl Fn(&mut Comm) -> R + Sync,
+    ) -> Result<(usize, RunOutput<R>), String> {
         let set = self.set_for(policy)?;
         let idx = set.next.fetch_add(1, Ordering::Relaxed) % set.shards.len();
         let shard = &set.shards[idx];
-        if spec.ranks > shard.placement.n_ranks() {
+        if ranks > shard.placement.n_ranks() {
             return Err(format!(
                 "ranks={} exceeds the shard's {} cores (shards={}, policy={})",
-                spec.ranks,
+                ranks,
                 shard.placement.n_ranks(),
                 set.shards.len(),
                 policy.label(),
             ));
         }
-        let _gate = shard.gate.lock().unwrap();
+        // The gate guards no data: poisoned by a universe that panicked
+        // on the shard, it hands the cores to the next one as well as ever.
+        let _gate = shard.gate.lock().unwrap_or_else(|e| e.into_inner());
         shard.jobs.fetch_add(1, Ordering::Relaxed);
-        let sp = spec.clone();
         let out = Universe::run_pinned(
-            spec.ranks,
+            ranks,
             MailboxKind::Spsc,
             (shard.placement.clone(), self.platform.latency),
-            move |c| sp.run_ranked(c),
+            f,
         );
-        let mpi_fraction = out.mpi_fraction();
-        let wall_seconds = out.wall_seconds;
-        Ok(ShardedRun {
-            outcome: spec.merge_ranked(&out.results),
-            shard: idx,
-            policy,
-            mpi_fraction,
-            wall_seconds,
-        })
+        Ok((idx, out))
     }
 }
 

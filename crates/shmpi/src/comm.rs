@@ -1,7 +1,7 @@
 //! The per-rank communicator handle: point-to-point messaging.
 
 use crate::event::{CommEvent, CommLog, CommOp};
-use crate::mailbox::{Envelope, Mailbox, Pattern};
+use crate::mailbox::{Arrival, Envelope, Mailbox, Pattern, Taken};
 use crate::stats::{CommDetail, RankStats};
 use bwb_machine::{LatencyProfile, RankPlacement};
 use std::sync::{Arc, Barrier};
@@ -182,8 +182,17 @@ impl Comm {
             },
             tag,
         };
-        let (env, waited) = self.shared.mailboxes[self.rank].take_blocking(pat);
+        let Taken {
+            env,
+            waited,
+            arrival,
+        } = self.shared.mailboxes[self.rank].take_blocking(pat);
         self.stats.recvs += 1;
+        match arrival {
+            Arrival::Queued => {}
+            Arrival::Spun => self.stats.recvs_spun += 1,
+            Arrival::Parked => self.stats.recvs_parked += 1,
+        }
         self.stats.bytes_received += env.bytes as u64;
         self.stats.wait_seconds += waited.as_secs_f64();
         let src = env.source;

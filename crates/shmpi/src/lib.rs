@@ -52,6 +52,9 @@ pub use cart::CartComm;
 pub use collectives::{ReduceOp, COLL_TAG_BASE};
 pub use comm::{Comm, Request, ANY_SOURCE, SW_OVERHEAD_NS};
 pub use event::{CommEvent, CommLog, CommOp};
-pub use mailbox::{Envelope, LockedMailbox, Mailbox, MailboxKind, Pattern, SpscMailbox, SpscRing};
+pub use mailbox::{
+    Arrival, Envelope, LockedMailbox, Mailbox, MailboxKind, Pattern, SpscMailbox, SpscRing, Taken,
+    SPIN_BUDGET,
+};
 pub use stats::{CommDetail, PeerStats, RankStats, WorldStats, SIZE_HIST_BUCKETS};
 pub use universe::{RunOutput, Universe};

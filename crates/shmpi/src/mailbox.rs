@@ -6,8 +6,9 @@
 //! * [`LockedMailbox`] (default) — one queue guarded by a `parking_lot`
 //!   mutex + condvar. Senders push [`Envelope`]s (eager/buffered
 //!   semantics — a send never blocks); the receiver scans for the first
-//!   envelope matching `(source, tag)` and parks on the condvar when
-//!   none is present.
+//!   envelope matching `(source, tag)` and waits on the condvar when
+//!   none is present. The queue counts its waiters under the same lock,
+//!   so a delivery nobody waits for skips the `notify_all` system call.
 //! * [`SpscMailbox`] (`Universe::run_with_mailbox` /
 //!   `Universe::run_pinned`) — one lock-free single-producer /
 //!   single-consumer ring per source rank plus a receiver-owned stash
@@ -21,6 +22,26 @@
 //! Both transports preserve FIFO order per (source, tag) pair, as MPI
 //! requires ("non-overtaking" rule): within one source the stash is
 //! always older than the ring, and both are scanned in arrival order.
+//!
+//! # Spin, then park
+//!
+//! A receive that finds nothing to take polls for [`SPIN_BUDGET`] before
+//! it enters the park protocol (condvar wait / `thread::park`), because a
+//! wake-up through the kernel costs two orders of magnitude more than the
+//! cache-line transfer that carries the message. It polls something the
+//! sender writes anyway and no lock guards — the locked transport's
+//! arrival counter, the ring cursors — so a send to a polling receiver
+//! makes no system call on either transport. The park protocol is
+//! unchanged and is the only place an empty mailbox ends up; what a take
+//! went through comes back as its [`Arrival`].
+//!
+//! A receive polls only while the ranks that are live fit the host: its
+//! own world's size, and the sum over every world a [`crate::Universe`]
+//! is running in this process right now (`LiveRanks`), are both at most
+//! `available_parallelism()`. Past that a polling rank holds the core its
+//! sender — or another world's rank — needs. Under `--cfg loom` the poll
+//! is compiled out, so the model checker explores exactly the park/wake
+//! handshake.
 
 // Under `--cfg loom` the primitives come from the vendored loom DPOR
 // model checker so the deliver/take_blocking/deliver_front protocols can
@@ -64,6 +85,92 @@ impl Pattern {
     }
 }
 
+/// What a blocking take went through before it held its envelope.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arrival {
+    /// The envelope was already queued.
+    Queued,
+    /// The mailbox was empty and the envelope arrived while the receiver
+    /// polled; no thread slept and no sender made a system call.
+    Spun,
+    /// The receiver entered the park protocol (counted itself a waiter /
+    /// raised the wake flag), so the envelope cost a wake-up or raced one.
+    Parked,
+}
+
+/// The result of [`Mailbox::take_blocking`].
+pub struct Taken {
+    pub env: Envelope,
+    /// Wall-clock time from entering the take to holding the envelope,
+    /// polling included.
+    pub waited: Duration,
+    pub arrival: Arrival,
+}
+
+impl Taken {
+    fn new(env: Envelope, start: Instant, arrival: Arrival) -> Taken {
+        Taken {
+            env,
+            waited: start.elapsed(),
+            arrival,
+        }
+    }
+}
+
+/// How long a receive polls an empty mailbox before it parks: one round
+/// trip through the park path, the break-even of the classic rule (poll
+/// for as long as sleeping would cost, and the total is at most twice the
+/// best choice made with hindsight). A 2-rank ping-pong whose receives
+/// park costs 43 µs per round trip on the reference VM — two wake-ups of
+/// ~20 µs, each with a futex call on the sender — beside a 0.13 µs
+/// core-to-core line transfer (EXPERIMENTS.md, "Message latency"). A
+/// constant, not a setting: a host whose wake-up costs 5 µs polls longer
+/// than it must, never wrongly.
+pub const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// Ranks of all the worlds running in this process.
+static LIVE_RANKS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+/// A running world's entry in the process-wide count of live ranks, for
+/// as long as it is held.
+pub(crate) struct LiveRanks(usize);
+
+impl LiveRanks {
+    pub(crate) fn enter(world_size: usize) -> LiveRanks {
+        LIVE_RANKS.fetch_add(world_size, Ordering::Relaxed);
+        LiveRanks(world_size)
+    }
+}
+
+impl Drop for LiveRanks {
+    fn drop(&mut self) {
+        LIVE_RANKS.fetch_sub(self.0, Ordering::Relaxed);
+    }
+}
+
+/// Whether a receive in a `world_size`-rank world polls before it parks;
+/// asked per receive, because other worlds come and go.
+fn fits_host(world_size: usize) -> bool {
+    // Asked once per process: the answer reads the affinity mask and the
+    // cgroup quota (~20 µs).
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let cores = CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    // A mailbox used outside any `Universe` has only its own size to go by.
+    world_size.max(LIVE_RANKS.load(Ordering::Relaxed)) <= *cores
+}
+
+/// Poll `arrived` until it holds or [`SPIN_BUDGET`] (counted from `start`)
+/// runs out; returns whether it held.
+fn spin_until(start: Instant, arrived: impl Fn() -> bool) -> bool {
+    while start.elapsed() < SPIN_BUDGET {
+        if arrived() {
+            return true;
+        }
+        std::hint::spin_loop();
+    }
+    false
+}
+
 // ---------------------------------------------------------------------------
 // Locked transport (default)
 // ---------------------------------------------------------------------------
@@ -71,40 +178,90 @@ impl Pattern {
 #[derive(Default)]
 struct Queue {
     envelopes: VecDeque<Envelope>,
+    /// Receivers inside `Condvar::wait`. Kept under the queue's lock, so
+    /// a sender reads it in the same critical section as its push: it
+    /// cannot read 0 while a receiver is between its scan and its wait.
+    waiters: usize,
+}
+
+impl Queue {
+    fn take(&mut self, pat: Pattern) -> Option<Envelope> {
+        let idx = self.envelopes.iter().position(|e| pat.matches(e))?;
+        self.envelopes.remove(idx)
+    }
 }
 
 /// One rank's incoming-message buffer, mutex+condvar transport.
-#[derive(Default)]
 pub struct LockedMailbox {
     queue: Mutex<Queue>,
     available: Condvar,
+    /// Deliveries so far: what a polling receiver watches in place of the
+    /// mutex. Bumped after the push is unlocked, so the receiver's
+    /// re-lock does not collide with the sender's unlock.
+    arrivals: std::sync::atomic::AtomicUsize,
+    world_size: usize,
 }
 
 impl LockedMailbox {
-    pub fn new() -> Self {
-        Self::default()
+    /// A mailbox for one rank of a `world_size`-rank world.
+    pub fn new(world_size: usize) -> Self {
+        LockedMailbox {
+            queue: Mutex::new(Queue::default()),
+            available: Condvar::new(),
+            arrivals: std::sync::atomic::AtomicUsize::new(0),
+            world_size,
+        }
+    }
+
+    fn insert(&self, put: impl FnOnce(&mut VecDeque<Envelope>)) {
+        {
+            let mut q = self.queue.lock();
+            put(&mut q.envelopes);
+            // More than one receiver thread never waits on one rank's
+            // mailbox in correct programs, but notify_all is robust
+            // against probe users.
+            if q.waiters > 0 {
+                self.available.notify_all();
+            }
+        }
+        self.arrivals.fetch_add(1, Ordering::Release);
     }
 
     /// Deliver an envelope (called by the *sender*). Never blocks.
     pub fn deliver(&self, env: Envelope) {
-        let mut q = self.queue.lock();
-        q.envelopes.push_back(env);
-        // More than one receiver thread never waits on one rank's mailbox in
-        // correct programs, but notify_all is robust against probe users.
-        self.available.notify_all();
+        self.insert(|q| q.push_back(env));
     }
 
     /// Take the first matching envelope, blocking until one arrives.
-    /// Returns the envelope and the wall-clock time spent blocked.
-    pub fn take_blocking(&self, pat: Pattern) -> (Envelope, Duration) {
+    pub fn take_blocking(&self, pat: Pattern) -> Taken {
         let start = Instant::now();
+        let mut arrival = Arrival::Queued;
         let mut q = self.queue.lock();
-        loop {
-            if let Some(idx) = q.envelopes.iter().position(|e| pat.matches(e)) {
-                let env = q.envelopes.remove(idx).expect("index valid");
-                return (env, start.elapsed());
+        if cfg!(not(loom)) && fits_host(self.world_size) {
+            loop {
+                if let Some(env) = q.take(pat) {
+                    return Taken::new(env, start, arrival);
+                }
+                arrival = Arrival::Spun;
+                // Read under the lock: every delivery this scan missed
+                // bumps the counter past `seen`.
+                let seen = self.arrivals.load(Ordering::Relaxed);
+                drop(q);
+                let moved = spin_until(start, || self.arrivals.load(Ordering::Acquire) != seen);
+                q = self.queue.lock();
+                if !moved {
+                    break;
+                }
             }
+        }
+        loop {
+            if let Some(env) = q.take(pat) {
+                return Taken::new(env, start, arrival);
+            }
+            arrival = Arrival::Parked;
+            q.waiters += 1;
             self.available.wait(&mut q);
+            q.waiters -= 1;
         }
     }
 
@@ -113,16 +270,12 @@ impl LockedMailbox {
     /// single thread receives from this mailbox (our one-thread-per-rank
     /// invariant).
     pub fn deliver_front(&self, env: Envelope) {
-        let mut q = self.queue.lock();
-        q.envelopes.push_front(env);
-        self.available.notify_all();
+        self.insert(|q| q.push_front(env));
     }
 
     /// Non-blocking probe-and-take.
     pub fn try_take(&self, pat: Pattern) -> Option<Envelope> {
-        let mut q = self.queue.lock();
-        let idx = q.envelopes.iter().position(|e| pat.matches(e))?;
-        q.envelopes.remove(idx)
+        self.queue.lock().take(pat)
     }
 
     /// Number of queued envelopes (diagnostics).
@@ -380,17 +533,31 @@ impl SpscMailbox {
     }
 
     /// Take the first matching envelope, blocking until one arrives.
-    /// Returns the envelope and the wall-clock time spent blocked.
     /// Receiver thread only (the single-receiver invariant the whole
     /// transport is built on).
-    pub fn take_blocking(&self, pat: Pattern) -> (Envelope, Duration) {
+    pub fn take_blocking(&self, pat: Pattern) -> Taken {
         let start = Instant::now();
+        let mut arrival = Arrival::Queued;
         #[cfg(not(loom))]
         let _ = self.receiver.set(std::thread::current());
+        if cfg!(not(loom)) && fits_host(self.rings.len()) {
+            loop {
+                if let Some(env) = self.try_take(pat) {
+                    return Taken::new(env, start, arrival);
+                }
+                arrival = Arrival::Spun;
+                // Watch the cursors, not the stash lock; an envelope the
+                // pattern rejects moves to the stash and the poll goes on.
+                if !spin_until(start, || self.rings.iter().any(|r| !r.is_empty())) {
+                    break;
+                }
+            }
+        }
         loop {
             if let Some(env) = self.try_take(pat) {
-                return (env, start.elapsed());
+                return Taken::new(env, start, arrival);
             }
+            arrival = Arrival::Parked;
             // Dekker handshake against `wake_receiver`: with SeqCst on
             // both flag accesses and the sender's fence, either the
             // sender's swap sees `true` (and unparks us, making the
@@ -399,7 +566,7 @@ impl SpscMailbox {
             self.parked.store(true, Ordering::SeqCst);
             if let Some(env) = self.try_take(pat) {
                 self.parked.store(false, Ordering::SeqCst);
-                return (env, start.elapsed());
+                return Taken::new(env, start, arrival);
             }
             #[cfg(not(loom))]
             std::thread::park();
@@ -448,22 +615,11 @@ pub enum Mailbox {
     Spsc(SpscMailbox),
 }
 
-impl Default for Mailbox {
-    fn default() -> Self {
-        Mailbox::Locked(LockedMailbox::default())
-    }
-}
-
 impl Mailbox {
-    /// The default (locked) transport.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A mailbox of the given kind for a world of `world_size` ranks.
     pub fn with_kind(kind: MailboxKind, world_size: usize) -> Self {
         match kind {
-            MailboxKind::Locked => Mailbox::Locked(LockedMailbox::new()),
+            MailboxKind::Locked => Mailbox::Locked(LockedMailbox::new(world_size)),
             MailboxKind::Spsc => Mailbox::Spsc(SpscMailbox::new(world_size)),
         }
     }
@@ -484,8 +640,7 @@ impl Mailbox {
     }
 
     /// Take the first matching envelope, blocking until one arrives.
-    /// Returns the envelope and the wall-clock time spent blocked.
-    pub fn take_blocking(&self, pat: Pattern) -> (Envelope, Duration) {
+    pub fn take_blocking(&self, pat: Pattern) -> Taken {
         match self {
             Mailbox::Locked(m) => m.take_blocking(pat),
             Mailbox::Spsc(m) => m.take_blocking(pat),
@@ -548,10 +703,12 @@ mod tests {
     fn deliver_then_take() {
         for mb in both_kinds() {
             mb.deliver(env(1, 7, vec![42]));
-            let (e, _) = mb.take_blocking(Pattern {
-                source: Some(1),
-                tag: 7,
-            });
+            let e = mb
+                .take_blocking(Pattern {
+                    source: Some(1),
+                    tag: 7,
+                })
+                .env;
             assert_eq!(e.source, 1);
             assert_eq!(e.bytes, 8);
             let v = e.data.downcast::<Vec<u64>>().unwrap();
@@ -564,10 +721,12 @@ mod tests {
         for mb in both_kinds() {
             mb.deliver(env(0, 1, vec![1]));
             mb.deliver(env(0, 2, vec![2]));
-            let (e, _) = mb.take_blocking(Pattern {
-                source: Some(0),
-                tag: 2,
-            });
+            let e = mb
+                .take_blocking(Pattern {
+                    source: Some(0),
+                    tag: 2,
+                })
+                .env;
             let v = e.data.downcast::<Vec<u64>>().unwrap();
             assert_eq!(*v, vec![2]);
             assert_eq!(mb.len(), 1);
@@ -579,14 +738,18 @@ mod tests {
         for mb in both_kinds() {
             mb.deliver(env(3, 9, vec![1]));
             mb.deliver(env(3, 9, vec![2]));
-            let (a, _) = mb.take_blocking(Pattern {
-                source: Some(3),
-                tag: 9,
-            });
-            let (b, _) = mb.take_blocking(Pattern {
-                source: Some(3),
-                tag: 9,
-            });
+            let a = mb
+                .take_blocking(Pattern {
+                    source: Some(3),
+                    tag: 9,
+                })
+                .env;
+            let b = mb
+                .take_blocking(Pattern {
+                    source: Some(3),
+                    tag: 9,
+                })
+                .env;
             assert_eq!(*a.data.downcast::<Vec<u64>>().unwrap(), vec![1]);
             assert_eq!(*b.data.downcast::<Vec<u64>>().unwrap(), vec![2]);
         }
@@ -596,10 +759,12 @@ mod tests {
     fn any_source_matches_first_arrival() {
         for mb in both_kinds() {
             mb.deliver(env(5, 0, vec![5]));
-            let (e, _) = mb.take_blocking(Pattern {
-                source: None,
-                tag: 0,
-            });
+            let e = mb
+                .take_blocking(Pattern {
+                    source: None,
+                    tag: 0,
+                })
+                .env;
             assert_eq!(e.source, 5);
         }
     }
@@ -623,17 +788,18 @@ mod tests {
             let mb = Arc::new(mb);
             let mb2 = mb.clone();
             let h = std::thread::spawn(move || {
-                let (e, waited) = mb2.take_blocking(Pattern {
+                let t = mb2.take_blocking(Pattern {
                     source: Some(0),
                     tag: 0,
                 });
-                (e.bytes, waited)
+                (t.env.bytes, t.waited, t.arrival)
             });
             std::thread::sleep(Duration::from_millis(20));
             mb.deliver(env(0, 0, vec![1, 2, 3]));
-            let (bytes, waited) = h.join().unwrap();
+            let (bytes, waited, arrival) = h.join().unwrap();
             assert_eq!(bytes, 24);
             assert!(waited >= Duration::from_millis(5), "blocked time recorded");
+            assert_eq!(arrival, Arrival::Parked, "20 ms outlasts any poll");
         }
     }
 
@@ -714,10 +880,12 @@ mod tests {
             }
         });
         for i in 0..6u64 {
-            let (e, _) = mb.take_blocking(Pattern {
-                source: Some(1),
-                tag: 5,
-            });
+            let e = mb
+                .take_blocking(Pattern {
+                    source: Some(1),
+                    tag: 5,
+                })
+                .env;
             assert_eq!(*e.data.downcast::<Vec<u64>>().unwrap(), vec![i]);
         }
         h.join().unwrap();
@@ -732,19 +900,25 @@ mod tests {
         mb.deliver(env(2, 8, vec![1]));
         mb.deliver(env(2, 9, vec![2]));
         mb.deliver(env(2, 8, vec![3]));
-        let (a, _) = mb.take_blocking(Pattern {
-            source: Some(2),
-            tag: 9,
-        });
+        let a = mb
+            .take_blocking(Pattern {
+                source: Some(2),
+                tag: 9,
+            })
+            .env;
         assert_eq!(*a.data.downcast::<Vec<u64>>().unwrap(), vec![2]);
-        let (b, _) = mb.take_blocking(Pattern {
-            source: Some(2),
-            tag: 8,
-        });
-        let (c, _) = mb.take_blocking(Pattern {
-            source: Some(2),
-            tag: 8,
-        });
+        let b = mb
+            .take_blocking(Pattern {
+                source: Some(2),
+                tag: 8,
+            })
+            .env;
+        let c = mb
+            .take_blocking(Pattern {
+                source: Some(2),
+                tag: 8,
+            })
+            .env;
         assert_eq!(*b.data.downcast::<Vec<u64>>().unwrap(), vec![1]);
         assert_eq!(*c.data.downcast::<Vec<u64>>().unwrap(), vec![3]);
         assert!(mb.is_empty());
@@ -752,7 +926,11 @@ mod tests {
 
     #[test]
     fn mailbox_kind_defaults_locked() {
-        assert_eq!(Mailbox::new().kind(), MailboxKind::Locked);
+        assert_eq!(MailboxKind::default(), MailboxKind::Locked);
+        assert_eq!(
+            Mailbox::with_kind(MailboxKind::default(), 4).kind(),
+            MailboxKind::Locked
+        );
         assert_eq!(
             Mailbox::with_kind(MailboxKind::Spsc, 4).kind(),
             MailboxKind::Spsc

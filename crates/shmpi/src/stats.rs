@@ -115,9 +115,19 @@ impl CommDetail {
 pub struct RankStats {
     pub sends: u64,
     pub recvs: u64,
+    /// Receives that found their mailbox empty and got the message while
+    /// still polling: nobody slept, no sender made a system call.
+    pub recvs_spun: u64,
+    /// Receives that reached the park protocol (`Condvar::wait` /
+    /// `thread::park`), so their share of `wait_seconds` includes a kernel
+    /// wake-up. `recvs - recvs_spun - recvs_parked` found their message
+    /// already queued. A world with more ranks than cores never polls:
+    /// there every receive that found its mailbox empty is counted here.
+    pub recvs_parked: u64,
     pub bytes_sent: u64,
     pub bytes_received: u64,
-    /// Wall-clock seconds blocked in recv/wait/barrier/collectives.
+    /// Wall-clock seconds from entering a recv/wait/barrier/collective to
+    /// leaving it — polling and parked time alike.
     pub wait_seconds: f64,
     /// Modelled message latency cost (seconds) from the machine profile.
     pub modeled_latency_s: f64,
@@ -133,6 +143,8 @@ impl RankStats {
     pub fn merge(&mut self, other: &RankStats) {
         self.sends += other.sends;
         self.recvs += other.recvs;
+        self.recvs_spun += other.recvs_spun;
+        self.recvs_parked += other.recvs_parked;
         self.bytes_sent += other.bytes_sent;
         self.bytes_received += other.bytes_received;
         self.wait_seconds += other.wait_seconds;
@@ -203,18 +215,23 @@ mod tests {
     fn merge_adds_fields() {
         let mut a = RankStats {
             sends: 1,
+            recvs_spun: 4,
+            recvs_parked: 1,
             bytes_sent: 10,
             wait_seconds: 0.5,
             ..Default::default()
         };
         let b = RankStats {
             sends: 2,
+            recvs_spun: 5,
+            recvs_parked: 2,
             bytes_sent: 30,
             wait_seconds: 1.0,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.sends, 3);
+        assert_eq!((a.recvs_spun, a.recvs_parked), (9, 3));
         assert_eq!(a.bytes_sent, 40);
         assert!((a.wait_seconds - 1.5).abs() < 1e-12);
     }

@@ -2,7 +2,7 @@
 
 use crate::comm::{Comm, Shared};
 use crate::event::CommLog;
-use crate::mailbox::{Mailbox, MailboxKind};
+use crate::mailbox::{LiveRanks, Mailbox, MailboxKind};
 use crate::stats::{CommDetail, RankStats, WorldStats};
 use bwb_machine::{LatencyProfile, RankPlacement};
 use std::sync::{Arc, Barrier, Mutex};
@@ -36,6 +36,14 @@ impl Universe {
     /// are eager, so the closure may send before the peer has posted a
     /// receive; deadlock is only possible through circular blocking
     /// receives, as in real MPI.
+    ///
+    /// While the ranks live in this process — this world's and those of
+    /// every other world running beside it — fit the host
+    /// (`<= available_parallelism()`), a receive that finds its mailbox
+    /// empty polls for [`crate::SPIN_BUDGET`] before it parks; past that it
+    /// parks at once, because there a polling rank holds the core a sender
+    /// needs. The rank counts decide, for every entry point: there is no
+    /// switch.
     pub fn run<F, R>(size: usize, f: F) -> RunOutput<R>
     where
         F: Fn(&mut Comm) -> R + Sync,
@@ -158,6 +166,7 @@ impl Universe {
         let results: Mutex<Vec<Slot<R>>> = Mutex::new((0..size).map(|_| None).collect());
 
         let t0 = Instant::now();
+        let live = LiveRanks::enter(size);
         std::thread::scope(|scope| {
             for rank in 0..size {
                 let shared = Arc::clone(&shared);
@@ -176,6 +185,7 @@ impl Universe {
                 });
             }
         });
+        drop(live);
         let wall_seconds = t0.elapsed().as_secs_f64();
 
         let mut out_results = Vec::with_capacity(size);

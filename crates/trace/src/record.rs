@@ -511,11 +511,20 @@ fn drop_dead_buffers(registry: &mut Vec<Arc<RingBuf>>) {
 /// Convenience harness: clear, enable, run `f`, disable, harvest.
 /// Panics on nested use (tracing already enabled).
 pub fn with_tracing<R>(f: impl FnOnce() -> R) -> (R, Trace) {
+    // Disables also when `f` unwinds: a session left enabled would have
+    // every later one refused as nested.
+    struct Session;
+    impl Drop for Session {
+        fn drop(&mut self) {
+            set_enabled(false);
+        }
+    }
     assert!(!enabled(), "nested with_tracing sessions are not supported");
     clear();
     set_enabled(true);
+    let session = Session;
     let result = f();
-    set_enabled(false);
+    drop(session);
     (result, take())
 }
 

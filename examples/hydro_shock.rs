@@ -59,10 +59,12 @@ fn main() {
     });
     for (rank, (stats, compute)) in out.results.iter().enumerate() {
         println!(
-            "  rank {rank}: {} msgs, {:.2} MB sent, wait {:.2} ms, compute {:.2} ms",
+            "  rank {rank}: {} msgs, {:.2} MB sent, wait {:.2} ms ({} of {} receives parked), compute {:.2} ms",
             stats.sends,
             stats.bytes_sent as f64 / 1e6,
             stats.wait_seconds * 1e3,
+            stats.recvs_parked,
+            stats.recvs,
             compute * 1e3
         );
     }
