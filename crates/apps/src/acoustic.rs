@@ -348,14 +348,15 @@ fn leapfrog_update(
     }
 }
 
-/// Declared loop chain for `dslcheck::speccheck`: one leapfrog step over a
-/// parametric `(nx,ny,nz)` interior, rotating the three-slot time window
-/// with the same pair of swaps the driver performs. The distributed
+/// Declared loop chain: one leapfrog step over a parametric `(nx,ny,nz)`
+/// interior, rotating the three-slot time window with the same pair of
+/// swaps the driver performs; the update reads `u_curr` through the
+/// radius-[`RADIUS`] star and `u_prev` at the point. The distributed
 /// variant prepends the per-step `u_curr` exchange at depth [`RADIUS`]
 /// (`exchange_halo` records one site-less observation) and drops the
 /// energy reduction, which only the local registry run appends.
 pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
-    use bwb_ops::{ChainSpec, DatDecl, Expr, Step};
+    use bwb_ops::{Access, ChainSpec, DatDecl, Expr, Stencil, Step};
     let c = Expr::c;
     let p = Expr::p;
     let dat = |name: &'static str| DatDecl {
@@ -374,11 +375,11 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
         });
     }
     body.push(Step::Loop {
-        spec: "acoustic_update",
+        name: "acoustic_update",
         dims: 3,
         range: interior(),
-        outs: vec![2],
-        ins: vec![1, 0],
+        outs: vec![(2, Access::Write)],
+        ins: vec![(1, Stencil::plus3(RADIUS as isize)), (0, Stencil::point())],
     });
     body.push(Step::Swap { a: 0, b: 1 });
     body.push(Step::Swap { a: 1, b: 2 });
@@ -386,41 +387,20 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
         Vec::new()
     } else {
         vec![Step::Loop {
-            spec: "acoustic_energy",
+            name: "acoustic_energy",
             dims: 3,
             range: interior(),
             outs: vec![],
-            ins: vec![1],
+            ins: vec![(1, Stencil::point())],
         }]
     };
     ChainSpec {
         app: if dist { "acoustic_dist" } else { "acoustic" },
-        params: vec!["nx", "ny", "nz"],
         dats: vec![dat("u_prev"), dat("u_curr"), dat("u_next")],
         prologue: Vec::new(),
         body,
         epilogue,
     }
-}
-
-/// Declared access contracts of every loop in this app, for `bwb-dslcheck`.
-pub fn loop_specs() -> Vec<bwb_ops::LoopSpec> {
-    use bwb_ops::{ArgSpec as A, LoopSpec as L, Stencil as S};
-    vec![
-        L::new(
-            "acoustic_update",
-            vec![A::write("u_next")],
-            vec![
-                A::read("u_curr", S::plus3(RADIUS as isize)),
-                A::read("u_prev", S::point()),
-            ],
-        ),
-        L::new(
-            "acoustic_energy",
-            vec![],
-            vec![A::read("u_curr", S::point())],
-        ),
-    ]
 }
 
 #[cfg(test)]

@@ -1075,27 +1075,23 @@ fn viscosity_body(dx: f64, dy: f64, out: &mut RowOut2<f64>, ins: &RowIn2<f64>) {
     }
 }
 
-/// Depth-1 ghost exchange for node-centred fields over a cell-decomposed
-/// block. Node fields duplicate the interface line on both neighbouring
-/// ranks; [`DistBlock2::exchange_node_halo`] ships the inward-shifted
-/// strips so each rank's ghosts hold the neighbour's first interior line.
-/// Declared access contracts of every DSL loop in this app, for
-/// `bwb-dslcheck`. (`update_halo`/`update_halo_vel` are hand-rolled fills,
-/// not `par_loop`s, so they carry no contract.)
-/// Declared loop chain for `dslcheck::speccheck`: the exact ordered
-/// loop/exchange/swap stream one [`Clover2::cycle`] materializes at runtime
-/// (plus the two `field_summary` reductions the single-rank registry run
-/// appends), written down symbolically over the parametric local grid
-/// `(nx, ny)`. Instantiating this chain must reproduce, observation for
-/// observation, what [`bwb_ops::access::with_recording_full`] records from
-/// a live run — the static/dynamic cross-check asserts exactly that.
+/// Declared loop chain: the exact ordered loop/exchange/swap stream one
+/// [`Clover2::cycle`] materializes at runtime (plus the two
+/// `field_summary` reductions the single-rank registry run appends),
+/// written down symbolically over the parametric local grid `(nx, ny)`,
+/// with every loop's access contract stated at its step. Instantiating
+/// this chain must reproduce, observation for observation, what
+/// [`bwb_ops::access::with_recording_full`] records from a live run —
+/// `dslcheck`'s declaration check asserts exactly that.
+/// (`update_halo`/`update_halo_vel` are hand-rolled fills, not `par_loop`s,
+/// so they carry no contract.)
 ///
 /// `dist` declares the 4-rank distributed variant: the three cell-field
 /// halo-update sites ("cells0"/"cells1"/"cells2") and the two node-velocity
 /// sites ("vel0"/"vel1") each contribute their recorded exchanges, and the
 /// field-summary epilogue is absent (`run_distributed` gathers instead).
 pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
-    use bwb_ops::{ChainSpec, DatDecl, Expr, Step};
+    use bwb_ops::{Access, ChainSpec, DatDecl, Expr, Stencil as S, Step};
     let c = Expr::c;
     let p = Expr::p;
     let pp = Expr::p_plus;
@@ -1161,88 +1157,148 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
     ];
     let cells = || [c(0), p("nx"), c(0), p("ny"), c(0), c(1)];
     let nodes = || [c(0), pp("nx", 1), c(0), pp("ny", 1), c(0), c(1)];
-    let lp = |spec: &'static str, range: [Expr; 6], outs: Vec<usize>, ins: Vec<usize>| Step::Loop {
-        spec,
+    let lp = |name, range, outs, ins| Step::Loop {
+        name,
         dims: 2,
         range,
         outs,
         ins,
     };
-    // `update_halo_cells` iterates its six fields in struct order, noting
-    // one exchange per field on the dim-1 pass (mirror fills are hand
-    // loops and record nothing).
-    let halo_cells = |body: &mut Vec<Step>, site: &'static str| {
+    let w = |slot: usize| (slot, Access::Write);
+    let pt = S::point;
+    // Cell quantity sampled at the four cells around a node.
+    let nodal = || S::of2(&[(-1, -1), (0, -1), (0, 0), (-1, 0)]);
+    // Node quantity sampled at the four corners of a cell.
+    let quad = || S::of2(&[(0, 0), (1, 0), (0, 1), (1, 1)]);
+    // Donor-cell/van Leer upwind window along one axis.
+    let x5 = || S::of2(&[(-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0)]);
+    let y5 = || S::of2(&[(0, -2), (0, -1), (0, 0), (0, 1), (0, 2)]);
+    // `update_halo_cells` iterates its six fields in struct order and
+    // `update_halo_vel` its four velocities, noting one exchange per field
+    // on the dim-1 pass (mirror fills are hand loops and record nothing).
+    let cell_fields = [D0, E0, PR, VS, D1, E1];
+    let vel_fields = [XV0, YV0, XV1, YV1];
+    let halo = |body: &mut Vec<Step>, fields: &[usize], depth: usize, site: &'static str| {
         if dist {
-            for dat in [D0, E0, PR, VS, D1, E1] {
-                body.push(Step::Exchange {
-                    dat,
-                    depth: HALO,
-                    site,
-                });
-            }
-        }
-    };
-    let halo_vel = |body: &mut Vec<Step>, site: &'static str| {
-        if dist {
-            for dat in [XV0, YV0, XV1, YV1] {
-                body.push(Step::Exchange {
-                    dat,
-                    depth: 1,
-                    site,
-                });
-            }
+            body.extend(
+                fields
+                    .iter()
+                    .map(|&dat| Step::Exchange { dat, depth, site }),
+            );
         }
     };
     let mut body = vec![
-        lp("ideal_gas", cells(), vec![PR, SS], vec![D0, E0]),
-        lp("viscosity", cells(), vec![VS], vec![D0, XV0, YV0]),
+        lp(
+            "ideal_gas",
+            cells(),
+            vec![w(PR), w(SS)],
+            vec![(D0, pt()), (E0, pt())],
+        ),
+        lp(
+            "viscosity",
+            cells(),
+            vec![w(VS)],
+            vec![(D0, pt()), (XV0, quad()), (YV0, quad())],
+        ),
     ];
-    halo_cells(&mut body, "cells0");
-    body.push(lp("calc_dt", cells(), vec![], vec![SS, XV0, YV0]));
+    halo(&mut body, &cell_fields, HALO, "cells0");
+    let diag = || S::of2(&[(0, 0), (1, 1)]);
+    body.push(lp(
+        "calc_dt",
+        cells(),
+        vec![],
+        vec![(SS, pt()), (XV0, diag()), (YV0, diag())],
+    ));
     body.push(lp(
         "accelerate",
         nodes(),
-        vec![XV1, YV1],
-        vec![D0, PR, VS, XV0, YV0],
+        vec![w(XV1), w(YV1)],
+        vec![
+            (D0, nodal()),
+            (PR, nodal()),
+            (VS, nodal()),
+            (XV0, pt()),
+            (YV0, pt()),
+        ],
     ));
-    halo_vel(&mut body, "vel0");
+    halo(&mut body, &vel_fields, 1, "vel0");
     body.push(lp(
         "pdv",
         cells(),
-        vec![E1, D1],
-        vec![D0, E0, PR, VS, XV1, YV1],
+        vec![w(E1), w(D1)],
+        vec![
+            (D0, pt()),
+            (E0, pt()),
+            (PR, pt()),
+            (VS, pt()),
+            (XV1, quad()),
+            (YV1, quad()),
+        ],
     ));
+    // A face's two end nodes, and a cell's two faces, along one axis.
+    let j_pair = || S::of2(&[(0, 0), (0, 1)]);
+    let i_pair = || S::of2(&[(0, 0), (1, 0)]);
     body.push(lp(
         "flux_calc_x",
         [c(0), pp("nx", 1), c(0), p("ny"), c(0), c(1)],
-        vec![FX],
-        vec![XV0, XV1],
+        vec![w(FX)],
+        vec![(XV0, j_pair()), (XV1, j_pair())],
     ));
     body.push(lp(
         "flux_calc_y",
         [c(0), p("nx"), c(0), pp("ny", 1), c(0), c(1)],
-        vec![FY],
-        vec![YV0, YV1],
+        vec![w(FY)],
+        vec![(YV0, i_pair()), (YV1, i_pair())],
     ));
-    halo_cells(&mut body, "cells1");
-    body.push(lp("advec_cell_x", cells(), vec![WD, WE], vec![D1, E1, FX]));
+    halo(&mut body, &cell_fields, HALO, "cells1");
+    body.push(lp(
+        "advec_cell_x",
+        cells(),
+        vec![w(WD), w(WE)],
+        vec![(D1, x5()), (E1, x5()), (FX, i_pair())],
+    ));
     body.push(Step::Swap { a: D1, b: WD });
     body.push(Step::Swap { a: E1, b: WE });
-    halo_cells(&mut body, "cells2");
-    body.push(lp("advec_cell_y", cells(), vec![WD, WE], vec![D1, E1, FY]));
+    halo(&mut body, &cell_fields, HALO, "cells2");
+    body.push(lp(
+        "advec_cell_y",
+        cells(),
+        vec![w(WD), w(WE)],
+        vec![(D1, y5()), (E1, y5()), (FY, j_pair())],
+    ));
     body.push(Step::Swap { a: D1, b: WD });
     body.push(Step::Swap { a: E1, b: WE });
-    body.push(lp("advec_mom", nodes(), vec![WU, WV], vec![XV1, YV1]));
-    body.push(lp("reset_field", cells(), vec![D0, E0], vec![D1, E1]));
+    body.push(lp(
+        "advec_mom",
+        nodes(),
+        vec![w(WU), w(WV)],
+        vec![(XV1, S::plus2(1)), (YV1, S::plus2(1))],
+    ));
+    body.push(lp(
+        "reset_field",
+        cells(),
+        vec![w(D0), w(E0)],
+        vec![(D1, pt()), (E1, pt())],
+    ));
     body.push(Step::Swap { a: XV0, b: WU });
     body.push(Step::Swap { a: YV0, b: WV });
-    halo_vel(&mut body, "vel1");
+    halo(&mut body, &vel_fields, 1, "vel1");
     let epilogue = if dist {
         Vec::new()
     } else {
         vec![
-            lp("field_summary", cells(), vec![], vec![D0, E0]),
-            lp("field_summary_ke", cells(), vec![], vec![D0, XV0, YV0]),
+            lp(
+                "field_summary",
+                cells(),
+                vec![],
+                vec![(D0, pt()), (E0, pt())],
+            ),
+            lp(
+                "field_summary_ke",
+                cells(),
+                vec![],
+                vec![(D0, pt()), (XV0, quad()), (YV0, quad())],
+            ),
         ]
     };
     ChainSpec {
@@ -1251,138 +1307,11 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
         } else {
             "cloverleaf2d"
         },
-        params: vec!["nx", "ny"],
         dats,
         prologue: Vec::new(),
         body,
         epilogue,
     }
-}
-
-pub fn loop_specs() -> Vec<bwb_ops::LoopSpec> {
-    use bwb_ops::{ArgSpec as A, LoopSpec as L, Stencil as S};
-    // Cell quantity sampled at the four cells around a node.
-    let nodal = || S::of2(&[(-1, -1), (0, -1), (0, 0), (-1, 0)]);
-    // Node quantity sampled at the four corners of a cell.
-    let quad = || S::of2(&[(0, 0), (1, 0), (0, 1), (1, 1)]);
-    // Donor-cell/van Leer upwind window along one axis.
-    let x5 = || S::of2(&[(-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0)]);
-    let y5 = || S::of2(&[(0, -2), (0, -1), (0, 0), (0, 1), (0, 2)]);
-    vec![
-        L::new(
-            "ideal_gas",
-            vec![A::write("pressure"), A::write("soundspeed")],
-            vec![
-                A::read("density0", S::point()),
-                A::read("energy0", S::point()),
-            ],
-        ),
-        L::new(
-            "viscosity",
-            vec![A::write("viscosity")],
-            vec![
-                A::read("density0", S::point()),
-                A::read("xvel0", quad()),
-                A::read("yvel0", quad()),
-            ],
-        ),
-        L::new(
-            "calc_dt",
-            vec![],
-            vec![
-                A::read("soundspeed", S::point()),
-                A::read("xvel0", S::of2(&[(0, 0), (1, 1)])),
-                A::read("yvel0", S::of2(&[(0, 0), (1, 1)])),
-            ],
-        ),
-        L::new(
-            "accelerate",
-            vec![A::write("xvel1"), A::write("yvel1")],
-            vec![
-                A::read("density0", nodal()),
-                A::read("pressure", nodal()),
-                A::read("viscosity", nodal()),
-                A::read("xvel0", S::point()),
-                A::read("yvel0", S::point()),
-            ],
-        ),
-        L::new(
-            "pdv",
-            vec![A::write("energy1"), A::write("density1")],
-            vec![
-                A::read("density0", S::point()),
-                A::read("energy0", S::point()),
-                A::read("pressure", S::point()),
-                A::read("viscosity", S::point()),
-                A::read("xvel1", quad()),
-                A::read("yvel1", quad()),
-            ],
-        ),
-        L::new(
-            "flux_calc_x",
-            vec![A::write("vol_flux_x")],
-            vec![
-                A::read("xvel0", S::of2(&[(0, 0), (0, 1)])),
-                A::read("xvel1", S::of2(&[(0, 0), (0, 1)])),
-            ],
-        ),
-        L::new(
-            "flux_calc_y",
-            vec![A::write("vol_flux_y")],
-            vec![
-                A::read("yvel0", S::of2(&[(0, 0), (1, 0)])),
-                A::read("yvel1", S::of2(&[(0, 0), (1, 0)])),
-            ],
-        ),
-        L::new(
-            "advec_cell_x",
-            vec![A::write("work_d"), A::write("work_e")],
-            vec![
-                A::read("density1", x5()),
-                A::read("energy1", x5()),
-                A::read("vol_flux_x", S::of2(&[(0, 0), (1, 0)])),
-            ],
-        ),
-        L::new(
-            "advec_cell_y",
-            vec![A::write("work_d"), A::write("work_e")],
-            vec![
-                A::read("density1", y5()),
-                A::read("energy1", y5()),
-                A::read("vol_flux_y", S::of2(&[(0, 0), (0, 1)])),
-            ],
-        ),
-        L::new(
-            "advec_mom",
-            vec![A::write("work_u"), A::write("work_v")],
-            vec![A::read("xvel1", S::plus2(1)), A::read("yvel1", S::plus2(1))],
-        ),
-        L::new(
-            "reset_field",
-            vec![A::write("density0"), A::write("energy0")],
-            vec![
-                A::read("density1", S::point()),
-                A::read("energy1", S::point()),
-            ],
-        ),
-        L::new(
-            "field_summary",
-            vec![],
-            vec![
-                A::read("density0", S::point()),
-                A::read("energy0", S::point()),
-            ],
-        ),
-        L::new(
-            "field_summary_ke",
-            vec![],
-            vec![
-                A::read("density0", S::point()),
-                A::read("xvel0", quad()),
-                A::read("yvel0", quad()),
-            ],
-        ),
-    ]
 }
 
 /// The per-point closure kernels the four hottest loops ran as before they
@@ -1981,7 +1910,7 @@ mod tests {
             "field_summary",
             "field_summary_ke",
         ];
-        let specs = loop_specs();
+        let specs = chain_spec(false).loop_specs();
         for advection in [Advection::DonorCell, Advection::VanLeer] {
             let ((), loops) = bwb_ops::with_recording(|| {
                 let mut profile = Profile::new();

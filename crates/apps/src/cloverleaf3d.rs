@@ -687,21 +687,20 @@ impl Clover3 {
     }
 }
 
-/// Declared access contracts of every DSL loop in this app, for
-/// `bwb-dslcheck`. (`update_halo`/`velocity_bcs` are hand-rolled fills, not
-/// `par_loop`s, so they carry no contract.) Data-dependent upwind windows
-/// are declared at their full width; checked execution only flags reads
-/// *outside* a declaration.
-/// Declared loop chain for `dslcheck::speccheck`: the ordered loop/swap
-/// stream of one [`Clover3::cycle`] plus the single `field_summary3`
-/// reduction the registry run appends, symbolic over the cube edge `n`.
-/// There are no recorded exchanges (the 3-D app is single-rank; its
-/// `update_halo` mirrors are hand loops). Each `advec_cell` direction ends
-/// with the density1/energy1 ↔ work double-buffer swap, so three swap
-/// pairs per cycle give the chain a period-2 name rotation — exactly the
-/// runtime behaviour under `mem::swap`.
+/// Declared loop chain: the ordered loop/swap stream of one
+/// [`Clover3::cycle`] plus the single `field_summary3` reduction the
+/// registry run appends, symbolic over the cube edge `n`, with every
+/// loop's access contract stated at its step. There are no recorded
+/// exchanges (the 3-D app is single-rank; its `update_halo` mirrors and
+/// `velocity_bcs` are hand loops, not `par_loop`s, and carry no contract).
+/// Data-dependent upwind windows are declared at their full width;
+/// checked execution only flags reads *outside* a declaration. Each
+/// `advec_cell` direction ends with the density1/energy1 ↔ work
+/// double-buffer swap, so three swap pairs per cycle give the chain a
+/// period-2 name rotation — exactly the runtime behaviour under
+/// `mem::swap`.
 pub fn chain_spec() -> bwb_ops::ChainSpec {
-    use bwb_ops::{ChainSpec, DatDecl, Expr, Step};
+    use bwb_ops::{Access, ChainSpec, DatDecl, Expr, Stencil as S, Step};
     let c = Expr::c;
     let p = Expr::p;
     let pp = Expr::p_plus;
@@ -773,258 +772,150 @@ pub fn chain_spec() -> bwb_ops::ChainSpec {
     ];
     let cells = || [c(0), p("n"), c(0), p("n"), c(0), p("n")];
     let nodes = || [c(0), pp("n", 1), c(0), pp("n", 1), c(0), pp("n", 1)];
-    let lp = |spec: &'static str, range: [Expr; 6], outs: Vec<usize>, ins: Vec<usize>| Step::Loop {
-        spec,
+    let lp = |name, range, outs, ins| Step::Loop {
+        name,
         dims: 3,
         range,
         outs,
         ins,
     };
+    let w = |slot: usize| (slot, Access::Write);
+    let pt = S::point;
+    // Every offset with each component in `lo..=hi`, except along the
+    // axes in `flat`, which stay 0.
+    let block = |lo: isize, hi: isize, flat: &[usize]| {
+        let span = |axis: usize| if flat.contains(&axis) { 0..=0 } else { lo..=hi };
+        let mut v = Vec::new();
+        for dk in span(2) {
+            for dj in span(1) {
+                for di in span(0) {
+                    v.push((di, dj, dk));
+                }
+            }
+        }
+        S::of3(&v)
+    };
+    // Node quantity sampled at the 8 corners of a cell: {0,1}³.
+    let corners = || block(0, 1, &[]);
+    // Cell quantity sampled at the 8 cells around a node: {-1,0}³.
+    let nodal = || block(-1, 0, &[]);
+    // 4 face nodes of the face normal to `dir` at layer 0.
+    let face4 = |dir: usize| block(0, 1, &[dir]);
+    // Offsets `lo..=hi` along `dir`: the donor-cell window {-1, 0, 1} and
+    // the flux faces {0, 1}.
+    let along = |dir: usize, lo: isize, hi: isize| block(lo, hi, &[(dir + 1) % 3, (dir + 2) % 3]);
     let mut body = vec![
-        lp("ideal_gas3", cells(), vec![PR, SS], vec![D0, E0]),
-        lp("viscosity3", cells(), vec![VS], vec![D0, XV, YV, ZV]),
-        lp("calc_dt3", cells(), vec![], vec![SS, XV, YV, ZV]),
+        lp(
+            "ideal_gas3",
+            cells(),
+            vec![w(PR), w(SS)],
+            vec![(D0, pt()), (E0, pt())],
+        ),
+        lp(
+            "viscosity3",
+            cells(),
+            vec![w(VS)],
+            vec![
+                (D0, pt()),
+                (XV, corners()),
+                (YV, corners()),
+                (ZV, corners()),
+            ],
+        ),
+        lp(
+            "calc_dt3",
+            cells(),
+            vec![],
+            vec![(SS, pt()), (XV, pt()), (YV, pt()), (ZV, pt())],
+        ),
         lp(
             "accelerate3",
             nodes(),
-            vec![XV1, YV1, ZV1],
-            vec![D0, PR, VS, XV, YV, ZV],
+            vec![w(XV1), w(YV1), w(ZV1)],
+            vec![
+                (D0, nodal()),
+                (PR, nodal()),
+                (VS, nodal()),
+                (XV, pt()),
+                (YV, pt()),
+                (ZV, pt()),
+            ],
         ),
         lp(
             "pdv3",
             cells(),
-            vec![E1, D1],
-            vec![D0, E0, PR, VS, XV1, YV1, ZV1],
+            vec![w(E1), w(D1)],
+            vec![
+                (D0, pt()),
+                (E0, pt()),
+                (PR, pt()),
+                (VS, pt()),
+                (XV1, corners()),
+                (YV1, corners()),
+                (ZV1, corners()),
+            ],
         ),
         lp(
             "flux_calc3_x",
             [c(0), pp("n", 1), c(0), p("n"), c(0), p("n")],
-            vec![FX],
-            vec![XV, XV1],
+            vec![w(FX)],
+            vec![(XV, face4(0)), (XV1, face4(0))],
         ),
         lp(
             "flux_calc3_y",
             [c(0), p("n"), c(0), pp("n", 1), c(0), p("n")],
-            vec![FY],
-            vec![YV, YV1],
+            vec![w(FY)],
+            vec![(YV, face4(1)), (YV1, face4(1))],
         ),
         lp(
             "flux_calc3_z",
             [c(0), p("n"), c(0), p("n"), c(0), pp("n", 1)],
-            vec![FZ],
-            vec![ZV, ZV1],
+            vec![w(FZ)],
+            vec![(ZV, face4(2)), (ZV1, face4(2))],
         ),
     ];
-    for (spec, flux) in [
-        ("advec_cell3_x", FX),
-        ("advec_cell3_y", FY),
-        ("advec_cell3_z", FZ),
+    for (dir, name, flux) in [
+        (0, "advec_cell3_x", FX),
+        (1, "advec_cell3_y", FY),
+        (2, "advec_cell3_z", FZ),
     ] {
-        body.push(lp(spec, cells(), vec![WD, WE], vec![D1, E1, flux]));
+        body.push(lp(
+            name,
+            cells(),
+            vec![w(WD), w(WE)],
+            vec![
+                (D1, along(dir, -1, 1)),
+                (E1, along(dir, -1, 1)),
+                (flux, along(dir, 0, 1)),
+            ],
+        ));
         body.push(Step::Swap { a: D1, b: WD });
         body.push(Step::Swap { a: E1, b: WE });
     }
     body.push(lp(
         "advec_mom3",
         nodes(),
-        vec![XV, YV, ZV],
-        vec![XV1, YV1, ZV1],
+        vec![w(XV), w(YV), w(ZV)],
+        vec![(XV1, S::plus3(1)), (YV1, S::plus3(1)), (ZV1, S::plus3(1))],
     ));
-    body.push(lp("reset_field3", cells(), vec![D0, E0], vec![D1, E1]));
+    body.push(lp(
+        "reset_field3",
+        cells(),
+        vec![w(D0), w(E0)],
+        vec![(D1, pt()), (E1, pt())],
+    ));
     ChainSpec {
         app: "cloverleaf3d",
-        params: vec!["n"],
         dats,
         prologue: Vec::new(),
         body,
-        epilogue: vec![lp("field_summary3", cells(), vec![], vec![D0, E0])],
-    }
-}
-
-pub fn loop_specs() -> Vec<bwb_ops::LoopSpec> {
-    use bwb_ops::{ArgSpec as A, LoopSpec as L, Stencil as S};
-    // Node quantity sampled at the 8 corners of a cell: {0,1}³.
-    let corners = || {
-        let mut v = Vec::new();
-        for dk in 0..=1isize {
-            for dj in 0..=1isize {
-                for di in 0..=1isize {
-                    v.push((di, dj, dk));
-                }
-            }
-        }
-        S::of3(&v)
-    };
-    // Cell quantity sampled at the 8 cells around a node: {-1,0}³.
-    let nodal = || {
-        let mut v = Vec::new();
-        for dk in -1..=0isize {
-            for dj in -1..=0isize {
-                for di in -1..=0isize {
-                    v.push((di, dj, dk));
-                }
-            }
-        }
-        S::of3(&v)
-    };
-    // 4 face nodes of the face normal to `dir` at layer 0: offsets with the
-    // `dir` component fixed to 0 and the other two in {0,1}.
-    let face4 = |dir: usize| {
-        let mut v = Vec::new();
-        for b in 0..=1isize {
-            for a in 0..=1isize {
-                let mut o = [0isize; 3];
-                let others: [usize; 2] = match dir {
-                    0 => [1, 2],
-                    1 => [0, 2],
-                    _ => [0, 1],
-                };
-                o[others[0]] = a;
-                o[others[1]] = b;
-                v.push((o[0], o[1], o[2]));
-            }
-        }
-        S::of3(&v)
-    };
-    // Donor-cell window along `dir`: {-1, 0, 1}.
-    let upwind3 = |dir: usize| {
-        let mut v = Vec::new();
-        for d in -1..=1isize {
-            let mut o = [0isize; 3];
-            o[dir] = d;
-            v.push((o[0], o[1], o[2]));
-        }
-        S::of3(&v)
-    };
-    // Flux faces along `dir`: {0, 1}.
-    let faces2 = |dir: usize| {
-        let mut v = Vec::new();
-        for d in 0..=1isize {
-            let mut o = [0isize; 3];
-            o[dir] = d;
-            v.push((o[0], o[1], o[2]));
-        }
-        S::of3(&v)
-    };
-    let advec_cell = |dir: usize| {
-        let name = match dir {
-            0 => "advec_cell3_x",
-            1 => "advec_cell3_y",
-            _ => "advec_cell3_z",
-        };
-        let flux = match dir {
-            0 => "vol_flux_x",
-            1 => "vol_flux_y",
-            _ => "vol_flux_z",
-        };
-        L::new(
-            name,
-            vec![A::write("work_d"), A::write("work_e")],
-            vec![
-                A::read("density1", upwind3(dir)),
-                A::read("energy1", upwind3(dir)),
-                A::read(flux, faces2(dir)),
-            ],
-        )
-    };
-    let flux_calc = |dir: usize| {
-        let (name, flux, vel0, vel1) = match dir {
-            0 => ("flux_calc3_x", "vol_flux_x", "xvel", "xvel1"),
-            1 => ("flux_calc3_y", "vol_flux_y", "yvel", "yvel1"),
-            _ => ("flux_calc3_z", "vol_flux_z", "zvel", "zvel1"),
-        };
-        L::new(
-            name,
-            vec![A::write(flux)],
-            vec![A::read(vel0, face4(dir)), A::read(vel1, face4(dir))],
-        )
-    };
-    vec![
-        L::new(
-            "ideal_gas3",
-            vec![A::write("pressure"), A::write("soundspeed")],
-            vec![
-                A::read("density0", S::point()),
-                A::read("energy0", S::point()),
-            ],
-        ),
-        L::new(
-            "viscosity3",
-            vec![A::write("viscosity")],
-            vec![
-                A::read("density0", S::point()),
-                A::read("xvel", corners()),
-                A::read("yvel", corners()),
-                A::read("zvel", corners()),
-            ],
-        ),
-        L::new(
-            "calc_dt3",
-            vec![],
-            vec![
-                A::read("soundspeed", S::point()),
-                A::read("xvel", S::point()),
-                A::read("yvel", S::point()),
-                A::read("zvel", S::point()),
-            ],
-        ),
-        L::new(
-            "accelerate3",
-            vec![A::write("xvel1"), A::write("yvel1"), A::write("zvel1")],
-            vec![
-                A::read("density0", nodal()),
-                A::read("pressure", nodal()),
-                A::read("viscosity", nodal()),
-                A::read("xvel", S::point()),
-                A::read("yvel", S::point()),
-                A::read("zvel", S::point()),
-            ],
-        ),
-        L::new(
-            "pdv3",
-            vec![A::write("energy1"), A::write("density1")],
-            vec![
-                A::read("density0", S::point()),
-                A::read("energy0", S::point()),
-                A::read("pressure", S::point()),
-                A::read("viscosity", S::point()),
-                A::read("xvel1", corners()),
-                A::read("yvel1", corners()),
-                A::read("zvel1", corners()),
-            ],
-        ),
-        flux_calc(0),
-        flux_calc(1),
-        flux_calc(2),
-        advec_cell(0),
-        advec_cell(1),
-        advec_cell(2),
-        L::new(
-            "advec_mom3",
-            vec![A::write("xvel"), A::write("yvel"), A::write("zvel")],
-            vec![
-                A::read("xvel1", S::plus3(1)),
-                A::read("yvel1", S::plus3(1)),
-                A::read("zvel1", S::plus3(1)),
-            ],
-        ),
-        L::new(
-            "reset_field3",
-            vec![A::write("density0"), A::write("energy0")],
-            vec![
-                A::read("density1", S::point()),
-                A::read("energy1", S::point()),
-            ],
-        ),
-        L::new(
+        epilogue: vec![lp(
             "field_summary3",
+            cells(),
             vec![],
-            vec![
-                A::read("density0", S::point()),
-                A::read("energy0", S::point()),
-            ],
-        ),
-    ]
+            vec![(D0, pt()), (E0, pt())],
+        )],
+    }
 }
 
 #[cfg(test)]

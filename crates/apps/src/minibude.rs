@@ -290,16 +290,6 @@ impl MiniBude {
     }
 }
 
-/// miniBUDE has no DSL loops to contract: `energies()` is a hand-rolled
-/// compute kernel over pose blocks (an irregular gather the structured
-/// `par_loop` model does not describe), profiled directly. The empty
-/// contract registers the app with `bwb-dslcheck` explicitly — "nothing to
-/// analyze" is a checked claim, not an omission: any future `par_loop`
-/// added here would surface as an `undeclared_loop` violation.
-pub fn loop_specs() -> Vec<bwb_ops::LoopSpec> {
-    Vec::new()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -695,18 +695,21 @@ impl MiniWeather {
     }
 }
 
-/// Declared loop chain for `dslcheck::speccheck`: two full time steps of
-/// the serial solver — the dimensional-split order alternates
-/// x,z / z,x via `direction_switch`, so a two-step body is the natural
-/// period — followed by the two `mw_totals` mass/energy reductions the
-/// registry run appends. Slots 0‑3 are the state fields, 4‑7 the RK
-/// temporaries, 8‑11 the tendencies. Each directional sub-cycle is
-/// tend → 4 copy-updates, twice, then tend → 4 in-place updates (the two
-/// `mw_update` arities). The distributed ring exchange is a hand-rolled
+/// Declared loop chain: two full time steps of the serial solver — the
+/// dimensional-split order alternates x,z / z,x via `direction_switch`, so
+/// a two-step body is the natural period — followed by the two
+/// `mw_totals` mass/energy reductions the registry run appends, every
+/// loop's access contract stated at its step. Slots 0‑3 are the state
+/// fields, 4‑7 the RK temporaries, 8‑11 the tendencies. Each directional
+/// sub-cycle is tend → 4 copy-updates, twice, then tend → 4 in-place
+/// updates: `mw_update` runs at two arities, copy-update
+/// (`dst = init + dt·tend`, two inputs) and in-place (`state += dt·tend`,
+/// one input, declared `ReadWrite`), and observations match on
+/// `(name, #outs, #ins)`. The distributed ring exchange is a hand-rolled
 /// `comm.send` fill that records nothing, so only the serial chain is
 /// declared.
 pub fn chain_spec() -> bwb_ops::ChainSpec {
-    use bwb_ops::{ChainSpec, DatDecl, Expr, Step};
+    use bwb_ops::{Access, ChainSpec, DatDecl, Expr, Stencil as S, Step};
     const SLOT_NAMES: [&str; 12] = [
         "dens",
         "umom",
@@ -733,28 +736,50 @@ pub fn chain_spec() -> bwb_ops::ChainSpec {
         })
         .collect();
     let interior = || [c(0), p("nx"), c(0), p("nz"), c(0), c(1)];
-    let lp = |spec: &'static str, outs: Vec<usize>, ins: Vec<usize>| Step::Loop {
-        spec,
+    let lp = |name, outs, ins| Step::Loop {
+        name,
         dims: 2,
         range: interior(),
         outs,
         ins,
     };
+    let w = |slot: usize| (slot, Access::Write);
+    let point = |slot: usize| (slot, S::point());
+    let x5 = || S::of2(&[(-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0)]);
+    let z5 = || S::of2(&[(0, -2), (0, -1), (0, 0), (0, 1), (0, 2)]);
     let mut body = Vec::new();
     let dirstep = |body: &mut Vec<Step>, x_dir: bool| {
-        let tend_spec = if x_dir { "mw_tend_x" } else { "mw_tend_z" };
-        let tend = |src: usize| lp(tend_spec, vec![8, 9, 10, 11], (src..src + 4).collect());
+        let (tend_name, window) = if x_dir {
+            ("mw_tend_x", x5())
+        } else {
+            ("mw_tend_z", z5())
+        };
+        let tend = |src: usize| {
+            lp(
+                tend_name,
+                (8..12).map(w).collect(),
+                (src..src + 4).map(|s| (s, window.clone())).collect(),
+            )
+        };
         // Stages 1 and 2: tmp = state + frac·T(src), the copy arity.
         for src in [0usize, 4] {
             body.push(tend(src));
             for id in 0..4 {
-                body.push(lp("mw_update", vec![4 + id], vec![id, 8 + id]));
+                body.push(lp(
+                    "mw_update",
+                    vec![w(4 + id)],
+                    vec![point(id), point(8 + id)],
+                ));
             }
         }
         // Stage 3: state += dt·T(tmp), the in-place arity.
         body.push(tend(4));
         for id in 0..4 {
-            body.push(lp("mw_update", vec![id], vec![8 + id]));
+            body.push(lp(
+                "mw_update",
+                vec![(id, Access::ReadWrite)],
+                vec![point(8 + id)],
+            ));
         }
     };
     for x_dir in [true, false, false, true] {
@@ -762,57 +787,14 @@ pub fn chain_spec() -> bwb_ops::ChainSpec {
     }
     ChainSpec {
         app: "miniweather",
-        params: vec!["nx", "nz"],
         dats,
         prologue: Vec::new(),
         body,
         epilogue: vec![
-            lp("mw_totals", vec![], vec![0]),
-            lp("mw_totals", vec![], vec![3]),
+            lp("mw_totals", vec![], vec![point(0)]),
+            lp("mw_totals", vec![], vec![point(3)]),
         ],
     }
-}
-
-/// Declared access contracts of every loop in this app, for `bwb-dslcheck`.
-///
-/// `mw_update` runs in two arities: copy-update (`dst = init + dt·tend`, two
-/// inputs) and in-place (`state += dt·tend`, one input); each gets a spec and
-/// observations match on `(name, #outs, #ins)`.
-pub fn loop_specs() -> Vec<bwb_ops::LoopSpec> {
-    use bwb_ops::{ArgSpec as A, LoopSpec as L, Stencil as S};
-    let x5 = || S::of2(&[(-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0)]);
-    let z5 = || S::of2(&[(0, -2), (0, -1), (0, 0), (0, 1), (0, 2)]);
-    let tends = || {
-        vec![
-            A::write("tend_dens"),
-            A::write("tend_umom"),
-            A::write("tend_wmom"),
-            A::write("tend_rhot"),
-        ]
-    };
-    let state = |s: fn() -> S| {
-        vec![
-            A::read("dens", s()),
-            A::read("umom", s()),
-            A::read("wmom", s()),
-            A::read("rhot", s()),
-        ]
-    };
-    vec![
-        L::new("mw_tend_x", tends(), state(x5)),
-        L::new("mw_tend_z", tends(), state(z5)),
-        L::new(
-            "mw_update",
-            vec![A::write("dst")],
-            vec![A::read("init", S::point()), A::read("tend", S::point())],
-        ),
-        L::new(
-            "mw_update",
-            vec![A::read_write("state")],
-            vec![A::read("tend", S::point())],
-        ),
-        L::new("mw_totals", vec![], vec![A::read("state", S::point())]),
-    ]
 }
 
 #[cfg(test)]

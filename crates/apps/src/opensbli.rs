@@ -575,16 +575,23 @@ impl OpenSbli {
     }
 }
 
-/// Declared loop chain for `dslcheck::speccheck`: one SSP-RK3 step over a
-/// parametric `n³` interior. Slots 0‑4 are `q`, 5‑9 `q1`, 10‑14 `q2`,
-/// 15‑19 `rhs`, 20‑49 the 30 derivative work arrays (Store‑All only —
-/// Store‑None never touches them, and unused slots are harmless).
-/// `periodic_halos` is a hand-rolled fill that records nothing, so the
-/// chain carries no exchanges; the declared chain always takes the
-/// unfused path, matching the `!recording_active()` guard in
+/// Declared loop chain: one SSP-RK3 step over a parametric `n³`
+/// interior, every loop's access contract stated at its step. Slots 0‑4
+/// are `q`, 5‑9 `q1`, 10‑14 `q2`, 15‑19 `rhs`, 20‑49 the 30 derivative
+/// work arrays (Store‑All only — Store‑None never touches them, and unused
+/// slots are harmless). `periodic_halos` is a hand-rolled fill, not a
+/// `par_loop`: it records nothing and carries no contract, so the chain
+/// has no exchanges. The declared chain always takes the unfused path,
+/// matching the `!recording_active()` guard in
 /// [`OpenSbli::rhs_store_all`].
+///
+/// `sbli_rk` runs at two arities. The `(1 out, 2 ins)` arity covers both
+/// RK stage 1 (`q1 = q + dt·L`, a pure overwrite) and stage 3
+/// (`q = 1/3 q + …`, which reads the output back through its row slice), so
+/// both declare their output `ReadWrite` — the mode that admits both, and
+/// one shape may only carry one contract.
 pub fn chain_spec(store_all: bool) -> bwb_ops::ChainSpec {
-    use bwb_ops::{ChainSpec, DatDecl, Expr, Step};
+    use bwb_ops::{Access, ChainSpec, DatDecl, Expr, Stencil, Step};
     const NAMES: [&str; 50] = [
         "q0", "q1", "q2", "q3", "q4", "q1_0", "q1_1", "q1_2", "q1_3", "q1_4", "q2_0", "q2_1",
         "q2_2", "q2_3", "q2_4", "rhs0", "rhs1", "rhs2", "rhs3", "rhs4", "wk0", "wk1", "wk2", "wk3",
@@ -604,47 +611,67 @@ pub fn chain_spec(store_all: bool) -> bwb_ops::ChainSpec {
         })
         .collect();
     let interior = || [c(0), p("n"), c(0), p("n"), c(0), p("n")];
-    let lp = |spec: &'static str, outs: Vec<usize>, ins: Vec<usize>| Step::Loop {
-        spec,
+    let lp = |name, outs, ins| Step::Loop {
+        name,
         dims: 3,
         range: interior(),
         outs,
         ins,
     };
+    let w = |slot: usize| (slot, Access::Write);
+    let rw = |slot: usize| (slot, Access::ReadWrite);
+    let point = |slot: usize| (slot, Stencil::point());
+    // 4th-order central differences: the radius-2 star.
+    let star2 = |slot: usize| (slot, Stencil::plus3(RADIUS));
     let mut body = Vec::new();
     let rhs = |body: &mut Vec<Step>, base: usize| {
         if store_all {
             for f in 0..NFIELDS {
                 body.push(lp(
                     "sbli_sa_derivs",
-                    (20 + 6 * f..20 + 6 * f + 6).collect(),
-                    vec![base + f],
+                    (20 + 6 * f..20 + 6 * f + 6).map(w).collect(),
+                    vec![star2(base + f)],
                 ));
             }
             for f in 0..NFIELDS {
                 body.push(lp(
                     "sbli_sa_combine",
-                    vec![15 + f],
-                    (20 + 6 * f..20 + 6 * f + 6).collect(),
+                    vec![w(15 + f)],
+                    (20 + 6 * f..20 + 6 * f + 6).map(point).collect(),
                 ));
             }
         } else {
             for f in 0..NFIELDS {
-                body.push(lp("sbli_sn_fused", vec![15 + f], vec![base + f]));
+                body.push(lp("sbli_sn_fused", vec![w(15 + f)], vec![star2(base + f)]));
             }
         }
     };
     rhs(&mut body, 0);
+    // Stage 1: q1 = q + dt·L(q).
     for f in 0..NFIELDS {
-        body.push(lp("sbli_rk", vec![5 + f], vec![f, 15 + f]));
+        body.push(lp(
+            "sbli_rk",
+            vec![rw(5 + f)],
+            vec![point(f), point(15 + f)],
+        ));
     }
     rhs(&mut body, 5);
+    // Stage 2: q2 = 3/4 q + 1/4 (q1 + dt·L(q1)).
     for f in 0..NFIELDS {
-        body.push(lp("sbli_rk", vec![10 + f], vec![f, 5 + f, 15 + f]));
+        body.push(lp(
+            "sbli_rk",
+            vec![w(10 + f)],
+            vec![point(f), point(5 + f), point(15 + f)],
+        ));
     }
     rhs(&mut body, 10);
+    // Stage 3: q = 1/3 q + 2/3 (q2 + dt·L(q2)), reading q back in place.
     for f in 0..NFIELDS {
-        body.push(lp("sbli_rk", vec![f], vec![10 + f, 15 + f]));
+        body.push(lp(
+            "sbli_rk",
+            vec![rw(f)],
+            vec![point(10 + f), point(15 + f)],
+        ));
     }
     ChainSpec {
         app: if store_all {
@@ -652,73 +679,11 @@ pub fn chain_spec(store_all: bool) -> bwb_ops::ChainSpec {
         } else {
             "opensbli_sn"
         },
-        params: vec!["n"],
         dats,
         prologue: Vec::new(),
         body,
         epilogue: Vec::new(),
     }
-}
-
-/// Declared access contracts of every DSL loop in this app (both
-/// variants), for `bwb-dslcheck`. (`periodic_halos` is a hand-rolled fill,
-/// not a `par_loop`, so it carries no contract.)
-///
-/// `sbli_rk` runs at two arities. The `(1 out, 2 ins)` arity covers both
-/// RK stage 1 (`q1 = q + dt·L`, a pure overwrite) and stage 3
-/// (`q = q/3 + …`, which reads the output back through its row slice), so
-/// its output is declared `ReadWrite` — the mode that admits both.
-pub fn loop_specs() -> Vec<bwb_ops::LoopSpec> {
-    use bwb_ops::{ArgSpec as A, LoopSpec as L, Stencil as S};
-    // 4th-order central differences: the radius-2 star.
-    let star2 = || S::plus3(RADIUS);
-    vec![
-        L::new(
-            "sbli_sa_derivs",
-            vec![
-                A::write("wk_dx1"),
-                A::write("wk_dy1"),
-                A::write("wk_dz1"),
-                A::write("wk_dx2"),
-                A::write("wk_dy2"),
-                A::write("wk_dz2"),
-            ],
-            vec![A::read("q", star2())],
-        ),
-        L::new(
-            "sbli_sa_combine",
-            vec![A::write("rhs")],
-            vec![
-                A::read("wk_dx1", S::point()),
-                A::read("wk_dy1", S::point()),
-                A::read("wk_dz1", S::point()),
-                A::read("wk_dx2", S::point()),
-                A::read("wk_dy2", S::point()),
-                A::read("wk_dz2", S::point()),
-            ],
-        ),
-        L::new(
-            "sbli_sn_fused",
-            vec![A::write("rhs")],
-            vec![A::read("q", star2())],
-        ),
-        // RK stages 1 and 3 (see above: ReadWrite covers both).
-        L::new(
-            "sbli_rk",
-            vec![A::read_write("q_next")],
-            vec![A::read("q_src", S::point()), A::read("rhs", S::point())],
-        ),
-        // RK stage 2: q2 = 3/4 q + 1/4 (q1 + dt·L(q1)).
-        L::new(
-            "sbli_rk",
-            vec![A::write("q2")],
-            vec![
-                A::read("q", S::point()),
-                A::read("q1", S::point()),
-                A::read("rhs", S::point()),
-            ],
-        ),
-    ]
 }
 
 #[cfg(test)]

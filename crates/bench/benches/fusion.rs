@@ -9,38 +9,15 @@
 //!  * `clover_cycle` — one CloverLeaf2D hydro cycle with `ideal_gas` and
 //!    `viscosity` either as two passes or one fused pass.
 //!
-//! The plan is derived the honest way — record the app, run the dataflow
-//! analyzer, export the certificates — so the bench also exercises the full
-//! analyze→plan→execute pipeline rather than a hand-built plan.
+//! The plan is the one `analyze --static` exports — the certificates
+//! derived from each app's declared chain, which `analyze` validates
+//! against a recorded run — so the bench also exercises the full
+//! declare→plan→execute pipeline rather than a hand-built plan.
 
 use bwb_core::apps::{cloverleaf2d, opensbli};
-use bwb_core::ops::access::with_recording_full;
-use bwb_core::ops::{ExecMode, OptPlan, Profile};
-use bwb_dslcheck::DataflowReport;
+use bwb_core::ops::{ExecMode, Profile};
+use bwb_dslcheck::static_plan;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-
-fn opensbli_plan(cfg: &opensbli::Config) -> OptPlan {
-    let rcfg = cfg.clone();
-    let ((), rec) = with_recording_full(move || {
-        let mut sim = opensbli::OpenSbli::new(rcfg);
-        let mut p = Profile::new();
-        sim.step(&mut p);
-    });
-    DataflowReport::analyze("opensbli_sa", &opensbli::loop_specs(), &rec).export_plan()
-}
-
-fn clover_plan(cfg: &cloverleaf2d::Config) -> OptPlan {
-    let rcfg = cfg.clone();
-    let ((), rec) = with_recording_full(move || {
-        let mut sim = cloverleaf2d::Clover2::new(rcfg);
-        let mut p = Profile::new();
-        for _ in 0..2 {
-            sim.cycle(&mut p, None);
-        }
-        sim.field_summary(&mut p);
-    });
-    DataflowReport::analyze("cloverleaf2d", &cloverleaf2d::loop_specs(), &rec).export_plan()
-}
 
 fn bench_opensbli(c: &mut Criterion) {
     let n = 48;
@@ -51,7 +28,7 @@ fn bench_opensbli(c: &mut Criterion) {
         mode: ExecMode::Serial,
         ..opensbli::Config::default()
     };
-    let plan = opensbli_plan(&cfg);
+    let plan = static_plan("opensbli_sa").expect("opensbli_sa declares a chain");
     assert!(
         !plan.groups.is_empty(),
         "opensbli_sa must certify a fusion group"
@@ -84,7 +61,7 @@ fn bench_clover(c: &mut Criterion) {
         advection: cloverleaf2d::Advection::VanLeer,
         ..cloverleaf2d::Config::default()
     };
-    let plan = clover_plan(&cfg);
+    let plan = static_plan("cloverleaf2d").expect("cloverleaf2d declares a chain");
     assert!(
         !plan.groups.is_empty(),
         "cloverleaf2d must certify a fusion group"

@@ -13,7 +13,6 @@
 //! ```text
 //! cargo run --release -p bwb-bench --bin optexec                # full sizes
 //! cargo run --release -p bwb-bench --bin optexec -- --quick     # CI sizes
-//! cargo run --release -p bwb-bench --bin optexec -- --emit-bench  # + BENCH_<host>.json
 //! ```
 //!
 //! Exit status is 0 only when every app is bit-identical under its plan and
@@ -100,7 +99,11 @@ fn run_opensbli(reps: usize, quick: bool) -> AppResult {
         let mut p = Profile::new();
         sim.step(&mut p);
     });
-    let report = DataflowReport::analyze("opensbli_sa", &opensbli::loop_specs(), &rec);
+    let report = DataflowReport::analyze(
+        "opensbli_sa",
+        &opensbli::chain_spec(true).loop_specs(),
+        &rec,
+    );
     let plan = report.export_plan();
 
     let checksum = |plan: Option<OptPlan>| -> u64 {
@@ -163,7 +166,11 @@ fn run_clover_single(reps: usize, quick: bool) -> AppResult {
         }
         sim.field_summary(&mut p);
     });
-    let report = DataflowReport::analyze("cloverleaf2d", &cloverleaf2d::loop_specs(), &rec);
+    let report = DataflowReport::analyze(
+        "cloverleaf2d",
+        &cloverleaf2d::chain_spec(false).loop_specs(),
+        &rec,
+    );
     let plan = report.export_plan();
 
     let density_bits = |plan: Option<OptPlan>| -> Vec<u64> {
@@ -231,7 +238,11 @@ fn run_clover_dist(reps: usize, quick: bool) -> AppResult {
         rec
     });
     let rec = out.results.into_iter().next().expect("rank 0 recording");
-    let report = DataflowReport::analyze("clover2d_dist", &cloverleaf2d::loop_specs(), &rec);
+    let report = DataflowReport::analyze(
+        "clover2d_dist",
+        &cloverleaf2d::chain_spec(true).loop_specs(),
+        &rec,
+    );
     let plan = report.export_plan();
 
     let gathered = |plan: Option<OptPlan>| -> (Vec<u64>, u64) {
@@ -301,7 +312,8 @@ fn run_acoustic(reps: usize, quick: bool) -> AppResult {
         }
         sim.energy(&mut p);
     });
-    let report = DataflowReport::analyze("acoustic", &acoustic::loop_specs(), &rec);
+    let report =
+        DataflowReport::analyze("acoustic", &acoustic::chain_spec(false).loop_specs(), &rec);
     let plan = report.export_plan();
 
     let energy_bits = |plan: Option<OptPlan>| -> u64 {
@@ -342,109 +354,9 @@ fn run_acoustic(reps: usize, quick: bool) -> AppResult {
     }
 }
 
-fn emit_bench(results: &[AppResult], reps: usize) {
-    let host = std::process::Command::new("hostname")
-        .output()
-        .ok()
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string());
-    let apps = results
-        .iter()
-        .map(|r| {
-            let comm = r
-                .comm_bytes
-                .map(|(b, o)| format!(",\"comm_bytes\":{{\"baseline\":{b},\"optimized\":{o}}}"))
-                .unwrap_or_default();
-            format!(
-                concat!(
-                    "{{\"app\":\"{}\",\"config\":\"{}\",\"bit_identical\":{},",
-                    "\"median_ms\":{{\"baseline\":{:.3},\"optimized\":{:.3}}},",
-                    "\"measured_traffic_bytes\":{{\"baseline\":{},\"optimized\":{}}},",
-                    "\"measured_reduction_pct\":{:.2},\"modelled_nt_gain\":{:.4},",
-                    "\"certs\":{{\"fusion_groups\":{},\"elisions\":{},\"nt\":{}}}{}}}"
-                ),
-                r.name,
-                r.config,
-                r.bit_identical,
-                r.base_ms,
-                r.opt_ms,
-                r.base_replay.moved_bytes,
-                r.opt_replay.moved_bytes,
-                r.traffic_reduction_pct(),
-                r.modelled_gain,
-                r.fusion_groups,
-                r.elisions,
-                r.nt,
-                comm,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    // Analyzer wall-times, static (execution-free speccheck over the
-    // declared chain) vs recorded (instrumented run + analysis), so the
-    // certification-latency numbers in EXPERIMENTS.md are pinned to a
-    // snapshot alongside the executor measurements they certify.
-    let speccheck = bwb_dslcheck::crosscheck_all()
-        .iter()
-        .map(|c| {
-            format!(
-                concat!(
-                    "{{\"app\":\"{}\",\"certs\":{},",
-                    "\"static_us\":{:.1},\"recorded_us\":{:.1}}}"
-                ),
-                c.app,
-                c.static_certs,
-                c.static_nanos as f64 / 1e3,
-                c.dynamic_nanos as f64 / 1e3,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    // Placement-search wall times and searched-space sizes (the static
-    // half of the placement story): how long placecheck takes to search
-    // and self-verify every gate rank count per app, and how many
-    // candidates its dominance proof covers — the scaling trajectory the
-    // O(100)-rank work tracks.
-    let placecheck = {
-        let platform = bwb_core::machine::platforms::xeon_max_9480();
-        bwb_dslcheck::placecheck::FLOW_APPS
-            .iter()
-            .map(|app| {
-                let t0 = std::time::Instant::now();
-                let mut searched = 0usize;
-                let mut clean = true;
-                for &n in &bwb_dslcheck::placecheck::GATE_RANKS {
-                    let plan =
-                        bwb_dslcheck::placecheck::search(app, n, &platform).expect("registry app");
-                    searched += plan.space.len();
-                    clean &= bwb_dslcheck::placecheck::verify_plan(&plan, &platform).is_empty();
-                }
-                format!(
-                    "{{\"app\":\"{}\",\"searched\":{},\"clean\":{},\"search_us\":{:.1}}}",
-                    app,
-                    searched,
-                    clean,
-                    t0.elapsed().as_nanos() as f64 / 1e3,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let json = format!(
-        "{{\"bench\":\"optexec\",\"host\":\"{host}\",\"reps\":{reps},\
-         \"apps\":[{apps}],\"speccheck\":[{speccheck}],\"placecheck\":[{placecheck}]}}"
-    );
-    let path = format!("BENCH_{host}.json");
-    std::fs::write(&path, &json).expect("write bench json");
-    eprintln!("wrote {path}");
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let emit = args.iter().any(|a| a == "--emit-bench");
     let reps = if quick { 1 } else { 3 };
 
     let results = vec![
@@ -488,10 +400,6 @@ fn main() -> ExitCode {
             r.elisions,
             r.nt,
         );
-    }
-
-    if emit {
-        emit_bench(&results, reps);
     }
 
     if results.iter().all(|r| r.ok()) {

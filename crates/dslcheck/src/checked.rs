@@ -9,12 +9,6 @@ use crate::violation::{Kind, Violation};
 use bwb_ops::access::{Access, LoopObs, LoopSpec};
 use std::collections::BTreeSet;
 
-fn find_spec<'s>(specs: &'s [LoopSpec], obs: &LoopObs) -> Option<&'s LoopSpec> {
-    specs.iter().find(|s| {
-        s.name == obs.name && s.outs.len() == obs.outs.len() && s.ins.len() == obs.ins.len()
-    })
-}
-
 /// Diff every recorded structured loop against its declared contract.
 /// Violations are deduplicated (apps invoke the same loop every iteration).
 pub fn check_structured(app: &str, specs: &[LoopSpec], obs: &[LoopObs]) -> Vec<Violation> {
@@ -30,7 +24,7 @@ pub fn check_structured(app: &str, specs: &[LoopSpec], obs: &[LoopObs]) -> Vec<V
     };
 
     for o in obs {
-        let Some(spec) = find_spec(specs, o) else {
+        let Some(spec) = LoopSpec::find(specs, &o.name, o.outs.len(), o.ins.len()) else {
             push(Kind::UndeclaredLoop {
                 loop_name: o.name.clone(),
                 outs: o.outs.len(),

@@ -13,7 +13,7 @@
 //! sound: the name travels with the buffer, so a name-keyed timeline is a
 //! buffer-keyed timeline.
 
-use bwb_ops::access::{Access, ExchangeObs, LoopObs, LoopSpec, Recording};
+use bwb_ops::access::{Access, ExchangeObs, LoopSpec, Recording};
 use std::collections::BTreeMap;
 
 /// How one loop touched one field, after joining declaration and
@@ -101,12 +101,6 @@ pub struct DefUseGraph {
     pub exchanges: Vec<ExchangeObs>,
 }
 
-fn find_spec<'s>(specs: &'s [LoopSpec], obs: &LoopObs) -> Option<&'s LoopSpec> {
-    specs.iter().find(|s| {
-        s.name == obs.name && s.outs.len() == obs.outs.len() && s.ins.len() == obs.ins.len()
-    })
-}
-
 fn range_points(range: [isize; 6]) -> usize {
     let span = |a: isize, b: isize| (b - a).max(0) as usize;
     span(range[0], range[1]) * span(range[2], range[3]) * span(range[4], range[5])
@@ -143,7 +137,7 @@ impl DefUseGraph {
                 exchange_idx += 1;
             }
 
-            let spec = find_spec(specs, o);
+            let spec = LoopSpec::find(specs, &o.name, o.outs.len(), o.ins.len());
             let points = range_points(o.range);
             let outs: Vec<ArgNode> = o
                 .outs

@@ -41,9 +41,14 @@
 //!   model, and emit a certified [`PlacementPlan`] — crosschecked
 //!   byte-exact against recorded `CommLog`s at small rank counts.
 //!
+//! * [`speccheck`] — **certification from the declared chain**: derive the
+//!   whole-chain dataflow report of each structured app from its
+//!   `bwb_ops::ChainSpec` without executing anything, and validate the
+//!   declaration by comparing a recorded run against it in lockstep.
+//!
 //! Every registered app is stated once, as an [`AppEntry`] of
 //! [`registry::APPS`]; [`check_all`], [`dataflow_all`], [`static_all`],
-//! [`crosscheck_all`], [`comm_check_all`], [`parametric_check_all`] and
+//! [`comm_check_all`], [`parametric_check_all`] and
 //! [`placement_check_all`] are passes over that table. The `analyze`
 //! binary in `bwb-bench` renders them as JSON reports and gates CI on them.
 
@@ -82,8 +87,8 @@ pub use race::check_unstructured;
 pub use registry::{check_all, dataflow_all, AppEntry, AppReport};
 pub use replay::{replay, ReplayConfig, ReplayStats};
 pub use speccheck::{
-    analyze_static, crosscheck, crosscheck_all, stability, static_all, static_plan,
-    static_report_for, Crosscheck, CrosscheckReport, StaticAppReport,
+    analyze_static, check_recording, stability, static_all, static_plan, static_report_for,
+    StaticAppReport,
 };
 pub use traffic::{
     check_streaming_claims, derive as derive_traffic, nt_certs, nt_certs_with_floor, AppTraffic,

@@ -1,15 +1,14 @@
 //! The app table: every registered app stated once, every analysis a pass
 //! over it.
 //!
-//! An [`AppEntry`] carries an app's CI-sized local run, its loop
-//! contracts, its declared chain (or the typed reason none can exist) and
-//! — for the distributed apps — the topology family, drivers and flow
+//! An [`AppEntry`] carries an app's CI-sized local run, its declared chain
+//! — which states its loop contracts — or the typed reason none can exist,
+//! and — for the distributed apps — the topology family, drivers and flow
 //! model of its distributed half. [`check_all`] and [`dataflow_all`] here,
-//! `static_all` / `crosscheck_all` in `speccheck`, `comm_check_all`,
-//! `parametric_check_all` and `placement_check_all` in their own modules
-//! are passes over [`APPS`]; zero violations across them is the repo's
-//! correctness claim for its parallel schedules, and the `analyze` binary
-//! gates CI on it.
+//! `static_all` in `speccheck`, `comm_check_all`, `parametric_check_all`
+//! and `placement_check_all` in their own modules are passes over
+//! [`APPS`]; zero violations across them is the repo's correctness claim
+//! for its parallel schedules, and the `analyze` binary gates CI on it.
 
 use crate::checked::check_structured;
 use crate::comm::parametric::TopologyFamily;
@@ -17,21 +16,23 @@ use crate::dataflow::{DataflowReport, Limitation};
 use crate::placecheck::flows::{self, PhaseFlow};
 use crate::plan::check_halo_depth;
 use crate::race::check_unstructured;
+use crate::speccheck::{chain_report, check_recording};
 use crate::violation::Violation;
 use bwb_apps::{
     acoustic, cloverleaf2d, cloverleaf3d, mgcfd, minibude, miniweather, opensbli, volna,
 };
 use bwb_op2::{with_recording_u, ULoopObs, ULoopSpec};
 use bwb_ops::access::{with_recording_full, Recording};
-use bwb_ops::{ChainSpec, LoopSpec, Profile};
+use bwb_ops::{Binding, ChainSpec, Profile};
 use bwb_shmpi::{Comm, Universe};
 
-/// An app's CI-sized local run under the engine's recorder, with the loop
-/// contracts it is checked against.
+/// An app's CI-sized local run under the engine's recorder.
 pub enum LocalRun {
     /// ops app: the recording's loops feed checked execution and the
-    /// halo-depth audit, the whole recording the dataflow analysis.
-    Structured(fn() -> Recording, fn() -> Vec<LoopSpec>),
+    /// halo-depth audit against the contracts its declared chain states
+    /// (none for an undeclarable entry), and the whole recording is
+    /// compared with the chain's instantiation.
+    Structured(fn() -> Recording),
     /// op2 app: the observation list feeds the coloring race check. The
     /// op2 recorder sees output accesses only, so whole-chain dataflow over
     /// closure reads would be unsound and reports are limited.
@@ -39,7 +40,8 @@ pub enum LocalRun {
 }
 
 /// The declared loop chain that reproduces a structured entry's recording
-/// without executing it — the static analyzer's input.
+/// without executing it — its loop contracts, and the static analyzer's
+/// input.
 pub enum Chain {
     /// The chain, its parameter binding at the CI size, and the number of
     /// body iterations.
@@ -78,7 +80,7 @@ pub struct AppEntry {
 pub const APPS: &[AppEntry] = &[
     AppEntry {
         name: "cloverleaf2d",
-        local: LocalRun::Structured(clover2_local, cloverleaf2d::loop_specs),
+        local: LocalRun::Structured(clover2_local),
         chain: Chain::Declared(
             || cloverleaf2d::chain_spec(false),
             &[("nx", 24), ("ny", 24)],
@@ -97,7 +99,7 @@ pub const APPS: &[AppEntry] = &[
     // hydro loops, which is what the elision certifier walks.
     AppEntry {
         name: "clover2d_dist",
-        local: LocalRun::Structured(|| record_rank0(clover2_ci), cloverleaf2d::loop_specs),
+        local: LocalRun::Structured(|| record_rank0(clover2_ci)),
         chain: Chain::Declared(
             || cloverleaf2d::chain_spec(true),
             &[("nx", 12), ("ny", 12)],
@@ -107,13 +109,13 @@ pub const APPS: &[AppEntry] = &[
     },
     AppEntry {
         name: "cloverleaf3d",
-        local: LocalRun::Structured(clover3_local, cloverleaf3d::loop_specs),
+        local: LocalRun::Structured(clover3_local),
         chain: Chain::Declared(cloverleaf3d::chain_spec, &[("n", 12)], 2),
         dist: None,
     },
     AppEntry {
         name: "acoustic",
-        local: LocalRun::Structured(acoustic_local, acoustic::loop_specs),
+        local: LocalRun::Structured(acoustic_local),
         chain: Chain::Declared(
             || acoustic::chain_spec(false),
             &[("nx", 16), ("ny", 16), ("nz", 16)],
@@ -132,7 +134,7 @@ pub const APPS: &[AppEntry] = &[
     // Rank 0 of the 4-rank CI run: 16³ over (2,2,1) ranks is 8×8×16 locally.
     AppEntry {
         name: "acoustic_dist",
-        local: LocalRun::Structured(|| record_rank0(acoustic_ci), acoustic::loop_specs),
+        local: LocalRun::Structured(|| record_rank0(acoustic_ci)),
         chain: Chain::Declared(
             || acoustic::chain_spec(true),
             &[("nx", 8), ("ny", 8), ("nz", 16)],
@@ -142,26 +144,20 @@ pub const APPS: &[AppEntry] = &[
     },
     AppEntry {
         name: "opensbli_sa",
-        local: LocalRun::Structured(
-            || opensbli_local(opensbli::Variant::StoreAll),
-            opensbli::loop_specs,
-        ),
+        local: LocalRun::Structured(|| opensbli_local(opensbli::Variant::StoreAll)),
         chain: Chain::Declared(|| opensbli::chain_spec(true), &[("n", 10)], 2),
         dist: None,
     },
     AppEntry {
         name: "opensbli_sn",
-        local: LocalRun::Structured(
-            || opensbli_local(opensbli::Variant::StoreNone),
-            opensbli::loop_specs,
-        ),
+        local: LocalRun::Structured(|| opensbli_local(opensbli::Variant::StoreNone)),
         chain: Chain::Declared(|| opensbli::chain_spec(false), &[("n", 10)], 2),
         dist: None,
     },
     // One chain body is the two-step period of the x,z / z,x split order.
     AppEntry {
         name: "miniweather",
-        local: LocalRun::Structured(miniweather_local, miniweather::loop_specs),
+        local: LocalRun::Structured(miniweather_local),
         chain: Chain::Declared(
             miniweather::chain_spec,
             &[("nx", 24), ("nz", 12)],
@@ -195,10 +191,11 @@ pub const APPS: &[AppEntry] = &[
     },
     // miniBUDE has no DSL loops (its docking kernel is a hand-rolled pose
     // sweep): recording it anyway makes "nothing to analyze" a checked
-    // claim rather than an omission.
+    // claim rather than an omission — with no chain there are no
+    // contracts, so any `par_loop` added there is an `undeclared_loop`.
     AppEntry {
         name: "minibude",
-        local: LocalRun::Structured(minibude_local, minibude::loop_specs),
+        local: LocalRun::Structured(minibude_local),
         chain: Chain::Undeclarable(Limitation::NoDslLoops),
         dist: Some(Distributed {
             family: TopologyFamily::Star,
@@ -450,12 +447,28 @@ impl AppReport {
 }
 
 impl AppEntry {
-    /// Checked execution and halo-depth audit (ops) or coloring race check
-    /// (op2) of the local run.
+    /// The declared chain with its CI-sized binding and body iterations.
+    pub fn declared(&self) -> Option<(ChainSpec, Binding, usize)> {
+        let Chain::Declared(chain, binding, iters) = self.chain else {
+            return None;
+        };
+        let binding = binding
+            .iter()
+            .fold(Binding::new(), |b, &(name, v)| b.set(name, v));
+        Some((chain(), binding, iters))
+    }
+
+    /// Checked execution, halo-depth audit and declaration check (ops) or
+    /// coloring race check (op2) of the local run.
     fn check(&self) -> AppReport {
         let (loops_checked, violations) = match self.local {
-            LocalRun::Structured(record, specs) => {
-                let (rec, specs) = (record(), specs());
+            LocalRun::Structured(record) => {
+                let rec = record();
+                let declared = self.declared();
+                let specs = declared
+                    .as_ref()
+                    .map(|(chain, ..)| chain.loop_specs())
+                    .unwrap_or_default();
                 let mut violations = check_structured(self.name, &specs, &rec.loops);
                 violations.extend(check_halo_depth(
                     self.name,
@@ -463,6 +476,9 @@ impl AppEntry {
                     &rec.loops,
                     &rec.exchanges,
                 ));
+                if let Some((chain, binding, iters)) = &declared {
+                    violations.extend(check_recording(chain, binding, *iters, &rec));
+                }
                 (rec.loops.len(), violations)
             }
             LocalRun::Unstructured(record, specs) => {
@@ -477,17 +493,20 @@ impl AppEntry {
         }
     }
 
-    /// Whole-chain dataflow report of the local run — the *dynamic* half of
-    /// the static/dynamic cross-check. Apps the analysis cannot soundly
-    /// cover get an honest limited report.
+    /// Whole-chain dataflow report: for a declared entry the analysis of
+    /// its chain (no app code runs), otherwise an honest limited report of
+    /// the local run.
     pub fn dataflow(&self) -> DataflowReport {
+        if let Some((chain, binding, iters)) = self.declared() {
+            return chain_report(self.name, &chain, &binding, iters);
+        }
         match self.local {
-            LocalRun::Structured(record, specs) => {
+            LocalRun::Structured(record) => {
                 let rec = record();
                 if rec.loops.is_empty() {
                     DataflowReport::limited(self.name, 0, Limitation::NoDslLoops)
                 } else {
-                    DataflowReport::analyze(self.name, &specs(), &rec)
+                    DataflowReport::analyze(self.name, &[], &rec)
                 }
             }
             LocalRun::Unstructured(record, _) => {
@@ -513,6 +532,7 @@ pub fn dataflow_all() -> Vec<DataflowReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::violation::Kind;
 
     #[test]
     fn all_registered_apps_are_clean() {
@@ -524,6 +544,43 @@ mod tests {
             }
             assert!(report.clean(), "{}: {:?}", report.app, report.violations);
         }
+    }
+
+    /// A declaration that disagrees with the run it declares fails the
+    /// gate even where every certificate survives: CloverLeaf 2D with
+    /// `soundspeed` declared 4-byte only moves the traffic figures, and the
+    /// recorded run refutes it at the first loop that writes it.
+    #[test]
+    fn a_mis_declared_element_size_fails_the_declaration_check() {
+        let planted = AppEntry {
+            name: "cloverleaf2d",
+            local: LocalRun::Structured(clover2_local),
+            chain: Chain::Declared(
+                || {
+                    let mut chain = cloverleaf2d::chain_spec(false);
+                    let ss = chain.dats.iter_mut().find(|d| d.name == "soundspeed");
+                    ss.expect("declared").elem_bytes = 4;
+                    chain
+                },
+                &[("nx", 24), ("ny", 24)],
+                2,
+            ),
+            dist: None,
+        };
+        let violations = planted.check().violations;
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        let Kind::ChainDivergence {
+            at,
+            what,
+            declared,
+            recorded,
+        } = &violations[0].kind
+        else {
+            panic!("{violations:?}");
+        };
+        assert_eq!(*at, 0);
+        assert_eq!(what, "loop 'ideal_gas' out 1 'soundspeed' elem_bytes");
+        assert_eq!((declared.as_str(), recorded.as_str()), ("4", "8"));
     }
 
     #[test]

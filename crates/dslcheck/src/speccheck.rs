@@ -1,14 +1,15 @@
-//! speccheck — execution-free static certification of optimization plans.
+//! speccheck — certification from the declared chain, and the check that
+//! keeps the declaration honest.
 //!
-//! The dynamic pipeline records an app under instrumented execution and
-//! derives certificates (`FusionGroupCert` / `ElisionCert` / `NtCert`)
-//! from the observed loop/exchange stream. This module derives the *same*
-//! certificates without executing anything: each app declares its loop
-//! chain once as a [`ChainSpec`] — an ordered, parametric program of
-//! loops, halo exchanges, and buffer swaps over symbolically-sized dats —
-//! and [`analyze_static`] abstractly interprets that declaration into a
-//! synthetic [`bwb_ops::access::Recording`] which the unmodified
-//! [`DataflowReport`] analyzers consume.
+//! Each structured app declares its loop chain once as a [`ChainSpec`] —
+//! an ordered, parametric program of loops (each with its access
+//! contract), halo exchanges, and buffer swaps over symbolically-sized
+//! dats. [`analyze_static`] validates that declaration, abstractly
+//! interprets it into a synthetic [`bwb_ops::access::Recording`], and runs
+//! the unmodified [`DataflowReport`] analyzers over it. For a declared app
+//! this is the one source of fusion / elision / streaming-store
+//! certificates: `analyze --dataflow`, `analyze --static`, [`static_plan`]
+//! and the serve front end all read it.
 //!
 //! # Abstract domains
 //!
@@ -21,11 +22,9 @@
 //!   field's sequence of writes, reads, and exchanges lands in the same
 //!   order the recorder would observe.
 //! * **Stencil-footprint reachability.** Synthetic `ArgObs` carry *empty*
-//!   observed-offset sets. The def-use graph joins observed radii with
-//!   declared stencil radii via `max`, so a clean registry (observed ⊆
-//!   declared, enforced by checked execution) makes the declared radius
-//!   the join in both pipelines — footprints agree without sampling a
-//!   single access.
+//!   observed-offset sets, so the def-use graph's join of observed and
+//!   declared radii is the declared radius — which checked execution
+//!   proves is never exceeded (observed ⊆ declared).
 //! * **Halo-validity state machines.** `Step::Exchange` lands in the
 //!   timeline at its loop-ordinal position, driving the ghost
 //!   valid/stale/refreshed automaton the elision certifier walks — same
@@ -34,118 +33,186 @@
 //! # Soundness
 //!
 //! Certificates are functions of the def-use graph alone, and the graph
-//! is a function of `(specs, recording)`. [`crosscheck`] makes the
-//! remaining gap — "does the declared stream match the executed stream?"
-//! — a checked claim: any certificate derived statically but absent
-//! dynamically (or vice versa) becomes a
-//! [`Kind::StaticDynamicDivergence`] violation, and CI fails on it. A
-//! chain that does not even validate (unknown contract, unbound
-//! parameter, bad slot, inconsistent geometry) yields
-//! [`Kind::UnderspecifiedChain`] instead of certificates.
+//! is a function of `(loop_specs, recording)`; here both come from the
+//! declaration. They hold for a run when two provisos hold, and the
+//! default `analyze` gate (`check_all`) checks both on every declared
+//! entry's CI-sized recorded run:
+//!
+//! * **Stream equality.** [`check_recording`] walks the recording in
+//!   lockstep with `instantiate(binding, iters)`; the first loop (name,
+//!   dims, range, arity), argument (runtime name, halo, extent, element
+//!   size) or exchange (dat, depth, position, site) that differs becomes
+//!   one [`Kind::ChainDivergence`].
+//! * **Contract containment.** Checked execution diffs every observed
+//!   offset and output access against the chain's derived
+//!   [`ChainSpec::loop_specs`].
 //!
 //! [`stability`] adds a parametricity check: the position-free cert
 //! projections must not change when the chain runs one more iteration,
 //! catching declarations that only coincidentally match at the CI size.
+//! A chain that does not validate (a shape stated with two contracts, an
+//! unbound parameter, a bad slot, inconsistent geometry) yields
+//! [`Kind::UnderspecifiedChain`] instead of certificates.
 
 use crate::dataflow::{DataflowReport, Limitation};
-use crate::registry::{entry, AppEntry, Chain, LocalRun, APPS};
+use crate::registry::{entry, AppEntry, Chain, APPS};
 use crate::violation::{Kind, Violation};
-use bwb_ops::{Binding, ChainSpec, LoopSpec, OptPlan};
+use bwb_ops::access::{ArgObs, ExchangeObs, LoopObs, Recording};
+use bwb_ops::{Binding, ChainSpec, OptPlan};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-/// Statically analyze a declared chain: validate it against the loop
-/// contracts, instantiate the synthetic recording at `binding`/`iters`,
-/// and run the standard dataflow analysis over it. `Err` carries
+/// Validate a declared chain and instantiate it; `Err` carries one
+/// [`Kind::UnderspecifiedChain`] violation per problem.
+fn instantiate_valid(
+    spec: &ChainSpec,
+    binding: &Binding,
+    iters: usize,
+) -> Result<Recording, Vec<Violation>> {
+    let underspecified = |detail: String| Violation {
+        app: spec.app.to_string(),
+        kind: Kind::UnderspecifiedChain { detail },
+    };
+    let errs = spec.validate();
+    if !errs.is_empty() {
+        return Err(errs
+            .into_iter()
+            .map(|e| underspecified(e.to_string()))
+            .collect());
+    }
+    spec.instantiate(binding, iters)
+        .map_err(|e| vec![underspecified(e.to_string())])
+}
+
+/// Statically analyze a declared chain: validate it, instantiate the
+/// synthetic recording at `binding`/`iters`, and run the standard dataflow
+/// analysis over it against the chain's own contracts. `Err` carries
 /// [`Kind::UnderspecifiedChain`] violations; nothing is certified from a
 /// malformed declaration.
 pub fn analyze_static(
     spec: &ChainSpec,
-    specs: &[LoopSpec],
     binding: &Binding,
     iters: usize,
 ) -> Result<DataflowReport, Vec<Violation>> {
-    let errs = spec.validate(specs);
-    if !errs.is_empty() {
-        return Err(errs
-            .into_iter()
-            .map(|e| Violation {
+    let rec = instantiate_valid(spec, binding, iters)?;
+    Ok(DataflowReport::analyze(spec.app, &spec.loop_specs(), &rec))
+}
+
+/// Validate a declared chain against a recorded run of the program it
+/// declares: the recording must equal `instantiate(binding, iters)` loop
+/// for loop, argument for argument and exchange for exchange. Returns the
+/// first difference as a [`Kind::ChainDivergence`], or the chain's
+/// [`Kind::UnderspecifiedChain`] problems; empty when the two agree.
+pub fn check_recording(
+    spec: &ChainSpec,
+    binding: &Binding,
+    iters: usize,
+    recorded: &Recording,
+) -> Vec<Violation> {
+    match instantiate_valid(spec, binding, iters) {
+        Ok(declared) => divergence(&declared, recorded)
+            .map(|kind| Violation {
                 app: spec.app.to_string(),
-                kind: Kind::UnderspecifiedChain {
-                    detail: e.to_string(),
-                },
+                kind,
             })
-            .collect());
-    }
-    let rec = spec.instantiate(binding, iters).map_err(|e| {
-        vec![Violation {
-            app: spec.app.to_string(),
-            kind: Kind::UnderspecifiedChain {
-                detail: e.to_string(),
-            },
-        }]
-    })?;
-    Ok(DataflowReport::analyze(spec.app, specs, &rec))
-}
-
-/// The two directions a static/dynamic comparison can diverge in.
-#[derive(Debug, Default)]
-pub struct Crosscheck {
-    /// Certificates the chain derived that the recorded run refutes —
-    /// unsound static claims. Any entry is a hard failure.
-    pub divergent: Vec<Violation>,
-    /// Certificates the recorded run derived that the chain missed —
-    /// incomplete (not unsound) static coverage. Zero for a faithful
-    /// declaration.
-    pub missed: Vec<Violation>,
-}
-
-impl Crosscheck {
-    /// Static certs ⊆ dynamic certs (the soundness direction).
-    pub fn sound(&self) -> bool {
-        self.divergent.is_empty()
-    }
-
-    /// Exact agreement in both directions.
-    pub fn exact(&self) -> bool {
-        self.divergent.is_empty() && self.missed.is_empty()
+            .into_iter()
+            .collect(),
+        Err(violations) => violations,
     }
 }
 
-fn diff_family(
-    app: &str,
-    family: &str,
-    stat: &BTreeSet<String>,
-    dynamic: &BTreeSet<String>,
-    out: &mut Crosscheck,
-) {
-    for cert in stat.difference(dynamic) {
-        out.divergent.push(Violation {
-            app: app.to_string(),
-            kind: Kind::StaticDynamicDivergence {
-                family: family.to_string(),
-                cert: cert.clone(),
-                static_only: true,
-            },
-        });
+/// The first place the recorded stream departs from the declared one:
+/// loops first, in program order, then exchanges.
+fn divergence(declared: &Recording, recorded: &Recording) -> Option<Kind> {
+    let kind = |at, (what, declared, recorded): (String, String, String)| Kind::ChainDivergence {
+        at,
+        what,
+        declared,
+        recorded,
+    };
+    let loops = declared.loops.len().max(recorded.loops.len());
+    for at in 0..loops {
+        let diff = match (declared.loops.get(at), recorded.loops.get(at)) {
+            (Some(d), Some(r)) => loop_diff(d, r),
+            (d, r) => {
+                let show =
+                    |l: Option<&LoopObs>| l.map_or("nothing".to_string(), |l| l.name.clone());
+                Some(("loop".into(), show(d), show(r)))
+            }
+        };
+        if let Some(diff) = diff {
+            return Some(kind(at, diff));
+        }
     }
-    for cert in dynamic.difference(stat) {
-        out.missed.push(Violation {
-            app: app.to_string(),
-            kind: Kind::StaticDynamicDivergence {
-                family: family.to_string(),
-                cert: cert.clone(),
-                static_only: false,
-            },
-        });
-    }
+    let exchanges = declared.exchanges.len().max(recorded.exchanges.len());
+    (0..exchanges).find_map(|i| {
+        let (d, r) = (declared.exchanges.get(i), recorded.exchanges.get(i));
+        if d == r {
+            return None;
+        }
+        let show = |e: Option<&ExchangeObs>| {
+            e.map_or("nothing".into(), |e| {
+                format!(
+                    "'{}' depth {} site '{}' after loop #{}",
+                    e.dat, e.depth, e.site, e.at
+                )
+            })
+        };
+        let at = d.or(r).map_or(0, |e| e.at);
+        Some(kind(at, (format!("exchange #{i}"), show(d), show(r))))
+    })
 }
 
-fn fusion_set(r: &DataflowReport) -> BTreeSet<String> {
-    r.groups
+/// `(what, declared, recorded)` for the first field two loops disagree on.
+fn loop_diff(d: &LoopObs, r: &LoopObs) -> Option<(String, String, String)> {
+    if d.name != r.name {
+        return Some(("loop".into(), d.name.clone(), r.name.clone()));
+    }
+    let shape = [
+        ("dims", d.dims.to_string(), r.dims.to_string()),
+        ("range", format!("{:?}", d.range), format!("{:?}", r.range)),
+        ("outs", d.outs.len().to_string(), r.outs.len().to_string()),
+        ("ins", d.ins.len().to_string(), r.ins.len().to_string()),
+    ];
+    if let Some((field, a, b)) = shape.into_iter().find(|(_, a, b)| a != b) {
+        return Some((format!("loop '{}' {field}", d.name), a, b));
+    }
+    let outs = d
+        .outs
         .iter()
-        .map(|g| format!("[{}] {}", g.start, g.names.join("+")))
-        .collect()
+        .zip(&r.outs)
+        .enumerate()
+        .map(|(k, p)| ("out", k, p));
+    let ins = d
+        .ins
+        .iter()
+        .zip(&r.ins)
+        .enumerate()
+        .map(|(k, p)| ("in", k, p));
+    outs.chain(ins).find_map(|(role, k, (a, b))| {
+        let (field, declared, recorded) = arg_diff(a, b)?;
+        let what = format!("loop '{}' {role} {k} '{}' {field}", d.name, a.name);
+        Some((what, declared, recorded))
+    })
+}
+
+fn arg_diff(d: &ArgObs, r: &ArgObs) -> Option<(&'static str, String, String)> {
+    [
+        ("name", d.name.clone(), r.name.clone()),
+        ("halo", d.halo.to_string(), r.halo.to_string()),
+        (
+            "extent",
+            format!("{:?}", d.extent),
+            format!("{:?}", r.extent),
+        ),
+        (
+            "elem_bytes",
+            d.elem_bytes.to_string(),
+            r.elem_bytes.to_string(),
+        ),
+    ]
+    .into_iter()
+    .find(|(_, a, b)| a != b)
 }
 
 fn elision_set(r: &DataflowReport) -> BTreeSet<String> {
@@ -161,65 +228,6 @@ fn nt_set(r: &DataflowReport) -> BTreeSet<String> {
         .collect()
 }
 
-fn lint_set(r: &DataflowReport) -> BTreeSet<String> {
-    r.violations
-        .iter()
-        .map(|v| format!("{}: {}", v.kind.tag(), v.kind))
-        .collect()
-}
-
-/// Cross-validate a statically derived report against a recording-derived
-/// one, certificate family by certificate family. Lint verdicts
-/// (dead stores, exchange lints) are compared too: the static analyzer
-/// must neither invent nor miss a diagnostic.
-pub fn crosscheck(stat: &DataflowReport, dynamic: &DataflowReport) -> Crosscheck {
-    let mut out = Crosscheck::default();
-    let app = stat.app.as_str();
-    diff_family(
-        app,
-        "fusion",
-        &fusion_set(stat),
-        &fusion_set(dynamic),
-        &mut out,
-    );
-    diff_family(
-        app,
-        "elision",
-        &elision_set(stat),
-        &elision_set(dynamic),
-        &mut out,
-    );
-    diff_family(app, "nt", &nt_set(stat), &nt_set(dynamic), &mut out);
-    diff_family(app, "lint", &lint_set(stat), &lint_set(dynamic), &mut out);
-    if stat.loops != dynamic.loops {
-        out.divergent.push(Violation {
-            app: app.to_string(),
-            kind: Kind::StaticDynamicDivergence {
-                family: "stream".to_string(),
-                cert: format!(
-                    "declared chain yields {} loops, recording has {}",
-                    stat.loops, dynamic.loops
-                ),
-                static_only: true,
-            },
-        });
-    }
-    if stat.exchanges != dynamic.exchanges {
-        out.divergent.push(Violation {
-            app: app.to_string(),
-            kind: Kind::StaticDynamicDivergence {
-                family: "stream".to_string(),
-                cert: format!(
-                    "declared chain yields {} exchanges, recording has {}",
-                    stat.exchanges, dynamic.exchanges
-                ),
-                static_only: true,
-            },
-        });
-    }
-    out
-}
-
 /// Parametric-stability check: re-derive the certificates at one more
 /// body iteration and require the position-free projections to agree —
 /// elision and streaming-store certs are site/name-keyed and must be
@@ -227,15 +235,10 @@ pub fn crosscheck(stat: &DataflowReport, dynamic: &DataflowReport) -> Crosscheck
 /// `iters` must recur at `iters + 1`. A chain whose certs shift with the
 /// iteration count only coincidentally matched the recorded run, which is
 /// exactly the underspecification this flags.
-pub fn stability(
-    spec: &ChainSpec,
-    specs: &[LoopSpec],
-    binding: &Binding,
-    iters: usize,
-) -> Vec<Violation> {
+pub fn stability(spec: &ChainSpec, binding: &Binding, iters: usize) -> Vec<Violation> {
     let (a, b) = match (
-        analyze_static(spec, specs, binding, iters),
-        analyze_static(spec, specs, binding, iters + 1),
+        analyze_static(spec, binding, iters),
+        analyze_static(spec, binding, iters + 1),
     ) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => return e,
@@ -278,39 +281,26 @@ pub fn stability(
     out
 }
 
-/// One execution-free pass over an entry's declared chain.
-struct StaticPass {
-    analysis: Result<DataflowReport, Vec<Violation>>,
-    /// Parametric-stability violations (none when the analysis failed).
-    unstable: Vec<Violation>,
-    /// Wall time of validate + instantiate + analyze + stability, in ns.
-    nanos: u128,
-}
-
-impl AppEntry {
-    /// Analyze the declared chain and check its parametric stability,
-    /// without executing anything. `None` when the entry declares no chain.
-    fn static_pass(&self) -> Option<StaticPass> {
-        let (LocalRun::Structured(_, specs), Chain::Declared(chain, binding, iters)) =
-            (&self.local, &self.chain)
-        else {
-            return None;
-        };
-        let (chain, specs) = (chain(), specs());
-        let binding = binding
-            .iter()
-            .fold(Binding::new(), |b, &(name, v)| b.set(name, v));
-        let t0 = Instant::now();
-        let analysis = analyze_static(&chain, &specs, &binding, *iters);
-        let unstable = match analysis {
-            Ok(_) => stability(&chain, &specs, &binding, *iters),
-            Err(_) => Vec::new(),
-        };
-        Some(StaticPass {
-            analysis,
-            unstable,
-            nanos: t0.elapsed().as_nanos(),
-        })
+/// The whole-chain report of a declared chain: the static analysis with
+/// its parametric-stability findings folded into the violations, or — for
+/// a chain that does not validate — an unanalyzed report carrying why.
+pub(crate) fn chain_report(
+    app: &str,
+    spec: &ChainSpec,
+    binding: &Binding,
+    iters: usize,
+) -> DataflowReport {
+    match analyze_static(spec, binding, iters) {
+        Ok(mut rep) => {
+            rep.violations.extend(stability(spec, binding, iters));
+            rep
+        }
+        Err(violations) => {
+            let mut rep = DataflowReport::limited(app, 0, Limitation::NoDslLoops);
+            rep.limitation = None;
+            rep.violations = violations;
+            rep
+        }
     }
 }
 
@@ -331,32 +321,25 @@ impl StaticAppReport {
 }
 
 impl AppEntry {
-    /// Execution-free report, parametric-stability findings folded into
-    /// its violations. `None` when the entry declares no chain.
-    fn static_report(&self) -> Option<StaticAppReport> {
-        let pass = self.static_pass()?;
-        let report = match pass.analysis {
-            Ok(mut rep) => {
-                rep.violations.extend(pass.unstable);
-                rep
-            }
-            Err(violations) => {
-                let mut rep = DataflowReport::limited(self.name, 0, Limitation::NoDslLoops);
-                rep.limitation = None;
-                rep.violations = violations;
-                rep
-            }
+    /// The entry's execution-free verdict, timed: its chain report, or the
+    /// limited report its [`Limitation`] states where no chain can exist.
+    fn static_report(&self) -> StaticAppReport {
+        let t0 = Instant::now();
+        let report = match self.chain {
+            Chain::Declared(..) => self.dataflow(),
+            Chain::Undeclarable(why) => DataflowReport::limited(self.name, 0, why),
         };
-        Some(StaticAppReport {
+        StaticAppReport {
             report,
-            nanos: pass.nanos,
-        })
+            nanos: t0.elapsed().as_nanos(),
+        }
     }
 }
 
 /// Execution-free report for one app; `None` when it declares no chain.
 pub fn static_report_for(app: &str) -> Option<StaticAppReport> {
-    entry(app)?.static_report()
+    let e = entry(app).filter(|e| matches!(e.chain, Chain::Declared(..)))?;
+    Some(e.static_report())
 }
 
 /// Statically certify every registered app from its declared chain — no
@@ -364,15 +347,7 @@ pub fn static_report_for(app: &str) -> Option<StaticAppReport> {
 /// entry's [`Limitation`]; underspecified chains and parametric
 /// instabilities surface as violations, never as silent gaps.
 pub fn static_all() -> Vec<StaticAppReport> {
-    APPS.iter()
-        .map(|e| match e.chain {
-            Chain::Declared(..) => e.static_report().expect("declared on an ops entry"),
-            Chain::Undeclarable(why) => StaticAppReport {
-                report: DataflowReport::limited(e.name, 0, why),
-                nanos: 0,
-            },
-        })
-        .collect()
+    APPS.iter().map(AppEntry::static_report).collect()
 }
 
 /// The statically derived optimization plan for `app`, ready for an
@@ -383,85 +358,11 @@ pub fn static_plan(app: &str) -> Option<OptPlan> {
         .map(|s| s.report.export_plan())
 }
 
-/// Static-vs-dynamic verdict for one structured app.
-#[derive(Debug)]
-pub struct CrosscheckReport {
-    pub app: String,
-    /// Certificates derived statically but refuted by the recording —
-    /// unsound static claims; any entry is a hard CI failure.
-    pub divergent: Vec<Violation>,
-    /// Certificates the recording derived that the chain missed.
-    pub missed: Vec<Violation>,
-    /// Parametric-stability violations of the chain itself.
-    pub unstable: Vec<Violation>,
-    pub static_certs: usize,
-    pub dynamic_certs: usize,
-    pub static_nanos: u128,
-    pub dynamic_nanos: u128,
-}
-
-impl CrosscheckReport {
-    /// Zero divergence in either direction and a stable chain.
-    pub fn exact(&self) -> bool {
-        self.divergent.is_empty() && self.missed.is_empty() && self.unstable.is_empty()
-    }
-}
-
-fn cert_count(r: &DataflowReport) -> usize {
-    r.groups.len() + r.elisions.len() + r.nt.len()
-}
-
-/// Cross-validate every declarable app: derive its certificates from the
-/// declared chain (static) and from its recording (dynamic), and diff the
-/// two sets family by family. The soundness contract is static ⊆ dynamic;
-/// the table's stronger checked claim is exact equality.
-pub fn crosscheck_all() -> Vec<CrosscheckReport> {
-    APPS.iter()
-        .filter_map(|e| {
-            let pass = e.static_pass()?;
-            let t0 = Instant::now();
-            let dynamic = e.dataflow();
-            let dynamic_nanos = t0.elapsed().as_nanos();
-            let (divergent, missed, static_certs) = match pass.analysis {
-                Ok(stat) => {
-                    let cc = crosscheck(&stat, &dynamic);
-                    (cc.divergent, cc.missed, cert_count(&stat))
-                }
-                Err(violations) => (violations, Vec::new(), 0),
-            };
-            Some(CrosscheckReport {
-                app: e.name.to_string(),
-                divergent,
-                missed,
-                unstable: pass.unstable,
-                static_certs,
-                dynamic_certs: cert_count(&dynamic),
-                static_nanos: pass.nanos,
-                dynamic_nanos,
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bwb_ops::{ArgSpec, ChainSpec, DatDecl, Expr, Stencil, Step};
-
-    fn toy_specs() -> Vec<LoopSpec> {
-        vec![
-            LoopSpec::new(
-                "stage_a",
-                vec![ArgSpec::write("tmp")],
-                vec![ArgSpec::read("src", Stencil::plus2(1))],
-            ),
-            LoopSpec::new(
-                "stage_b",
-                vec![ArgSpec::write("dst")],
-                vec![ArgSpec::read("tmp", Stencil::plus2(1))],
-            ),
-        ]
-    }
+    use crate::registry::LocalRun;
+    use bwb_ops::{Access, DatDecl, Expr, Stencil, Step};
 
     fn toy_chain() -> ChainSpec {
         let c = Expr::c;
@@ -472,37 +373,29 @@ mod tests {
             extent: [p("n"), p("n"), Expr::c(1)],
             elem_bytes: 8,
         };
-        let range = || [c(0), p("n"), c(0), p("n"), c(0), c(1)];
+        let stage = |name, out, input| Step::Loop {
+            name,
+            dims: 2,
+            range: [c(0), p("n"), c(0), p("n"), c(0), c(1)],
+            outs: vec![(out, Access::Write)],
+            ins: vec![(input, Stencil::plus2(1))],
+        };
         ChainSpec {
             app: "toy",
-            params: vec!["n"],
             dats: vec![dat("src"), dat("tmp"), dat("dst")],
             prologue: Vec::new(),
-            body: vec![
-                Step::Loop {
-                    spec: "stage_a",
-                    dims: 2,
-                    range: range(),
-                    outs: vec![1],
-                    ins: vec![0],
-                },
-                Step::Loop {
-                    spec: "stage_b",
-                    dims: 2,
-                    range: range(),
-                    outs: vec![2],
-                    ins: vec![1],
-                },
-            ],
+            body: vec![stage("stage_a", 1, 0), stage("stage_b", 2, 1)],
             epilogue: Vec::new(),
         }
     }
 
+    fn n16() -> Binding {
+        Binding::new().set("n", 16)
+    }
+
     #[test]
     fn static_analysis_of_valid_chain_succeeds() {
-        let specs = toy_specs();
-        let b = Binding::new().set("n", 16);
-        let rep = analyze_static(&toy_chain(), &specs, &b, 2).expect("valid chain");
+        let rep = analyze_static(&toy_chain(), &n16(), 2).expect("valid chain");
         assert_eq!(rep.loops, 4);
         // The toy chain has a genuine inter-iteration dead store (nothing
         // reads `dst` before the next iteration overwrites it) and the
@@ -517,58 +410,95 @@ mod tests {
     }
 
     #[test]
-    fn unknown_contract_is_underspecified_chain() {
+    fn conflicting_contract_is_underspecified_chain() {
         let mut chain = toy_chain();
-        if let Step::Loop { spec, .. } = &mut chain.body[0] {
-            *spec = "no_such_loop";
+        if let Step::Loop { name, .. } = &mut chain.body[1] {
+            *name = "stage_a";
         }
-        let b = Binding::new().set("n", 16);
-        let errs = analyze_static(&chain, &toy_specs(), &b, 1).unwrap_err();
-        assert!(errs
-            .iter()
-            .all(|v| matches!(v.kind, Kind::UnderspecifiedChain { .. })));
-        assert!(!errs.is_empty());
+        if let Step::Loop { outs, .. } = &mut chain.body[1] {
+            outs[0].1 = Access::ReadWrite;
+        }
+        let errs = analyze_static(&chain, &n16(), 1).unwrap_err();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(matches!(errs[0].kind, Kind::UnderspecifiedChain { .. }));
     }
 
     #[test]
     fn unbound_param_is_underspecified_chain() {
-        let b = Binding::new(); // "n" missing
-        let errs = analyze_static(&toy_chain(), &toy_specs(), &b, 1).unwrap_err();
+        let errs = analyze_static(&toy_chain(), &Binding::new(), 1).unwrap_err();
         assert!(errs
             .iter()
             .any(|v| matches!(v.kind, Kind::UnderspecifiedChain { .. })));
     }
 
     #[test]
-    fn identical_reports_crosscheck_exactly() {
-        let specs = toy_specs();
-        let b = Binding::new().set("n", 16);
-        let rep = analyze_static(&toy_chain(), &specs, &b, 2).unwrap();
-        let cc = crosscheck(&rep, &rep);
-        assert!(cc.exact());
+    fn a_run_equal_to_its_declaration_validates() {
+        let chain = toy_chain();
+        let rec = chain.instantiate(&n16(), 2).unwrap();
+        assert!(check_recording(&chain, &n16(), 2, &rec).is_empty());
     }
 
     #[test]
     fn planted_stream_divergence_is_detected() {
-        // Same chain, one fewer iteration on the "dynamic" side: every
-        // position-indexed cert family shifts, and the stream lengths
-        // disagree — the crosscheck must flag it in the hard direction.
-        let specs = toy_specs();
-        let b = Binding::new().set("n", 16);
-        let stat = analyze_static(&toy_chain(), &specs, &b, 3).unwrap();
-        let dynamic = analyze_static(&toy_chain(), &specs, &b, 2).unwrap();
-        let cc = crosscheck(&stat, &dynamic);
-        assert!(!cc.sound(), "divergence not detected");
-        assert!(cc
-            .divergent
-            .iter()
-            .any(|v| matches!(&v.kind, Kind::StaticDynamicDivergence { family, .. } if family == "stream")));
+        let chain = toy_chain();
+        let truth = chain.instantiate(&n16(), 2).unwrap();
+        let divergence = |rec: &Recording| match &check_recording(&chain, &n16(), 2, rec)[..] {
+            [Violation {
+                kind:
+                    Kind::ChainDivergence {
+                        at,
+                        what,
+                        declared,
+                        recorded,
+                    },
+                ..
+            }] => (*at, what.clone(), declared.clone(), recorded.clone()),
+            other => panic!("{other:?}"),
+        };
+        let mut rec = truth.clone();
+        rec.loops[3].ins[0].halo = 2;
+        let (at, what, declared, recorded) = divergence(&rec);
+        assert_eq!((at, declared.as_str(), recorded.as_str()), (3, "1", "2"));
+        assert_eq!(what, "loop 'stage_b' in 0 'tmp' halo");
+
+        let mut rec = truth.clone();
+        rec.loops.pop();
+        assert_eq!(
+            divergence(&rec),
+            (3, "loop".into(), "stage_b".into(), "nothing".into())
+        );
+
+        let mut rec = truth;
+        rec.exchanges.push(ExchangeObs {
+            dat: "src".into(),
+            depth: 1,
+            at: 2,
+            site: String::new(),
+        });
+        let (at, what, declared, _) = divergence(&rec);
+        assert_eq!(
+            (at, what.as_str(), declared.as_str()),
+            (2, "exchange #0", "nothing")
+        );
+    }
+
+    /// Stream equality is what makes one pipeline enough: for every
+    /// declared entry, analyzing its recorded run against the chain's
+    /// contracts yields the chain's own report, byte for byte.
+    #[test]
+    fn static_certs_match_recorded_certs_exactly() {
+        for e in APPS {
+            let (Some((chain, ..)), LocalRun::Structured(record)) = (e.declared(), &e.local) else {
+                continue;
+            };
+            let recorded = DataflowReport::analyze(e.name, &chain.loop_specs(), &record());
+            assert_eq!(recorded.to_json(), e.dataflow().to_json(), "{}", e.name);
+        }
     }
 
     #[test]
     fn toy_chain_is_parametrically_stable() {
-        let b = Binding::new().set("n", 16);
-        assert!(stability(&toy_chain(), &toy_specs(), &b, 2).is_empty());
+        assert!(stability(&toy_chain(), &n16(), 2).is_empty());
     }
 
     /// Satellite claim: *every* registry app appears in the static report —
@@ -630,43 +560,6 @@ mod tests {
         assert!(
             sa.report.groups.iter().any(|g| g.names.len() >= 10),
             "opensbli_sa: RHS fusion group not statically certified"
-        );
-    }
-
-    /// The repo's soundness gate: certificates derived from the declared
-    /// chains agree with certificates derived from instrumented runs,
-    /// rule for rule, in both directions, for every declarable app — and
-    /// the chains are parametrically stable (certs unchanged at one more
-    /// iteration).
-    #[test]
-    fn static_certs_match_recorded_certs_exactly() {
-        let reports = crosscheck_all();
-        assert_eq!(reports.len(), 8, "expected all structured apps");
-        for r in &reports {
-            assert!(
-                r.divergent.is_empty(),
-                "{}: unsound static certs: {:?}",
-                r.app,
-                r.divergent
-            );
-            assert!(
-                r.missed.is_empty(),
-                "{}: chain missed recorded certs: {:?}",
-                r.app,
-                r.missed
-            );
-            assert!(
-                r.unstable.is_empty(),
-                "{}: parametric instability: {:?}",
-                r.app,
-                r.unstable
-            );
-            assert_eq!(r.static_certs, r.dynamic_certs, "{}", r.app);
-        }
-        // The cross-check must compare something real somewhere.
-        assert!(
-            reports.iter().map(|r| r.static_certs).sum::<usize>() > 0,
-            "no certificates compared"
         );
     }
 

@@ -221,24 +221,22 @@ pub enum Kind {
     /// template (per-rank schedules diverge, or a re-lift at a sampled
     /// rank count disagreed with the certified template).
     TemplateDivergence { detail: String },
-    /// A certificate derived statically from the declared chain is not
-    /// among the certificates derived from the recorded run (or vice
-    /// versa) — the declaration and the executable disagree about the
-    /// loop/exchange stream, so the static plan cannot be trusted.
-    StaticDynamicDivergence {
-        /// Which certificate family diverged ("fusion", "elision", "nt",
-        /// "dead_store", "exchange").
-        family: String,
-        /// Human-readable rendering of the divergent certificate.
-        cert: String,
-        /// True when the cert exists statically but not dynamically (an
-        /// unsound static claim); false for the merely-incomplete
-        /// direction (dynamic cert the chain failed to predict).
-        static_only: bool,
+    /// A recorded run parts from the stream its declared chain
+    /// instantiates: the first loop, argument or exchange where the two
+    /// differ. Everything certified from the declaration rests on the two
+    /// being equal.
+    ChainDivergence {
+        /// Loop ordinal of the difference (for an exchange: the loops
+        /// completed before it).
+        at: usize,
+        /// Which field differs, e.g. `loop 'pdv' in 2 'pressure' elem_bytes`.
+        what: String,
+        declared: String,
+        recorded: String,
     },
-    /// The declared chain itself is malformed: a step references an
-    /// unknown loop contract, an unbound parameter, an out-of-range dat
-    /// slot, or inconsistent geometry — static analysis refuses to
+    /// The declared chain itself is malformed: a loop shape stated with
+    /// two contracts, an unbound parameter, an out-of-range dat slot, or
+    /// inconsistent geometry — static analysis refuses to
     /// certify anything from it.
     UnderspecifiedChain { detail: String },
     /// The static per-link byte flow derived from an app's communication
@@ -299,7 +297,7 @@ impl Kind {
             Kind::ParametricDeadlock { .. } => "parametric_deadlock",
             Kind::TagCollision { .. } => "tag_collision",
             Kind::TemplateDivergence { .. } => "template_divergence",
-            Kind::StaticDynamicDivergence { .. } => "static_dynamic_divergence",
+            Kind::ChainDivergence { .. } => "chain_divergence",
             Kind::UnderspecifiedChain { .. } => "underspecified_chain",
             Kind::PlacementFlowDivergence { .. } => "placement_flow_divergence",
             Kind::DominatedPlacement { .. } => "dominated_placement",
@@ -555,18 +553,16 @@ impl fmt::Display for Kind {
             Kind::TemplateDivergence { detail } => {
                 write!(f, "cannot lift a rank-parametric template: {detail}")
             }
-            Kind::StaticDynamicDivergence {
-                family,
-                cert,
-                static_only,
-            } => {
-                let dir = if *static_only {
-                    "statically derived but refuted by the recorded run"
-                } else {
-                    "derived from the recorded run but missed by the declared chain"
-                };
-                write!(f, "{family} certificate {dir}: {cert}")
-            }
+            Kind::ChainDivergence {
+                at,
+                what,
+                declared,
+                recorded,
+            } => write!(
+                f,
+                "recorded run diverges from the declared chain at loop #{at}: \
+                 {what} declared {declared}, recorded {recorded}"
+            ),
             Kind::UnderspecifiedChain { detail } => {
                 write!(f, "declared chain is underspecified: {detail}")
             }

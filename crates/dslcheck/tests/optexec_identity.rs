@@ -163,7 +163,12 @@ fn exported_app_plans_round_trip_through_json() {
         let mut p = Profile::new();
         sim.step(&mut p);
     });
-    let plan = DataflowReport::analyze("opensbli_sa", &opensbli::loop_specs(), &rec).export_plan();
+    let plan = DataflowReport::analyze(
+        "opensbli_sa",
+        &opensbli::chain_spec(true).loop_specs(),
+        &rec,
+    )
+    .export_plan();
     assert!(!plan.groups.is_empty(), "expected fusion certificates");
     assert_eq!(OptPlan::from_json(&plan.to_json()).unwrap(), plan);
 
@@ -182,7 +187,7 @@ fn exported_app_plans_round_trip_through_json() {
     });
     let plan = DataflowReport::analyze(
         "clover2d_dist",
-        &cloverleaf2d::loop_specs(),
+        &cloverleaf2d::chain_spec(true).loop_specs(),
         &out.results[0],
     )
     .export_plan();
@@ -211,7 +216,7 @@ fn clover_dist_plan_guided_gathered_density_is_bit_identical() {
     });
     let plan = DataflowReport::analyze(
         "clover2d_dist",
-        &cloverleaf2d::loop_specs(),
+        &cloverleaf2d::chain_spec(true).loop_specs(),
         &out.results[0],
     )
     .export_plan();
@@ -257,8 +262,8 @@ proptest! {
             let mut p = Profile::new();
             sim.step(&mut p);
         });
-        let plan =
-            DataflowReport::analyze("opensbli_sa", &opensbli::loop_specs(), &rec).export_plan();
+        let specs = opensbli::chain_spec(true).loop_specs();
+        let plan = DataflowReport::analyze("opensbli_sa", &specs, &rec).export_plan();
         prop_assert!(!plan.groups.is_empty());
 
         let checksum = |plan: Option<OptPlan>| -> u64 {
@@ -298,9 +303,8 @@ proptest! {
             sim.cycle(&mut Profile::new(), None);
             sim.field_summary(&mut p);
         });
-        let plan =
-            DataflowReport::analyze("cloverleaf2d", &cloverleaf2d::loop_specs(), &rec)
-                .export_plan();
+        let specs = cloverleaf2d::chain_spec(false).loop_specs();
+        let plan = DataflowReport::analyze("cloverleaf2d", &specs, &rec).export_plan();
         prop_assert!(!plan.groups.is_empty());
 
         let density_bits = |plan: Option<OptPlan>| -> Vec<u64> {
@@ -337,7 +341,8 @@ proptest! {
             }
             sim.energy(&mut p);
         });
-        let plan = DataflowReport::analyze("acoustic", &acoustic::loop_specs(), &rec).export_plan();
+        let specs = acoustic::chain_spec(false).loop_specs();
+        let plan = DataflowReport::analyze("acoustic", &specs, &rec).export_plan();
 
         let energy_bits = |plan: Option<OptPlan>| -> u64 {
             let mut sim = acoustic::Acoustic::new(acoustic::Config { plan, ..cfg.clone() });

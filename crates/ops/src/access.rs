@@ -100,17 +100,6 @@ impl Stencil {
         Stencil { offsets }
     }
 
-    /// Full 2-D square `[-r, r]²`.
-    pub fn square2(r: isize) -> Self {
-        let mut offsets = BTreeSet::new();
-        for dj in -r..=r {
-            for di in -r..=r {
-                offsets.insert((di, dj, 0));
-            }
-        }
-        Stencil { offsets }
-    }
-
     pub fn contains(&self, di: isize, dj: isize, dk: isize) -> bool {
         self.offsets.contains(&(di, dj, dk))
     }
@@ -178,11 +167,6 @@ impl ArgSpec {
     pub fn write(name: &str) -> Self {
         ArgSpec::new(name, Access::Write, Stencil::point())
     }
-
-    /// Shorthand for a current-point read-modify-write argument.
-    pub fn read_write(name: &str) -> Self {
-        ArgSpec::new(name, Access::ReadWrite, Stencil::point())
-    }
 }
 
 /// Declaration for one loop: its name plus output and input argument specs
@@ -203,6 +187,19 @@ impl LoopSpec {
             outs,
             ins,
         }
+    }
+
+    /// The spec of shape `(name, #outs, #ins)` — the key observations and
+    /// chain steps are matched on.
+    pub fn find<'s>(
+        specs: &'s [LoopSpec],
+        name: &str,
+        outs: usize,
+        ins: usize,
+    ) -> Option<&'s LoopSpec> {
+        specs
+            .iter()
+            .find(|s| s.name == name && s.outs.len() == outs && s.ins.len() == ins)
     }
 
     /// Required halo depth: the maximum radius over all input stencils.
@@ -478,10 +475,6 @@ mod tests {
         assert!(!star.contains(1, 1, 0));
         assert_eq!(star.radius(), 2);
         assert_eq!(star.outer_radius(), 2);
-
-        let sq = Stencil::square2(1);
-        assert!(sq.contains(1, 1, 0) && sq.contains(-1, -1, 0));
-        assert_eq!(sq.offsets().count(), 9);
 
         let star3 = Stencil::plus3(4);
         assert!(star3.contains(0, 0, -4));

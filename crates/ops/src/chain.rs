@@ -1,27 +1,32 @@
 //! Static chain declarations — the ordered loop/exchange/swap sequence an
 //! app driver materializes at runtime, written down once as data.
 //!
-//! A [`ChainSpec`] is the missing static half of the recording story: the
-//! per-loop [`crate::access::LoopSpec`]s already declare *what each kernel
-//! touches*, but only a live run under [`crate::access::with_recording`]
-//! reveals *in what order* the kernels fire, which buffers rotate under
-//! `mem::swap`, and where halo exchanges interleave. `ChainSpec` declares
-//! that order symbolically over a parametric grid (extents and iteration
-//! ranges are linear [`Expr`]s over named parameters like `n`, `nx`),
-//! so [`ChainSpec::instantiate`] can synthesize the exact
-//! [`crate::access::Recording`] a run *would* produce — without executing a
-//! single kernel. The dataflow analyzer then derives fusion / elision / NT
-//! certificates from the synthetic recording with the very same rules it
-//! applies to live ones, which is what makes the static pass trivially
-//! rule-for-rule consistent with the dynamic one (`dslcheck::speccheck`
-//! cross-checks that property in CI).
+//! A [`ChainSpec`] is where a structured app states each loop once, the
+//! way an OPS `par_loop` call states its `ops_arg_dat`s: every
+//! [`Step::Loop`] names its kernel and binds each output slot with its
+//! [`Access`] and each input slot with its [`Stencil`].
+//! [`ChainSpec::loop_specs`] derives the per-shape [`LoopSpec`]s every
+//! analyzer consumes from those steps, so there is no second list of
+//! contracts to keep in sync.
+//!
+//! The chain also declares what only a live run under
+//! [`crate::access::with_recording_full`] would otherwise reveal: *in what
+//! order* the kernels fire, which buffers rotate under `mem::swap`, and
+//! where halo exchanges interleave. Extents and iteration ranges are
+//! linear [`Expr`]s over named parameters like `n`, `nx`, so
+//! [`ChainSpec::instantiate`] synthesizes the exact
+//! [`crate::access::Recording`] a run *would* produce without executing a
+//! single kernel. The dataflow analyzer derives fusion / elision / NT
+//! certificates from that synthetic recording, and `dslcheck` validates
+//! the declaration by comparing a recorded run against the same
+//! instantiation, loop for loop and exchange for exchange.
 //!
 //! Buffer rotation is modelled faithfully: datasets are referred to by
 //! *slot index*, and a [`Step::Swap`] swaps the runtime names two slots
 //! currently carry — exactly what `std::mem::swap` on two `Dat2`/`Dat3`
 //! handles does to the observed names in a real recording.
 
-use crate::access::{ArgObs, ExchangeObs, LoopObs, LoopSpec, Recording};
+use crate::access::{Access, ArgObs, ArgSpec, ExchangeObs, LoopObs, LoopSpec, Recording, Stencil};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -131,7 +136,8 @@ impl Binding {
 /// geometry every observation of it carries.
 #[derive(Debug, Clone)]
 pub struct DatDecl {
-    /// Initial runtime name (rotates under [`Step::Swap`]).
+    /// Initial runtime name (rotates under [`Step::Swap`]); also the role
+    /// name of every loop argument bound to this slot.
     pub name: &'static str,
     /// Halo ring depth.
     pub halo: isize,
@@ -148,17 +154,18 @@ pub struct DatDecl {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum Step {
-    /// A `par_loop` invocation: which [`LoopSpec`] it matches (by name and
-    /// arity), its dimensionality, iteration range, and the dataset slots
-    /// bound to its output/input arguments, in driver-call order.
+    /// A `par_loop` invocation and its access contract: the kernel name,
+    /// its dimensionality, iteration range, and the dataset slots bound to
+    /// its output/input arguments in driver-call order — each output with
+    /// its [`Access`], each input with its [`Stencil`].
     Loop {
-        spec: &'static str,
+        name: &'static str,
         dims: u8,
         /// `[i0, i1, j0, j1, k0, k1]`; use `Expr::c(0)`/`Expr::c(1)` for the
         /// k span of 2-D loops.
         range: [Expr; 6],
-        outs: Vec<usize>,
-        ins: Vec<usize>,
+        outs: Vec<(usize, Access)>,
+        ins: Vec<(usize, Stencil)>,
     },
     /// A site-labelled halo exchange of one dataset slot.
     Exchange {
@@ -179,12 +186,12 @@ pub enum ChainError {
     UnboundParam(String),
     /// A step referenced a dataset slot outside `dats`.
     BadSlot { step: usize, slot: usize },
-    /// A `Loop` step names a spec (or arity) absent from the app's
-    /// declared `loop_specs()`.
-    UnknownSpec {
+    /// A `Loop` step restates a `(name, #outs, #ins)` shape with a
+    /// different access contract than the shape's first occurrence.
+    ContractConflict {
+        step: usize,
         name: String,
-        outs: usize,
-        ins: usize,
+        detail: String,
     },
     /// A declared extent or range evaluated to a negative/absurd value.
     BadGeometry { step: usize, detail: String },
@@ -197,9 +204,9 @@ impl fmt::Display for ChainError {
             ChainError::BadSlot { step, slot } => {
                 write!(f, "step {step} references dataset slot {slot} out of range")
             }
-            ChainError::UnknownSpec { name, outs, ins } => write!(
+            ChainError::ContractConflict { step, name, detail } => write!(
                 f,
-                "loop {name:?} with arity ({outs} outs, {ins} ins) has no declared LoopSpec"
+                "step {step}: loop {name:?} restates its shape with a different contract: {detail}"
             ),
             ChainError::BadGeometry { step, detail } => {
                 write!(f, "step {step}: bad geometry: {detail}")
@@ -214,9 +221,6 @@ impl fmt::Display for ChainError {
 pub struct ChainSpec {
     /// Registry app name this chain describes (e.g. `"acoustic"`).
     pub app: &'static str,
-    /// Parameters the geometry expressions may reference, for
-    /// documentation and error messages.
-    pub params: Vec<&'static str>,
     pub dats: Vec<DatDecl>,
     /// Steps executed once before the iteration loop.
     pub prologue: Vec<Step>,
@@ -227,33 +231,66 @@ pub struct ChainSpec {
 }
 
 impl ChainSpec {
-    /// Structural validation against the app's declared per-loop specs:
-    /// every referenced slot must exist and every `Loop` step must match a
-    /// declared `(name, outs, ins)` arity. Returns all problems, not just
-    /// the first — an underspecified chain should report everything wrong
-    /// with it at once.
-    pub fn validate(&self, specs: &[LoopSpec]) -> Vec<ChainError> {
+    /// Every step in declaration order: prologue, body, epilogue.
+    fn steps(&self) -> impl Iterator<Item = &Step> {
+        self.prologue.iter().chain(&self.body).chain(&self.epilogue)
+    }
+
+    fn slot_name(&self, slot: usize) -> &'static str {
+        self.dats.get(slot).map_or("?", |d| d.name)
+    }
+
+    /// The loop contracts the steps state: one [`LoopSpec`] per
+    /// `(name, #outs, #ins)` shape, in first-occurrence order, each
+    /// argument named after the slot it was declared with. A shape's later
+    /// occurrences restate the same contract ([`ChainSpec::validate`]
+    /// refuses one that does not), so the first one speaks for all.
+    pub fn loop_specs(&self) -> Vec<LoopSpec> {
+        let mut specs: Vec<LoopSpec> = Vec::new();
+        for step in self.steps() {
+            let Step::Loop {
+                name, outs, ins, ..
+            } = step
+            else {
+                continue;
+            };
+            if LoopSpec::find(&specs, name, outs.len(), ins.len()).is_none() {
+                specs.push(LoopSpec::new(
+                    name,
+                    outs.iter()
+                        .map(|&(s, access)| {
+                            ArgSpec::new(self.slot_name(s), access, Stencil::point())
+                        })
+                        .collect(),
+                    ins.iter()
+                        .map(|(s, stencil)| ArgSpec::read(self.slot_name(*s), stencil.clone()))
+                        .collect(),
+                ));
+            }
+        }
+        specs
+    }
+
+    /// Structural validation: every referenced slot must exist, every loop
+    /// must be 2- or 3-D, and every occurrence of a loop shape must state
+    /// the same contract. Returns all problems, not just the first — an
+    /// underspecified chain should report everything wrong with it at once.
+    pub fn validate(&self) -> Vec<ChainError> {
         let mut errs = Vec::new();
         let nslots = self.dats.len();
-        for (i, step) in self
-            .prologue
-            .iter()
-            .chain(&self.body)
-            .chain(&self.epilogue)
-            .enumerate()
-        {
+        let specs = self.loop_specs();
+        for (i, step) in self.steps().enumerate() {
             match step {
                 Step::Loop {
-                    spec,
+                    name,
                     dims,
                     outs,
                     ins,
                     ..
                 } => {
-                    for &s in outs.iter().chain(ins) {
-                        if s >= nslots {
-                            errs.push(ChainError::BadSlot { step: i, slot: s });
-                        }
+                    let slots = outs.iter().map(|o| o.0).chain(ins.iter().map(|a| a.0));
+                    for s in slots.filter(|&s| s >= nslots) {
+                        errs.push(ChainError::BadSlot { step: i, slot: s });
                     }
                     if !(*dims == 2 || *dims == 3) {
                         errs.push(ChainError::BadGeometry {
@@ -261,13 +298,23 @@ impl ChainSpec {
                             detail: format!("dims must be 2 or 3, got {dims}"),
                         });
                     }
-                    if !specs.iter().any(|l| {
-                        l.name == *spec && l.outs.len() == outs.len() && l.ins.len() == ins.len()
-                    }) {
-                        errs.push(ChainError::UnknownSpec {
-                            name: (*spec).to_string(),
-                            outs: outs.len(),
-                            ins: ins.len(),
+                    let spec = LoopSpec::find(&specs, name, outs.len(), ins.len())
+                        .expect("derived from these steps");
+                    let out_conflict = outs
+                        .iter()
+                        .zip(&spec.outs)
+                        .position(|(o, s)| o.1 != s.access)
+                        .map(|k| format!("out {k} {} vs {}", outs[k].1, spec.outs[k].access));
+                    let in_conflict = ins
+                        .iter()
+                        .zip(&spec.ins)
+                        .position(|(a, s)| a.1 != s.stencil)
+                        .map(|k| format!("in {k} stencil differs"));
+                    if let Some(detail) = out_conflict.or(in_conflict) {
+                        errs.push(ChainError::ContractConflict {
+                            step: i,
+                            name: (*name).to_string(),
+                            detail,
                         });
                     }
                 }
@@ -296,7 +343,7 @@ impl ChainSpec {
     /// the [`Recording`] a live run would produce. No kernel executes; the
     /// synthetic observations carry the declared geometry, `wrote = true`
     /// for outputs (the declared-access refinement in the def-use graph
-    /// supplies `ReadWrite`/`Inc` semantics from the matched spec), and
+    /// supplies `ReadWrite`/`Inc` semantics from the derived spec), and
     /// empty observed-offset sets (input radii come from declared
     /// stencils).
     pub fn instantiate(&self, b: &Binding, iters: usize) -> Result<Recording, ChainError> {
@@ -317,7 +364,7 @@ impl ChainSpec {
             for (i, step) in steps.iter().enumerate() {
                 match step {
                     Step::Loop {
-                        spec,
+                        name,
                         dims,
                         range,
                         outs,
@@ -344,19 +391,19 @@ impl ChainSpec {
                             })
                         };
                         let mut lo = LoopObs {
-                            name: (*spec).to_string(),
+                            name: (*name).to_string(),
                             dims: *dims,
                             range: r,
                             outs: Vec::with_capacity(outs.len()),
                             ins: Vec::with_capacity(ins.len()),
                         };
-                        for &s in outs {
+                        for &(s, _) in outs {
                             let mut o = obs(s)?;
                             o.wrote = true;
                             lo.outs.push(o);
                         }
-                        for &s in ins {
-                            lo.ins.push(obs(s)?);
+                        for (s, _) in ins {
+                            lo.ins.push(obs(*s)?);
                         }
                         rec.loops.push(lo);
                     }
@@ -396,17 +443,6 @@ impl ChainSpec {
         run(&self.epilogue, &mut rec, &mut names)?;
         Ok(rec)
     }
-
-    /// Loops per full instantiation at `iters` iterations.
-    pub fn loop_count(&self, iters: usize) -> usize {
-        let loops = |steps: &[Step]| {
-            steps
-                .iter()
-                .filter(|s| matches!(s, Step::Loop { .. }))
-                .count()
-        };
-        loops(&self.prologue) + iters * loops(&self.body) + loops(&self.epilogue)
-    }
 }
 
 fn eval_extent(e: &Expr, b: &Binding) -> Result<usize, ChainError> {
@@ -420,26 +456,28 @@ fn eval_extent(e: &Expr, b: &Binding) -> Result<usize, ChainError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::{Access, ArgSpec, Stencil};
+
+    fn square() -> [Expr; 6] {
+        [
+            Expr::c(0),
+            Expr::p("n"),
+            Expr::c(0),
+            Expr::p("n"),
+            Expr::c(0),
+            Expr::c(1),
+        ]
+    }
 
     fn toy_chain() -> ChainSpec {
+        let dat = |name| DatDecl {
+            name,
+            halo: 1,
+            extent: [Expr::p("n"), Expr::p("n"), Expr::c(1)],
+            elem_bytes: 8,
+        };
         ChainSpec {
             app: "toy",
-            params: vec!["n"],
-            dats: vec![
-                DatDecl {
-                    name: "u",
-                    halo: 1,
-                    extent: [Expr::p("n"), Expr::p("n"), Expr::c(1)],
-                    elem_bytes: 8,
-                },
-                DatDecl {
-                    name: "v",
-                    halo: 1,
-                    extent: [Expr::p("n"), Expr::p("n"), Expr::c(1)],
-                    elem_bytes: 8,
-                },
-            ],
+            dats: vec![dat("u"), dat("v")],
             prologue: vec![],
             body: vec![
                 Step::Exchange {
@@ -448,31 +486,16 @@ mod tests {
                     site: "pre",
                 },
                 Step::Loop {
-                    spec: "toy_step",
+                    name: "toy_step",
                     dims: 2,
-                    range: [
-                        Expr::c(0),
-                        Expr::p("n"),
-                        Expr::c(0),
-                        Expr::p("n"),
-                        Expr::c(0),
-                        Expr::c(1),
-                    ],
-                    outs: vec![1],
-                    ins: vec![0],
+                    range: square(),
+                    outs: vec![(1, Access::Write)],
+                    ins: vec![(0, Stencil::plus2(1))],
                 },
                 Step::Swap { a: 0, b: 1 },
             ],
             epilogue: vec![],
         }
-    }
-
-    fn toy_specs() -> Vec<LoopSpec> {
-        vec![LoopSpec::new(
-            "toy_step",
-            vec![ArgSpec::write("v")],
-            vec![ArgSpec::new("u", Access::Read, Stencil::plus2(1))],
-        )]
     }
 
     #[test]
@@ -501,30 +524,73 @@ mod tests {
     }
 
     #[test]
-    fn validate_flags_unknown_specs_and_bad_slots() {
+    fn derived_specs_have_one_entry_per_shape_named_by_slot() {
         let mut c = toy_chain();
-        assert!(c.validate(&toy_specs()).is_empty());
-        c.body.push(Step::Loop {
-            spec: "nonexistent",
-            dims: 2,
-            range: [
-                Expr::c(0),
-                Expr::c(1),
-                Expr::c(0),
-                Expr::c(1),
-                Expr::c(0),
-                Expr::c(1),
-            ],
-            outs: vec![9],
-            ins: vec![],
-        });
-        let errs = c.validate(&toy_specs());
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ChainError::BadSlot { slot: 9, .. })));
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, ChainError::UnknownSpec { .. })));
+        // A second occurrence of the same shape, and the same kernel name
+        // at another arity: two specs, not three.
+        c.epilogue = vec![
+            Step::Loop {
+                name: "toy_step",
+                dims: 2,
+                range: square(),
+                outs: vec![(0, Access::Write)],
+                ins: vec![(1, Stencil::plus2(1))],
+            },
+            Step::Loop {
+                name: "toy_step",
+                dims: 2,
+                range: square(),
+                outs: vec![(0, Access::ReadWrite)],
+                ins: vec![],
+            },
+        ];
+        assert!(c.validate().is_empty(), "{:?}", c.validate());
+        let specs = c.loop_specs();
+        assert_eq!(specs.len(), 2);
+        let step = LoopSpec::find(&specs, "toy_step", 1, 1).expect("(1, 1) shape");
+        assert_eq!(step.outs[0].name, "v");
+        assert_eq!(step.outs[0].access, Access::Write);
+        assert_eq!(step.ins[0].name, "u");
+        assert_eq!(step.ins[0].access, Access::Read);
+        assert_eq!(step.ins[0].stencil, Stencil::plus2(1));
+        let in_place = LoopSpec::find(&specs, "toy_step", 1, 0).expect("(1, 0) shape");
+        assert_eq!(in_place.outs[0].access, Access::ReadWrite);
+    }
+
+    #[test]
+    fn validate_refuses_a_shape_stated_with_two_contracts() {
+        let restated = |outs, ins| {
+            let mut c = toy_chain();
+            c.epilogue.push(Step::Loop {
+                name: "toy_step",
+                dims: 2,
+                range: square(),
+                outs,
+                ins,
+            });
+            c.validate()
+        };
+        let errs = restated(vec![(0, Access::ReadWrite)], vec![(1, Stencil::plus2(1))]);
+        assert_eq!(
+            errs,
+            vec![ChainError::ContractConflict {
+                step: 3,
+                name: "toy_step".into(),
+                detail: "out 0 ReadWrite vs Write".into(),
+            }]
+        );
+        let errs = restated(vec![(0, Access::Write)], vec![(1, Stencil::point())]);
+        assert!(
+            matches!(&errs[..], [ChainError::ContractConflict { step: 3, .. }]),
+            "{errs:?}"
+        );
+    }
+
+    #[test]
+    fn validate_flags_bad_slots() {
+        let mut c = toy_chain();
+        c.body.push(Step::Swap { a: 0, b: 9 });
+        assert_eq!(c.validate(), vec![ChainError::BadSlot { step: 3, slot: 9 }]);
     }
 
     #[test]
@@ -532,11 +598,5 @@ mod tests {
         let c = toy_chain();
         let err = c.instantiate(&Binding::new(), 1).unwrap_err();
         assert_eq!(err, ChainError::UnboundParam("n".to_string()));
-    }
-
-    #[test]
-    fn loop_count_scales_with_iterations() {
-        let c = toy_chain();
-        assert_eq!(c.loop_count(3), 3);
     }
 }

@@ -16,11 +16,10 @@
 //! * `{"kind":"figure","figure":8}` — reproduce a paper figure (3–9).
 //! * `{"kind":"analyze","app":"acoustic"}` — whole-chain dataflow report
 //!   and certified optimization plan for one registered app. Apps with a
-//!   declared chain are planned on the *static fast path*: the
-//!   certificates come from `dslcheck::speccheck`'s execution-free
-//!   analysis (`"source":"static"` in the payload) and no worker executes
-//!   a recording pass; everything else falls back to the instrumented
-//!   recording (`"source":"recorded"`).
+//!   declared chain get the report of `dslcheck::speccheck`'s
+//!   execution-free analysis of it (`"source":"static"` in the payload; no
+//!   worker executes a recording pass); the others get their limited
+//!   report (`"source":"recorded"`).
 //!
 //! Every job renders a [`KeyMaterial`] — the cache address of its result.
 
@@ -338,20 +337,16 @@ fn execute_trace(ctx: &ExecContext, spec: &BenchSpec, job_id: u64) -> Result<Str
 }
 
 fn execute_analyze(app: &str) -> Result<String, String> {
-    // Static fast path: apps with a declared chain are planned without any
-    // worker executing a recording pass — the certificates come from the
-    // execution-free analysis, which the registry cross-checks against
-    // recorded runs in CI. Only a clean, parametrically stable static
-    // report short-circuits; anything else falls back to the recording.
+    // A declared app's report is its chain's: no worker executes a
+    // recording pass, and any violation the chain carries is in the
+    // report. Every other app gets its limited report.
     if let Some(s) = bwb_dslcheck::static_report_for(app) {
-        if s.report.clean() {
-            return Ok(format!(
-                "{{\"source\":\"static\",\"static_ns\":{},\"report\":{},\"plan\":{}}}",
-                s.nanos,
-                s.report.to_json(),
-                s.report.export_plan().to_json()
-            ));
-        }
+        return Ok(format!(
+            "{{\"source\":\"static\",\"static_ns\":{},\"report\":{},\"plan\":{}}}",
+            s.nanos,
+            s.report.to_json(),
+            s.report.export_plan().to_json()
+        ));
     }
     let report = registry::entry(app)
         .ok_or_else(|| {
@@ -643,10 +638,24 @@ mod tests {
         let doc = bwb_trace::json::parse(&payload).unwrap();
         assert_eq!(doc.get("source").and_then(Json::as_str), Some("static"));
         assert!(doc.get("plan").is_some());
-        // The op2 apps have no declarable chain: recording fallback.
+    }
+
+    #[test]
+    fn analyze_job_reports_an_op2_app_as_limited() {
+        // The op2 apps have no declarable chain: their limited report, and
+        // an empty plan — nothing is certified where nothing was analyzed.
         let job = parse("{\"kind\":\"analyze\",\"app\":\"mgcfd\"}").unwrap();
         let payload = job.execute(&ctx(), 7).unwrap();
         let doc = bwb_trace::json::parse(&payload).unwrap();
         assert_eq!(doc.get("source").and_then(Json::as_str), Some("recorded"));
+        let report = doc.get("report").expect("report present");
+        assert_eq!(report.get("analyzed"), Some(&Json::Bool(false)));
+        assert_eq!(
+            report.get("limitation").and_then(Json::as_str),
+            Some("output-only recording")
+        );
+        let plan = doc.get("plan").expect("plan present");
+        let loops = plan.get("loops").and_then(Json::as_array);
+        assert_eq!(loops.map(|l| l.len()), Some(0));
     }
 }

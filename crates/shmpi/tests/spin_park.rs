@@ -144,7 +144,7 @@ fn worlds_that_fit_the_host_only_alone_do_not_poll_together() {
                 }
                 Some(inner.stats.total())
             });
-            outer.results[0].clone().expect("rank 0 ran the inner world")
+            outer.results[0].expect("rank 0 ran the inner world")
         });
         assert_eq!(inner.recvs, 2 * laps);
         assert_eq!(inner.recvs_spun, 0, "{kind:?}: {inner:?}");
