@@ -19,8 +19,8 @@
 
 use crate::{AppId, AppRun};
 use bwb_ops::{
-    par_loop3_planes, par_loop3_planes_nt, par_loop3_reduce, Dat3, DistBlock3, ExecMode, OptPlan,
-    Profile, Range3, RowIn3, RowOut3,
+    par_loop3_planes, par_loop3_reduce, Dat3, DistBlock3, ExecMode, Profile, Range3, RowIn3,
+    RowOut3,
 };
 use bwb_shmpi::Comm;
 
@@ -44,12 +44,6 @@ pub struct Config {
     /// Courant number (stability requires ≲ 0.4 for the 8th-order star).
     pub courant: f32,
     pub mode: ExecMode,
-    /// Optimization plan from `dslcheck` certificates. When it certifies
-    /// `("acoustic_update", <output dat>)` the update runs through the
-    /// streaming-store driver (non-temporal staged rows); otherwise — and
-    /// always under recording — the plain driver runs. Bit-identical
-    /// either way.
-    pub plan: Option<OptPlan>,
 }
 
 impl Default for Config {
@@ -59,7 +53,6 @@ impl Default for Config {
             iterations: 10,
             courant: 0.3,
             mode: ExecMode::Serial,
-            plan: None,
         }
     }
 }
@@ -72,7 +65,6 @@ impl Config {
             iterations: 10,
             courant: 0.3,
             mode: ExecMode::Rayon,
-            plan: None,
         }
     }
 }
@@ -141,7 +133,6 @@ impl Acoustic {
             &self.u_curr,
             &self.u_prev,
             self.lam2,
-            self.cfg.plan.as_ref(),
         );
         // Rotate time levels: prev ← curr ← next (next becomes scratch).
         std::mem::swap(&mut self.u_prev, &mut self.u_curr);
@@ -266,7 +257,6 @@ impl Acoustic {
                 &u_curr,
                 &u_prev,
                 lam2,
-                cfg.plan.as_ref(),
             );
             std::mem::swap(&mut u_prev, &mut u_curr);
             std::mem::swap(&mut u_curr, &mut u_next);
@@ -280,8 +270,7 @@ impl Acoustic {
     }
 }
 
-/// The leapfrog kernel body, shared verbatim between the plain and the
-/// streaming-store drivers (bit-identity by construction).
+/// The leapfrog kernel body over one `i`-row.
 fn leapfrog_body(lam2: f32, out: &mut RowOut3<f32>, ins: &RowIn3<f32>) {
     let r1 = |r: usize| (r + 1) as isize;
     let xm: [_; RADIUS] = std::array::from_fn(|r| ins.row_off(0, -r1(r), 0, 0));
@@ -307,12 +296,6 @@ fn leapfrog_body(lam2: f32, out: &mut RowOut3<f32>, ins: &RowIn3<f32>) {
 /// one contiguous `i`-row per `(j,k)`, with the 24 star-stencil neighbour
 /// rows pre-resolved so the inner loop is branch-free straight-line
 /// arithmetic over slices (autovectorizable f32).
-///
-/// With a plan certifying the output for streaming stores the row is
-/// staged and copied out through non-temporal stores
-/// ([`par_loop3_planes_nt`], which itself falls back to the plain driver
-/// when nothing is certified or a recording is active).
-#[allow(clippy::too_many_arguments)]
 fn leapfrog_update(
     profile: &mut Profile,
     mode: ExecMode,
@@ -321,31 +304,17 @@ fn leapfrog_update(
     u_curr: &Dat3<f32>,
     u_prev: &Dat3<f32>,
     lam2: f32,
-    plan: Option<&OptPlan>,
 ) {
-    match plan {
-        Some(p) => par_loop3_planes_nt(
-            profile,
-            "acoustic_update",
-            mode,
-            range,
-            &mut [u_next],
-            &[u_curr, u_prev],
-            FLOPS_PER_POINT,
-            p,
-            move |_j, _k, out, ins| leapfrog_body(lam2, out, ins),
-        ),
-        None => par_loop3_planes(
-            profile,
-            "acoustic_update",
-            mode,
-            range,
-            &mut [u_next],
-            &[u_curr, u_prev],
-            FLOPS_PER_POINT,
-            move |_j, _k, out, ins| leapfrog_body(lam2, out, ins),
-        ),
-    }
+    par_loop3_planes(
+        profile,
+        "acoustic_update",
+        mode,
+        range,
+        &mut [u_next],
+        &[u_curr, u_prev],
+        FLOPS_PER_POINT,
+        move |_j, _k, out, ins| leapfrog_body(lam2, out, ins),
+    );
 }
 
 /// Declared loop chain: one leapfrog step over a parametric `(nx,ny,nz)`

@@ -143,7 +143,6 @@ pub fn characterize(app: AppId) -> AppCharacter {
                 iterations: 5,
                 courant: 0.3,
                 mode: ExecMode::Serial,
-                plan: None,
             });
             let (b, f, k, s) = derive(app, &run.profile, run.points, run.iterations);
             AppCharacter {

@@ -72,13 +72,8 @@ pub struct RankOutcome {
 /// The apps with a distributed (`run_distributed`) driver.
 pub const RANKED_APPS: [AppId; 3] = [AppId::Acoustic, AppId::CloverLeaf2D, AppId::MiniWeather];
 
-/// The apps whose `Config` consumes a `dslcheck` optimization plan.
-pub const PLAN_APPS: [AppId; 4] = [
-    AppId::Acoustic,
-    AppId::CloverLeaf2D,
-    AppId::OpenSbliSa,
-    AppId::OpenSbliSn,
-];
+/// The apps whose run applies a `dslcheck` optimization plan.
+pub const PLAN_APPS: [AppId; 2] = [AppId::CloverLeaf2D, AppId::OpenSbliSa];
 
 impl AppId {
     /// Wire-level name (kebab/flat case, stable across releases).
@@ -251,7 +246,6 @@ impl BenchSpec {
                 n: self.n,
                 iterations: self.iterations,
                 mode: self.mode(),
-                plan,
                 ..acoustic::Config::default()
             }),
             AppId::OpenSbliSa | AppId::OpenSbliSn => opensbli::OpenSbli::run(opensbli::Config {
@@ -425,6 +419,25 @@ mod tests {
         assert!(s.validate().unwrap_err().contains("divide evenly"));
         s.n = 0;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn only_apps_that_apply_a_plan_accept_one() {
+        let with_plan = |app| {
+            BenchSpec {
+                n: 8,
+                iterations: 1,
+                ..BenchSpec::small(app)
+            }
+            .run_with_plan(Some(OptPlan::default()))
+        };
+        for app in [AppId::CloverLeaf2D, AppId::OpenSbliSa] {
+            with_plan(app).unwrap_or_else(|e| panic!("{app:?}: {e}"));
+        }
+        for app in [AppId::OpenSbliSn, AppId::Acoustic] {
+            let err = with_plan(app).unwrap_err();
+            assert!(err.contains("does not consume"), "{app:?}: {err}");
+        }
     }
 
     #[test]

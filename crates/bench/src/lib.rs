@@ -1,15 +1,12 @@
-//! # bwb-bench — the benchmark harness
+//! # bwb-bench — the command-line front ends
 //!
-//! Two kinds of targets:
-//!
-//! * **Criterion benches** (`cargo bench`) measure the *real* kernels on
-//!   the host: BabelStream, message-passing latency, one representative
-//!   kernel per application, and the tiled vs untiled loop chain. These are
-//!   the honest, runnable counterparts of the paper's measurements.
-//! * **The figure binary** (`cargo run -p bwb-bench --bin figures [N]`)
-//!   prints each paper figure's reproduction — host measurements where the hardware
-//!   allows, model outputs for the cross-platform comparisons — and write
-//!   the data as CSV under `target/figures/`.
+//! The binaries under `src/bin/`: `figures` prints each paper figure's
+//! reproduction (`cargo run -p bwb-bench --bin figures [N]`) — host
+//! measurements where the hardware allows, model outputs for the
+//! cross-platform comparisons — and writes the data as CSV under
+//! `target/figures/`; `analyze`, `trace`, `ablation`, `serve` and
+//! `loadtest` drive the analyzers, the tracer and the job server. Timing
+//! of the engine's layers is the separate `perf/` benchmark's job.
 
 use std::path::PathBuf;
 

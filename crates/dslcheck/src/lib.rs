@@ -61,7 +61,6 @@ pub mod placecheck;
 pub mod plan;
 pub mod race;
 pub mod registry;
-pub mod replay;
 pub mod speccheck;
 pub mod traffic;
 pub mod violation;
@@ -85,7 +84,6 @@ pub use placecheck::{
 pub use plan::{check_chain_plan, check_halo_depth};
 pub use race::check_unstructured;
 pub use registry::{check_all, dataflow_all, AppEntry, AppReport};
-pub use replay::{replay, ReplayConfig, ReplayStats};
 pub use speccheck::{
     analyze_static, check_recording, stability, static_all, static_plan, static_report_for,
     StaticAppReport,

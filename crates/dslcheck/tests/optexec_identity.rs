@@ -6,10 +6,10 @@
 //! loop pair is recorded, analyzed, and the resulting plan — not a
 //! hand-built one — is what the fused driver rejects. The positives rerun
 //! real apps (CloverLeaf2D single and 4-rank distributed, OpenSBLI
-//! Store-All, Acoustic) under plans exported from their own recordings and
-//! compare raw field/checksum bits over property-sampled configurations.
+//! Store-All) under plans exported from their own recordings and compare
+//! raw field/checksum bits over property-sampled configurations.
 
-use bwb_apps::{acoustic, cloverleaf2d, opensbli};
+use bwb_apps::{cloverleaf2d, opensbli};
 use bwb_dslcheck::DataflowReport;
 use bwb_ops::access::with_recording_full;
 use bwb_ops::{
@@ -322,36 +322,5 @@ proptest! {
             bits
         };
         prop_assert_eq!(density_bits(None), density_bits(Some(plan)));
-    }
-
-    #[test]
-    fn acoustic_plan_guided_is_bit_identical(n in 8usize..20, iters in 1usize..4) {
-        let cfg = acoustic::Config {
-            n,
-            iterations: iters,
-            mode: ExecMode::Serial,
-            ..acoustic::Config::default()
-        };
-        let rcfg = cfg.clone();
-        let ((), rec) = with_recording_full(move || {
-            let mut sim = acoustic::Acoustic::new(rcfg);
-            let mut p = Profile::new();
-            for _ in 0..2 {
-                sim.step_once(&mut p);
-            }
-            sim.energy(&mut p);
-        });
-        let specs = acoustic::chain_spec(false).loop_specs();
-        let plan = DataflowReport::analyze("acoustic", &specs, &rec).export_plan();
-
-        let energy_bits = |plan: Option<OptPlan>| -> u64 {
-            let mut sim = acoustic::Acoustic::new(acoustic::Config { plan, ..cfg.clone() });
-            let mut p = Profile::new();
-            for _ in 0..iters {
-                sim.step_once(&mut p);
-            }
-            sim.energy(&mut p).to_bits()
-        };
-        prop_assert_eq!(energy_bits(None), energy_bits(Some(plan)));
     }
 }

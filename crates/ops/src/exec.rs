@@ -979,19 +979,6 @@ unsafe impl<T: Send> Send for WView3<T> {}
 // SAFETY: as above.
 unsafe impl<T: Send> Sync for WView3<T> {}
 
-impl<T> WView3<T> {
-    /// See [`WView2::staging`]: `index(i, j, k) == i` for every `(j, k)`.
-    pub(crate) fn staging(ptr: *mut T, len: usize) -> Self {
-        WView3 {
-            ptr,
-            pitch: 0,
-            slab: 0,
-            halo: 0,
-            len,
-        }
-    }
-}
-
 impl<T: Copy> WView3<T> {
     /// Is `(i, j, k)` inside the padded allocation? See [`WView2::in_bounds`].
     #[inline]

@@ -76,9 +76,7 @@ pub use exec::{
 pub use field::{Dat2, Dat3};
 pub use halo::{BitHash, DistBlock2, DistBlock3};
 pub use ntstore::{nt_copy, NtElem};
-pub use optexec::{
-    fused2_rows, fused3_planes, par_loop2_rows_nt, par_loop3_planes_nt, FusedLoop2, FusedLoop3,
-};
+pub use optexec::{fused2_rows, fused3_planes, par_loop2_rows_nt, FusedLoop2, FusedLoop3};
 pub use plan::{ElisionCert, FusionGroupCert, LoopIr, NtCert, OptPlan, PlanError};
 pub use profile::{LoopRecord, Profile};
 pub use tiling::{ChainLoop2, ChainPlan, LoopChain2, PlannedLoop};

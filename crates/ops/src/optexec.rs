@@ -11,11 +11,10 @@
 //!   loop. Certification (all-pairs radius-0 crossings) is exactly what
 //!   makes the interleaving bit-identical: each member reads only
 //!   current-row values that earlier members have already written.
-//! * [`par_loop2_rows_nt`] / [`par_loop3_planes_nt`] — route certified
-//!   write-only, no-reuse outputs through non-temporal stores
-//!   ([`crate::ntstore`]): the kernel writes into a cache-resident per-row
-//!   staging buffer, which is then streamed to the destination row,
-//!   skipping the write-allocate read.
+//! * [`par_loop2_rows_nt`] — route certified write-only, no-reuse outputs
+//!   through non-temporal stores ([`crate::ntstore`]): the kernel writes
+//!   into a cache-resident per-row staging buffer, which is then streamed
+//!   to the destination row, skipping the write-allocate read.
 //!
 //! All executors delegate to (or error like) the plain drivers while a
 //! dataflow recording is active — recordings must observe the unoptimized
@@ -454,120 +453,6 @@ pub fn par_loop2_rows_nt<T, F>(
     );
 }
 
-/// [`crate::par_loop3_planes`]'s row fast path with certified outputs
-/// routed through non-temporal stores (see [`par_loop2_rows_nt`]).
-#[allow(clippy::too_many_arguments)]
-pub fn par_loop3_planes_nt<T, F>(
-    profile: &mut Profile,
-    name: &str,
-    mode: ExecMode,
-    range: Range3,
-    outs: &mut [&mut Dat3<T>],
-    ins: &[&Dat3<T>],
-    flops_per_point: f64,
-    plan: &OptPlan,
-    kernel: F,
-) where
-    T: Copy + Send + Sync + Default + NtElem,
-    F: Fn(isize, isize, &mut RowOut3<T>, &RowIn3<T>) + Sync,
-{
-    let certified: Vec<bool> = outs
-        .iter()
-        .map(|d| plan.nt_certified(name, d.name()))
-        .collect();
-    if !certified.iter().any(|&c| c)
-        || access::recording_active()
-        || range.i0 < 0
-        || range.is_empty()
-    {
-        return crate::exec::par_loop3_planes(
-            profile,
-            name,
-            mode,
-            range,
-            outs,
-            ins,
-            flops_per_point,
-            kernel,
-        );
-    }
-    let bytes_per_point = (outs.len() + ins.len()) * std::mem::size_of::<T>();
-    let fields: Vec<FieldView3<T>> = outs.iter_mut().map(|d| FieldView3::capture(d)).collect();
-    let real: Vec<WView3<T>> = fields.iter().map(|f| f.write_view()).collect();
-    let r = rviews3(ins);
-    let width = (range.i1 - range.i0) as usize;
-    let stage_len = (range.i0 as usize) + width;
-    let streamed: Vec<usize> = certified
-        .iter()
-        .enumerate()
-        .filter_map(|(f, &c)| c.then_some(f))
-        .collect();
-    let make_staging = || -> Vec<Vec<T>> {
-        streamed
-            .iter()
-            .map(|_| vec![T::default(); stage_len])
-            .collect()
-    };
-    let plane_body = |staging: &mut Vec<Vec<T>>, k: isize| {
-        for j in range.j0..range.j1 {
-            let views: Vec<WView3<T>> = real
-                .iter()
-                .enumerate()
-                .map(|(f, v)| match streamed.iter().position(|&s| s == f) {
-                    Some(s) => WView3::staging(staging[s].as_mut_ptr(), stage_len),
-                    None => *v,
-                })
-                .collect();
-            {
-                let mut out = RowOut3::at(&views, range.i0, width, j, k);
-                let inp = RowIn3::at(&r, range.i0, width, j, k);
-                kernel(j, k, &mut out, &inp);
-            }
-            for (s, &f) in streamed.iter().enumerate() {
-                let mut real_out = RowOut3::at(&real, range.i0, width, j, k);
-                nt_copy(&staging[s][range.i0 as usize..stage_len], real_out.row(f));
-            }
-        }
-    };
-    // Staging reuse through a pool, as in `par_loop2_rows_nt`.
-    let pool: std::sync::Mutex<Vec<Vec<Vec<T>>>> = std::sync::Mutex::new(Vec::new());
-    let plane = |k: isize| {
-        let mut staging = pool
-            .lock()
-            .expect("staging pool")
-            .pop()
-            .unwrap_or_else(make_staging);
-        plane_body(&mut staging, k);
-        pool.lock().expect("staging pool").push(staging);
-    };
-    let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-    let t0 = Instant::now();
-    match mode {
-        ExecMode::Serial => {
-            let mut staging = make_staging();
-            (range.k0..range.k1).for_each(|k| plane_body(&mut staging, k));
-        }
-        ExecMode::Rayon => (range.k0..range.k1)
-            .into_par_iter()
-            .with_min_len(chunk_planes(range.i1 - range.i0, range.j1 - range.j0))
-            .for_each(plane),
-    }
-    let seconds = t0.elapsed().as_secs_f64();
-    tspan.set_args(
-        (range.points() * bytes_per_point) as f64,
-        range.points() as f64 * flops_per_point,
-        range.points() as f64,
-    );
-    drop(tspan);
-    profile.record(
-        name,
-        range.points(),
-        range.points() * bytes_per_point,
-        range.points() as f64 * flops_per_point,
-        seconds,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -834,69 +719,6 @@ mod tests {
             for j in 0..n as isize {
                 for i in 0..n as isize {
                     assert_eq!(base.get(i, j).to_bits(), opt.get(i, j).to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn nt_planes_driver_is_bit_identical_with_mixed_outputs() {
-        let (nx, ny, nz) = (23usize, 9usize, 6usize);
-        // Only `u_next` is certified; `aux` must keep writing directly.
-        let plan = OptPlan {
-            app: "test".into(),
-            nt: vec![NtCert {
-                loop_name: "update".into(),
-                dat: "u_next".into(),
-            }],
-            ..OptPlan::default()
-        };
-        for mode in [ExecMode::Serial, ExecMode::Rayon] {
-            let mut p = Profile::new();
-            let mut src = Dat3::<f32>::new("src", nx, ny, nz, 2);
-            src.init_with(|i, j, k| (i as f32) * 0.5 - (j as f32) * 0.25 + (k as f32));
-            let mut b0 = Dat3::<f32>::new("u_next", nx, ny, nz, 2);
-            let mut b1 = Dat3::<f32>::new("aux", nx, ny, nz, 2);
-            let mut o0 = Dat3::<f32>::new("u_next", nx, ny, nz, 2);
-            let mut o1 = Dat3::<f32>::new("aux", nx, ny, nz, 2);
-            let k = |_j: isize, _k: isize, out: &mut RowOut3<f32>, ins: &RowIn3<f32>| {
-                let (a, b) = out.rows2(0, 1);
-                let left = ins.row_off(0, -1, 0, 0);
-                let right = ins.row_off(0, 1, 0, 0);
-                for ((o, l), r) in a.iter_mut().zip(left).zip(right) {
-                    *o = 0.5 * (l + r);
-                }
-                for (o, s) in b.iter_mut().zip(ins.row(0)) {
-                    *o = -s;
-                }
-            };
-            par_loop3_planes(
-                &mut p,
-                "update",
-                mode,
-                Range3::interior(nx, ny, nz),
-                &mut [&mut b0, &mut b1],
-                &[&src],
-                2.0,
-                k,
-            );
-            par_loop3_planes_nt(
-                &mut p,
-                "update",
-                mode,
-                Range3::interior(nx, ny, nz),
-                &mut [&mut o0, &mut o1],
-                &[&src],
-                2.0,
-                &plan,
-                k,
-            );
-            for k in 0..nz as isize {
-                for j in 0..ny as isize {
-                    for i in 0..nx as isize {
-                        assert_eq!(b0.get(i, j, k).to_bits(), o0.get(i, j, k).to_bits());
-                        assert_eq!(b1.get(i, j, k).to_bits(), o1.get(i, j, k).to_bits());
-                    }
                 }
             }
         }

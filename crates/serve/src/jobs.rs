@@ -6,7 +6,8 @@
 //!    "ranks":1,"parallel":false,"plan":{...},"placement":"packed"}` — run
 //!   one app; `ranks > 1` routes through the sharded pinned-universe pool;
 //!   the optional `plan` is a `dslcheck` optimization-plan document (as
-//!   exported by an `analyze` job) threaded into the app's config; the
+//!   exported by an `analyze` job) threaded into the app's config, and
+//!   refused for an app outside `bwb_apps::jobspec::PLAN_APPS`; the
 //!   optional `placement` pins a ranked run's shard policy
 //!   (`one-per-numa` | `packed`) — omitted, the pool runs placecheck's
 //!   certified policy for that app/rank count.
@@ -616,13 +617,13 @@ mod tests {
 
     #[test]
     fn analyze_job_exports_a_plan_that_feeds_back_into_benchmarks() {
-        let job = parse("{\"kind\":\"analyze\",\"app\":\"acoustic\"}").unwrap();
+        let job = parse("{\"kind\":\"analyze\",\"app\":\"opensbli_sa\"}").unwrap();
         let payload = job.execute(&ctx(), 4).unwrap();
         let doc = bwb_trace::json::parse(&payload).unwrap();
         let plan = doc.get("plan").expect("plan present");
         // The exported plan must round-trip into a benchmark job.
         let body = format!(
-            "{{\"kind\":\"benchmark\",\"app\":\"acoustic\",\"n\":12,\"iterations\":2,\"plan\":{plan}}}"
+            "{{\"kind\":\"benchmark\",\"app\":\"opensbli-sa\",\"n\":8,\"iterations\":2,\"plan\":{plan}}}"
         );
         let bench = parse(&body).unwrap();
         let out = bench.execute(&ctx(), 5).unwrap();

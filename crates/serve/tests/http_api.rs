@@ -128,6 +128,20 @@ fn error_paths_return_structured_statuses() {
             post_job(addr, r#"{"kind":"figure","figure":2}"#).status,
             400
         );
+        // A plan for an app that would not apply it is refused, not run
+        // as the baseline under a second cache key.
+        let planned_sn = post_job(
+            addr,
+            r#"{"kind":"benchmark","app":"opensbli-sn","n":8,"iterations":1,"plan":{"app":"opensbli_sn"}}"#,
+        );
+        assert_eq!(planned_sn.status, 400, "{}", planned_sn.body);
+        assert!(
+            planned_sn
+                .body
+                .contains("plan apps: cloverleaf2d, opensbli-sa"),
+            "{}",
+            planned_sn.body
+        );
         assert_eq!(
             request(addr, "GET", "/trace/999", None)
                 .expect("req")
