@@ -4,9 +4,10 @@
 //! reproduction (`cargo run -p bwb-bench --bin figures [N]`) — host
 //! measurements where the hardware allows, model outputs for the
 //! cross-platform comparisons — and writes the data as CSV under
-//! `target/figures/`; `analyze`, `trace`, `ablation`, `serve` and
-//! `loadtest` drive the analyzers, the tracer and the job server. Timing
-//! of the engine's layers is the separate `perf/` benchmark's job.
+//! `target/figures/`; `analyze`, `trace`, `ablation` and `serve` drive
+//! the analyzers, the tracer and the job server. Timing of the engine's
+//! layers and of serving (`serve_mix`) is the separate `perf/`
+//! benchmark's job.
 
 use std::path::PathBuf;
 

@@ -60,7 +60,7 @@ pub enum Event {
 /// One argument of a loop node.
 #[derive(Debug, Clone)]
 pub struct ArgNode {
-    /// Runtime dataset name.
+    /// Run-time dataset name.
     pub name: String,
     pub touch: Touch,
     /// Useful bytes this loop moves for this argument: range points ×

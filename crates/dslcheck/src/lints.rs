@@ -224,7 +224,7 @@ pub struct FusionCandidate {
     pub first: String,
     pub second_at: usize,
     pub second: String,
-    /// Runtime field names crossing the pair (defs of one ∩ uses/defs of
+    /// Run-time field names crossing the pair (defs of one ∩ uses/defs of
     /// the other).
     pub shared: Vec<String>,
     pub legal: bool,

@@ -93,7 +93,7 @@ pub enum UScheduleObs {
 pub struct ULoopObs {
     pub name: String,
     pub set_size: usize,
-    /// Runtime names of the output datasets, positionally.
+    /// Run-time names of the output datasets, positionally.
     pub out_names: Vec<String>,
     pub schedule: UScheduleObs,
     pub accesses: BTreeSet<UAccessObs>,

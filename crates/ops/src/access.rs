@@ -219,7 +219,7 @@ impl LoopSpec {
 /// What one loop invocation actually did to one argument.
 #[derive(Debug, Clone)]
 pub struct ArgObs {
-    /// Runtime dataset name (may rotate across invocations when apps swap
+    /// Run-time dataset name (may rotate across invocations when apps swap
     /// buffers — that is why spec matching is positional).
     pub name: String,
     pub halo: isize,
@@ -292,7 +292,7 @@ pub struct LoopObs {
 /// exchange with `at == n` happened between `loops[n-1]` and `loops[n]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExchangeObs {
-    /// Runtime dataset name (same naming caveat as [`ArgObs::name`]).
+    /// Run-time dataset name (same naming caveat as [`ArgObs::name`]).
     pub dat: String,
     /// Exchanged halo depth.
     pub depth: usize,

@@ -3,8 +3,8 @@
 //! Requests are read head-first (request line + headers, CRLF-delimited)
 //! with a `Content-Length`-framed body; responses always close the
 //! connection (`Connection: close`), which keeps the framing trivial and
-//! matches the one-request-per-job usage pattern of the load generator
-//! and CI smoke tests. No chunked encoding, no keep-alive, no TLS.
+//! matches the one-request-per-job usage pattern of the benchmark's
+//! clients and CI smoke tests. No chunked encoding, no keep-alive, no TLS.
 //!
 //! The layer owns no thread and no listener: [`read_request`] and
 //! [`Response::write_to`] run on whichever of `server`'s connection
@@ -14,12 +14,17 @@
 //! for a drain — reads as `Err("connection closed mid-head")`, and the
 //! `400` written back goes nowhere.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Cap on request head + body: jobs are small JSON documents.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 const MAX_BODY_BYTES: usize = 1024 * 1024;
+
+/// Time a peer has to send its whole request, head and body. A connection
+/// counts as in flight from `accept` on, and a drain waits for it.
+pub const READ_DEADLINE: Duration = Duration::from_secs(5);
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -38,12 +43,28 @@ impl Request {
     }
 }
 
-/// Read one request from the stream. `Err` strings are protocol-level
-/// (respond 400 and close).
+/// Read one request from the stream within [`READ_DEADLINE`]. `Err`
+/// strings are protocol-level (respond 400 and close).
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
+    let deadline = Instant::now() + READ_DEADLINE;
+    let late = || format!("request not received within {} s", READ_DEADLINE.as_secs());
+    let mut chunk = [0u8; 1024];
+    let mut read_chunk = |chunk: &mut [u8]| {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(late());
+        }
+        stream
+            .set_read_timeout(Some(left))
+            .map_err(|e| e.to_string())?;
+        stream.read(chunk).map_err(|e| match e.kind() {
+            ErrorKind::WouldBlock | ErrorKind::TimedOut => late(),
+            _ => e.to_string(),
+        })
+    };
+
     // Read until the blank line terminating the head.
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
     let head_end = loop {
         if let Some(pos) = find_head_end(&buf) {
             break pos;
@@ -51,7 +72,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         if buf.len() > MAX_HEAD_BYTES {
             return Err("request head too large".into());
         }
-        let n = stream.read(&mut chunk).map_err(|e| e.to_string())?;
+        let n = read_chunk(&mut chunk)?;
         if n == 0 {
             return Err("connection closed mid-head".into());
         }
@@ -83,7 +104,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
 
     let mut body = buf[head_end + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream.read(&mut chunk).map_err(|e| e.to_string())?;
+        let n = read_chunk(&mut chunk)?;
         if n == 0 {
             return Err("connection closed mid-body".into());
         }
@@ -165,7 +186,7 @@ impl Response {
     }
 }
 
-/// A tiny blocking client for the load generator and tests: one request,
+/// A tiny blocking client for the benchmark and tests: one request,
 /// one response, connection closed.
 pub struct ClientResponse {
     pub status: u16,

@@ -16,7 +16,7 @@
 //!   keys are comparable across runs and hosts.
 //! * [`cache`] — the keyed payload store with hit/miss/age accounting.
 //! * [`flight`] — single-flight coalescing plus fair bounded admission
-//!   (FIFO semaphore; full queue ⇒ HTTP 429 upstream).
+//!   (FIFO ticket queue; full queue ⇒ HTTP 429 upstream).
 //! * [`shard`] — the pinned worker pool: one `shmpi` universe per shard
 //!   at a time, placement-priced messaging, SPSC transport.
 //! * [`jobs`] — wire-level job shapes, parsing, and execution against
@@ -24,8 +24,10 @@
 //!   exports via `bwb-trace`.
 //! * [`http`] + [`server`] — a deliberately minimal HTTP/1.1 layer and
 //!   the routing/drain logic on top.
-//! * [`loadgen`] — the Zipf load driver behind the `loadtest` CLI and the
-//!   EXPERIMENTS.md serving table.
+//!
+//! All of it is plain blocking code on std threads; there is no async
+//! runtime. Serving is measured by the `perf/` benchmark's `serve_mix`
+//! workload and its `serve.*` metrics.
 //!
 //! ## Quick start
 //!
@@ -48,7 +50,6 @@ pub mod flight;
 pub mod http;
 pub mod jobs;
 pub mod key;
-pub mod loadgen;
 pub mod server;
 pub mod shard;
 
@@ -56,6 +57,5 @@ pub use cache::{CacheStats, ResultCache};
 pub use flight::{FlightOutcome, FlightStats, QueueFull, SingleFlight};
 pub use jobs::{ExecContext, Job, TraceStore};
 pub use key::{fnv1a64, CacheKey, KeyMaterial};
-pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use server::{Server, ServerConfig, ServerState};
 pub use shard::{ShardPool, ShardStats, ShardedRun};

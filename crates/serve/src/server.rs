@@ -1,11 +1,10 @@
 //! The HTTP front end: request routing, cache/admission orchestration,
 //! graceful drain.
 //!
-//! Threading model: the async runtime only orchestrates *waiting*
-//! (single-flight joins, admission queueing); socket I/O and heavy job
-//! compute run on plain connection workers, which call into the runtime
-//! with `Handle::block_on`. This keeps the executor responsive with a
-//! handful of workers while jobs saturate the machine.
+//! Threading model: plain blocking threads, no runtime. Socket I/O, heavy
+//! job compute and the waiting single-flight does (a follower on its
+//! channel, a queued leader on the admission condvar) all happen on the
+//! connection worker that accepted the request.
 //!
 //! A connection worker blocks in `accept`, handles the connection it gets
 //! — one request, one response, close — and goes back to `accept`.
@@ -22,7 +21,10 @@
 //! Nothing polls. A worker in `accept` learns about a drain because
 //! [`ServerState::begin_shutdown`] connects to the server's own address;
 //! the woken worker finds `draining` set and nothing in flight, leaves,
-//! and wakes the next one the same way. A handler that panics costs its
+//! and wakes the next one the same way. A peer has
+//! [`READ_DEADLINE`](crate::http::READ_DEADLINE) to send its request, so
+//! a connection that says nothing holds neither its worker nor the drain
+//! for longer than that. A handler that panics costs its
 //! request a `500` and nothing else: the in-flight count is released by a
 //! drop guard and the worker goes back to `accept`.
 //!
@@ -52,7 +54,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::Scope;
 use std::time::{Duration, Instant};
-use tokio::runtime::{Handle, Runtime};
 
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -87,7 +88,6 @@ pub struct ServerState {
     flight: SingleFlight,
     ctx: ExecContext,
     machine: String,
-    handle: Handle,
     job_seq: AtomicU64,
     /// Connections accepted and not yet answered.
     inflight: AtomicUsize,
@@ -189,12 +189,16 @@ pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,
     local_addr: SocketAddr,
-    // Owns the executor; dropping the server stops the workers.
-    _runtime: Runtime,
 }
 
 impl Server {
     pub fn bind(cfg: ServerConfig) -> std::io::Result<Server> {
+        if cfg.max_concurrent == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "max_concurrent must be at least 1",
+            ));
+        }
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
         // A wildcard bind is reached through loopback.
@@ -207,7 +211,6 @@ impl Server {
             }
             _ => local_addr,
         };
-        let runtime = Runtime::with_workers(4);
         let machine = machine_fingerprint(&cfg.platform);
         let state = Arc::new(ServerState {
             cache: ResultCache::new(),
@@ -217,7 +220,6 @@ impl Server {
                 traces: Arc::new(TraceStore::new()),
             },
             machine,
-            handle: runtime.handle().clone(),
             job_seq: AtomicU64::new(0),
             inflight: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
@@ -228,7 +230,6 @@ impl Server {
             listener,
             state,
             local_addr,
-            _runtime: runtime,
         })
     }
 
@@ -378,12 +379,10 @@ fn handle_job(state: &ServerState, req: &Request) -> Response {
             .header("X-Job-Id", job_id.to_string());
     }
 
-    let flight = state.handle.block_on(
-        state
-            .flight
-            .run_or_join(key, || job.execute(&state.ctx, job_id)),
-    );
-    match flight {
+    match state
+        .flight
+        .run_or_join(key, || job.execute(&state.ctx, job_id))
+    {
         Err(full) => Response::error(429, "admission queue is full")
             .header("Retry-After", full.retry_after_secs.to_string()),
         Ok(outcome) => {
@@ -413,6 +412,16 @@ mod tests {
     use super::*;
     use crate::http::request;
     use std::sync::mpsc;
+
+    #[test]
+    fn zero_admission_permits_is_a_bind_error_not_a_panic() {
+        let refused = Server::bind(ServerConfig {
+            max_concurrent: 0,
+            ..ServerConfig::default()
+        });
+        let err = refused.err().expect("no server without a permit");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
 
     #[test]
     fn a_panicking_job_costs_its_request_a_500_and_nothing_else() {

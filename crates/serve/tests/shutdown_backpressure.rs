@@ -2,13 +2,14 @@
 //! sockets: overflowing the admission queue yields `429` with a
 //! `Retry-After` hint (and the work succeeds on retry); draining refuses
 //! new jobs with `503` while in-flight connections finish, then the accept
-//! loop returns.
+//! loop returns — also when a peer never finishes its request.
 
-use bwb_serve::http::request;
+use bwb_serve::http::{request, READ_DEADLINE};
 use bwb_serve::server::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Barrier;
+use std::sync::{mpsc, Barrier};
+use std::time::Duration;
 
 #[test]
 fn overflowing_the_admission_queue_returns_429_with_retry_after() {
@@ -117,4 +118,40 @@ fn draining_refuses_new_jobs_and_exits_once_idle() {
 
     // With the last in-flight connection done, the accept loop returns.
     runner.join().expect("server thread exits after drain");
+}
+
+#[test]
+fn silent_and_half_sent_connections_cannot_hold_the_drain() {
+    let server = Server::bind(ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let state = server.state();
+    let (done_tx, done_rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        server.run();
+        let _ = done_tx.send(());
+    });
+
+    // One peer says nothing, one stops halfway through its head. A request
+    // answered after both means both were accepted: they are in flight.
+    let silent = TcpStream::connect(&addr).expect("connect");
+    let mut half = TcpStream::connect(&addr).expect("connect");
+    half.write_all(b"POST /job HTTP/1.1\r\nContent-")
+        .expect("half a head");
+    let health = request(&addr, "GET", "/healthz", None).expect("healthz");
+    assert_eq!(health.status, 200);
+
+    state.begin_shutdown();
+    done_rx
+        .recv_timeout(READ_DEADLINE + Duration::from_secs(5))
+        .expect("run() returns once the unfinished requests time out");
+    runner.join().expect("server thread");
+
+    let mut reply = String::new();
+    half.read_to_string(&mut reply).expect("half-sent reply");
+    assert!(
+        reply.starts_with("HTTP/1.1 400"),
+        "half-sent reply: {reply}"
+    );
+    assert!(reply.contains("within 5 s"), "names the deadline: {reply}");
+    drop(silent);
 }
