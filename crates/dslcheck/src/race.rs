@@ -98,7 +98,11 @@ pub fn check_unstructured(app: &str, specs: &[ULoopSpec], obs: &[ULoopObs]) -> V
                     }
                 }
             }
-            UScheduleObs::Colored { colors, .. } => {
+            UScheduleObs::Colored {
+                block_size,
+                block_colors,
+                ..
+            } => {
                 // Group writes by (dataset, target): the conflict unit.
                 let mut writes: BTreeMap<(usize, usize), Vec<&UAccessObs>> = BTreeMap::new();
                 for a in &o.accesses {
@@ -107,13 +111,15 @@ pub fn check_unstructured(app: &str, specs: &[ULoopSpec], obs: &[ULoopObs]) -> V
                     }
                 }
                 for ((f, target), ws) in writes {
-                    // Same-color write/write through distinct elements: the
-                    // parallel color class would race.
-                    let mut by_color: BTreeMap<u32, usize> = BTreeMap::new();
+                    // Same-color write/write through distinct blocks: the
+                    // parallel color class would race. Writes from one block
+                    // run in element order and cannot.
+                    let mut by_color: BTreeMap<u32, (usize, usize)> = BTreeMap::new();
                     for a in &ws {
-                        let color = colors.get(a.src).copied().unwrap_or(0);
+                        let block = a.src / (*block_size).max(1);
+                        let color = block_colors.get(block).copied().unwrap_or(0);
                         match by_color.get(&color) {
-                            Some(&prev) if prev != a.src => {
+                            Some(&(prev_block, prev)) if prev_block != block => {
                                 push(Kind::SameColorConflict {
                                     loop_name: o.name.clone(),
                                     dat: arg_name(o, f),
@@ -125,7 +131,7 @@ pub fn check_unstructured(app: &str, specs: &[ULoopSpec], obs: &[ULoopObs]) -> V
                             }
                             Some(_) => {}
                             None => {
-                                by_color.insert(color, a.src);
+                                by_color.insert(color, (block, a.src));
                             }
                         }
                     }
@@ -207,6 +213,42 @@ mod tests {
         });
         assert_eq!(obs.len(), 1);
         assert!(matches!(obs[0].schedule, UScheduleObs::Colored { .. }));
+        let v = check_unstructured("t", &inc_specs(), &obs);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn valid_block_coloring_with_shared_nodes_inside_blocks_passes() {
+        // Blocks of 4 consecutive ring edges: inside a block, edge e and
+        // e + 1 share a node, which is safe because a block runs in order.
+        // Only distinct blocks of one color may not share one.
+        let n = 16;
+        let (nodes, _e, map) = ring_mesh(n);
+        let blocks = BlockColoring::greedy(n, 4, &[&map]);
+        assert!(blocks.validate(&[&map]));
+        assert!(blocks.n_colors >= 2);
+        let mut acc = DatU::<f64>::new("acc", &nodes, 1);
+        let ((), obs) = with_recording_u(|| {
+            let mut p = Profile::new();
+            let m = &map;
+            par_loop_block_colored(
+                &mut p,
+                "inc",
+                ExecModeU::Colored,
+                &blocks,
+                &mut [&mut acc],
+                16,
+                1.0,
+                |e, out| {
+                    out.add(0, m.get(e, 0), 0, 1.0);
+                    out.add(0, m.get(e, 1), 0, 1.0);
+                },
+            );
+        });
+        assert!(matches!(
+            obs[0].schedule,
+            UScheduleObs::Colored { block_size: 4, .. }
+        ));
         let v = check_unstructured("t", &inc_specs(), &obs);
         assert!(v.is_empty(), "{v:?}");
     }

@@ -59,8 +59,9 @@ pub enum Kind {
         exchanged_depth: usize,
         required_radius: isize,
     },
-    /// Two same-color elements write the same indirect target — the colored
-    /// schedule would race.
+    /// Elements of two distinct same-color blocks (of two same-color
+    /// elements, under element coloring) write the same indirect target —
+    /// the colored schedule would race.
     SameColorConflict {
         loop_name: String,
         dat: String,

@@ -80,9 +80,16 @@ pub struct UAccessObs {
 pub enum UScheduleObs {
     /// Direct loop: every element may write only itself.
     Direct,
-    /// Indirect loop under a per-element coloring (element or block
-    /// granularity, expanded to per-element colors).
-    Colored { colors: Vec<u32>, n_colors: u32 },
+    /// Indirect loop under a coloring of contiguous blocks: element `e` runs
+    /// in block `e / block_size`, whose color is `block_colors[block]`.
+    /// Blocks of one color run in parallel and each block's elements run in
+    /// order, so only two *distinct* blocks of one color may race. Element
+    /// coloring is `block_size` 1.
+    Colored {
+        block_size: usize,
+        block_colors: Vec<u32>,
+        n_colors: u32,
+    },
     /// Gather/scatter lanes: staged writes applied in element order, so
     /// overlap is well-defined (last writer wins).
     Gather,

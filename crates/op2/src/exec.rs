@@ -253,7 +253,8 @@ pub fn par_loop_colored<T, F>(
             set_size,
             outs.iter().map(|d| d.name.clone()).collect(),
             UScheduleObs::Colored {
-                colors: coloring.colors.clone(),
+                block_size: 1,
+                block_colors: coloring.colors.clone(),
                 n_colors: coloring.n_colors,
             },
         );
@@ -328,17 +329,13 @@ pub fn par_loop_block_colored<T, F>(
     let recording = access::recording_active_u();
     let mode = if recording { ExecModeU::Serial } else { mode };
     if recording {
-        // Expand block colors to per-element colors so analyzers see one
-        // uniform schedule shape.
-        let colors: Vec<u32> = (0..set_size)
-            .map(|e| coloring.block_colors[e / coloring.block_size])
-            .collect();
         access::begin_uloop(
             name,
             set_size,
             outs.iter().map(|d| d.name.clone()).collect(),
             UScheduleObs::Colored {
-                colors,
+                block_size: coloring.block_size,
+                block_colors: coloring.block_colors.clone(),
                 n_colors: coloring.n_colors,
             },
         );

@@ -518,4 +518,14 @@ fn block_colored_matches_serial_fixed_seeds() {
             }
         }
     }
+    // Edge shapes of the block partition, at a toy block and at MG-CFD's:
+    // a set smaller than one block, a whole number of blocks, and a last
+    // block of one element.
+    for &block in &[8usize, 1024] {
+        for n_edges in [block - 3, 3 * block, 3 * block + 1] {
+            for seed in 0..3u64 {
+                block_colored_case(n_edges, n_edges / 4 + 2, block, seed);
+            }
+        }
+    }
 }
