@@ -22,12 +22,14 @@
 
 use crate::{AppId, AppRun};
 use bwb_op2::{
-    group_by_min_target, order_by_min_target, par_loop_block_colored, par_loop_direct, sfc_order,
-    sweep_direct, BlockColoring, Coloring, DatU, ExecModeU, Map, Permutation, Set,
+    group_by_min_target, order_by_min_target, par_loop_block_colored_staged, par_loop_direct,
+    sfc_order, sweep_direct, BlockColoring, Coloring, DatU, ExecModeU, Map, Permutation, Set,
 };
 use bwb_ops::Profile;
+use bwb_trace::{span, Cat};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 pub const NVAR: usize = 4;
 pub const GAMMA: f64 = 1.4;
@@ -266,22 +268,34 @@ fn generate(cfg: &Config) -> Vec<Mesh> {
 /// Renumber every level for locality: nodes along a space-filling curve
 /// through their coordinates, edges after their nodes (orientation and
 /// weights travel with the edge), `n2c` on its fine side and on its coarse
-/// side. Returns each level's node permutation.
+/// side. Returns each level's node permutation. Traced as a `renumber`
+/// span whose `order` spans compute permutations and whose `permute` spans
+/// apply them.
 fn renumber(meshes: &mut [Mesh]) -> Vec<Permutation> {
-    let node_order: Vec<Permutation> = meshes.iter().map(|m| sfc_order(&m.coords)).collect();
+    let _renumber = span(Cat::App, "renumber");
+    let node_order: Vec<Permutation> = {
+        let _order = span(Cat::App, "order");
+        meshes.iter().map(|m| sfc_order(&m.coords)).collect()
+    };
     for (l, m) in meshes.iter_mut().enumerate() {
         let by_node = &node_order[l];
+        let permute = span(Cat::App, "permute");
         m.coords = by_node.permute_dat(&m.coords);
         m.volume = by_node.permute_dat(&m.volume);
         m.is_boundary = by_node.permute_slice(&m.is_boundary);
         by_node.relabel_targets(&mut m.e2n);
-        let by_edge = order_by_min_target(&m.e2n);
-        m.e2n = by_edge.permute_rows(&m.e2n);
-        m.weights = by_edge.permute_dat(&m.weights);
         if let Some(n2c) = &mut m.n2c {
             node_order[l + 1].relabel_targets(n2c);
             *n2c = by_node.permute_rows(n2c);
         }
+        drop(permute);
+        let by_edge = {
+            let _order = span(Cat::App, "order");
+            order_by_min_target(&m.e2n)
+        };
+        let _permute = span(Cat::App, "permute");
+        m.e2n = by_edge.permute_rows(&m.e2n);
+        m.weights = by_edge.permute_dat(&m.weights);
     }
     node_order
 }
@@ -289,9 +303,17 @@ fn renumber(meshes: &mut [Mesh]) -> Vec<Permutation> {
 impl Level {
     /// Colour a mesh for the indirect increments through `e2n`.
     fn of_mesh(m: Mesh) -> Level {
+        let blocks = {
+            let _colour = span(Cat::App, "colour_blocks");
+            BlockColoring::greedy(m.edges.size, FLUX_BLOCK, &[&m.e2n])
+        };
+        let coloring = {
+            let _colour = span(Cat::App, "colour_elements");
+            Coloring::greedy(m.edges.size, &[&m.e2n])
+        };
         Level {
-            blocks: BlockColoring::greedy(m.edges.size, FLUX_BLOCK, &[&m.e2n]),
-            coloring: Coloring::greedy(m.edges.size, &[&m.e2n]),
+            blocks,
+            coloring,
             children: m.n2c.as_ref().map(Children::of_map),
             nodes: m.nodes,
             edges: m.edges,
@@ -327,23 +349,31 @@ pub fn freestream() -> [f64; NVAR] {
     [rho, rho * u, rho * v, e]
 }
 
-fn pressure(q: &[f64]) -> f64 {
-    let rho = q[0].max(1e-12);
-    let u = q[1] / rho;
-    let v = q[2] / rho;
-    ((GAMMA - 1.0) * (q[3] - 0.5 * rho * (u * u + v * v))).max(1e-12)
+/// The primitive state `[u, v, p, c]` of a node: velocity, pressure and
+/// sound speed. It costs a node's divisions and square root, so
+/// `compute_flux` derives it once per node of a block, not once per edge.
+pub fn primitives(s: &[f64; NVAR]) -> [f64; 4] {
+    let rho = s[0].max(1e-12);
+    let u = s[1] / rho;
+    let v = s[2] / rho;
+    let p = ((GAMMA - 1.0) * (s[3] - 0.5 * rho * (u * u + v * v))).max(1e-12);
+    let c = (GAMMA * p / rho).sqrt();
+    [u, v, p, c]
 }
 
 /// Rusanov (local Lax-Friedrichs) numerical flux across one dual face with
-/// normal `(wx, wy)`, from state `qa` into state `qb`. The edge kernel adds
-/// `-f` at the `a` endpoint and `+f` at `b`. Shared by the serial/colored
-/// `compute_flux` loop and the distributed owner-compute path.
-pub fn rusanov_edge_flux(qa: &[f64; NVAR], qb: &[f64; NVAR], wx: f64, wy: f64) -> [f64; NVAR] {
-    let flux_of = |s: &[f64; NVAR]| -> [f64; NVAR] {
+/// normal `(wx, wy)`, from state `qa` into state `qb`, given their
+/// [`primitives`] `pa` and `pb`.
+pub fn rusanov_flux(
+    qa: &[f64; NVAR],
+    pa: &[f64; 4],
+    qb: &[f64; NVAR],
+    pb: &[f64; 4],
+    wx: f64,
+    wy: f64,
+) -> [f64; NVAR] {
+    let flux_of = |s: &[f64; NVAR], &[u, v, p, _]: &[f64; 4]| -> [f64; NVAR] {
         let rho = s[0].max(1e-12);
-        let u = s[1] / rho;
-        let v = s[2] / rho;
-        let p = pressure(s);
         let vn = u * wx + v * wy;
         [
             rho * vn,
@@ -352,32 +382,56 @@ pub fn rusanov_edge_flux(qa: &[f64; NVAR], qb: &[f64; NVAR], wx: f64, wy: f64) -
             (s[3] + p) * vn,
         ]
     };
-    let fa = flux_of(qa);
-    let fb = flux_of(qb);
+    let fa = flux_of(qa, pa);
+    let fb = flux_of(qb, pb);
     // Spectral radius for Rusanov dissipation.
-    let speed = |s: &[f64; NVAR]| -> f64 {
-        let rho = s[0].max(1e-12);
-        let u = s[1] / rho;
-        let v = s[2] / rho;
-        let c = (GAMMA * pressure(s) / rho).sqrt();
-        (u * wx + v * wy).abs() + c * (wx * wx + wy * wy).sqrt()
-    };
-    let lam = speed(qa).max(speed(qb));
+    let speed = |&[u, v, _, c]: &[f64; 4]| (u * wx + v * wy).abs() + c * (wx * wx + wy * wy).sqrt();
+    let lam = speed(pa).max(speed(pb));
     std::array::from_fn(|c| 0.5 * (fa[c] + fb[c]) - 0.5 * lam * (qb[c] - qa[c]))
+}
+
+/// [`rusanov_flux`] deriving both ends' primitives itself. The edge kernel
+/// adds `-f` at the `a` endpoint and `+f` at `b`. The distributed
+/// owner-compute path uses it as it stands; `compute_flux` is it with the
+/// primitives staged per block.
+pub fn rusanov_edge_flux(qa: &[f64; NVAR], qb: &[f64; NVAR], wx: f64, wy: f64) -> [f64; NVAR] {
+    rusanov_flux(qa, &primitives(qa), qb, &primitives(qb), wx, wy)
+}
+
+/// The nodes whose primitives `compute_flux` stages for a block of
+/// `edges`: from the smaller end of its first edge to the smaller end of
+/// its last. `renumber` orders edges by their smaller end, so that window
+/// holds the smaller end of every edge of the block; a larger end may lie
+/// outside it. On a mesh in another edge order the window may be empty or
+/// wide, and the flux is exact either way.
+fn low_end_window(e2n: &Map, edges: Range<usize>) -> Range<usize> {
+    let low_end = |e: usize| e2n.get(e, 0).min(e2n.get(e, 1));
+    low_end(edges.start)..low_end(edges.end - 1) + 1
 }
 
 impl MgCfd {
     /// The solver on the mesh `cfg` generates, renumbered for locality
     /// before anything is scheduled on it: colouring, partitioning and every
     /// analyzer see the one renumbered mesh.
+    ///
+    /// Traced as one `mgcfd_setup` span over its phases: `generate`,
+    /// `renumber`, `colour` and `allocate_state`.
     pub fn new(cfg: Config) -> Self {
-        let mut meshes = generate(&cfg);
+        let _setup = span(Cat::App, "mgcfd_setup");
+        let mut meshes = {
+            let _generate = span(Cat::App, "generate");
+            generate(&cfg)
+        };
         renumber(&mut meshes);
         Self::on_meshes(cfg, meshes)
     }
 
     fn on_meshes(cfg: Config, meshes: Vec<Mesh>) -> Self {
-        let levels: Vec<Level> = meshes.into_iter().map(Level::of_mesh).collect();
+        let levels: Vec<Level> = {
+            let _colour = span(Cat::App, "colour");
+            meshes.into_iter().map(Level::of_mesh).collect()
+        };
+        let _allocate = span(Cat::App, "allocate_state");
         let state = |name: &str, lv: &Level| DatU::<f64>::new(name, &lv.nodes, NVAR);
         let q = levels
             .iter()
@@ -418,6 +472,12 @@ impl MgCfd {
 
     /// MG-CFD's `compute_flux`: Rusanov edge fluxes accumulated into the
     /// residual (indirect increments through e2n — the block-colored loop).
+    ///
+    /// Each block first stages the [`primitives`] of the nodes that
+    /// `low_end_window` picks for its edges; an edge end outside that
+    /// window is derived in place. Either way every edge sees the values
+    /// [`rusanov_edge_flux`] would derive, so the residual is the same to
+    /// the bit.
     pub fn compute_flux(&mut self, profile: &mut Profile, level: usize) {
         let lv = &self.levels[level];
         let q = &self.q[level];
@@ -425,7 +485,8 @@ impl MgCfd {
         res.fill(0.0);
         let e2n = &lv.e2n;
         let w = &lv.weights;
-        par_loop_block_colored(
+        let state = |n: usize| -> &[f64; NVAR] { q.elem(n).try_into().expect("NVAR components") };
+        par_loop_block_colored_staged(
             profile,
             "compute_flux",
             self.cfg.mode,
@@ -433,18 +494,29 @@ impl MgCfd {
             &mut [res],
             (2 * NVAR + 2 + 2 * NVAR) * 8, // read 2 node states + weights, inc 2 residuals
             120.0,
-            |e, out| {
-                let a = e2n.get(e, 0);
-                let b = e2n.get(e, 1);
-                let qa: [f64; NVAR] = std::array::from_fn(|c| q.get(a, c));
-                let qb: [f64; NVAR] = std::array::from_fn(|c| q.get(b, c));
-                let (wx, wy) = (w.get(e, 0), w.get(e, 1));
-                let f = rusanov_edge_flux(&qa, &qb, wx, wy);
-                for (c, &fc) in f.iter().enumerate() {
-                    // Flux leaves a, enters b.
-                    out.add(0, a, c, -fc);
-                    out.add(0, b, c, fc);
-                }
+            |edges| {
+                let nodes = low_end_window(e2n, edges);
+                let prims: Vec<[f64; 4]> = nodes.clone().map(|n| primitives(state(n))).collect();
+                (nodes.start, prims)
+            },
+            |(first, prims), e, out| {
+                // A node below the window wraps past its end: one check.
+                let prim = |n: usize| match prims.get(n.wrapping_sub(*first)) {
+                    Some(p) => *p,
+                    None => primitives(state(n)),
+                };
+                let (a, b) = (e2n.get(e, 0), e2n.get(e, 1));
+                let f = rusanov_flux(
+                    state(a),
+                    &prim(a),
+                    state(b),
+                    &prim(b),
+                    w.get(e, 0),
+                    w.get(e, 1),
+                );
+                // Flux leaves a, enters b.
+                out.add_elem(0, a, &f.map(|fc| -fc));
+                out.add_elem(0, b, &f);
             },
         );
     }
@@ -609,34 +681,40 @@ impl MgCfd {
         );
     }
 
-    /// Pseudo-time smoothing steps on one level.
-    fn smooth(&mut self, profile: &mut Profile, level: usize) {
+    /// Pseudo-time smoothing steps on one level. `restricted` says that a
+    /// restriction has just left `res[level]` holding the residual of
+    /// `q[level]`, so the first step takes it instead of recomputing it.
+    fn smooth(&mut self, profile: &mut Profile, level: usize, restricted: bool) {
         let n_side = (self.levels[level].nodes.size as f64).sqrt();
         let h = 1.0 / n_side;
         let dt = 0.2 * h; // conservative explicit pseudo-time step
-        for _ in 0..self.cfg.smooth_steps {
-            self.compute_flux(profile, level);
+        for step in 0..self.cfg.smooth_steps {
+            if !(restricted && step == 0) {
+                self.compute_flux(profile, level);
+            }
             self.time_step(profile, level, dt);
         }
     }
 
-    /// One FAS V-cycle from the fine level down and back.
+    /// One FAS V-cycle from the fine level down and back. A level entered
+    /// by restriction starts smoothing from the residual `restrict_to` left
+    /// it: the same bits another flux pass would compute.
     pub fn v_cycle(&mut self, profile: &mut Profile) {
         let top = self.levels.len() - 1;
         // Down-sweep: pre-smooth, then restrict state + residual forcing.
         for l in 0..top {
-            self.smooth(profile, l);
+            self.smooth(profile, l, l > 0);
             self.compute_flux(profile, l);
             self.restrict_to(profile, l);
         }
         // Coarsest solve: extra smoothing.
-        for _ in 0..3 {
-            self.smooth(profile, top);
+        for i in 0..3 {
+            self.smooth(profile, top, top > 0 && i == 0);
         }
         // Up-sweep: prolong correction, post-smooth.
         for l in (0..top).rev() {
             self.prolong_from(profile, l);
-            self.smooth(profile, l);
+            self.smooth(profile, l, false);
         }
     }
 
@@ -649,7 +727,7 @@ impl MgCfd {
         sim.compute_flux(&mut profile, 0);
         let r0 = sim.residual_norm(0);
         for it in 0..cycles {
-            let mut aspan = bwb_trace::span(bwb_trace::Cat::App, "v_cycle");
+            let mut aspan = span(Cat::App, "v_cycle");
             aspan.set_args(it as f64, 0.0, 0.0);
             sim.v_cycle(&mut profile);
         }
@@ -1021,8 +1099,8 @@ mod tests {
             // Equal fine-level smoothing work: 1-level "V-cycle" = smoothing.
             for _ in 0..4 {
                 if levels == 1 {
-                    sim.smooth(&mut p, 0);
-                    sim.smooth(&mut p, 0);
+                    sim.smooth(&mut p, 0, false);
+                    sim.smooth(&mut p, 0, false);
                 } else {
                     sim.v_cycle(&mut p);
                 }
@@ -1076,6 +1154,172 @@ mod tests {
         let (again, q_again) = run(ExecModeU::Colored);
         assert_eq!(colored.to_bits(), again.to_bits());
         assert!(q == q_again, "colored runs differ in q");
+    }
+
+    /// FNV-1a over the bits of `q` and `res` on every level.
+    fn state_hash(sim: &MgCfd) -> u64 {
+        sim.q
+            .iter()
+            .chain(&sim.res)
+            .flat_map(|d| d.raw())
+            .fold(bwb_ops::hash::FNV_OFFSET, |h, v| {
+                bwb_ops::hash::step_u64(h, v.to_bits())
+            })
+    }
+
+    #[test]
+    fn state_bits_pinned_to_the_parent() {
+        // Hashes taken before `compute_flux` staged primitives per block and
+        // before the V-cycle reused the residual a restriction leaves: both
+        // keep every expression and the order of every increment. The
+        // arithmetic is +, -, *, /, sqrt, abs and max, and the Colored order
+        // is fixed by the block schedule, so the bits depend on neither the
+        // host nor the thread count.
+        for (mode, golden) in [
+            (ExecModeU::Serial, 0x851b_303e_31b0_751e_u64),
+            (ExecModeU::Colored, 0x5df0_b6ea_d8fe_d705),
+        ] {
+            let mut sim = MgCfd::new(Config {
+                n: 65,
+                levels: 4,
+                mode,
+                ..Config::default()
+            });
+            // A polynomial bump, not `perturb`'s Gaussian: no libm `exp`.
+            let (lv, q) = (&sim.levels[0], &mut sim.q[0]);
+            for nid in 0..lv.nodes.size {
+                let x = lv.coords.get(nid, 0) - 0.5;
+                let y = lv.coords.get(nid, 1) - 0.5;
+                let g = 0.5 * (0.1 - (x * x + y * y)).max(0.0);
+                q.set(nid, 0, q.get(nid, 0) + g);
+                q.set(nid, 3, q.get(nid, 3) + 2.0 * g);
+            }
+            let mut p = Profile::new();
+            for _ in 0..2 {
+                sim.v_cycle(&mut p);
+            }
+            let hash = state_hash(&sim);
+            assert_eq!(hash, golden, "{mode:?}: {hash:#018x}");
+        }
+    }
+
+    #[test]
+    fn serial_compute_flux_equals_an_edge_order_loop() {
+        let cfg = Config {
+            n: 65,
+            levels: 3,
+            ..Config::default()
+        };
+        // The generator's numbering does not order edges by their smaller
+        // end, so there most ends fall outside the staged window.
+        for mut sim in [
+            MgCfd::new(cfg.clone()),
+            MgCfd::in_generator_numbering(cfg.clone()),
+        ] {
+            sim.perturb(0.05);
+            sim.v_cycle(&mut Profile::new());
+            for l in 0..sim.levels.len() {
+                // The flux one edge at a time, both ends derived in place.
+                let (lv, q) = (&sim.levels[l], &sim.q[l]);
+                let mut want = DatU::<f64>::new("res", &lv.nodes, NVAR);
+                for e in 0..lv.edges.size {
+                    let (a, b) = (lv.e2n.get(e, 0), lv.e2n.get(e, 1));
+                    let qa: [f64; NVAR] = std::array::from_fn(|c| q.get(a, c));
+                    let qb: [f64; NVAR] = std::array::from_fn(|c| q.get(b, c));
+                    let f = rusanov_edge_flux(&qa, &qb, lv.weights.get(e, 0), lv.weights.get(e, 1));
+                    for (c, &fc) in f.iter().enumerate() {
+                        want.set(a, c, want.get(a, c) - fc);
+                        want.set(b, c, want.get(b, c) + fc);
+                    }
+                }
+                sim.compute_flux(&mut Profile::new(), l);
+                let bits = |d: &DatU<f64>| d.raw().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert!(bits(&sim.res[l]) == bits(&want), "level {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn staged_primitives_cover_most_edge_ends() {
+        // Derivations per edge, staged plus in place, against the 2 of an
+        // edge-by-edge flux: the locality the staging rests on, as a count.
+        let sim = MgCfd::new(Config {
+            n: 129,
+            levels: 1,
+            ..Config::default()
+        });
+        let lv = &sim.levels[0];
+        let (mut staged, mut in_place) = (0, 0);
+        for b in 0..lv.blocks.n_blocks() {
+            let edges = lv.blocks.block_range(b);
+            let window = low_end_window(&lv.e2n, edges.clone());
+            staged += window.len();
+            for e in edges {
+                let (a, b) = (lv.e2n.get(e, 0), lv.e2n.get(e, 1));
+                assert!(window.contains(&a.min(b)), "edge {e}");
+                in_place += !window.contains(&a.max(b)) as usize;
+            }
+        }
+        let per_edge = |k: usize| k as f64 / lv.edges.size as f64;
+        assert!(
+            per_edge(staged) + per_edge(in_place) < 0.75,
+            "{} staged + {} in place per edge",
+            per_edge(staged),
+            per_edge(in_place)
+        );
+    }
+
+    #[test]
+    fn setup_phases_are_spans_under_one_root() {
+        // Other tests' threads may trace too while the session is on, so
+        // only this thread's events are read.
+        const LABEL: &str = "mgcfd setup test";
+        bwb_trace::set_thread_label(LABEL);
+        let cfg = Config {
+            n: 17,
+            levels: 2,
+            ..Config::default()
+        };
+        let mine = |trace: bwb_trace::Trace| bwb_trace::Trace {
+            threads: trace
+                .threads
+                .into_iter()
+                .filter(|t| t.label == LABEL)
+                .collect(),
+            ..trace
+        };
+        let (_, trace) = bwb_trace::with_tracing(|| MgCfd::new(cfg.clone()));
+        let trace = mine(trace);
+        let forest = bwb_trace::build_forest(&trace).expect("well-formed spans");
+        let name = |s: &bwb_trace::SpanNode| trace.name(s.name).to_string();
+        let roots: Vec<_> = forest.iter().flat_map(|t| &t.roots).collect();
+        assert_eq!(
+            roots.iter().map(|r| name(r)).collect::<Vec<_>>(),
+            ["mgcfd_setup"]
+        );
+        let names = |spans: &[bwb_trace::SpanNode]| spans.iter().map(name).collect::<Vec<_>>();
+        let phases = &roots[0].children;
+        assert_eq!(
+            names(phases),
+            ["generate", "renumber", "colour", "allocate_state"]
+        );
+        // Two levels: the node orders, then per level a node permute, an
+        // edge order and an edge permute.
+        assert_eq!(
+            names(&phases[1].children),
+            ["order", "permute", "order", "permute", "permute", "order", "permute"]
+        );
+        assert_eq!(
+            names(&phases[2].children),
+            ["colour_blocks", "colour_elements"].repeat(2)
+        );
+
+        bwb_trace::clear();
+        drop(MgCfd::new(cfg));
+        assert!(
+            mine(bwb_trace::take()).is_empty(),
+            "recorded with tracing off"
+        );
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //!   maps; parallel execution proceeds color class by color class using a
 //!   [`Coloring`] whose conflict-freedom guarantees race-freedom (OP2's
 //!   OpenMP scheme).
+//! * [`par_loop_block_colored`] — the same increments scheduled by a
+//!   [`BlockColoring`] of contiguous element blocks (OP2's hierarchical
+//!   plan). [`par_loop_block_colored_staged`] adds a per-block staging
+//!   step, so indirect data several elements share is derived once per
+//!   block; the unstaged driver is it with nothing staged.
 //! * [`par_loop_gather`] — the "MPI vec" execution shape: elements are
 //!   processed in fixed-width lanes with explicit gather/scatter staging
 //!   buffers, and the extra staged bytes are recorded so the performance
@@ -18,6 +23,7 @@ use crate::set::DatU;
 use bwb_ops::Profile;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Unstructured execution backend.
@@ -47,8 +53,9 @@ struct WViewU<T> {
 // only the pointer, and the coloring / own-element contracts (type docs)
 // keep concurrent element writes disjoint.
 unsafe impl<T: Send> Send for WViewU<T> {}
-// SAFETY: shared references only expose `write`/`read`, whose target
-// disjointness across threads is guaranteed by the same driver contracts.
+// SAFETY: shared references only expose element reads and writes
+// (`write`/`read`, `UOut::add_elem`), whose target disjointness across
+// threads is guaranteed by the same driver contracts.
 unsafe impl<T: Send> Sync for WViewU<T> {}
 
 impl<T: Copy> WViewU<T> {
@@ -117,6 +124,29 @@ impl UOut<'_, f64> {
         }
         let cur = self.views[f].read(e, c);
         self.views[f].write(e, c, cur + v);
+    }
+
+    /// Increment every component of element `e` of output dataset `f` by
+    /// `row`, in component order: [`UOut::add`] for a whole row, with one
+    /// bounds check and one recorded access instead of one per component.
+    #[inline]
+    pub fn add_elem(&self, f: usize, e: usize, row: &[f64]) {
+        if self.recording {
+            access::note_access(f, e, UKind::Inc);
+        }
+        let view = &self.views[f];
+        let lo = e * view.dim;
+        assert!(
+            row.len() == view.dim && lo + view.dim <= view.len,
+            "row of {} at element {e} does not fit a dataset of dim {}",
+            row.len(),
+            view.dim
+        );
+        for (c, &v) in row.iter().enumerate() {
+            // SAFETY: `lo + c < lo + dim <= len` asserted above;
+            // disjointness per the driver contract.
+            unsafe { *view.ptr.add(lo + c) += v }
+        }
     }
 }
 
@@ -325,6 +355,46 @@ pub fn par_loop_block_colored<T, F>(
     T: Copy + Send + Sync,
     F: Fn(usize, &UOut<T>) + Sync,
 {
+    par_loop_block_colored_staged(
+        profile,
+        name,
+        mode,
+        coloring,
+        outs,
+        bytes_per_elem,
+        flops_per_elem,
+        |_| (),
+        |(), e, out| kernel(e, out),
+    );
+}
+
+/// [`par_loop_block_colored`] with a per-block staging step, OP2's
+/// hierarchical plan: `stage(range)` runs once per block, before that
+/// block's elements, and `kernel(&staged, e, out)` then runs for each
+/// element `e` of `range`. What the kernel would otherwise derive once per
+/// element from shared indirect data (an edge loop re-deriving both end
+/// nodes' state) is derived once per block instead. `stage` may only read;
+/// writes go through the kernel's `UOut` as usual.
+///
+/// Serial mode walks the blocks in index order, so elements still run in
+/// ascending order; a recording sees the same loop, schedule and accesses
+/// as [`par_loop_block_colored`].
+#[allow(clippy::too_many_arguments)]
+pub fn par_loop_block_colored_staged<T, S, G, F>(
+    profile: &mut Profile,
+    name: &str,
+    mode: ExecModeU,
+    coloring: &BlockColoring,
+    outs: &mut [&mut DatU<T>],
+    bytes_per_elem: usize,
+    flops_per_elem: f64,
+    stage: G,
+    kernel: F,
+) where
+    T: Copy + Send + Sync,
+    G: Fn(Range<usize>) -> S + Sync,
+    F: Fn(&S, usize, &UOut<T>) + Sync,
+{
     let set_size = coloring.set_size;
     let recording = access::recording_active_u();
     let mode = if recording { ExecModeU::Serial } else { mode };
@@ -345,16 +415,20 @@ pub fn par_loop_block_colored<T, F>(
         views: &views,
         recording,
     };
+    let run_block = |range: Range<usize>| {
+        let staged = stage(range.clone());
+        for e in range {
+            if recording {
+                access::set_current(e);
+            }
+            kernel(&staged, e, &out);
+        }
+    };
     let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
     let t0 = Instant::now();
     match mode {
         ExecModeU::Serial => {
-            for e in 0..set_size {
-                if recording {
-                    access::set_current(e);
-                }
-                kernel(e, &out);
-            }
+            (0..coloring.n_blocks()).for_each(|b| run_block(coloring.block_range(b)))
         }
         ExecModeU::Colored => {
             for (color, class) in coloring.by_color.iter().enumerate() {
@@ -365,11 +439,9 @@ pub fn par_loop_block_colored<T, F>(
                     .map(|&b| coloring.block_range(b as usize).len())
                     .sum();
                 cspan.set_args(color as f64, elems as f64, 0.0);
-                class.par_iter().for_each(|&b| {
-                    for e in coloring.block_range(b as usize) {
-                        kernel(e, &out);
-                    }
-                });
+                class
+                    .par_iter()
+                    .for_each(|&b| run_block(coloring.block_range(b as usize)));
             }
         }
     }
@@ -733,6 +805,126 @@ mod tests {
             assert_eq!(ps.get("inc").unwrap().bytes, pc.get("inc").unwrap().bytes);
             assert_eq!(ps.get("inc").unwrap().points, n);
         }
+    }
+
+    #[test]
+    fn staged_driver_stages_each_block_once() {
+        let n = 97;
+        let (nodes, _edges, map) = ring_mesh(n);
+        let coloring = BlockColoring::greedy(n, 16, &[&map]);
+        let blocks: Vec<_> = (0..coloring.n_blocks())
+            .map(|b| coloring.block_range(b))
+            .collect();
+        for mode in [ExecModeU::Serial, ExecModeU::Colored] {
+            let staged = std::sync::Mutex::new(Vec::new());
+            let mut acc = DatU::<f64>::new("acc", &nodes, 2);
+            let m = &map;
+            par_loop_block_colored_staged(
+                &mut Profile::new(),
+                "inc",
+                mode,
+                &coloring,
+                &mut [&mut acc],
+                16,
+                2.0,
+                |range| {
+                    staged.lock().unwrap().push(range.clone());
+                    range
+                },
+                |range, e, out| {
+                    assert!(range.contains(&e), "{e} ran with block {range:?}");
+                    out.add_elem(0, m.get(e, 1), &[1.0, e as f64]);
+                },
+            );
+            let mut staged = staged.into_inner().unwrap();
+            staged.sort_by_key(|r| r.start);
+            assert_eq!(staged, blocks, "{mode:?}");
+            // Every node is the second end of exactly one ring edge.
+            assert!(
+                (0..n).all(|v| acc.get(v, 0) == 1.0 && acc.get(v, 1) == ((v + n - 1) % n) as f64)
+            );
+        }
+    }
+
+    #[test]
+    fn staged_recording_equals_unstaged() {
+        let n = 50;
+        let (nodes, _edges, map) = ring_mesh(n);
+        let coloring = BlockColoring::greedy(n, 8, &[&map]);
+        let m = &map;
+        let kernel = |e: usize, out: &UOut<f64>| {
+            out.add(0, m.get(e, 0), 0, 1.0);
+            out.add_elem(0, m.get(e, 1), &[2.0]);
+        };
+        let (plain, staged) = {
+            let mut acc = DatU::<f64>::new("acc", &nodes, 1);
+            let mut p = Profile::new();
+            let ((), plain) = access::with_recording_u(|| {
+                par_loop_block_colored(
+                    &mut p,
+                    "k",
+                    ExecModeU::Colored,
+                    &coloring,
+                    &mut [&mut acc],
+                    8,
+                    1.0,
+                    kernel,
+                )
+            });
+            let ((), staged) = access::with_recording_u(|| {
+                par_loop_block_colored_staged(
+                    &mut p,
+                    "k",
+                    ExecModeU::Colored,
+                    &coloring,
+                    &mut [&mut acc],
+                    8,
+                    1.0,
+                    |range| range.len(),
+                    |_, e, out| kernel(e, out),
+                )
+            });
+            (plain, staged)
+        };
+        assert_eq!((plain.len(), staged.len()), (1, 1));
+        let (a, b) = (&plain[0], &staged[0]);
+        assert_eq!(
+            (&a.name, a.set_size, &a.out_names),
+            (&b.name, b.set_size, &b.out_names)
+        );
+        assert_eq!(a.accesses, b.accesses);
+        assert_eq!(a.accesses.len(), 2 * n);
+        let colored = |s: &UScheduleObs| match s {
+            UScheduleObs::Colored {
+                block_size,
+                block_colors,
+                n_colors,
+            } => (*block_size, block_colors.clone(), *n_colors),
+            other => panic!("recorded {other:?}"),
+        };
+        assert_eq!(colored(&a.schedule), colored(&b.schedule));
+        assert_eq!(
+            colored(&b.schedule),
+            (8, coloring.block_colors.clone(), coloring.n_colors)
+        );
+    }
+
+    #[test]
+    fn add_elem_refuses_a_row_that_does_not_fit() {
+        let s = Set::new("s", 3);
+        let run = |e: usize, row: &'static [f64]| {
+            let mut d = DatU::<f64>::new("d", &s, 2);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sweep_direct(ExecModeU::Serial, 1, &mut [&mut d], |_, out| {
+                    out.add_elem(0, e, row)
+                })
+            }))
+            .is_ok()
+        };
+        assert!(run(2, &[1.0, 2.0]));
+        assert!(!run(2, &[1.0]), "short row");
+        assert!(!run(2, &[1.0, 2.0, 3.0]), "long row");
+        assert!(!run(3, &[1.0, 2.0]), "element past the end");
     }
 
     #[test]

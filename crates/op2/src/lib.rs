@@ -37,8 +37,8 @@ pub use access::{
 };
 pub use color::{BlockColoring, Coloring};
 pub use exec::{
-    par_loop_block_colored, par_loop_colored, par_loop_direct, par_loop_gather, sweep_direct,
-    ExecModeU, GatherScratch, UOut, UStage,
+    par_loop_block_colored, par_loop_block_colored_staged, par_loop_colored, par_loop_direct,
+    par_loop_gather, sweep_direct, ExecModeU, GatherScratch, UOut, UStage,
 };
 pub use halo_exchange::RankHalo;
 pub use partition::{edge_ownership, rcb_partition, CutEdgeRule, HaloPlan};

@@ -2,8 +2,8 @@
 
 use bwb_core::memsim::{AccessKind, CacheSim, MachineSubset, MemoryHierarchyModel};
 use bwb_core::op2::{
-    par_loop_block_colored, rcb_partition, BlockColoring, Coloring, DatU, ExecModeU, HaloPlan, Map,
-    Set,
+    par_loop_block_colored, par_loop_block_colored_staged, rcb_partition, BlockColoring, Coloring,
+    DatU, ExecModeU, HaloPlan, Map, Set,
 };
 use bwb_core::ops::{
     par_loop2, par_loop2_rows, par_loop3, par_loop3_planes, Dat2, Dat3, ExecMode, Profile, Range2,
@@ -498,14 +498,42 @@ fn block_colored_case(n_edges: usize, n_nodes: usize, block: usize, seed: u64) {
         );
         acc.raw().to_vec()
     };
-    let serial = run(ExecModeU::Serial);
-    let colored = run(ExecModeU::Colored);
-    for (a, b) in serial.iter().zip(&colored) {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "edges {n_edges} nodes {n_nodes} block {block} seed {seed}"
+    // The staged driver, staging each block's range for its elements.
+    let run_staged = |mode: ExecModeU| -> Vec<f64> {
+        let mut prof = Profile::new();
+        let mut acc = DatU::<f64>::new("acc", &nodes, 1);
+        let m = &map;
+        par_loop_block_colored_staged(
+            &mut prof,
+            "scatter",
+            mode,
+            &coloring,
+            &mut [&mut acc],
+            16,
+            2.0,
+            |range| range,
+            |range, e, out| {
+                assert!(range.contains(&e), "element {e} staged as {range:?}");
+                for &t in m.targets(e) {
+                    out.add_elem(0, t as usize, &[(e + 1) as f64]);
+                }
+            },
         );
+        acc.raw().to_vec()
+    };
+    let serial = run(ExecModeU::Serial);
+    for (driver, out) in [
+        ("plain", run(ExecModeU::Colored)),
+        ("staged serial", run_staged(ExecModeU::Serial)),
+        ("staged", run_staged(ExecModeU::Colored)),
+    ] {
+        for (a, b) in serial.iter().zip(&out) {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{driver}: edges {n_edges} nodes {n_nodes} block {block} seed {seed}"
+            );
+        }
     }
 }
 
