@@ -12,10 +12,9 @@ use crate::{
     acoustic, cloverleaf2d, cloverleaf3d, mgcfd, minibude, miniweather, opensbli, volna, AppId,
 };
 use bwb_ops::ExecMode;
-use serde::{Deserialize, Serialize};
 
 /// Scale-invariant description of one application's per-iteration work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppCharacter {
     pub app: AppId,
     /// Useful bytes moved per grid point (or mesh element) per iteration.

@@ -22,8 +22,8 @@
 //!
 //! `--comm` switches to commcheck: record every registered distributed app
 //! at 4 ranks under a Xeon MAX placement and verify the cross-rank
-//! communication schedule — envelope matching, deadlock freedom, match
-//! determinism (certified `MatchPlan`), and per-phase load balance.
+//! communication schedule — envelope matching, deadlock freedom, and
+//! per-phase load balance.
 
 use bwb_core::trace::json::escape;
 use bwb_dslcheck::Violation;
@@ -255,13 +255,13 @@ fn comm_report(json_only: bool) -> usize {
 
     if !json_only {
         eprintln!(
-            "{:<14} {:>5} {:>5} {:>5} {:>4} {:>4} {:>6} {:>5}  status",
-            "app", "sends", "recvs", "barr", "coll", "phs", "dlfree", "cert"
+            "{:<14} {:>5} {:>5} {:>5} {:>4} {:>4} {:>6}  status",
+            "app", "sends", "recvs", "barr", "coll", "phs", "dlfree"
         );
         for r in &reports {
             let status = if r.clean() { "ok" } else { "FAIL" };
             eprintln!(
-                "{:<14} {:>5} {:>5} {:>5} {:>4} {:>4} {:>6} {:>5}  {status}",
+                "{:<14} {:>5} {:>5} {:>5} {:>4} {:>4} {:>6}  {status}",
                 r.app,
                 r.sends,
                 r.recvs,
@@ -269,7 +269,6 @@ fn comm_report(json_only: bool) -> usize {
                 r.collectives,
                 r.phases.len(),
                 r.deadlock_free,
-                r.match_plan.certified(),
             );
             print_violations(&r.violations);
         }

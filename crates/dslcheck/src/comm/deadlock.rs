@@ -129,8 +129,8 @@ pub fn check_deadlock(app: &str, logs: &[CommLog], replay: &Replay) -> Vec<Viola
             match *b {
                 BlockState::Done => {}
                 BlockState::Recv(at) => {
-                    if let CommOp::Recv { matched, .. } = logs[r].events[at].op {
-                        edges[r].push(matched);
+                    if let CommOp::Recv { source } = logs[r].events[at].op {
+                        edges[r].push(source);
                     }
                 }
                 BlockState::Barrier(_) => {

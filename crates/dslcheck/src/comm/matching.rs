@@ -11,10 +11,6 @@
 //!   dynamic shadow of `RankStats::unreceived_at_teardown`);
 //! * more receives than sends → the surplus receives can never return
 //!   ([`Kind::OrphanRecv`]).
-//!
-//! ANY_SOURCE receives are counted against the stream of the source they
-//! *matched* (recorded in the log); whether that match was the only one
-//! possible is the determinism analyzer's question, not this one's.
 
 use crate::violation::{Kind, Violation};
 use bwb_shmpi::{CommLog, CommOp};
@@ -27,8 +23,6 @@ struct Stream {
     recvs: usize,
     /// Context of the first send (for dat attribution of the finding).
     send_ctx: Option<String>,
-    /// Was any receive in this stream posted as ANY_SOURCE?
-    any_recv: bool,
 }
 
 /// Run the matching analyzer over a merged log.
@@ -44,10 +38,8 @@ pub fn check_matching(app: &str, logs: &[CommLog]) -> Vec<Violation> {
                         s.send_ctx.clone_from(&ev.ctx);
                     }
                 }
-                CommOp::Recv { source, matched } => {
-                    let s = streams.entry((matched, log.rank, ev.tag)).or_default();
-                    s.recvs += 1;
-                    s.any_recv |= source.is_none();
+                CommOp::Recv { source } => {
+                    streams.entry((source, log.rank, ev.tag)).or_default().recvs += 1;
                 }
                 CommOp::Barrier | CommOp::Collective { .. } => {}
             }
@@ -72,11 +64,7 @@ pub fn check_matching(app: &str, logs: &[CommLog]) -> Vec<Violation> {
                 app: app.into(),
                 kind: Kind::OrphanRecv {
                     rank: *dest,
-                    source: if s.any_recv {
-                        "any".into()
-                    } else {
-                        src.to_string()
-                    },
+                    source: *src,
                     tag: *tag,
                     count: s.recvs - s.sends,
                 },
@@ -89,7 +77,7 @@ pub fn check_matching(app: &str, logs: &[CommLog]) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::testutil::{log_of, recv, recv_any, send};
+    use crate::comm::testutil::{log_of, recv, send};
 
     #[test]
     fn balanced_streams_are_clean() {
@@ -132,21 +120,10 @@ mod tests {
             v[0].kind,
             Kind::OrphanRecv {
                 rank: 1,
-                source: "0".into(),
+                source: 0,
                 tag: 3,
                 count: 1
             }
         );
-    }
-
-    #[test]
-    fn any_source_orphan_is_labelled_any() {
-        let logs = vec![log_of(0, vec![]), log_of(1, vec![recv_any(0, 3, 8, None)])];
-        let v = check_matching("t", &logs);
-        assert_eq!(v.len(), 1);
-        assert!(matches!(
-            &v[0].kind,
-            Kind::OrphanRecv { source, .. } if source == "any"
-        ));
     }
 }

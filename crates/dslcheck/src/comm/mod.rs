@@ -6,7 +6,7 @@
 //! [`bwb_shmpi::Universe::run_logged`] records every rank's communication
 //! events (sends, receives, barriers, collective markers — with peer,
 //! tag, bytes, and dat attribution); commcheck then merges the per-rank
-//! logs and proves four properties:
+//! logs and proves three properties:
 //!
 //! * **matching** ([`matching`]) — every send is received, every receive
 //!   has a sender (counting over FIFO streams);
@@ -15,19 +15,20 @@
 //!   identical collective order (the replay in [`replay`] is the model
 //!   checker — eager sends make the abstract machine monotone, so one
 //!   fixed-point run decides all interleavings);
-//! * **determinism** ([`determinism`]) — every receive's match is unique
-//!   regardless of timing, certified as a machine-readable [`MatchPlan`];
 //! * **imbalance** ([`imbalance`]) — per-phase byte/message skew across
 //!   ranks, priced through the `bwb_machine` placement + latency model
 //!   that `Universe::run_placed` injects.
 //!
-//! [`CommReport::analyze`] bundles all four over one merged log;
+//! Matching is deterministic by type: a receive names its source, and the
+//! mailbox is FIFO per `(source, tag)`, so the k-th receive of a stream
+//! consumes its k-th send under every interleaving.
+//!
+//! [`CommReport::analyze`] bundles all three over one merged log;
 //! [`comm_check_all`] records every app-table entry with a distributed
 //! half at 4 ranks under a Xeon MAX placement and is the library entry
 //! behind `analyze --comm` (the CI gate).
 
 pub mod deadlock;
-pub mod determinism;
 pub mod imbalance;
 pub mod matching;
 pub mod parametric;
@@ -35,7 +36,6 @@ pub mod replay;
 pub mod testutil;
 
 pub use deadlock::check_deadlock;
-pub use determinism::{check_determinism, MatchEntry, MatchPlan};
 pub use imbalance::{check_imbalance, phase_balance, PhaseBalance, IMBALANCE_THRESHOLD};
 pub use matching::check_matching;
 pub use replay::{replay, BlockState, MatchRec, Outcome, Replay};
@@ -61,15 +61,13 @@ pub struct CommReport {
     /// Per-phase, per-rank traffic (with modelled cost when a placement
     /// was supplied).
     pub phases: Vec<PhaseBalance>,
-    /// The certified send↔receive pairing.
-    pub match_plan: MatchPlan,
     /// Replay completed and no blocking cycle was found.
     pub deadlock_free: bool,
     pub violations: Vec<Violation>,
 }
 
 impl CommReport {
-    /// Run all four analyzers over a merged per-rank log.
+    /// Run all three analyzers over a merged per-rank log.
     pub fn analyze(
         app: &str,
         logs: &[CommLog],
@@ -78,8 +76,6 @@ impl CommReport {
         let rep = replay(logs);
         let mut violations = check_matching(app, logs);
         violations.extend(check_deadlock(app, logs, &rep));
-        let (det, match_plan) = check_determinism(app, logs, &rep);
-        violations.extend(det);
         let phases = phase_balance(logs, placement);
         violations.extend(check_imbalance(app, &phases));
         violations.sort();
@@ -104,7 +100,6 @@ impl CommReport {
             barriers: count(|op| matches!(op, CommOp::Barrier)),
             collectives: count(|op| matches!(op, CommOp::Collective { .. })),
             phases,
-            match_plan,
             deadlock_free,
             violations,
         }
@@ -121,8 +116,6 @@ impl CommReport {
             "{{\"app\":\"{}\",\"ranks\":{},\"events\":{},\"sends\":{},\
              \"recvs\":{},\"barriers\":{},\"collectives\":{},\
              \"deadlock_free\":{},\
-             \"match_plan\":{{\"certified\":{},\"entries\":{},\
-             \"deterministic\":{},\"matches\":{}}},\
              \"phases\":[{}],\"violations\":[{}]}}",
             escape(&self.app),
             self.ranks,
@@ -132,10 +125,6 @@ impl CommReport {
             self.barriers,
             self.collectives,
             self.deadlock_free,
-            self.match_plan.certified(),
-            self.match_plan.entries.len(),
-            self.match_plan.deterministic_entries(),
-            self.match_plan.to_json(),
             self.phases
                 .iter()
                 .map(|p| p.to_json())
@@ -183,7 +172,6 @@ mod tests {
         assert!(r.clean(), "{:?}", r.violations);
         assert!(r.deadlock_free);
         assert_eq!((r.sends, r.recvs), (2, 2));
-        assert!(r.match_plan.certified());
         let j = r.to_json();
         assert!(j.contains("\"app\":\"demo\""));
         assert!(j.contains("\"deadlock_free\":true"));
@@ -191,15 +179,26 @@ mod tests {
     }
 
     #[test]
+    fn specific_source_recvs_are_clean() {
+        // Two senders into one rank: each receive names its source, so
+        // the pairing cannot depend on which envelope lands first.
+        let logs = vec![
+            log_of(0, vec![send(2, 1, 8, None)]),
+            log_of(1, vec![send(2, 1, 8, None)]),
+            log_of(2, vec![recv(0, 1, 8, None), recv(1, 1, 8, None)]),
+        ];
+        let rep = replay(&logs);
+        assert_eq!(rep.outcome, Outcome::Completed);
+        assert_eq!(rep.matches.len(), 2);
+        assert!(check_matching("t", &logs).is_empty());
+        assert!(check_deadlock("t", &logs, &rep).is_empty());
+    }
+
+    #[test]
     fn comm_check_all_is_clean() {
         for report in comm_check_all() {
             assert!(report.events > 0, "{}: nothing recorded", report.app);
             assert!(report.deadlock_free, "{}: not deadlock-free", report.app);
-            assert!(
-                report.match_plan.certified(),
-                "{}: match plan not certified",
-                report.app
-            );
             assert!(report.clean(), "{}: {:?}", report.app, report.violations);
         }
     }

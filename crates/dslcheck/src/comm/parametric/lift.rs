@@ -43,8 +43,8 @@ struct Seg {
     ctx: Option<String>,
     /// `(dest, tag)` in program order.
     sends: Vec<(usize, u32)>,
-    /// `(posted source, tag)` in program order.
-    recvs: Vec<(Option<usize>, u32)>,
+    /// `(source, tag)` in program order.
+    recvs: Vec<(usize, u32)>,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,7 +83,7 @@ fn segment(log: &CommLog) -> Vec<Item> {
                 .sends
                 .push((*dest, ev.tag));
             }
-            CommOp::Recv { source, .. } => {
+            CommOp::Recv { source } => {
                 if cur.as_ref().is_some_and(|s| s.ctx != ev.ctx) {
                     flush(&mut cur, &mut items);
                 }
@@ -300,11 +300,11 @@ fn classify_cart(ndims: usize, n: usize, segs: &[&Seg]) -> Result<PhasePattern, 
         let mut want_recvs = Vec::new();
         if let Some(p) = lo {
             want_sends.push((p, tl));
-            want_recvs.push((Some(p), th));
+            want_recvs.push((p, th));
         }
         if let Some(p) = hi {
             want_sends.push((p, th));
-            want_recvs.push((Some(p), tl));
+            want_recvs.push((p, tl));
         }
         if sorted(seg.sends.clone()) != sorted(want_sends.clone()) {
             return Err(ClassifyError::Divergence(format!(
@@ -360,7 +360,7 @@ fn classify_ring(n: usize, segs: &[&Seg]) -> Result<PhasePattern, ClassifyError>
         let prev = (r + n - 1) % n;
         let next = (r + 1) % n;
         let want_sends = sorted(vec![(prev, tag_to_prev), (next, tag_to_next)]);
-        let want_recvs = sorted(vec![(Some(next), tag_to_prev), (Some(prev), tag_to_next)]);
+        let want_recvs = sorted(vec![(next, tag_to_prev), (prev, tag_to_next)]);
         if sorted(seg.sends.clone()) != want_sends {
             if let Some(&(dest, tag)) = seg
                 .sends
@@ -426,11 +426,6 @@ fn classify_peer(n: usize, segs: &[&Seg]) -> Result<PhasePattern, ClassifyError>
                     tag.unwrap()
                 )));
             }
-            let Some(src) = src else {
-                return Err(ClassifyError::Divergence(format!(
-                    "rank {r} posts a wildcard receive; peer exchange must be deterministic"
-                )));
-            };
             if src >= n || !srcs[r].insert(src) {
                 return Err(ClassifyError::Divergence(format!(
                     "rank {r} posts duplicate or out-of-range receive from {src}"
@@ -472,23 +467,10 @@ fn classify_star(n: usize, segs: &[&Seg]) -> Result<PhasePattern, ClassifyError>
         ));
     }
     // (peer, tag) pairs on the root's active side.
-    let root_peers: Vec<(usize, u32)> = if gather {
-        let mut peers = Vec::with_capacity(root.recvs.len());
-        for &(src, t) in &root.recvs {
-            let Some(src) = src else {
-                return Err(ClassifyError::Divergence(
-                    "root posts a wildcard receive in a star phase".into(),
-                ));
-            };
-            peers.push((src, t));
-        }
-        peers
-    } else {
-        root.sends.clone()
-    };
+    let root_peers = if gather { &root.recvs } else { &root.sends };
     let mut tag: Option<u32> = None;
     let mut seen_peers = BTreeSet::new();
-    for (peer, t) in root_peers {
+    for &(peer, t) in root_peers {
         if *tag.get_or_insert(t) != t {
             return Err(ClassifyError::Divergence(format!(
                 "mixed tags in star phase: {:#x} vs {t:#x}",
@@ -511,7 +493,7 @@ fn classify_star(n: usize, segs: &[&Seg]) -> Result<PhasePattern, ClassifyError>
     let tag = tag
         .ok_or_else(|| ClassifyError::Divergence("star phase has no traffic at the root".into()))?;
     let want_sends: Vec<(usize, u32)> = if gather { vec![(0, tag)] } else { vec![] };
-    let want_recvs: Vec<(Option<usize>, u32)> = if gather { vec![] } else { vec![(Some(0), tag)] };
+    let want_recvs: Vec<(usize, u32)> = if gather { vec![] } else { vec![(0, tag)] };
     for (r, seg) in segs.iter().enumerate().skip(1) {
         if seg.sends != want_sends {
             if let Some(&(dest, t)) = seg.sends.iter().find(|&&(d, _)| d != 0) {

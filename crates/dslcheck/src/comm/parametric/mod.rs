@@ -24,9 +24,7 @@
 //!   enumerated symbolically for every `N` up to [`FAMILY_MAX_RANKS`];
 //!   a duplicate (e.g. a periodic ring at `N == 2` reusing one tag for
 //!   both directions) degrades tag matching to program-order coupling
-//!   and is reported at the smallest `N` where it appears;
-//! * **determinism** — no wildcard receives survive lifting, so the
-//!   match plan is timing-independent at every `N`.
+//!   and is reported at the smallest `N` where it appears.
 //!
 //! The result is a [`ParametricCert`] per app, cross-checked against
 //! concrete replays at `N ∈` [`CROSSCHECK_RANKS`]: the app is re-run
@@ -362,8 +360,8 @@ pub fn check_template(t: &ScheduleTemplate) -> Vec<Violation> {
 #[derive(Debug, Clone)]
 pub struct CrossCheck {
     pub n: usize,
-    /// The concrete commcheck analyzers (matching, deadlock,
-    /// determinism) found no schedule violation at this size. Byte-skew
+    /// The concrete commcheck analyzers (matching, deadlock) found no
+    /// schedule violation at this size. Byte-skew
     /// imbalance is a performance lint over mesh partitions, not a
     /// schedule property, and does not enter the certificate.
     pub concrete_clean: bool,
@@ -384,7 +382,6 @@ pub struct ParametricCert {
     pub deadlock_free: bool,
     /// Collision-free for every world size up to and including this.
     pub collision_free_to: usize,
-    pub deterministic: bool,
     pub crosschecks: Vec<CrossCheck>,
     pub verify_ms: f64,
 }
@@ -393,7 +390,6 @@ impl ParametricCert {
     pub fn certified(&self) -> bool {
         self.matching_complete
             && self.deadlock_free
-            && self.deterministic
             && self.collision_free_to >= FAMILY_MAX_RANKS
             && !self.crosschecks.is_empty()
             && self
@@ -417,7 +413,7 @@ impl ParametricCert {
         format!(
             "{{\"app\":\"{}\",\"family\":\"{}\",\"base_ranks\":{},\
              \"phases\":{},\"matching_complete\":{},\"deadlock_free\":{},\
-             \"collision_free_to\":{},\"deterministic\":{},\
+             \"collision_free_to\":{},\
              \"certified\":{},\"crosschecks\":[{}],\"verify_ms\":{:.1}}}",
             escape(&self.app),
             escape(&self.family),
@@ -426,7 +422,6 @@ impl ParametricCert {
             self.matching_complete,
             self.deadlock_free,
             self.collision_free_to,
-            self.deterministic,
             self.certified(),
             crosschecks,
             self.verify_ms,
@@ -562,9 +557,6 @@ where
         matching_complete: !has(|k| matches!(k, Kind::SymbolicUnmatchedSend { .. })),
         deadlock_free: !has(|k| matches!(k, Kind::ParametricDeadlock { .. })),
         collision_free_to,
-        // Lifting rejects wildcard receives, so a lifted template is
-        // timing-independent at every world size.
-        deterministic: true,
         crosschecks,
         verify_ms: t0.elapsed().as_secs_f64() * 1e3,
     };

@@ -2,22 +2,17 @@
 //! model: eager buffered sends, blocking receives with FIFO non-overtaking
 //! per `(source, tag)` stream, and world barriers.
 //!
-//! The replay is the shared substrate of all four commcheck analyzers. It
+//! The replay is the shared substrate of the commcheck analyzers. It
 //! re-executes the recorded event sequences as a *schedule-independent*
 //! abstract machine — a rank advances whenever its next event can complete,
 //! regardless of the timing the recording run happened to see — so reaching
 //! the end proves the schedule completes under *every* delivery
 //! interleaving consistent with the recorded matches, and getting stuck
 //! hands the deadlock analyzer a concrete blocked configuration. Along the
-//! way it derives the send↔receive match relation and per-event vector
-//! clocks (the happens-before order) that the determinism analyzer queries.
+//! way it derives the send↔receive match relation.
 
 use bwb_shmpi::{CommLog, CommOp};
 use std::collections::{HashMap, VecDeque};
-
-/// A vector clock: component `r` counts the events of rank `r` known to
-/// have happened before (or at) the clocked event.
-pub type Clock = Vec<u32>;
 
 /// Did the replay drain every rank's log?
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,35 +47,13 @@ pub struct MatchRec {
     pub bytes: usize,
 }
 
-/// The replayed execution: outcome, match relation, and happens-before.
+/// The replayed execution: outcome and match relation.
 #[derive(Debug, Clone)]
 pub struct Replay {
     pub outcome: Outcome,
     pub matches: Vec<MatchRec>,
-    /// `clocks[rank][event]` — the vector clock *after* that event.
-    pub clocks: Vec<Vec<Clock>>,
     /// Send events (rank, index) never consumed by any receive.
     pub unmatched_sends: Vec<(usize, usize)>,
-}
-
-impl Replay {
-    /// Does event `(ra, ia)` happen before `(rb, ib)`?
-    ///
-    /// Standard vector-clock test: `a → b` iff `b`'s clock has seen at
-    /// least as many `ra`-events as `a`'s own count — i.e. `b` is causally
-    /// downstream of `a` (and they are not the same event).
-    pub fn happens_before(&self, ra: usize, ia: usize, rb: usize, ib: usize) -> bool {
-        if ra == rb {
-            return ia < ib;
-        }
-        self.clocks[rb][ib][ra] >= self.clocks[ra][ia][ra]
-    }
-}
-
-fn join(into: &mut Clock, other: &Clock) {
-    for (a, b) in into.iter_mut().zip(other) {
-        *a = (*a).max(*b);
-    }
 }
 
 /// Replay the merged log. `logs[r]` must be rank `r`'s event sequence
@@ -92,13 +65,10 @@ pub fn replay(logs: &[CommLog]) -> Replay {
     }
 
     // In-flight envelopes per (src, dest, tag): FIFO of (send event index,
-    // bytes, sender clock at the send). FIFO order models the mailbox's
-    // per-(source, tag) non-overtaking guarantee.
-    type Envelope = (usize, usize, Clock);
-    let mut in_flight: HashMap<(usize, usize, u32), VecDeque<Envelope>> = HashMap::new();
+    // bytes). FIFO order models the mailbox's per-(source, tag)
+    // non-overtaking guarantee.
+    let mut in_flight: HashMap<(usize, usize, u32), VecDeque<(usize, usize)>> = HashMap::new();
     let mut pc = vec![0usize; n];
-    let mut clock: Vec<Clock> = vec![vec![0u32; n]; n];
-    let mut clocks: Vec<Vec<Clock>> = vec![Vec::new(); n];
     let mut matches = Vec::new();
     let mut matched_send: Vec<Vec<bool>> = logs
         .iter()
@@ -124,18 +94,8 @@ pub fn replay(logs: &[CommLog]) -> Replay {
             })
             .collect();
         if at_barrier.iter().all(|&b| b) {
-            let joined = {
-                let mut j = vec![0u32; n];
-                for c in &clock {
-                    join(&mut j, c);
-                }
-                j
-            };
-            for r in 0..n {
-                clock[r] = joined.clone();
-                clock[r][r] += 1;
-                clocks[r].push(clock[r].clone());
-                pc[r] += 1;
+            for p in &mut pc {
+                *p += 1;
             }
             advanced = true;
         }
@@ -146,46 +106,38 @@ pub fn replay(logs: &[CommLog]) -> Replay {
             };
             match ev.op {
                 CommOp::Send { dest } => {
-                    clock[r][r] += 1;
-                    in_flight.entry((r, dest, ev.tag)).or_default().push_back((
-                        pc[r],
-                        ev.bytes,
-                        clock[r].clone(),
-                    ));
-                    clocks[r].push(clock[r].clone());
+                    in_flight
+                        .entry((r, dest, ev.tag))
+                        .or_default()
+                        .push_back((pc[r], ev.bytes));
                     pc[r] += 1;
                     advanced = true;
                 }
                 CommOp::Collective { .. } => {
                     // Pure order marker: its point-to-point traffic is
                     // logged (and replayed) separately.
-                    clock[r][r] += 1;
-                    clocks[r].push(clock[r].clone());
                     pc[r] += 1;
                     advanced = true;
                 }
-                CommOp::Recv { matched, .. } => {
-                    // Follow the recorded match: FIFO non-overtaking makes
-                    // the head of the (matched, r, tag) stream the only
-                    // envelope this receive may legally consume.
-                    let Some(q) = in_flight.get_mut(&(matched, r, ev.tag)) else {
+                CommOp::Recv { source } => {
+                    // FIFO non-overtaking makes the head of the
+                    // (source, r, tag) stream the only envelope this
+                    // receive may consume.
+                    let Some(q) = in_flight.get_mut(&(source, r, ev.tag)) else {
                         continue;
                     };
-                    let Some((send_at, bytes, send_clock)) = q.pop_front() else {
+                    let Some((send_at, bytes)) = q.pop_front() else {
                         continue;
                     };
                     matches.push(MatchRec {
-                        send_rank: matched,
+                        send_rank: source,
                         send_at,
                         recv_rank: r,
                         recv_at: pc[r],
                         tag: ev.tag,
                         bytes,
                     });
-                    matched_send[matched][send_at] = true;
-                    clock[r][r] += 1;
-                    join(&mut clock[r], &send_clock);
-                    clocks[r].push(clock[r].clone());
+                    matched_send[source][send_at] = true;
                     pc[r] += 1;
                     advanced = true;
                 }
@@ -228,7 +180,6 @@ pub fn replay(logs: &[CommLog]) -> Replay {
     Replay {
         outcome,
         matches,
-        clocks,
         unmatched_sends,
     }
 }
@@ -236,7 +187,7 @@ pub fn replay(logs: &[CommLog]) -> Replay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::testutil::{barrier, log_of, recv, recv_any, send};
+    use crate::comm::testutil::{barrier, log_of, recv, send};
 
     #[test]
     fn ping_pong_completes_with_matches() {
@@ -248,9 +199,6 @@ mod tests {
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(r.matches.len(), 2);
         assert!(r.unmatched_sends.is_empty());
-        // rank 0's send happens before rank 1's reply send.
-        assert!(r.happens_before(0, 0, 1, 1));
-        assert!(!r.happens_before(1, 1, 0, 0));
     }
 
     #[test]
@@ -270,7 +218,7 @@ mod tests {
     }
 
     #[test]
-    fn barrier_synchronizes_clocks() {
+    fn barrier_orders_send_before_recv() {
         let logs = vec![
             log_of(0, vec![send(1, 2, 16, None), barrier()]),
             log_of(1, vec![barrier(), recv(0, 2, 16, None)]),
@@ -278,7 +226,8 @@ mod tests {
         let r = replay(&logs);
         assert_eq!(r.outcome, Outcome::Completed);
         // The send precedes the barrier, which precedes the receive.
-        assert!(r.happens_before(0, 0, 1, 1));
+        assert_eq!(r.matches.len(), 1);
+        assert_eq!((r.matches[0].send_at, r.matches[0].recv_at), (0, 1));
     }
 
     #[test]
@@ -297,7 +246,7 @@ mod tests {
     fn fifo_streams_match_in_order() {
         let logs = vec![
             log_of(0, vec![send(1, 9, 8, None), send(1, 9, 16, None)]),
-            log_of(1, vec![recv_any(0, 9, 8, None), recv_any(0, 9, 16, None)]),
+            log_of(1, vec![recv(0, 9, 8, None), recv(0, 9, 16, None)]),
         ];
         let r = replay(&logs);
         assert_eq!(r.outcome, Outcome::Completed);

@@ -17,26 +17,10 @@ pub fn send(dest: usize, tag: u32, bytes: usize, ctx: Option<&str>) -> CommEvent
     }
 }
 
-/// A specific-source receive: posted for `src`, matched `src`.
+/// A receive from `src`.
 pub fn recv(src: usize, tag: u32, bytes: usize, ctx: Option<&str>) -> CommEvent {
     CommEvent {
-        op: CommOp::Recv {
-            source: Some(src),
-            matched: src,
-        },
-        tag,
-        bytes,
-        ctx: ctx.map(str::to_owned),
-    }
-}
-
-/// An ANY_SOURCE receive that the recorded run matched against `matched`.
-pub fn recv_any(matched: usize, tag: u32, bytes: usize, ctx: Option<&str>) -> CommEvent {
-    CommEvent {
-        op: CommOp::Recv {
-            source: None,
-            matched,
-        },
+        op: CommOp::Recv { source: src },
         tag,
         bytes,
         ctx: ctx.map(str::to_owned),

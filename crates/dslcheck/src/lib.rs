@@ -31,8 +31,8 @@
 //!   verification**: replay the per-rank event logs a
 //!   `Universe::run_logged` run records and prove envelope matching,
 //!   deadlock freedom (cyclic blocking, barrier arity, collective order),
-//!   match determinism (certified as a [`MatchPlan`]), and per-phase load
-//!   balance priced through the `bwb_machine` placement model.
+//!   and per-phase load balance priced through the `bwb_machine`
+//!   placement model.
 //! * [`placecheck`] — **static NUMA-placement certification**: derive each
 //!   registry app's exact per-pair byte flows from its decomposition
 //!   arithmetic (no execution), classify them into per-link flows under
@@ -70,7 +70,7 @@ pub use comm::parametric::{
     parametric_check_all, ParametricCert, ParametricReport, PhasePattern, PhaseTemplate, RankGuard,
     ScheduleTemplate, TopologyFamily,
 };
-pub use comm::{comm_check_all, CommReport, MatchPlan};
+pub use comm::{comm_check_all, CommReport};
 pub use dataflow::{DataflowReport, Limitation};
 pub use graph::DefUseGraph;
 pub use lints::{

@@ -146,20 +146,9 @@ pub enum Kind {
     /// matching sends exist in the whole run than receives consuming them.
     OrphanRecv {
         rank: usize,
-        /// The source pattern as posted: a rank number, or `"any"`.
-        source: String,
+        source: usize,
         tag: u32,
         count: usize,
-    },
-    /// An ANY_SOURCE receive whose match depends on delivery timing: the
-    /// recorded run matched `matched`, but a send from `alt` to the same
-    /// (rank, tag) was concurrently in flight.
-    NondeterministicMatch {
-        rank: usize,
-        at: usize,
-        tag: u32,
-        matched: usize,
-        alt: usize,
     },
     /// Replay reached a state where the listed ranks block on each other
     /// in a cycle (each waits for a message or barrier arrival the next
@@ -289,7 +278,6 @@ impl Kind {
             Kind::StreamingStoreUnsafe { .. } => "streaming_store_unsafe",
             Kind::UnmatchedSend { .. } => "unmatched_send",
             Kind::OrphanRecv { .. } => "orphan_recv",
-            Kind::NondeterministicMatch { .. } => "nondeterministic_match",
             Kind::CommDeadlock { .. } => "comm_deadlock",
             Kind::BarrierMismatch { .. } => "barrier_mismatch",
             Kind::CollectiveOrderDivergence { .. } => "collective_order_divergence",
@@ -472,17 +460,6 @@ impl fmt::Display for Kind {
                 f,
                 "{count} receive(s) at rank {rank} from {source} tag {tag:#x} \
                  have no possible sender"
-            ),
-            Kind::NondeterministicMatch {
-                rank,
-                at,
-                tag,
-                matched,
-                alt,
-            } => write!(
-                f,
-                "ANY_SOURCE receive #{at} at rank {rank} tag {tag:#x} matched rank \
-                 {matched} but a send from rank {alt} was concurrently in flight"
             ),
             Kind::CommDeadlock { cycle } => {
                 write!(f, "ranks ")?;

@@ -8,7 +8,7 @@
 //! live `Universe::run` (the run would hang, or trip the mailbox teardown
 //! assert).
 
-use bwb_dslcheck::comm::testutil::{barrier, coll, log_of, recv, recv_any, send};
+use bwb_dslcheck::comm::testutil::{barrier, coll, log_of, recv, send};
 use bwb_dslcheck::comm::CommReport;
 use bwb_dslcheck::{Kind, Violation};
 use bwb_shmpi::CommLog;
@@ -71,33 +71,11 @@ fn planted_orphan_recv() {
     assert_single(&analyze(&logs), |k| {
         *k == Kind::OrphanRecv {
             rank: 1,
-            source: "0".into(),
+            source: 0,
             tag: 9,
             count: 1,
         }
     });
-}
-
-#[test]
-fn planted_nondeterministic_match() {
-    // Ranks 0 and 1 race sends into rank 2's ANY_SOURCE receives: the
-    // pairing depends on delivery order.
-    let logs = vec![
-        log_of(0, vec![send(2, 3, 32, None)]),
-        log_of(1, vec![send(2, 3, 32, None)]),
-        log_of(2, vec![recv_any(0, 3, 32, None), recv_any(1, 3, 32, None)]),
-    ];
-    let report = analyze(&logs);
-    assert_single(&report, |k| {
-        *k == Kind::NondeterministicMatch {
-            rank: 2,
-            at: 0,
-            tag: 3,
-            matched: 0,
-            alt: 1,
-        }
-    });
-    assert!(!report.match_plan.certified());
 }
 
 #[test]
@@ -237,15 +215,18 @@ fn naive_edge_ownership_records_real_imbalance() {
         "naive cut-edge ownership should skew the q exchange: {:?}",
         report.violations
     );
-    // Imbalance is the *only* defect: the schedule still matches,
-    // completes, and is deterministic.
+    // Imbalance is the *only* defect: the schedule still matches and
+    // completes.
     assert!(report.deadlock_free);
-    assert!(report.match_plan.certified());
+    assert!(report
+        .violations
+        .iter()
+        .all(|v| matches!(v.kind, Kind::CommImbalance { .. })));
 }
 
 /// False-positive guard: a real 4-rank CloverLeaf run records a large,
 /// attributed, collective-bearing schedule — and every analyzer must find
-/// it clean, deadlock-free, and deterministically matched.
+/// it clean and deadlock-free.
 #[test]
 fn clean_cloverleaf_run_has_no_findings() {
     use bwb_apps::cloverleaf2d::{Advection, Clover2, Config};
@@ -266,7 +247,6 @@ fn clean_cloverleaf_run_has_no_findings() {
     let report = CommReport::analyze("cloverleaf2d", &logs, None);
     assert!(report.clean(), "{:?}", report.violations);
     assert!(report.deadlock_free);
-    assert!(report.match_plan.certified());
     assert!(report.sends > 0 && report.recvs > 0);
     assert!(report.collectives > 0, "dt reduction should record markers");
     // Halo phases carry dat attribution from the ops layer.

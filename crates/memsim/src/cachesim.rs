@@ -11,10 +11,8 @@
 //! path that bypasses allocation — the distinction behind the paper's two
 //! Xeon MAX flag sets.
 
-use serde::{Deserialize, Serialize};
-
 /// Kind of access fed to the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     Read,
     /// Regular write: write-allocate (miss brings the line in: an RFO read).
@@ -24,7 +22,7 @@ pub enum AccessKind {
 }
 
 /// Aggregate statistics after a trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub reads: u64,
     pub writes: u64,

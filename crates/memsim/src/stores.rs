@@ -8,10 +8,8 @@
 //! Figure 1: 1446 GB/s application flags vs 1643 GB/s with `-qopt-streaming-
 //! stores=always` style tuning).
 
-use serde::{Deserialize, Serialize};
-
 /// Store policy in effect for a kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoreMode {
     /// Regular cached stores: every written line costs an extra read (RFO).
     WriteAllocate,
@@ -20,7 +18,7 @@ pub enum StoreMode {
 }
 
 /// Byte-traffic model for a kernel with known read/write volumes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficModel {
     /// Useful bytes read per iteration (or per element).
     pub read_bytes: f64,

@@ -7,10 +7,9 @@
 //! locality cost it carries versus the vectorized MPI implementation.
 
 use crate::set::Map;
-use serde::{Deserialize, Serialize};
 
 /// A coloring of a source set with conflict-free color classes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Coloring {
     /// `colors[e]` = color of element `e`.
     pub colors: Vec<u32>,
@@ -157,7 +156,7 @@ impl Coloring {
 /// element-granularity schedule when conflicts are local — and (b) keeps
 /// gather locality, since each task walks consecutive elements instead of a
 /// strided color class.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockColoring {
     pub block_size: usize,
     pub set_size: usize,

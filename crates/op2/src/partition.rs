@@ -12,7 +12,6 @@
 //! performance model prices for Figures 4–7.
 
 use crate::set::Map;
-use serde::{Deserialize, Serialize};
 
 /// Recursive coordinate bisection: split `coords` (dim-major per element:
 /// `[x0,y0,(z0,) x1,y1,...]`) into `nparts` balanced parts. `nparts` need
@@ -130,7 +129,7 @@ pub fn edge_ownership(e2n: &Map, node_part: &[u32], rule: CutEdgeRule) -> Vec<u3
 /// Per-rank halo exchange plan derived from a partition: for every pair of
 /// ranks, how many target-set elements rank *a* must import from rank *b*
 /// because one of *a*'s source elements references them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HaloPlan {
     pub nparts: usize,
     /// `imports[a][b]` = elements rank `a` imports from rank `b`.

@@ -1,9 +1,7 @@
 //! Sets, maps, and datasets — OP2's mesh-description primitives.
 
-use serde::{Deserialize, Serialize};
-
 /// A collection of mesh elements (nodes, edges, cells, ...).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Set {
     pub name: String,
     pub size: usize,
@@ -20,7 +18,7 @@ impl Set {
 
 /// A mapping from each element of one set to `arity` elements of another
 /// (e.g. edge → 2 nodes, cell → 4 cells).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Map {
     pub name: String,
     /// Size of the source set.
@@ -115,7 +113,7 @@ impl Map {
 }
 
 /// A dataset: `dim` values of `T` per element of a set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatU<T> {
     pub name: String,
     pub set_size: usize,

@@ -17,11 +17,10 @@ use crate::access::{self, OutKind};
 use crate::field::{Dat2, Dat3};
 use crate::profile::Profile;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Intra-rank execution backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// Single-threaded (pure-MPI per-rank execution).
     Serial,
@@ -30,7 +29,7 @@ pub enum ExecMode {
 }
 
 /// Half-open 2-D iteration range in interior coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Range2 {
     pub i0: isize,
     pub i1: isize,
@@ -73,7 +72,7 @@ impl Range2 {
 }
 
 /// Half-open 3-D iteration range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Range3 {
     pub i0: isize,
     pub i1: isize,

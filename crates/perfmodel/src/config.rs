@@ -1,10 +1,8 @@
 //! The configuration space of the paper's §5: compiler × ZMM usage ×
 //! hyperthreading × parallelization.
 
-use serde::{Deserialize, Serialize};
-
 /// Compiler family (paper §5 item 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Compiler {
     /// Intel C++ Compiler Classic (ICC/ICPC).
     Classic,
@@ -25,7 +23,7 @@ impl Compiler {
 
 /// ZMM register usage (paper §5 item 2): whether AVX-512 (512-bit) or
 /// AVX2-width (256-bit) instructions are generated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Zmm {
     Default,
     High,
@@ -43,7 +41,7 @@ impl Zmm {
 }
 
 /// Parallelization approach (paper §5 item 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Parallelization {
     /// One MPI process per physical/logical core.
     Mpi,
@@ -84,7 +82,7 @@ impl Parallelization {
 }
 
 /// One full configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunConfig {
     pub compiler: Compiler,
     pub zmm: Zmm,

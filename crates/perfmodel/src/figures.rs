@@ -9,18 +9,17 @@ use crate::model::{paper_scale, predict, ModelInput};
 use bwb_apps::characterize::{characterize, AppCharacter};
 use bwb_apps::AppId;
 use bwb_machine::{platforms, Platform, PlatformKind};
-use serde::{Deserialize, Serialize};
 
 /// A normalized-slowdown matrix (Figures 3 & 4): configurations × apps,
 /// each column normalized to its best configuration, rows sorted by mean.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlowdownMatrix {
     pub platform: String,
     pub apps: Vec<AppId>,
     pub rows: Vec<SlowdownRow>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlowdownRow {
     pub label: String,
     /// Slowdown vs the per-app best; `None` = configuration infeasible.
@@ -120,7 +119,7 @@ pub fn figure4_unstructured_matrix(p: &Platform) -> SlowdownMatrix {
 
 /// Figure 5: speedup of each parallelization over pure MPI on the Xeon MAX
 /// (best over the remaining knobs for each parallelization).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParSpeedup {
     pub app: AppId,
     /// (parallelization label, speedup vs pure MPI).
@@ -185,7 +184,7 @@ pub fn figure5_parallelization_speedups() -> Vec<ParSpeedup> {
 }
 
 /// Figure 6: best performance per app per platform + speedups of the MAX.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlatformComparison {
     pub app: AppId,
     /// (platform, best seconds, best-config label).
@@ -231,7 +230,7 @@ pub fn figure6_platform_comparison() -> Vec<PlatformComparison> {
 
 /// Figure 7: fraction of runtime in MPI, per app × platform × {MPI,
 /// MPI+OpenMP}.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MpiFractionEntry {
     pub app: AppId,
     pub platform: PlatformKind,
@@ -285,7 +284,7 @@ pub fn figure7_mpi_fractions() -> Vec<MpiFractionEntry> {
 
 /// Figure 8: achieved effective bandwidth on the Xeon MAX (and the other
 /// platforms, for the §6 comparison).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EffectiveBandwidthEntry {
     pub app: AppId,
     pub platform: PlatformKind,
@@ -330,7 +329,7 @@ pub fn figure8_effective_bandwidth() -> Vec<EffectiveBandwidthEntry> {
 
 /// Figure 9: CloverLeaf 2D with cache-blocking tiling on each platform
 /// (plus the A100 untiled reference).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TilingEntry {
     pub platform: PlatformKind,
     pub untiled_seconds: f64,

@@ -3,10 +3,8 @@
 //! decomposition is used over MPI, with ghost cell exchanges triggered as
 //! needed", §4).
 
-use serde::{Deserialize, Serialize};
-
 /// A Cartesian layout of `size` ranks over `ndims` dimensions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CartComm {
     dims: Vec<usize>,
     periodic: Vec<bool>,

@@ -1,4 +1,4 @@
-//! Collective operations: reduce, allreduce, broadcast, gather, allgather.
+//! Collective operations: reduce, allreduce, broadcast, gather.
 //!
 //! Built on the point-to-point layer with a reserved tag space; each
 //! collective invocation consumes one sequence number so that back-to-back
@@ -7,7 +7,6 @@
 
 use crate::comm::Comm;
 use crate::event::CommOp;
-use serde::{Deserialize, Serialize};
 
 /// Base of the reserved tag space for collectives. Public so analyzers
 /// (commcheck's imbalance pass) can separate collective-internal traffic
@@ -17,7 +16,7 @@ pub const COLL_TAG_BASE: u32 = 0x8000_0000;
 const COLL_TAG_WINDOW: u32 = 0x4000_0000;
 
 /// Elementwise reduction operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReduceOp {
     Sum,
     Min,
@@ -176,30 +175,6 @@ impl Comm {
             None
         }
     }
-
-    /// Allgather: every rank receives every rank's payload, rank-ordered.
-    pub fn allgather<T: Send + Clone + 'static>(&mut self, vals: &[T]) -> Vec<Vec<T>> {
-        let gathered = self.gather(vals, 0);
-        // Broadcast the flattened structure: lengths then data.
-        let (lens, flat) = match gathered {
-            Some(parts) => {
-                let lens: Vec<u64> = parts.iter().map(|p| p.len() as u64).collect();
-                let flat: Vec<T> = parts.into_iter().flatten().collect();
-                (lens, flat)
-            }
-            None => (Vec::new(), Vec::new()),
-        };
-        let lens = self.bcast(lens, 0);
-        let flat = self.bcast(flat, 0);
-        let mut out = Vec::with_capacity(lens.len());
-        let mut offset = 0usize;
-        for l in lens {
-            let l = l as usize;
-            out.push(flat[offset..offset + l].to_vec());
-            offset += l;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -275,22 +250,12 @@ mod tests {
     }
 
     #[test]
-    fn allgather_everyone_sees_everything() {
-        let out = Universe::run(3, |c| c.allgather(&[c.rank() as u16 * 5]));
-        for r in out.results {
-            assert_eq!(r, vec![vec![0u16], vec![5], vec![10]]);
-        }
-    }
-
-    #[test]
-    fn allgather_handles_unequal_lengths() {
+    fn gather_handles_unequal_lengths() {
         let out = Universe::run(3, |c| {
             let mine: Vec<u32> = (0..c.rank() as u32).collect();
-            c.allgather(&mine)
+            c.gather(&mine, 0)
         });
-        for r in out.results {
-            assert_eq!(r, vec![vec![], vec![0], vec![0, 1]]);
-        }
+        assert_eq!(out.results[0], Some(vec![vec![], vec![0], vec![0, 1]]));
     }
 
     #[test]
@@ -329,10 +294,10 @@ mod tests {
     fn single_rank_collectives_are_identity() {
         let out = Universe::run(1, |c| {
             let s = c.allreduce_scalar(5.0f32, ReduceOp::Sum);
-            let g = c.allgather(&[1u8, 2]);
+            let g = c.gather(&[1u8, 2], 0);
             (s, g)
         });
         assert_eq!(out.results[0].0, 5.0);
-        assert_eq!(out.results[0].1, vec![vec![1, 2]]);
+        assert_eq!(out.results[0].1, Some(vec![vec![1, 2]]));
     }
 }

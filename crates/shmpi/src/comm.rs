@@ -6,9 +6,6 @@ use crate::stats::{CommDetail, RankStats};
 use bwb_machine::{LatencyProfile, RankPlacement};
 use std::sync::{Arc, Barrier};
 
-/// Wildcard source for [`Comm::recv`] / [`Comm::irecv`].
-pub const ANY_SOURCE: usize = usize::MAX;
-
 /// Software envelope overhead added to the modelled per-message latency
 /// (matching, queueing — the MPI stack cost), nanoseconds.
 pub const SW_OVERHEAD_NS: f64 = 250.0;
@@ -37,22 +34,6 @@ pub struct Comm {
     /// Current dat / phase attribution stamped onto logged events. Only
     /// consulted when `comm_log` is active.
     pub(crate) comm_ctx: Option<String>,
-}
-
-/// A non-blocking operation handle, completed by [`Comm::wait`].
-///
-/// Sends are eager/buffered so a send request is complete at creation;
-/// receive requests carry their match pattern and block at `wait`.
-#[derive(Debug)]
-pub enum Request<T> {
-    /// Completed send (payload already delivered to the destination).
-    Send,
-    /// Pending receive.
-    Recv {
-        source: Option<usize>,
-        tag: u32,
-        _marker: std::marker::PhantomData<T>,
-    },
 }
 
 impl Comm {
@@ -162,31 +143,25 @@ impl Comm {
         });
     }
 
-    /// Blocking typed receive. `source` may be [`ANY_SOURCE`].
+    /// Blocking typed receive of the next message from `source` under
+    /// `tag`. A receive names its source, so FIFO order per
+    /// `(source, tag)` fixes every send↔receive pairing.
     ///
     /// # Panics
-    /// Panics if the matching message's element type is not `T` — a type
-    /// confusion that real MPI would surface as silent corruption.
+    /// Panics if `source` is not a rank of this world, or if the matching
+    /// message's element type is not `T` — a type confusion that real MPI
+    /// would surface as silent corruption.
     pub fn recv<T: Send + 'static>(&mut self, source: usize, tag: u32) -> Vec<T> {
-        self.recv_from(source, tag).1
-    }
-
-    /// Like [`Comm::recv`] but also returns the actual source rank (useful
-    /// with [`ANY_SOURCE`]).
-    pub fn recv_from<T: Send + 'static>(&mut self, source: usize, tag: u32) -> (usize, Vec<T>) {
-        let pat = Pattern {
-            source: if source == ANY_SOURCE {
-                None
-            } else {
-                Some(source)
-            },
-            tag,
-        };
+        assert!(
+            source < self.size(),
+            "recv from rank {source} of {}",
+            self.size()
+        );
         let Taken {
             env,
             waited,
             arrival,
-        } = self.shared.mailboxes[self.rank].take_blocking(pat);
+        } = self.shared.mailboxes[self.rank].take_blocking(Pattern { source, tag });
         self.stats.recvs += 1;
         match arrival {
             Arrival::Queued => {}
@@ -195,101 +170,27 @@ impl Comm {
         }
         self.stats.bytes_received += env.bytes as u64;
         self.stats.wait_seconds += waited.as_secs_f64();
-        let src = env.source;
         self.detail
-            .note_recv(src, tag, env.bytes, waited.as_secs_f64());
+            .note_recv(source, tag, env.bytes, waited.as_secs_f64());
         // Retro-dated span covering exactly the blocked interval, so summed
         // `mpi_wait` span time reconciles with `RankStats::wait_seconds`.
         bwb_trace::span_retro(
             bwb_trace::Cat::Mpi,
             "mpi_wait",
             waited,
-            [src as f64, env.bytes as f64, tag as f64],
+            [source as f64, env.bytes as f64, tag as f64],
         );
-        self.log_event(
-            CommOp::Recv {
-                source: pat.source,
-                matched: src,
-            },
-            tag,
-            env.bytes,
-        );
+        self.log_event(CommOp::Recv { source }, tag, env.bytes);
         let data = env.data.downcast::<Vec<T>>().unwrap_or_else(|_| {
             panic!(
                 "recv type mismatch: rank {} expected Vec<{}> from {} tag {}",
                 self.rank,
                 std::any::type_name::<T>(),
-                src,
+                source,
                 tag
             )
         });
-        (src, *data)
-    }
-
-    /// Non-blocking send (eager: completes immediately).
-    pub fn isend<T: Send + 'static>(&mut self, dest: usize, tag: u32, data: Vec<T>) -> Request<T> {
-        self.send(dest, tag, data);
-        Request::Send
-    }
-
-    /// Post a non-blocking receive; complete it with [`Comm::wait`].
-    pub fn irecv<T: Send + 'static>(&mut self, source: usize, tag: u32) -> Request<T> {
-        Request::Recv {
-            source: if source == ANY_SOURCE {
-                None
-            } else {
-                Some(source)
-            },
-            tag,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Complete a request. Returns the payload for receives, `None` for
-    /// sends. Blocked time is accounted as MPI wait time (Figure 7).
-    pub fn wait<T: Send + 'static>(&mut self, req: Request<T>) -> Option<Vec<T>> {
-        match req {
-            Request::Send => None,
-            Request::Recv { source, tag, .. } => {
-                let src = source.unwrap_or(ANY_SOURCE);
-                Some(self.recv(src, tag))
-            }
-        }
-    }
-
-    /// Complete a batch of requests, returning receive payloads in order.
-    pub fn wait_all<T: Send + 'static>(&mut self, reqs: Vec<Request<T>>) -> Vec<Vec<T>> {
-        reqs.into_iter().filter_map(|r| self.wait(r)).collect()
-    }
-
-    /// Non-blocking probe: is a matching message queued?
-    pub fn iprobe(&self, source: usize, tag: u32) -> bool {
-        let pat = Pattern {
-            source: if source == ANY_SOURCE {
-                None
-            } else {
-                Some(source)
-            },
-            tag,
-        };
-        // Peek without removing: take then re-deliver would reorder, so we
-        // only report presence via a non-destructive scan.
-        let mb: &Mailbox = &self.shared.mailboxes[self.rank];
-        // Mailbox has no peek; emulate with try_take + redeliver only being
-        // safe when no other thread receives for this rank (true: one thread
-        // per rank). FIFO per (source,tag) is preserved because we re-insert
-        // only after checking, and only sends from other threads can
-        // interleave, which cannot overtake within the same (source,tag).
-        if let Some(env) = mb.try_take(pat) {
-            // push back to the *front-equivalent*: re-deliver and rely on
-            // matching scan order; to strictly preserve order we must not
-            // do this when a same-pattern message could arrive in between.
-            // For a single-threaded-receiver mailbox this is sound.
-            mb.deliver_front(env);
-            true
-        } else {
-            false
-        }
+        *data
     }
 
     /// Synchronize all ranks; the blocked time counts as wait time.
@@ -319,57 +220,6 @@ mod tests {
             c.recv::<u32>(left, 1)[0]
         });
         assert_eq!(out.results, vec![40, 0, 10, 20, 30]);
-    }
-
-    #[test]
-    fn any_source_receives_from_everyone() {
-        let out = Universe::run(4, |c| {
-            if c.rank() == 0 {
-                let mut sum = 0u64;
-                for _ in 1..c.size() {
-                    let (_src, v) = c.recv_from::<u64>(ANY_SOURCE, 3);
-                    sum += v[0];
-                }
-                sum
-            } else {
-                c.send(0, 3, vec![c.rank() as u64]);
-                0
-            }
-        });
-        assert_eq!(out.results[0], 1 + 2 + 3);
-    }
-
-    #[test]
-    fn isend_irecv_wait() {
-        let out = Universe::run(2, |c| {
-            if c.rank() == 0 {
-                let r = c.irecv::<f64>(1, 0);
-                let s = c.isend(1, 0, vec![1.5f64]);
-                let got = c.wait(r).unwrap();
-                c.wait(s);
-                got[0]
-            } else {
-                let r = c.irecv::<f64>(0, 0);
-                c.isend(0, 0, vec![2.5f64]);
-                c.wait(r).unwrap()[0]
-            }
-        });
-        assert_eq!(out.results, vec![2.5, 1.5]);
-    }
-
-    #[test]
-    fn wait_all_collects_receives_in_order() {
-        let out = Universe::run(3, |c| {
-            if c.rank() == 0 {
-                let reqs = vec![c.irecv::<u8>(1, 0), c.irecv::<u8>(2, 0)];
-                let got = c.wait_all(reqs);
-                (got[0][0], got[1][0])
-            } else {
-                c.send(0, 0, vec![c.rank() as u8]);
-                (0, 0)
-            }
-        });
-        assert_eq!(out.results[0], (1, 2));
     }
 
     #[test]
@@ -403,20 +253,17 @@ mod tests {
     }
 
     #[test]
-    fn iprobe_sees_pending_message_and_preserves_it() {
-        let out = Universe::run(2, |c| {
-            if c.rank() == 0 {
-                c.send(1, 9, vec![7i32]);
-                c.barrier();
-                true
-            } else {
-                c.barrier();
-                let seen = c.iprobe(0, 9);
-                let v = c.recv::<i32>(0, 9);
-                seen && v[0] == 7
-            }
+    #[should_panic(expected = "recv from rank 5 of 1")]
+    fn recv_outside_the_world_panics() {
+        // A 1-rank world's only rank, driven on the test thread so the
+        // assert's message is the test's panic.
+        let shared = Arc::new(Shared {
+            mailboxes: vec![Mailbox::with_kind(crate::MailboxKind::Locked, 1)],
+            size: 1,
+            barrier: Barrier::new(1),
+            placement: None,
         });
-        assert!(out.results.iter().all(|&b| b));
+        let _ = Comm::new(0, shared).recv::<u8>(5, 0);
     }
 
     #[test]

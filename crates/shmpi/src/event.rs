@@ -7,28 +7,15 @@
 //! tag, payload size, and an optional `ctx` string attributing the event to
 //! the dat / phase that triggered it (halo exchanges set this to the dat
 //! name). `dslcheck::comm` merges the per-rank logs and replays them to
-//! verify matching, deadlock-freedom, determinism, and balance.
-//!
-//! Recording deliberately captures *completed* operations plus enough
-//! detail to reconstruct the pre-delivery state: for a `Recv`, both the
-//! requested pattern (`source: None` = `ANY_SOURCE`) and the source that
-//! actually matched. Replay re-derives whether that match was forced or a
-//! race artifact.
-
-use serde::Serialize;
+//! verify matching, deadlock-freedom, and balance.
 
 /// What one communication event did.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommOp {
     /// Eager buffered send to `dest`.
     Send { dest: usize },
-    /// Blocking receive (or completed `irecv` wait). `source` is the
-    /// requested pattern (`None` = `ANY_SOURCE`); `matched` is the rank the
-    /// envelope actually came from.
-    Recv {
-        source: Option<usize>,
-        matched: usize,
-    },
+    /// Blocking receive from `source`.
+    Recv { source: usize },
     /// World barrier.
     Barrier,
     /// Collective entry marker (the constituent point-to-point traffic is
@@ -39,7 +26,7 @@ pub enum CommOp {
 }
 
 /// One recorded communication event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommEvent {
     pub op: CommOp,
     /// Message tag (for `Barrier`, 0; for `Collective`, the base tag of the
@@ -54,7 +41,7 @@ pub struct CommEvent {
 }
 
 /// The ordered event sequence one rank produced.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommLog {
     pub rank: usize,
     pub events: Vec<CommEvent>,
@@ -114,10 +101,7 @@ mod tests {
             ctx: Some("density".into()),
         });
         log.events.push(CommEvent {
-            op: CommOp::Recv {
-                source: None,
-                matched: 3,
-            },
+            op: CommOp::Recv { source: 3 },
             tag: 5,
             bytes: 64,
             ctx: None,

@@ -10,12 +10,10 @@
 //!
 //! Semantics follow MPI where it matters to the benchmarked codes:
 //!
-//! * eager buffered `send` (never blocks), blocking `recv` with
-//!   `(source, tag)` matching and FIFO order per (source, tag) pair;
-//! * non-blocking `isend`/`irecv` returning [`Request`]s completed by
-//!   `wait`/`wait_all`;
-//! * collectives: `barrier`, `allreduce`, `reduce`, `bcast`, `gather`,
-//!   `allgather`;
+//! * eager buffered `send` (never blocks), blocking `recv` from a named
+//!   source with `(source, tag)` matching and FIFO order per (source, tag)
+//!   pair — so every send↔receive pairing is fixed by program order;
+//! * collectives: `barrier`, `allreduce`, `reduce`, `bcast`, `gather`;
 //! * Cartesian topologies with `dims_create`-style factorization and
 //!   neighbour shifts — the decomposition used by all structured-mesh apps;
 //! * per-rank [`RankStats`] (messages, bytes, blocked wall time, and a
@@ -50,7 +48,7 @@ pub mod universe;
 
 pub use cart::CartComm;
 pub use collectives::{ReduceOp, COLL_TAG_BASE};
-pub use comm::{Comm, Request, ANY_SOURCE, SW_OVERHEAD_NS};
+pub use comm::{Comm, SW_OVERHEAD_NS};
 pub use event::{CommEvent, CommLog, CommOp};
 pub use mailbox::{
     Arrival, Envelope, LockedMailbox, Mailbox, MailboxKind, Pattern, SpscMailbox, SpscRing, Taken,

@@ -44,9 +44,9 @@
 //! handshake.
 
 // Under `--cfg loom` the primitives come from the vendored loom DPOR
-// model checker so the deliver/take_blocking/deliver_front protocols can
-// be verified across *all* bounded interleavings (see
-// crates/shmpi/tests/loom_mailbox.rs and tests/loom_spsc.rs).
+// model checker so the deliver/take_blocking protocols can be verified
+// across *all* bounded interleavings (see crates/shmpi/tests/loom_mailbox.rs
+// and tests/loom_spsc.rs).
 #[cfg(loom)]
 use loom::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 #[cfg(loom)]
@@ -71,17 +71,16 @@ pub struct Envelope {
     pub bytes: usize,
 }
 
-/// Match criteria for a receive.
+/// Match criteria for a receive: a receive always names its source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pattern {
-    /// `None` = MPI_ANY_SOURCE.
-    pub source: Option<usize>,
+    pub source: usize,
     pub tag: u32,
 }
 
 impl Pattern {
     fn matches(&self, e: &Envelope) -> bool {
-        self.tag == e.tag && self.source.is_none_or(|s| s == e.source)
+        self.tag == e.tag && self.source == e.source
     }
 }
 
@@ -213,23 +212,16 @@ impl LockedMailbox {
         }
     }
 
-    fn insert(&self, put: impl FnOnce(&mut VecDeque<Envelope>)) {
+    /// Deliver an envelope (called by the *sender*). Never blocks.
+    pub fn deliver(&self, env: Envelope) {
         {
             let mut q = self.queue.lock();
-            put(&mut q.envelopes);
-            // More than one receiver thread never waits on one rank's
-            // mailbox in correct programs, but notify_all is robust
-            // against probe users.
+            q.envelopes.push_back(env);
             if q.waiters > 0 {
                 self.available.notify_all();
             }
         }
         self.arrivals.fetch_add(1, Ordering::Release);
-    }
-
-    /// Deliver an envelope (called by the *sender*). Never blocks.
-    pub fn deliver(&self, env: Envelope) {
-        self.insert(|q| q.push_back(env));
     }
 
     /// Take the first matching envelope, blocking until one arrives.
@@ -263,19 +255,6 @@ impl LockedMailbox {
             self.available.wait(&mut q);
             q.waiters -= 1;
         }
-    }
-
-    /// Re-insert an envelope at the *front* of the queue. Used by probe
-    /// implementations that must not reorder messages; sound only while a
-    /// single thread receives from this mailbox (our one-thread-per-rank
-    /// invariant).
-    pub fn deliver_front(&self, env: Envelope) {
-        self.insert(|q| q.push_front(env));
-    }
-
-    /// Non-blocking probe-and-take.
-    pub fn try_take(&self, pat: Pattern) -> Option<Envelope> {
-        self.queue.lock().take(pat)
     }
 
     /// Number of queued envelopes (diagnostics).
@@ -521,7 +500,7 @@ impl SpscMailbox {
     /// Drain every source ring into the stash (in per-source FIFO
     /// order), then take the first stash entry matching `pat`. Receiver
     /// thread only.
-    pub fn try_take(&self, pat: Pattern) -> Option<Envelope> {
+    fn try_take(&self, pat: Pattern) -> Option<Envelope> {
         let mut stash = self.stash.lock();
         for ring in &self.rings {
             while let Some(env) = ring.pop() {
@@ -574,12 +553,6 @@ impl SpscMailbox {
             Self::backoff();
             self.parked.store(false, Ordering::SeqCst);
         }
-    }
-
-    /// Re-insert an envelope at the *front* (probe support). Receiver
-    /// thread only, like `deliver_front` on the locked transport.
-    pub fn deliver_front(&self, env: Envelope) {
-        self.stash.lock().push_front(env);
     }
 
     /// Number of queued envelopes (diagnostics; exact once all senders
@@ -647,23 +620,6 @@ impl Mailbox {
         }
     }
 
-    /// Re-insert an envelope at the *front* of the queue (probe
-    /// support); sound only from the single receiver thread.
-    pub fn deliver_front(&self, env: Envelope) {
-        match self {
-            Mailbox::Locked(m) => m.deliver_front(env),
-            Mailbox::Spsc(m) => m.deliver_front(env),
-        }
-    }
-
-    /// Non-blocking probe-and-take.
-    pub fn try_take(&self, pat: Pattern) -> Option<Envelope> {
-        match self {
-            Mailbox::Locked(m) => m.try_take(pat),
-            Mailbox::Spsc(m) => m.try_take(pat),
-        }
-    }
-
     /// Number of queued envelopes (diagnostics).
     pub fn len(&self) -> usize {
         match self {
@@ -703,12 +659,7 @@ mod tests {
     fn deliver_then_take() {
         for mb in both_kinds() {
             mb.deliver(env(1, 7, vec![42]));
-            let e = mb
-                .take_blocking(Pattern {
-                    source: Some(1),
-                    tag: 7,
-                })
-                .env;
+            let e = mb.take_blocking(Pattern { source: 1, tag: 7 }).env;
             assert_eq!(e.source, 1);
             assert_eq!(e.bytes, 8);
             let v = e.data.downcast::<Vec<u64>>().unwrap();
@@ -721,12 +672,7 @@ mod tests {
         for mb in both_kinds() {
             mb.deliver(env(0, 1, vec![1]));
             mb.deliver(env(0, 2, vec![2]));
-            let e = mb
-                .take_blocking(Pattern {
-                    source: Some(0),
-                    tag: 2,
-                })
-                .env;
+            let e = mb.take_blocking(Pattern { source: 0, tag: 2 }).env;
             let v = e.data.downcast::<Vec<u64>>().unwrap();
             assert_eq!(*v, vec![2]);
             assert_eq!(mb.len(), 1);
@@ -738,46 +684,18 @@ mod tests {
         for mb in both_kinds() {
             mb.deliver(env(3, 9, vec![1]));
             mb.deliver(env(3, 9, vec![2]));
-            let a = mb
-                .take_blocking(Pattern {
-                    source: Some(3),
-                    tag: 9,
-                })
-                .env;
-            let b = mb
-                .take_blocking(Pattern {
-                    source: Some(3),
-                    tag: 9,
-                })
-                .env;
+            let a = mb.take_blocking(Pattern { source: 3, tag: 9 }).env;
+            let b = mb.take_blocking(Pattern { source: 3, tag: 9 }).env;
             assert_eq!(*a.data.downcast::<Vec<u64>>().unwrap(), vec![1]);
             assert_eq!(*b.data.downcast::<Vec<u64>>().unwrap(), vec![2]);
         }
     }
 
     #[test]
-    fn any_source_matches_first_arrival() {
-        for mb in both_kinds() {
-            mb.deliver(env(5, 0, vec![5]));
-            let e = mb
-                .take_blocking(Pattern {
-                    source: None,
-                    tag: 0,
-                })
-                .env;
-            assert_eq!(e.source, 5);
-        }
-    }
-
-    #[test]
     fn try_take_returns_none_when_empty() {
+        let spsc = SpscMailbox::new(8);
+        assert!(spsc.try_take(Pattern { source: 0, tag: 0 }).is_none());
         for mb in both_kinds() {
-            assert!(mb
-                .try_take(Pattern {
-                    source: None,
-                    tag: 0
-                })
-                .is_none());
             assert!(mb.is_empty());
         }
     }
@@ -788,10 +706,7 @@ mod tests {
             let mb = Arc::new(mb);
             let mb2 = mb.clone();
             let h = std::thread::spawn(move || {
-                let t = mb2.take_blocking(Pattern {
-                    source: Some(0),
-                    tag: 0,
-                });
+                let t = mb2.take_blocking(Pattern { source: 0, tag: 0 });
                 (t.env.bytes, t.waited, t.arrival)
             });
             std::thread::sleep(Duration::from_millis(20));
@@ -880,12 +795,7 @@ mod tests {
             }
         });
         for i in 0..6u64 {
-            let e = mb
-                .take_blocking(Pattern {
-                    source: Some(1),
-                    tag: 5,
-                })
-                .env;
+            let e = mb.take_blocking(Pattern { source: 1, tag: 5 }).env;
             assert_eq!(*e.data.downcast::<Vec<u64>>().unwrap(), vec![i]);
         }
         h.join().unwrap();
@@ -900,25 +810,10 @@ mod tests {
         mb.deliver(env(2, 8, vec![1]));
         mb.deliver(env(2, 9, vec![2]));
         mb.deliver(env(2, 8, vec![3]));
-        let a = mb
-            .take_blocking(Pattern {
-                source: Some(2),
-                tag: 9,
-            })
-            .env;
+        let a = mb.take_blocking(Pattern { source: 2, tag: 9 }).env;
         assert_eq!(*a.data.downcast::<Vec<u64>>().unwrap(), vec![2]);
-        let b = mb
-            .take_blocking(Pattern {
-                source: Some(2),
-                tag: 8,
-            })
-            .env;
-        let c = mb
-            .take_blocking(Pattern {
-                source: Some(2),
-                tag: 8,
-            })
-            .env;
+        let b = mb.take_blocking(Pattern { source: 2, tag: 8 }).env;
+        let c = mb.take_blocking(Pattern { source: 2, tag: 8 }).env;
         assert_eq!(*b.data.downcast::<Vec<u64>>().unwrap(), vec![1]);
         assert_eq!(*c.data.downcast::<Vec<u64>>().unwrap(), vec![3]);
         assert!(mb.is_empty());

@@ -9,9 +9,7 @@
 //!
 //! 1. FIFO non-overtaking: two envelopes from one (source, tag) pair are
 //!    received in delivery order under every interleaving.
-//! 2. `deliver_front` re-insertion keeps the probed envelope at the head,
-//!    ahead of concurrent `deliver` traffic from the same source.
-//! 3. A blocked `take_blocking` always wakes for a matching delivery
+//! 2. A blocked `take_blocking` always wakes for a matching delivery
 //!    (no lost wakeup) — also when `deliver` skips `notify_all` because
 //!    the queue counts no waiter: a sender cannot read "no waiter" while
 //!    the receiver is between its scan and its wait, because count, scan
@@ -79,10 +77,7 @@ fn fifo_non_overtaking_under_all_interleavings() {
         let receiver = {
             let mb = mb.clone();
             thread::spawn(move || {
-                let pat = Pattern {
-                    source: Some(0),
-                    tag: 7,
-                };
+                let pat = Pattern { source: 0, tag: 7 };
                 let a = mb.take_blocking(pat).env;
                 let b = mb.take_blocking(pat).env;
                 (val(&a), val(&b))
@@ -116,7 +111,7 @@ fn fifo_holds_across_interleaved_sources() {
             let mb = mb.clone();
             thread::spawn(move || {
                 let from = |src| Pattern {
-                    source: Some(src),
+                    source: src,
                     tag: 3,
                 };
                 // Interleave the sources; each (source, tag) stream must
@@ -138,47 +133,13 @@ fn fifo_holds_across_interleaved_sources() {
 }
 
 #[test]
-fn deliver_front_keeps_probed_envelope_at_head() {
-    certify("locked deliver_front", || {
-        let mb = Arc::new(Mailbox::with_kind(MailboxKind::Locked, 2));
-        mb.deliver(env(0, 5, 1));
-        // A concurrent sender appends while the receiver probes (try_take)
-        // and puts the envelope back with deliver_front — the iprobe path.
-        let sender = {
-            let mb = mb.clone();
-            thread::spawn(move || mb.deliver(env(0, 5, 2)))
-        };
-        let pat = Pattern {
-            source: Some(0),
-            tag: 5,
-        };
-        let probed = mb.try_take(pat).expect("head envelope present");
-        assert_eq!(val(&probed), 1);
-        mb.deliver_front(probed);
-        sender.join().unwrap();
-        let a = mb.take_blocking(pat).env;
-        let b = mb.take_blocking(pat).env;
-        assert_eq!(
-            (val(&a), val(&b)),
-            (1, 2),
-            "deliver_front must not let later traffic overtake the head"
-        );
-    });
-}
-
-#[test]
 fn blocked_receiver_always_wakes() {
     certify("locked blocked receiver", || {
         let mb = Arc::new(Mailbox::with_kind(MailboxKind::Locked, 2));
         let receiver = {
             let mb = mb.clone();
             thread::spawn(move || {
-                let e = mb
-                    .take_blocking(Pattern {
-                        source: None,
-                        tag: 9,
-                    })
-                    .env;
+                let e = mb.take_blocking(Pattern { source: 2, tag: 9 }).env;
                 val(&e)
             })
         };
@@ -203,14 +164,8 @@ fn notify_skip_never_loses_a_wakeup() {
         let receiver = {
             let mb = mb.clone();
             thread::spawn(move || {
-                let wanted = mb.take_blocking(Pattern {
-                    source: None,
-                    tag: 9,
-                });
-                let other = mb.take_blocking(Pattern {
-                    source: None,
-                    tag: 8,
-                });
+                let wanted = mb.take_blocking(Pattern { source: 1, tag: 9 });
+                let other = mb.take_blocking(Pattern { source: 0, tag: 8 });
                 for t in [&wanted, &other] {
                     assert_ne!(t.arrival, Arrival::Spun, "nothing polls under loom");
                 }

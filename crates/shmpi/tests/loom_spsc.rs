@@ -103,25 +103,10 @@ fn spsc_mailbox_deliver_take_fifo_exhaustive() {
                 mb.deliver(env(1, 7, 11));
             })
         };
-        let a = mb
-            .take_blocking(Pattern {
-                source: Some(1),
-                tag: 9,
-            })
-            .env;
+        let a = mb.take_blocking(Pattern { source: 1, tag: 9 }).env;
         assert_eq!(val(&a), 20);
-        let b = mb
-            .take_blocking(Pattern {
-                source: Some(1),
-                tag: 7,
-            })
-            .env;
-        let c = mb
-            .take_blocking(Pattern {
-                source: Some(1),
-                tag: 7,
-            })
-            .env;
+        let b = mb.take_blocking(Pattern { source: 1, tag: 7 }).env;
+        let c = mb.take_blocking(Pattern { source: 1, tag: 7 }).env;
         assert_eq!(val(&b), 10, "tag-7 FIFO violated");
         assert_eq!(val(&c), 11, "tag-7 FIFO violated");
         sender.join().unwrap();

@@ -5,7 +5,6 @@
 //! bytes-moved accounting of 2 or 3 array lengths.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Initial values from the BabelStream reference implementation.
@@ -15,14 +14,14 @@ pub const INIT_C: f64 = 0.0;
 pub const SCALAR: f64 = 0.4;
 
 /// Parallelization of the kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Par {
     Serial,
     Rayon,
 }
 
 /// The benchmark kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
     Copy,
     Mul,
@@ -64,7 +63,7 @@ impl Kernel {
 }
 
 /// One timed kernel execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelResult {
     pub kernel: Kernel,
     pub seconds: f64,

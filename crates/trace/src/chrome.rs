@@ -1,7 +1,7 @@
 //! Chrome `trace_event` JSON export (the "JSON Object Format" with a
 //! `traceEvents` array), loadable in Perfetto / `chrome://tracing`.
 //!
-//! Hand-written emission: the vendored `serde` is a marker-only shim, so —
+//! Hand-written emission: the workspace has no serialization library, so —
 //! like the `analyze` CLI — the exporter formats JSON directly and the
 //! schema tests round-trip it through [`crate::json`].
 //!
