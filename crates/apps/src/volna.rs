@@ -240,8 +240,8 @@ impl Volna {
                     let lam = speed(&sa).max(speed(&sb));
                     for c in 0..3 {
                         let f = 0.5 * (fa[c] + fb[c]) - 0.5 * lam * (sb[c] - sa[c]);
-                        out.add32(0, a, c, -f);
-                        out.add32(0, b, c, f);
+                        out.add(0, a, c, -f);
+                        out.add(0, b, c, f);
                     }
                 },
             );

@@ -55,11 +55,11 @@ impl UArgSpec {
 /// What kind of access a kernel performed on an output dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum UKind {
-    /// Plain overwrite (`UOut::set` / staged `set`).
+    /// Plain overwrite (`UOut::set`/`set_row` / staged `set`).
     Set,
-    /// Read-back of an output (`UOut::get` / staged `get`).
+    /// Read-back of an output (`UOut::get`/`get_row` / staged `get`).
     Get,
-    /// Increment (`UOut::add`/`add32` / staged `add`).
+    /// Increment (`UOut::add`/`add_row` / staged `add`).
     Inc,
 }
 

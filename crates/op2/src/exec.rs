@@ -22,7 +22,7 @@ use crate::color::{BlockColoring, Coloring};
 use crate::set::DatU;
 use bwb_ops::Profile;
 use rayon::prelude::*;
-use std::ops::Range;
+use std::ops::{Add, Range};
 use std::time::Instant;
 
 /// Unstructured execution backend.
@@ -52,8 +52,8 @@ struct WViewU<T> {
 // only the pointer, and the coloring / own-element contracts (type docs)
 // keep concurrent element writes disjoint.
 unsafe impl<T: Send> Send for WViewU<T> {}
-// SAFETY: shared references only expose element reads and writes
-// (`write`/`read`, `UOut::add_elem`), whose target disjointness across
+// SAFETY: shared references only expose element and row reads and writes
+// (`write`/`read`/`row` through `UOut`), whose target disjointness across
 // threads is guaranteed by the same driver contracts.
 unsafe impl<T: Send> Sync for WViewU<T> {}
 
@@ -82,10 +82,31 @@ impl<T: Copy> WViewU<T> {
         // SAFETY: as in `write`.
         unsafe { *self.ptr.add(idx) }
     }
+
+    /// Element `e` as one row of `D` components, after a single assert that
+    /// `D` is the view's `dim` and that the row lies inside the dataset.
+    #[inline]
+    fn row<const D: usize>(&self, e: usize) -> *mut [T; D] {
+        // `D == dim` is checked first, so the division sees a zero `D` only
+        // for a dataset of zero width, and panics there.
+        assert!(
+            D == self.dim && e < self.len / D,
+            "row of {D} at element {e} does not fit a dataset of dim {}",
+            self.dim
+        );
+        // SAFETY: `(e + 1) * D <= len` by the assert, so the offset stays
+        // inside the allocation, and `[T; D]` has `T`'s alignment.
+        unsafe { self.ptr.add(e * D).cast::<[T; D]>() }
+    }
 }
 
 /// Kernel accessor over the output datasets. Unlike the structured case the
 /// element index is explicit, because indirect loops write *mapped* targets.
+///
+/// Two widths of access: `get`/`set`/`add` touch one component `c`, and
+/// `get_row`/`set_row`/`add_row` a whole element of a dataset whose `dim`
+/// the kernel fixes at compile time — one bounds check and one recorded
+/// access per row instead of one per component.
 pub struct UOut<'a, T> {
     views: &'a [WViewU<T>],
     /// `recording_active_u()`, read once per loop by the driver: a
@@ -95,77 +116,80 @@ pub struct UOut<'a, T> {
 }
 
 impl<T: Copy> UOut<'_, T> {
+    #[inline]
+    fn note(&self, f: usize, e: usize, kind: UKind) {
+        if self.recording {
+            access::note_access(f, e, kind);
+        }
+    }
+
     /// Overwrite component `c` of element `e` of output dataset `f`.
     #[inline]
     pub fn set(&self, f: usize, e: usize, c: usize, v: T) {
-        if self.recording {
-            access::note_access(f, e, UKind::Set);
-        }
+        self.note(f, e, UKind::Set);
         self.views[f].write(e, c, v);
     }
 
     /// Read back (for read-modify-write of owned targets).
     #[inline]
     pub fn get(&self, f: usize, e: usize, c: usize) -> T {
-        if self.recording {
-            access::note_access(f, e, UKind::Get);
-        }
+        self.note(f, e, UKind::Get);
         self.views[f].read(e, c)
     }
+
+    /// Overwrite every component of element `e` of output dataset `f`,
+    /// whose `dim` must be `D`.
+    #[inline]
+    pub fn set_row<const D: usize>(&self, f: usize, e: usize, row: [T; D]) {
+        self.note(f, e, UKind::Set);
+        let p = self.views[f].row::<D>(e);
+        // SAFETY: `row` asserted the bounds; disjointness per the driver
+        // contract.
+        unsafe { *p = row }
+    }
+
+    /// Read back every component of element `e` of output dataset `f`,
+    /// whose `dim` must be `D`.
+    #[inline]
+    pub fn get_row<const D: usize>(&self, f: usize, e: usize) -> [T; D] {
+        self.note(f, e, UKind::Get);
+        let p = self.views[f].row::<D>(e);
+        // SAFETY: as in `set_row`.
+        unsafe { *p }
+    }
 }
 
-impl UOut<'_, f64> {
+impl<T: Copy + Add<Output = T>> UOut<'_, T> {
     /// Increment — the canonical OP2 indirect access (`OP_INC`).
     #[inline]
-    pub fn add(&self, f: usize, e: usize, c: usize, v: f64) {
-        if self.recording {
-            access::note_access(f, e, UKind::Inc);
-        }
+    pub fn add(&self, f: usize, e: usize, c: usize, v: T) {
+        self.note(f, e, UKind::Inc);
         let cur = self.views[f].read(e, c);
         self.views[f].write(e, c, cur + v);
     }
 
-    /// Increment every component of element `e` of output dataset `f` by
-    /// `row`, in component order: [`UOut::add`] for a whole row, with one
-    /// bounds check and one recorded access instead of one per component.
+    /// Increment every component of element `e` of output dataset `f`, whose
+    /// `dim` must be `D`, by `row`, in component order: [`UOut::add`] for a
+    /// whole row.
     #[inline]
-    pub fn add_elem(&self, f: usize, e: usize, row: &[f64]) {
-        if self.recording {
-            access::note_access(f, e, UKind::Inc);
+    pub fn add_row<const D: usize>(&self, f: usize, e: usize, row: [T; D]) {
+        self.note(f, e, UKind::Inc);
+        let p = self.views[f].row::<D>(e);
+        // SAFETY: as in `set_row`; no other reference to this row is live
+        // while the kernel holds this one.
+        let cur = unsafe { &mut *p };
+        for (x, v) in cur.iter_mut().zip(row) {
+            *x = *x + v;
         }
-        let view = &self.views[f];
-        let lo = e * view.dim;
-        assert!(
-            row.len() == view.dim && lo + view.dim <= view.len,
-            "row of {} at element {e} does not fit a dataset of dim {}",
-            row.len(),
-            view.dim
-        );
-        for (c, &v) in row.iter().enumerate() {
-            // SAFETY: `lo + c < lo + dim <= len` asserted above;
-            // disjointness per the driver contract.
-            unsafe { *view.ptr.add(lo + c) += v }
-        }
-    }
-}
-
-impl UOut<'_, f32> {
-    #[inline]
-    pub fn add32(&self, f: usize, e: usize, c: usize, v: f32) {
-        if self.recording {
-            access::note_access(f, e, UKind::Inc);
-        }
-        let cur = self.views[f].read(e, c);
-        self.views[f].write(e, c, cur + v);
     }
 }
 
 fn uviews<T: Copy>(outs: &mut [&mut DatU<T>]) -> Vec<WViewU<T>> {
     outs.iter_mut()
         .map(|d| WViewU {
-            ptr: d.raw_mut().as_mut_ptr(),
-            dim: d.dim,
             len: d.raw().len(),
+            dim: d.dim,
+            ptr: d.raw_mut().as_mut_ptr(),
         })
         .collect()
 }
@@ -832,7 +856,7 @@ mod tests {
                 },
                 |range, e, out| {
                     assert!(range.contains(&e), "{e} ran with block {range:?}");
-                    out.add_elem(0, m.get(e, 1), &[1.0, e as f64]);
+                    out.add_row(0, m.get(e, 1), [1.0, e as f64]);
                 },
             );
             let mut staged = staged.into_inner().unwrap();
@@ -853,7 +877,7 @@ mod tests {
         let m = &map;
         let kernel = |e: usize, out: &UOut<f64>| {
             out.add(0, m.get(e, 0), 0, 1.0);
-            out.add_elem(0, m.get(e, 1), &[2.0]);
+            out.add_row(0, m.get(e, 1), [2.0]);
         };
         let (plain, staged) = {
             let mut acc = DatU::<f64>::new("acc", &nodes, 1);
@@ -909,21 +933,95 @@ mod tests {
     }
 
     #[test]
-    fn add_elem_refuses_a_row_that_does_not_fit() {
+    fn row_access_refuses_a_row_that_does_not_fit() {
+        // `call(out, e)` makes one row access at element `e`.
+        type RowCall<'a> = &'a (dyn Fn(&UOut<f64>, usize) + Sync);
         let s = Set::new("s", 3);
-        let run = |e: usize, row: &'static [f64]| {
+        let fits = |call: RowCall, e: usize| {
             let mut d = DatU::<f64>::new("d", &s, 2);
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                sweep_direct(ExecModeU::Serial, 1, &mut [&mut d], |_, out| {
-                    out.add_elem(0, e, row)
-                })
+                sweep_direct(ExecModeU::Serial, 1, &mut [&mut d], |_, out| call(out, e))
             }))
             .is_ok()
         };
-        assert!(run(2, &[1.0, 2.0]));
-        assert!(!run(2, &[1.0]), "short row");
-        assert!(!run(2, &[1.0, 2.0, 3.0]), "long row");
-        assert!(!run(3, &[1.0, 2.0]), "element past the end");
+        let calls: [(&str, RowCall); 9] = [
+            ("get_row", &|out, e| {
+                let _ = out.get_row::<2>(0, e);
+            }),
+            ("set_row", &|out, e| out.set_row(0, e, [1.0, 2.0])),
+            ("add_row", &|out, e| out.add_row(0, e, [1.0, 2.0])),
+            ("short get_row", &|out, e| {
+                let _ = out.get_row::<1>(0, e);
+            }),
+            ("short set_row", &|out, e| out.set_row(0, e, [1.0])),
+            ("short add_row", &|out, e| out.add_row(0, e, [1.0])),
+            ("long get_row", &|out, e| {
+                let _ = out.get_row::<3>(0, e);
+            }),
+            ("long set_row", &|out, e| out.set_row(0, e, [1.0; 3])),
+            ("long add_row", &|out, e| out.add_row(0, e, [1.0; 3])),
+        ];
+        for (i, (what, call)) in calls.into_iter().enumerate() {
+            assert_eq!(fits(call, 2), i < 3, "{what} at the last element");
+            assert!(!fits(call, 3), "{what} past the end");
+            assert!(!fits(call, usize::MAX), "{what} at usize::MAX");
+        }
+    }
+
+    #[test]
+    fn row_access_reads_writes_and_increments_whole_rows() {
+        let s = Set::new("s", 4);
+        for mode in [ExecModeU::Serial, ExecModeU::Colored] {
+            let mut d = DatU::<f32>::new("d", &s, 3);
+            d.init_with(|e, c| (10 * e + c) as f32);
+            sweep_direct(mode, 4, &mut [&mut d], |e, out| {
+                let [a, b, c] = out.get_row::<3>(0, e);
+                out.set_row(0, e, [c, b, a]);
+                out.add_row(0, e, [0.5, 0.25, 0.125]);
+            });
+            let want: Vec<[f32; 3]> = (0..4)
+                .map(|e| {
+                    let base = 10.0 * e as f32;
+                    [base + 2.5, base + 1.25, base + 0.125]
+                })
+                .collect();
+            assert_eq!(d.rows::<3>(), want.as_slice(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn row_access_records_one_access_per_row() {
+        let s = Set::new("s", 5);
+        let mut d = DatU::<f64>::new("d", &s, 4);
+        let kind = |e: usize| [UKind::Get, UKind::Set, UKind::Inc][e % 3];
+        let ((), observed) = access::with_recording_u(|| {
+            par_loop_direct(
+                &mut Profile::new(),
+                "rows",
+                ExecModeU::Colored,
+                5,
+                &mut [&mut d],
+                32,
+                0.0,
+                // Element `e` touches the row of element `4 - e`.
+                |e, out| match kind(e) {
+                    UKind::Get => {
+                        let _ = out.get_row::<4>(0, 4 - e);
+                    }
+                    UKind::Set => out.set_row(0, 4 - e, [1.0; 4]),
+                    UKind::Inc => out.add_row(0, 4 - e, [1.0; 4]),
+                },
+            )
+        });
+        assert_eq!(observed.len(), 1);
+        let seen: Vec<_> = observed[0]
+            .accesses
+            .iter()
+            .map(|a| (a.f, a.src, a.target, a.kind))
+            .collect();
+        let mut want: Vec<_> = (0..5).map(|e| (0, e, 4 - e, kind(e))).collect();
+        want.sort();
+        assert_eq!(seen, want);
     }
 
     #[test]
@@ -1022,7 +1120,7 @@ mod tests {
             4,
             0.0,
             |e, out| {
-                out.add32(0, e, 0, 1.5);
+                out.add(0, e, 0, 1.5f32);
             },
         );
         assert_eq!(d.get(2, 0), 1.5);

@@ -1,4 +1,10 @@
 //! Sets, maps, and datasets — OP2's mesh-description primitives.
+//!
+//! Both maps and datasets are flat row-major arrays with a run-time width
+//! (`arity`, `dim`). [`Map::rows`] and [`DatU::rows`] view them as rows of a
+//! width fixed at compile time, which is how OP2's generated code sees an
+//! argument: a kernel indexes `rows[e][c]` with one bounds check per row and
+//! no multiplication by a run-time width.
 
 /// A collection of mesh elements (nodes, edges, cells, ...).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -14,6 +20,23 @@ impl Set {
             size,
         }
     }
+}
+
+/// `flat` as rows of `D` values. Panics if `D` is zero or does not divide
+/// the length; callers check `D` against their own width first.
+fn as_rows<T, const D: usize>(flat: &[T]) -> &[[T; D]] {
+    assert!(D > 0, "rows of no values");
+    let n = flat.len() / D;
+    assert_eq!(
+        n * D,
+        flat.len(),
+        "{} values are not rows of {D}",
+        flat.len()
+    );
+    // SAFETY: `[T; D]` has the layout of `D` consecutive `T`s with `T`'s
+    // alignment, and `n` rows of it cover exactly the `n * D` values the
+    // slice owns, under the same borrow.
+    unsafe { std::slice::from_raw_parts(flat.as_ptr().cast::<[T; D]>(), n) }
 }
 
 /// A mapping from each element of one set to `arity` elements of another
@@ -87,6 +110,18 @@ impl Map {
     /// Raw index array.
     pub fn raw(&self) -> &[u32] {
         &self.idx
+    }
+
+    /// The targets as one `[u32; A]` row per source element. Panics unless
+    /// `A` is this map's arity.
+    #[inline]
+    pub fn rows<const A: usize>(&self) -> &[[u32; A]] {
+        assert_eq!(
+            A, self.arity,
+            "map '{}' has arity {}",
+            self.name, self.arity
+        );
+        as_rows(&self.idx)
     }
 
     /// Build the reverse adjacency: for each target, the source elements
@@ -187,6 +222,14 @@ impl<T: Copy> DatU<T> {
 
     pub fn raw(&self) -> &[T] {
         &self.data
+    }
+
+    /// The values as one `[T; D]` row per element. Panics unless `D` is
+    /// this dataset's `dim`.
+    #[inline]
+    pub fn rows<const D: usize>(&self) -> &[[T; D]] {
+        assert_eq!(D, self.dim, "dat '{}' has dim {}", self.name, self.dim);
+        as_rows(&self.data)
     }
 
     pub fn raw_mut(&mut self) -> &mut [T] {
@@ -298,6 +341,31 @@ mod tests {
         assert_eq!(d.get(1, 2), 9.0);
         assert_eq!(d.elem(1), &[0.0, 0.0, 9.0, 0.0]);
         assert_eq!(d.elem_bytes(), 32);
+    }
+
+    #[test]
+    fn rows_view_elements_in_order() {
+        let (_n, _e, m) = line_mesh(3);
+        assert_eq!(m.rows::<2>(), &[[0, 1], [1, 2], [2, 3]]);
+        let s = Set::new("s", 2);
+        let d = DatU::from_vec("v", &s, 3, vec![1.0f64, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(d.rows::<3>(), &[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]);
+        let empty = DatU::<f32>::new("z", &Set::new("none", 0), 2);
+        assert!(empty.rows::<2>().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "has dim 4")]
+    fn dat_rows_of_the_wrong_width_panic() {
+        let d = DatU::<f64>::new("q", &Set::new("s", 3), 4);
+        d.rows::<2>();
+    }
+
+    #[test]
+    #[should_panic(expected = "has arity 2")]
+    fn map_rows_of_the_wrong_arity_panic() {
+        let (_n, _e, m) = line_mesh(4);
+        m.rows::<1>();
     }
 
     #[test]

@@ -466,7 +466,8 @@ fn halo_plan_bounds_fixed_seeds() {
 /// Block-colored indirect execution equals the serial element-order sweep
 /// bit-for-bit — integer-valued increments make the comparison exact
 /// regardless of summation order (formerly the seed-sampled
-/// `block_colored_matches_serial`).
+/// `block_colored_matches_serial`). The staged runs increment whole rows
+/// with `add_row`, the reference one component at a time with `add`.
 fn block_colored_case(n_edges: usize, n_nodes: usize, block: usize, seed: u64) {
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -480,7 +481,7 @@ fn block_colored_case(n_edges: usize, n_nodes: usize, block: usize, seed: u64) {
     assert!(coloring.validate(&[&map]));
     let run = |mode: ExecModeU| -> Vec<f64> {
         let mut prof = Profile::new();
-        let mut acc = DatU::<f64>::new("acc", &nodes, 1);
+        let mut acc = DatU::<f64>::new("acc", &nodes, 2);
         let m = &map;
         par_loop_block_colored(
             &mut prof,
@@ -493,6 +494,7 @@ fn block_colored_case(n_edges: usize, n_nodes: usize, block: usize, seed: u64) {
             |e, out| {
                 for &t in m.targets(e) {
                     out.add(0, t as usize, 0, (e + 1) as f64);
+                    out.add(0, t as usize, 1, -2.0 * (e + 1) as f64);
                 }
             },
         );
@@ -501,7 +503,7 @@ fn block_colored_case(n_edges: usize, n_nodes: usize, block: usize, seed: u64) {
     // The staged driver, staging each block's range for its elements.
     let run_staged = |mode: ExecModeU| -> Vec<f64> {
         let mut prof = Profile::new();
-        let mut acc = DatU::<f64>::new("acc", &nodes, 1);
+        let mut acc = DatU::<f64>::new("acc", &nodes, 2);
         let m = &map;
         par_loop_block_colored_staged(
             &mut prof,
@@ -515,7 +517,7 @@ fn block_colored_case(n_edges: usize, n_nodes: usize, block: usize, seed: u64) {
             |range, e, out| {
                 assert!(range.contains(&e), "element {e} staged as {range:?}");
                 for &t in m.targets(e) {
-                    out.add_elem(0, t as usize, &[(e + 1) as f64]);
+                    out.add_row(0, t as usize, [(e + 1) as f64, -2.0 * (e + 1) as f64]);
                 }
             },
         );
