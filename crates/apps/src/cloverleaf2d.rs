@@ -24,6 +24,8 @@ use bwb_ops::{
     ExecMode, FusedLoop2, OptPlan, Profile, Range2, RowIn2, RowOut2,
 };
 use bwb_shmpi::{Comm, ReduceOp};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 pub const GAMMA: f64 = 1.4;
@@ -116,10 +118,12 @@ fn face_val(scheme: Advection, vol: f64, fv: f64, d: f64, down: f64, up: f64) ->
 /// Mass and energy carried through one face by volume flux `fv`, from the
 /// four cells along the sweep axis around it: `w[1] | w[2]` share the face,
 /// `w[0]` and `w[3]` lie beyond them. Flux is from `w[1]` to `w[2]` when
-/// `fv > 0`. Pure, so a face evaluated for either of its two cells gives
-/// the same bits.
+/// `fv > 0`. Pure, so a face evaluated for either of its two cells, or
+/// carried from one row to the next, gives the same bits.
 #[inline(always)]
 fn face_flux(scheme: Advection, vol: f64, fv: f64, rho: [f64; 4], e: [f64; 4]) -> (f64, f64) {
+    #[cfg(test)]
+    FACE_EVALS.with(|c| c.set(c.get() + 1));
     let val = |w: [f64; 4]| {
         if fv > 0.0 {
             face_val(scheme, vol, fv, w[1], w[2], w[0])
@@ -154,10 +158,55 @@ pub(crate) fn remap_cell(
     (mass / vol, energy_mass / mass.max(1e-300))
 }
 
-/// Cells per block of the X sweep: the block's face fluxes live on the
-/// stack (two arrays of `X_BLOCK + 1`) between the face pass and the cell
-/// pass, so neither pass carries a dependency from one point to the next.
+/// Cells per block of a remap row: the block's face fluxes live on the
+/// stack (two arrays of `X_BLOCK + 1` in the X sweep, of `X_BLOCK` high
+/// faces in the Y sweep) between the face pass and the cell pass, so
+/// neither pass carries a dependency from one point to the next.
 const X_BLOCK: usize = 256;
+
+/// Calls of the Y sweep, numbered process-wide: a carry left by one sweep
+/// never matches a row of another, even one of a different simulation.
+static Y_SWEEPS: AtomicU64 = AtomicU64::new(0);
+
+/// The high-face fluxes of the last row a thread remapped in the Y sweep,
+/// which are the low-face fluxes of the row above it.
+#[derive(Default)]
+struct FaceCarry {
+    /// `(sweep call, row, width)` of the row whose high faces `m`/`e`
+    /// hold; `None` while a row is being written.
+    key: Option<(u64, isize, usize)>,
+    m: Vec<f64>,
+    e: Vec<f64>,
+}
+
+impl FaceCarry {
+    /// Starts row `j` of sweep `call`, `n` faces wide, with `m`/`e` sized
+    /// to `n`. True iff they hold row `j - 1`'s high faces of the same
+    /// sweep and width, i.e. this row's low faces; otherwise the caller
+    /// evaluates those.
+    fn begin(&mut self, call: u64, j: isize, n: usize) -> bool {
+        let carried = self.key == Some((call, j - 1, n));
+        self.key = None;
+        self.m.resize(n, 0.0);
+        self.e.resize(n, 0.0);
+        carried
+    }
+
+    /// Marks `m`/`e` as row `j`'s high faces.
+    fn finish(&mut self, call: u64, j: isize, n: usize) {
+        self.key = Some((call, j, n));
+    }
+}
+
+thread_local! {
+    static FACE_CARRY: RefCell<FaceCarry> = RefCell::new(FaceCarry::default());
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`face_flux`] evaluations on this thread.
+    static FACE_EVALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// Reflective ghosts in x over the interior rows: ghost `-hh` mirrors
 /// interior column `hh - 1`, ghost `nx - 1 + hh` mirrors `nx - hh`.
@@ -796,8 +845,13 @@ impl Clover2 {
         std::mem::swap(&mut self.energy1, &mut self.work_e);
     }
 
-    /// Conservative remap, Y sweep. A face is shared by two rows, which
-    /// may sit in different chunks, so each row evaluates both its faces.
+    /// Conservative remap, Y sweep, in the shape of [`Self::advec_cell_x`]:
+    /// per block, a face pass evaluates the row's high faces onto the stack
+    /// and a remap pass reads them. A row's low faces are the high faces of
+    /// the row below, so a thread that remapped row `j - 1` of this sweep
+    /// just before row `j` hands them over in its [`FaceCarry`]; the first
+    /// row of each scheduling chunk evaluates its low faces itself. Each
+    /// face is then evaluated once, plus once more per chunk boundary.
     fn advec_cell_y(&mut self, profile: &mut Profile) {
         #[cfg(test)]
         if self.oracle {
@@ -805,6 +859,7 @@ impl Clover2 {
         }
         let vol = self.dx * self.dy;
         let scheme = self.cfg.advection;
+        let call = Y_SWEEPS.fetch_add(1, Ordering::Relaxed);
         par_loop2_rows(
             profile,
             "advec_cell_y",
@@ -817,30 +872,61 @@ impl Clover2 {
             } else {
                 18.0
             },
-            move |_j, out, ins| {
+            move |j, out, ins| {
                 let (d1, e1) = out.rows2(0, 1);
                 let n = d1.len();
-                // Window `w[dj + 2]` is row `j + dj`.
+                // Window `w[dj + 2]` is row `j + dj`. Every row reads all
+                // five, carried or not, so recordings do not depend on it.
                 let rho = [-2, -1, 0, 1, 2].map(|dj| &ins.row_off(0, 0, dj)[..n]);
                 let e = [-2, -1, 0, 1, 2].map(|dj| &ins.row_off(1, 0, dj)[..n]);
                 let (fv_lo, fv_hi) = (&ins.row_off(2, 0, 0)[..n], &ins.row_off(2, 0, 1)[..n]);
-                for x in 0..n {
-                    let flux_in = face_flux(
-                        scheme,
-                        vol,
-                        fv_lo[x],
-                        window4(&rho, 0, x),
-                        window4(&e, 0, x),
-                    );
-                    let flux_out = face_flux(
-                        scheme,
-                        vol,
-                        fv_hi[x],
-                        window4(&rho, 1, x),
-                        window4(&e, 1, x),
-                    );
-                    (d1[x], e1[x]) = remap_cell(vol, rho[2][x], e[2][x], flux_in, flux_out);
-                }
+                FACE_CARRY.with_borrow_mut(|carry| {
+                    let carried = carry.begin(call, j, n);
+                    for b0 in (0..n).step_by(X_BLOCK) {
+                        let nb = X_BLOCK.min(n - b0);
+                        let r = rho.map(|w| &w[b0..b0 + nb]);
+                        let en = e.map(|w| &w[b0..b0 + nb]);
+                        let lo_m = &mut carry.m[b0..b0 + nb];
+                        let lo_e = &mut carry.e[b0..b0 + nb];
+                        if !carried {
+                            let fv = &fv_lo[b0..b0 + nb];
+                            for x in 0..nb {
+                                (lo_m[x], lo_e[x]) = face_flux(
+                                    scheme,
+                                    vol,
+                                    fv[x],
+                                    window4(&r, 0, x),
+                                    window4(&en, 0, x),
+                                );
+                            }
+                        }
+                        let mut hi_m = [0.0; X_BLOCK];
+                        let mut hi_e = [0.0; X_BLOCK];
+                        let fv = &fv_hi[b0..b0 + nb];
+                        for x in 0..nb {
+                            (hi_m[x], hi_e[x]) = face_flux(
+                                scheme,
+                                vol,
+                                fv[x],
+                                window4(&r, 1, x),
+                                window4(&en, 1, x),
+                            );
+                        }
+                        let (d1, e1) = (&mut d1[b0..b0 + nb], &mut e1[b0..b0 + nb]);
+                        for x in 0..nb {
+                            (d1[x], e1[x]) = remap_cell(
+                                vol,
+                                r[2][x],
+                                en[2][x],
+                                (lo_m[x], lo_e[x]),
+                                (hi_m[x], hi_e[x]),
+                            );
+                        }
+                        lo_m.copy_from_slice(&hi_m[..nb]);
+                        lo_e.copy_from_slice(&hi_e[..nb]);
+                    }
+                    carry.finish(call, j, n);
+                });
             },
         );
         std::mem::swap(&mut self.density1, &mut self.work_d);
@@ -1062,16 +1148,15 @@ fn viscosity_body(dx: f64, dy: f64, out: &mut RowOut2<f64>, ins: &RowIn2<f64>) {
     let v01 = ins.row_off(2, 0, 1);
     let v11 = ins.row_off(2, 1, 1);
     let q = out.row(0);
+    let l = dx.min(dy);
     for i in 0..q.len() {
         let ugrad = 0.5 * ((u10[i] + u11[i]) - (u00[i] + u01[i]));
         let vgrad = 0.5 * ((v01[i] + v11[i]) - (v00[i] + v10[i]));
         let div = ugrad / dx + vgrad / dy;
-        q[i] = if div < 0.0 {
-            let l = dx.min(dy);
-            2.0 * rho[i] * (div * l) * (div * l)
-        } else {
-            0.0
-        };
+        // Computed on every cell and selected: a branch on the sign of
+        // `div` mispredicts across a turbulent flow.
+        let compressing = 2.0 * rho[i] * (div * l) * (div * l);
+        q[i] = if div < 0.0 { compressing } else { 0.0 };
     }
 }
 
@@ -1863,6 +1948,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `face_flux` evaluations of one sweep, on this thread.
+    fn face_evals(sim: &mut Clover2, sweep: fn(&mut Clover2, &mut Profile)) -> u64 {
+        FACE_EVALS.with(|c| c.set(0));
+        sweep(sim, &mut Profile::new());
+        FACE_EVALS.with(|c| c.get())
+    }
+
+    #[test]
+    fn each_face_is_evaluated_once_per_sweep() {
+        let (nx, ny) = (37, 23);
+        for advection in [Advection::DonorCell, Advection::VanLeer] {
+            let mut sim = Clover2::new(Config {
+                nx,
+                ny,
+                advection,
+                ..Config::default()
+            });
+            let y = face_evals(&mut sim, Clover2::advec_cell_y);
+            assert_eq!(y, ((ny + 1) * nx) as u64, "{advection:?} y sweep");
+            let x = face_evals(&mut sim, Clover2::advec_cell_x);
+            assert_eq!(x, ((nx + 1) * ny) as u64, "{advection:?} x sweep");
+        }
+    }
+
+    #[test]
+    fn face_carry_resumes_only_the_next_row_of_the_same_sweep() {
+        let mut carry = FaceCarry::default();
+        assert!(!carry.begin(7, 0, 5), "a first row");
+        carry.finish(7, 0, 5);
+        assert!(carry.begin(7, 1, 5), "the next row");
+        assert_eq!(carry.m.len(), 5);
+        carry.finish(7, 1, 5);
+        assert!(!carry.begin(8, 2, 5), "another sweep");
+        carry.finish(8, 2, 5);
+        assert!(!carry.begin(8, 4, 5), "a gap in rows");
+        carry.finish(8, 4, 5);
+        assert!(!carry.begin(8, 5, 6), "another width");
+        assert_eq!(carry.m.len(), 6);
+        assert!(!carry.begin(8, 6, 6), "a row begun but never finished");
+        carry.finish(8, 6, 6);
+        assert!(!carry.begin(8, 6, 6), "the same row again");
     }
 
     #[test]

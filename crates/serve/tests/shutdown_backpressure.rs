@@ -6,14 +6,26 @@
 
 use bwb_serve::http::{request, READ_DEADLINE};
 use bwb_serve::server::{Server, ServerConfig};
+use bwb_trace::json::{parse, Json};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{mpsc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// `flight.running_now` from `GET /stats`.
+fn running_now(addr: &str) -> f64 {
+    let stats = request(addr, "GET", "/stats", None).expect("stats");
+    parse(&stats.body)
+        .expect("stats json")
+        .get("flight")
+        .and_then(|f| f.get("running_now"))
+        .and_then(Json::as_f64)
+        .expect("flight.running_now")
+}
 
 #[test]
 fn overflowing_the_admission_queue_returns_429_with_retry_after() {
-    // One permit, zero queue slots: any overlapping second job is refused.
+    // One permit, zero queue slots: while one job runs, any other is refused.
     let server = Server::bind(ServerConfig {
         max_concurrent: 1,
         max_queue: 0,
@@ -31,9 +43,21 @@ fn overflowing_the_admission_queue_returns_429_with_retry_after() {
             format!("{{\"kind\":\"benchmark\",\"app\":\"acoustic\",\"n\":{n},\"iterations\":3}}")
         })
         .collect();
+    // About a second in either profile: it holds the permit for the whole
+    // burst, which takes milliseconds.
+    let iterations = if cfg!(debug_assertions) { 20 } else { 1200 };
+    let long = format!(
+        "{{\"kind\":\"benchmark\",\"app\":\"acoustic\",\"n\":64,\"iterations\":{iterations}}}"
+    );
 
     let barrier = Barrier::new(bodies.len());
-    let responses: Vec<_> = std::thread::scope(|scope| {
+    let (leader, responses) = std::thread::scope(|scope| {
+        let leader = scope.spawn(|| request(&addr, "POST", "/job", Some(&long)).expect("long job"));
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while running_now(&addr) != 1.0 {
+            assert!(Instant::now() < deadline, "the long job was never admitted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let handles: Vec<_> = bodies
             .iter()
             .map(|body| {
@@ -45,18 +69,16 @@ fn overflowing_the_admission_queue_returns_429_with_retry_after() {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let responses: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        (leader.join().unwrap(), responses)
     });
 
-    let ok = responses.iter().filter(|r| r.status == 200).count();
-    let rejected: Vec<_> = responses.iter().filter(|r| r.status == 429).collect();
-    assert!(ok >= 1, "at least the admitted leader must succeed");
-    assert!(
-        !rejected.is_empty(),
-        "a 4-job burst against 1 permit + 0 queue slots must overflow; statuses: {:?}",
-        responses.iter().map(|r| r.status).collect::<Vec<_>>()
-    );
-    for r in &rejected {
+    assert_eq!(leader.status, 200, "the admitted long job must succeed");
+    for r in &responses {
+        assert_eq!(
+            r.status, 429,
+            "a job against a held permit and 0 queue slots must be shed"
+        );
         let retry: u64 = r
             .header("retry-after")
             .expect("429 must carry Retry-After")
@@ -67,11 +89,9 @@ fn overflowing_the_admission_queue_returns_429_with_retry_after() {
 
     // Backpressure is load shedding, not failure: the shed jobs succeed
     // when resubmitted without contention.
-    for (body, resp) in bodies.iter().zip(&responses) {
-        if resp.status == 429 {
-            let retry = request(&addr, "POST", "/job", Some(body)).expect("retry");
-            assert_eq!(retry.status, 200, "shed job must succeed on retry");
-        }
+    for body in &bodies {
+        let retry = request(&addr, "POST", "/job", Some(body)).expect("retry");
+        assert_eq!(retry.status, 200, "shed job must succeed on retry");
     }
 
     state.begin_shutdown();
