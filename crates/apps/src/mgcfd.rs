@@ -21,6 +21,7 @@
 //! alone.
 
 use crate::{AppId, AppRun};
+use bwb_machine::storage;
 use bwb_op2::{
     group_by_min_target, order_by_min_target, par_loop_block_colored_staged, par_loop_direct,
     sfc_order, sweep_direct, BlockColoring, Coloring, DatU, ExecModeU, Map, Permutation, Set,
@@ -174,18 +175,22 @@ fn build_level(n: usize, coarse: Option<&(usize, Vec<u32>)>, seed: u64) -> (Mesh
     // jittered only for partitioning realism.
     let h = 1.0 / (n - 1).max(1) as f64;
     let n_edges = 2 * n * (n - 1);
-    let mut idx = Vec::with_capacity(2 * n_edges);
-    let mut w = Vec::with_capacity(2 * n_edges);
+    let mut idx = storage::zeroed(2 * n_edges);
+    let mut w = storage::zeroed(2 * n_edges);
+    let mut rows = idx.chunks_exact_mut(2).zip(w.chunks_exact_mut(2));
+    let mut push = |ends: [u32; 2], normal: [f64; 2]| {
+        let (e, q) = rows.next().expect("n_edges counts every edge");
+        e.copy_from_slice(&ends);
+        q.copy_from_slice(&normal);
+    };
     for j in 0..n {
         for i in 0..n {
             let s = j * n + i;
             if i + 1 < n {
-                idx.extend([perm[s], perm[s + 1]]);
-                w.extend([h, 0.0]);
+                push([perm[s], perm[s + 1]], [h, 0.0]);
             }
             if j + 1 < n {
-                idx.extend([perm[s], perm[s + n]]);
-                w.extend([0.0, h]);
+                push([perm[s], perm[s + n]], [0.0, h]);
             }
         }
     }

@@ -37,6 +37,7 @@ pub mod platform;
 pub mod platforms;
 pub mod probe;
 pub mod roofline;
+pub mod storage;
 pub mod topology;
 
 pub use latency::{CommDistance, LatencyProfile};

@@ -6,6 +6,8 @@
 //! argument: a kernel indexes `rows[e][c]` with one bounds check per row and
 //! no multiplication by a run-time width.
 
+use bwb_machine::storage;
+
 /// A collection of mesh elements (nodes, edges, cells, ...).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Set {
@@ -163,7 +165,7 @@ impl<T: Copy + Default> DatU<T> {
             name: name.to_owned(),
             set_size: set.size,
             dim,
-            data: vec![T::default(); set.size * dim],
+            data: storage::zeroed(set.size * dim),
         }
     }
 

@@ -4,7 +4,10 @@
 //! surrounded by a `halo`-deep ring of ghost points. Interior coordinates
 //! run `0..nx`; indices from `-halo` to `nx-1+halo` are valid and address
 //! ghost points. Storage is row-major (`i` fastest), matching the memory
-//! layout the paper's kernels stream through.
+//! layout the paper's kernels stream through. Storage comes from
+//! [`storage::zeroed`], on 2 MiB pages where the kernel allows.
+
+use bwb_machine::storage;
 
 /// A 2-D halo-padded field.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,7 +33,7 @@ impl<T: Copy + Default> Dat2<T> {
             ny,
             halo,
             pitch,
-            data: vec![T::default(); pitch * rows],
+            data: storage::zeroed(pitch * rows),
         }
     }
 }
@@ -187,7 +190,7 @@ impl<T: Copy + Default> Dat3<T> {
             halo,
             pitch,
             slab,
-            data: vec![T::default(); slab * planes],
+            data: storage::zeroed(slab * planes),
         }
     }
 }

@@ -66,11 +66,14 @@ pub enum Job {
 }
 
 fn get_usize(body: &Json, key: &str, default: usize) -> Result<usize, String> {
+    // Past 2^53 an f64 no longer holds every integer, and `as` would
+    // saturate 1e300 to usize::MAX instead of refusing it.
+    const EXACT: f64 = (1u64 << 53) as f64;
     match body.get(key) {
         None => Ok(default),
         Some(v) => v
             .as_f64()
-            .filter(|n| n.fract() == 0.0 && *n >= 0.0)
+            .filter(|n| n.fract() == 0.0 && (0.0..=EXACT).contains(n))
             .map(|n| n as usize)
             .ok_or_else(|| format!("field '{key}' must be a non-negative integer")),
     }
@@ -148,18 +151,18 @@ impl Job {
                 }
                 Ok(Job::Trace { spec })
             }
-            "figure" => {
-                let figure = get_usize(body, "figure", 0)? as u8;
-                if !(3..=9).contains(&figure) {
-                    return Err("field 'figure' must be 3..=9".into());
-                }
-                Ok(Job::Figure { figure })
-            }
+            "figure" => match get_usize(body, "figure", 0)? {
+                figure @ 3..=9 => Ok(Job::Figure {
+                    figure: figure as u8,
+                }),
+                _ => Err("field 'figure' must be 3..=9".into()),
+            },
             "analyze" => {
                 let app = body
                     .get("app")
                     .and_then(Json::as_str)
                     .ok_or("missing field 'app'")?;
+                registered(app)?;
                 Ok(Job::Analyze { app: app.into() })
             }
             #[cfg(test)]
@@ -337,6 +340,14 @@ fn execute_trace(ctx: &ExecContext, spec: &BenchSpec, job_id: u64) -> Result<Str
     Ok(Json::Obj(fields).to_string())
 }
 
+/// The registry entry an `analyze` job names.
+fn registered(app: &str) -> Result<&'static registry::AppEntry, String> {
+    registry::entry(app).ok_or_else(|| {
+        let known: Vec<&str> = registry::APPS.iter().map(|e| e.name).collect();
+        format!("unknown app '{}' (known: {})", app, known.join(", "))
+    })
+}
+
 fn execute_analyze(app: &str) -> Result<String, String> {
     // A declared app's report is its chain's: no worker executes a
     // recording pass, and any violation the chain carries is in the
@@ -349,12 +360,7 @@ fn execute_analyze(app: &str) -> Result<String, String> {
             s.report.export_plan().to_json()
         ));
     }
-    let report = registry::entry(app)
-        .ok_or_else(|| {
-            let known: Vec<&str> = registry::APPS.iter().map(|e| e.name).collect();
-            format!("unknown app '{}' (known: {})", app, known.join(", "))
-        })?
-        .dataflow();
+    let report = registered(app)?.dataflow();
     // The report and its exported plan already render themselves as JSON;
     // splice them in raw rather than re-modelling their schemas here.
     Ok(format!(
@@ -504,6 +510,18 @@ mod tests {
         assert!(parse("{\"kind\":\"figure\",\"figure\":2}")
             .unwrap_err()
             .contains("3..=9"));
+        // 259 would wrap to figure 3 through a u8.
+        assert!(parse("{\"kind\":\"figure\",\"figure\":259}")
+            .unwrap_err()
+            .contains("3..=9"));
+        assert!(
+            parse("{\"kind\":\"benchmark\",\"app\":\"acoustic\",\"n\":1e300}")
+                .unwrap_err()
+                .contains("non-negative integer")
+        );
+        assert!(parse("{\"kind\":\"analyze\",\"app\":\"nope\"}")
+            .unwrap_err()
+            .contains("unknown app"));
         assert!(
             parse("{\"kind\":\"benchmark\",\"app\":\"volna\",\"ranks\":2}")
                 .unwrap_err()

@@ -120,6 +120,25 @@ fn trace_jobs_store_a_retrievable_perfetto_export() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_400_and_the_server_keeps_serving() {
+    with_server(|addr| {
+        // 100 kB, under the body cap: unbounded recursion over it would
+        // overflow a connection thread's stack and abort the process.
+        let deep = post_job(addr, &"[".repeat(100_000));
+        assert_eq!(deep.status, 400, "{}", deep.body);
+        assert!(deep.body.contains("nesting deeper than"), "{}", deep.body);
+        assert_eq!(
+            request(addr, "GET", "/healthz", None).expect("req").status,
+            200
+        );
+        assert_eq!(
+            post_job(addr, r#"{"kind":"figure","figure":8}"#).status,
+            200
+        );
+    });
+}
+
+#[test]
 fn error_paths_return_structured_statuses() {
     with_server(|addr| {
         assert_eq!(post_job(addr, "not json").status, 400);

@@ -4,6 +4,7 @@
 //! initialized to (0.1, 0.2, 0.0), a scalar of 0.4, and per-kernel
 //! bytes-moved accounting of 2 or 3 array lengths.
 
+use bwb_machine::storage;
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -80,12 +81,22 @@ pub struct BabelStream {
 }
 
 impl BabelStream {
+    /// The arrays come from [`storage::zeroed`], so they are advised onto
+    /// 2 MiB pages before the fill below first touches them.
     pub fn new(n: usize, par: Par) -> Self {
         assert!(n > 0);
+        let filled = |v: f64| {
+            let mut a = storage::zeroed(n);
+            // `c` starts at 0.0, which the storage already holds untouched.
+            if v != 0.0 {
+                a.fill(v);
+            }
+            a
+        };
         BabelStream {
-            a: vec![INIT_A; n],
-            b: vec![INIT_B; n],
-            c: vec![INIT_C; n],
+            a: filled(INIT_A),
+            b: filled(INIT_B),
+            c: filled(INIT_C),
             par,
         }
     }

@@ -124,24 +124,74 @@ impl std::fmt::Display for Json {
     }
 }
 
-/// Parse a JSON document. Errors carry a byte offset and a short message.
-pub fn parse(input: &str) -> Result<Json, String> {
+/// Arrays and objects nest at most this deep. The parser recurses once per
+/// level, so without a cap a run of `[` in a request body overflows the
+/// stack, which aborts the process instead of unwinding.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`parse`] refused a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ParseError {
+    /// An array or object opens at byte `at`, deeper than [`MAX_DEPTH`].
+    TooDeep { at: usize },
+    /// Any other malformed input: a short message with its byte offset.
+    Syntax(String),
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ParseError::TooDeep { at } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} at byte {at}")
+            }
+            ParseError::Syntax(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+impl From<&str> for ParseError {
+    fn from(msg: &str) -> Self {
+        ParseError::Syntax(msg.into())
+    }
+}
+
+impl From<String> for ParseError {
+    fn from(msg: String) -> Self {
+        ParseError::Syntax(msg)
+    }
+}
+
+impl From<ParseError> for String {
+    fn from(e: ParseError) -> Self {
+        e.to_string()
+    }
+}
+
+/// Parse a JSON document.
+pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
+        return Err(format!("trailing data at byte {}", p.pos).into());
     }
     Ok(v)
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -159,38 +209,49 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
+            Err(format!("expected '{}' at byte {}", b as char, self.pos).into())
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(ParseError::TooDeep { at: self.pos });
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
+            _ => Err(format!("unexpected input at byte {}", self.pos).into()),
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
-            Err(format!("bad literal at byte {}", self.pos))
+            Err(format!("bad literal at byte {}", self.pos).into())
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -203,12 +264,15 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number at byte {start}"))
+        // JSON has no infinity: an out-of-range literal would not survive
+        // a round trip through `Display`.
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+            _ => Err(format!("bad number at byte {start}").into()),
+        }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
@@ -243,16 +307,18 @@ impl Parser<'_> {
                             s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos += 4;
                         }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
+                        _ => return Err(format!("bad escape at byte {}", self.pos).into()),
                     }
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // at char boundaries is safe via chars()).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one UTF-8 scalar. `pos` only ever advances by
+                    // whole scalars, so it sits on a char boundary.
+                    let c = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("invalid utf-8")?;
                     s.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -260,7 +326,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<Json, ParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -278,12 +344,12 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Arr(items));
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos).into()),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Json, ParseError> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -306,7 +372,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Obj(fields));
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos).into()),
             }
         }
     }
@@ -381,6 +447,23 @@ mod tests {
         assert!(parse("tru").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"open").is_err());
+        assert!(parse("1e400").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&nest(MAX_DEPTH + 1)),
+            Err(ParseError::TooDeep { at: MAX_DEPTH })
+        );
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(matches!(parse(&objects), Err(ParseError::TooDeep { .. })));
+        // Far past the cap: refused, not a stack overflow.
+        let e = parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(e, ParseError::TooDeep { at: MAX_DEPTH });
+        assert!(e.to_string().contains("nesting deeper than 128"));
     }
 
     #[test]
