@@ -25,7 +25,7 @@
 //! communication schedule — envelope matching, deadlock freedom, and
 //! per-phase load balance.
 
-use bwb_core::trace::json::escape;
+use bwb_core::trace::json::{obj, Json};
 use bwb_dslcheck::Violation;
 use std::process::ExitCode;
 
@@ -36,16 +36,13 @@ fn print_violations<'a>(violations: impl IntoIterator<Item = &'a Violation>) {
     }
 }
 
-fn json_list<T>(items: &[T], to_json: impl Fn(&T) -> String) -> String {
-    items.iter().map(to_json).collect::<Vec<_>>().join(",")
-}
-
-/// Write `(file name, contents)` pairs under `dir`, created on demand.
-fn export(dir: &str, json_only: bool, files: impl Iterator<Item = (String, String)>) {
+/// Write `(file name, document)` pairs under `dir`, created on demand,
+/// one line each.
+fn export(dir: &str, json_only: bool, files: impl Iterator<Item = (String, Json)>) {
     std::fs::create_dir_all(dir).expect("create export dir");
-    for (name, contents) in files {
+    for (name, doc) in files {
         let path = std::path::Path::new(dir).join(name);
-        std::fs::write(&path, contents).expect("write export");
+        std::fs::write(&path, doc.to_string() + "\n").expect("write export");
         if !json_only {
             eprintln!("wrote {}", path.display());
         }
@@ -55,8 +52,10 @@ fn export(dir: &str, json_only: bool, files: impl Iterator<Item = (String, Strin
 /// The one-line stdout document every mode ends with: the gating total,
 /// the per-app objects, and any mode-specific trailing fields. Returns
 /// `total` (the exit status is 0 iff it is).
-fn envelope(total: usize, apps: String, extra: &str) -> usize {
-    println!("{{\"total_violations\":{total},\"apps\":[{apps}]{extra}}}");
+fn report(total: usize, apps: impl Iterator<Item = Json>, extra: Vec<(&str, Json)>) -> usize {
+    let mut fields = vec![("total_violations", total.into()), ("apps", apps.collect())];
+    fields.extend(extra);
+    println!("{}", obj(fields));
     total
 }
 
@@ -75,22 +74,22 @@ fn access_report(json_only: bool) -> usize {
     }
 
     // Per-app summaries plus the flat violation list.
-    let apps = json_list(&reports, |r| {
-        format!(
-            "{{\"app\":\"{}\",\"loops_checked\":{},\"violations\":{}}}",
-            escape(&r.app),
-            r.loops_checked,
-            r.violations.len()
-        )
+    let apps = reports.iter().map(|r| {
+        obj([
+            ("app", r.app.as_str().into()),
+            ("loops_checked", r.loops_checked.into()),
+            ("violations", r.violations.len().into()),
+        ])
     });
-    let violations: Vec<&Violation> = reports.iter().flat_map(|r| &r.violations).collect();
-    envelope(
+    let violations: Vec<Json> = reports
+        .iter()
+        .flat_map(|r| &r.violations)
+        .map(Violation::to_json)
+        .collect();
+    report(
         violations.len(),
         apps,
-        &format!(
-            ",\"violations\":[{}]",
-            json_list(&violations, |v| v.to_json())
-        ),
+        vec![("violations", Json::Arr(violations))],
     )
 }
 
@@ -139,7 +138,7 @@ fn dataflow_report(json_only: bool, export_dir: Option<&str>) -> usize {
     }
 
     let total = reports.iter().map(|r| r.violations.len()).sum();
-    envelope(total, json_list(&reports, |r| r.to_json()), "")
+    report(total, reports.iter().map(|r| r.to_json()), vec![])
 }
 
 /// `--static`: execution-free certification. Derives every app's
@@ -197,14 +196,13 @@ fn static_report(json_only: bool, export_dir: Option<&str>) -> usize {
     }
 
     let total = statics.iter().map(|s| s.report.violations.len()).sum();
-    let apps = json_list(&statics, |s| {
-        format!(
-            "{{\"static_ns\":{},\"report\":{}}}",
-            s.nanos,
-            s.report.to_json()
-        )
+    let apps = statics.iter().map(|s| {
+        obj([
+            ("static_ns", Json::Num(s.nanos as f64)),
+            ("report", s.report.to_json()),
+        ])
     });
-    envelope(total, apps, "")
+    report(total, apps, vec![])
 }
 
 fn parametric_report(json_only: bool) -> usize {
@@ -247,7 +245,7 @@ fn parametric_report(json_only: bool) -> usize {
         .iter()
         .map(|r| r.violations.len() + usize::from(!r.clean() && r.violations.is_empty()))
         .sum();
-    envelope(total, json_list(&reports, |r| r.to_json()), "")
+    report(total, reports.iter().map(|r| r.to_json()), vec![])
 }
 
 fn comm_report(json_only: bool) -> usize {
@@ -275,7 +273,7 @@ fn comm_report(json_only: bool) -> usize {
     }
 
     let total = reports.iter().map(|r| r.violations.len()).sum();
-    envelope(total, json_list(&reports, |r| r.to_json()), "")
+    report(total, reports.iter().map(|r| r.to_json()), vec![])
 }
 
 /// `--placement`: placecheck. Statically derive every distributed
@@ -328,7 +326,7 @@ fn placement_report(json_only: bool, export_dir: Option<&str>) -> usize {
     }
 
     let total = reports.iter().map(|r| r.violations.len()).sum();
-    envelope(total, json_list(&reports, |r| r.to_json()), "")
+    report(total, reports.iter().map(|r| r.to_json()), vec![])
 }
 
 fn main() -> ExitCode {

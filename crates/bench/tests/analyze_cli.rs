@@ -1,6 +1,7 @@
 //! The `analyze` binary end to end: every mode CI gates on exits 0, prints
 //! one parseable JSON document per stdout line, reports zero violations,
-//! and covers exactly the app table's entries for that mode.
+//! and covers exactly the app table's entries for that mode. Each line is
+//! a fixed point of the writer: parsing and reprinting it gives it back.
 
 use bwb_core::trace::json::{parse, Json};
 use std::process::Command;
@@ -36,7 +37,11 @@ fn app_names(flags: &[&str]) -> Vec<String> {
     let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
     let docs: Vec<Json> = stdout
         .lines()
-        .map(|l| parse(l).unwrap_or_else(|e| panic!("analyze {flags:?}: {e}")))
+        .map(|l| {
+            let doc = parse(l).unwrap_or_else(|e| panic!("analyze {flags:?}: {e}"));
+            assert_eq!(doc.to_string(), l, "analyze {flags:?}: not a fixed point");
+            doc
+        })
         .collect();
     assert_eq!(docs.len(), 1, "analyze {flags:?}: one document per mode");
     let doc = &docs[0];
@@ -62,4 +67,6 @@ fn every_mode_is_clean_and_covers_the_table() {
     assert_eq!(app_names(&["--dataflow"]), RECORDED);
     assert_eq!(app_names(&["--static", "--json"]), RECORDED);
     assert_eq!(app_names(&["--comm"]), DISTRIBUTED);
+    assert_eq!(app_names(&["--parametric"]), DISTRIBUTED);
+    assert_eq!(app_names(&["--placement", "--json"]), DISTRIBUTED);
 }

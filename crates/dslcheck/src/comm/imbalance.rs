@@ -24,6 +24,7 @@ use crate::violation::{Kind, Violation};
 use bwb_machine::{LatencyProfile, RankPlacement};
 use bwb_shmpi::comm::SW_OVERHEAD_NS;
 use bwb_shmpi::{CommLog, CommOp, COLL_TAG_BASE};
+use bwb_trace::json::{obj, Json};
 use std::collections::BTreeMap;
 
 /// Byte skew (max/min over participants) above which a phase is flagged.
@@ -70,21 +71,19 @@ impl PhaseBalance {
         Some((max.0, max.1, min.0, min.1))
     }
 
-    pub fn to_json(&self) -> String {
-        let ranks: Vec<String> = self
-            .participants()
-            .map(|(r, p)| {
-                format!(
-                    "{{\"rank\":{},\"bytes\":{},\"msgs\":{},\"cost_ns\":{:.1}}}",
-                    r, p.bytes, p.msgs, p.cost_ns
-                )
-            })
-            .collect();
-        format!(
-            "{{\"phase\":\"{}\",\"ranks\":[{}]}}",
-            bwb_trace::json::escape(&self.phase),
-            ranks.join(",")
-        )
+    pub fn to_json(&self) -> Json {
+        let ranks = self.participants().map(|(r, p)| {
+            obj([
+                ("rank", r.into()),
+                ("bytes", p.bytes.into()),
+                ("msgs", p.msgs.into()),
+                ("cost_ns", p.cost_ns.into()),
+            ])
+        });
+        obj([
+            ("phase", self.phase.as_str().into()),
+            ("ranks", ranks.collect()),
+        ])
     }
 }
 

@@ -45,7 +45,7 @@ use crate::violation::{Kind, Violation};
 use bwb_machine::platforms::xeon_max_9480;
 use bwb_machine::{LatencyProfile, PlacementPolicy, RankPlacement};
 use bwb_shmpi::{CommLog, CommOp, Universe};
-use bwb_trace::json::escape;
+use bwb_trace::json::{obj, Json};
 
 /// The commcheck verdict for one app's recorded run.
 #[derive(Debug, Clone)]
@@ -109,33 +109,26 @@ impl CommReport {
         self.violations.is_empty()
     }
 
-    /// One JSON object per app (hand-rolled, matching the style of
-    /// [`crate::DataflowReport::to_json`]).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"app\":\"{}\",\"ranks\":{},\"events\":{},\"sends\":{},\
-             \"recvs\":{},\"barriers\":{},\"collectives\":{},\
-             \"deadlock_free\":{},\
-             \"phases\":[{}],\"violations\":[{}]}}",
-            escape(&self.app),
-            self.ranks,
-            self.events,
-            self.sends,
-            self.recvs,
-            self.barriers,
-            self.collectives,
-            self.deadlock_free,
-            self.phases
-                .iter()
-                .map(|p| p.to_json())
-                .collect::<Vec<_>>()
-                .join(","),
-            self.violations
-                .iter()
-                .map(|v| v.to_json())
-                .collect::<Vec<_>>()
-                .join(","),
-        )
+    /// One JSON object per app.
+    pub fn to_json(&self) -> Json {
+        obj([
+            ("app", self.app.as_str().into()),
+            ("ranks", self.ranks.into()),
+            ("events", self.events.into()),
+            ("sends", self.sends.into()),
+            ("recvs", self.recvs.into()),
+            ("barriers", self.barriers.into()),
+            ("collectives", self.collectives.into()),
+            ("deadlock_free", self.deadlock_free.into()),
+            (
+                "phases",
+                self.phases.iter().map(PhaseBalance::to_json).collect(),
+            ),
+            (
+                "violations",
+                self.violations.iter().map(Violation::to_json).collect(),
+            ),
+        ])
     }
 }
 
@@ -172,7 +165,7 @@ mod tests {
         assert!(r.clean(), "{:?}", r.violations);
         assert!(r.deadlock_free);
         assert_eq!((r.sends, r.recvs), (2, 2));
-        let j = r.to_json();
+        let j = r.to_json().to_string();
         assert!(j.contains("\"app\":\"demo\""));
         assert!(j.contains("\"deadlock_free\":true"));
         assert!(j.contains("\"phase\":\"u\""));

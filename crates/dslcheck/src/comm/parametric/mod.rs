@@ -55,7 +55,7 @@ use crate::registry;
 use crate::violation::{Kind, Violation};
 use bwb_shmpi::cart::dims_create;
 use bwb_shmpi::{CartComm, CommLog, Universe};
-use bwb_trace::json::escape;
+use bwb_trace::json::{obj, Json};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -398,34 +398,26 @@ impl ParametricCert {
                 .all(|c| c.concrete_clean && c.template_match)
     }
 
-    pub fn to_json(&self) -> String {
-        let crosschecks = self
-            .crosschecks
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"n\":{},\"concrete_clean\":{},\"template_match\":{}}}",
-                    c.n, c.concrete_clean, c.template_match
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"app\":\"{}\",\"family\":\"{}\",\"base_ranks\":{},\
-             \"phases\":{},\"matching_complete\":{},\"deadlock_free\":{},\
-             \"collision_free_to\":{},\
-             \"certified\":{},\"crosschecks\":[{}],\"verify_ms\":{:.1}}}",
-            escape(&self.app),
-            escape(&self.family),
-            self.base_ranks,
-            self.phases,
-            self.matching_complete,
-            self.deadlock_free,
-            self.collision_free_to,
-            self.certified(),
-            crosschecks,
-            self.verify_ms,
-        )
+    pub fn to_json(&self) -> Json {
+        let crosschecks = self.crosschecks.iter().map(|c| {
+            obj([
+                ("n", c.n.into()),
+                ("concrete_clean", c.concrete_clean.into()),
+                ("template_match", c.template_match.into()),
+            ])
+        });
+        obj([
+            ("app", self.app.as_str().into()),
+            ("family", self.family.as_str().into()),
+            ("base_ranks", self.base_ranks.into()),
+            ("phases", self.phases.into()),
+            ("matching_complete", self.matching_complete.into()),
+            ("deadlock_free", self.deadlock_free.into()),
+            ("collision_free_to", self.collision_free_to.into()),
+            ("certified", self.certified().into()),
+            ("crosschecks", crosschecks.collect()),
+            ("verify_ms", self.verify_ms.into()),
+        ])
     }
 }
 
@@ -444,19 +436,20 @@ impl ParametricReport {
         self.violations.is_empty() && self.cert.as_ref().is_some_and(|c| c.certified())
     }
 
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"app\":\"{}\",\"cert\":{},\"violations\":[{}]}}",
-            escape(&self.app),
-            self.cert
-                .as_ref()
-                .map_or_else(|| "null".to_string(), |c| c.to_json()),
-            self.violations
-                .iter()
-                .map(|v| v.to_json())
-                .collect::<Vec<_>>()
-                .join(","),
-        )
+    pub fn to_json(&self) -> Json {
+        obj([
+            ("app", self.app.as_str().into()),
+            (
+                "cert",
+                self.cert
+                    .as_ref()
+                    .map_or(Json::Null, ParametricCert::to_json),
+            ),
+            (
+                "violations",
+                self.violations.iter().map(Violation::to_json).collect(),
+            ),
+        ])
     }
 }
 

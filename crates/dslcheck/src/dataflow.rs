@@ -10,13 +10,7 @@ use crate::traffic::{derive, nt_certs, AppTraffic, DEFAULT_RESIDENCY_BYTES};
 use crate::violation::Violation;
 use bwb_ops::access::{LoopSpec, Recording};
 use bwb_ops::plan::{lower_recording, ElisionCert, FusionGroupCert, LoopIr, NtCert, OptPlan};
-use bwb_trace::json::escape;
-
-/// `"a","b",…` — the body of a JSON array of strings.
-pub(crate) fn json_strings(items: &[String]) -> String {
-    let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
-    quoted.join(",")
-}
+use bwb_trace::json::{obj, Json};
 
 /// Why the whole-chain analysis cannot soundly cover an app. Structured
 /// replacements for the bare prose notes the "explicitly limited" entries
@@ -159,76 +153,68 @@ impl DataflowReport {
         }
     }
 
-    /// One JSON object per app (hand-rolled, same style as
-    /// [`Violation::to_json`]).
-    pub fn to_json(&self) -> String {
-        let nt: Vec<String> = self
+    /// One JSON object per app. Groups and elisions are the plan's own
+    /// certificate encodings.
+    pub fn to_json(&self) -> Json {
+        let nt = self
             .traffic
             .loops
             .iter()
             .filter(|l| !l.nt_eligible.is_empty())
             .map(|l| {
-                format!(
-                    "{{\"loop\":\"{}\",\"at\":{},\"dats\":[{}]}}",
-                    escape(&l.name),
-                    l.at,
-                    json_strings(&l.nt_eligible)
-                )
-            })
-            .collect();
-        let groups: Vec<String> = self
-            .groups
-            .iter()
-            .map(|g| {
-                format!(
-                    "{{\"start\":{},\"names\":[{}]}}",
-                    g.start,
-                    json_strings(&g.names)
-                )
-            })
-            .collect();
-        let elisions: Vec<String> = self
-            .elisions
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"site\":\"{}\",\"dat\":\"{}\",\"depth\":{}}}",
-                    escape(&e.site),
-                    escape(&e.dat),
-                    e.depth
-                )
-            })
-            .collect();
-        format!(
-            "{{\"app\":\"{}\",\"loops\":{},\"exchanges\":{},\"analyzed\":{},{}\
-             \"violations\":[{}],\
-             \"fusion\":{{\"legal_pairs\":{},\"candidates\":{}}},\
-             \"groups\":[{}],\"elisions\":[{}],\
-             \"traffic\":{{\"read_bytes\":{:.0},\"write_bytes\":{:.0},\
-             \"nt_eligible_write_bytes\":{:.0},\"elidable_fraction\":{:.4},\
-             \"streaming_gain_bound\":{:.4},\"nt_eligible\":[{}]}}}}",
-            escape(&self.app),
-            self.loops,
-            self.exchanges,
-            self.analyzed,
-            self.limitation
-                .map(|l| format!("\"limitation\":\"{}\",", l.label()))
-                .unwrap_or_default(),
-            self.violations
-                .iter()
-                .map(|v| v.to_json())
-                .collect::<Vec<_>>()
-                .join(","),
-            self.fusion.legal_pairs(),
-            self.fusion.to_json(),
-            groups.join(","),
-            elisions.join(","),
-            self.traffic.read_bytes(),
-            self.traffic.write_bytes(),
-            self.traffic.nt_eligible_write_bytes(),
-            self.traffic.elidable_fraction(),
-            self.traffic.streaming_gain_bound(),
-            nt.join(","),
-        )
+                obj([
+                    ("loop", l.name.as_str().into()),
+                    ("at", l.at.into()),
+                    ("dats", l.nt_eligible.as_slice().into()),
+                ])
+            });
+        let mut fields = vec![
+            ("app", self.app.as_str().into()),
+            ("loops", self.loops.into()),
+            ("exchanges", self.exchanges.into()),
+            ("analyzed", self.analyzed.into()),
+        ];
+        if let Some(l) = self.limitation {
+            fields.push(("limitation", l.label().into()));
+        }
+        fields.extend([
+            (
+                "violations",
+                self.violations.iter().map(Violation::to_json).collect(),
+            ),
+            (
+                "fusion",
+                obj([
+                    ("legal_pairs", self.fusion.legal_pairs().into()),
+                    ("candidates", self.fusion.to_json()),
+                ]),
+            ),
+            (
+                "groups",
+                self.groups.iter().map(FusionGroupCert::to_json).collect(),
+            ),
+            (
+                "elisions",
+                self.elisions.iter().map(ElisionCert::to_json).collect(),
+            ),
+            (
+                "traffic",
+                obj([
+                    ("read_bytes", self.traffic.read_bytes().into()),
+                    ("write_bytes", self.traffic.write_bytes().into()),
+                    (
+                        "nt_eligible_write_bytes",
+                        self.traffic.nt_eligible_write_bytes().into(),
+                    ),
+                    ("elidable_fraction", self.traffic.elidable_fraction().into()),
+                    (
+                        "streaming_gain_bound",
+                        self.traffic.streaming_gain_bound().into(),
+                    ),
+                    ("nt_eligible", nt.collect()),
+                ]),
+            ),
+        ]);
+        obj(fields)
     }
 }

@@ -10,7 +10,7 @@
 use crate::graph::{DefUseGraph, Event, Touch};
 use crate::violation::{Kind, Violation};
 use bwb_ops::plan::{ElisionCert, FusionGroupCert};
-use bwb_trace::json::escape;
+use bwb_trace::json::{obj, Json};
 
 /// Dead-store detection: a field fully written by a pure-`Write` loop and
 /// fully rewritten by a later pure-`Write` loop, with no read, read-write,
@@ -245,28 +245,22 @@ impl FusionPlan {
     }
 
     /// JSON array of candidate objects.
-    pub fn to_json(&self) -> String {
-        let items: Vec<String> = self
-            .candidates
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"first\":\"{}\",\"first_at\":{},\"second\":\"{}\",\"second_at\":{},\
-                     \"legal\":{},\"shared\":[{}]{}}}",
-                    escape(&c.first),
-                    c.first_at,
-                    escape(&c.second),
-                    c.second_at,
-                    c.legal,
-                    crate::dataflow::json_strings(&c.shared),
-                    c.reason
-                        .as_ref()
-                        .map(|r| format!(",\"reason\":\"{}\"", escape(r)))
-                        .unwrap_or_default(),
-                )
-            })
-            .collect();
-        format!("[{}]", items.join(","))
+    pub fn to_json(&self) -> Json {
+        let candidate = |c: &FusionCandidate| {
+            let mut fields = vec![
+                ("first", c.first.as_str().into()),
+                ("first_at", c.first_at.into()),
+                ("second", c.second.as_str().into()),
+                ("second_at", c.second_at.into()),
+                ("legal", c.legal.into()),
+                ("shared", c.shared.as_slice().into()),
+            ];
+            if let Some(r) = &c.reason {
+                fields.push(("reason", r.as_str().into()));
+            }
+            obj(fields)
+        };
+        self.candidates.iter().map(candidate).collect()
     }
 }
 

@@ -20,6 +20,7 @@ use bwb_apps::{acoustic, cloverleaf2d};
 use bwb_machine::{CommDistance, RankPlacement};
 use bwb_shmpi::event::{CommLog, CommOp};
 use bwb_shmpi::{CartComm, COLL_TAG_BASE};
+use bwb_trace::json::{obj, Json};
 use std::collections::BTreeMap;
 
 /// Largest rank count the flow models are certified for — matches the
@@ -81,20 +82,14 @@ impl LinkFlows {
         self.bytes.iter().sum()
     }
 
-    pub fn to_json(&self) -> String {
-        let fields: Vec<String> = CommDistance::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| {
-                format!(
-                    "\"{}\":{{\"bytes\":{},\"msgs\":{}}}",
-                    link_slug(d),
-                    self.bytes[i],
-                    self.msgs[i]
-                )
-            })
-            .collect();
-        format!("{{{}}}", fields.join(","))
+    pub fn to_json(&self) -> Json {
+        obj(CommDistance::ALL.iter().enumerate().map(|(i, &d)| {
+            let flow = obj([
+                ("bytes", self.bytes[i].into()),
+                ("msgs", self.msgs[i].into()),
+            ]);
+            (link_slug(d), flow)
+        }))
     }
 }
 

@@ -30,7 +30,7 @@ use crate::violation::{Kind, Violation};
 use bwb_machine::{platforms, Platform, ShardPolicy};
 use bwb_shmpi::event::CommLog;
 use bwb_shmpi::Universe;
-use bwb_trace::json::escape;
+use bwb_trace::json::{obj, Json};
 
 /// Rank counts where static flows are diffed against recorded runs.
 pub const CROSSCHECK_RANKS: [usize; 2] = [4, 16];
@@ -103,22 +103,24 @@ impl PlacementReport {
         self.violations.is_empty()
     }
 
-    pub fn to_json(&self) -> String {
-        let plans: Vec<String> = self.plans.iter().map(|p| p.to_json()).collect();
-        let xs: Vec<String> = self.crosschecked.iter().map(|n| n.to_string()).collect();
-        let vs: Vec<String> = self.violations.iter().map(|v| v.to_json()).collect();
-        format!(
-            concat!(
-                "{{\"app\":\"{}\",\"clean\":{},\"searched\":{},",
-                "\"crosschecked\":[{}],\"plans\":[{}],\"violations\":[{}]}}"
+    pub fn to_json(&self) -> Json {
+        obj([
+            ("app", self.app.as_str().into()),
+            ("clean", self.clean().into()),
+            ("searched", self.searched.into()),
+            (
+                "crosschecked",
+                self.crosschecked.iter().map(|&n| n.into()).collect(),
             ),
-            escape(&self.app),
-            self.clean(),
-            self.searched,
-            xs.join(","),
-            plans.join(","),
-            vs.join(",")
-        )
+            (
+                "plans",
+                self.plans.iter().map(PlacementPlan::to_json).collect(),
+            ),
+            (
+                "violations",
+                self.violations.iter().map(Violation::to_json).collect(),
+            ),
+        ])
     }
 }
 
@@ -227,7 +229,7 @@ mod tests {
         use bwb_trace::json::{parse, Json};
         let name = "a\"b\\c";
         let dataflow = crate::DataflowReport::limited(name, 0, crate::Limitation::NoDslLoops);
-        let doc = parse(&dataflow.to_json()).expect("dataflow report parses");
+        let doc = parse(&dataflow.to_json().to_string()).expect("dataflow report parses");
         assert_eq!(doc.get("app").and_then(Json::as_str), Some(name));
 
         let mut plan = search("minibude", 4, &platforms::xeon_max_9480()).unwrap();
@@ -239,7 +241,7 @@ mod tests {
             searched: 1,
             violations: Vec::new(),
         };
-        let doc = parse(&report.to_json()).expect("placement report parses");
+        let doc = parse(&report.to_json().to_string()).expect("placement report parses");
         assert_eq!(doc.get("app").and_then(Json::as_str), Some(name));
         let plans = doc.get("plans").and_then(Json::as_array).unwrap();
         assert_eq!(plans[0].get("app").and_then(Json::as_str), Some(name));

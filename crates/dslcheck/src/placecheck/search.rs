@@ -7,7 +7,7 @@ use super::flows::{static_flows, LinkFlows, PairFlows, PhaseFlow};
 use crate::violation::{Kind, Violation};
 use bwb_machine::{CoreId, PlacementPolicy, Platform, RankPlacement};
 use bwb_shmpi::SW_OVERHEAD_NS;
-use bwb_trace::json::escape;
+use bwb_trace::json::{obj, Json};
 
 /// Cost-comparison slack: candidate costs are sums of exact f64 latency
 /// table entries, so anything past rounding noise is a real difference.
@@ -117,47 +117,34 @@ impl PlacementPlan {
         }
     }
 
-    pub fn to_json(&self) -> String {
-        let assigns: Vec<String> = self
-            .assignments
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"socket\":{},\"numa\":{},\"core\":{},\"smt\":{}}}",
-                    c.socket, c.numa, c.core, c.smt
-                )
-            })
-            .collect();
-        let space: Vec<String> = self
-            .space
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"label\":\"{}\",\"cost_ns\":{:.3}}}",
-                    escape(&c.label),
-                    c.cost_ns
-                )
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\"app\":\"{}\",\"ranks\":{},\"machine\":\"{}\",",
-                "\"best\":\"{}\",\"best_cost_ns\":{:.3},\"policy\":\"{}\",",
-                "\"baseline\":\"{}\",\"baseline_cost_ns\":{:.3},",
-                "\"links\":{},\"assignments\":[{}],\"space\":[{}]}}"
-            ),
-            escape(&self.app),
-            self.ranks,
-            escape(&self.machine),
-            escape(&self.best),
-            self.best_cost_ns,
-            escape(self.policy.label()),
-            escape(&self.baseline),
-            self.baseline_cost_ns,
-            self.links.to_json(),
-            assigns.join(","),
-            space.join(",")
-        )
+    pub fn to_json(&self) -> Json {
+        let assignments = self.assignments.iter().map(|c| {
+            obj([
+                ("socket", c.socket.into()),
+                ("numa", c.numa.into()),
+                ("core", c.core.into()),
+                ("smt", c.smt.into()),
+            ])
+        });
+        let space = self.space.iter().map(|c| {
+            obj([
+                ("label", c.label.as_str().into()),
+                ("cost_ns", c.cost_ns.into()),
+            ])
+        });
+        obj([
+            ("app", self.app.as_str().into()),
+            ("ranks", self.ranks.into()),
+            ("machine", self.machine.as_str().into()),
+            ("best", self.best.as_str().into()),
+            ("best_cost_ns", self.best_cost_ns.into()),
+            ("policy", self.policy.label().into()),
+            ("baseline", self.baseline.as_str().into()),
+            ("baseline_cost_ns", self.baseline_cost_ns.into()),
+            ("links", self.links.to_json()),
+            ("assignments", assignments.collect()),
+            ("space", space.collect()),
+        ])
     }
 }
 

@@ -1,8 +1,7 @@
-//! The violation vocabulary shared by all three analyzers, with a
-//! hand-rolled JSON rendering (the workspace has no JSON serializer and the
-//! report schema is three flat fields).
+//! The violation vocabulary shared by all three analyzers, with its JSON
+//! rendering (three flat fields).
 
-use bwb_trace::json::escape;
+use bwb_trace::json::{obj, Json};
 use std::fmt;
 
 /// One confirmed contract violation, attributed to an app (or chain).
@@ -580,13 +579,12 @@ impl fmt::Display for Violation {
 
 impl Violation {
     /// One JSON object: `{"app": ..., "kind": ..., "message": ...}`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"app\":\"{}\",\"kind\":\"{}\",\"message\":\"{}\"}}",
-            escape(&self.app),
-            self.kind.tag(),
-            escape(&self.kind.to_string())
-        )
+    pub fn to_json(&self) -> Json {
+        obj([
+            ("app", self.app.as_str().into()),
+            ("kind", self.kind.tag().into()),
+            ("message", self.kind.to_string().into()),
+        ])
     }
 }
 
@@ -604,7 +602,7 @@ mod tests {
                 offset: (0, -3, 0),
             },
         };
-        let j = v.to_json();
+        let j = v.to_json().to_string();
         assert!(j.starts_with("{\"app\":\"demo\",\"kind\":\"undeclared_offset\""));
         assert!(j.contains("k\\\"1"));
         assert!(v.to_string().contains("(0,-3,0)"));

@@ -256,7 +256,7 @@ fn clean_cloverleaf_run_has_no_findings() {
         report.phases.iter().map(|p| &p.phase).collect::<Vec<_>>()
     );
     // Violations render as JSON even when absent (shape check).
-    let j = report.to_json();
+    let j = report.to_json().to_string();
     assert!(j.contains("\"violations\":[]"));
 }
 
@@ -271,5 +271,8 @@ fn comm_violation_rendering() {
         v.to_string(),
         "[comm_deadlock] demo: ranks 0 -> 1 block on each other in a cycle (deadlock)"
     );
-    assert!(v.to_json().contains("\"kind\":\"comm_deadlock\""));
+    assert!(v
+        .to_json()
+        .to_string()
+        .contains("\"kind\":\"comm_deadlock\""));
 }

@@ -170,7 +170,10 @@ fn exported_app_plans_round_trip_through_json() {
     )
     .export_plan();
     assert!(!plan.groups.is_empty(), "expected fusion certificates");
-    assert_eq!(OptPlan::from_json(&plan.to_json()).unwrap(), plan);
+    assert_eq!(
+        OptPlan::from_json(&plan.to_json().to_string()).unwrap(),
+        plan
+    );
 
     let clover_cfg = cloverleaf2d::Config {
         nx: 24,
@@ -192,7 +195,10 @@ fn exported_app_plans_round_trip_through_json() {
     )
     .export_plan();
     assert!(!plan.elisions.is_empty(), "expected elision certificates");
-    assert_eq!(OptPlan::from_json(&plan.to_json()).unwrap(), plan);
+    assert_eq!(
+        OptPlan::from_json(&plan.to_json().to_string()).unwrap(),
+        plan
+    );
 }
 
 // --- distributed bit-identity (fusion + halo elision together) -----------

@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::access::Recording;
-use bwb_trace::json::{self, Json};
+use bwb_trace::json::{self, obj, Json};
 
 /// One loop of an app's recorded schedule, lowered to the planner's
 /// dialect: just names, shape, and the field footprint. `dims == 0` marks
@@ -130,61 +130,21 @@ impl OptPlan {
             .any(|c| c.loop_name == loop_name && c.dat == dat)
     }
 
-    /// Serialize to JSON (stable field order, no trailing whitespace).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n  \"app\": ");
-        push_json_str(&mut s, &self.app);
-        s.push_str(",\n  \"loops\": [");
-        for (i, l) in self.loops.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    {\"name\": ");
-            push_json_str(&mut s, &l.name);
-            s.push_str(&format!(
-                ", \"dims\": {}, \"points\": {}, ",
-                l.dims, l.points
-            ));
-            s.push_str("\"outs\": ");
-            push_str_array(&mut s, &l.outs);
-            s.push_str(", \"ins\": ");
-            push_str_array(&mut s, &l.ins);
-            s.push('}');
-        }
-        s.push_str("\n  ],\n  \"groups\": [");
-        for (i, g) in self.groups.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    {{\"start\": {}, \"names\": ", g.start));
-            push_str_array(&mut s, &g.names);
-            s.push('}');
-        }
-        s.push_str("\n  ],\n  \"elisions\": [");
-        for (i, e) in self.elisions.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    {\"site\": ");
-            push_json_str(&mut s, &e.site);
-            s.push_str(", \"dat\": ");
-            push_json_str(&mut s, &e.dat);
-            s.push_str(&format!(", \"depth\": {}}}", e.depth));
-        }
-        s.push_str("\n  ],\n  \"nt\": [");
-        for (i, c) in self.nt.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    {\"loop\": ");
-            push_json_str(&mut s, &c.loop_name);
-            s.push_str(", \"dat\": ");
-            push_json_str(&mut s, &c.dat);
-            s.push('}');
-        }
-        s.push_str("\n  ]\n}\n");
-        s
+    /// The plan as one JSON object (stable field order).
+    pub fn to_json(&self) -> Json {
+        obj([
+            ("app", self.app.as_str().into()),
+            ("loops", self.loops.iter().map(LoopIr::to_json).collect()),
+            (
+                "groups",
+                self.groups.iter().map(FusionGroupCert::to_json).collect(),
+            ),
+            (
+                "elisions",
+                self.elisions.iter().map(ElisionCert::to_json).collect(),
+            ),
+            ("nt", self.nt.iter().map(NtCert::to_json).collect()),
+        ])
     }
 
     /// Parse a plan from the JSON `to_json` emits (tolerant of arbitrary
@@ -194,7 +154,7 @@ impl OptPlan {
     pub fn from_json(src: &str) -> Result<OptPlan, String> {
         let doc = json::parse(src)?;
         let mut plan = OptPlan::default();
-        for (k, v) in obj(&doc, "plan")? {
+        for (k, v) in fields(&doc, "plan")? {
             match k.as_str() {
                 "app" => plan.app = string(v, "app")?,
                 "loops" => {
@@ -206,7 +166,7 @@ impl OptPlan {
                             outs: Vec::new(),
                             ins: Vec::new(),
                         };
-                        for (lk, lv) in obj(item, "loop")? {
+                        for (lk, lv) in fields(item, "loop")? {
                             match lk.as_str() {
                                 "name" => l.name = string(lv, "name")?,
                                 "dims" => l.dims = uint(lv, "dims")?,
@@ -225,7 +185,7 @@ impl OptPlan {
                             start: 0,
                             names: Vec::new(),
                         };
-                        for (gk, gv) in obj(item, "group")? {
+                        for (gk, gv) in fields(item, "group")? {
                             match gk.as_str() {
                                 "start" => g.start = uint(gv, "start")?,
                                 "names" => g.names = str_vec(gv, "names")?,
@@ -242,7 +202,7 @@ impl OptPlan {
                             dat: String::new(),
                             depth: 0,
                         };
-                        for (ek, ev) in obj(item, "elision")? {
+                        for (ek, ev) in fields(item, "elision")? {
                             match ek.as_str() {
                                 "site" => e.site = string(ev, "site")?,
                                 "dat" => e.dat = string(ev, "dat")?,
@@ -259,7 +219,7 @@ impl OptPlan {
                             loop_name: String::new(),
                             dat: String::new(),
                         };
-                        for (ck, cv) in obj(item, "nt cert")? {
+                        for (ck, cv) in fields(item, "nt cert")? {
                             match ck.as_str() {
                                 "loop" => c.loop_name = string(cv, "loop")?,
                                 "dat" => c.dat = string(cv, "dat")?,
@@ -273,6 +233,46 @@ impl OptPlan {
             }
         }
         Ok(plan)
+    }
+}
+
+impl LoopIr {
+    pub fn to_json(&self) -> Json {
+        obj([
+            ("name", self.name.as_str().into()),
+            ("dims", self.dims.into()),
+            ("points", self.points.into()),
+            ("outs", self.outs.as_slice().into()),
+            ("ins", self.ins.as_slice().into()),
+        ])
+    }
+}
+
+impl FusionGroupCert {
+    pub fn to_json(&self) -> Json {
+        obj([
+            ("start", self.start.into()),
+            ("names", self.names.as_slice().into()),
+        ])
+    }
+}
+
+impl ElisionCert {
+    pub fn to_json(&self) -> Json {
+        obj([
+            ("site", self.site.as_str().into()),
+            ("dat", self.dat.as_str().into()),
+            ("depth", self.depth.into()),
+        ])
+    }
+}
+
+impl NtCert {
+    pub fn to_json(&self) -> Json {
+        obj([
+            ("loop", self.loop_name.as_str().into()),
+            ("dat", self.dat.as_str().into()),
+        ])
     }
 }
 
@@ -299,24 +299,7 @@ pub fn lower_recording(rec: &Recording) -> Vec<LoopIr> {
         .collect()
 }
 
-fn push_json_str(s: &mut String, v: &str) {
-    s.push('"');
-    s.push_str(&json::escape(v));
-    s.push('"');
-}
-
-fn push_str_array(s: &mut String, items: &[String]) {
-    s.push('[');
-    for (i, it) in items.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        push_json_str(s, it);
-    }
-    s.push(']');
-}
-
-fn obj<'a>(v: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
+fn fields<'a>(v: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
     match v {
         Json::Obj(kv) => Ok(kv),
         other => Err(format!("expected {what} to be an object, got {other}")),
@@ -334,17 +317,12 @@ fn string(v: &Json, what: &str) -> Result<String, String> {
         .ok_or_else(|| format!("expected {what} to be a string, got {v}"))
 }
 
-/// Plans hold counts and positions only: a number that is negative,
-/// fractional, or beyond f64's exact-integer range (2^53) is refused
-/// rather than rounded into a different plan.
+/// Plans hold counts and positions only: a number that is not an exact
+/// count ([`Json::as_usize`]) is refused rather than rounded into a
+/// different plan.
 fn uint(v: &Json, what: &str) -> Result<usize, String> {
-    const MAX_EXACT: f64 = (1u64 << 53) as f64;
-    match v.as_f64() {
-        Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= MAX_EXACT => Ok(n as usize),
-        _ => Err(format!(
-            "expected {what} to be a non-negative integer, got {v}"
-        )),
-    }
+    v.as_usize()
+        .ok_or_else(|| format!("expected {what} to be a non-negative integer, got {v}"))
 }
 
 fn str_vec(v: &Json, what: &str) -> Result<Vec<String>, String> {
@@ -393,7 +371,7 @@ mod tests {
     #[test]
     fn json_round_trips() {
         let plan = sample_plan();
-        let json = plan.to_json();
+        let json = plan.to_json().to_string();
         let back = OptPlan::from_json(&json).expect("parse");
         assert_eq!(plan, back);
     }
@@ -401,7 +379,7 @@ mod tests {
     #[test]
     fn empty_plan_round_trips() {
         let plan = OptPlan::default();
-        let back = OptPlan::from_json(&plan.to_json()).expect("parse");
+        let back = OptPlan::from_json(&plan.to_json().to_string()).expect("parse");
         assert_eq!(plan, back);
     }
 

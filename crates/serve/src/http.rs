@@ -14,6 +14,7 @@
 //! for a drain — reads as `Err("connection closed mid-head")`, and the
 //! `400` written back goes nowhere.
 
+use bwb_trace::json::obj;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -149,8 +150,7 @@ impl Response {
 
     /// Client-facing error as a JSON envelope.
     pub fn error(status: u16, message: &str) -> Response {
-        let escaped = message.replace('\\', "\\\\").replace('"', "\\\"");
-        Response::json(status, format!("{{\"error\":\"{escaped}\"}}"))
+        Response::json(status, obj([("error", message.into())]).to_string())
     }
 
     pub fn header(mut self, name: &str, value: impl Into<String>) -> Response {
@@ -249,7 +249,17 @@ pub fn request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bwb_trace::json::{parse, Json};
     use std::net::TcpListener;
+
+    #[test]
+    fn error_bodies_escape_control_characters() {
+        let message = "unknown app 'a\nb\u{1}\"\\'";
+        let body = Response::error(400, message).body;
+        assert!(!body.chars().any(|c| c < '\u{20}'), "{body:?}");
+        let doc = parse(&body).expect("an error body is JSON");
+        assert_eq!(doc.get("error").and_then(Json::as_str), Some(message));
+    }
 
     #[test]
     fn request_response_round_trip_over_a_socket() {

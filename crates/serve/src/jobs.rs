@@ -32,7 +32,7 @@ use bwb_dslcheck::registry;
 use bwb_machine::ShardPolicy;
 use bwb_ops::OptPlan;
 use bwb_perfmodel::figures;
-use bwb_trace::json::Json;
+use bwb_trace::json::{obj, Json};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -41,8 +41,9 @@ use std::sync::{Arc, Mutex};
 pub enum Job {
     Benchmark {
         spec: BenchSpec,
-        /// Canonical plan JSON (round-tripped through [`OptPlan`]).
-        plan: Option<String>,
+        /// The plan the run applies; its `to_json` text is part of the
+        /// cache key.
+        plan: Option<OptPlan>,
         /// Explicit shard placement for ranked runs. `None` defers to
         /// placecheck's certified policy (see [`ShardPool::run_ranked`]).
         placement: Option<ShardPolicy>,
@@ -66,15 +67,10 @@ pub enum Job {
 }
 
 fn get_usize(body: &Json, key: &str, default: usize) -> Result<usize, String> {
-    // Past 2^53 an f64 no longer holds every integer, and `as` would
-    // saturate 1e300 to usize::MAX instead of refusing it.
-    const EXACT: f64 = (1u64 << 53) as f64;
     match body.get(key) {
         None => Ok(default),
         Some(v) => v
-            .as_f64()
-            .filter(|n| n.fract() == 0.0 && (0.0..=EXACT).contains(n))
-            .map(|n| n as usize)
+            .as_usize()
             .ok_or_else(|| format!("field '{key}' must be a non-negative integer")),
     }
 }
@@ -114,12 +110,11 @@ impl Job {
                 let spec = parse_bench_spec(body)?;
                 let plan = match body.get("plan") {
                     None | Some(Json::Null) => None,
-                    // Round-trip through OptPlan: rejects malformed plans
-                    // and canonicalizes the rendering for the cache key.
+                    // Through OptPlan: rejects malformed plans, and its
+                    // rendering is the canonical one the cache key uses.
                     Some(p) => Some(
                         OptPlan::from_json(&p.to_string())
-                            .map_err(|e| format!("invalid plan: {e}"))?
-                            .to_json(),
+                            .map_err(|e| format!("invalid plan: {e}"))?,
                     ),
                 };
                 if plan.is_some() && spec.ranks > 1 {
@@ -208,7 +203,7 @@ impl Job {
             Job::Panic { inside } => format!("panic={inside}"),
         };
         let plan = match self {
-            Job::Benchmark { plan, .. } => plan.clone().unwrap_or_else(|| "none".into()),
+            Job::Benchmark { plan: Some(p), .. } => p.to_json().to_string(),
             _ => "none".into(),
         };
         KeyMaterial {
@@ -227,7 +222,7 @@ impl Job {
                 spec,
                 plan,
                 placement,
-            } => execute_benchmark(ctx, spec, plan.as_deref(), *placement),
+            } => execute_benchmark(ctx, spec, plan.clone(), *placement),
             Job::Trace { spec } => execute_trace(ctx, spec, job_id),
             Job::Figure { figure } => Ok(figure_payload(*figure)),
             Job::Analyze { app } => execute_analyze(app),
@@ -288,44 +283,43 @@ impl TraceStore {
     }
 }
 
-fn outcome_json(out: &BenchOutcome) -> Vec<(String, Json)> {
+fn outcome_json(out: &BenchOutcome) -> Vec<(&'static str, Json)> {
     vec![
-        ("app".into(), Json::Str(out.app.slug().into())),
-        ("validation".into(), Json::Num(out.validation)),
-        ("points".into(), Json::Num(out.points as f64)),
-        ("iterations".into(), Json::Num(out.iterations as f64)),
-        ("ranks".into(), Json::Num(out.ranks as f64)),
-        ("seconds".into(), Json::Num(out.seconds)),
-        ("bytes".into(), Json::Num(out.bytes as f64)),
-        ("gbs".into(), Json::Num(out.gbs)),
+        ("app", out.app.slug().into()),
+        ("validation", out.validation.into()),
+        ("points", out.points.into()),
+        ("iterations", out.iterations.into()),
+        ("ranks", out.ranks.into()),
+        ("seconds", out.seconds.into()),
+        ("bytes", out.bytes.into()),
+        ("gbs", out.gbs.into()),
     ]
 }
 
 fn execute_benchmark(
     ctx: &ExecContext,
     spec: &BenchSpec,
-    plan: Option<&str>,
+    plan: Option<OptPlan>,
     placement: Option<ShardPolicy>,
 ) -> Result<String, String> {
-    let mut fields: Vec<(String, Json)>;
+    let mut fields;
     if spec.ranks > 1 {
         let run = ctx.shards.run_ranked(spec, placement)?;
         fields = outcome_json(&run.outcome);
-        fields.push(("shard".into(), Json::Num(run.shard as f64)));
-        fields.push(("placement".into(), Json::Str(run.policy.label().into())));
-        fields.push(("mpi_fraction".into(), Json::Num(run.mpi_fraction)));
-        fields.push(("wall_seconds".into(), Json::Num(run.wall_seconds)));
+        fields.extend([
+            ("shard", run.shard.into()),
+            ("placement", run.policy.label().into()),
+            ("mpi_fraction", run.mpi_fraction.into()),
+            ("wall_seconds", run.wall_seconds.into()),
+        ]);
     } else {
-        let parsed = plan
-            .map(|p| OptPlan::from_json(p).map_err(|e| format!("invalid plan: {e}")))
-            .transpose()?;
-        let planned = parsed.is_some();
-        let out = spec.run_with_plan(parsed)?;
+        let planned = plan.is_some();
+        let out = spec.run_with_plan(plan)?;
         fields = outcome_json(&out);
-        fields.push(("planned".into(), Json::Bool(planned)));
+        fields.push(("planned", planned.into()));
     }
-    fields.push(("config".into(), Json::Str(spec.config_summary())));
-    Ok(Json::Obj(fields).to_string())
+    fields.push(("config", spec.config_summary().into()));
+    Ok(obj(fields).to_string())
 }
 
 fn execute_trace(ctx: &ExecContext, spec: &BenchSpec, job_id: u64) -> Result<String, String> {
@@ -335,9 +329,9 @@ fn execute_trace(ctx: &ExecContext, spec: &BenchSpec, job_id: u64) -> Result<Str
     let events = trace.total_events();
     ctx.traces.map.lock().unwrap().insert(job_id, chrome);
     let mut fields = outcome_json(&out);
-    fields.push(("trace_events".into(), Json::Num(events as f64)));
-    fields.push(("trace_path".into(), Json::Str(format!("/trace/{job_id}"))));
-    Ok(Json::Obj(fields).to_string())
+    fields.push(("trace_events", events.into()));
+    fields.push(("trace_path", format!("/trace/{job_id}").into()));
+    Ok(obj(fields).to_string())
 }
 
 /// The registry entry an `analyze` job names.
@@ -352,30 +346,27 @@ fn execute_analyze(app: &str) -> Result<String, String> {
     // A declared app's report is its chain's: no worker executes a
     // recording pass, and any violation the chain carries is in the
     // report. Every other app gets its limited report.
-    if let Some(s) = bwb_dslcheck::static_report_for(app) {
-        return Ok(format!(
-            "{{\"source\":\"static\",\"static_ns\":{},\"report\":{},\"plan\":{}}}",
-            s.nanos,
-            s.report.to_json(),
-            s.report.export_plan().to_json()
-        ));
-    }
-    let report = registered(app)?.dataflow();
-    // The report and its exported plan already render themselves as JSON;
-    // splice them in raw rather than re-modelling their schemas here.
-    Ok(format!(
-        "{{\"source\":\"recorded\",\"report\":{},\"plan\":{}}}",
-        report.to_json(),
-        report.export_plan().to_json()
-    ))
-}
-
-fn jrow(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    let payload = match bwb_dslcheck::static_report_for(app) {
+        Some(s) => obj([
+            ("source", "static".into()),
+            ("static_ns", Json::Num(s.nanos as f64)),
+            ("report", s.report.to_json()),
+            ("plan", s.report.export_plan().to_json()),
+        ]),
+        None => {
+            let report = registered(app)?.dataflow();
+            obj([
+                ("source", "recorded".into()),
+                ("report", report.to_json()),
+                ("plan", report.export_plan().to_json()),
+            ])
+        }
+    };
+    Ok(payload.to_string())
 }
 
 fn figure_payload(figure: u8) -> String {
-    let rows: Vec<Json> = match figure {
+    let rows: Json = match figure {
         3 | 4 => {
             let p = bwb_machine::platforms::xeon_max_9480();
             let m = if figure == 3 {
@@ -386,17 +377,15 @@ fn figure_payload(figure: u8) -> String {
             m.rows
                 .iter()
                 .map(|r| {
-                    jrow(vec![
-                        ("label", Json::Str(r.label.clone())),
-                        ("mean_slowdown", Json::Num(r.mean)),
+                    obj([
+                        ("label", r.label.as_str().into()),
+                        ("mean_slowdown", r.mean.into()),
                         (
                             "slowdowns",
-                            Json::Arr(
-                                r.slowdowns
-                                    .iter()
-                                    .map(|s| s.map(Json::Num).unwrap_or(Json::Null))
-                                    .collect(),
-                            ),
+                            r.slowdowns
+                                .iter()
+                                .map(|s| s.map_or(Json::Null, Json::Num))
+                                .collect(),
                         ),
                     ])
                 })
@@ -405,21 +394,16 @@ fn figure_payload(figure: u8) -> String {
         5 => figures::figure5_parallelization_speedups()
             .iter()
             .map(|e| {
-                jrow(vec![
-                    ("app", Json::Str(e.app.slug().into())),
+                obj([
+                    ("app", e.app.slug().into()),
                     (
                         "speedups",
-                        Json::Arr(
-                            e.speedups
-                                .iter()
-                                .map(|(l, s)| {
-                                    jrow(vec![
-                                        ("config", Json::Str(l.clone())),
-                                        ("speedup", Json::Num(*s)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
+                        e.speedups
+                            .iter()
+                            .map(|(l, s)| {
+                                obj([("config", l.as_str().into()), ("speedup", (*s).into())])
+                            })
+                            .collect(),
                     ),
                 ])
             })
@@ -427,54 +411,50 @@ fn figure_payload(figure: u8) -> String {
         6 => figures::figure6_platform_comparison()
             .iter()
             .map(|e| {
-                jrow(vec![
-                    ("app", Json::Str(e.app.slug().into())),
-                    ("speedup_vs_8360y", Json::Num(e.speedup_vs_8360y)),
-                    ("speedup_vs_epyc", Json::Num(e.speedup_vs_epyc)),
-                    ("a100_vs_max", Json::Num(e.a100_vs_max)),
+                obj([
+                    ("app", e.app.slug().into()),
+                    ("speedup_vs_8360y", e.speedup_vs_8360y.into()),
+                    ("speedup_vs_epyc", e.speedup_vs_epyc.into()),
+                    ("a100_vs_max", e.a100_vs_max.into()),
                 ])
             })
             .collect(),
         7 => figures::figure7_mpi_fractions()
             .iter()
             .map(|e| {
-                jrow(vec![
-                    ("app", Json::Str(e.app.slug().into())),
-                    ("platform", Json::Str(e.platform.label().into())),
-                    ("mpi_fraction_pure", Json::Num(e.mpi_fraction_pure)),
-                    ("mpi_fraction_openmp", Json::Num(e.mpi_fraction_openmp)),
+                obj([
+                    ("app", e.app.slug().into()),
+                    ("platform", e.platform.label().into()),
+                    ("mpi_fraction_pure", e.mpi_fraction_pure.into()),
+                    ("mpi_fraction_openmp", e.mpi_fraction_openmp.into()),
                 ])
             })
             .collect(),
         8 => figures::figure8_effective_bandwidth()
             .iter()
             .map(|e| {
-                jrow(vec![
-                    ("app", Json::Str(e.app.slug().into())),
-                    ("platform", Json::Str(e.platform.label().into())),
-                    ("effective_gbs", Json::Num(e.effective_gbs)),
-                    ("fraction_of_stream", Json::Num(e.fraction_of_stream)),
+                obj([
+                    ("app", e.app.slug().into()),
+                    ("platform", e.platform.label().into()),
+                    ("effective_gbs", e.effective_gbs.into()),
+                    ("fraction_of_stream", e.fraction_of_stream.into()),
                 ])
             })
             .collect(),
         9 => figures::figure9_tiling()
             .iter()
             .map(|e| {
-                jrow(vec![
-                    ("platform", Json::Str(e.platform.label().into())),
-                    ("untiled_seconds", Json::Num(e.untiled_seconds)),
-                    ("tiled_seconds", Json::Num(e.tiled_seconds)),
-                    ("gain", Json::Num(e.gain)),
+                obj([
+                    ("platform", e.platform.label().into()),
+                    ("untiled_seconds", e.untiled_seconds.into()),
+                    ("tiled_seconds", e.tiled_seconds.into()),
+                    ("gain", e.gain.into()),
                 ])
             })
             .collect(),
         _ => unreachable!("parse() bounds the figure number"),
     };
-    Json::Obj(vec![
-        ("figure".into(), Json::Num(figure as f64)),
-        ("rows".into(), Json::Arr(rows)),
-    ])
-    .to_string()
+    obj([("figure", figure.into()), ("rows", rows)]).to_string()
 }
 
 #[cfg(test)]
@@ -514,11 +494,13 @@ mod tests {
         assert!(parse("{\"kind\":\"figure\",\"figure\":259}")
             .unwrap_err()
             .contains("3..=9"));
-        assert!(
-            parse("{\"kind\":\"benchmark\",\"app\":\"acoustic\",\"n\":1e300}")
-                .unwrap_err()
-                .contains("non-negative integer")
-        );
+        for n in ["1e300", "9007199254740994", "1.5", "-1"] {
+            let body = format!("{{\"kind\":\"benchmark\",\"app\":\"acoustic\",\"n\":{n}}}");
+            assert!(
+                parse(&body).unwrap_err().contains("non-negative integer"),
+                "n = {n}"
+            );
+        }
         assert!(parse("{\"kind\":\"analyze\",\"app\":\"nope\"}")
             .unwrap_err()
             .contains("unknown app"));

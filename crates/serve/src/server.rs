@@ -47,7 +47,7 @@ use crate::jobs::{ExecContext, Job, TraceStore};
 use crate::key::machine_fingerprint;
 use crate::shard::ShardPool;
 use bwb_machine::{platforms, Platform, ShardPolicy};
-use bwb_trace::json::Json;
+use bwb_trace::json::obj;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -122,64 +122,46 @@ impl ServerState {
     fn stats_json(&self) -> String {
         let c = self.cache.stats();
         let f = self.flight.stats();
-        let shards: Vec<Json> = self
-            .ctx
-            .shards
-            .stats()
-            .into_iter()
-            .map(|s| {
-                Json::Obj(vec![
-                    ("shard".into(), Json::Num(s.shard as f64)),
-                    ("cores".into(), Json::Num(s.cores as f64)),
-                    ("jobs".into(), Json::Num(s.jobs as f64)),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("machine".into(), Json::Str(self.machine.clone())),
+        let pools = self.ctx.shards.stats().into_iter().map(|s| {
+            obj([
+                ("shard", s.shard.into()),
+                ("cores", s.cores.into()),
+                ("jobs", s.jobs.into()),
+            ])
+        });
+        obj([
+            ("machine", self.machine.as_str().into()),
+            ("uptime_secs", self.started.elapsed().as_secs_f64().into()),
+            ("draining", self.is_draining().into()),
+            ("jobs_submitted", self.jobs_submitted().into()),
             (
-                "uptime_secs".into(),
-                Json::Num(self.started.elapsed().as_secs_f64()),
-            ),
-            ("draining".into(), Json::Bool(self.is_draining())),
-            (
-                "jobs_submitted".into(),
-                Json::Num(self.jobs_submitted() as f64),
-            ),
-            (
-                "cache".into(),
-                Json::Obj(vec![
-                    ("entries".into(), Json::Num(c.entries as f64)),
-                    ("hits".into(), Json::Num(c.hits as f64)),
-                    ("misses".into(), Json::Num(c.misses as f64)),
-                    ("hit_rate".into(), Json::Num(c.hit_rate())),
-                    ("oldest_age_secs".into(), Json::Num(c.oldest_age_secs)),
+                "cache",
+                obj([
+                    ("entries", c.entries.into()),
+                    ("hits", c.hits.into()),
+                    ("misses", c.misses.into()),
+                    ("hit_rate", c.hit_rate().into()),
+                    ("oldest_age_secs", c.oldest_age_secs.into()),
                 ]),
             ),
             (
-                "flight".into(),
-                Json::Obj(vec![
-                    ("executed".into(), Json::Num(f.executed as f64)),
-                    ("coalesced".into(), Json::Num(f.coalesced as f64)),
-                    ("rejected".into(), Json::Num(f.rejected as f64)),
-                    ("running_now".into(), Json::Num(f.running_now as f64)),
-                    ("queued_now".into(), Json::Num(f.queued_now as f64)),
+                "flight",
+                obj([
+                    ("executed", f.executed.into()),
+                    ("coalesced", f.coalesced.into()),
+                    ("rejected", f.rejected.into()),
+                    ("running_now", f.running_now.into()),
+                    ("queued_now", f.queued_now.into()),
                 ]),
             ),
             (
-                "shards".into(),
-                Json::Obj(vec![
-                    (
-                        "policy".into(),
-                        Json::Str(self.ctx.shards.policy().label().into()),
-                    ),
-                    ("pools".into(), Json::Arr(shards)),
+                "shards",
+                obj([
+                    ("policy", self.ctx.shards.policy().label().into()),
+                    ("pools", pools.collect()),
                 ]),
             ),
-            (
-                "traces_stored".into(),
-                Json::Num(self.ctx.traces.len() as f64),
-            ),
+            ("traces_stored", self.ctx.traces.len().into()),
         ])
         .to_string()
     }

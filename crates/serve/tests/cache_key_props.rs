@@ -7,6 +7,7 @@
 use bwb_apps::jobspec::BenchSpec;
 use bwb_apps::AppId;
 use bwb_machine::ShardPolicy;
+use bwb_ops::OptPlan;
 use bwb_serve::{CacheKey, Job};
 use proptest::prelude::*;
 
@@ -25,7 +26,7 @@ fn spec_from(app_idx: usize, n: usize, iters: usize, par: usize) -> BenchSpec {
 fn bench_key(spec: &BenchSpec, plan: Option<&str>, machine: &str) -> CacheKey {
     Job::Benchmark {
         spec: spec.clone(),
-        plan: plan.map(String::from),
+        plan: plan.map(|p| OptPlan::from_json(p).expect("a plan")),
         placement: None,
     }
     .cache_key(machine)

@@ -1,9 +1,9 @@
 //! Chrome `trace_event` JSON export (the "JSON Object Format" with a
 //! `traceEvents` array), loadable in Perfetto / `chrome://tracing`.
 //!
-//! Hand-written emission: the workspace has no serialization library, so —
-//! like the `analyze` CLI — the exporter formats JSON directly and the
-//! schema tests round-trip it through [`crate::json`].
+//! Each event is a small [`Json`] value whose text is appended to the
+//! output as it is built, so a long trace is never held as one tree;
+//! the schema tests round-trip the result through [`crate::json`].
 //!
 //! Span pairs become `"ph":"X"` complete events; counters become `"C"`;
 //! instants `"i"`. Loop spans carry `bytes`, `flops`, `points`, the
@@ -11,7 +11,7 @@
 //! `bw_pct_of_roofline`, so an exported trace directly answers the paper's
 //! Figure 8 question per kernel invocation.
 
-use crate::json::escape;
+use crate::json::{obj, Json};
 use crate::record::{Cat, Kind, Trace};
 use bwb_machine::Roofline;
 use std::fmt::Write as _;
@@ -23,103 +23,69 @@ pub struct ChromeOptions {
     pub roofline: Option<Roofline>,
 }
 
-/// Format an f64 as a JSON number (never NaN/inf, which JSON forbids).
-fn num(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".into();
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
-}
-
 /// Microseconds (Chrome's `ts`/`dur` unit) from nanoseconds.
-fn us(ns: u64) -> String {
-    format!("{:.3}", ns as f64 / 1e3)
+fn us(ns: u64) -> Json {
+    Json::Num(ns as f64 / 1e3)
 }
 
-fn args_json(cat: Cat, kind: Kind, args: [f64; 3], dur_ns: u64, roof: Option<&Roofline>) -> String {
-    let [a0, a1, a2] = args;
-    match (cat, kind) {
-        (Cat::Loop, Kind::End) => {
-            let mut s = format!(
-                "{{\"bytes\":{},\"flops\":{},\"points\":{}",
-                num(a0),
-                num(a1),
-                num(a2)
-            );
-            if dur_ns > 0 {
-                let gbs = a0 / (dur_ns as f64 * 1e-9) / 1e9;
-                if gbs.is_finite() {
-                    let _ = write!(s, ",\"bw_gbs\":{:.3}", gbs);
-                    if let Some(r) = roof {
-                        if r.peak_gbs > 0.0 {
-                            let _ = write!(
-                                s,
-                                ",\"bw_pct_of_roofline\":{:.2}",
-                                gbs / r.peak_gbs * 100.0
-                            );
-                        }
-                    }
-                }
-            }
-            s.push('}');
-            s
+/// An event's `args`: its three recorded values under the names its
+/// category gives them, and for a loop span the achieved bandwidth.
+fn args_json(cat: Cat, kind: Kind, args: [f64; 3], dur_ns: u64, roof: Option<&Roofline>) -> Json {
+    let loop_end = (cat, kind) == (Cat::Loop, Kind::End);
+    let names: &[&str] = match (cat, kind) {
+        (Cat::Loop, Kind::End) => &["bytes", "flops", "points"],
+        (Cat::Halo, Kind::End) => &["dim", "depth", "bytes"],
+        (Cat::Mpi, _) => &["peer", "bytes", "tag"],
+        (Cat::Tile, Kind::End) => &["tile", "j0", "j1"],
+        (Cat::Color, Kind::End) => &["color", "elements"],
+        (Cat::App, Kind::End) => &["iteration"],
+        _ => &["a0", "a1", "a2"],
+    };
+    let mut fields: Vec<(&str, Json)> = names
+        .iter()
+        .zip(args)
+        .map(|(&k, v)| (k, v.into()))
+        .collect();
+    let gbs = args[0] / (dur_ns as f64 * 1e-9) / 1e9;
+    if loop_end && dur_ns > 0 && gbs.is_finite() {
+        fields.push(("bw_gbs", gbs.into()));
+        if let Some(r) = roof.filter(|r| r.peak_gbs > 0.0) {
+            fields.push(("bw_pct_of_roofline", (gbs / r.peak_gbs * 100.0).into()));
         }
-        (Cat::Halo, Kind::End) => format!(
-            "{{\"dim\":{},\"depth\":{},\"bytes\":{}}}",
-            num(a0),
-            num(a1),
-            num(a2)
-        ),
-        (Cat::Mpi, _) => format!(
-            "{{\"peer\":{},\"bytes\":{},\"tag\":{}}}",
-            num(a0),
-            num(a1),
-            num(a2)
-        ),
-        (Cat::Tile, Kind::End) => format!(
-            "{{\"tile\":{},\"j0\":{},\"j1\":{}}}",
-            num(a0),
-            num(a1),
-            num(a2)
-        ),
-        (Cat::Color, Kind::End) => format!("{{\"color\":{},\"elements\":{}}}", num(a0), num(a1)),
-        (Cat::App, Kind::End) => format!("{{\"iteration\":{}}}", num(a0)),
-        _ => format!(
-            "{{\"a0\":{},\"a1\":{},\"a2\":{}}}",
-            num(a0),
-            num(a1),
-            num(a2)
-        ),
     }
+    obj(fields)
 }
 
 /// Render the whole trace as Chrome trace_event JSON.
 pub fn to_chrome_json(trace: &Trace, opts: &ChromeOptions) -> String {
     let roof = opts.roofline.as_ref();
-    let mut events: Vec<String> = Vec::new();
+    let mut out = String::from(r#"{"displayTimeUnit":"ns","traceEvents":["#);
+    let mut emit = |event: Json| {
+        if !out.ends_with('[') {
+            out.push(',');
+        }
+        let _ = write!(out, "{event}");
+    };
 
     // Metadata: name ranks (pids) and threads so Perfetto labels lanes.
+    let meta = |name: &str, pid: usize, tid: usize, label: Json| {
+        obj([
+            ("ph", "M".into()),
+            ("name", name.into()),
+            ("pid", pid.into()),
+            ("tid", tid.into()),
+            ("ts", 0u64.into()),
+            ("args", obj([("name", label)])),
+        ])
+    };
     let mut pids: Vec<usize> = trace.threads.iter().map(|t| t.pid).collect();
     pids.sort_unstable();
     pids.dedup();
     for pid in pids {
-        events.push(format!(
-            "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\"ts\":0,\
-             \"args\":{{\"name\":\"rank {pid}\"}}}}"
-        ));
+        emit(meta("process_name", pid, 0, format!("rank {pid}").into()));
     }
     for t in &trace.threads {
-        events.push(format!(
-            "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{},\"tid\":{},\"ts\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            t.pid,
-            t.tid,
-            escape(&t.label)
-        ));
+        emit(meta("thread_name", t.pid, t.tid, t.label.as_str().into()));
     }
 
     for t in &trace.threads {
@@ -127,9 +93,11 @@ pub fn to_chrome_json(trace: &Trace, opts: &ChromeOptions) -> String {
         // in place so malformed tails degrade gracefully (skipped).
         let mut stack: Vec<(u32, u64)> = Vec::new();
         for e in &t.events {
-            let name = escape(trace.name(e.name));
-            match e.kind {
-                Kind::Begin => stack.push((e.name, e.ts_ns)),
+            let (ph, timing, args) = match e.kind {
+                Kind::Begin => {
+                    stack.push((e.name, e.ts_ns));
+                    continue;
+                }
                 Kind::End => {
                     let Some((open, start)) = stack.pop() else {
                         continue;
@@ -139,46 +107,31 @@ pub fn to_chrome_json(trace: &Trace, opts: &ChromeOptions) -> String {
                         continue;
                     }
                     let dur = e.ts_ns.saturating_sub(start);
-                    events.push(format!(
-                        "{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"{}\",\"ts\":{},\"dur\":{},\
-                         \"pid\":{},\"tid\":{},\"args\":{}}}",
-                        name,
-                        e.cat.label(),
-                        us(start),
-                        us(dur),
-                        t.pid,
-                        t.tid,
-                        args_json(e.cat, Kind::End, e.args, dur, roof)
-                    ));
+                    let args = args_json(e.cat, Kind::End, e.args, dur, roof);
+                    ("X", vec![("ts", us(start)), ("dur", us(dur))], args)
                 }
-                Kind::Counter => events.push(format!(
-                    "{{\"ph\":\"C\",\"name\":\"{}\",\"cat\":\"{}\",\"ts\":{},\
-                     \"pid\":{},\"tid\":{},\"args\":{{\"value\":{}}}}}",
-                    name,
-                    e.cat.label(),
-                    us(e.ts_ns),
-                    t.pid,
-                    t.tid,
-                    num(e.args[0])
-                )),
-                Kind::Instant => events.push(format!(
-                    "{{\"ph\":\"i\",\"name\":\"{}\",\"cat\":\"{}\",\"ts\":{},\"s\":\"t\",\
-                     \"pid\":{},\"tid\":{},\"args\":{}}}",
-                    name,
-                    e.cat.label(),
-                    us(e.ts_ns),
-                    t.pid,
-                    t.tid,
-                    args_json(e.cat, Kind::Instant, e.args, 0, roof)
-                )),
-            }
+                Kind::Counter => {
+                    let args = obj([("value", e.args[0].into())]);
+                    ("C", vec![("ts", us(e.ts_ns))], args)
+                }
+                Kind::Instant => {
+                    let args = args_json(e.cat, Kind::Instant, e.args, 0, roof);
+                    ("i", vec![("ts", us(e.ts_ns)), ("s", "t".into())], args)
+                }
+            };
+            let mut event = vec![
+                ("ph", ph.into()),
+                ("name", trace.name(e.name).into()),
+                ("cat", e.cat.label().into()),
+            ];
+            event.extend(timing);
+            event.extend([("pid", t.pid.into()), ("tid", t.tid.into()), ("args", args)]);
+            emit(obj(event));
         }
     }
 
-    format!(
-        "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{}]}}",
-        events.join(",")
-    )
+    out.push_str("]}");
+    out
 }
 
 #[cfg(test)]
@@ -250,7 +203,16 @@ mod tests {
         let mut t = demo_trace();
         t.threads[0].events[1].args = [f64::NAN, f64::INFINITY, 1.0];
         let out = to_chrome_json(&t, &ChromeOptions::default());
-        assert!(json::parse(&out).is_ok());
+        let doc = json::parse(&out).expect("exporter output parses as JSON");
         assert!(!out.contains("NaN") && !out.contains("inf"));
+        let events = doc.get("traceEvents").and_then(|e| e.as_array()).unwrap();
+        let args = events
+            .iter()
+            .find(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
+            .and_then(|x| x.get("args"))
+            .unwrap();
+        assert_eq!(args.get("bytes"), Some(&Json::Null));
+        assert_eq!(args.get("flops"), Some(&Json::Null));
+        assert!(args.get("bw_gbs").is_none());
     }
 }

@@ -1,15 +1,19 @@
-//! Minimal JSON parser and validator.
+//! The workspace's one JSON module: the [`Json`] value, its writer, its
+//! parser and the Chrome `trace_event` schema check.
 //!
-//! The workspace has no serialization library, so the Chrome exporter
-//! writes JSON by hand; this module is the other half of that
-//! bargain — a small recursive-descent parser used to round-trip exported
-//! traces and check them against the Chrome `trace_event` schema (the CI
-//! trace-smoke gate and the integration tests).
+//! The workspace has no serialization library. Every document it hands
+//! out (analyzer reports, optimisation plans, served payloads, Perfetto
+//! traces) is a [`Json`] value printed by its `Display`, so escaping,
+//! number formatting and non-finite handling live here and nowhere else.
+//! The recursive-descent [`parse`] reads request bodies and plan files,
+//! and round-trips exported traces for the schema tests and the CI
+//! trace-smoke gate.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
-/// A parsed JSON value. Object keys keep insertion order via a Vec so that
-/// `to_string` round-trips byte-identically for our own exporter output.
+/// A JSON value. Object keys keep insertion order via a Vec so that
+/// `to_string` round-trips byte-identically for our own output.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
@@ -50,77 +54,128 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    /// The number as an exact count: non-negative, integral and at most
+    /// 2^53, past which an f64 no longer holds every integer. Anything else
+    /// is `None`, so a caller refuses it rather than rounds it (`as` would
+    /// saturate 1e300 to `usize::MAX`).
+    pub fn as_usize(&self) -> Option<usize> {
+        const MAX_EXACT: f64 = (1u64 << 53) as f64;
+        self.as_f64()
+            .filter(|n| n.fract() == 0.0 && (0.0..=MAX_EXACT).contains(n))
+            .map(|n| n as usize)
+    }
+
+    fn write(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if *n == n.trunc() && n.abs() < 1e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                escape_into(out, s);
-                out.push('"');
-            }
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            // JSON has no literal for NaN or infinity.
+            Json::Num(n) if !n.is_finite() => out.write_str("null"),
+            Json::Num(n) if *n == n.trunc() && n.abs() < 1e15 => write!(out, "{}", *n as i64),
+            Json::Num(n) => write!(out, "{n}"),
+            Json::Str(s) => write_str_literal(out, s),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(fields) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    Json::Str(k.clone()).write(out);
-                    out.push(':');
-                    v.write(out);
+                    write_str_literal(out, k)?;
+                    out.write_char(':')?;
+                    v.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// `s` as a quoted JSON string literal: the workspace's one escape routine.
+fn write_str_literal(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
+    }
+    out.write_char('"')
+}
+
+/// An object from key → value pairs, in order.
+pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
     }
 }
 
-/// Escape `s` for the inside of a JSON string literal (no surrounding
-/// quotes). The workspace's one escape routine: every hand-formatted JSON
-/// writer routes its string fields through it.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s);
-    out
+impl From<f64> for Json {
+    fn from(n: f64) -> Json {
+        Json::Num(n)
+    }
 }
 
-/// Compact serialization (round-trips [`parse`] output).
-impl std::fmt::Display for Json {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+/// Counts and ids: exact up to 2^53, which no count here approaches.
+macro_rules! from_uint {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
+}
+from_uint!(u8, u16, u64, usize);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.into())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+/// Collects into an array.
+impl FromIterator<Json> for Json {
+    fn from_iter<I: IntoIterator<Item = Json>>(items: I) -> Json {
+        Json::Arr(items.into_iter().collect())
+    }
+}
+
+impl From<&[String]> for Json {
+    fn from(items: &[String]) -> Json {
+        items.iter().map(|s| s.as_str().into()).collect()
+    }
+}
+
+/// Compact serialization: the workspace's one JSON writer (round-trips
+/// [`parse`] output).
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f)
     }
 }
 
@@ -138,8 +193,8 @@ pub enum ParseError {
     Syntax(String),
 }
 
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ParseError::TooDeep { at } => {
                 write!(f, "nesting deeper than {MAX_DEPTH} at byte {at}")
@@ -472,6 +527,13 @@ mod tests {
         let v = parse(text).unwrap();
         assert_eq!(v.to_string(), text);
         assert_eq!(parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn non_finite_numbers_print_as_null() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(parse(&Json::Num(n).to_string()), Ok(Json::Null));
+        }
     }
 
     #[test]
