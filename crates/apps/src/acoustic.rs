@@ -19,7 +19,7 @@
 
 use crate::{AppId, AppRun};
 use bwb_ops::{
-    par_loop3_planes, par_loop3_reduce, Dat3, DistBlock3, ExecMode, Profile, Range3, RowIn3,
+    par_loop3_planes, par_loop3_planes_reduce, Dat3, DistBlock3, ExecMode, Profile, Range3, RowIn3,
     RowOut3,
 };
 use bwb_shmpi::Comm;
@@ -165,7 +165,7 @@ impl Acoustic {
     /// Discrete energy proxy: Σ u².
     pub fn energy(&self, profile: &mut Profile) -> f64 {
         let n = self.cfg.n;
-        par_loop3_reduce(
+        par_loop3_planes_reduce(
             profile,
             "acoustic_energy",
             self.cfg.mode,
@@ -173,9 +173,11 @@ impl Acoustic {
             &[&self.u_curr],
             0.0f64,
             2.0,
-            |_i, _j, _k, ins| {
-                let v = ins.get(0, 0, 0, 0) as f64;
-                v * v
+            |_j, _k, acc, ins| {
+                ins.row(0).iter().fold(acc, |s, &u| {
+                    let v = u as f64;
+                    s + v * v
+                })
             },
             |a, b| a + b,
         )

@@ -12,11 +12,19 @@
 //! [`ExecMode::Serial`] (the per-rank execution of pure MPI) and
 //! [`ExecMode::Rayon`] (the "OpenMP" backend, parallelizing across all grid
 //! points of the outer dimension).
+//!
+//! One engine serves both ranks: a 2-D loop is the 3-D case with one plane.
+//! Every driver builds its views (`WView`/`RView`, checked against each
+//! axis's padded extent on every access) and hands one closure per outer
+//! index to the private harness `run`, which owns recording, the span,
+//! the timer and the [`Profile`] records, and schedules through
+//! `schedule`.
 
-use crate::access::{self, OutKind};
+use crate::access::{self, ArgMeta, OutKind};
 use crate::field::{Dat2, Dat3};
 use crate::profile::Profile;
 use rayon::prelude::*;
+use std::marker::PhantomData;
 use std::time::Instant;
 
 /// Intra-rank execution backend.
@@ -109,177 +117,255 @@ impl Range3 {
     }
 }
 
+/// A 2-D range is the one-plane case of a 3-D one: `k ∈ [0, 1)`.
+impl From<Range2> for Range3 {
+    fn from(r: Range2) -> Self {
+        Range3::new(r.i0, r.i1, r.j0, r.j1, 0, 1)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Views
 // ---------------------------------------------------------------------------
 
-/// Write view over one 2-D dataset: a raw pointer plus geometry.
+/// Where one dataset's points sit in its storage. A 2-D dataset is the
+/// one-plane case: its `k` axis has extent 1, and rank-2 accessors never
+/// check or move along it.
+#[derive(Clone, Copy)]
+pub(crate) struct Geom {
+    /// Halo depth: coordinates start at `-halo` on every checked axis.
+    halo: isize,
+    /// Valid coordinates on each axis: `n + 2·halo` (`1` on a 2-D `k` axis).
+    ext: [usize; 3],
+    /// Elements between neighbours along `j` (the pitch) and `k` (the slab).
+    stride: [usize; 2],
+}
+
+impl Geom {
+    /// Storage offset of the `width` points that start at `p` and run
+    /// along `i`, or `None` if any of them leaves `[-halo, n + halo)` on
+    /// any axis of a rank-`D` dataset. Every point, row and stencil offset goes
+    /// through here in every build, so no access can wrap into a
+    /// neighbouring row or plane, and every offset lies inside the
+    /// allocation.
+    #[inline]
+    fn offset<const D: usize>(&self, p: [isize; 3], width: usize) -> Option<usize> {
+        let [x, y, z] = p.map(|c| c.wrapping_add(self.halo) as usize);
+        // `&`, not `&&`: one branch for all axes.
+        let inside = (width <= self.ext[0])
+            & (x <= self.ext[0].wrapping_sub(width))
+            & (y < self.ext[1])
+            & (D == 2 || z < self.ext[2]);
+        if !inside {
+            return None;
+        }
+        let off = x + y * self.stride[0];
+        Some(if D == 3 {
+            off + z * self.stride[1]
+        } else {
+            off
+        })
+    }
+}
+
+/// A dataset a loop can view: [`Dat2`] (rank 2) or [`Dat3`] (rank 3).
+pub(crate) trait Field<T: Copy, const D: usize> {
+    fn geom(&self) -> Geom;
+    fn meta(&self) -> ArgMeta;
+    fn data(&self) -> &[T];
+    fn data_mut(&mut self) -> &mut [T];
+}
+
+impl<T: Copy> Field<T, 2> for Dat2<T> {
+    fn geom(&self) -> Geom {
+        let h = self.halo();
+        Geom {
+            halo: h as isize,
+            ext: [self.pitch(), self.ny() + 2 * h, 1],
+            stride: [self.pitch(), self.raw().len()],
+        }
+    }
+    fn meta(&self) -> ArgMeta {
+        ArgMeta {
+            name: self.name().to_string(),
+            halo: self.halo() as isize,
+            extent: (self.nx(), self.ny(), 1),
+            elem_bytes: std::mem::size_of::<T>(),
+        }
+    }
+    fn data(&self) -> &[T] {
+        self.raw()
+    }
+    fn data_mut(&mut self) -> &mut [T] {
+        self.raw_mut()
+    }
+}
+
+impl<T: Copy> Field<T, 3> for Dat3<T> {
+    fn geom(&self) -> Geom {
+        let h = self.halo();
+        Geom {
+            halo: h as isize,
+            ext: [self.pitch(), self.ny() + 2 * h, self.nz() + 2 * h],
+            stride: [self.pitch(), self.slab()],
+        }
+    }
+    fn meta(&self) -> ArgMeta {
+        ArgMeta {
+            name: self.name().to_string(),
+            halo: self.halo() as isize,
+            extent: (self.nx(), self.ny(), self.nz()),
+            elem_bytes: std::mem::size_of::<T>(),
+        }
+    }
+    fn data(&self) -> &[T] {
+        self.raw()
+    }
+    fn data_mut(&mut self) -> &mut [T] {
+        self.raw_mut()
+    }
+}
+
+/// Write view over one dataset: a raw pointer plus its [`Geom`].
 ///
 /// # Safety discipline
-/// Constructed only by the loop drivers from `&mut Dat2`, so no other code
-/// aliases the storage during a loop. Threads write disjoint points because
-/// the drivers partition the iteration space by outer index and the kernel
-/// accessor ([`Out2`]) only writes the current point. Every write is
-/// bounds-checked against the allocation length.
+/// Constructed only by the loop drivers from `&mut Dat2`/`&mut Dat3`, so no
+/// other code aliases the storage during a loop. Threads write disjoint
+/// points because the drivers partition the iteration space by outer index
+/// and the kernel accessors only write the current point or row. Every
+/// access is checked against the geometry, which keeps it inside the
+/// allocation.
 #[derive(Clone, Copy)]
-pub(crate) struct WView2<T> {
+pub(crate) struct WView<T> {
     ptr: *mut T,
-    pitch: usize,
-    halo: isize,
-    len: usize,
+    g: Geom,
 }
 
-// SAFETY: WView2 is a raw-pointer view over a `&mut Dat2` borrow held by the
-// driver for the loop's duration; threads write disjoint points (see the type
-// docs), so sending/sharing the view requires only `T: Send`.
-unsafe impl<T: Send> Send for WView2<T> {}
-// SAFETY: as above — concurrent `&WView2` use only performs disjoint writes
+// SAFETY: WView is a raw-pointer view over a `&mut` dataset borrow held by
+// the driver for the loop's duration; threads write disjoint points (see the
+// type docs), so sending/sharing the view requires only `T: Send`.
+unsafe impl<T: Send> Send for WView<T> {}
+// SAFETY: as above — concurrent `&WView` use only performs disjoint writes
 // and current-point reads per the driver contract.
-unsafe impl<T: Send> Sync for WView2<T> {}
+unsafe impl<T: Send> Sync for WView<T> {}
 
-impl<T> WView2<T> {
-    /// View over a flat per-row staging buffer: geometry collapses so that
-    /// `index(i, j) == i` for every `j`, letting the streaming-store driver
-    /// hand kernels a [`RowOut2`] whose rows land in cache-resident staging
-    /// storage instead of the destination field. `len` must cover
-    /// `[0, i0 + width)` of the loop's range; negative range starts are not
-    /// representable and must fall back to the plain driver.
-    pub(crate) fn staging(ptr: *mut T, len: usize) -> Self {
-        WView2 {
-            ptr,
-            pitch: 0,
-            halo: 0,
-            len,
+impl<T: Copy> WView<T> {
+    pub(crate) fn of<const D: usize>(d: &mut impl Field<T, D>) -> Self {
+        let g = d.geom();
+        let data = d.data_mut();
+        debug_assert_eq!(g.ext.iter().product::<usize>(), data.len());
+        WView {
+            ptr: data.as_mut_ptr(),
+            g,
         }
     }
-}
 
-impl<T: Copy> WView2<T> {
-    /// Is `(i, j)` inside the padded (halo-extended) allocation? Used by the
-    /// accessors' debug bounds checks to reject stencil offsets that would
-    /// silently wrap into a neighbouring row.
-    #[inline]
-    fn in_bounds(&self, i: isize, j: isize) -> bool {
-        let ii = i + self.halo;
-        let jj = j + self.halo;
-        ii >= 0 && (ii as usize) < self.pitch && jj >= 0 && (jj as usize) < self.len / self.pitch
+    /// View over a flat staging row: `(i, j)` maps to element `i` for
+    /// `i ∈ [0, len)` and every `j ≥ 0`, letting the streaming-store driver
+    /// hand kernels a [`RowOut2`] whose row lands in cache-resident staging
+    /// storage instead of the destination field. Negative range starts are
+    /// not representable and must fall back to the plain driver.
+    pub(crate) fn staging(ptr: *mut T, len: usize) -> Self {
+        WView {
+            ptr,
+            g: Geom {
+                halo: 0,
+                ext: [len, usize::MAX, 1],
+                stride: [0, 0],
+            },
+        }
     }
 
-    #[inline]
-    fn index(&self, i: isize, j: isize) -> usize {
-        let ii = i + self.halo;
-        let jj = j + self.halo;
-        debug_assert!(ii >= 0 && jj >= 0, "write at ({i},{j}) before halo start");
-        let idx = jj as usize * self.pitch + ii as usize;
-        assert!(idx < self.len, "write at ({i},{j}) outside dataset storage");
-        idx
+    /// A read view over the same storage, for executors that read a field
+    /// one member loop writes (tiled chains, fused groups).
+    pub(crate) fn read<'a>(&self) -> RView<'a, T> {
+        RView {
+            ptr: self.ptr,
+            g: self.g,
+            _borrow: PhantomData,
+        }
     }
 
+    /// Pointer to the `width` points from `p`, if they lie in the extent.
     #[inline]
-    fn write(&self, i: isize, j: isize, v: T) {
-        let idx = self.index(i, j);
-        // SAFETY: idx bounds-checked above; disjointness across threads is
-        // guaranteed by the driver's iteration-space partition (see type
-        // docs); exclusivity vs. other code by the `&mut Dat2` borrows.
-        unsafe { *self.ptr.add(idx) = v }
-    }
-
-    #[inline]
-    fn read(&self, i: isize, j: isize) -> T {
-        let idx = self.index(i, j);
-        // SAFETY: as in `write`; reading the current point that only this
-        // thread may write.
-        unsafe { *self.ptr.add(idx) }
+    fn at<const D: usize>(&self, p: [isize; 3], width: usize) -> Option<*mut T> {
+        let off = self.g.offset::<D>(p, width)?;
+        // SAFETY: `offset` keeps `off` inside the allocation.
+        Some(unsafe { self.ptr.add(off) })
     }
 }
 
-/// Read view over one 2-D dataset.
+/// Read view over one dataset.
 ///
 /// Raw-pointer based (with the source borrow's lifetime carried in a
-/// marker) so the tiled executor can hold a read view and a write view of
-/// the *same* field — used as input by one loop of a chain and as output by
-/// another — without overlapping references. Every read is bounds-checked.
+/// marker) so the tiled and fused executors can hold a read view and a
+/// write view of the *same* field — written by one loop and read by
+/// another — without overlapping references. Every read is checked against
+/// the geometry.
 #[derive(Clone, Copy)]
-pub(crate) struct RView2<'a, T> {
+pub(crate) struct RView<'a, T> {
     ptr: *const T,
-    pitch: usize,
-    halo: isize,
-    len: usize,
-    _borrow: std::marker::PhantomData<&'a [T]>,
+    g: Geom,
+    _borrow: PhantomData<&'a [T]>,
 }
 
-// SAFETY: RView2 is a read-only view; the underlying storage outlives `'a`
+// SAFETY: RView is a read-only view; the underlying storage outlives `'a`
 // and no concurrent writer touches rows a loop reads (driver contract), so
 // it is as thread-safe as `&'a [T]`.
-unsafe impl<T: Sync> Send for RView2<'_, T> {}
+unsafe impl<T: Sync> Send for RView<'_, T> {}
 // SAFETY: as above — shared read-only access.
-unsafe impl<T: Sync> Sync for RView2<'_, T> {}
+unsafe impl<T: Sync> Sync for RView<'_, T> {}
 
-impl<T: Copy> RView2<'_, T> {
-    /// See [`WView2::in_bounds`].
+impl<'a, T: Copy> RView<'a, T> {
+    pub(crate) fn of<const D: usize>(d: &'a impl Field<T, D>) -> Self {
+        let data = d.data();
+        RView {
+            ptr: data.as_ptr(),
+            g: d.geom(),
+            _borrow: PhantomData,
+        }
+    }
+
+    /// The `width` points from `p`, if they lie in the extent.
     #[inline]
-    fn in_bounds(&self, i: isize, j: isize) -> bool {
-        let ii = i + self.halo;
-        let jj = j + self.halo;
-        ii >= 0 && (ii as usize) < self.pitch && jj >= 0 && (jj as usize) < self.len / self.pitch
-    }
-
-    #[inline]
-    fn read(&self, i: isize, j: isize) -> T {
-        let ii = i + self.halo;
-        let jj = j + self.halo;
-        debug_assert!(ii >= 0 && jj >= 0, "read at ({i},{j}) before halo start");
-        let idx = jj as usize * self.pitch + ii as usize;
-        assert!(idx < self.len, "read at ({i},{j}) outside dataset storage");
-        // SAFETY: bounds-checked above; the storage outlives `'a` and no
-        // concurrent writer touches the rows a loop reads (driver contract).
-        unsafe { *self.ptr.add(idx) }
+    fn slice<const D: usize>(&self, p: [isize; 3], width: usize) -> Option<&'a [T]> {
+        let off = self.g.offset::<D>(p, width)?;
+        // SAFETY: `offset` keeps the points inside the allocation; the
+        // storage outlives `'a` and no concurrent writer touches the rows a
+        // loop reads (driver contract).
+        Some(unsafe { std::slice::from_raw_parts(self.ptr.add(off), width) })
     }
 }
 
-/// Raw base of one field's storage, captured once by the tiled executor so
-/// it can hand out per-loop write and read views over a shared store.
-pub(crate) struct FieldView2<T> {
-    ptr: *mut T,
-    pitch: usize,
-    halo: isize,
-    len: usize,
+/// The refusal a point accessor raises for a point outside the padded
+/// extent, kept out of line so the checks stay small. Callers reach it
+/// from a `let ... else`, so its arguments are built on the cold path only.
+#[cold]
+#[inline(never)]
+fn outside(what: &str, f: usize, names: &[String], i: isize, j: isize) -> ! {
+    let name = names.get(f).map_or(String::new(), |n| format!(" ('{n}')"));
+    panic!("{what} {f}{name}: point ({i}, {j}) outside the padded extent")
 }
 
-impl<T: Copy> FieldView2<T> {
-    pub(crate) fn capture(d: &mut Dat2<T>) -> Self {
-        let (pitch, halo, _nx, _ny, len) = d.geometry();
-        FieldView2 {
-            ptr: d.raw_mut().as_mut_ptr(),
-            pitch,
-            halo: halo as isize,
-            len,
-        }
-    }
-
-    pub(crate) fn write_view(&self) -> WView2<T> {
-        WView2 {
-            ptr: self.ptr,
-            pitch: self.pitch,
-            halo: self.halo,
-            len: self.len,
-        }
-    }
-
-    pub(crate) fn read_view<'a>(&self) -> RView2<'a, T> {
-        RView2 {
-            ptr: self.ptr,
-            pitch: self.pitch,
-            halo: self.halo,
-            len: self.len,
-            _borrow: std::marker::PhantomData,
-        }
-    }
+/// The refusal of a row accessor. It takes only the stencil offset, which
+/// is a constant at almost every call site, and takes it as scalars (an
+/// array argument would be built in memory ahead of the check): a kernel
+/// that reads many windows keeps nothing extra alive for its cold paths.
+#[cold]
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn row_outside(what: &str, f: usize, di: isize, dj: isize, dk: isize, rank: usize, w: usize) -> ! {
+    let d = &[di, dj, dk][..rank];
+    panic!("{what} {f}: row of {w} at offset {d:?} outside the padded extent")
 }
+
+// ---------------------------------------------------------------------------
+// Accessors
+// ---------------------------------------------------------------------------
 
 /// Kernel accessor for the *output* datasets at the current point.
 pub struct Out2<'a, T> {
-    views: &'a [WView2<T>],
+    views: &'a [WView<T>],
     names: &'a [String],
     i: isize,
     j: isize,
@@ -291,7 +377,7 @@ pub struct Out2<'a, T> {
 
 impl<'a, T> Out2<'a, T> {
     #[inline]
-    pub(crate) fn at(views: &'a [WView2<T>], names: &'a [String], i: isize, j: isize) -> Self {
+    pub(crate) fn at(views: &'a [WView<T>], names: &'a [String], i: isize, j: isize) -> Self {
         Out2 {
             views,
             names,
@@ -303,36 +389,36 @@ impl<'a, T> Out2<'a, T> {
 }
 
 impl<T: Copy> Out2<'_, T> {
+    /// Output `f` at the current point, noted as a `kind` access.
+    #[inline]
+    fn slot(&self, f: usize, kind: OutKind) -> *mut T {
+        let p = [self.i, self.j, 0];
+        let Some(ptr) = self.views[f].at::<2>(p, 1) else {
+            outside("output", f, self.names, self.i, self.j)
+        };
+        if self.recording {
+            access::note_out(f, kind);
+        }
+        ptr
+    }
+
     /// Write output dataset `f` at the current point.
     #[inline]
     pub fn set(&mut self, f: usize, v: T) {
-        debug_assert!(
-            self.views[f].in_bounds(self.i, self.j),
-            "output {f} ('{}'): write at point ({},{}) outside the padded extent",
-            self.names.get(f).map_or("?", |s| s.as_str()),
-            self.i,
-            self.j
-        );
-        if self.recording {
-            access::note_out(f, OutKind::Wrote);
-        }
-        self.views[f].write(self.i, self.j, v);
+        let p = self.slot(f, OutKind::Wrote);
+        // SAFETY: `slot` checked the point; disjointness across threads is
+        // guaranteed by the driver's iteration-space partition (see
+        // [`WView`]); exclusivity vs. other code by the `&mut` borrows.
+        unsafe { *p = v }
     }
 
     /// Read output dataset `f` at the current point (read-modify-write).
     #[inline]
     pub fn get(&self, f: usize) -> T {
-        debug_assert!(
-            self.views[f].in_bounds(self.i, self.j),
-            "output {f} ('{}'): read-back at point ({},{}) outside the padded extent",
-            self.names.get(f).map_or("?", |s| s.as_str()),
-            self.i,
-            self.j
-        );
-        if self.recording {
-            access::note_out(f, OutKind::ReadBack);
-        }
-        self.views[f].read(self.i, self.j)
+        let p = self.slot(f, OutKind::ReadBack);
+        // SAFETY: as in `set`; reading the current point that only this
+        // thread may write.
+        unsafe { *p }
     }
 }
 
@@ -340,24 +426,15 @@ impl Out2<'_, f64> {
     /// Accumulate into output dataset `f` at the current point.
     #[inline]
     pub fn add(&mut self, f: usize, v: f64) {
-        debug_assert!(
-            self.views[f].in_bounds(self.i, self.j),
-            "output {f} ('{}'): increment at point ({},{}) outside the padded extent",
-            self.names.get(f).map_or("?", |s| s.as_str()),
-            self.i,
-            self.j
-        );
-        if self.recording {
-            access::note_out(f, OutKind::Inced);
-        }
-        let cur = self.views[f].read(self.i, self.j);
-        self.views[f].write(self.i, self.j, cur + v);
+        let p = self.slot(f, OutKind::Inced);
+        // SAFETY: as in `set`.
+        unsafe { *p += v }
     }
 }
 
 /// Kernel accessor for the *input* datasets: relative stencil reads.
 pub struct In2<'a, T> {
-    views: &'a [RView2<'a, T>],
+    views: &'a [RView<'a, T>],
     names: &'a [String],
     i: isize,
     j: isize,
@@ -367,7 +444,7 @@ pub struct In2<'a, T> {
 
 impl<'a, T> In2<'a, T> {
     #[inline]
-    pub(crate) fn at(views: &'a [RView2<'a, T>], names: &'a [String], i: isize, j: isize) -> Self {
+    pub(crate) fn at(views: &'a [RView<'a, T>], names: &'a [String], i: isize, j: isize) -> Self {
         In2 {
             views,
             names,
@@ -382,236 +459,346 @@ impl<T: Copy> In2<'_, T> {
     /// Read input dataset `f` at offset `(di, dj)` from the current point.
     #[inline]
     pub fn get(&self, f: usize, di: isize, dj: isize) -> T {
-        debug_assert!(
-            self.views[f].in_bounds(self.i + di, self.j + dj),
-            "input {f} ('{}'): stencil offset ({di},{dj}) at point ({},{}) outside the padded extent",
-            self.names.get(f).map_or("?", |s| s.as_str()),
-            self.i,
-            self.j
-        );
+        let p = [self.i + di, self.j + dj, 0];
+        let Some(&[v]) = self.views[f].slice::<2>(p, 1) else {
+            outside("input", f, self.names, p[0], p[1])
+        };
         if self.recording {
             access::note_read(f, di, dj, 0);
         }
-        self.views[f].read(self.i + di, self.j + dj)
+        v
     }
 }
 
-/// Kernel accessor handing out whole contiguous *rows* of the output
-/// datasets: the slice fast path.
+/// Kernel accessor handing out whole contiguous `i`-rows of the output
+/// datasets: the slice fast path, one kernel call per row `(j, k)` of a
+/// rank-`D` loop (`k = 0` in 2-D).
 ///
-/// Where [`Out2`] funnels every store through a per-point bounds check and
-/// view indirection, `RowOut2::row` does one bounds check per row and then
-/// exposes the raw `&mut [T]` slice, which lets kernels iterate with slice
-/// zips the compiler can autovectorize.
-pub struct RowOut2<'a, T> {
-    views: &'a [WView2<T>],
-    i0: isize,
-    width: usize,
-    j: isize,
+/// Where [`Out2`] funnels every store through a per-point check and view
+/// indirection, `row` does one offset computation and one extent check per
+/// row and then exposes the raw `&mut [T]` slice, which lets kernels
+/// iterate with slice zips the compiler can autovectorize.
+pub struct RowOut<'a, T, const D: usize> {
+    views: &'a [WView<T>],
+    at: RowAt,
 }
 
-impl<'a, T> RowOut2<'a, T> {
+/// Where one row kernel call is: the row `[i0, i0 + width)` at `(j, k)`
+/// (`k = 0` in 2-D), and [`access::recording_active`] as the driver read
+/// it once per loop (see [`Out2`]'s field of the same name).
+#[derive(Clone, Copy)]
+pub(crate) struct RowAt {
+    pub(crate) i0: isize,
+    pub(crate) width: usize,
+    pub(crate) j: isize,
+    pub(crate) k: isize,
+    pub(crate) recording: bool,
+}
+
+/// Row-slice output accessor of a 2-D loop.
+pub type RowOut2<'a, T> = RowOut<'a, T, 2>;
+/// Row-slice output accessor of a 3-D loop.
+pub type RowOut3<'a, T> = RowOut<'a, T, 3>;
+
+impl<'a, T, const D: usize> RowOut<'a, T, D> {
     #[inline]
-    pub(crate) fn at(views: &'a [WView2<T>], i0: isize, width: usize, j: isize) -> Self {
-        RowOut2 {
-            views,
-            i0,
-            width,
-            j,
-        }
+    pub(crate) fn at(views: &'a [WView<T>], at: RowAt) -> Self {
+        RowOut { views, at }
     }
 }
 
-impl<T: Copy> RowOut2<'_, T> {
+impl<T: Copy, const D: usize> RowOut<'_, T, D> {
     /// The current row `[i0, i1)` of output dataset `f` as a mutable slice.
     #[inline]
     pub fn row(&mut self, f: usize) -> &mut [T] {
-        if access::recording_active() {
-            access::note_out(f, OutKind::Wrote);
-        }
-        let v = &self.views[f];
-        let base = v.index(self.i0, self.j);
-        assert!(
-            base + self.width <= v.len,
-            "row at j={} overruns dataset storage",
-            self.j
-        );
-        // SAFETY: bounds checked above; rows are disjoint across threads
-        // because drivers partition by `j`, and `&mut self` prevents a kernel
-        // from holding two slices of the same dataset at once.
-        unsafe { std::slice::from_raw_parts_mut(v.ptr.add(base), self.width) }
+        let [r] = self.rows([f]);
+        r
     }
 
     /// Rows of two *distinct* output datasets simultaneously (for kernels
     /// updating several fields in one sweep).
     #[inline]
     pub fn rows2(&mut self, f0: usize, f1: usize) -> (&mut [T], &mut [T]) {
-        assert_ne!(f0, f1, "rows2 requires two distinct output datasets");
-        if access::recording_active() {
-            access::note_out(f0, OutKind::Wrote);
-            access::note_out(f1, OutKind::Wrote);
-        }
-        let (v0, v1) = (&self.views[f0], &self.views[f1]);
-        debug_assert!(
-            !std::ptr::eq(v0.ptr, v1.ptr),
-            "output datasets must not alias"
-        );
-        let b0 = v0.index(self.i0, self.j);
-        let b1 = v1.index(self.i0, self.j);
-        assert!(b0 + self.width <= v0.len && b1 + self.width <= v1.len);
-        // SAFETY: as in `row`; the two slices come from different
-        // allocations (outs are distinct `&mut Dat2`).
-        unsafe {
-            (
-                std::slice::from_raw_parts_mut(v0.ptr.add(b0), self.width),
-                std::slice::from_raw_parts_mut(v1.ptr.add(b1), self.width),
-            )
-        }
+        let [r0, r1] = self.rows([f0, f1]);
+        (r0, r1)
     }
 
     /// Rows of three distinct output datasets simultaneously.
     #[inline]
     pub fn rows3(&mut self, f0: usize, f1: usize, f2: usize) -> (&mut [T], &mut [T], &mut [T]) {
-        assert!(
-            f0 != f1 && f0 != f2 && f1 != f2,
-            "rows3 requires three distinct output datasets"
-        );
-        if access::recording_active() {
-            access::note_out(f0, OutKind::Wrote);
-            access::note_out(f1, OutKind::Wrote);
-            access::note_out(f2, OutKind::Wrote);
-        }
-        let (v0, v1, v2) = (&self.views[f0], &self.views[f1], &self.views[f2]);
-        let b0 = v0.index(self.i0, self.j);
-        let b1 = v1.index(self.i0, self.j);
-        let b2 = v2.index(self.i0, self.j);
-        assert!(
-            b0 + self.width <= v0.len && b1 + self.width <= v1.len && b2 + self.width <= v2.len
-        );
-        // SAFETY: as in `row`; distinct allocations.
-        unsafe {
-            (
-                std::slice::from_raw_parts_mut(v0.ptr.add(b0), self.width),
-                std::slice::from_raw_parts_mut(v1.ptr.add(b1), self.width),
-                std::slice::from_raw_parts_mut(v2.ptr.add(b2), self.width),
-            )
-        }
+        let [r0, r1, r2] = self.rows([f0, f1, f2]);
+        (r0, r1, r2)
     }
-}
 
-/// Input accessor handing out whole contiguous rows at stencil offsets.
-pub struct RowIn2<'a, T> {
-    views: &'a [RView2<'a, T>],
-    i0: isize,
-    width: usize,
-    j: isize,
-}
+    /// Forced inline: out of line, the rows' lengths are lost to the
+    /// kernel, which then keeps a bounds check per element.
+    #[inline(always)]
+    fn rows<const N: usize>(&mut self, fs: [usize; N]) -> [&mut [T]; N] {
+        for (a, &fa) in fs.iter().enumerate() {
+            for &fb in &fs[a + 1..] {
+                let distinct = !std::ptr::eq(self.views[fa].ptr, self.views[fb].ptr);
+                assert!(distinct, "rows{N} requires {N} distinct output datasets");
+            }
+        }
+        // SAFETY: `row_ptr` checked each row; rows are disjoint across
+        // threads because drivers partition by outer index, the rows handed
+        // out together belong to distinct datasets (asserted above), and
+        // `&mut self` prevents a kernel from holding two slices of the same
+        // row at once.
+        fs.map(|f| unsafe { std::slice::from_raw_parts_mut(self.row_ptr(f), self.at.width) })
+    }
 
-impl<'a, T> RowIn2<'a, T> {
+    /// Output `f`'s current row, checked against its extent and noted as
+    /// written.
     #[inline]
-    pub(crate) fn at(views: &'a [RView2<'a, T>], i0: isize, width: usize, j: isize) -> Self {
-        RowIn2 {
-            views,
-            i0,
-            width,
-            j,
+    fn row_ptr(&self, f: usize) -> *mut T {
+        if self.at.recording {
+            access::note_out(f, OutKind::Wrote);
         }
+        let p = [self.at.i0, self.at.j, self.at.k];
+        let Some(ptr) = self.views[f].at::<D>(p, self.at.width) else {
+            row_outside("output", f, 0, 0, 0, D, self.at.width)
+        };
+        ptr
     }
 }
 
-impl<'a, T: Copy> RowIn2<'a, T> {
+/// Input accessor handing out whole contiguous `i`-rows at stencil offsets
+/// (see [`RowOut`]).
+pub struct RowIn<'a, T, const D: usize> {
+    views: &'a [RView<'a, T>],
+    at: RowAt,
+}
+
+/// Row-slice input accessor of a 2-D loop.
+pub type RowIn2<'a, T> = RowIn<'a, T, 2>;
+/// Row-slice input accessor of a 3-D loop.
+pub type RowIn3<'a, T> = RowIn<'a, T, 3>;
+
+impl<'a, T, const D: usize> RowIn<'a, T, D> {
+    #[inline]
+    pub(crate) fn at(views: &'a [RView<'a, T>], at: RowAt) -> Self {
+        RowIn { views, at }
+    }
+}
+
+impl<'a, T: Copy, const D: usize> RowIn<'a, T, D> {
     /// The current row of input dataset `f`.
     #[inline]
     pub fn row(&self, f: usize) -> &'a [T] {
-        self.row_off(f, 0, 0)
+        self.window(f, [0; 3])
     }
 
+    /// Input `f`'s row at stencil offset `d`, with the width of the output
+    /// rows. Element `x` sits at offset `d` from point `(i0 + x, j, k)`, so
+    /// one note covers the whole row exactly.
+    #[inline]
+    fn window(&self, f: usize, d: [isize; 3]) -> &'a [T] {
+        if self.at.recording {
+            access::note_read(f, d[0], d[1], d[2]);
+        }
+        let p = [self.at.i0 + d[0], self.at.j + d[1], self.at.k + d[2]];
+        let Some(row) = self.views[f].slice::<D>(p, self.at.width) else {
+            row_outside("input", f, d[0], d[1], d[2], D, self.at.width)
+        };
+        row
+    }
+}
+
+impl<'a, T: Copy> RowIn<'a, T, 2> {
     /// The row of input dataset `f` starting at offset `(di, dj)` from
     /// `(i0, j)`, with the same width as the output rows: element `x` of
     /// the returned slice is the value at `(i0 + di + x, j + dj)`.
     #[inline]
     pub fn row_off(&self, f: usize, di: isize, dj: isize) -> &'a [T] {
-        // Element `x` of the returned slice sits at offset `(di, dj)` from
-        // point `(i0 + x, j)`, so one note covers the whole row exactly.
-        if access::recording_active() {
-            access::note_read(f, di, dj, 0);
-        }
-        let v = &self.views[f];
-        let ii = self.i0 + di + v.halo;
-        let jj = self.j + dj + v.halo;
-        debug_assert!(
-            ii >= 0 && jj >= 0,
-            "row read at offset ({di},{dj}) before halo start"
-        );
-        let base = jj as usize * v.pitch + ii as usize;
-        assert!(
-            base + self.width <= v.len,
-            "row read at offset ({di},{dj}) overruns dataset storage"
-        );
-        // SAFETY: bounds-checked above; shared access for `'a` (see RView2).
-        unsafe { std::slice::from_raw_parts(v.ptr.add(base), self.width) }
+        self.window(f, [di, dj, 0])
+    }
+}
+
+impl<'a, T: Copy> RowIn<'a, T, 3> {
+    /// The row of input dataset `f` at stencil offset `(di, dj, dk)`:
+    /// element `x` is the value at `(i0 + di + x, j + dj, k + dk)`.
+    #[inline]
+    pub fn row_off(&self, f: usize, di: isize, dj: isize, dk: isize) -> &'a [T] {
+        self.window(f, [di, dj, dk])
     }
 }
 
 // ---------------------------------------------------------------------------
-// 2-D drivers
+// Harness and scheduling
 // ---------------------------------------------------------------------------
 
 /// Target points per scheduled chunk: coarse enough that task dispatch is
-/// amortized, fine enough to load-balance (rows are grouped to at least
-/// this many points in Rayon mode).
+/// amortized, fine enough to load-balance (outer indices are grouped to at
+/// least this many points in Rayon mode, and at most 512 per chunk).
 const CHUNK_POINTS: usize = 1 << 13;
 
-/// Rows per scheduling chunk for a loop `width` points wide.
-#[inline]
-pub(crate) fn chunk_rows(width: isize) -> usize {
-    (CHUNK_POINTS / (width.max(1) as usize)).clamp(1, 512)
+/// The `combine` of a loop that produces nothing to fold.
+pub(crate) const NO_FOLD: Option<&fn((), ())> = None;
+
+/// One loop a harness run accounts for: a plain driver's loop, or one
+/// member of a fused group.
+pub(crate) struct Member<'a> {
+    pub(crate) name: &'a str,
+    /// Datasets it touches per point (outputs + inputs).
+    pub(crate) fields: usize,
+    pub(crate) flops_per_point: f64,
 }
 
-fn meta2<T: Copy>(d: &Dat2<T>) -> access::ArgMeta {
-    access::ArgMeta {
-        name: d.name().to_string(),
-        halo: d.halo() as isize,
-        extent: (d.nx(), d.ny(), 1),
-        elem_bytes: std::mem::size_of::<T>(),
+/// What every driver shares around its per-outer-index `item`: the
+/// recording session (which forces Serial), the empty-range shortcut, the
+/// [`bwb_trace::Cat::Loop`] span named `label`, the timer, and one
+/// [`Profile`] record per member — a fused group's measured seconds split
+/// across members in proportion to their modelled traffic, so per-loop
+/// records stay comparable with unfused runs. `args` gives the recording's
+/// output and input metadata; it is called only while recording.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run<T, R, I, C, const D: usize>(
+    profile: &mut Profile,
+    mode: ExecMode,
+    range: Range3,
+    label: &str,
+    members: &[Member],
+    args: &dyn Fn() -> (Vec<ArgMeta>, Vec<ArgMeta>),
+    identity: R,
+    item: I,
+    combine: Option<&C>,
+) -> R
+where
+    R: Clone + Send + Sync,
+    I: Fn(isize) -> R + Sync,
+    C: Fn(R, R) -> R + Sync,
+{
+    let recording = access::recording_active();
+    let mode = if recording { ExecMode::Serial } else { mode };
+    if recording {
+        let (outs, ins) = args();
+        let r = range;
+        access::begin_loop(
+            label,
+            D as u8,
+            [r.i0, r.i1, r.j0, r.j1, r.k0, r.k1],
+            outs,
+            ins,
+        );
+    }
+    let points = range.points();
+    let fields: usize = members.iter().map(|m| m.fields).sum();
+    let elem = std::mem::size_of::<T>();
+    let (result, seconds) = if points == 0 {
+        (identity, 0.0)
+    } else {
+        let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, label);
+        let t0 = Instant::now();
+        let result = schedule::<R, I, C, D>(mode, &range, identity, item, combine);
+        let seconds = t0.elapsed().as_secs_f64();
+        tspan.set_args(
+            (points * fields * elem) as f64,
+            points as f64 * members.iter().map(|m| m.flops_per_point).sum::<f64>(),
+            points as f64,
+        );
+        (result, seconds)
+    };
+    if recording {
+        access::end_loop();
+    }
+    for m in members {
+        let secs = match (members.len(), points * fields) {
+            (1, _) => seconds,
+            (_, 0) => 0.0,
+            (_, total) => seconds * (points * m.fields) as f64 / total as f64,
+        };
+        profile.record(
+            m.name,
+            points,
+            points * m.fields * elem,
+            points as f64 * m.flops_per_point,
+            secs,
+        );
+    }
+    result
+}
+
+/// Run `item` over the outer index of a rank-`D` loop — `j` in 2-D, `k` in
+/// 3-D — in order (Serial) or in chunks of at least [`CHUNK_POINTS`] points
+/// (Rayon). With `combine`, results fold from `identity` in order (Serial)
+/// or per chunk and then across chunks in chunk order (Rayon), so a
+/// reduction's tree depends only on the range; without, `item` returns `()`.
+fn schedule<R, I, C, const D: usize>(
+    mode: ExecMode,
+    range: &Range3,
+    identity: R,
+    item: I,
+    combine: Option<&C>,
+) -> R
+where
+    R: Clone + Send + Sync,
+    I: Fn(isize) -> R + Sync,
+    C: Fn(R, R) -> R + Sync,
+{
+    let (outer, slice_points) = if D == 2 {
+        (range.j0..range.j1, range.i1 - range.i0)
+    } else {
+        (
+            range.k0..range.k1,
+            (range.i1 - range.i0) * (range.j1 - range.j0),
+        )
+    };
+    // Only Rayon needs the grain; Serial skips the division.
+    let grain = || (CHUNK_POINTS / slice_points.max(1) as usize).clamp(1, 512);
+    match (mode, combine) {
+        (ExecMode::Serial, None) => {
+            outer.for_each(|x| {
+                item(x);
+            });
+            identity
+        }
+        (ExecMode::Serial, Some(c)) => outer.fold(identity, |acc, x| c(acc, item(x))),
+        (ExecMode::Rayon, None) => {
+            outer.into_par_iter().with_min_len(grain()).for_each(|x| {
+                item(x);
+            });
+            identity
+        }
+        (ExecMode::Rayon, Some(c)) => outer
+            .into_par_iter()
+            .with_min_len(grain())
+            .map(item)
+            .reduce(|| identity.clone(), c),
     }
 }
 
-fn out_names2<T: Copy>(outs: &[&mut Dat2<T>]) -> Vec<String> {
-    outs.iter().map(|d| d.name().to_string()).collect()
+/// The rows of outer index `outer` of a rank-`D` loop: the one row
+/// `(outer, 0)` in 2-D, the plane's rows `(j0..j1, outer)` in 3-D.
+#[inline]
+pub(crate) fn rows_of<const D: usize>(
+    range: &Range3,
+    outer: isize,
+    recording: bool,
+) -> impl Iterator<Item = RowAt> {
+    let (js, k) = if D == 2 {
+        (outer..outer + 1, 0)
+    } else {
+        (range.j0..range.j1, outer)
+    };
+    let (i0, width) = (range.i0, (range.i1 - range.i0).max(0) as usize);
+    js.map(move |j| RowAt {
+        i0,
+        width,
+        j,
+        k,
+        recording,
+    })
 }
 
-fn in_names2<T: Copy>(ins: &[&Dat2<T>]) -> Vec<String> {
-    ins.iter().map(|d| d.name().to_string()).collect()
-}
+// ---------------------------------------------------------------------------
+// Drivers
+// ---------------------------------------------------------------------------
 
-fn wviews2<T: Copy>(outs: &mut [&mut Dat2<T>]) -> Vec<WView2<T>> {
-    outs.iter_mut()
-        .map(|d| {
-            let (pitch, halo, _nx, _ny, len) = d.geometry();
-            WView2 {
-                ptr: d.raw_mut().as_mut_ptr(),
-                pitch,
-                halo: halo as isize,
-                len,
-            }
-        })
-        .collect()
-}
-
-pub(crate) fn rviews2<'a, T: Copy>(ins: &'a [&'a Dat2<T>]) -> Vec<RView2<'a, T>> {
-    ins.iter()
-        .map(|d| {
-            let data = d.raw();
-            RView2 {
-                ptr: data.as_ptr(),
-                pitch: d.pitch(),
-                halo: d.halo() as isize,
-                len: data.len(),
-                _borrow: std::marker::PhantomData,
-            }
-        })
-        .collect()
+fn metas<'d, T: Copy + 'd, F: Field<T, D> + 'd, const D: usize>(
+    ds: impl Iterator<Item = &'d F>,
+) -> Vec<ArgMeta> {
+    ds.map(|d| d.meta()).collect()
 }
 
 /// Execute a 2-D stencil loop.
@@ -635,73 +822,50 @@ pub fn par_loop2<T, F>(
     T: Copy + Send + Sync,
     F: Fn(isize, isize, &mut Out2<T>, &In2<T>) + Sync,
 {
-    let bytes_per_point = (outs.len() + ins.len()) * std::mem::size_of::<T>();
-    // Checked-execution mode: run serially and log every kernel access.
     let recording = access::recording_active();
-    let mode = if recording { ExecMode::Serial } else { mode };
-    if recording {
-        access::begin_loop(
-            name,
-            2,
-            [range.i0, range.i1, range.j0, range.j1, 0, 1],
-            outs.iter().map(|d| meta2(d)).collect(),
-            ins.iter().map(|d| meta2(d)).collect(),
-        );
-    }
-    // View construction and profile bookkeeping stay outside the timed
-    // region: recorded seconds cover the loop body only.
-    let seconds = if range.is_empty() {
-        0.0
-    } else {
-        let out_names = out_names2(outs);
-        let in_names = in_names2(ins);
-        let w = wviews2(outs);
-        let r = rviews2(ins);
-        let body = |j: isize| {
-            for i in range.i0..range.i1 {
-                let mut out = Out2 {
-                    views: &w,
-                    names: &out_names,
-                    i,
-                    j,
-                    recording,
-                };
-                let inp = In2 {
-                    views: &r,
-                    names: &in_names,
-                    i,
-                    j,
-                    recording,
-                };
-                kernel(i, j, &mut out, &inp);
-            }
-        };
-        let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-        let t0 = Instant::now();
-        match mode {
-            ExecMode::Serial => (range.j0..range.j1).for_each(body),
-            ExecMode::Rayon => (range.j0..range.j1)
-                .into_par_iter()
-                .with_min_len(chunk_rows(range.i1 - range.i0))
-                .for_each(body),
+    let out_names: Vec<String> = outs.iter().map(|d| d.name().to_string()).collect();
+    let in_names: Vec<String> = ins.iter().map(|d| d.name().to_string()).collect();
+    let w: Vec<WView<T>> = outs.iter_mut().map(|d| WView::of(&mut **d)).collect();
+    let r: Vec<RView<T>> = ins.iter().map(|d| RView::of(*d)).collect();
+    // A `move` closure holds the flag and the slices by value: loads the
+    // compiler can hoist out of the point loop, and split it on the flag.
+    let (w, r, out_names, in_names, kernel) =
+        (&w[..], &r[..], &out_names[..], &in_names[..], &kernel);
+    let row = move |j: isize| {
+        for i in range.i0..range.i1 {
+            let mut out = Out2 {
+                views: w,
+                names: out_names,
+                i,
+                j,
+                recording,
+            };
+            let inp = In2 {
+                views: r,
+                names: in_names,
+                i,
+                j,
+                recording,
+            };
+            kernel(i, j, &mut out, &inp);
         }
-        let seconds = t0.elapsed().as_secs_f64();
-        tspan.set_args(
-            (range.points() * bytes_per_point) as f64,
-            range.points() as f64 * flops_per_point,
-            range.points() as f64,
-        );
-        seconds
     };
-    if recording {
-        access::end_loop();
-    }
-    profile.record(
+    let member = Member {
         name,
-        range.points(),
-        range.points() * bytes_per_point,
-        range.points() as f64 * flops_per_point,
-        seconds,
+        fields: outs.len() + ins.len(),
+        flops_per_point,
+    };
+    let args = || (metas(outs.iter().map(|d| &**d)), metas(ins.iter().copied()));
+    run::<T, (), _, _, 2>(
+        profile,
+        mode,
+        range.into(),
+        name,
+        &[member],
+        &args,
+        (),
+        row,
+        NO_FOLD,
     );
 }
 
@@ -726,65 +890,91 @@ pub fn par_loop2_rows<T, F>(
     T: Copy + Send + Sync,
     F: Fn(isize, &mut RowOut2<T>, &RowIn2<T>) + Sync,
 {
-    let bytes_per_point = (outs.len() + ins.len()) * std::mem::size_of::<T>();
-    let recording = access::recording_active();
-    let mode = if recording { ExecMode::Serial } else { mode };
-    if recording {
-        access::begin_loop(
-            name,
-            2,
-            [range.i0, range.i1, range.j0, range.j1, 0, 1],
-            outs.iter().map(|d| meta2(d)).collect(),
-            ins.iter().map(|d| meta2(d)).collect(),
-        );
-    }
-    let seconds = if range.is_empty() {
-        0.0
-    } else {
-        let w = wviews2(outs);
-        let r = rviews2(ins);
-        let width = (range.i1 - range.i0) as usize;
-        let body = |j: isize| {
-            let mut out = RowOut2 {
-                views: &w,
-                i0: range.i0,
-                width,
-                j,
-            };
-            let inp = RowIn2 {
-                views: &r,
-                i0: range.i0,
-                width,
-                j,
-            };
-            kernel(j, &mut out, &inp);
-        };
-        let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-        let t0 = Instant::now();
-        match mode {
-            ExecMode::Serial => (range.j0..range.j1).for_each(body),
-            ExecMode::Rayon => (range.j0..range.j1)
-                .into_par_iter()
-                .with_min_len(chunk_rows(range.i1 - range.i0))
-                .for_each(body),
-        }
-        let seconds = t0.elapsed().as_secs_f64();
-        tspan.set_args(
-            (range.points() * bytes_per_point) as f64,
-            range.points() as f64 * flops_per_point,
-            range.points() as f64,
-        );
-        seconds
-    };
-    if recording {
-        access::end_loop();
-    }
-    profile.record(
+    let kernel = |j, _k, out: &mut RowOut2<T>, inp: &RowIn2<T>| kernel(j, out, inp);
+    rows(
+        profile,
         name,
-        range.points(),
-        range.points() * bytes_per_point,
-        range.points() as f64 * flops_per_point,
-        seconds,
+        mode,
+        range.into(),
+        outs,
+        ins,
+        flops_per_point,
+        kernel,
+    );
+}
+
+/// Plane/row fast path for 3-D loops: the kernel is invoked once per
+/// `(j, k)` pair and hands out contiguous `i`-row slices via
+/// [`RowOut3`]/[`RowIn3`], exactly as [`par_loop2_rows`] does in 2-D.
+/// Parallel mode partitions over `k`-planes.
+#[allow(clippy::too_many_arguments)]
+pub fn par_loop3_planes<T, F>(
+    profile: &mut Profile,
+    name: &str,
+    mode: ExecMode,
+    range: Range3,
+    outs: &mut [&mut Dat3<T>],
+    ins: &[&Dat3<T>],
+    flops_per_point: f64,
+    kernel: F,
+) where
+    T: Copy + Send + Sync,
+    F: Fn(isize, isize, &mut RowOut3<T>, &RowIn3<T>) + Sync,
+{
+    rows(
+        profile,
+        name,
+        mode,
+        range,
+        outs,
+        ins,
+        flops_per_point,
+        kernel,
+    );
+}
+
+/// The row drivers of either rank: `kernel(j, k, out, ins)` once per row.
+#[allow(clippy::too_many_arguments)]
+fn rows<T, F, K, const D: usize>(
+    profile: &mut Profile,
+    name: &str,
+    mode: ExecMode,
+    range: Range3,
+    outs: &mut [&mut F],
+    ins: &[&F],
+    flops_per_point: f64,
+    kernel: K,
+) where
+    T: Copy + Send + Sync,
+    F: Field<T, D>,
+    K: Fn(isize, isize, &mut RowOut<T, D>, &RowIn<T, D>) + Sync,
+{
+    let w: Vec<WView<T>> = outs.iter_mut().map(|d| WView::of(&mut **d)).collect();
+    let r: Vec<RView<T>> = ins.iter().map(|d| RView::of(*d)).collect();
+    let recording = access::recording_active();
+    // See `par_loop2` for the `move`.
+    let (w, r, kernel) = (&w[..], &r[..], &kernel);
+    let item = move |outer: isize| {
+        for at in rows_of::<D>(&range, outer, recording) {
+            kernel(at.j, at.k, &mut RowOut::at(w, at), &RowIn::at(r, at));
+        }
+    };
+    let member = Member {
+        name,
+        fields: outs.len() + ins.len(),
+        flops_per_point,
+    };
+    let args = || (metas(outs.iter().map(|d| &**d)), metas(ins.iter().copied()));
+    run::<T, (), _, _, D>(
+        profile,
+        mode,
+        range,
+        name,
+        &[member],
+        &args,
+        (),
+        item,
+        NO_FOLD,
     );
 }
 
@@ -808,32 +998,43 @@ where
     F: Fn(isize, isize, &In2<T>) -> R + Sync,
     C: Fn(R, R) -> R + Sync + Send,
 {
-    let in_names = in_names2(ins);
     let recording = access::recording_active();
-    let row = |j: isize, views: &[RView2<T>]| {
-        let mut acc = identity.clone();
+    let in_names: Vec<String> = ins.iter().map(|d| d.name().to_string()).collect();
+    let r: Vec<RView<T>> = ins.iter().map(|d| RView::of(*d)).collect();
+    // See `par_loop2` for the `move`.
+    let (r, in_names, kernel, combine_ref, id) =
+        (&r[..], &in_names[..], &kernel, &combine, &identity);
+    let row = move |j: isize| {
+        let mut acc = id.clone();
         for i in range.i0..range.i1 {
             let inp = In2 {
-                views,
-                names: &in_names,
+                views: r,
+                names: in_names,
                 i,
                 j,
                 recording,
             };
-            acc = combine(acc, kernel(i, j, &inp));
+            acc = combine_ref(acc, kernel(i, j, &inp));
         }
         acc
     };
-    reduce2(
-        profile,
+    let member = Member {
         name,
+        fields: ins.len(),
+        flops_per_point,
+    };
+    let args = || (Vec::new(), metas(ins.iter().copied()));
+    let range = range.into();
+    run::<T, R, _, _, 2>(
+        profile,
         mode,
         range,
-        ins,
+        name,
+        &[member],
+        &args,
         identity.clone(),
-        flops_per_point,
         row,
-        &combine,
+        Some(&combine),
     )
 }
 
@@ -862,779 +1063,28 @@ where
     F: Fn(isize, R, &RowIn2<T>) -> R + Sync,
     C: Fn(R, R) -> R + Sync + Send,
 {
-    let width = (range.i1 - range.i0).max(0) as usize;
-    let row = |j: isize, views: &[RView2<T>]| {
-        let inp = RowIn2 {
-            views,
-            i0: range.i0,
-            width,
-            j,
-        };
-        kernel(j, identity.clone(), &inp)
-    };
-    reduce2(
+    let kernel = |j, _k, acc, inp: &RowIn2<T>| kernel(j, acc, inp);
+    let range = range.into();
+    rows_reduce(
         profile,
         name,
         mode,
         range,
         ins,
-        identity.clone(),
+        identity,
         flops_per_point,
-        row,
-        &combine,
-    )
-}
-
-/// What the two 2-D reduction drivers share: recording, chunked
-/// scheduling, span and profile accounting around `row(j, views) -> R`.
-#[allow(clippy::too_many_arguments)]
-fn reduce2<T, R, W, C>(
-    profile: &mut Profile,
-    name: &str,
-    mode: ExecMode,
-    range: Range2,
-    ins: &[&Dat2<T>],
-    identity: R,
-    flops_per_point: f64,
-    row: W,
-    combine: &C,
-) -> R
-where
-    T: Copy + Send + Sync,
-    R: Clone + Send + Sync,
-    W: Fn(isize, &[RView2<T>]) -> R + Sync,
-    C: Fn(R, R) -> R + Sync + Send,
-{
-    let bytes_per_point = ins.len() * std::mem::size_of::<T>();
-    let recording = access::recording_active();
-    let mode = if recording { ExecMode::Serial } else { mode };
-    if recording {
-        access::begin_loop(
-            name,
-            2,
-            [range.i0, range.i1, range.j0, range.j1, 0, 1],
-            Vec::new(),
-            ins.iter().map(|d| meta2(d)).collect(),
-        );
-    }
-    let r = rviews2(ins);
-    let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-    let t0 = Instant::now();
-    let result = if range.is_empty() {
-        identity.clone()
-    } else {
-        match mode {
-            ExecMode::Serial => {
-                let mut acc = identity.clone();
-                for j in range.j0..range.j1 {
-                    acc = combine(acc, row(j, &r));
-                }
-                acc
-            }
-            ExecMode::Rayon => (range.j0..range.j1)
-                .into_par_iter()
-                .with_min_len(chunk_rows(range.i1 - range.i0))
-                .map(|j| row(j, &r))
-                .reduce(|| identity.clone(), combine),
-        }
-    };
-    let seconds = t0.elapsed().as_secs_f64();
-    tspan.set_args(
-        (range.points() * bytes_per_point) as f64,
-        range.points() as f64 * flops_per_point,
-        range.points() as f64,
-    );
-    drop(tspan);
-    if recording {
-        access::end_loop();
-    }
-    profile.record(
-        name,
-        range.points(),
-        range.points() * bytes_per_point,
-        range.points() as f64 * flops_per_point,
-        seconds,
-    );
-    result
-}
-
-// ---------------------------------------------------------------------------
-// 3-D drivers
-// ---------------------------------------------------------------------------
-
-/// Write view over one 3-D dataset; same safety discipline as [`WView2`].
-#[derive(Clone, Copy)]
-pub(crate) struct WView3<T> {
-    ptr: *mut T,
-    pitch: usize,
-    slab: usize,
-    halo: isize,
-    len: usize,
-}
-
-// SAFETY: same discipline as `WView2` — exclusive `&mut Dat3` borrow for the
-// loop's duration, disjoint writes across threads per the driver contract.
-unsafe impl<T: Send> Send for WView3<T> {}
-// SAFETY: as above.
-unsafe impl<T: Send> Sync for WView3<T> {}
-
-impl<T: Copy> WView3<T> {
-    /// Is `(i, j, k)` inside the padded allocation? See [`WView2::in_bounds`].
-    #[inline]
-    fn in_bounds(&self, i: isize, j: isize, k: isize) -> bool {
-        let ii = i + self.halo;
-        let jj = j + self.halo;
-        let kk = k + self.halo;
-        ii >= 0
-            && (ii as usize) < self.pitch
-            && jj >= 0
-            && (jj as usize) < self.slab / self.pitch
-            && kk >= 0
-            && (kk as usize) < self.len / self.slab
-    }
-
-    #[inline]
-    fn index(&self, i: isize, j: isize, k: isize) -> usize {
-        let ii = i + self.halo;
-        let jj = j + self.halo;
-        let kk = k + self.halo;
-        debug_assert!(ii >= 0 && jj >= 0 && kk >= 0);
-        let idx = kk as usize * self.slab + jj as usize * self.pitch + ii as usize;
-        assert!(
-            idx < self.len,
-            "write at ({i},{j},{k}) outside dataset storage"
-        );
-        idx
-    }
-
-    #[inline]
-    fn write(&self, i: isize, j: isize, k: isize, v: T) {
-        let idx = self.index(i, j, k);
-        // SAFETY: see WView2::write.
-        unsafe { *self.ptr.add(idx) = v }
-    }
-
-    #[inline]
-    fn read(&self, i: isize, j: isize, k: isize) -> T {
-        let idx = self.index(i, j, k);
-        // SAFETY: see WView2::read.
-        unsafe { *self.ptr.add(idx) }
-    }
-}
-
-/// Read view over one 3-D dataset.
-///
-/// Raw-pointer based (like [`RView2`]) so the fused executor can hold a
-/// read view and a write view of the *same* field — written by one member
-/// loop of a fused group and read (at radius 0) by another — without
-/// overlapping references. Every read is bounds-checked.
-#[derive(Clone, Copy)]
-pub(crate) struct RView3<'a, T> {
-    ptr: *const T,
-    pitch: usize,
-    slab: usize,
-    halo: isize,
-    len: usize,
-    _borrow: std::marker::PhantomData<&'a [T]>,
-}
-
-// SAFETY: RView3 is a read-only view; the underlying storage outlives `'a`
-// and no concurrent writer touches rows a loop reads (driver contract), so
-// it is as thread-safe as `&'a [T]`.
-unsafe impl<T: Sync> Send for RView3<'_, T> {}
-// SAFETY: as above — shared read-only access.
-unsafe impl<T: Sync> Sync for RView3<'_, T> {}
-
-impl<T: Copy> RView3<'_, T> {
-    /// See [`WView3::in_bounds`].
-    #[inline]
-    fn in_bounds(&self, i: isize, j: isize, k: isize) -> bool {
-        let ii = i + self.halo;
-        let jj = j + self.halo;
-        let kk = k + self.halo;
-        ii >= 0
-            && (ii as usize) < self.pitch
-            && jj >= 0
-            && (jj as usize) < self.slab / self.pitch
-            && kk >= 0
-            && (kk as usize) < self.len / self.slab
-    }
-
-    #[inline]
-    fn read(&self, i: isize, j: isize, k: isize) -> T {
-        let ii = i + self.halo;
-        let jj = j + self.halo;
-        let kk = k + self.halo;
-        debug_assert!(ii >= 0 && jj >= 0 && kk >= 0);
-        let idx = kk as usize * self.slab + jj as usize * self.pitch + ii as usize;
-        assert!(
-            idx < self.len,
-            "read at ({i},{j},{k}) outside dataset storage"
-        );
-        // SAFETY: bounds-checked above; the storage outlives `'a` and no
-        // concurrent writer touches the rows a loop reads (driver contract).
-        unsafe { *self.ptr.add(idx) }
-    }
-}
-
-/// Raw base of one 3-D field's storage; the 3-D analogue of
-/// [`FieldView2`], used by the fused executor.
-pub(crate) struct FieldView3<T> {
-    ptr: *mut T,
-    pitch: usize,
-    slab: usize,
-    halo: isize,
-    len: usize,
-}
-
-impl<T: Copy> FieldView3<T> {
-    pub(crate) fn capture(d: &mut Dat3<T>) -> Self {
-        let g = d.geometry();
-        FieldView3 {
-            ptr: d.raw_mut().as_mut_ptr(),
-            pitch: g.pitch,
-            slab: g.slab,
-            halo: g.halo as isize,
-            len: g.len,
-        }
-    }
-
-    pub(crate) fn write_view(&self) -> WView3<T> {
-        WView3 {
-            ptr: self.ptr,
-            pitch: self.pitch,
-            slab: self.slab,
-            halo: self.halo,
-            len: self.len,
-        }
-    }
-
-    pub(crate) fn read_view<'a>(&self) -> RView3<'a, T> {
-        RView3 {
-            ptr: self.ptr,
-            pitch: self.pitch,
-            slab: self.slab,
-            halo: self.halo,
-            len: self.len,
-            _borrow: std::marker::PhantomData,
-        }
-    }
-}
-
-/// Output accessor at the current 3-D point.
-pub struct Out3<'a, T> {
-    views: &'a [WView3<T>],
-    names: &'a [String],
-    i: isize,
-    j: isize,
-    k: isize,
-    /// See [`Out2`]'s field of the same name.
-    recording: bool,
-}
-
-impl<T: Copy> Out3<'_, T> {
-    #[inline]
-    pub fn set(&mut self, f: usize, v: T) {
-        debug_assert!(
-            self.views[f].in_bounds(self.i, self.j, self.k),
-            "output {f} ('{}'): write at point ({},{},{}) outside the padded extent",
-            self.names.get(f).map_or("?", |s| s.as_str()),
-            self.i,
-            self.j,
-            self.k
-        );
-        if self.recording {
-            access::note_out(f, OutKind::Wrote);
-        }
-        self.views[f].write(self.i, self.j, self.k, v);
-    }
-
-    #[inline]
-    pub fn get(&self, f: usize) -> T {
-        debug_assert!(
-            self.views[f].in_bounds(self.i, self.j, self.k),
-            "output {f} ('{}'): read-back at point ({},{},{}) outside the padded extent",
-            self.names.get(f).map_or("?", |s| s.as_str()),
-            self.i,
-            self.j,
-            self.k
-        );
-        if self.recording {
-            access::note_out(f, OutKind::ReadBack);
-        }
-        self.views[f].read(self.i, self.j, self.k)
-    }
-}
-
-/// Input accessor: relative 3-D stencil reads.
-pub struct In3<'a, T> {
-    views: &'a [RView3<'a, T>],
-    names: &'a [String],
-    i: isize,
-    j: isize,
-    k: isize,
-    /// See [`Out2`]'s field of the same name.
-    recording: bool,
-}
-
-impl<T: Copy> In3<'_, T> {
-    #[inline]
-    pub fn get(&self, f: usize, di: isize, dj: isize, dk: isize) -> T {
-        debug_assert!(
-            self.views[f].in_bounds(self.i + di, self.j + dj, self.k + dk),
-            "input {f} ('{}'): stencil offset ({di},{dj},{dk}) at point ({},{},{}) outside the padded extent",
-            self.names.get(f).map_or("?", |s| s.as_str()),
-            self.i,
-            self.j,
-            self.k
-        );
-        if self.recording {
-            access::note_read(f, di, dj, dk);
-        }
-        self.views[f].read(self.i + di, self.j + dj, self.k + dk)
-    }
-}
-
-/// Row-slice output accessor for 3-D loops (see [`RowOut2`]): one
-/// contiguous `i`-row per `(j, k)` kernel invocation.
-pub struct RowOut3<'a, T> {
-    views: &'a [WView3<T>],
-    i0: isize,
-    width: usize,
-    j: isize,
-    k: isize,
-}
-
-impl<'a, T> RowOut3<'a, T> {
-    #[inline]
-    pub(crate) fn at(views: &'a [WView3<T>], i0: isize, width: usize, j: isize, k: isize) -> Self {
-        RowOut3 {
-            views,
-            i0,
-            width,
-            j,
-            k,
-        }
-    }
-}
-
-impl<T: Copy> RowOut3<'_, T> {
-    /// The current `[i0, i1)` row of output dataset `f`.
-    #[inline]
-    pub fn row(&mut self, f: usize) -> &mut [T] {
-        if access::recording_active() {
-            access::note_out(f, OutKind::Wrote);
-        }
-        let v = &self.views[f];
-        let base = v.index(self.i0, self.j, self.k);
-        assert!(
-            base + self.width <= v.len,
-            "row at (j={},k={}) overruns dataset storage",
-            self.j,
-            self.k
-        );
-        // SAFETY: bounds checked above; rows are disjoint across threads
-        // (drivers partition by `k`) and `&mut self` forbids overlapping
-        // slices of one dataset.
-        unsafe { std::slice::from_raw_parts_mut(v.ptr.add(base), self.width) }
-    }
-
-    /// Rows of two distinct output datasets simultaneously.
-    #[inline]
-    pub fn rows2(&mut self, f0: usize, f1: usize) -> (&mut [T], &mut [T]) {
-        assert_ne!(f0, f1, "rows2 requires two distinct output datasets");
-        if access::recording_active() {
-            access::note_out(f0, OutKind::Wrote);
-            access::note_out(f1, OutKind::Wrote);
-        }
-        let (v0, v1) = (&self.views[f0], &self.views[f1]);
-        debug_assert!(
-            !std::ptr::eq(v0.ptr, v1.ptr),
-            "output datasets must not alias"
-        );
-        let b0 = v0.index(self.i0, self.j, self.k);
-        let b1 = v1.index(self.i0, self.j, self.k);
-        assert!(b0 + self.width <= v0.len && b1 + self.width <= v1.len);
-        // SAFETY: as in `row`; distinct allocations.
-        unsafe {
-            (
-                std::slice::from_raw_parts_mut(v0.ptr.add(b0), self.width),
-                std::slice::from_raw_parts_mut(v1.ptr.add(b1), self.width),
-            )
-        }
-    }
-
-    /// Rows of three distinct output datasets simultaneously.
-    #[inline]
-    pub fn rows3(&mut self, f0: usize, f1: usize, f2: usize) -> (&mut [T], &mut [T], &mut [T]) {
-        assert!(
-            f0 != f1 && f0 != f2 && f1 != f2,
-            "rows3 requires three distinct output datasets"
-        );
-        if access::recording_active() {
-            access::note_out(f0, OutKind::Wrote);
-            access::note_out(f1, OutKind::Wrote);
-            access::note_out(f2, OutKind::Wrote);
-        }
-        let (v0, v1, v2) = (&self.views[f0], &self.views[f1], &self.views[f2]);
-        let b0 = v0.index(self.i0, self.j, self.k);
-        let b1 = v1.index(self.i0, self.j, self.k);
-        let b2 = v2.index(self.i0, self.j, self.k);
-        assert!(
-            b0 + self.width <= v0.len && b1 + self.width <= v1.len && b2 + self.width <= v2.len
-        );
-        // SAFETY: as in `row`; distinct allocations.
-        unsafe {
-            (
-                std::slice::from_raw_parts_mut(v0.ptr.add(b0), self.width),
-                std::slice::from_raw_parts_mut(v1.ptr.add(b1), self.width),
-                std::slice::from_raw_parts_mut(v2.ptr.add(b2), self.width),
-            )
-        }
-    }
-}
-
-/// Row-slice input accessor for 3-D loops.
-pub struct RowIn3<'a, T> {
-    views: &'a [RView3<'a, T>],
-    i0: isize,
-    width: usize,
-    j: isize,
-    k: isize,
-}
-
-impl<'a, T> RowIn3<'a, T> {
-    #[inline]
-    pub(crate) fn at(
-        views: &'a [RView3<'a, T>],
-        i0: isize,
-        width: usize,
-        j: isize,
-        k: isize,
-    ) -> Self {
-        RowIn3 {
-            views,
-            i0,
-            width,
-            j,
-            k,
-        }
-    }
-}
-
-impl<'a, T: Copy> RowIn3<'a, T> {
-    /// The current row of input dataset `f`.
-    #[inline]
-    pub fn row(&self, f: usize) -> &'a [T] {
-        self.row_off(f, 0, 0, 0)
-    }
-
-    /// The row of input dataset `f` at stencil offset `(di, dj, dk)`:
-    /// element `x` is the value at `(i0 + di + x, j + dj, k + dk)`.
-    #[inline]
-    pub fn row_off(&self, f: usize, di: isize, dj: isize, dk: isize) -> &'a [T] {
-        // One note covers the whole row (see `RowIn2::row_off`).
-        if access::recording_active() {
-            access::note_read(f, di, dj, dk);
-        }
-        let v = &self.views[f];
-        let ii = self.i0 + di + v.halo;
-        let jj = self.j + dj + v.halo;
-        let kk = self.k + dk + v.halo;
-        debug_assert!(ii >= 0 && jj >= 0 && kk >= 0);
-        let base = kk as usize * v.slab + jj as usize * v.pitch + ii as usize;
-        assert!(
-            base + self.width <= v.len,
-            "row read at offset ({di},{dj},{dk}) overruns dataset storage"
-        );
-        // SAFETY: bounds-checked above; shared access for `'a` (see RView3).
-        unsafe { std::slice::from_raw_parts(v.ptr.add(base), self.width) }
-    }
-}
-
-fn meta3<T: Copy>(d: &Dat3<T>) -> access::ArgMeta {
-    access::ArgMeta {
-        name: d.name().to_string(),
-        halo: d.halo() as isize,
-        extent: (d.nx(), d.ny(), d.nz()),
-        elem_bytes: std::mem::size_of::<T>(),
-    }
-}
-
-fn out_names3<T: Copy>(outs: &[&mut Dat3<T>]) -> Vec<String> {
-    outs.iter().map(|d| d.name().to_string()).collect()
-}
-
-fn in_names3<T: Copy>(ins: &[&Dat3<T>]) -> Vec<String> {
-    ins.iter().map(|d| d.name().to_string()).collect()
-}
-
-fn wviews3<T: Copy>(outs: &mut [&mut Dat3<T>]) -> Vec<WView3<T>> {
-    outs.iter_mut()
-        .map(|d| {
-            let g = d.geometry();
-            WView3 {
-                ptr: d.raw_mut().as_mut_ptr(),
-                pitch: g.pitch,
-                slab: g.slab,
-                halo: g.halo as isize,
-                len: g.len,
-            }
-        })
-        .collect()
-}
-
-pub(crate) fn rviews3<'a, T: Copy>(ins: &'a [&'a Dat3<T>]) -> Vec<RView3<'a, T>> {
-    ins.iter()
-        .map(|d| {
-            let data = d.raw();
-            RView3 {
-                ptr: data.as_ptr(),
-                pitch: d.pitch(),
-                slab: d.slab(),
-                halo: d.halo() as isize,
-                len: data.len(),
-                _borrow: std::marker::PhantomData,
-            }
-        })
-        .collect()
-}
-
-/// Planes per scheduling chunk for a 3-D loop over an
-/// `(i1 - i0) × (j1 - j0)`-point plane (see [`chunk_rows`]).
-pub(crate) fn chunk_planes(width: isize, height: isize) -> usize {
-    let plane_points = (width.max(1) as usize) * (height.max(1) as usize);
-    (CHUNK_POINTS / plane_points).clamp(1, 512)
-}
-
-/// Execute a 3-D stencil loop (parallelized over `k` in Rayon mode,
-/// in chunks of [`chunk_planes`] planes).
-#[allow(clippy::too_many_arguments)]
-pub fn par_loop3<T, F>(
-    profile: &mut Profile,
-    name: &str,
-    mode: ExecMode,
-    range: Range3,
-    outs: &mut [&mut Dat3<T>],
-    ins: &[&Dat3<T>],
-    flops_per_point: f64,
-    kernel: F,
-) where
-    T: Copy + Send + Sync,
-    F: Fn(isize, isize, isize, &mut Out3<T>, &In3<T>) + Sync,
-{
-    let bytes_per_point = (outs.len() + ins.len()) * std::mem::size_of::<T>();
-    let recording = access::recording_active();
-    let mode = if recording { ExecMode::Serial } else { mode };
-    if recording {
-        access::begin_loop(
-            name,
-            3,
-            [range.i0, range.i1, range.j0, range.j1, range.k0, range.k1],
-            outs.iter().map(|d| meta3(d)).collect(),
-            ins.iter().map(|d| meta3(d)).collect(),
-        );
-    }
-    let seconds = if range.is_empty() {
-        0.0
-    } else {
-        let out_names = out_names3(outs);
-        let in_names = in_names3(ins);
-        let w = wviews3(outs);
-        let r = rviews3(ins);
-        let plane = |k: isize| {
-            for j in range.j0..range.j1 {
-                for i in range.i0..range.i1 {
-                    let mut out = Out3 {
-                        views: &w,
-                        names: &out_names,
-                        i,
-                        j,
-                        k,
-                        recording,
-                    };
-                    let inp = In3 {
-                        views: &r,
-                        names: &in_names,
-                        i,
-                        j,
-                        k,
-                        recording,
-                    };
-                    kernel(i, j, k, &mut out, &inp);
-                }
-            }
-        };
-        let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-        let t0 = Instant::now();
-        match mode {
-            ExecMode::Serial => (range.k0..range.k1).for_each(plane),
-            ExecMode::Rayon => (range.k0..range.k1)
-                .into_par_iter()
-                .with_min_len(chunk_planes(range.i1 - range.i0, range.j1 - range.j0))
-                .for_each(plane),
-        }
-        let seconds = t0.elapsed().as_secs_f64();
-        tspan.set_args(
-            (range.points() * bytes_per_point) as f64,
-            range.points() as f64 * flops_per_point,
-            range.points() as f64,
-        );
-        seconds
-    };
-    if recording {
-        access::end_loop();
-    }
-    profile.record(
-        name,
-        range.points(),
-        range.points() * bytes_per_point,
-        range.points() as f64 * flops_per_point,
-        seconds,
-    );
-}
-
-/// Plane/row fast path for 3-D loops: the kernel is invoked once per
-/// `(j, k)` pair and hands out contiguous `i`-row slices via
-/// [`RowOut3`]/[`RowIn3`], exactly as [`par_loop2_rows`] does in 2-D.
-/// Parallel mode partitions over `k`-planes; byte/FLOP accounting is
-/// identical to [`par_loop3`].
-#[allow(clippy::too_many_arguments)]
-pub fn par_loop3_planes<T, F>(
-    profile: &mut Profile,
-    name: &str,
-    mode: ExecMode,
-    range: Range3,
-    outs: &mut [&mut Dat3<T>],
-    ins: &[&Dat3<T>],
-    flops_per_point: f64,
-    kernel: F,
-) where
-    T: Copy + Send + Sync,
-    F: Fn(isize, isize, &mut RowOut3<T>, &RowIn3<T>) + Sync,
-{
-    let bytes_per_point = (outs.len() + ins.len()) * std::mem::size_of::<T>();
-    let width = (range.i1 - range.i0).max(0) as usize;
-    let recording = access::recording_active();
-    let mode = if recording { ExecMode::Serial } else { mode };
-    if recording {
-        access::begin_loop(
-            name,
-            3,
-            [range.i0, range.i1, range.j0, range.j1, range.k0, range.k1],
-            outs.iter().map(|d| meta3(d)).collect(),
-            ins.iter().map(|d| meta3(d)).collect(),
-        );
-    }
-    let seconds = if range.is_empty() {
-        0.0
-    } else {
-        let w = wviews3(outs);
-        let r = rviews3(ins);
-        let plane = |k: isize| {
-            for j in range.j0..range.j1 {
-                let mut out = RowOut3 {
-                    views: &w,
-                    i0: range.i0,
-                    width,
-                    j,
-                    k,
-                };
-                let inp = RowIn3 {
-                    views: &r,
-                    i0: range.i0,
-                    width,
-                    j,
-                    k,
-                };
-                kernel(j, k, &mut out, &inp);
-            }
-        };
-        let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-        let t0 = Instant::now();
-        match mode {
-            ExecMode::Serial => (range.k0..range.k1).for_each(plane),
-            ExecMode::Rayon => (range.k0..range.k1)
-                .into_par_iter()
-                .with_min_len(chunk_planes(range.i1 - range.i0, range.j1 - range.j0))
-                .for_each(plane),
-        }
-        let seconds = t0.elapsed().as_secs_f64();
-        tspan.set_args(
-            (range.points() * bytes_per_point) as f64,
-            range.points() as f64 * flops_per_point,
-            range.points() as f64,
-        );
-        seconds
-    };
-    if recording {
-        access::end_loop();
-    }
-    profile.record(
-        name,
-        range.points(),
-        range.points() * bytes_per_point,
-        range.points() as f64 * flops_per_point,
-        seconds,
-    );
-}
-
-/// 3-D reduction loop.
-#[allow(clippy::too_many_arguments)]
-pub fn par_loop3_reduce<T, R, F, C>(
-    profile: &mut Profile,
-    name: &str,
-    mode: ExecMode,
-    range: Range3,
-    ins: &[&Dat3<T>],
-    identity: R,
-    flops_per_point: f64,
-    kernel: F,
-    combine: C,
-) -> R
-where
-    T: Copy + Send + Sync,
-    R: Clone + Send + Sync,
-    F: Fn(isize, isize, isize, &In3<T>) -> R + Sync,
-    C: Fn(R, R) -> R + Sync + Send,
-{
-    let in_names = in_names3(ins);
-    let recording = access::recording_active();
-    let plane = |k: isize, views: &[RView3<T>]| {
-        let mut acc = identity.clone();
-        for j in range.j0..range.j1 {
-            for i in range.i0..range.i1 {
-                let inp = In3 {
-                    views,
-                    names: &in_names,
-                    i,
-                    j,
-                    k,
-                    recording,
-                };
-                acc = combine(acc, kernel(i, j, k, &inp));
-            }
-        }
-        acc
-    };
-    reduce3(
-        profile,
-        name,
-        mode,
-        range,
-        ins,
-        identity.clone(),
-        flops_per_point,
-        plane,
-        &combine,
+        kernel,
+        combine,
     )
 }
 
 /// 3-D reduction on the plane/row fast path: `kernel(j, k, acc, row)`
 /// folds the contiguous `i`-row at `(j, k)` into the accumulator it is
 /// handed. One accumulator runs through all rows of a plane in ascending
-/// `j`, and planes are combined as in [`par_loop3_reduce`], so a kernel
-/// that folds its row left to right reproduces that driver bit for bit.
+/// `j`, starting from the identity; planes combine in ascending `k` from
+/// the identity (Serial) or per chunk of planes (Rayon). A kernel that
+/// folds its row left to right therefore gives, in Serial mode, a left
+/// fold of each plane in `(j, i)` order, combined plane by plane.
 #[allow(clippy::too_many_arguments)]
 pub fn par_loop3_planes_reduce<T, R, F, C>(
     profile: &mut Profile,
@@ -1653,105 +1103,66 @@ where
     F: Fn(isize, isize, R, &RowIn3<T>) -> R + Sync,
     C: Fn(R, R) -> R + Sync + Send,
 {
-    let width = (range.i1 - range.i0).max(0) as usize;
-    let plane = |k: isize, views: &[RView3<T>]| {
-        let mut acc = identity.clone();
-        for j in range.j0..range.j1 {
-            let inp = RowIn3 {
-                views,
-                i0: range.i0,
-                width,
-                j,
-                k,
-            };
-            acc = kernel(j, k, acc, &inp);
-        }
-        acc
-    };
-    reduce3(
+    rows_reduce(
         profile,
         name,
         mode,
         range,
         ins,
-        identity.clone(),
+        identity,
         flops_per_point,
-        plane,
-        &combine,
+        kernel,
+        combine,
     )
 }
 
-/// What the two 3-D reduction drivers share (see [`reduce2`]), around
-/// `plane(k, views) -> R`.
+/// The row reductions of either rank: one accumulator per outer index,
+/// threaded through its rows in ascending `j`.
 #[allow(clippy::too_many_arguments)]
-fn reduce3<T, R, W, C>(
+fn rows_reduce<T, R, F, K, C, const D: usize>(
     profile: &mut Profile,
     name: &str,
     mode: ExecMode,
     range: Range3,
-    ins: &[&Dat3<T>],
+    ins: &[&F],
     identity: R,
     flops_per_point: f64,
-    plane: W,
-    combine: &C,
+    kernel: K,
+    combine: C,
 ) -> R
 where
     T: Copy + Send + Sync,
     R: Clone + Send + Sync,
-    W: Fn(isize, &[RView3<T>]) -> R + Sync,
+    F: Field<T, D>,
+    K: Fn(isize, isize, R, &RowIn<T, D>) -> R + Sync,
     C: Fn(R, R) -> R + Sync + Send,
 {
-    let bytes_per_point = ins.len() * std::mem::size_of::<T>();
+    let r: Vec<RView<T>> = ins.iter().map(|d| RView::of(*d)).collect();
     let recording = access::recording_active();
-    let mode = if recording { ExecMode::Serial } else { mode };
-    if recording {
-        access::begin_loop(
-            name,
-            3,
-            [range.i0, range.i1, range.j0, range.j1, range.k0, range.k1],
-            Vec::new(),
-            ins.iter().map(|d| meta3(d)).collect(),
-        );
-    }
-    let r = rviews3(ins);
-    let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-    let t0 = Instant::now();
-    let result = if range.is_empty() {
-        identity.clone()
-    } else {
-        match mode {
-            ExecMode::Serial => {
-                let mut acc = identity.clone();
-                for k in range.k0..range.k1 {
-                    acc = combine(acc, plane(k, &r));
-                }
-                acc
-            }
-            ExecMode::Rayon => (range.k0..range.k1)
-                .into_par_iter()
-                .with_min_len(chunk_planes(range.i1 - range.i0, range.j1 - range.j0))
-                .map(|k| plane(k, &r))
-                .reduce(|| identity.clone(), combine),
-        }
+    // See `par_loop2` for the `move`.
+    let (r, kernel, id) = (&r[..], &kernel, &identity);
+    let item = move |outer: isize| {
+        rows_of::<D>(&range, outer, recording).fold(id.clone(), |acc, at| {
+            kernel(at.j, at.k, acc, &RowIn::at(r, at))
+        })
     };
-    let seconds = t0.elapsed().as_secs_f64();
-    tspan.set_args(
-        (range.points() * bytes_per_point) as f64,
-        range.points() as f64 * flops_per_point,
-        range.points() as f64,
-    );
-    drop(tspan);
-    if recording {
-        access::end_loop();
-    }
-    profile.record(
+    let member = Member {
         name,
-        range.points(),
-        range.points() * bytes_per_point,
-        range.points() as f64 * flops_per_point,
-        seconds,
-    );
-    result
+        fields: ins.len(),
+        flops_per_point,
+    };
+    let args = || (Vec::new(), metas(ins.iter().copied()));
+    run::<T, R, _, _, D>(
+        profile,
+        mode,
+        range,
+        name,
+        &[member],
+        &args,
+        identity.clone(),
+        item,
+        Some(&combine),
+    )
 }
 
 #[cfg(test)]
@@ -1960,7 +1371,7 @@ mod tests {
             let mut src = Dat3::<f64>::new("src", 12, 10, 8, 1);
             let mut dst = Dat3::<f64>::new("dst", 12, 10, 8, 1);
             src.init_with(|i, j, k| (i + 2 * j + 3 * k) as f64);
-            par_loop3(
+            par_loop3_planes(
                 &mut prof,
                 "lap3",
                 mode,
@@ -1968,17 +1379,14 @@ mod tests {
                 &mut [&mut dst],
                 &[&src],
                 7.0,
-                |_i, _j, _k, out, ins| {
-                    out.set(
-                        0,
-                        ins.get(0, -1, 0, 0)
-                            + ins.get(0, 1, 0, 0)
-                            + ins.get(0, 0, -1, 0)
-                            + ins.get(0, 0, 1, 0)
-                            + ins.get(0, 0, 0, -1)
-                            + ins.get(0, 0, 0, 1)
-                            - 6.0 * ins.get(0, 0, 0, 0),
-                    );
+                |_j, _k, out, ins| {
+                    let c = ins.row(0);
+                    let (xm, xp) = (ins.row_off(0, -1, 0, 0), ins.row_off(0, 1, 0, 0));
+                    let (ym, yp) = (ins.row_off(0, 0, -1, 0), ins.row_off(0, 0, 1, 0));
+                    let (zm, zp) = (ins.row_off(0, 0, 0, -1), ins.row_off(0, 0, 0, 1));
+                    for (x, o) in out.row(0).iter_mut().enumerate() {
+                        *o = xm[x] + xp[x] + ym[x] + yp[x] + zm[x] + zp[x] - 6.0 * c[x];
+                    }
                 },
             );
             dst
@@ -2000,7 +1408,7 @@ mod tests {
     fn reduce3_counts_points() {
         let mut prof = Profile::new();
         let src = Dat3::<f64>::new("src", 5, 6, 7, 0);
-        let n = par_loop3_reduce(
+        let n = par_loop3_planes_reduce(
             &mut prof,
             "count",
             ExecMode::Rayon,
@@ -2008,9 +1416,191 @@ mod tests {
             &[&src],
             0u64,
             0.0,
-            |_i, _j, _k, _ins| 1u64,
+            |_j, _k, acc, ins| acc + ins.row(0).len() as u64,
             |a, b| a + b,
         );
         assert_eq!(n, 210);
+    }
+
+    /// A 4×4 field of halo 1 (pitch 6) whose values are their storage
+    /// indices, so a wrapped read would show up as a plausible value.
+    fn indexed2() -> Dat2<f64> {
+        let mut d = Dat2::<f64>::new("u", 4, 4, 1);
+        for (x, v) in d.raw_mut().iter_mut().enumerate() {
+            *v = x as f64;
+        }
+        d
+    }
+
+    fn indexed3() -> Dat3<f64> {
+        let mut d = Dat3::<f64>::new("u", 4, 4, 4, 1);
+        for (x, v) in d.raw_mut().iter_mut().enumerate() {
+            *v = x as f64;
+        }
+        d
+    }
+
+    fn read_row2(di: isize, dj: isize) -> Vec<f64> {
+        let src = indexed2();
+        let mut dst = Dat2::<f64>::new("d", 4, 4, 1);
+        let got = std::sync::Mutex::new(Vec::new());
+        par_loop2_rows(
+            &mut Profile::new(),
+            "row_off",
+            ExecMode::Serial,
+            Range2::new(0, 4, 1, 2),
+            &mut [&mut dst],
+            &[&src],
+            0.0,
+            |_j, _out, ins| {
+                got.lock()
+                    .unwrap()
+                    .extend_from_slice(ins.row_off(0, di, dj))
+            },
+        );
+        got.into_inner().unwrap()
+    }
+
+    fn read_row3(di: isize, dj: isize, dk: isize) -> Vec<f64> {
+        let src = indexed3();
+        let mut dst = Dat3::<f64>::new("d", 4, 4, 4, 1);
+        let got = std::sync::Mutex::new(Vec::new());
+        par_loop3_planes(
+            &mut Profile::new(),
+            "row_off",
+            ExecMode::Serial,
+            Range3::new(0, 4, 1, 2, 1, 2),
+            &mut [&mut dst],
+            &[&src],
+            0.0,
+            |_j, _k, _out, ins| {
+                got.lock()
+                    .unwrap()
+                    .extend_from_slice(ins.row_off(0, di, dj, dk))
+            },
+        );
+        got.into_inner().unwrap()
+    }
+
+    #[test]
+    fn row_view_reaches_both_halo_edges() {
+        // Row j = 1 starts at storage index 2·6 + 1 = 13.
+        assert_eq!(read_row2(-1, 0), [12.0, 13.0, 14.0, 15.0]);
+        assert_eq!(read_row2(1, 0), [14.0, 15.0, 16.0, 17.0]);
+        assert_eq!(read_row2(0, -2), [1.0, 2.0, 3.0, 4.0]);
+        // Plane k = 1 - 2 is the low halo plane: index 0·36 + 2·6 + 2 = 14.
+        assert_eq!(read_row3(1, 0, -2), [14.0, 15.0, 16.0, 17.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the padded extent")]
+    fn row_view_refuses_high_side_2d() {
+        // Index 18 is the first element of the next padded row.
+        read_row2(2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the padded extent")]
+    fn row_view_refuses_low_side_2d() {
+        read_row2(-2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the padded extent")]
+    fn row_view_refuses_high_side_3d() {
+        read_row3(2, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the padded extent")]
+    fn row_view_refuses_low_side_3d() {
+        read_row3(-2, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the padded extent")]
+    fn row_view_refuses_plane_past_halo_3d() {
+        // Row j = 5 is past the high halo row; its storage is the first
+        // row of the next plane, inside the allocation.
+        read_row3(0, 4, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the padded extent")]
+    fn row_view_refuses_output_row_past_halo() {
+        let mut dst = Dat2::<f64>::new("d", 4, 4, 1);
+        par_loop2_rows(
+            &mut Profile::new(),
+            "wide",
+            ExecMode::Serial,
+            Range2::new(-1, 5, 0, 1),
+            &mut [&mut dst],
+            &[],
+            0.0,
+            |_j, out, _ins| out.row(0).fill(1.0),
+        );
+        // A row one point wider than the padded pitch.
+        par_loop2_rows(
+            &mut Profile::new(),
+            "wider",
+            ExecMode::Serial,
+            Range2::new(-1, 6, 0, 1),
+            &mut [&mut dst],
+            &[],
+            0.0,
+            |_j, out, _ins| out.row(0).fill(1.0),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "('u'): point (5, 1) outside the padded extent")]
+    fn point_view_refuses_high_side_read() {
+        let src = indexed2();
+        let mut dst = Dat2::<f64>::new("d", 4, 4, 1);
+        par_loop2(
+            &mut Profile::new(),
+            "pt",
+            ExecMode::Serial,
+            Range2::new(0, 4, 1, 2),
+            &mut [&mut dst],
+            &[&src],
+            0.0,
+            |_i, _j, out, ins| out.set(0, ins.get(0, 2, 0)),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the padded extent")]
+    fn point_view_refuses_low_side_write() {
+        let mut dst = Dat2::<f64>::new("d", 4, 4, 1);
+        par_loop2(
+            &mut Profile::new(),
+            "pt",
+            ExecMode::Serial,
+            Range2::new(-2, 0, 0, 1),
+            &mut [&mut dst],
+            &[],
+            0.0,
+            |_i, _j, out, _ins| out.set(0, 1.0),
+        );
+    }
+
+    #[test]
+    fn empty_reduction_returns_identity_and_records() {
+        let mut prof = Profile::new();
+        let src = Dat2::<f64>::new("src", 4, 4, 0);
+        let s = par_loop2_rows_reduce(
+            &mut prof,
+            "none",
+            ExecMode::Rayon,
+            Range2::new(0, 4, 3, 3),
+            &[&src],
+            7.0,
+            1.0,
+            |_j, acc, ins| acc + ins.row(0)[0],
+            |a, b| a + b,
+        );
+        assert_eq!(s, 7.0);
+        assert_eq!(prof.get("none").map(|r| (r.calls, r.points)), Some((1, 0)));
     }
 }

@@ -125,12 +125,6 @@ impl<T: Copy> Dat2<T> {
     pub fn raw_mut(&mut self) -> &mut [T] {
         &mut self.data
     }
-
-    /// Geometry tuple consumed by the executor's write views:
-    /// `(pitch, halo, nx, ny, len)`.
-    pub(crate) fn geometry(&self) -> (usize, usize, usize, usize, usize) {
-        (self.pitch, self.halo, self.nx, self.ny, self.data.len())
-    }
 }
 
 impl Dat2<f64> {
@@ -285,23 +279,6 @@ impl<T: Copy> Dat3<T> {
     pub fn raw_mut(&mut self) -> &mut [T] {
         &mut self.data
     }
-
-    pub(crate) fn geometry(&self) -> Geometry3 {
-        Geometry3 {
-            pitch: self.pitch,
-            slab: self.slab,
-            halo: self.halo,
-            len: self.data.len(),
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Geometry3 {
-    pub pitch: usize,
-    pub slab: usize,
-    pub halo: usize,
-    pub len: usize,
 }
 
 #[cfg(test)]

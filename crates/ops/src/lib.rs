@@ -9,7 +9,15 @@
 //!   with a halo ring of ghost cells;
 //! * [`exec`] — `par_loop` drivers that iterate a rectangular range and
 //!   apply a stencil kernel, serially or thread-parallel (the DSL's
-//!   "OpenMP" backend, implemented with rayon);
+//!   "OpenMP" backend, implemented with rayon). One engine serves both
+//!   ranks — a 2-D loop is the 3-D case with one plane: per-point kernels
+//!   ([`par_loop2`], [`par_loop2_reduce`]) and row kernels over
+//!   [`RowOut`]/[`RowIn`] slices ([`par_loop2_rows`], [`par_loop3_planes`]
+//!   and their `_reduce` forms), every access checked against the
+//!   dataset's padded extent;
+//! * [`optexec`] — plan-certified fused groups ([`fused2_rows`],
+//!   [`fused3_planes`]) and streaming stores ([`par_loop2_rows_nt`]) on
+//!   the same engine;
 //! * [`profile`] — per-loop byte / FLOP accounting, exactly the mechanism
 //!   OPS uses to compute the *achieved effective bandwidth* of Figure 8
 //!   ("measuring the execution time of the kernel ... and estimating the
@@ -69,14 +77,16 @@ pub use access::{
 };
 pub use chain::{Binding, ChainError, ChainSpec, DatDecl, Expr, Step};
 pub use exec::{
-    par_loop2, par_loop2_reduce, par_loop2_rows, par_loop2_rows_reduce, par_loop3,
-    par_loop3_planes, par_loop3_planes_reduce, par_loop3_reduce, ExecMode, In2, In3, Out2, Out3,
-    Range2, Range3, RowIn2, RowIn3, RowOut2, RowOut3,
+    par_loop2, par_loop2_reduce, par_loop2_rows, par_loop2_rows_reduce, par_loop3_planes,
+    par_loop3_planes_reduce, ExecMode, In2, Out2, Range2, Range3, RowIn, RowIn2, RowIn3, RowOut,
+    RowOut2, RowOut3,
 };
 pub use field::{Dat2, Dat3};
 pub use halo::{BitHash, DistBlock2, DistBlock3};
 pub use ntstore::{nt_copy, NtElem};
-pub use optexec::{fused2_rows, fused3_planes, par_loop2_rows_nt, FusedLoop2, FusedLoop3};
+pub use optexec::{
+    fused2_rows, fused3_planes, par_loop2_rows_nt, FusedLoop, FusedLoop2, FusedLoop3,
+};
 pub use plan::{ElisionCert, FusionGroupCert, LoopIr, NtCert, OptPlan, PlanError};
 pub use profile::{LoopRecord, Profile};
 pub use tiling::{ChainLoop2, ChainPlan, LoopChain2, PlannedLoop};

@@ -22,28 +22,32 @@
 
 use crate::access;
 use crate::exec::{
-    chunk_planes, chunk_rows, rviews2, rviews3, ExecMode, FieldView2, FieldView3, RView2, RView3,
-    Range2, Range3, RowIn2, RowIn3, RowOut2, RowOut3, WView2, WView3,
+    rows_of, run, ExecMode, Field, Member, RView, Range2, Range3, RowAt, RowIn, RowIn2, RowIn3,
+    RowOut, RowOut2, RowOut3, WView, NO_FOLD,
 };
 use crate::field::{Dat2, Dat3};
 use crate::ntstore::{nt_copy, NtElem};
 use crate::plan::{OptPlan, PlanError};
 use crate::profile::Profile;
-use rayon::prelude::*;
-use std::time::Instant;
+use std::sync::Mutex;
 
-/// One member of a 2-D fused group: which store fields it writes/reads and
-/// its row kernel (the same shape [`crate::par_loop2_rows`] takes).
-pub struct FusedLoop2<T> {
+/// One member of a fused group: which store fields it writes/reads and its
+/// row kernel `K` (the shape [`crate::par_loop2_rows`] or
+/// [`crate::par_loop3_planes`] takes).
+pub struct FusedLoop<K: ?Sized> {
     pub name: String,
-    /// Indices into the *mutable* store passed to [`fused2_rows`].
+    /// Indices into the *mutable* store passed to the fused executor.
     pub outs: Vec<usize>,
     /// Indices into the combined `[store_mut..., store_ro...]` space.
     pub ins: Vec<usize>,
     pub flops_per_point: f64,
-    #[allow(clippy::type_complexity)]
-    pub kernel: Box<dyn Fn(isize, &mut RowOut2<T>, &RowIn2<T>) + Send + Sync>,
+    pub kernel: Box<K>,
 }
+
+/// One member of a 2-D fused group ([`fused2_rows`]).
+pub type FusedLoop2<T> = FusedLoop<dyn Fn(isize, &mut RowOut2<T>, &RowIn2<T>) + Send + Sync>;
+/// One member of a 3-D fused group ([`fused3_planes`]).
+pub type FusedLoop3<T> = FusedLoop<dyn Fn(isize, isize, &mut RowOut3<T>, &RowIn3<T>) + Send + Sync>;
 
 impl<T> FusedLoop2<T> {
     pub fn new(
@@ -53,7 +57,7 @@ impl<T> FusedLoop2<T> {
         flops_per_point: f64,
         kernel: impl Fn(isize, &mut RowOut2<T>, &RowIn2<T>) + Send + Sync + 'static,
     ) -> Self {
-        FusedLoop2 {
+        FusedLoop {
             name: name.to_string(),
             outs: outs.to_vec(),
             ins: ins.to_vec(),
@@ -61,16 +65,6 @@ impl<T> FusedLoop2<T> {
             kernel: Box::new(kernel),
         }
     }
-}
-
-/// One member of a 3-D fused group (see [`FusedLoop2`]).
-pub struct FusedLoop3<T> {
-    pub name: String,
-    pub outs: Vec<usize>,
-    pub ins: Vec<usize>,
-    pub flops_per_point: f64,
-    #[allow(clippy::type_complexity)]
-    pub kernel: Box<dyn Fn(isize, isize, &mut RowOut3<T>, &RowIn3<T>) + Send + Sync>,
 }
 
 impl<T> FusedLoop3<T> {
@@ -81,7 +75,7 @@ impl<T> FusedLoop3<T> {
         flops_per_point: f64,
         kernel: impl Fn(isize, isize, &mut RowOut3<T>, &RowIn3<T>) + Send + Sync + 'static,
     ) -> Self {
-        FusedLoop3 {
+        FusedLoop {
             name: name.to_string(),
             outs: outs.to_vec(),
             ins: ins.to_vec(),
@@ -89,34 +83,6 @@ impl<T> FusedLoop3<T> {
             kernel: Box::new(kernel),
         }
     }
-}
-
-/// Verify the plan certifies running `names` fused, and that no recording
-/// is active.
-fn check_fusable(plan: &OptPlan, names: &[&str]) -> Result<(), PlanError> {
-    if access::recording_active() {
-        return Err(PlanError::RecordingActive);
-    }
-    if !plan.certifies_fusion(names) {
-        return Err(PlanError::UncertifiedFusion {
-            names: names.iter().map(|s| s.to_string()).collect(),
-        });
-    }
-    Ok(())
-}
-
-/// Split the measured seconds of one fused pass across member loops in
-/// proportion to their modelled traffic (points × field count), so
-/// per-loop profile records stay comparable with unfused runs.
-fn split_seconds(weights: &[usize], total: f64) -> Vec<f64> {
-    let sum: usize = weights.iter().sum();
-    if sum == 0 {
-        return vec![0.0; weights.len()];
-    }
-    weights
-        .iter()
-        .map(|&w| total * (w as f64) / (sum as f64))
-        .collect()
 }
 
 /// Execute a certified fusion group of 2-D row-kernel loops in one
@@ -140,90 +106,18 @@ pub fn fused2_rows<T>(
 where
     T: Copy + Send + Sync,
 {
-    let names: Vec<&str> = loops.iter().map(|l| l.name.as_str()).collect();
-    check_fusable(plan, &names)?;
-    let n_mut = store_mut.len();
-    for l in loops {
-        for &f in &l.outs {
-            assert!(f < n_mut, "loop {:?}: out index {f} outside store", l.name);
-        }
-        for &f in &l.ins {
-            assert!(
-                f < n_mut + store_ro.len(),
-                "loop {:?}: in index {f} outside store",
-                l.name
-            );
-        }
-    }
-    let seconds = if range.is_empty() {
-        0.0
-    } else {
-        let fields: Vec<FieldView2<T>> = store_mut
-            .iter_mut()
-            .map(|d| FieldView2::capture(d))
-            .collect();
-        let ro_views: Vec<RView2<T>> = rviews2(store_ro);
-        // Per-member view subsets over the shared store.
-        let w_subs: Vec<Vec<WView2<T>>> = loops
-            .iter()
-            .map(|l| l.outs.iter().map(|&f| fields[f].write_view()).collect())
-            .collect();
-        let r_subs: Vec<Vec<RView2<T>>> = loops
-            .iter()
-            .map(|l| {
-                l.ins
-                    .iter()
-                    .map(|&f| {
-                        if f < n_mut {
-                            fields[f].read_view()
-                        } else {
-                            ro_views[f - n_mut]
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let width = (range.i1 - range.i0) as usize;
-        let body = |j: isize| {
-            for (l, (w, r)) in loops.iter().zip(w_subs.iter().zip(&r_subs)) {
-                let mut out = RowOut2::at(w, range.i0, width, j);
-                let inp = RowIn2::at(r, range.i0, width, j);
-                (l.kernel)(j, &mut out, &inp);
-            }
-        };
-        let label = names.join("+");
-        let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, &format!("fused:{label}"));
-        let t0 = Instant::now();
-        match mode {
-            ExecMode::Serial => (range.j0..range.j1).for_each(body),
-            ExecMode::Rayon => (range.j0..range.j1)
-                .into_par_iter()
-                .with_min_len(chunk_rows(range.i1 - range.i0))
-                .for_each(body),
-        }
-        let seconds = t0.elapsed().as_secs_f64();
-        let fields_touched: usize = loops.iter().map(|l| l.outs.len() + l.ins.len()).sum();
-        tspan.set_args(
-            (range.points() * fields_touched * std::mem::size_of::<T>()) as f64,
-            range.points() as f64 * loops.iter().map(|l| l.flops_per_point).sum::<f64>(),
-            range.points() as f64,
-        );
-        seconds
-    };
-    let weights: Vec<usize> = loops
-        .iter()
-        .map(|l| range.points() * (l.outs.len() + l.ins.len()))
-        .collect();
-    for (l, secs) in loops.iter().zip(split_seconds(&weights, seconds)) {
-        profile.record(
-            &l.name,
-            range.points(),
-            range.points() * (l.outs.len() + l.ins.len()) * std::mem::size_of::<T>(),
-            range.points() as f64 * l.flops_per_point,
-            secs,
-        );
-    }
-    Ok(())
+    let call =
+        |l: &FusedLoop2<T>, j, _k, out: &mut RowOut2<T>, inp: &RowIn2<T>| (l.kernel)(j, out, inp);
+    fused(
+        profile,
+        mode,
+        range.into(),
+        store_mut,
+        store_ro,
+        loops,
+        plan,
+        call,
+    )
 }
 
 /// Execute a certified fusion group of 3-D plane/row-kernel loops in one
@@ -241,8 +135,39 @@ pub fn fused3_planes<T>(
 where
     T: Copy + Send + Sync,
 {
+    let call =
+        |l: &FusedLoop3<T>, j, k, out: &mut RowOut3<T>, inp: &RowIn3<T>| (l.kernel)(j, k, out, inp);
+    fused(profile, mode, range, store_mut, store_ro, loops, plan, call)
+}
+
+/// The fused executor of either rank: per row `(j, k)`, every member's
+/// kernel in group order, through `call`.
+#[allow(clippy::too_many_arguments)]
+fn fused<T, F, K, C, const D: usize>(
+    profile: &mut Profile,
+    mode: ExecMode,
+    range: Range3,
+    store_mut: &mut [&mut F],
+    store_ro: &[&F],
+    loops: &[FusedLoop<K>],
+    plan: &OptPlan,
+    call: C,
+) -> Result<(), PlanError>
+where
+    T: Copy + Send + Sync,
+    F: Field<T, D>,
+    K: ?Sized + Sync,
+    C: Fn(&FusedLoop<K>, isize, isize, &mut RowOut<T, D>, &RowIn<T, D>) + Sync,
+{
     let names: Vec<&str> = loops.iter().map(|l| l.name.as_str()).collect();
-    check_fusable(plan, &names)?;
+    if access::recording_active() {
+        return Err(PlanError::RecordingActive);
+    }
+    if !plan.certifies_fusion(&names) {
+        return Err(PlanError::UncertifiedFusion {
+            names: names.iter().map(|s| s.to_string()).collect(),
+        });
+    }
     let n_mut = store_mut.len();
     for l in loops {
         for &f in &l.outs {
@@ -256,75 +181,53 @@ where
             );
         }
     }
-    let seconds = if range.is_empty() {
-        0.0
-    } else {
-        let fields: Vec<FieldView3<T>> = store_mut
-            .iter_mut()
-            .map(|d| FieldView3::capture(d))
-            .collect();
-        let ro_views: Vec<RView3<T>> = rviews3(store_ro);
-        let w_subs: Vec<Vec<WView3<T>>> = loops
-            .iter()
-            .map(|l| l.outs.iter().map(|&f| fields[f].write_view()).collect())
-            .collect();
-        let r_subs: Vec<Vec<RView3<T>>> = loops
-            .iter()
-            .map(|l| {
-                l.ins
-                    .iter()
-                    .map(|&f| {
-                        if f < n_mut {
-                            fields[f].read_view()
-                        } else {
-                            ro_views[f - n_mut]
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let width = (range.i1 - range.i0) as usize;
-        let plane = |k: isize| {
-            for j in range.j0..range.j1 {
-                for (l, (w, r)) in loops.iter().zip(w_subs.iter().zip(&r_subs)) {
-                    let mut out = RowOut3::at(w, range.i0, width, j, k);
-                    let inp = RowIn3::at(r, range.i0, width, j, k);
-                    (l.kernel)(j, k, &mut out, &inp);
-                }
-            }
-        };
-        let label = names.join("+");
-        let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, &format!("fused:{label}"));
-        let t0 = Instant::now();
-        match mode {
-            ExecMode::Serial => (range.k0..range.k1).for_each(plane),
-            ExecMode::Rayon => (range.k0..range.k1)
-                .into_par_iter()
-                .with_min_len(chunk_planes(range.i1 - range.i0, range.j1 - range.j0))
-                .for_each(plane),
-        }
-        let seconds = t0.elapsed().as_secs_f64();
-        let fields_touched: usize = loops.iter().map(|l| l.outs.len() + l.ins.len()).sum();
-        tspan.set_args(
-            (range.points() * fields_touched * std::mem::size_of::<T>()) as f64,
-            range.points() as f64 * loops.iter().map(|l| l.flops_per_point).sum::<f64>(),
-            range.points() as f64,
-        );
-        seconds
-    };
-    let weights: Vec<usize> = loops
+    let fields: Vec<WView<T>> = store_mut.iter_mut().map(|d| WView::of(&mut **d)).collect();
+    let ro: Vec<RView<T>> = store_ro.iter().map(|d| RView::of(*d)).collect();
+    // Per-member view subsets over the shared store.
+    let w_subs: Vec<Vec<WView<T>>> = loops
         .iter()
-        .map(|l| range.points() * (l.outs.len() + l.ins.len()))
+        .map(|l| l.outs.iter().map(|&f| fields[f]).collect())
         .collect();
-    for (l, secs) in loops.iter().zip(split_seconds(&weights, seconds)) {
-        profile.record(
-            &l.name,
-            range.points(),
-            range.points() * (l.outs.len() + l.ins.len()) * std::mem::size_of::<T>(),
-            range.points() as f64 * l.flops_per_point,
-            secs,
-        );
-    }
+    let r_subs: Vec<Vec<RView<T>>> = loops
+        .iter()
+        .map(|l| {
+            l.ins
+                .iter()
+                .map(|&f| match f.checked_sub(n_mut) {
+                    None => fields[f].read(),
+                    Some(r) => ro[r],
+                })
+                .collect()
+        })
+        .collect();
+    let item = |outer: isize| {
+        for at in rows_of::<D>(&range, outer, false) {
+            for (l, (w, r)) in loops.iter().zip(w_subs.iter().zip(&r_subs)) {
+                call(l, at.j, at.k, &mut RowOut::at(w, at), &RowIn::at(r, at));
+            }
+        }
+    };
+    let members: Vec<Member> = loops
+        .iter()
+        .map(|l| Member {
+            name: &l.name,
+            fields: l.outs.len() + l.ins.len(),
+            flops_per_point: l.flops_per_point,
+        })
+        .collect();
+    let label = format!("fused:{}", names.join("+"));
+    let args = || unreachable!("fused groups refuse to run while recording");
+    run::<T, (), _, _, D>(
+        profile,
+        mode,
+        range,
+        &label,
+        &members,
+        &args,
+        (),
+        item,
+        NO_FOLD,
+    );
     Ok(())
 }
 
@@ -337,8 +240,8 @@ where
 /// the destination line. Bit-identical to the plain driver (streaming
 /// stores move the same bits). Falls back to the plain driver when nothing
 /// is certified, a recording is active (recordings must see the baseline
-/// schedule), or the range starts at negative `i` (staging geometry cannot
-/// represent it).
+/// schedule), or the range starts at negative `i` or `j` (staging geometry
+/// cannot represent it).
 #[allow(clippy::too_many_arguments)]
 pub fn par_loop2_rows_nt<T, F>(
     profile: &mut Profile,
@@ -354,13 +257,14 @@ pub fn par_loop2_rows_nt<T, F>(
     T: Copy + Send + Sync + Default + NtElem,
     F: Fn(isize, &mut RowOut2<T>, &RowIn2<T>) + Sync,
 {
-    let certified: Vec<bool> = outs
-        .iter()
-        .map(|d| plan.nt_certified(name, d.name()))
+    // Outputs written through staging rows.
+    let streamed: Vec<usize> = (0..outs.len())
+        .filter(|&f| plan.nt_certified(name, outs[f].name()))
         .collect();
-    if !certified.iter().any(|&c| c)
+    if streamed.is_empty()
         || access::recording_active()
         || range.i0 < 0
+        || range.j0 < 0
         || range.is_empty()
     {
         return crate::exec::par_loop2_rows(
@@ -374,89 +278,73 @@ pub fn par_loop2_rows_nt<T, F>(
             kernel,
         );
     }
-    let bytes_per_point = (outs.len() + ins.len()) * std::mem::size_of::<T>();
-    let fields: Vec<FieldView2<T>> = outs.iter_mut().map(|d| FieldView2::capture(d)).collect();
-    let real: Vec<WView2<T>> = fields.iter().map(|f| f.write_view()).collect();
-    let r = rviews2(ins);
-    let width = (range.i1 - range.i0) as usize;
-    let stage_len = (range.i0 as usize) + width;
-    let streamed: Vec<usize> = certified
-        .iter()
-        .enumerate()
-        .filter_map(|(f, &c)| c.then_some(f))
-        .collect();
+    let real: Vec<WView<T>> = outs.iter_mut().map(|d| WView::of(&mut **d)).collect();
+    let r: Vec<RView<T>> = ins.iter().map(|d| RView::of(*d)).collect();
+    let (i0, width) = (range.i0, (range.i1 - range.i0) as usize);
+    let stage_len = i0 as usize + width;
     let make_staging = || -> Vec<Vec<T>> {
         streamed
             .iter()
             .map(|_| vec![T::default(); stage_len])
             .collect()
     };
-    let row_body = |staging: &mut Vec<Vec<T>>, j: isize| {
-        // Certified outputs point at this thread's staging rows; the rest
-        // write straight through.
-        let views: Vec<WView2<T>> = real
-            .iter()
-            .enumerate()
-            .map(|(f, v)| match streamed.iter().position(|&s| s == f) {
-                Some(s) => WView2::staging(staging[s].as_mut_ptr(), stage_len),
-                None => *v,
-            })
-            .collect();
-        {
-            let mut out = RowOut2::at(&views, range.i0, width, j);
-            let inp = RowIn2::at(&r, range.i0, width, j);
-            kernel(j, &mut out, &inp);
-        }
-        for (s, &f) in streamed.iter().enumerate() {
-            let mut real_out = RowOut2::at(&real, range.i0, width, j);
-            nt_copy(&staging[s][range.i0 as usize..stage_len], real_out.row(f));
-        }
-    };
     // Reuse staging rows across iterations through a small pool (the
     // vendored rayon has no per-thread-state combinator): two uncontended
     // lock hops per row against a full row's compute.
-    let pool: std::sync::Mutex<Vec<Vec<Vec<T>>>> = std::sync::Mutex::new(Vec::new());
-    let body = |j: isize| {
+    let pool: Mutex<Vec<Vec<Vec<T>>>> = Mutex::new(Vec::new());
+    let row = |j: isize| {
         let mut staging = pool
             .lock()
             .expect("staging pool")
             .pop()
             .unwrap_or_else(make_staging);
-        row_body(&mut staging, j);
+        // Certified outputs point at this thread's staging rows; the rest
+        // write straight through.
+        let views: Vec<WView<T>> = real
+            .iter()
+            .enumerate()
+            .map(|(f, v)| match streamed.iter().position(|&s| s == f) {
+                Some(s) => WView::staging(staging[s].as_mut_ptr(), stage_len),
+                None => *v,
+            })
+            .collect();
+        let at = RowAt {
+            i0,
+            width,
+            j,
+            k: 0,
+            recording: false,
+        };
+        kernel(j, &mut RowOut::at(&views, at), &RowIn::at(&r, at));
+        for (s, &f) in streamed.iter().enumerate() {
+            let mut real_out = RowOut2::at(&real, at);
+            nt_copy(&staging[s][i0 as usize..], real_out.row(f));
+        }
         pool.lock().expect("staging pool").push(staging);
     };
-    let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-    let t0 = Instant::now();
-    match mode {
-        ExecMode::Serial => {
-            let mut staging = make_staging();
-            (range.j0..range.j1).for_each(|j| row_body(&mut staging, j));
-        }
-        ExecMode::Rayon => (range.j0..range.j1)
-            .into_par_iter()
-            .with_min_len(chunk_rows(range.i1 - range.i0))
-            .for_each(body),
-    }
-    let seconds = t0.elapsed().as_secs_f64();
-    tspan.set_args(
-        (range.points() * bytes_per_point) as f64,
-        range.points() as f64 * flops_per_point,
-        range.points() as f64,
-    );
-    drop(tspan);
-    profile.record(
+    let member = Member {
         name,
-        range.points(),
-        range.points() * bytes_per_point,
-        range.points() as f64 * flops_per_point,
-        seconds,
+        fields: outs.len() + ins.len(),
+        flops_per_point,
+    };
+    let args = || unreachable!("the streaming-store driver falls back while recording");
+    run::<T, (), _, _, 2>(
+        profile,
+        mode,
+        range.into(),
+        name,
+        &[member],
+        &args,
+        (),
+        row,
+        NO_FOLD,
     );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{par_loop2_rows, par_loop3_planes};
+    use crate::exec::{par_loop2_rows, par_loop3_planes, Range2, Range3, RowIn2, RowOut2};
     use crate::plan::{FusionGroupCert, NtCert};
 
     fn plan_with_group(names: &[&str]) -> OptPlan {

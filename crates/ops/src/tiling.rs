@@ -17,7 +17,7 @@
 //!
 //! [Reguly et al. 2017]: https://doi.org/10.1109/TPDS.2017.2778161
 
-use crate::exec::{par_loop2, ExecMode, FieldView2, In2, Out2, Range2};
+use crate::exec::{par_loop2, ExecMode, In2, Out2, Range2, WView};
 use crate::field::Dat2;
 use crate::profile::Profile;
 use rayon::prelude::*;
@@ -291,19 +291,16 @@ impl<T: Copy + Default + Send + Sync + 'static> LoopChain2<T> {
         // Hoist view construction out of the tile × loop hot path: one raw
         // base per field, one write/read view vector per loop.
         let store_names: Vec<String> = store.iter().map(|d| d.name().to_string()).collect();
-        let fields: Vec<FieldView2<T>> = store.iter_mut().map(FieldView2::capture).collect();
+        let fields: Vec<WView<T>> = store.iter_mut().map(WView::of).collect();
         let views: Vec<_> = self
             .loops
             .iter()
             .map(|l| {
                 (
-                    l.outs
-                        .iter()
-                        .map(|&id| fields[id].write_view())
-                        .collect::<Vec<_>>(),
+                    l.outs.iter().map(|&id| fields[id]).collect::<Vec<_>>(),
                     l.ins
                         .iter()
-                        .map(|&id| fields[id].read_view())
+                        .map(|&id| fields[id].read())
                         .collect::<Vec<_>>(),
                     l.outs
                         .iter()

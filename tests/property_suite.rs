@@ -6,8 +6,9 @@ use bwb_core::op2::{
     DatU, ExecModeU, HaloPlan, Map, Set,
 };
 use bwb_core::ops::{
-    par_loop2, par_loop2_rows, par_loop3, par_loop3_planes, Dat2, Dat3, ExecMode, Profile, Range2,
-    Range3,
+    fused2_rows, fused3_planes, par_loop2, par_loop2_rows, par_loop2_rows_nt, par_loop3_planes,
+    Dat2, Dat3, ExecMode, FusedLoop2, FusedLoop3, FusionGroupCert, NtCert, NtElem, OptPlan,
+    Profile, Range2, Range3,
 };
 use bwb_core::shmpi::{cart::dims_create, ReduceOp, Universe};
 use proptest::prelude::*;
@@ -210,89 +211,57 @@ proptest! {
         prop_assert!(chain.tiled_point_count(n) == chain.untiled_point_count());
     }
 
-    /// The 2-D slice fast path ([`par_loop2_rows`]) is bit-identical to the
-    /// per-point driver for an arbitrary 5-point stencil, in both execution
-    /// modes, and records identical point/byte/FLOP accounting.
+    /// The 2-D point and row drivers ([`par_loop2`], [`par_loop2_rows`])
+    /// give the bits of a plain nested loop over `Dat2::get` for a 5-point
+    /// stencil that reaches the full halo, in f32 and f64, in both execution
+    /// modes, on 1×N, N×1 and general shapes whose widths do not divide the
+    /// scheduling grain and whose extents may be smaller than the halo; both
+    /// record identical point/byte/FLOP accounting.
     #[test]
-    fn slice_rows_match_per_point(nx in 1usize..40, ny in 1usize..40, a in -4i32..5, rayon in 0usize..2) {
+    fn slice_rows_match_per_point(kind in 0usize..3, a in 0usize..5000, b in 0usize..5000,
+                                  halo in 1usize..4, rayon in 0usize..2, seed in 0u64..u64::MAX) {
+        let (nx, ny) = edge_shape2(kind, a, b);
         let mode = if rayon == 1 { ExecMode::Rayon } else { ExecMode::Serial };
-        let mut src = Dat2::<f64>::new("s", nx, ny, 1);
-        src.init_with(|i, j| ((i * 7 + j * 3) % 13) as f64 + a as f64);
-        let mut d1 = Dat2::<f64>::new("d1", nx, ny, 1);
-        let mut d2 = Dat2::<f64>::new("d2", nx, ny, 1);
-        let mut prof = Profile::new();
-        par_loop2(
-            &mut prof, "pp", mode, Range2::interior(nx, ny), &mut [&mut d1], &[&src], 4.0,
-            |_i, _j, out, ins| {
-                out.set(0, 0.25 * (ins.get(0, -1, 0) + ins.get(0, 1, 0)
-                    + ins.get(0, 0, -1) + ins.get(0, 0, 1)));
-            },
-        );
-        par_loop2_rows(
-            &mut prof, "sl", mode, Range2::interior(nx, ny), &mut [&mut d2], &[&src], 4.0,
-            |_j, out, ins| {
-                let xm = ins.row_off(0, -1, 0);
-                let xp = ins.row_off(0, 1, 0);
-                let ym = ins.row_off(0, 0, -1);
-                let yp = ins.row_off(0, 0, 1);
-                let o = out.row(0);
-                for i in 0..o.len() {
-                    o[i] = 0.25 * (xm[i] + xp[i] + ym[i] + yp[i]);
-                }
-            },
-        );
-        prop_assert_eq!(d1.max_abs_diff(&d2), 0.0);
-        let (pp, sl) = (prof.get("pp").unwrap(), prof.get("sl").unwrap());
-        prop_assert_eq!(pp.points, sl.points);
-        prop_assert_eq!(pp.bytes, sl.bytes);
-        prop_assert_eq!(pp.flops.to_bits(), sl.flops.to_bits());
+        rows_vs_plain_loop::<f64>(nx, ny, halo, mode, seed);
+        rows_vs_plain_loop::<f32>(nx, ny, halo, mode, seed);
     }
 
-    /// The 3-D plane fast path ([`par_loop3_planes`]) is bit-identical to
-    /// the per-point driver for an arbitrary 7-point stencil.
+    /// The 3-D plane driver ([`par_loop3_planes`]) gives the bits of a plain
+    /// nested loop over `Dat3::get` for a 7-point stencil that reaches the
+    /// full halo, in f32 and f64, in both modes, on 1×1×N, N×1×1 and
+    /// general shapes.
     #[test]
-    fn slice_planes_match_per_point(n in 2usize..14, rayon in 0usize..2, c in 1i32..5) {
+    fn slice_planes_match_per_point(kind in 0usize..3, a in 0usize..5000, b in 0usize..5000,
+                                    halo in 1usize..3, rayon in 0usize..2, seed in 0u64..u64::MAX) {
+        let (nx, ny, nz) = edge_shape3(kind, a, b);
         let mode = if rayon == 1 { ExecMode::Rayon } else { ExecMode::Serial };
-        let cf = c as f64 / 8.0;
-        let mut src = Dat3::<f64>::new("s", n, n, n, 1);
-        src.init_with(|i, j, k| ((i * 5 + j * 3 + k * 2) % 17) as f64);
-        let mut d1 = Dat3::<f64>::new("d1", n, n, n, 1);
-        let mut d2 = Dat3::<f64>::new("d2", n, n, n, 1);
-        let mut prof = Profile::new();
-        par_loop3(
-            &mut prof, "pp", mode, Range3::interior(n, n, n), &mut [&mut d1], &[&src], 7.0,
-            move |_i, _j, _k, out, ins| {
-                out.set(0, ins.get(0, 0, 0, 0) + cf * (ins.get(0, -1, 0, 0) + ins.get(0, 1, 0, 0)
-                    + ins.get(0, 0, -1, 0) + ins.get(0, 0, 1, 0)
-                    + ins.get(0, 0, 0, -1) + ins.get(0, 0, 0, 1)));
-            },
-        );
-        par_loop3_planes(
-            &mut prof, "sl", mode, Range3::interior(n, n, n), &mut [&mut d2], &[&src], 7.0,
-            move |_j, _k, out, ins| {
-                let cc = ins.row(0);
-                let xm = ins.row_off(0, -1, 0, 0);
-                let xp = ins.row_off(0, 1, 0, 0);
-                let ym = ins.row_off(0, 0, -1, 0);
-                let yp = ins.row_off(0, 0, 1, 0);
-                let zm = ins.row_off(0, 0, 0, -1);
-                let zp = ins.row_off(0, 0, 0, 1);
-                let o = out.row(0);
-                for i in 0..o.len() {
-                    o[i] = cc[i] + cf * (xm[i] + xp[i] + ym[i] + yp[i] + zm[i] + zp[i]);
-                }
-            },
-        );
-        for k in 0..n as isize {
-            for j in 0..n as isize {
-                for i in 0..n as isize {
-                    prop_assert_eq!(d1.get(i, j, k).to_bits(), d2.get(i, j, k).to_bits());
-                }
-            }
-        }
-        let (pp, sl) = (prof.get("pp").unwrap(), prof.get("sl").unwrap());
-        prop_assert_eq!(pp.points, sl.points);
-        prop_assert_eq!(pp.bytes, sl.bytes);
+        planes_vs_plain_loop::<f64>(nx, ny, nz, halo, mode, seed);
+        planes_vs_plain_loop::<f32>(nx, ny, nz, halo, mode, seed);
+    }
+
+    /// A certified 2-D fusion group ([`fused2_rows`]) gives the bits of its
+    /// members run one after another and of a plain nested loop, and the
+    /// streaming-store driver ([`par_loop2_rows_nt`]) those of the plain
+    /// row driver, on the same edge shapes, types and modes.
+    #[test]
+    fn fused_and_streaming_rows_match_plain_loop(kind in 0usize..3, a in 0usize..5000,
+                                                 b in 0usize..5000, halo in 1usize..4,
+                                                 rayon in 0usize..2, seed in 0u64..u64::MAX) {
+        let (nx, ny) = edge_shape2(kind, a, b);
+        let mode = if rayon == 1 { ExecMode::Rayon } else { ExecMode::Serial };
+        fused_and_nt_vs_plain_loop::<f64>(nx, ny, halo, mode, seed);
+        fused_and_nt_vs_plain_loop::<f32>(nx, ny, halo, mode, seed);
+    }
+
+    /// A certified 3-D fusion group ([`fused3_planes`]) gives the bits of
+    /// its members run one after another and of a plain nested loop.
+    #[test]
+    fn fused_planes_match_plain_loop(kind in 0usize..3, a in 0usize..5000, b in 0usize..5000,
+                                     halo in 1usize..3, rayon in 0usize..2, seed in 0u64..u64::MAX) {
+        let (nx, ny, nz) = edge_shape3(kind, a, b);
+        let mode = if rayon == 1 { ExecMode::Rayon } else { ExecMode::Serial };
+        fused_planes_vs_plain_loop::<f64>(nx, ny, nz, halo, mode, seed);
+        fused_planes_vs_plain_loop::<f32>(nx, ny, nz, halo, mode, seed);
     }
 
     /// Tile-parallel execution of a loop chain is bit-identical to the
@@ -558,4 +527,465 @@ fn block_colored_matches_serial_fixed_seeds() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Edge-shape differential tests of the structured-loop drivers
+// ---------------------------------------------------------------------------
+
+/// The element types the drivers run on, with what the references need.
+trait Real:
+    Copy
+    + Default
+    + Send
+    + Sync
+    + NtElem
+    + std::fmt::Debug
+    + std::ops::Add<Output = Self>
+    + std::ops::Sub<Output = Self>
+    + std::ops::Mul<Output = Self>
+    + 'static
+{
+    fn of(x: f64) -> Self;
+    fn bits(self) -> u64;
+}
+
+impl Real for f32 {
+    fn of(x: f64) -> Self {
+        x as f32
+    }
+    fn bits(self) -> u64 {
+        self.to_bits() as u64
+    }
+}
+
+impl Real for f64 {
+    fn of(x: f64) -> Self {
+        x
+    }
+    fn bits(self) -> u64 {
+        self.to_bits()
+    }
+}
+
+/// `kind` 0: 1×N; 1: N×1, both long enough for several Rayon chunks;
+/// 2: general, with widths that rarely divide the 8192-point grain.
+fn edge_shape2(kind: usize, a: usize, b: usize) -> (usize, usize) {
+    match kind {
+        0 => (1, 1 + b % 1500),
+        1 => (1 + a % 1500, 1),
+        _ => (1 + a % 150, 1 + b % 150),
+    }
+}
+
+/// `kind` 0: 1×1×N; 1: N×1×1; 2: general.
+fn edge_shape3(kind: usize, a: usize, b: usize) -> (usize, usize, usize) {
+    match kind {
+        0 => (1, 1, 1 + b % 1200),
+        1 => (1 + a % 1200, 1, 1),
+        _ => (1 + a % 17, 1 + b % 13, 1 + (a + b) % 11),
+    }
+}
+
+/// Deterministic mixed-sign values, so an arithmetic result depends on the
+/// order it is taken in.
+fn mixed(seed: u64, idx: usize) -> f64 {
+    let mut x = seed ^ (idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    x ^= x >> 31;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 29;
+    (x >> 11) as f64 / (1u64 << 53) as f64 * 8.0 - 4.0
+}
+
+fn filled2<T: Real>(name: &str, nx: usize, ny: usize, halo: usize, seed: u64) -> Dat2<T> {
+    let mut d = Dat2::<T>::new(name, nx, ny, halo);
+    for (idx, v) in d.raw_mut().iter_mut().enumerate() {
+        *v = T::of(mixed(seed, idx));
+    }
+    d
+}
+
+fn filled3<T: Real>(name: &str, n: (usize, usize, usize), halo: usize, seed: u64) -> Dat3<T> {
+    let mut d = Dat3::<T>::new(name, n.0, n.1, n.2, halo);
+    for (idx, v) in d.raw_mut().iter_mut().enumerate() {
+        *v = T::of(mixed(seed, idx));
+    }
+    d
+}
+
+/// The 2-D test stencil: reaches `±halo` along `i` and `j`.
+fn stencil2<T: Real>(c: T, xm: T, xp: T, ym: T, yp: T) -> T {
+    T::of(0.25) * (xm + xp) + (ym - yp) * c
+}
+
+/// Every interior point of `got` against `want`, bit for bit.
+fn same2<T: Real>(got: &Dat2<T>, want: &Dat2<T>) {
+    for j in 0..got.ny() as isize {
+        for i in 0..got.nx() as isize {
+            prop_assert_eq!(
+                got.get(i, j).bits(),
+                want.get(i, j).bits(),
+                "at ({}, {})",
+                i,
+                j
+            );
+        }
+    }
+}
+
+fn same3<T: Real>(got: &Dat3<T>, want: &Dat3<T>) {
+    for k in 0..got.nz() as isize {
+        for j in 0..got.ny() as isize {
+            for i in 0..got.nx() as isize {
+                let (g, w) = (got.get(i, j, k).bits(), want.get(i, j, k).bits());
+                prop_assert_eq!(g, w, "at ({}, {}, {})", i, j, k);
+            }
+        }
+    }
+}
+
+/// The plain nested loop every 2-D driver is checked against.
+fn plain2<T: Real>(src: &Dat2<T>, halo: usize) -> Dat2<T> {
+    let h = halo as isize;
+    let mut want = Dat2::<T>::new("want", src.nx(), src.ny(), halo);
+    for j in 0..src.ny() as isize {
+        for i in 0..src.nx() as isize {
+            let v = stencil2(
+                src.get(i, j),
+                src.get(i - h, j),
+                src.get(i + h, j),
+                src.get(i, j - h),
+                src.get(i, j + h),
+            );
+            want.set(i, j, v);
+        }
+    }
+    want
+}
+
+fn rows_vs_plain_loop<T: Real>(nx: usize, ny: usize, halo: usize, mode: ExecMode, seed: u64) {
+    let h = halo as isize;
+    let src = filled2::<T>("s", nx, ny, halo, seed);
+    let want = plain2(&src, halo);
+    let (mut d1, mut d2) = (
+        Dat2::<T>::new("d1", nx, ny, halo),
+        Dat2::<T>::new("d2", nx, ny, halo),
+    );
+    let mut prof = Profile::new();
+    let range = Range2::interior(nx, ny);
+    par_loop2(
+        &mut prof,
+        "pp",
+        mode,
+        range,
+        &mut [&mut d1],
+        &[&src],
+        4.0,
+        |_i, _j, out, ins| {
+            let (c, xm, xp) = (ins.get(0, 0, 0), ins.get(0, -h, 0), ins.get(0, h, 0));
+            out.set(0, stencil2(c, xm, xp, ins.get(0, 0, -h), ins.get(0, 0, h)));
+        },
+    );
+    par_loop2_rows(
+        &mut prof,
+        "sl",
+        mode,
+        range,
+        &mut [&mut d2],
+        &[&src],
+        4.0,
+        |_j, out, ins| {
+            let (c, xm, xp) = (ins.row(0), ins.row_off(0, -h, 0), ins.row_off(0, h, 0));
+            let (ym, yp) = (ins.row_off(0, 0, -h), ins.row_off(0, 0, h));
+            for (x, o) in out.row(0).iter_mut().enumerate() {
+                *o = stencil2(c[x], xm[x], xp[x], ym[x], yp[x]);
+            }
+        },
+    );
+    same2(&d1, &want);
+    same2(&d2, &want);
+    let (pp, sl) = (prof.get("pp").unwrap(), prof.get("sl").unwrap());
+    prop_assert_eq!(pp.points, sl.points);
+    prop_assert_eq!(pp.bytes, sl.bytes);
+    prop_assert_eq!(pp.flops.to_bits(), sl.flops.to_bits());
+}
+
+fn fused_and_nt_vs_plain_loop<T: Real>(
+    nx: usize,
+    ny: usize,
+    halo: usize,
+    mode: ExecMode,
+    seed: u64,
+) {
+    let h = halo as isize;
+    let src = filled2::<T>("s", nx, ny, halo, seed);
+    let range = Range2::interior(nx, ny);
+    // Reference: x = stencil(src), y = x·x - src.
+    let x_want = plain2(&src, halo);
+    let mut y_want = Dat2::<T>::new("y", nx, ny, halo);
+    for j in 0..ny as isize {
+        for i in 0..nx as isize {
+            let x = x_want.get(i, j);
+            y_want.set(i, j, x * x - src.get(i, j));
+        }
+    }
+    let producer =
+        move |_j: isize, out: &mut bwb_core::ops::RowOut2<T>, ins: &bwb_core::ops::RowIn2<T>| {
+            let (c, xm, xp) = (ins.row(0), ins.row_off(0, -h, 0), ins.row_off(0, h, 0));
+            let (ym, yp) = (ins.row_off(0, 0, -h), ins.row_off(0, 0, h));
+            for (x, o) in out.row(0).iter_mut().enumerate() {
+                *o = stencil2(c[x], xm[x], xp[x], ym[x], yp[x]);
+            }
+        };
+    let consumer =
+        |_j: isize, out: &mut bwb_core::ops::RowOut2<T>, ins: &bwb_core::ops::RowIn2<T>| {
+            let (x, s) = (ins.row(0), ins.row(1));
+            for (p, o) in out.row(0).iter_mut().enumerate() {
+                *o = x[p] * x[p] - s[p];
+            }
+        };
+
+    // The members one after another.
+    let mut p = Profile::new();
+    let (mut x_seq, mut y_seq) = (
+        Dat2::<T>::new("x", nx, ny, halo),
+        Dat2::<T>::new("y", nx, ny, halo),
+    );
+    par_loop2_rows(
+        &mut p,
+        "producer",
+        mode,
+        range,
+        &mut [&mut x_seq],
+        &[&src],
+        4.0,
+        producer,
+    );
+    par_loop2_rows(
+        &mut p,
+        "consumer",
+        mode,
+        range,
+        &mut [&mut y_seq],
+        &[&x_seq, &src],
+        2.0,
+        consumer,
+    );
+    same2(&x_seq, &x_want);
+    same2(&y_seq, &y_want);
+
+    // Fused: store [x, y] mutable, [src] read-only.
+    let plan = OptPlan {
+        app: "edge".into(),
+        groups: vec![FusionGroupCert {
+            start: 0,
+            names: vec!["producer".into(), "consumer".into()],
+        }],
+        nt: vec![NtCert {
+            loop_name: "producer".into(),
+            dat: "x".into(),
+        }],
+        ..OptPlan::default()
+    };
+    let loops = vec![
+        FusedLoop2::new("producer", &[0], &[2], 4.0, producer),
+        FusedLoop2::new("consumer", &[1], &[0, 2], 2.0, consumer),
+    ];
+    let (mut x_f, mut y_f) = (
+        Dat2::<T>::new("x", nx, ny, halo),
+        Dat2::<T>::new("y", nx, ny, halo),
+    );
+    fused2_rows(
+        &mut p,
+        mode,
+        range,
+        &mut [&mut x_f, &mut y_f],
+        &[&src],
+        &loops,
+        &plan,
+    )
+    .expect("certified");
+    same2(&x_f, &x_want);
+    same2(&y_f, &y_want);
+
+    // Streaming stores for the certified producer output.
+    let mut x_nt = Dat2::<T>::new("x", nx, ny, halo);
+    par_loop2_rows_nt(
+        &mut p,
+        "producer",
+        mode,
+        range,
+        &mut [&mut x_nt],
+        &[&src],
+        4.0,
+        &plan,
+        producer,
+    );
+    same2(&x_nt, &x_want);
+    let rec = p.get("producer").unwrap();
+    prop_assert_eq!(rec.calls, 3);
+    prop_assert_eq!(rec.points, 3 * nx * ny);
+}
+
+/// The 3-D test stencil: reaches `±halo` along every axis.
+#[allow(clippy::too_many_arguments)]
+fn stencil3<T: Real>(c: T, xm: T, xp: T, ym: T, yp: T, zm: T, zp: T) -> T {
+    c + T::of(0.125) * (xm + xp) + (ym - yp) * (zm + zp)
+}
+
+fn plain3<T: Real>(src: &Dat3<T>, halo: usize) -> Dat3<T> {
+    let h = halo as isize;
+    let mut want = Dat3::<T>::new("want", src.nx(), src.ny(), src.nz(), halo);
+    for k in 0..src.nz() as isize {
+        for j in 0..src.ny() as isize {
+            for i in 0..src.nx() as isize {
+                let v = stencil3(
+                    src.get(i, j, k),
+                    src.get(i - h, j, k),
+                    src.get(i + h, j, k),
+                    src.get(i, j - h, k),
+                    src.get(i, j + h, k),
+                    src.get(i, j, k - h),
+                    src.get(i, j, k + h),
+                );
+                want.set(i, j, k, v);
+            }
+        }
+    }
+    want
+}
+
+fn plane_kernel<T: Real>(
+    h: isize,
+) -> impl Fn(isize, isize, &mut bwb_core::ops::RowOut3<T>, &bwb_core::ops::RowIn3<T>) + Send + Sync + Copy
+{
+    move |_j, _k, out, ins| {
+        let (c, xm, xp) = (
+            ins.row(0),
+            ins.row_off(0, -h, 0, 0),
+            ins.row_off(0, h, 0, 0),
+        );
+        let (ym, yp) = (ins.row_off(0, 0, -h, 0), ins.row_off(0, 0, h, 0));
+        let (zm, zp) = (ins.row_off(0, 0, 0, -h), ins.row_off(0, 0, 0, h));
+        for (x, o) in out.row(0).iter_mut().enumerate() {
+            *o = stencil3(c[x], xm[x], xp[x], ym[x], yp[x], zm[x], zp[x]);
+        }
+    }
+}
+
+fn planes_vs_plain_loop<T: Real>(
+    nx: usize,
+    ny: usize,
+    nz: usize,
+    halo: usize,
+    mode: ExecMode,
+    seed: u64,
+) {
+    let src = filled3::<T>("s", (nx, ny, nz), halo, seed);
+    let want = plain3(&src, halo);
+    let mut got = Dat3::<T>::new("d", nx, ny, nz, halo);
+    let mut prof = Profile::new();
+    let range = Range3::interior(nx, ny, nz);
+    par_loop3_planes(
+        &mut prof,
+        "sl",
+        mode,
+        range,
+        &mut [&mut got],
+        &[&src],
+        7.0,
+        plane_kernel(halo as isize),
+    );
+    same3(&got, &want);
+    let rec = prof.get("sl").unwrap();
+    prop_assert_eq!(rec.points, nx * ny * nz);
+    prop_assert_eq!(rec.bytes, nx * ny * nz * 2 * std::mem::size_of::<T>());
+}
+
+fn fused_planes_vs_plain_loop<T: Real>(
+    nx: usize,
+    ny: usize,
+    nz: usize,
+    halo: usize,
+    mode: ExecMode,
+    seed: u64,
+) {
+    let src = filled3::<T>("s", (nx, ny, nz), halo, seed);
+    let range = Range3::interior(nx, ny, nz);
+    let x_want = plain3(&src, halo);
+    let mut y_want = Dat3::<T>::new("y", nx, ny, nz, halo);
+    for k in 0..nz as isize {
+        for j in 0..ny as isize {
+            for i in 0..nx as isize {
+                let x = x_want.get(i, j, k);
+                y_want.set(i, j, k, x * x - src.get(i, j, k));
+            }
+        }
+    }
+    let producer = plane_kernel::<T>(halo as isize);
+    let consumer = |_j: isize,
+                    _k: isize,
+                    out: &mut bwb_core::ops::RowOut3<T>,
+                    ins: &bwb_core::ops::RowIn3<T>| {
+        let (x, s) = (ins.row(0), ins.row(1));
+        for (p, o) in out.row(0).iter_mut().enumerate() {
+            *o = x[p] * x[p] - s[p];
+        }
+    };
+    let mut p = Profile::new();
+    let (mut x_seq, mut y_seq) = (
+        Dat3::<T>::new("x", nx, ny, nz, halo),
+        Dat3::<T>::new("y", nx, ny, nz, halo),
+    );
+    par_loop3_planes(
+        &mut p,
+        "producer",
+        mode,
+        range,
+        &mut [&mut x_seq],
+        &[&src],
+        7.0,
+        producer,
+    );
+    par_loop3_planes(
+        &mut p,
+        "consumer",
+        mode,
+        range,
+        &mut [&mut y_seq],
+        &[&x_seq, &src],
+        2.0,
+        consumer,
+    );
+    same3(&x_seq, &x_want);
+    same3(&y_seq, &y_want);
+
+    let plan = OptPlan {
+        app: "edge".into(),
+        groups: vec![FusionGroupCert {
+            start: 0,
+            names: vec!["producer".into(), "consumer".into()],
+        }],
+        ..OptPlan::default()
+    };
+    let loops = vec![
+        FusedLoop3::new("producer", &[0], &[2], 7.0, producer),
+        FusedLoop3::new("consumer", &[1], &[0, 2], 2.0, consumer),
+    ];
+    let (mut x_f, mut y_f) = (
+        Dat3::<T>::new("x", nx, ny, nz, halo),
+        Dat3::<T>::new("y", nx, ny, nz, halo),
+    );
+    fused3_planes(
+        &mut p,
+        mode,
+        range,
+        &mut [&mut x_f, &mut y_f],
+        &[&src],
+        &loops,
+        &plan,
+    )
+    .expect("certified");
+    same3(&x_f, &x_want);
+    same3(&y_f, &y_want);
 }
