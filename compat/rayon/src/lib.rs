@@ -3,13 +3,15 @@
 //!
 //! Provides the indexed-parallel-iterator surface the workspace uses
 //! (ranges, slices, `zip`/`map`/`enumerate`/`with_min_len`, `for_each`,
-//! `reduce`, `sum`, `collect`) on top of a persistent chunk-stealing worker
-//! pool ([`pool`]). With one available core — or inside a nested parallel
-//! call — execution is inline and in index order, bit-identical to a
-//! serial loop.
+//! `reduce`, `sum`, `collect`) and [`join`] on top of a persistent
+//! chunk-stealing worker pool ([`pool`]). With one available core — or
+//! inside a nested parallel call — execution is inline and in index order,
+//! bit-identical to a serial loop.
 
 pub mod iter;
 pub mod pool;
+
+pub use pool::join;
 
 pub mod prelude {
     pub use crate::iter::{

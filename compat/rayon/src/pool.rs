@@ -1,11 +1,12 @@
 //! A persistent global worker pool driving index-chunked jobs.
 //!
-//! The only primitive is [`run_chunked`]: split `0..len` into fixed-size
+//! The primitive is [`run_chunked`]: split `0..len` into fixed-size
 //! chunks and run a borrowed `Fn(start, end)` over every chunk, with the
 //! calling thread participating. Workers steal chunks through a shared
 //! atomic cursor, so load balancing is dynamic while chunk *boundaries*
 //! stay a pure function of `(len, chunk)` — deterministic across thread
-//! counts for order-insensitive consumers.
+//! counts for order-insensitive consumers. [`join`] is the same job with
+//! one chunk, which the caller runs itself if no worker has taken it.
 //!
 //! On a single-core machine (or inside a nested call) everything runs
 //! inline on the caller, which also makes results bit-identical to a
@@ -35,7 +36,7 @@ struct Job {
 }
 
 struct FnPtr(*const (dyn Fn(usize, usize) + Sync));
-// SAFETY: the pointee is `Sync` and the caller of `run_chunked` blocks until
+// SAFETY: the pointee is `Sync` and the caller of `Job::offer` blocks until
 // every chunk finishes, so the borrow outlives all cross-thread use.
 unsafe impl Send for FnPtr {}
 // SAFETY: see the Send impl above — shared access is to a `Sync` closure.
@@ -55,8 +56,8 @@ impl Job {
             let start = c * self.chunk;
             let end = (start + self.chunk).min(self.len);
             // SAFETY: the pointer was created from a live borrow in
-            // run_chunked, which blocks until `pending == 0`; a chunk only
-            // runs while pending > 0, so the closure is still alive here.
+            // `Job::offer`, whose caller blocks until `pending == 0`; a chunk
+            // only runs while pending > 0, so the closure is still alive here.
             let f = unsafe { &*self.f.0 };
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(start, end))) {
                 let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
@@ -75,6 +76,40 @@ impl Job {
         while !*done {
             done = self.done_cv.wait(done).unwrap_or_else(|e| e.into_inner());
         }
+    }
+
+    /// Queues `f` over the chunks of `0..len` for the workers.
+    ///
+    /// # Safety
+    ///
+    /// The caller must `wait` for the returned job on every path out of
+    /// the frame that owns `f`'s borrows, panics included: workers reach
+    /// `f` through a lifetime-erased pointer until the job is done.
+    unsafe fn offer(
+        p: &Pool,
+        f: &(dyn Fn(usize, usize) + Sync),
+        len: usize,
+        chunk: usize,
+    ) -> Arc<Job> {
+        // SAFETY: lifetime erasure only; the caller waits for the job
+        // before the borrow ends (this function's contract).
+        let f_static: &'static (dyn Fn(usize, usize) + Sync) = unsafe { std::mem::transmute(f) };
+        let n_chunks = len.div_ceil(chunk);
+        let job = Arc::new(Job {
+            f: FnPtr(f_static as *const _),
+            len,
+            chunk,
+            n_chunks,
+            cursor: AtomicUsize::new(0),
+            pending: AtomicUsize::new(n_chunks),
+            done: Mutex::new(false),
+            done_cv: Condvar::new(),
+            panic: Mutex::new(None),
+        });
+        let mut q = p.queue.lock().unwrap_or_else(|e| e.into_inner());
+        q.push_back(job.clone());
+        p.wake.notify_all();
+        job
     }
 }
 
@@ -166,26 +201,10 @@ pub fn run_chunked(len: usize, chunk: usize, f: &(dyn Fn(usize, usize) + Sync)) 
         return;
     }
 
-    // SAFETY: lifetime erasure only — `job.wait()` below blocks this frame
-    // until every chunk has finished running, so the borrow stays live for
-    // the whole time workers can reach it.
-    let f_static: &'static (dyn Fn(usize, usize) + Sync) = unsafe { std::mem::transmute(f) };
-    let job = Arc::new(Job {
-        f: FnPtr(f_static as *const _),
-        len,
-        chunk,
-        n_chunks,
-        cursor: AtomicUsize::new(0),
-        pending: AtomicUsize::new(n_chunks),
-        done: Mutex::new(false),
-        done_cv: Condvar::new(),
-        panic: Mutex::new(None),
-    });
-    {
-        let mut q = p.queue.lock().unwrap_or_else(|e| e.into_inner());
-        q.push_back(job.clone());
-        p.wake.notify_all();
-    }
+    // SAFETY: `job.wait()` below blocks this frame until every chunk has
+    // finished running (`work` catches a chunk's panic), so the borrow
+    // stays live for the whole time workers can reach it.
+    let job = unsafe { Job::offer(p, f, len, chunk) };
     IN_POOL.with(|g| g.set(true));
     job.work();
     IN_POOL.with(|g| g.set(false));
@@ -199,9 +218,130 @@ pub fn run_chunked(len: usize, chunk: usize, f: &(dyn Fn(usize, usize) + Sync)) 
     }
 }
 
+/// Runs `a` and `b`, possibly at the same time, and returns both results
+/// (mirrors `rayon::join`). The caller runs `a` itself and offers `b` to
+/// the pool as a one-chunk job; if no worker has claimed `b` by the time
+/// `a` returns, the caller runs it too. Parallel calls inside `a` keep
+/// using the pool, which joins in once it is done with `b`; parallel calls
+/// inside a `b` that a worker runs are inline. With no workers, or inside
+/// pool work, `a` then `b` run inline. A panic in either is re-raised once
+/// both have finished.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    let p = pool();
+    if p.workers == 0 || IN_POOL.with(|g| g.get()) {
+        let ra = a();
+        return (ra, b());
+    }
+    let b = Mutex::new(Some(b));
+    let rb = Mutex::new(None);
+    let run_b = |_: usize, _: usize| {
+        let b = b.lock().unwrap_or_else(|e| e.into_inner()).take();
+        let r = b.expect("a one-chunk job runs once")();
+        *rb.lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
+    };
+    // SAFETY: `job.wait()` below runs on every path out of this frame (a
+    // panic in `a` is caught first, one in `b` by `work`), so `run_b` and
+    // what it borrows outlive every use a worker can make of them.
+    let job = unsafe { Job::offer(p, &run_b, 1, 1) };
+    let ra = catch_unwind(AssertUnwindSafe(a));
+    job.work();
+    job.wait();
+    let payload = job.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
+    match (ra, payload) {
+        (Err(payload), _) | (Ok(_), Some(payload)) => resume_unwind(payload),
+        (Ok(ra), None) => {
+            let rb = rb.into_inner().unwrap_or_else(|e| e.into_inner());
+            (ra, rb.expect("b ran"))
+        }
+    }
+}
+
 /// Default chunk size: aim for several chunks per thread so stealing can
 /// balance, but never below the caller's `min_len` floor.
 pub fn default_chunk(len: usize, min_len: usize) -> usize {
     let per_thread = len.div_ceil(4 * threads().max(1)).max(1);
     per_thread.max(min_len).max(1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::prelude::*;
+    use std::sync::atomic::AtomicBool;
+
+    #[test]
+    fn join_returns_both_results() {
+        let data: Vec<u64> = (0..10_000).collect();
+        let (lo, hi) = join(
+            || data[..5_000].iter().sum::<u64>(),
+            || data[5_000..].iter().sum::<u64>(),
+        );
+        assert_eq!(lo + hi, data.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn work_nested_in_a_join_runs_to_completion() {
+        // Joins and parallel loops inside either side: on the caller they
+        // use the pool, on a worker they run inline; neither may deadlock.
+        let sums = |n: u64| {
+            let ((a, b), c) = join(
+                || join(|| n, || (0..n).into_par_iter().map(|i| i).sum::<u64>()),
+                || {
+                    let mut v = vec![0u64; n as usize];
+                    v.par_iter_mut()
+                        .enumerate()
+                        .for_each(|(i, x)| *x = i as u64);
+                    v.iter().sum::<u64>()
+                },
+            );
+            (a, b, c)
+        };
+        let ((x, y), z) = join(|| (sums(1000), sums(2000)), || sums(3000));
+        assert_eq!(x, (1000, 499_500, 499_500));
+        assert_eq!(y, (2000, 1_999_000, 1_999_000));
+        assert_eq!(z, (3000, 4_498_500, 4_498_500));
+    }
+
+    #[test]
+    fn a_panic_in_one_side_waits_for_the_other() {
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            join(|| 1, || -> u32 { panic!("b fails") })
+        }));
+        let message = caught.unwrap_err();
+        assert_eq!(message.downcast_ref::<&str>(), Some(&"b fails"));
+        if threads() == 1 {
+            return; // `a` then `b`, inline: nothing runs beside `a`
+        }
+        // A worker holds `b` until `a` has panicked: join may return only
+        // after `b` ends.
+        let started = std::sync::Barrier::new(2);
+        let (a_failed, finished) = (AtomicBool::new(false), AtomicBool::new(false));
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            join(
+                || {
+                    started.wait();
+                    a_failed.store(true, Ordering::SeqCst);
+                    panic!("a fails")
+                },
+                || {
+                    started.wait();
+                    while !a_failed.load(Ordering::SeqCst) {
+                        std::hint::spin_loop();
+                    }
+                    // Long enough past the panic for a join that did not
+                    // wait to be seen returning first.
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    finished.store(true, Ordering::SeqCst);
+                },
+            )
+        }));
+        assert!(caught.is_err());
+        assert!(finished.into_inner(), "join returned before b ended");
+    }
 }

@@ -69,6 +69,49 @@ pub struct RankOutcome {
     pub validation: Option<f64>,
 }
 
+/// A spec whose dataset would not fit in the host's memory. Allocating it
+/// would abort the process, which no `catch_unwind` survives, so
+/// [`BenchSpec::validate`] refuses it before anything is allocated.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct DatasetTooLarge {
+    app: AppId,
+    n: usize,
+    /// [`BenchSpec::dataset_bytes`] of the spec.
+    bytes: f64,
+    /// The memory it was held against, bytes.
+    limit: f64,
+}
+
+impl std::fmt::Display for DatasetTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "app '{}' at n={} needs about {:.3e} bytes, more than the host's {:.3e} bytes of memory",
+            self.app.slug(),
+            self.n,
+            self.bytes,
+            self.limit
+        )
+    }
+}
+
+impl std::error::Error for DatasetTooLarge {}
+
+/// The host's physical memory in bytes: `MemTotal` in `/proc/meminfo`, or
+/// 16 GiB where that cannot be read.
+pub(crate) fn host_memory_bytes() -> f64 {
+    static BYTES: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
+    *BYTES.get_or_init(|| {
+        let kib = std::fs::read_to_string("/proc/meminfo")
+            .ok()
+            .and_then(|info| {
+                let line = info.lines().find(|l| l.starts_with("MemTotal:"))?;
+                line.split_whitespace().nth(1)?.parse::<f64>().ok()
+            });
+        kib.map_or(16.0 * (1u64 << 30) as f64, |k| k * 1024.0)
+    })
+}
+
 /// The apps with a distributed (`run_distributed`) driver.
 pub const RANKED_APPS: [AppId; 3] = [AppId::Acoustic, AppId::CloverLeaf2D, AppId::MiniWeather];
 
@@ -144,7 +187,44 @@ impl BenchSpec {
         }
     }
 
+    /// An upper estimate of the bytes a run of this spec allocates: its
+    /// points (`n`, `n²` or `n³`) times a per-point budget that covers
+    /// every field, halos, schedules and set-up's temporaries. Measured
+    /// peaks sit below it: CloverLeaf 2D at 2880² holds 133 B a cell,
+    /// MG-CFD at 2049² (four levels) 227 B a fine node. In `f64`, so no `n`
+    /// overflows it.
+    pub(crate) fn dataset_bytes(&self) -> f64 {
+        let n = self.n as f64;
+        let (points, bytes_per_point) = match self.app {
+            AppId::MiniBude => (n, 64.0),
+            AppId::CloverLeaf2D => (n * n, 320.0),
+            AppId::CloverLeaf3D => (n * n * n, 320.0),
+            AppId::Acoustic => (n * n * n, 64.0),
+            AppId::OpenSbliSa | AppId::OpenSbliSn => (n * n * n, 512.0),
+            AppId::MgCfd => (n * n, 512.0),
+            AppId::Volna => (n * n, 256.0),
+            AppId::MiniWeather => (n * (n / 2.0).max(8.0), 256.0),
+        };
+        points * bytes_per_point
+    }
+
+    /// Refuses the spec if its [`dataset_bytes`](Self::dataset_bytes)
+    /// exceed `limit` bytes.
+    pub(crate) fn check_size(&self, limit: f64) -> Result<(), DatasetTooLarge> {
+        let bytes = self.dataset_bytes();
+        if bytes > limit {
+            return Err(DatasetTooLarge {
+                app: self.app,
+                n: self.n,
+                bytes,
+                limit,
+            });
+        }
+        Ok(())
+    }
+
     /// Checks the spec is runnable; `Err` carries a client-facing message.
+    /// A dataset larger than the host's physical memory is refused.
     pub fn validate(&self) -> Result<(), String> {
         if self.n == 0 || self.iterations == 0 {
             return Err("n and iterations must be positive".into());
@@ -167,7 +247,8 @@ impl BenchSpec {
                 ));
             }
         }
-        Ok(())
+        self.check_size(host_memory_bytes())
+            .map_err(|e| e.to_string())
     }
 
     /// In-process run (`ranks` must be 1 — ranked runs go through a
@@ -419,6 +500,45 @@ mod tests {
         assert!(s.validate().unwrap_err().contains("divide evenly"));
         s.n = 0;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn validate_refuses_datasets_larger_than_the_host() {
+        // Refused from the spec alone: nothing here allocates a dataset.
+        let huge = BenchSpec {
+            n: 100_000,
+            ..BenchSpec::small(AppId::CloverLeaf2D)
+        };
+        assert!(huge.dataset_bytes() > 1e12);
+        assert!(huge
+            .validate()
+            .unwrap_err()
+            .contains("more than the host's"));
+        let limit = 16.0 * (1u64 << 30) as f64;
+        for app in AppId::ALL {
+            // The largest n a job can carry: no overflow, a typed refusal.
+            let spec = BenchSpec {
+                n: 1 << 53,
+                ..BenchSpec::small(app)
+            };
+            let err = spec.check_size(limit).unwrap_err();
+            assert_eq!((err.app, err.n, err.limit), (app, 1 << 53, limit));
+            assert!(err.bytes.is_finite() && err.bytes > limit, "{err}");
+            assert!(spec.validate().is_err());
+            // Every CI-sized spec, and the sizes the benchmark's serve
+            // catalog and the memory-sized runs use, fit in 16 GiB.
+            BenchSpec::small(app).check_size(limit).unwrap();
+            let largest = match app {
+                AppId::MiniBude => 10_000,
+                AppId::CloverLeaf2D | AppId::MgCfd | AppId::Volna | AppId::MiniWeather => 2880,
+                _ => 128,
+            };
+            let spec = BenchSpec {
+                n: largest,
+                ..BenchSpec::small(app)
+            };
+            spec.check_size(limit).unwrap();
+        }
     }
 
     #[test]

@@ -27,9 +27,10 @@ use bwb_op2::{
     sfc_order, sweep_direct, BlockColoring, Coloring, DatU, ExecModeU, Map, Permutation, Set,
 };
 use bwb_ops::Profile;
-use bwb_trace::{span, Cat};
+use bwb_trace::{span, Cat, SpanGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rayon::prelude::*;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -160,10 +161,10 @@ fn scramble(n: usize, rng: &mut StdRng) -> Vec<u32> {
 
 /// Build a synthetic unstructured quad-derived mesh level of `n × n`
 /// vertices, with jittered coordinates and a scrambled node numbering: an
-/// arbitrary mesh file, with no locality for the solver to inherit.
-/// `coarse` is the next level's side and scramble; this level's scramble is
-/// returned for the level above.
-fn build_level(n: usize, coarse: Option<&(usize, Vec<u32>)>, seed: u64) -> (Mesh, Vec<u32>) {
+/// arbitrary mesh file, with no locality for the solver to inherit. Its map
+/// onto the next level is left to [`coarse_map`], which needs that level's
+/// scramble; this level's is returned for the level below it.
+fn build_level(n: usize, seed: u64) -> (Mesh, Vec<u32>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let n_nodes = n * n;
     let nodes = Set::new("nodes", n_nodes);
@@ -226,22 +227,6 @@ fn build_level(n: usize, coarse: Option<&(usize, Vec<u32>)>, seed: u64) -> (Mesh
     let mut volume = DatU::<f64>::new("vol", &nodes, 1);
     volume.fill(h * h);
 
-    // Node → coarse-node map: structured coarsening by 2, onto the coarse
-    // level's own scrambling.
-    let n2c = coarse.map(|(cn, cperm)| {
-        let cn = *cn;
-        let coarse_set = Set::new("coarse", cn * cn);
-        let mut cidx = vec![0u32; n_nodes];
-        for j in 0..n {
-            for i in 0..n {
-                let ci = (i / 2).min(cn - 1);
-                let cj = (j / 2).min(cn - 1);
-                cidx[perm[j * n + i] as usize] = cperm[cj * cn + ci];
-            }
-        }
-        Map::new("n2c", &nodes, &coarse_set, 1, cidx)
-    });
-
     let mesh = Mesh {
         nodes,
         edges,
@@ -249,21 +234,51 @@ fn build_level(n: usize, coarse: Option<&(usize, Vec<u32>)>, seed: u64) -> (Mesh
         coords,
         weights,
         volume,
-        n2c,
+        n2c: None,
         is_boundary,
     };
     (mesh, perm)
 }
 
+/// The node → coarse-node map of an `n × n` level onto the `cn × cn` level
+/// above it: structured coarsening by 2. `fine(s)` and `coarse(s)` are the
+/// ids that the two levels give their structured node `s`.
+fn coarse_map(
+    n: usize,
+    fine: impl Fn(usize) -> u32,
+    cn: usize,
+    coarse: impl Fn(usize) -> u32,
+) -> Map {
+    let nodes = Set::new("nodes", n * n);
+    let coarse_set = Set::new("coarse", cn * cn);
+    let mut cidx = vec![0u32; n * n];
+    for j in 0..n {
+        for i in 0..n {
+            let ci = (i / 2).min(cn - 1);
+            let cj = (j / 2).min(cn - 1);
+            cidx[fine(j * n + i) as usize] = coarse(cj * cn + ci);
+        }
+    }
+    Map::new("n2c", &nodes, &coarse_set, 1, cidx)
+}
+
+/// Vertices per side of level `l`: the fine side halved, rounding up, `l`
+/// times.
+fn side(cfg: &Config, l: usize) -> usize {
+    (0..l).fold(cfg.n, |n, _| n.div_ceil(2))
+}
+
 /// The meshes of all levels as the generator numbers them: level `l`
-/// scrambles its numbering with `seed + l`, and is built after level
-/// `l + 1` so that its `n2c` targets that level's actual numbering.
+/// scrambles its numbering with `seed + l`, and its `n2c` targets level
+/// `l + 1`'s scramble.
+#[cfg(test)]
 fn generate(cfg: &Config) -> Vec<Mesh> {
     let mut meshes = Vec::new();
-    let mut coarse = None;
+    let mut coarse: Option<(usize, Vec<u32>)> = None;
     for l in (0..cfg.levels).rev() {
-        let n = (0..l).fold(cfg.n, |n, _| n.div_ceil(2));
-        let (mesh, perm) = build_level(n, coarse.as_ref(), cfg.seed + l as u64);
+        let n = side(cfg, l);
+        let (mut mesh, perm) = build_level(n, cfg.seed + l as u64);
+        mesh.n2c = coarse.map(|(cn, cperm)| coarse_map(n, |s| perm[s], cn, |s| cperm[s]));
         meshes.push(mesh);
         coarse = Some((n, perm));
     }
@@ -271,56 +286,117 @@ fn generate(cfg: &Config) -> Vec<Mesh> {
     meshes
 }
 
-/// Renumber every level for locality: nodes along a space-filling curve
-/// through their coordinates, edges after their nodes (orientation and
-/// weights travel with the edge), `n2c` on its fine side and on its coarse
-/// side. Returns each level's node permutation. Traced as a `renumber`
-/// span whose `order` spans compute permutations and whose `permute` spans
-/// apply them.
-fn renumber(meshes: &mut [Mesh]) -> Vec<Permutation> {
-    let _renumber = span(Cat::App, "renumber");
-    let node_order: Vec<Permutation> = {
-        let _order = span(Cat::App, "order");
-        meshes.iter().map(|m| sfc_order(&m.coords)).collect()
-    };
-    for (l, m) in meshes.iter_mut().enumerate() {
-        let by_node = &node_order[l];
-        let permute = span(Cat::App, "permute");
-        m.coords = by_node.permute_dat(&m.coords);
-        m.volume = by_node.permute_dat(&m.volume);
-        m.is_boundary = by_node.permute_slice(&m.is_boundary);
-        by_node.relabel_targets(&mut m.e2n);
-        if let Some(n2c) = &mut m.n2c {
-            node_order[l + 1].relabel_targets(n2c);
-            *n2c = by_node.permute_rows(n2c);
-        }
-        drop(permute);
-        let by_edge = {
-            let _order = span(Cat::App, "order");
-            order_by_min_target(&m.e2n)
-        };
-        let _permute = span(Cat::App, "permute");
-        m.e2n = by_edge.permute_rows(&m.e2n);
-        m.weights = by_edge.permute_dat(&m.weights);
+/// A span over one level's share of a set-up phase; its first argument is
+/// the level.
+fn level_span(name: &str, level: usize) -> SpanGuard {
+    let mut guard = span(Cat::App, name);
+    guard.set_args(level as f64, 0.0, 0.0);
+    guard
+}
+
+/// What the level below a level builds its `n2c` from: this level's side
+/// and the new id of each of its structured nodes.
+struct Above {
+    side: usize,
+    new_id: Vec<u32>,
+}
+
+impl Above {
+    /// From the level's scramble and node order, which it frees.
+    fn of(side: usize, (scramble, by_node): (Vec<u32>, Permutation)) -> Above {
+        let new_of_old = by_node.new_of_old();
+        let new_id = scramble
+            .iter()
+            .map(|&old| new_of_old[old as usize])
+            .collect();
+        Above { side, new_id }
     }
-    node_order
+}
+
+/// Renumber level `l`, of `side` vertices a side and generated with
+/// `scramble`, for locality: nodes along a space-filling curve through
+/// their coordinates, edges after their nodes (orientation and weights
+/// travel with the edge), and `n2c` built onto `coarser`, the level above,
+/// in both levels' new numbering. Returns the renumbered mesh, its scramble
+/// and its node order. Traced as the level's `renumber` span
+/// over an `order` span (node order), a `permute` span (applying it), an
+/// `order` span (edge order) and a `permute` span (applying that).
+///
+/// The serial passes run beside work that does not need them: inverting
+/// the node order beside the node gathers, and building `n2c` beside the
+/// edge order and its gathers, so `n2c` has no span of its own.
+fn renumber(
+    l: usize,
+    side: usize,
+    (mut m, scramble): (Mesh, Vec<u32>),
+    coarser: Option<&Above>,
+) -> (Mesh, (Vec<u32>, Permutation)) {
+    let _renumber = level_span("renumber", l);
+    let by_node = {
+        let _order = span(Cat::App, "order");
+        sfc_order(&m.coords)
+    };
+    let permute = span(Cat::App, "permute");
+    let (gathered, _) = rayon::join(
+        || {
+            let coords = by_node.permute_dat(&m.coords);
+            let volume = by_node.permute_dat(&m.volume);
+            (coords, volume, by_node.permute_slice(&m.is_boundary))
+        },
+        || by_node.new_of_old(),
+    );
+    (m.coords, m.volume, m.is_boundary) = gathered;
+    by_node.relabel_targets(&mut m.e2n);
+    drop(permute);
+    let (e2n, weights) = (&mut m.e2n, &mut m.weights);
+    let ((), n2c) = rayon::join(
+        || {
+            let by_edge = {
+                let _order = span(Cat::App, "order");
+                order_by_min_target(e2n)
+            };
+            let _permute = span(Cat::App, "permute");
+            *e2n = by_edge.permute_rows(e2n);
+            *weights = by_edge.permute_dat(weights);
+        },
+        || {
+            coarser.map(|c| {
+                let new_of_old = by_node.new_of_old();
+                coarse_map(
+                    side,
+                    |s| new_of_old[scramble[s] as usize],
+                    c.side,
+                    |s| c.new_id[s],
+                )
+            })
+        },
+    );
+    m.n2c = n2c;
+    (m, (scramble, by_node))
 }
 
 impl Level {
-    /// Colour a mesh for the indirect increments through `e2n`.
-    fn of_mesh(m: Mesh) -> Level {
-        let blocks = {
-            let _colour = span(Cat::App, "colour_blocks");
-            BlockColoring::greedy(m.edges.size, FLUX_BLOCK, &[&m.e2n])
-        };
-        let coloring = {
-            let _colour = span(Cat::App, "colour_elements");
-            Coloring::greedy(m.edges.size, &[&m.e2n])
-        };
+    /// Colour level `l`'s mesh for the indirect increments through `e2n`.
+    /// The element colouring runs beside the block colouring and `children`;
+    /// the level's `colour` span ends when both have, and only the block
+    /// colouring has a span of its own (`colour_blocks`).
+    fn of_mesh(l: usize, m: Mesh) -> Level {
+        let colour = level_span("colour", l);
+        let ((blocks, children), coloring) = rayon::join(
+            || {
+                let blocks = {
+                    let _blocks = level_span("colour_blocks", l);
+                    BlockColoring::greedy(m.edges.size, FLUX_BLOCK, &[&m.e2n])
+                };
+                (blocks, m.n2c.as_ref().map(Children::of_map))
+            },
+            || Coloring::greedy(m.edges.size, &[&m.e2n]),
+        );
+        drop(colour);
         Level {
             blocks,
             coloring,
-            children: m.n2c.as_ref().map(Children::of_map),
+            children,
             nodes: m.nodes,
             edges: m.edges,
             e2n: m.e2n,
@@ -420,32 +496,66 @@ impl MgCfd {
     /// before anything is scheduled on it: colouring, partitioning and every
     /// analyzer see the one renumbered mesh.
     ///
-    /// Traced as one `mgcfd_setup` span over its phases: `generate`,
-    /// `renumber`, `colour` and `allocate_state`.
+    /// A level depends on the level above it through two inputs only, that
+    /// level's scramble (its `n2c` targets) and node order (which relabels
+    /// them), so the fine level is generated beside the set-up of all the
+    /// others, coarsest first, and is renumbered and coloured after them.
+    /// Each level's element colouring runs beside its block colouring. The
+    /// levels are the same bits for any thread count and schedule.
+    ///
+    /// Traced as one `mgcfd_setup` span over a `generate`, a `renumber` and
+    /// a `colour` span per level (the level is the span's first argument),
+    /// then `allocate_state`. Spans are recorded on the calling thread only:
+    /// the fine level's generation has no span of its own but is the work of
+    /// its `generate` span, inside which the other levels' spans nest.
     pub fn new(cfg: Config) -> Self {
         let _setup = span(Cat::App, "mgcfd_setup");
-        let mut meshes = {
-            let _generate = span(Cat::App, "generate");
-            generate(&cfg)
+        let ((coarse, above), fine) = {
+            let _generate = level_span("generate", 0);
+            rayon::join(
+                || {
+                    let (mut coarse, mut above) = (Vec::new(), None);
+                    for l in (1..cfg.levels).rev() {
+                        let n = side(&cfg, l);
+                        let generated = {
+                            let _generate = level_span("generate", l);
+                            build_level(n, cfg.seed + l as u64)
+                        };
+                        let (mesh, numbering) = renumber(l, n, generated, above.as_ref());
+                        above = Some(Above::of(n, numbering));
+                        coarse.push(Level::of_mesh(l, mesh));
+                    }
+                    (coarse, above)
+                },
+                || build_level(cfg.n, cfg.seed),
+            )
         };
-        renumber(&mut meshes);
-        Self::on_meshes(cfg, meshes)
+        // A level's scramble and order are freed before it is coloured, so
+        // that the colourings reuse their memory.
+        let (fine, _) = renumber(0, cfg.n, fine, above.as_ref());
+        drop(above);
+        let fine = Level::of_mesh(0, fine);
+        let levels = std::iter::once(fine)
+            .chain(coarse.into_iter().rev())
+            .collect();
+        Self::with_state(cfg, levels)
     }
 
-    fn on_meshes(cfg: Config, meshes: Vec<Mesh>) -> Self {
-        let levels: Vec<Level> = {
-            let _colour = span(Cat::App, "colour");
-            meshes.into_iter().map(Level::of_mesh).collect()
-        };
+    /// The solver on `levels`, in the free-stream state. Traced as an
+    /// `allocate_state` span.
+    fn with_state(cfg: Config, levels: Vec<Level>) -> Self {
         let _allocate = span(Cat::App, "allocate_state");
         let state = |name: &str, lv: &Level| DatU::<f64>::new(name, &lv.nodes, NVAR);
         let q = levels
             .iter()
             .map(|lv| {
                 let mut d = state("q", lv);
-                for node in d.raw_mut().chunks_exact_mut(NVAR) {
-                    node.copy_from_slice(&freestream());
-                }
+                // The first touch of the state's pages: on the pool.
+                let fs = freestream();
+                d.raw_mut()
+                    .par_iter_mut()
+                    .enumerate()
+                    .for_each(|(i, x)| *x = fs[i % NVAR]);
                 d
             })
             .collect();
@@ -846,8 +956,9 @@ pub fn loop_specs() -> Vec<bwb_op2::ULoopSpec> {
 #[cfg(test)]
 impl MgCfd {
     fn in_generator_numbering(cfg: Config) -> Self {
-        let meshes = generate(&cfg);
-        Self::on_meshes(cfg, meshes)
+        let meshes = generate(&cfg).into_iter().enumerate();
+        let levels = meshes.map(|(l, m)| Level::of_mesh(l, m)).collect();
+        Self::with_state(cfg, levels)
     }
 }
 
@@ -884,7 +995,10 @@ mod tests {
                 levels: 3,
                 ..Config::default()
             };
-            let new_of_old: Vec<Permutation> = renumber(&mut generate(&cfg));
+            let new_of_old: Vec<Permutation> = generate(&cfg)
+                .iter()
+                .map(|m| sfc_order(&m.coords))
+                .collect();
             let mut oracle = MgCfd::in_generator_numbering(cfg.clone());
             let mut sim = MgCfd::new(cfg);
             for s in [&mut oracle, &mut sim] {
@@ -1212,6 +1326,54 @@ mod tests {
     }
 
     #[test]
+    fn setup_output_pinned_to_the_parent() {
+        // Every array set-up leaves on a level, schedules included: the
+        // element colouring is read by no solver loop, so only this hash
+        // sees it. Taken before set-up ran its levels side by side; the
+        // output may not depend on the schedule or the thread count.
+        let sim = MgCfd::new(Config {
+            n: 65,
+            levels: 4,
+            seed: 1,
+            ..Config::default()
+        });
+        let mut h = bwb_ops::hash::FNV_OFFSET;
+        let mut fold = |words: &mut dyn Iterator<Item = u64>| {
+            h = words.fold(h, bwb_ops::hash::step_u64);
+        };
+        let ids = |v: &[u32]| v.iter().map(|&i| i as u64).collect::<Vec<_>>();
+        for lv in &sim.levels {
+            fold(&mut ids(lv.e2n.raw()).into_iter());
+            for d in [&lv.weights, &lv.coords, &lv.volume] {
+                fold(&mut d.raw().iter().map(|x| x.to_bits()));
+            }
+            fold(&mut lv.is_boundary.iter().map(|&b| b as u64));
+            if let (Some(n2c), Some(children)) = (&lv.n2c, &lv.children) {
+                fold(&mut ids(n2c.raw()).into_iter());
+                fold(&mut ids(&children.start).into_iter());
+                fold(&mut ids(&children.fine).into_iter());
+            }
+            let b = &lv.blocks;
+            fold(
+                &mut [b.block_size, b.set_size, b.n_colors as usize]
+                    .map(|k| k as u64)
+                    .into_iter(),
+            );
+            fold(&mut ids(&b.block_colors).into_iter());
+            for class in &b.by_color {
+                fold(&mut ids(class).into_iter());
+            }
+            let c = &lv.coloring;
+            fold(&mut std::iter::once(c.n_colors as u64));
+            fold(&mut ids(&c.colors).into_iter());
+            for class in &c.by_color {
+                fold(&mut ids(class).into_iter());
+            }
+        }
+        assert_eq!(h, 0x1769_8ae5_904e_2603, "{h:#018x}");
+    }
+
+    #[test]
     fn serial_compute_flux_equals_an_edge_order_loop() {
         let cfg = Config {
             n: 65,
@@ -1285,7 +1447,7 @@ mod tests {
         bwb_trace::set_thread_label(LABEL);
         let cfg = Config {
             n: 17,
-            levels: 2,
+            levels: 3,
             ..Config::default()
         };
         let mine = |trace: bwb_trace::Trace| bwb_trace::Trace {
@@ -1298,29 +1460,55 @@ mod tests {
         };
         let (_, trace) = bwb_trace::with_tracing(|| MgCfd::new(cfg.clone()));
         let trace = mine(trace);
+        // Levels set up side by side still make one well-formed timeline:
+        // no two sibling spans overlap (the `trace` binary's gate).
+        assert_eq!(bwb_trace::validate(&trace), Vec::<String>::new());
         let forest = bwb_trace::build_forest(&trace).expect("well-formed spans");
         let name = |s: &bwb_trace::SpanNode| trace.name(s.name).to_string();
+        let names = |spans: &[bwb_trace::SpanNode]| spans.iter().map(name).collect::<Vec<_>>();
+        let level = |s: &bwb_trace::SpanNode| s.args[0] as usize;
         let roots: Vec<_> = forest.iter().flat_map(|t| &t.roots).collect();
         assert_eq!(
             roots.iter().map(|r| name(r)).collect::<Vec<_>>(),
             ["mgcfd_setup"]
         );
-        let names = |spans: &[bwb_trace::SpanNode]| spans.iter().map(name).collect::<Vec<_>>();
+
+        // The fine level's phases, then the state; the other levels are set
+        // up, coarsest first, inside the fine level's `generate`.
         let phases = &roots[0].children;
         assert_eq!(
             names(phases),
             ["generate", "renumber", "colour", "allocate_state"]
         );
-        // Two levels: the node orders, then per level a node permute, an
-        // edge order and an edge permute.
+        assert!(phases[..3].iter().all(|p| level(p) == 0));
+        let beside = &phases[0].children;
+        assert_eq!(names(beside), ["generate", "renumber", "colour"].repeat(2));
         assert_eq!(
-            names(&phases[1].children),
-            ["order", "permute", "order", "permute", "permute", "order", "permute"]
+            beside.iter().map(level).collect::<Vec<_>>(),
+            [2, 2, 2, 1, 1, 1]
         );
-        assert_eq!(
-            names(&phases[2].children),
-            ["colour_blocks", "colour_elements"].repeat(2)
-        );
+
+        // Every phase once per level, with the same steps on every level.
+        let mut seen = std::collections::BTreeMap::new();
+        roots[0].walk(&mut |s, _| {
+            let steps: &[&str] = match name(s).as_str() {
+                "generate" => &[],
+                "renumber" => &["order", "permute", "order", "permute"],
+                "colour" => &["colour_blocks"],
+                _ => return,
+            };
+            *seen.entry((name(s), level(s))).or_insert(0) += 1;
+            // Level 0's `generate` holds the other levels' set-up.
+            if (name(s).as_str(), level(s)) != ("generate", 0) {
+                assert_eq!(names(&s.children), steps, "{} {}", name(s), level(s));
+            }
+            assert!(s
+                .children
+                .iter()
+                .all(|c| name(c) != "colour_blocks" || level(c) == level(s)));
+        });
+        assert_eq!(seen.len(), 3 * cfg.levels, "{seen:?}");
+        assert!(seen.values().all(|&k| k == 1), "{seen:?}");
 
         bwb_trace::clear();
         drop(MgCfd::new(cfg));

@@ -314,6 +314,91 @@ pub fn sfc_order(coords: &DatU<f64>) -> Permutation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A random permutation of `0..len`.
+    fn shuffled(len: usize, rng: &mut StdRng) -> Vec<u32> {
+        let mut ids: Vec<u32> = (0..len as u32).collect();
+        for i in (1..len).rev() {
+            ids.swap(i, rng.gen_range(0..=i));
+        }
+        ids
+    }
+
+    /// The first entry of `ids` that is out of range or already seen, as
+    /// `(position, value)`: what a refusal must name.
+    fn first_bad(ids: &[u32]) -> Option<(usize, u32)> {
+        let mut seen = vec![false; ids.len()];
+        ids.iter()
+            .enumerate()
+            .find_map(|(position, &value)| match seen.get_mut(value as usize) {
+                Some(s) if !*s => {
+                    *s = true;
+                    None
+                }
+                _ => Some((position, value)),
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn hostile_ids_are_refused_at_their_first_bad_entry(
+            seed in 0u64..u64::MAX,
+            len in 0usize..40,
+            damage in 1usize..4,
+        ) {
+            // A permutation with `damage` entries overwritten by a repeat,
+            // an id just past the end or an id far out of range.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ids = shuffled(len, &mut rng);
+            if len > 0 {
+                for _ in 0..damage {
+                    let at = rng.gen_range(0..len);
+                    ids[at] = match rng.gen_range(0..3) {
+                        0 => ids[rng.gen_range(0..len)],
+                        1 => len as u32,
+                        _ => rng.gen_range(len as u32..=u32::MAX),
+                    };
+                }
+            }
+            let want = first_bad(&ids);
+            for result in [
+                Permutation::from_old_of_new(ids.clone()),
+                Permutation::from_new_of_old(ids.clone()),
+            ] {
+                match (result, want) {
+                    (Ok(p), None) => prop_assert_eq!(p.len(), len),
+                    (Err(e), Some((position, value))) => {
+                        prop_assert_eq!(e, NotAPermutation { len, position, value });
+                    }
+                    (got, want) => panic!("{ids:?}: {got:?}, expected refusal {want:?}"),
+                }
+            }
+        }
+
+        #[test]
+        fn valid_permutations_round_trip(seed in 0u64..u64::MAX, len in 0usize..200) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ids = shuffled(len, &mut rng);
+            let p = Permutation::from_new_of_old(ids.clone()).unwrap();
+            prop_assert_eq!(p.new_of_old(), &ids[..]);
+            let q = Permutation::from_old_of_new(ids.clone()).unwrap();
+            prop_assert_eq!(q.old_of_new(), &ids[..]);
+            // The two constructors read one vector in opposite directions.
+            prop_assert_eq!(p.clone().inverse(), q.clone());
+            prop_assert_eq!(q.inverse().inverse(), Permutation::from_old_of_new(ids.clone()).unwrap());
+            // Element `i` moves to `ids[i]`.
+            let values: Vec<u64> = (0..len as u64).map(|i| i * 1000 + 7).collect();
+            let moved = p.permute_slice(&values);
+            for (i, &v) in values.iter().enumerate() {
+                prop_assert_eq!(moved[ids[i] as usize], v);
+            }
+        }
+    }
 
     #[test]
     fn refuses_repeats_and_out_of_range() {
