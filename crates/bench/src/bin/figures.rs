@@ -10,6 +10,7 @@ use bwb_core::Figure;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    eprintln!("{}", bwb_core::machine::codegen());
     let Some(arg) = std::env::args().nth(1) else {
         for f in Figure::ALL {
             bwb_bench::emit(f);

@@ -90,6 +90,7 @@ fn run_traced(app: &str, ranks: usize) -> Result<trace::Trace, String> {
 }
 
 fn main() -> ExitCode {
+    eprintln!("{}", bwb_core::machine::codegen());
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list") {
         for a in APPS {

@@ -31,6 +31,7 @@
 //! assert!(max.flop_byte_ratio() < icx.flop_byte_ratio() / 3.0);
 //! ```
 
+pub mod codegen;
 pub mod latency;
 pub mod memory;
 pub mod platform;
@@ -40,6 +41,7 @@ pub mod roofline;
 pub mod storage;
 pub mod topology;
 
+pub use codegen::{codegen, Codegen};
 pub use latency::{CommDistance, LatencyProfile};
 pub use memory::{CacheLevel, CacheScope, MainMemory, MemoryKind};
 pub use platform::{Platform, PlatformKind};

@@ -27,18 +27,9 @@ impl Set {
 /// `flat` as rows of `D` values. Panics if `D` is zero or does not divide
 /// the length; callers check `D` against their own width first.
 fn as_rows<T, const D: usize>(flat: &[T]) -> &[[T; D]] {
-    assert!(D > 0, "rows of no values");
-    let n = flat.len() / D;
-    assert_eq!(
-        n * D,
-        flat.len(),
-        "{} values are not rows of {D}",
-        flat.len()
-    );
-    // SAFETY: `[T; D]` has the layout of `D` consecutive `T`s with `T`'s
-    // alignment, and `n` rows of it cover exactly the `n * D` values the
-    // slice owns, under the same borrow.
-    unsafe { std::slice::from_raw_parts(flat.as_ptr().cast::<[T; D]>(), n) }
+    let (rows, rest) = flat.as_chunks::<D>();
+    assert!(rest.is_empty(), "{} values are not rows of {D}", flat.len());
+    rows
 }
 
 /// A mapping from each element of one set to `arity` elements of another
