@@ -201,8 +201,9 @@ pub(crate) fn end_uloop() {
     });
 }
 
-/// The drivers call this before invoking the kernel on element `e`, so
-/// accessor notes know which iteration element performed them.
+/// The recording loop calls this for element `e` before it hands over the
+/// notes `e` made, so each noted access knows which iteration element
+/// performed it.
 #[inline]
 pub(crate) fn set_current(e: usize) {
     SESSION_U.with(|s| s.borrow_mut().current_elem = e);

@@ -16,12 +16,31 @@
 //!   processed in fixed-width lanes with explicit gather/scatter staging
 //!   buffers, and the extra staged bytes are recorded so the performance
 //!   model can price the pack/unpack overhead the paper describes in §6.
+//!
+//! # The accessor contract
+//!
+//! A kernel reaches its outputs only through the accessor its driver hands
+//! it ([`UOut`], or [`UStage`] for the gather shape), which holds one
+//! `(ptr, dim, len)` view per output *by value*. Every access is one bounds
+//! check and one load or store; when the loop is not recorded, no accessor
+//! method reaches a function call. Serial loops, blocks and the chunks of a
+//! threaded direct loop run in one out-of-line element loop, the kernel's
+//! only call site there, so the kernel is inlined into a loop that makes
+//! no call and keeps the views and its own state in registers.
+//!
+//! A recorded loop ([`crate::access::with_recording_u`]) runs serially in
+//! element order. Each access then appends one note to a fixed-capacity
+//! per-element log ([`NOTE_LOG_CAP`] notes) without a call, and the
+//! recording loop alone hands the log to the recorder after each element.
+//! An element that makes more notes than the log holds is refused with a
+//! panic naming the loop: a recording is never silently truncated.
 
 use crate::access::{self, UKind, UScheduleObs};
 use crate::color::{BlockColoring, Coloring};
 use crate::set::DatU;
 use bwb_ops::Profile;
 use rayon::prelude::*;
+use std::cell::{Cell, RefCell};
 use std::ops::{Add, Range};
 use std::time::Instant;
 
@@ -48,17 +67,16 @@ struct WViewU<T> {
 }
 
 // SAFETY: the view is a raw base + extent over a `DatU` exclusively borrowed
-// by the driver for the loop's duration; sending it to worker threads moves
-// only the pointer, and the coloring / own-element contracts (type docs)
-// keep concurrent element writes disjoint.
-unsafe impl<T: Send> Send for WViewU<T> {}
-// SAFETY: shared references only expose element and row reads and writes
-// (`write`/`read`/`row` through `UOut`), whose target disjointness across
-// threads is guaranteed by the same driver contracts.
+// by the driver for the loop's duration. Threads share it only inside a
+// parallel schedule, where each builds its own accessor from it, and the
+// coloring / own-element contracts (type docs) keep their element writes
+// disjoint. The threaded runs of `colored_indirect_increment_matches_serial`,
+// `block_colored_indirect_increment_matches_serial` and
+// `drivers_match_serial_at_edge_sizes` exercise this.
 unsafe impl<T: Send> Sync for WViewU<T> {}
 
 impl<T: Copy> WViewU<T> {
-    #[inline]
+    #[inline(always)]
     fn index(&self, e: usize, c: usize) -> usize {
         debug_assert!(c < self.dim);
         let idx = e * self.dim + c;
@@ -69,23 +87,25 @@ impl<T: Copy> WViewU<T> {
         idx
     }
 
-    #[inline]
+    #[inline(always)]
     fn write(&self, e: usize, c: usize, v: T) {
         let idx = self.index(e, c);
-        // SAFETY: bounds asserted; disjointness per the driver contract.
+        // SAFETY: `idx < len` by `index`'s assert (the refusal is
+        // `element_access_refuses_an_element_outside_the_dataset`);
+        // disjointness per the driver contract.
         unsafe { *self.ptr.add(idx) = v }
     }
 
-    #[inline]
+    #[inline(always)]
     fn read(&self, e: usize, c: usize) -> T {
         let idx = self.index(e, c);
-        // SAFETY: as in `write`.
+        // SAFETY: as in `write`, with the same test.
         unsafe { *self.ptr.add(idx) }
     }
 
     /// Element `e` as one row of `D` components, after a single assert that
     /// `D` is the view's `dim` and that the row lies inside the dataset.
-    #[inline]
+    #[inline(always)]
     fn row<const D: usize>(&self, e: usize) -> *mut [T; D] {
         // `D == dim` is checked first, so the division sees a zero `D` only
         // for a dataset of zero width, and panics there.
@@ -94,129 +114,260 @@ impl<T: Copy> WViewU<T> {
             "row of {D} at element {e} does not fit a dataset of dim {}",
             self.dim
         );
-        // SAFETY: `(e + 1) * D <= len` by the assert, so the offset stays
-        // inside the allocation, and `[T; D]` has `T`'s alignment.
-        unsafe { self.ptr.add(e * D).cast::<[T; D]>() }
+        // `(e + 1) * D <= len` by the assert, so the offset stays inside the
+        // allocation (`wrapping_add` keeps the pointer arithmetic safe).
+        self.ptr.wrapping_add(e * D).cast::<[T; D]>()
+    }
+
+    #[inline(always)]
+    fn read_row<const D: usize>(&self, e: usize) -> [T; D] {
+        let p = self.row::<D>(e);
+        // SAFETY: `row` asserted that the row lies inside the dataset (the
+        // refusals are `row_access_refuses_a_row_that_does_not_fit`), and
+        // `[T; D]` has `T`'s alignment; disjointness per the driver contract.
+        unsafe { *p }
+    }
+
+    #[inline(always)]
+    fn write_row<const D: usize>(&self, e: usize, row: [T; D]) {
+        let p = self.row::<D>(e);
+        // SAFETY: as in `read_row`, with the same test.
+        unsafe { *p = row }
     }
 }
 
-/// Kernel accessor over the output datasets. Unlike the structured case the
-/// element index is explicit, because indirect loops write *mapped* targets.
+fn uviews<T: Copy, const N: usize>(outs: &mut [&mut DatU<T>; N]) -> [WViewU<T>; N] {
+    outs.each_mut().map(|d| WViewU {
+        len: d.raw().len(),
+        dim: d.dim,
+        ptr: d.raw_mut().as_mut_ptr(),
+    })
+}
+
+/// How many output accesses one element may make while its loop is
+/// recorded: the capacity of the per-element note log.
+pub const NOTE_LOG_CAP: usize = 64;
+
+/// One output access of a recorded element, held until the element ends.
+#[derive(Clone, Copy)]
+struct Note {
+    f: usize,
+    target: usize,
+    kind: UKind,
+}
+
+/// The notes of the element a recorded loop is running. Accessors append
+/// to it through [`note`], without a call; [`NoteLog::end_element`] hands
+/// the notes to the recorder.
+struct NoteLog {
+    notes: [Cell<Note>; NOTE_LOG_CAP],
+    /// Notes made by the current element, counted past the capacity so
+    /// that an overflow is refused rather than truncated.
+    len: Cell<usize>,
+}
+
+impl NoteLog {
+    fn new() -> Self {
+        let blank = Note {
+            f: 0,
+            target: 0,
+            kind: UKind::Get,
+        };
+        NoteLog {
+            notes: std::array::from_fn(|_| Cell::new(blank)),
+            len: Cell::new(0),
+        }
+    }
+
+    /// Record the notes element `e` of loop `name` made, and empty the log.
+    fn end_element(&self, name: &str, e: usize) {
+        let n = self.len.replace(0);
+        assert!(
+            n <= NOTE_LOG_CAP,
+            "loop `{name}`: element {e} made {n} output accesses, more than the \
+             {NOTE_LOG_CAP} a recorded element may make"
+        );
+        access::set_current(e);
+        for note in &self.notes[..n] {
+            let Note { f, target, kind } = note.get();
+            access::note_access(f, target, kind);
+        }
+    }
+}
+
+/// Appends one note to `log` when the loop is recorded (`log` is `Some`),
+/// without a call either way.
+#[inline(always)]
+fn note(log: Option<&NoteLog>, f: usize, target: usize, kind: UKind) {
+    if let Some(log) = log {
+        let n = log.len.get();
+        if let Some(slot) = log.notes.get(n) {
+            slot.set(Note { f, target, kind });
+        }
+        log.len.set(n + 1);
+    }
+}
+
+/// Runs `kernel(e, out)` for each `e` of `range` in order. Under a note log
+/// (a recorded loop) it runs one element at a time and records each
+/// element's notes after it.
+fn run_range<A, K: Fn(usize, &A)>(
+    name: &str,
+    range: Range<usize>,
+    log: Option<&NoteLog>,
+    out: &A,
+    kernel: &K,
+) {
+    match log {
+        None => run_elements(range, out, kernel),
+        Some(log) => {
+            for e in range {
+                run_elements(e..e + 1, out, kernel);
+                log.end_element(name, e);
+            }
+        }
+    }
+}
+
+/// The element loop of every serial run, every block and every chunk of a
+/// threaded direct loop. Kept out of line so that it is the kernel's one
+/// call site there: the kernel is inlined into a loop that makes no call
+/// of its own, and the accessor's fields, behind a shared reference no
+/// store can reach, stay in registers.
+#[inline(never)]
+fn run_elements<A, K: Fn(usize, &A)>(range: Range<usize>, out: &A, kernel: &K) {
+    for e in range {
+        kernel(e, out);
+    }
+}
+
+/// Kernel accessor over the `N` output datasets. Unlike the structured case
+/// the element index is explicit, because indirect loops write *mapped*
+/// targets.
 ///
 /// Two widths of access: `get`/`set`/`add` touch one component `c`, and
 /// `get_row`/`set_row`/`add_row` a whole element of a dataset whose `dim`
 /// the kernel fixes at compile time — one bounds check and one recorded
-/// access per row instead of one per component.
-pub struct UOut<'a, T> {
-    views: &'a [WViewU<T>],
-    /// `recording_active_u()`, read once per loop by the driver: a
-    /// thread-local read per access is what an indirect kernel's eight
-    /// increments per edge cannot afford.
-    recording: bool,
+/// access per row instead of one per component. Outside a recorded loop no
+/// method makes a call (module docs).
+pub struct UOut<'a, T, const N: usize> {
+    views: [WViewU<T>; N],
+    /// `Some` only in a recorded loop, which runs serially.
+    log: Option<&'a NoteLog>,
 }
 
-impl<T: Copy> UOut<'_, T> {
-    #[inline]
-    fn note(&self, f: usize, e: usize, kind: UKind) {
-        if self.recording {
-            access::note_access(f, e, kind);
-        }
-    }
-
+impl<T: Copy, const N: usize> UOut<'_, T, N> {
     /// Overwrite component `c` of element `e` of output dataset `f`.
-    #[inline]
+    #[inline(always)]
     pub fn set(&self, f: usize, e: usize, c: usize, v: T) {
-        self.note(f, e, UKind::Set);
+        note(self.log, f, e, UKind::Set);
         self.views[f].write(e, c, v);
     }
 
     /// Read back (for read-modify-write of owned targets).
-    #[inline]
+    #[inline(always)]
     pub fn get(&self, f: usize, e: usize, c: usize) -> T {
-        self.note(f, e, UKind::Get);
+        note(self.log, f, e, UKind::Get);
         self.views[f].read(e, c)
     }
 
     /// Overwrite every component of element `e` of output dataset `f`,
     /// whose `dim` must be `D`.
-    #[inline]
+    #[inline(always)]
     pub fn set_row<const D: usize>(&self, f: usize, e: usize, row: [T; D]) {
-        self.note(f, e, UKind::Set);
-        let p = self.views[f].row::<D>(e);
-        // SAFETY: `row` asserted the bounds; disjointness per the driver
-        // contract.
-        unsafe { *p = row }
+        note(self.log, f, e, UKind::Set);
+        self.views[f].write_row(e, row);
     }
 
     /// Read back every component of element `e` of output dataset `f`,
     /// whose `dim` must be `D`.
-    #[inline]
+    #[inline(always)]
     pub fn get_row<const D: usize>(&self, f: usize, e: usize) -> [T; D] {
-        self.note(f, e, UKind::Get);
-        let p = self.views[f].row::<D>(e);
-        // SAFETY: as in `set_row`.
-        unsafe { *p }
+        note(self.log, f, e, UKind::Get);
+        self.views[f].read_row(e)
     }
 }
 
-impl<T: Copy + Add<Output = T>> UOut<'_, T> {
+impl<T: Copy + Add<Output = T>, const N: usize> UOut<'_, T, N> {
     /// Increment — the canonical OP2 indirect access (`OP_INC`).
-    #[inline]
+    #[inline(always)]
     pub fn add(&self, f: usize, e: usize, c: usize, v: T) {
-        self.note(f, e, UKind::Inc);
-        let cur = self.views[f].read(e, c);
-        self.views[f].write(e, c, cur + v);
+        note(self.log, f, e, UKind::Inc);
+        let view = &self.views[f];
+        view.write(e, c, view.read(e, c) + v);
     }
 
     /// Increment every component of element `e` of output dataset `f`, whose
     /// `dim` must be `D`, by `row`, in component order: [`UOut::add`] for a
     /// whole row.
-    #[inline]
+    #[inline(always)]
     pub fn add_row<const D: usize>(&self, f: usize, e: usize, row: [T; D]) {
-        self.note(f, e, UKind::Inc);
-        let p = self.views[f].row::<D>(e);
-        // SAFETY: as in `set_row`; no other reference to this row is live
-        // while the kernel holds this one.
-        let cur = unsafe { &mut *p };
-        for (x, v) in cur.iter_mut().zip(row) {
-            *x = *x + v;
-        }
+        note(self.log, f, e, UKind::Inc);
+        let view = &self.views[f];
+        let cur = view.read_row::<D>(e);
+        view.write_row::<D>(e, std::array::from_fn(|c| cur[c] + row[c]));
     }
 }
 
-fn uviews<T: Copy>(outs: &mut [&mut DatU<T>]) -> Vec<WViewU<T>> {
-    outs.iter_mut()
-        .map(|d| WViewU {
-            len: d.raw().len(),
-            dim: d.dim,
-            ptr: d.raw_mut().as_mut_ptr(),
-        })
-        .collect()
+/// Times `run` as loop `name` over `set_size` elements, then accounts it —
+/// `bytes` and `flops` in all — in `profile` and the trace. When this
+/// thread is recording, the loop is recorded under `schedule()` and `run`
+/// receives the note log; it must then run every element serially, in
+/// ascending order.
+#[allow(clippy::too_many_arguments)]
+fn accounted<T: Copy, const N: usize>(
+    profile: &mut Profile,
+    name: &str,
+    set_size: usize,
+    outs: &mut [&mut DatU<T>; N],
+    bytes: usize,
+    flops: f64,
+    schedule: impl FnOnce() -> UScheduleObs,
+    run: impl FnOnce([WViewU<T>; N], Option<&NoteLog>),
+) {
+    let log = access::recording_active_u().then(|| {
+        let names = outs.iter().map(|d| d.name.clone()).collect();
+        access::begin_uloop(name, set_size, names, schedule());
+        NoteLog::new()
+    });
+    let views = uviews(outs);
+    let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
+    let t0 = Instant::now();
+    run(views, log.as_ref());
+    let seconds = t0.elapsed().as_secs_f64();
+    tspan.set_args(bytes as f64, flops, set_size as f64);
+    drop(tspan);
+    if log.is_some() {
+        access::end_uloop();
+    }
+    profile.record(name, set_size, bytes, flops, seconds);
 }
 
 /// The element sweep of a direct loop, shared by [`par_loop_direct`] and
 /// [`sweep_direct`].
-fn run_direct<T, F>(
+fn run_direct<T, F, const N: usize>(
+    name: &str,
     mode: ExecModeU,
     set_size: usize,
-    views: &[WViewU<T>],
-    recording: bool,
+    views: [WViewU<T>; N],
+    log: Option<&NoteLog>,
     kernel: &F,
 ) where
-    T: Copy + Send + Sync,
-    F: Fn(usize, &UOut<T>) + Sync,
+    T: Copy + Send,
+    F: Fn(usize, &UOut<T, N>) + Sync,
 {
-    let out = UOut { views, recording };
-    match mode {
-        ExecModeU::Serial => {
-            for e in 0..set_size {
-                if recording {
-                    access::set_current(e);
-                }
-                kernel(e, &out);
-            }
+    match (mode, log) {
+        (ExecModeU::Colored, None) => {
+            // Contiguous chunks, a few per thread, each one `run_elements`
+            // call: the kernel keeps its one call site.
+            let chunk = set_size.div_ceil(4 * rayon::current_num_threads()).max(1);
+            (0..set_size.div_ceil(chunk)).into_par_iter().for_each(|c| {
+                let lo = c * chunk;
+                let out = UOut { views, log: None };
+                run_elements(lo..(lo + chunk).min(set_size), &out, kernel);
+            })
         }
-        ExecModeU::Colored => (0..set_size).into_par_iter().for_each(|e| kernel(e, &out)),
+        _ => run_range(name, 0..set_size, log, &UOut { views, log }, kernel),
     }
 }
 
@@ -224,59 +375,42 @@ fn run_direct<T, F>(
 /// element `e` of each output, and nothing is recorded — no [`Profile`]
 /// entry, no trace span, and the access recorder does not see it. For mesh
 /// set-up passes and for transfer operators that keep their own account.
-pub fn sweep_direct<T, F>(mode: ExecModeU, set_size: usize, outs: &mut [&mut DatU<T>], kernel: F)
-where
-    T: Copy + Send + Sync,
-    F: Fn(usize, &UOut<T>) + Sync,
+pub fn sweep_direct<T, F, const N: usize>(
+    mode: ExecModeU,
+    set_size: usize,
+    outs: &mut [&mut DatU<T>; N],
+    kernel: F,
+) where
+    T: Copy + Send,
+    F: Fn(usize, &UOut<T, N>) + Sync,
 {
-    run_direct(mode, set_size, &uviews(outs), false, &kernel);
+    run_direct("sweep_direct", mode, set_size, uviews(outs), None, &kernel);
 }
 
 /// Direct loop: `kernel(e, out)` may write only element `e` of each output.
 #[allow(clippy::too_many_arguments)]
-pub fn par_loop_direct<T, F>(
+pub fn par_loop_direct<T, F, const N: usize>(
     profile: &mut Profile,
     name: &str,
     mode: ExecModeU,
     set_size: usize,
-    outs: &mut [&mut DatU<T>],
+    outs: &mut [&mut DatU<T>; N],
     bytes_per_elem: usize,
     flops_per_elem: f64,
     kernel: F,
 ) where
-    T: Copy + Send + Sync,
-    F: Fn(usize, &UOut<T>) + Sync,
+    T: Copy + Send,
+    F: Fn(usize, &UOut<T, N>) + Sync,
 {
-    let recording = access::recording_active_u();
-    let mode = if recording { ExecModeU::Serial } else { mode };
-    if recording {
-        access::begin_uloop(
-            name,
-            set_size,
-            outs.iter().map(|d| d.name.clone()).collect(),
-            UScheduleObs::Direct,
-        );
-    }
-    let views = uviews(outs);
-    let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-    let t0 = Instant::now();
-    run_direct(mode, set_size, &views, recording, &kernel);
-    let seconds = t0.elapsed().as_secs_f64();
-    tspan.set_args(
-        (set_size * bytes_per_elem) as f64,
-        set_size as f64 * flops_per_elem,
-        set_size as f64,
-    );
-    drop(tspan);
-    if recording {
-        access::end_uloop();
-    }
-    profile.record(
+    accounted(
+        profile,
         name,
         set_size,
+        outs,
         set_size * bytes_per_elem,
         set_size as f64 * flops_per_elem,
-        seconds,
+        || UScheduleObs::Direct,
+        |views, log| run_direct(name, mode, set_size, views, log, &kernel),
     );
 }
 
@@ -284,75 +418,46 @@ pub fn par_loop_direct<T, F>(
 /// `coloring` must be conflict-free for every map the kernel writes through
 /// (build it with [`Coloring::greedy`] over those maps).
 #[allow(clippy::too_many_arguments)]
-pub fn par_loop_colored<T, F>(
+pub fn par_loop_colored<T, F, const N: usize>(
     profile: &mut Profile,
     name: &str,
     mode: ExecModeU,
     coloring: &Coloring,
-    outs: &mut [&mut DatU<T>],
+    outs: &mut [&mut DatU<T>; N],
     bytes_per_elem: usize,
     flops_per_elem: f64,
     kernel: F,
 ) where
-    T: Copy + Send + Sync,
-    F: Fn(usize, &UOut<T>) + Sync,
+    T: Copy + Send,
+    F: Fn(usize, &UOut<T, N>) + Sync,
 {
     let set_size = coloring.colors.len();
-    let recording = access::recording_active_u();
-    let mode = if recording { ExecModeU::Serial } else { mode };
-    if recording {
-        access::begin_uloop(
-            name,
-            set_size,
-            outs.iter().map(|d| d.name.clone()).collect(),
-            UScheduleObs::Colored {
-                block_size: 1,
-                block_colors: coloring.colors.clone(),
-                n_colors: coloring.n_colors,
-            },
-        );
-    }
-    let views = uviews(outs);
-    let out = UOut {
-        views: &views,
-        recording,
+    let schedule = || UScheduleObs::Colored {
+        block_size: 1,
+        block_colors: coloring.colors.clone(),
+        n_colors: coloring.n_colors,
     };
-    let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-    let t0 = Instant::now();
-    match mode {
-        ExecModeU::Serial => {
-            // Sequential: element order, ignoring colors (no races possible).
-            for e in 0..set_size {
-                if recording {
-                    access::set_current(e);
-                }
-                kernel(e, &out);
-            }
-        }
-        ExecModeU::Colored => {
-            for (color, class) in coloring.by_color.iter().enumerate() {
-                let mut cspan = bwb_trace::span(bwb_trace::Cat::Color, "color_round");
-                cspan.set_args(color as f64, class.len() as f64, 0.0);
-                class.par_iter().for_each(|&e| kernel(e as usize, &out));
-            }
-        }
-    }
-    let seconds = t0.elapsed().as_secs_f64();
-    tspan.set_args(
-        (set_size * bytes_per_elem) as f64,
-        set_size as f64 * flops_per_elem,
-        set_size as f64,
-    );
-    drop(tspan);
-    if recording {
-        access::end_uloop();
-    }
-    profile.record(
+    accounted(
+        profile,
         name,
         set_size,
+        outs,
         set_size * bytes_per_elem,
         set_size as f64 * flops_per_elem,
-        seconds,
+        schedule,
+        |views, log| match (mode, log) {
+            (ExecModeU::Colored, None) => {
+                for (color, class) in coloring.by_color.iter().enumerate() {
+                    let mut cspan = bwb_trace::span(bwb_trace::Cat::Color, "color_round");
+                    cspan.set_args(color as f64, class.len() as f64, 0.0);
+                    class
+                        .par_iter()
+                        .for_each(|&e| kernel(e as usize, &UOut { views, log: None }));
+                }
+            }
+            // Sequential: element order, ignoring colors (no races possible).
+            _ => run_range(name, 0..set_size, log, &UOut { views, log }, &kernel),
+        },
     );
 }
 
@@ -365,18 +470,18 @@ pub fn par_loop_colored<T, F>(
 /// The `coloring` must be conflict-free for every map the kernel writes
 /// through (build it with [`BlockColoring::greedy`] over those maps).
 #[allow(clippy::too_many_arguments)]
-pub fn par_loop_block_colored<T, F>(
+pub fn par_loop_block_colored<T, F, const N: usize>(
     profile: &mut Profile,
     name: &str,
     mode: ExecModeU,
     coloring: &BlockColoring,
-    outs: &mut [&mut DatU<T>],
+    outs: &mut [&mut DatU<T>; N],
     bytes_per_elem: usize,
     flops_per_elem: f64,
     kernel: F,
 ) where
-    T: Copy + Send + Sync,
-    F: Fn(usize, &UOut<T>) + Sync,
+    T: Copy + Send,
+    F: Fn(usize, &UOut<T, N>) + Sync,
 {
     par_loop_block_colored_staged(
         profile,
@@ -403,87 +508,60 @@ pub fn par_loop_block_colored<T, F>(
 /// ascending order; a recording sees the same loop, schedule and accesses
 /// as [`par_loop_block_colored`].
 #[allow(clippy::too_many_arguments)]
-pub fn par_loop_block_colored_staged<T, S, G, F>(
+pub fn par_loop_block_colored_staged<T, S, G, F, const N: usize>(
     profile: &mut Profile,
     name: &str,
     mode: ExecModeU,
     coloring: &BlockColoring,
-    outs: &mut [&mut DatU<T>],
+    outs: &mut [&mut DatU<T>; N],
     bytes_per_elem: usize,
     flops_per_elem: f64,
     stage: G,
     kernel: F,
 ) where
-    T: Copy + Send + Sync,
+    T: Copy + Send,
     G: Fn(Range<usize>) -> S + Sync,
-    F: Fn(&S, usize, &UOut<T>) + Sync,
+    F: Fn(&S, usize, &UOut<T, N>) + Sync,
 {
     let set_size = coloring.set_size;
-    let recording = access::recording_active_u();
-    let mode = if recording { ExecModeU::Serial } else { mode };
-    if recording {
-        access::begin_uloop(
-            name,
-            set_size,
-            outs.iter().map(|d| d.name.clone()).collect(),
-            UScheduleObs::Colored {
-                block_size: coloring.block_size,
-                block_colors: coloring.block_colors.clone(),
-                n_colors: coloring.n_colors,
-            },
-        );
-    }
-    let views = uviews(outs);
-    let out = UOut {
-        views: &views,
-        recording,
+    let schedule = || UScheduleObs::Colored {
+        block_size: coloring.block_size,
+        block_colors: coloring.block_colors.clone(),
+        n_colors: coloring.n_colors,
     };
-    let run_block = |range: Range<usize>| {
-        let staged = stage(range.clone());
-        for e in range {
-            if recording {
-                access::set_current(e);
-            }
-            kernel(&staged, e, &out);
-        }
-    };
-    let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-    let t0 = Instant::now();
-    match mode {
-        ExecModeU::Serial => {
-            (0..coloring.n_blocks()).for_each(|b| run_block(coloring.block_range(b)))
-        }
-        ExecModeU::Colored => {
-            for (color, class) in coloring.by_color.iter().enumerate() {
-                let mut cspan = bwb_trace::span(bwb_trace::Cat::Color, "color_round");
-                // Elements, not blocks: the per-round work actually executed.
-                let elems: usize = class
-                    .iter()
-                    .map(|&b| coloring.block_range(b as usize).len())
-                    .sum();
-                cspan.set_args(color as f64, elems as f64, 0.0);
-                class
-                    .par_iter()
-                    .for_each(|&b| run_block(coloring.block_range(b as usize)));
-            }
-        }
-    }
-    let seconds = t0.elapsed().as_secs_f64();
-    tspan.set_args(
-        (set_size * bytes_per_elem) as f64,
-        set_size as f64 * flops_per_elem,
-        set_size as f64,
-    );
-    drop(tspan);
-    if recording {
-        access::end_uloop();
-    }
-    profile.record(
+    accounted(
+        profile,
         name,
         set_size,
+        outs,
         set_size * bytes_per_elem,
         set_size as f64 * flops_per_elem,
-        seconds,
+        schedule,
+        |views, log| {
+            let run_block = |b: usize, log: Option<&NoteLog>| {
+                let range = coloring.block_range(b);
+                let staged = stage(range.clone());
+                let out = UOut { views, log };
+                run_range(name, range, log, &out, &|e, out: &UOut<T, N>| {
+                    kernel(&staged, e, out)
+                });
+            };
+            match (mode, log) {
+                (ExecModeU::Colored, None) => {
+                    for (color, class) in coloring.by_color.iter().enumerate() {
+                        let mut cspan = bwb_trace::span(bwb_trace::Cat::Color, "color_round");
+                        // Elements, not blocks: the per-round work actually executed.
+                        let elems: usize = class
+                            .iter()
+                            .map(|&b| coloring.block_range(b as usize).len())
+                            .sum();
+                        cspan.set_args(color as f64, elems as f64, 0.0);
+                        class.par_iter().for_each(|&b| run_block(b as usize, None));
+                    }
+                }
+                _ => (0..coloring.n_blocks()).for_each(|b| run_block(b, log)),
+            }
+        },
     );
 }
 
@@ -520,49 +598,43 @@ impl<T> GatherScratch<T> {
 /// into the scatter buffer and applied in element order when the lane batch
 /// completes, like OP2's pack/unpack code. `get` reads the pre-batch value
 /// (kernels of the vec shape do not read targets they increment — the
-/// standard `OP_INC` contract).
-pub struct UStage<'a, T> {
-    views: &'a [WViewU<T>],
-    staged: &'a std::cell::RefCell<Vec<StagedWrite<T>>>,
+/// standard `OP_INC` contract). Accesses are noted as [`UOut`]'s are.
+pub struct UStage<'a, T, const N: usize> {
+    views: [WViewU<T>; N],
+    staged: &'a RefCell<Vec<StagedWrite<T>>>,
+    /// `Some` only in a recorded loop.
+    log: Option<&'a NoteLog>,
 }
 
-impl<T: Copy> UStage<'_, T> {
-    /// Stage an overwrite of component `c` of element `e` of dataset `f`.
-    #[inline]
-    pub fn set(&self, f: usize, e: usize, c: usize, v: T) {
-        if access::recording_active_u() {
-            access::note_access(f, e, UKind::Set);
-        }
+impl<T: Copy, const N: usize> UStage<'_, T, N> {
+    #[inline(always)]
+    fn stage(&self, f: usize, e: usize, c: usize, v: T, kind: UKind) {
+        note(self.log, f, e, kind);
         self.staged.borrow_mut().push(StagedWrite {
             f: f as u32,
             e: e as u32,
             c: c as u32,
             v,
-            inc: false,
+            inc: kind == UKind::Inc,
         });
+    }
+
+    /// Stage an overwrite of component `c` of element `e` of dataset `f`.
+    #[inline(always)]
+    pub fn set(&self, f: usize, e: usize, c: usize, v: T) {
+        self.stage(f, e, c, v, UKind::Set);
     }
 
     /// Stage an increment — the canonical OP2 indirect access (`OP_INC`).
-    #[inline]
+    #[inline(always)]
     pub fn add(&self, f: usize, e: usize, c: usize, v: T) {
-        if access::recording_active_u() {
-            access::note_access(f, e, UKind::Inc);
-        }
-        self.staged.borrow_mut().push(StagedWrite {
-            f: f as u32,
-            e: e as u32,
-            c: c as u32,
-            v,
-            inc: true,
-        });
+        self.stage(f, e, c, v, UKind::Inc);
     }
 
     /// Read the pre-batch value (staged writes of this batch are invisible).
-    #[inline]
+    #[inline(always)]
     pub fn get(&self, f: usize, e: usize, c: usize) -> T {
-        if access::recording_active_u() {
-            access::note_access(f, e, UKind::Get);
-        }
+        note(self.log, f, e, UKind::Get);
         self.views[f].read(e, c)
     }
 }
@@ -577,92 +649,67 @@ impl<T: Copy> UStage<'_, T> {
 /// pack/unpack overhead of the paper's vectorized implementation enters the
 /// performance model.
 #[allow(clippy::too_many_arguments)]
-pub fn par_loop_gather<T, F>(
+pub fn par_loop_gather<T, F, const N: usize>(
     profile: &mut Profile,
     name: &str,
     lanes: usize,
     set_size: usize,
-    outs: &mut [&mut DatU<T>],
+    outs: &mut [&mut DatU<T>; N],
     scratch: &mut GatherScratch<T>,
     bytes_per_elem: usize,
     indirect_bytes_per_elem: usize,
     flops_per_elem: f64,
     kernel: F,
 ) where
-    T: Copy + Send + Sync + std::ops::Add<Output = T>,
-    F: Fn(usize, &UStage<T>),
+    T: Copy + Add<Output = T>,
+    F: Fn(usize, &UStage<T, N>),
 {
     assert!(lanes >= 1);
-    let recording = access::recording_active_u();
-    if recording {
-        access::begin_uloop(
-            name,
-            set_size,
-            outs.iter().map(|d| d.name.clone()).collect(),
-            UScheduleObs::Gather,
-        );
-    }
-    let views = uviews(outs);
-    let staged = std::cell::RefCell::new(std::mem::take(&mut scratch.staged));
-    let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-    let t0 = Instant::now();
-    let mut e = 0;
-    while e < set_size {
-        let hi = (e + lanes).min(set_size);
-        // "Gather"/compute: kernels read operands and stage their indirect
-        // writes into the scatter buffer.
-        {
-            let _g = bwb_trace::span(bwb_trace::Cat::Other, "gather_batch");
-            let out = UStage {
-                views: &views,
-                staged: &staged,
-            };
-            for ee in e..hi {
-                if recording {
-                    access::set_current(ee);
-                }
-                kernel(ee, &out);
-            }
-        }
-        // "Scatter": apply the batch in element order (drain keeps the
-        // buffer's capacity for the next batch).
-        {
-            let _s = bwb_trace::span(bwb_trace::Cat::Other, "scatter_batch");
-            for w in staged.borrow_mut().drain(..) {
-                let view = &views[w.f as usize];
-                let v = if w.inc {
-                    view.read(w.e as usize, w.c as usize) + w.v
-                } else {
-                    w.v
-                };
-                view.write(w.e as usize, w.c as usize, v);
-            }
-        }
-        e = hi;
-    }
-    let seconds = t0.elapsed().as_secs_f64();
-    tspan.set_args(
-        (set_size * (bytes_per_elem + 2 * indirect_bytes_per_elem)) as f64,
-        set_size as f64 * flops_per_elem,
-        set_size as f64,
-    );
-    drop(tspan);
-    if recording {
-        access::end_uloop();
-    }
-    scratch.staged = staged.into_inner();
-    profile.record(
+    accounted(
+        profile,
         name,
         set_size,
+        outs,
         set_size * (bytes_per_elem + 2 * indirect_bytes_per_elem),
         set_size as f64 * flops_per_elem,
-        seconds,
+        || UScheduleObs::Gather,
+        |views, log| {
+            let staged = RefCell::new(std::mem::take(&mut scratch.staged));
+            let out = UStage {
+                views,
+                staged: &staged,
+                log,
+            };
+            for e in (0..set_size).step_by(lanes) {
+                let batch = e..(e + lanes).min(set_size);
+                // "Gather"/compute: kernels read operands and stage their
+                // indirect writes into the scatter buffer.
+                {
+                    let _g = bwb_trace::span(bwb_trace::Cat::Other, "gather_batch");
+                    run_range(name, batch, log, &out, &kernel);
+                }
+                // "Scatter": apply the batch in element order (drain keeps
+                // the buffer's capacity for the next batch).
+                let _s = bwb_trace::span(bwb_trace::Cat::Other, "scatter_batch");
+                for w in staged.borrow_mut().drain(..) {
+                    let view = &views[w.f as usize];
+                    let v = if w.inc {
+                        view.read(w.e as usize, w.c as usize) + w.v
+                    } else {
+                        w.v
+                    };
+                    view.write(w.e as usize, w.c as usize, v);
+                }
+            }
+            scratch.staged = staged.into_inner();
+        },
     );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::ULoopObs;
     use crate::set::{Map, Set};
 
     fn ring_mesh(n: usize) -> (Set, Set, Map) {
@@ -875,7 +922,7 @@ mod tests {
         let (nodes, _edges, map) = ring_mesh(n);
         let coloring = BlockColoring::greedy(n, 8, &[&map]);
         let m = &map;
-        let kernel = |e: usize, out: &UOut<f64>| {
+        let kernel = |e: usize, out: &UOut<f64, 1>| {
             out.add(0, m.get(e, 0), 0, 1.0);
             out.add_row(0, m.get(e, 1), [2.0]);
         };
@@ -935,7 +982,7 @@ mod tests {
     #[test]
     fn row_access_refuses_a_row_that_does_not_fit() {
         // `call(out, e)` makes one row access at element `e`.
-        type RowCall<'a> = &'a (dyn Fn(&UOut<f64>, usize) + Sync);
+        type RowCall<'a> = &'a (dyn Fn(&UOut<f64, 1>, usize) + Sync);
         let s = Set::new("s", 3);
         let fits = |call: RowCall, e: usize| {
             let mut d = DatU::<f64>::new("d", &s, 2);
@@ -1142,5 +1189,382 @@ mod tests {
             |_e, _o| panic!("must not run"),
         );
         assert_eq!(p.get("k").unwrap().points, 0);
+    }
+
+    #[test]
+    fn element_access_refuses_an_element_outside_the_dataset() {
+        // `call(out, e)` makes one component access at element `e`.
+        type ElemCall<'a> = &'a (dyn Fn(&UOut<f64, 1>, usize) + Sync);
+        let s = Set::new("s", 3);
+        let fits = |call: ElemCall, e: usize| {
+            let mut d = DatU::<f64>::new("d", &s, 2);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sweep_direct(ExecModeU::Serial, 1, &mut [&mut d], |_, out| call(out, e))
+            }))
+            .is_ok()
+        };
+        let calls: [(&str, ElemCall); 3] = [
+            ("get", &|out, e| {
+                let _ = out.get(0, e, 1);
+            }),
+            ("set", &|out, e| out.set(0, e, 1, 1.0)),
+            ("add", &|out, e| out.add(0, e, 1, 1.0)),
+        ];
+        for (what, call) in calls {
+            assert!(fits(call, 2), "{what} at the last element");
+            assert!(!fits(call, 3), "{what} past the end");
+            assert!(!fits(call, usize::MAX / 2), "{what} far past the end");
+        }
+    }
+
+    /// The block size of MG-CFD's flux schedule (`mgcfd::FLUX_BLOCK`).
+    const FLUX_BLOCK: usize = 1024;
+
+    /// An edge kernel over a ring: a row increment at the first end, two
+    /// component increments (one per output) at the second. Every node
+    /// gets two increments per output component, so any order of them
+    /// gives the same bits.
+    macro_rules! ring_edge_kernel {
+        ($map:expr) => {
+            |e, out| ring_edge_kernel!($map, e, out)
+        };
+        ($map:expr, $e:expr, $out:expr) => {{
+            let w = 1.0 / ($e + 3) as f64;
+            $out.add_row(0, $map.get($e, 0), [w, -w]);
+            $out.add(0, $map.get($e, 1), 1, w * w);
+            $out.add(1, $map.get($e, 1), 0, -w);
+        }};
+    }
+
+    /// A direct kernel: reads its own row back, overwrites and increments it.
+    macro_rules! own_row_kernel {
+        () => {
+            |e, out| {
+                let [x, y] = out.get_row::<2>(0, e);
+                out.set_row(0, e, [y + 0.5, x - (e as f64).sqrt()]);
+                out.add(0, e, 1, 1.0 / (e + 1) as f64);
+            }
+        };
+    }
+
+    #[test]
+    fn drivers_match_serial_at_edge_sizes() {
+        // Sizes 0 and 1, and a block schedule's last block one short of and
+        // one past a full block.
+        for n in [0, 1, FLUX_BLOCK - 1, FLUX_BLOCK + 1] {
+            let (nodes, edges, map) = ring_mesh(n);
+            let m = &map;
+            let coloring = Coloring::greedy(n, &[m]);
+            let blocks = BlockColoring::greedy(n, FLUX_BLOCK, &[m]);
+            let run = |mode: ExecModeU| {
+                let p = &mut Profile::new();
+                let fresh = || {
+                    (
+                        DatU::<f64>::new("a", &nodes, 2),
+                        DatU::<f64>::new("b", &nodes, 1),
+                    )
+                };
+                let (mut a0, mut b0) = fresh();
+                par_loop_colored(
+                    p,
+                    "colored",
+                    mode,
+                    &coloring,
+                    &mut [&mut a0, &mut b0],
+                    0,
+                    0.0,
+                    ring_edge_kernel!(m),
+                );
+                let (mut a1, mut b1) = fresh();
+                par_loop_block_colored(
+                    p,
+                    "block",
+                    mode,
+                    &blocks,
+                    &mut [&mut a1, &mut b1],
+                    0,
+                    0.0,
+                    ring_edge_kernel!(m),
+                );
+                let (mut a2, mut b2) = fresh();
+                par_loop_block_colored_staged(
+                    p,
+                    "staged",
+                    mode,
+                    &blocks,
+                    &mut [&mut a2, &mut b2],
+                    0,
+                    0.0,
+                    |range| range,
+                    |range, e, out| {
+                        assert!(range.contains(&e));
+                        ring_edge_kernel!(m, e, out)
+                    },
+                );
+                let mut d0 = DatU::<f64>::new("d", &edges, 2);
+                d0.init_with(|e, c| (3 * e + c) as f64);
+                let mut d1 = d0.clone();
+                par_loop_direct(
+                    p,
+                    "direct",
+                    mode,
+                    n,
+                    &mut [&mut d0],
+                    0,
+                    0.0,
+                    own_row_kernel!(),
+                );
+                sweep_direct(mode, n, &mut [&mut d1], own_row_kernel!());
+                [a0, b0, a1, b1, a2, b2, d0, d1].map(|d| d.raw().to_vec())
+            };
+            let serial = run(ExecModeU::Serial);
+            assert_eq!(serial, run(ExecModeU::Colored), "n = {n}");
+            // The indirect drivers agree with each other too.
+            assert_eq!((&serial[0], &serial[1]), (&serial[2], &serial[3]));
+            assert_eq!((&serial[0], &serial[1]), (&serial[4], &serial[5]));
+        }
+    }
+
+    #[test]
+    fn recordings_are_the_accesses_kernels_make() {
+        // The observations every driver records for a known kernel, loop
+        // for loop: its name, size, outputs, schedule and access tuples.
+        let n = 5;
+        let (nodes, edges, map) = ring_mesh(n);
+        let m = &map;
+        let coloring = Coloring::greedy(n, &[m]);
+        let blocks = BlockColoring::greedy(n, 2, &[m]);
+        let mut a = DatU::<f64>::new("a", &nodes, 2);
+        let mut b = DatU::<f64>::new("b", &nodes, 1);
+        let mut d = DatU::<f64>::new("d", &edges, 2);
+        let ((), obs) = access::with_recording_u(|| {
+            let p = &mut Profile::new();
+            let (a, b) = (&mut a, &mut b);
+            let mode = ExecModeU::Colored;
+            par_loop_colored(
+                p,
+                "colored",
+                mode,
+                &coloring,
+                &mut [a, b],
+                0,
+                0.0,
+                ring_edge_kernel!(m),
+            );
+            par_loop_block_colored(
+                p,
+                "block",
+                mode,
+                &blocks,
+                &mut [a, b],
+                0,
+                0.0,
+                ring_edge_kernel!(m),
+            );
+            par_loop_block_colored_staged(
+                p,
+                "staged",
+                mode,
+                &blocks,
+                &mut [a, b],
+                0,
+                0.0,
+                |_| (),
+                |(), e, out| ring_edge_kernel!(m, e, out),
+            );
+            par_loop_direct(
+                p,
+                "direct",
+                mode,
+                n,
+                &mut [&mut d],
+                0,
+                0.0,
+                own_row_kernel!(),
+            );
+            sweep_direct(mode, n, &mut [&mut d], own_row_kernel!());
+            par_loop_gather(
+                p,
+                "gather",
+                2,
+                n,
+                &mut [a, b],
+                &mut GatherScratch::new(),
+                0,
+                0,
+                0.0,
+                |e, out| {
+                    out.add(0, m.get(e, 0), 1, 1.0);
+                    out.set(1, m.get(e, 1), 0, out.get(0, e, 0));
+                },
+            );
+        });
+        let names: Vec<_> = obs.iter().map(|o| o.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["colored", "block", "staged", "direct", "gather"],
+            "a sweep is not recorded"
+        );
+        let tuples = |o: &ULoopObs| -> Vec<(usize, usize, usize, UKind)> {
+            o.accesses
+                .iter()
+                .map(|a| (a.f, a.src, a.target, a.kind))
+                .collect()
+        };
+        let sorted = |mut v: Vec<(usize, usize, usize, UKind)>| {
+            v.sort();
+            v
+        };
+        let edge_accesses = sorted(
+            (0..n)
+                .flat_map(|e| {
+                    let next = (e + 1) % n;
+                    [
+                        (0, e, e, UKind::Inc),
+                        (0, e, next, UKind::Inc),
+                        (1, e, next, UKind::Inc),
+                    ]
+                })
+                .collect(),
+        );
+        let schedule = |o: &ULoopObs| match &o.schedule {
+            UScheduleObs::Colored {
+                block_size,
+                block_colors,
+                n_colors,
+            } => Some((*block_size, block_colors.clone(), *n_colors)),
+            _ => None,
+        };
+        for o in &obs[..3] {
+            assert_eq!((o.set_size, o.out_names.join(" ")), (n, "a b".into()));
+            assert_eq!(tuples(o), edge_accesses, "{}", o.name);
+        }
+        let element = Some((1, coloring.colors.clone(), coloring.n_colors));
+        assert_eq!(schedule(&obs[0]), element);
+        let block = Some((2, blocks.block_colors.clone(), blocks.n_colors));
+        assert_eq!(
+            (schedule(&obs[1]), schedule(&obs[2])),
+            (block.clone(), block)
+        );
+        let direct = sorted(
+            (0..n)
+                .flat_map(|e| {
+                    [
+                        (0, e, e, UKind::Get),
+                        (0, e, e, UKind::Set),
+                        (0, e, e, UKind::Inc),
+                    ]
+                })
+                .collect(),
+        );
+        assert!(matches!(obs[3].schedule, UScheduleObs::Direct));
+        assert_eq!(
+            (obs[3].set_size, obs[3].out_names.join(" ")),
+            (n, "d".into())
+        );
+        assert_eq!(tuples(&obs[3]), direct);
+        let gather = sorted(
+            (0..n)
+                .flat_map(|e| {
+                    let next = (e + 1) % n;
+                    [
+                        (0, e, e, UKind::Inc),
+                        (0, e, e, UKind::Get),
+                        (1, e, next, UKind::Set),
+                    ]
+                })
+                .collect(),
+        );
+        assert!(matches!(obs[4].schedule, UScheduleObs::Gather));
+        assert_eq!(tuples(&obs[4]), gather);
+    }
+
+    /// Records one loop of each driver in which element 0 reads `notes`
+    /// distinct elements and the others read nothing; each loop's outcome
+    /// is its recording or the message of its panic.
+    fn record_notes(notes: usize) -> Vec<(&'static str, Result<ULoopObs, String>)> {
+        let n = NOTE_LOG_CAP + 1;
+        let s = Set::new("s", n);
+        let (_, _, map) = ring_mesh(n);
+        let coloring = Coloring::greedy(n, &[&map]);
+        let blocks = BlockColoring::greedy(n, 8, &[&map]);
+        macro_rules! reads {
+            () => {
+                |e, out| reads!(e, out)
+            };
+            ($e:expr, $out:expr) => {
+                if $e == 0 {
+                    for t in 0..notes {
+                        let _ = $out.get(0, t, 0);
+                    }
+                }
+            };
+        }
+        let record = |name: &'static str, run: &dyn Fn(&mut Profile, &mut DatU<f64>)| {
+            let mut d = DatU::<f64>::new("d", &s, 1);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                access::with_recording_u(|| run(&mut Profile::new(), &mut d)).1
+            }));
+            let outcome = match caught {
+                Ok(mut obs) => Ok(obs.pop().expect("one loop recorded")),
+                Err(payload) => Err(payload.downcast::<String>().map(|s| *s).unwrap_or_default()),
+            };
+            (name, outcome)
+        };
+        let mode = ExecModeU::Colored;
+        vec![
+            record("direct", &|p, d| {
+                par_loop_direct(p, "direct", mode, n, &mut [d], 0, 0.0, reads!())
+            }),
+            record("colored", &|p, d| {
+                par_loop_colored(p, "colored", mode, &coloring, &mut [d], 0, 0.0, reads!())
+            }),
+            record("block", &|p, d| {
+                par_loop_block_colored(p, "block", mode, &blocks, &mut [d], 0, 0.0, reads!())
+            }),
+            record("staged", &|p, d| {
+                par_loop_block_colored_staged(
+                    p,
+                    "staged",
+                    mode,
+                    &blocks,
+                    &mut [d],
+                    0,
+                    0.0,
+                    |_| (),
+                    |(), e, out| reads!(e, out),
+                )
+            }),
+            record("gather", &|p, d| {
+                let scratch = &mut GatherScratch::new();
+                par_loop_gather(p, "gather", 4, n, &mut [d], scratch, 0, 0, 0.0, reads!())
+            }),
+        ]
+    }
+
+    #[test]
+    fn a_full_note_log_records_every_note() {
+        for (name, outcome) in record_notes(NOTE_LOG_CAP) {
+            let obs = outcome.unwrap_or_else(|msg| panic!("{name}: {msg}"));
+            let want: Vec<_> = (0..NOTE_LOG_CAP).map(|t| (0, t, UKind::Get)).collect();
+            let seen: Vec<_> = obs
+                .accesses
+                .iter()
+                .map(|a| (a.src, a.target, a.kind))
+                .collect();
+            assert_eq!(seen, want, "{name}");
+        }
+    }
+
+    #[test]
+    fn an_overfull_note_log_is_refused_naming_the_loop() {
+        for (name, outcome) in record_notes(NOTE_LOG_CAP + 1) {
+            let msg = outcome.err().unwrap_or_else(|| panic!("{name} recorded"));
+            let want = format!(
+                "loop `{name}`: element 0 made {} output accesses",
+                NOTE_LOG_CAP + 1
+            );
+            assert!(msg.starts_with(&want), "{name}: {msg}");
+        }
     }
 }
