@@ -105,7 +105,10 @@ pub fn characterize(app: AppId) -> AppCharacter {
                 small_kernel_fraction: s,
                 stencil_reach: 2,
                 dims: 2,
-                fields_exchanged_per_iter: 18.0, // 6 fields × 3 exchanges
+                fields_exchanged_per_iter: cloverleaf2d::CELL_HALO_SITES
+                    .iter()
+                    .map(|(_, slots)| slots.len() as f64)
+                    .sum(),
                 reductions_per_iter: 1.0,
                 indirection: 0.0,
                 mpi_vec_available: false,

@@ -7,10 +7,12 @@
 //! acceleration) followed by directional-split first-order donor-cell
 //! advective remap — the same kernel structure (ideal_gas, viscosity,
 //! calc_dt, accelerate, pdv, flux_calc, advec_cell x/y, advec_mom x/y,
-//! update_halo, reset) and data-access patterns as the original, with
-//! van-Leer limiting simplified to donor-cell (documented substitution:
-//! first-order advection preserves the bandwidth-bound character — the
-//! paper's concern — while keeping the remap exactly conservative).
+//! update_halo) and data-access patterns as the original, with van-Leer
+//! limiting simplified to donor-cell (documented substitution: first-order
+//! advection preserves the bandwidth-bound character — the paper's concern
+//! — while keeping the remap exactly conservative). The original's
+//! `reset_field` copies are buffer swaps here, and each halo site updates
+//! only the fields a later loop reads through it ([`CELL_HALO_SITES`]).
 //!
 //! Closed reflective box; validation: exact mass conservation, bounded
 //! total energy, preserved mirror symmetry.
@@ -54,7 +56,7 @@ pub struct Config {
     /// Optimization plan from `dslcheck` certificates. `None` (or an empty
     /// plan) runs the baseline schedule; a plan enables exactly the
     /// transforms it certifies — fused `ideal_gas`+`viscosity` traversal
-    /// and elision of always-redundant halo-exchange sites — all of which
+    /// and elision of always-redundant velocity exchanges — all of which
     /// are bit-identical to the baseline by construction.
     pub plan: Option<OptPlan>,
 }
@@ -245,6 +247,45 @@ fn mirror_y(f: &mut Dat2<f64>, low: bool, high: bool) {
     }
 }
 
+// Dataset slots: struct-field identity, and the index in [`chain_spec`]'s
+// dats. A slot names a role, not a buffer: buffers trade slots at every
+// swap, and their runtime names travel with them.
+const D0: usize = 0;
+const D1: usize = 1;
+const E0: usize = 2;
+const E1: usize = 3;
+const PR: usize = 4;
+const VS: usize = 5;
+const SS: usize = 6;
+const WD: usize = 7;
+const WE: usize = 8;
+const XV0: usize = 9;
+const XV1: usize = 10;
+const YV0: usize = 11;
+const YV1: usize = 12;
+const WU: usize = 13;
+const WV: usize = 14;
+const FX: usize = 15;
+const FY: usize = 16;
+
+/// The cell halo sites in cycle order, each with the slots it updates:
+/// those that a later loop reads through their halo before the slot is
+/// next written. `accelerate` reads density0, pressure and viscosity at the
+/// four cells around each node; `advec_cell_x` reads density0 (through the
+/// halo `cells0` left) and energy1 five cells wide; `advec_cell_y` reads
+/// the density1 and energy1 that the x sweep swapped in.
+pub const CELL_HALO_SITES: [(&str, &[usize]); 3] = [
+    ("cells0", &[D0, PR, VS]),
+    ("cells1", &[E1]),
+    ("cells2", &[D1, E1]),
+];
+
+/// The slots cell halo site `site` updates.
+pub fn cell_halo_slots(site: &str) -> &'static [usize] {
+    let at = CELL_HALO_SITES.iter().position(|(s, _)| *s == site);
+    CELL_HALO_SITES[at.expect("a cell halo site")].1
+}
+
 /// The solver state (one rank's sub-block when distributed).
 pub struct Clover2 {
     cfg: Config,
@@ -382,83 +423,69 @@ impl Clover2 {
         Range2::interior(self.nx + 1, self.ny + 1)
     }
 
-    /// Reflective physical boundaries + inter-rank halo exchange for the
-    /// cell fields needed by the stencil kernels. The small per-face mirror
-    /// loops are CloverLeaf's "update_halo" boundary kernels — the many
-    /// small kernels the paper blames for SYCL's launch-overhead penalty.
+    /// Reflective physical boundaries + inter-rank halo exchange of the cell
+    /// fields `site` updates ([`CELL_HALO_SITES`]). The small per-face
+    /// mirror loops are CloverLeaf's "update_halo" boundary kernels — the
+    /// many small kernels the paper blames for SYCL's launch-overhead
+    /// penalty.
     ///
     /// Structured per field — mirror-x, exchange-x, mirror-y, exchange-y —
     /// so the two exchange dimensions of one field form a single recorded
-    /// exchange at the labelled `site`. Fields are independent, so this
-    /// ordering is bit-identical to the phase-x-then-phase-y sweep it
-    /// replaces. When `cfg.plan` carries an [`bwb_ops::ElisionCert`] for
-    /// `(site, field)`, both exchange passes are skipped (mirrors are
-    /// recomputation of unchanged values and still run); a debug build
-    /// asserts the elided field's interior boundary strips are unchanged
-    /// since its last real exchange.
+    /// exchange at the labelled `site`. Every field a site lists was
+    /// written since its previous exchange, so no plan certifies eliding
+    /// one.
     fn update_halo_cells(
         &mut self,
         profile: &mut Profile,
         mut comm: Option<&mut Comm>,
         site: &str,
     ) {
+        let slots = cell_halo_slots(site);
         let (low_x, high_x, low_y, high_y) = self.walls();
         let block = self.dist.as_ref();
-        let plan = if recording_active() {
-            None
-        } else {
-            self.cfg.plan.as_ref()
-        };
         // Ghost points filled per field: HALO columns over the interior
         // rows per x wall, HALO x-extended rows per y wall.
-        let points = 6
-            * HALO
+        let points = HALO
             * ((low_x as usize + high_x as usize) * self.ny
                 + (low_y as usize + high_y as usize) * (self.nx + 2 * HALO));
         let t0 = Instant::now();
         let mut comm_seconds = 0.0;
-
-        for f in [
+        // The cell fields in slot order, D0 to VS.
+        let cells = [
             &mut self.density0,
+            &mut self.density1,
             &mut self.energy0,
+            &mut self.energy1,
             &mut self.pressure,
             &mut self.viscosity,
-            &mut self.density1,
-            &mut self.energy1,
-        ] {
-            mirror_x(f, low_x, high_x);
-            let elide = plan.is_some_and(|p| p.elides(site, f.name()));
+        ];
+        let mut exchange = |f: &mut Dat2<f64>, dim: usize| {
             if let (Some(b), Some(c)) = (block, comm.as_deref_mut()) {
-                if !elide {
-                    let tc = Instant::now();
-                    b.exchange_halo_dim_site(c, f, HALO, 0, site);
-                    comm_seconds += tc.elapsed().as_secs_f64();
-                }
+                let tc = Instant::now();
+                b.exchange_halo_dim_site(c, f, HALO, dim, site);
+                comm_seconds += tc.elapsed().as_secs_f64();
             }
+        };
+        for &slot in slots {
+            let f = &mut *cells[slot];
+            mirror_x(f, low_x, high_x);
+            exchange(f, 0);
             // Mirror Y copies x-extended rows (reads the x ghosts above).
             mirror_y(f, low_y, high_y);
-            if let (Some(b), Some(c)) = (block, comm.as_deref_mut()) {
-                if elide {
-                    b.elide_halo(f, HALO, site);
-                } else {
-                    let tc = Instant::now();
-                    b.exchange_halo_dim_site(c, f, HALO, 1, site);
-                    comm_seconds += tc.elapsed().as_secs_f64();
-                }
-            }
+            exchange(f, 1);
         }
         let total = t0.elapsed().as_secs_f64();
-        // Record per field (6 boundary-kernel launches), mirroring how OPS
-        // launches one small update_halo kernel per field — the granularity
-        // the SYCL launch-overhead analysis (paper §5.1) depends on.
-        let per = (points / 6).max(1);
-        for _ in 0..6 {
+        // One record per field, mirroring how OPS launches one small
+        // update_halo kernel per field — the granularity the SYCL
+        // launch-overhead analysis (paper §5.1) depends on.
+        let per = points.max(1);
+        for _ in slots {
             profile.record(
                 "update_halo",
                 per,
                 per * 16,
                 0.0,
-                (total - comm_seconds) / 6.0,
+                (total - comm_seconds) / slots.len() as f64,
             );
         }
     }
@@ -694,7 +721,7 @@ impl Clover2 {
             "pdv",
             self.cfg.mode,
             self.cells(),
-            &mut [&mut self.energy1, &mut self.density1],
+            &mut [&mut self.energy1],
             &[
                 &self.density0,
                 &self.energy0,
@@ -717,14 +744,13 @@ impl Clover2 {
                 let v10 = ins.row_off(5, 1, 0);
                 let v01 = ins.row_off(5, 0, 1);
                 let v11 = ins.row_off(5, 1, 1);
-                let (e1, d1) = out.rows2(0, 1);
+                let e1 = out.row(0);
                 for i in 0..e1.len() {
                     let ugrad = 0.5 * ((u10[i] + u11[i]) - (u00[i] + u01[i]));
                     let vgrad = 0.5 * ((v01[i] + v11[i]) - (v00[i] + v10[i]));
                     let div = ugrad / dx + vgrad / dy;
                     let pq = p[i] + q[i];
                     e1[i] = (e[i] - dt * pq * div / rho[i]).max(1e-10);
-                    d1[i] = rho[i];
                 }
             },
         );
@@ -777,10 +803,10 @@ impl Clover2 {
     }
 
     /// Conservative remap, X sweep (donor-cell or van Leer per the
-    /// config). Reads density1/energy1 + vol_flux_x, writes work arrays
-    /// (swapped back by the caller). Each face's limited flux is evaluated
-    /// once per row — it is the outflow of the cell on its left and the
-    /// inflow of the cell on its right.
+    /// config). Reads density0/energy1 + vol_flux_x, writes the work arrays
+    /// and swaps them into density1/energy1. Each face's limited flux is
+    /// evaluated once per row — it is the outflow of the cell on its left
+    /// and the inflow of the cell on its right.
     fn advec_cell_x(&mut self, profile: &mut Profile) {
         #[cfg(test)]
         if self.oracle {
@@ -794,7 +820,7 @@ impl Clover2 {
             self.cfg.mode,
             self.cells(),
             &mut [&mut self.work_d, &mut self.work_e],
-            &[&self.density1, &self.energy1, &self.vol_flux_x],
+            &[&self.density0, &self.energy1, &self.vol_flux_x],
             if scheme == Advection::VanLeer {
                 38.0
             } else {
@@ -971,23 +997,11 @@ impl Clover2 {
         );
     }
 
-    /// Reset: advected quantities become the next step's initial state.
-    /// Slice path: each row is a straight memcpy.
-    fn reset_field(&mut self, profile: &mut Profile) {
-        par_loop2_rows(
-            profile,
-            "reset_field",
-            self.cfg.mode,
-            self.cells(),
-            &mut [&mut self.density0, &mut self.energy0],
-            &[&self.density1, &self.energy1],
-            0.0,
-            |_j, out, ins| {
-                let (d, e) = out.rows2(0, 1);
-                d.copy_from_slice(ins.row(0));
-                e.copy_from_slice(ins.row(1));
-            },
-        );
+    /// Reset: advected quantities become the next step's initial state, by
+    /// swapping buffers where the original copies them.
+    fn reset_field(&mut self) {
+        std::mem::swap(&mut self.density0, &mut self.density1);
+        std::mem::swap(&mut self.energy0, &mut self.energy1);
         std::mem::swap(&mut self.xvel0, &mut self.work_u);
         std::mem::swap(&mut self.yvel0, &mut self.work_v);
     }
@@ -1021,7 +1035,7 @@ impl Clover2 {
         self.update_halo_cells(profile, comm.as_deref_mut(), "cells2");
         self.advec_cell_y(profile);
         self.advec_mom(profile, dt);
-        self.reset_field(profile);
+        self.reset_field();
         self.apply_velocity_bcs(profile);
         self.exchange_velocities(comm, "vel1");
         dt
@@ -1193,24 +1207,6 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
         extent: [pp("nx", 1), pp("ny", 1), c(1)],
         elem_bytes: 8,
     };
-    // Slot indices (struct-field identity; runtime names rotate via Swap).
-    const D0: usize = 0;
-    const D1: usize = 1;
-    const E0: usize = 2;
-    const E1: usize = 3;
-    const PR: usize = 4;
-    const VS: usize = 5;
-    const SS: usize = 6;
-    const WD: usize = 7;
-    const WE: usize = 8;
-    const XV0: usize = 9;
-    const XV1: usize = 10;
-    const YV0: usize = 11;
-    const YV1: usize = 12;
-    const WU: usize = 13;
-    const WV: usize = 14;
-    const FX: usize = 15;
-    const FY: usize = 16;
     let dats = vec![
         cell("density0"),
         cell("density1"),
@@ -1258,10 +1254,10 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
     // Donor-cell/van Leer upwind window along one axis.
     let x5 = || S::of2(&[(-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0)]);
     let y5 = || S::of2(&[(0, -2), (0, -1), (0, 0), (0, 1), (0, 2)]);
-    // `update_halo_cells` iterates its six fields in struct order and
-    // `update_halo_vel` its four velocities, noting one exchange per field
-    // on the dim-1 pass (mirror fills are hand loops and record nothing).
-    let cell_fields = [D0, E0, PR, VS, D1, E1];
+    // `update_halo_cells` iterates its site's slots in table order and
+    // `exchange_velocities` its four velocities, noting one exchange per
+    // field on the dim-1 pass (mirror fills are hand loops and record
+    // nothing).
     let vel_fields = [XV0, YV0, XV1, YV1];
     let halo = |body: &mut Vec<Step>, fields: &[usize], depth: usize, site: &'static str| {
         if dist {
@@ -1286,7 +1282,7 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
             vec![(D0, pt()), (XV0, quad()), (YV0, quad())],
         ),
     ];
-    halo(&mut body, &cell_fields, HALO, "cells0");
+    halo(&mut body, cell_halo_slots("cells0"), HALO, "cells0");
     let diag = || S::of2(&[(0, 0), (1, 1)]);
     body.push(lp(
         "calc_dt",
@@ -1310,7 +1306,7 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
     body.push(lp(
         "pdv",
         cells(),
-        vec![w(E1), w(D1)],
+        vec![w(E1)],
         vec![
             (D0, pt()),
             (E0, pt()),
@@ -1335,16 +1331,16 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
         vec![w(FY)],
         vec![(YV0, i_pair()), (YV1, i_pair())],
     ));
-    halo(&mut body, &cell_fields, HALO, "cells1");
+    halo(&mut body, cell_halo_slots("cells1"), HALO, "cells1");
     body.push(lp(
         "advec_cell_x",
         cells(),
         vec![w(WD), w(WE)],
-        vec![(D1, x5()), (E1, x5()), (FX, i_pair())],
+        vec![(D0, x5()), (E1, x5()), (FX, i_pair())],
     ));
     body.push(Step::Swap { a: D1, b: WD });
     body.push(Step::Swap { a: E1, b: WE });
-    halo(&mut body, &cell_fields, HALO, "cells2");
+    halo(&mut body, cell_halo_slots("cells2"), HALO, "cells2");
     body.push(lp(
         "advec_cell_y",
         cells(),
@@ -1359,12 +1355,8 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
         vec![w(WU), w(WV)],
         vec![(XV1, S::plus2(1)), (YV1, S::plus2(1))],
     ));
-    body.push(lp(
-        "reset_field",
-        cells(),
-        vec![w(D0), w(E0)],
-        vec![(D1, pt()), (E1, pt())],
-    ));
+    body.push(Step::Swap { a: D0, b: D1 });
+    body.push(Step::Swap { a: E0, b: E1 });
     body.push(Step::Swap { a: XV0, b: WU });
     body.push(Step::Swap { a: YV0, b: WV });
     halo(&mut body, &vel_fields, 1, "vel1");
@@ -1430,8 +1422,8 @@ impl Clover2 {
     }
 
     /// Conservative remap, X sweep (donor-cell or van Leer per the
-    /// config). Reads density1/energy1 + vol_flux_x, writes work arrays
-    /// (swapped back by the caller).
+    /// config). Reads density0/energy1 + vol_flux_x, writes the work arrays
+    /// and swaps them into density1/energy1.
     fn advec_cell_x_closure(&mut self, profile: &mut Profile) {
         let vol = self.dx * self.dy;
         let scheme = self.cfg.advection;
@@ -1441,7 +1433,7 @@ impl Clover2 {
             self.cfg.mode,
             self.cells(),
             &mut [&mut self.work_d, &mut self.work_e],
-            &[&self.density1, &self.energy1, &self.vol_flux_x],
+            &[&self.density0, &self.energy1, &self.vol_flux_x],
             if scheme == Advection::VanLeer {
                 38.0
             } else {
@@ -1694,7 +1686,6 @@ mod tests {
             "advec_cell_x",
             "advec_cell_y",
             "advec_mom",
-            "reset_field",
             "update_halo",
         ] {
             assert!(run.profile.get(k).is_some(), "missing kernel {k}");
@@ -2063,6 +2054,72 @@ mod tests {
                 for o in &obs.outs {
                     assert!(o.wrote && !o.read_back && !o.inced, "{name}: '{}'", o.name);
                 }
+            }
+        }
+    }
+
+    /// The bits of every interior cell or node of `f`, row by row.
+    fn interior_bits(f: &Dat2<f64>) -> impl Iterator<Item = u64> + '_ {
+        (0..f.ny() as isize)
+            .flat_map(move |j| (0..f.nx() as isize).map(move |i| f.get(i, j).to_bits()))
+    }
+
+    /// FNV-1a over `words`.
+    fn fnv(words: impl Iterator<Item = u64>) -> u64 {
+        words.fold(bwb_ops::hash::FNV_OFFSET, bwb_ops::hash::step_u64)
+    }
+
+    #[test]
+    fn state_bits_pinned_to_the_parent() {
+        // Hashes taken while `reset_field` still copied density1/energy1
+        // back and every cell halo site updated all six cell fields. Only
+        // interior bits are pinned: the halos of buffers that no loop reads
+        // through them may differ. The arithmetic is +, -, *, /, sqrt, abs,
+        // min and max, so the bits depend on neither the host, the codegen
+        // nor the thread count.
+        for (advection, golden) in [
+            (Advection::DonorCell, 0xd09f_5a2e_ae63_4cf0_u64),
+            (Advection::VanLeer, 0x3450_5512_24a0_2d2d),
+        ] {
+            for mode in [ExecMode::Serial, ExecMode::Rayon] {
+                let mut sim = Clover2::new(Config {
+                    nx: 131,
+                    ny: 77,
+                    mode,
+                    advection,
+                    ..Config::default()
+                });
+                let mut profile = Profile::new();
+                let dts: Vec<u64> = (0..25)
+                    .map(|_| sim.cycle(&mut profile, None).to_bits())
+                    .collect();
+                let state = [&sim.density0, &sim.energy0, &sim.xvel0, &sim.yvel0];
+                let hash = fnv(state.into_iter().flat_map(interior_bits).chain(dts));
+                assert_eq!(hash, golden, "{advection:?} {mode:?}: {hash:#018x}");
+            }
+        }
+    }
+
+    #[test]
+    fn gathered_density_pinned_to_the_parent() {
+        // Taken with `state_bits_pinned_to_the_parent`'s goldens: the global
+        // density rank 0 gathers after 20 cycles, ranks × Serial.
+        for (advection, golden) in [
+            (Advection::DonorCell, 0xa47f_00e8_fbc7_7b12_u64),
+            (Advection::VanLeer, 0x7fdc_0d74_7125_92bb),
+        ] {
+            for ranks in [2, 4] {
+                let cfg = Config {
+                    nx: 64,
+                    ny: 48,
+                    iterations: 20,
+                    advection,
+                    ..Config::default()
+                };
+                let out = Universe::run(ranks, move |c| Clover2::run_distributed(c, cfg.clone()).1);
+                let density = out.results[0].as_ref().expect("rank 0 gathers");
+                let hash = fnv(density.iter().map(|v| v.to_bits()));
+                assert_eq!(hash, golden, "{advection:?} on {ranks} ranks: {hash:#018x}");
             }
         }
     }

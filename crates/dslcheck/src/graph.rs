@@ -25,8 +25,11 @@ pub enum Touch {
     /// contents survives.
     Write { full: bool },
     /// Input read at up to `radius` (max of declared stencil radius and
-    /// observed offsets, so under-declaration cannot narrow the analysis).
-    Read { radius: isize },
+    /// observed offsets, so under-declaration cannot narrow the analysis),
+    /// of which `reach` cells lie past the interior: the ghost depth the
+    /// read needs valid over this loop's range (0 when every point it reads
+    /// is interior, as for node fields read around cells).
+    Read { radius: isize, reach: isize },
     /// Read-modify-write: declared `ReadWrite`/`Inc`, an observed
     /// read-back/increment, or an output of a loop with no matching
     /// contract (conservative: unknown kernels may read their outputs
@@ -106,6 +109,25 @@ fn range_points(range: [isize; 6]) -> usize {
     span(range[0], range[1]) * span(range[2], range[3]) * span(range[4], range[5])
 }
 
+/// How many cells past the interior `[0, nx) × [0, ny) × [0, nz)` a read at
+/// `offsets` over `range` reaches, on any axis and side (0 if none).
+fn ghost_reach(
+    range: [isize; 6],
+    extent: (usize, usize, usize),
+    offsets: impl Iterator<Item = (isize, isize, isize)>,
+) -> isize {
+    if range_points(range) == 0 {
+        return 0;
+    }
+    let ext = [extent.0, extent.1, extent.2].map(|n| n as isize);
+    let past = |o: [isize; 3]| {
+        (0..3)
+            .map(|a| (-range[2 * a] - o[a]).max(range[2 * a + 1] + o[a] - ext[a]))
+            .fold(0, isize::max)
+    };
+    offsets.map(|(x, y, z)| past([x, y, z])).fold(0, isize::max)
+}
+
 /// Does `range` cover the whole interior `[0, nx) × [0, ny) × [0, nz)`?
 fn covers(range: [isize; 6], extent: (usize, usize, usize)) -> bool {
     range[0] <= 0
@@ -166,14 +188,15 @@ impl DefUseGraph {
                 .iter()
                 .enumerate()
                 .map(|(idx, a)| {
-                    let declared = spec
-                        .and_then(|s| s.ins.get(idx))
-                        .map(|s| s.stencil.radius())
-                        .unwrap_or(0);
+                    let declared = spec.and_then(|s| s.ins.get(idx)).map(|s| &s.stencil);
+                    let radius = declared.map_or(0, |s| s.radius()).max(a.radius());
+                    let offsets = declared.into_iter().flat_map(|s| s.offsets());
+                    let offsets = offsets.chain(&a.offsets).copied();
                     ArgNode {
                         name: a.name.clone(),
                         touch: Touch::Read {
-                            radius: declared.max(a.radius()),
+                            radius,
+                            reach: ghost_reach(o.range, a.extent, offsets),
                         },
                         bytes: (points * a.elem_bytes) as f64,
                     }
@@ -238,6 +261,24 @@ mod tests {
     }
 
     #[test]
+    fn ghost_reach_counts_only_points_past_the_interior() {
+        let cells = [0, 8, 0, 6, 0, 1];
+        let reach = |extent, offs: &[(isize, isize, isize)]| {
+            ghost_reach(cells, extent, offs.iter().copied())
+        };
+        assert_eq!(reach((8, 6, 1), &[(0, 0, 0)]), 0);
+        assert_eq!(reach((8, 6, 1), &[(-2, 0, 0), (2, 0, 0)]), 2);
+        assert_eq!(reach((8, 6, 1), &[(0, 1, 0)]), 1);
+        // A node field read at a cell's four corners stays interior.
+        assert_eq!(reach((9, 7, 1), &[(0, 0, 0), (1, 1, 0)]), 0);
+        assert_eq!(reach((9, 7, 1), &[(-1, 0, 0)]), 1);
+        assert_eq!(
+            ghost_reach([0, 0, 0, 6, 0, 1], (8, 6, 1), [(-3, 0, 0)].into_iter()),
+            0
+        );
+    }
+
+    #[test]
     fn graph_classifies_writes_reads_and_bytes() {
         let n = 8usize;
         let specs = vec![LoopSpec::new(
@@ -267,7 +308,13 @@ mod tests {
         assert!(l.matched);
         assert_eq!(l.points, n * n);
         assert_eq!(l.outs[0].touch, Touch::Write { full: true });
-        assert_eq!(l.ins[0].touch, Touch::Read { radius: 0 });
+        assert_eq!(
+            l.ins[0].touch,
+            Touch::Read {
+                radius: 0,
+                reach: 0
+            }
+        );
         assert_eq!(l.bytes(), (2 * n * n * 8) as f64);
         assert_eq!(g.fields.len(), 2);
     }

@@ -62,20 +62,25 @@ pub fn dead_stores(app: &str, g: &DefUseGraph) -> Vec<Violation> {
 
 /// Halo validity state machine over the exchange trace.
 ///
-/// Only dats that appear in the exchange trace are judged — apps that
-/// maintain ghosts by hand (mirror fills the recorder cannot see) must not
-/// be second-guessed. Per traced dat:
+/// Only runs that exchange are judged — a run without exchanges maintains
+/// its ghosts by hand (mirror fills the recorder cannot see), and must not
+/// be second-guessed. In a run that exchanges, a rank's ghosts on a
+/// neighbour's side come from exchanges only, so every dat is judged, also
+/// one that is never exchanged (a buffer that swaps rotate through the
+/// slots may never sit in an exchanged one). Per dat:
 ///
 /// * an interior write invalidates the ghosts (validity 0);
 /// * an exchange at depth `d` establishes validity `d` (deepening a
 ///   still-valid halo keeps the max);
-/// * a read at radius `r > validity` is a [`Kind::StaleHaloRead`];
+/// * a read that reaches `r > validity` cells past the interior over its
+///   loop's range is a [`Kind::StaleHaloRead`];
 /// * an exchange at depth `d ≤ validity` with no write since the previous
 ///   exchange is a [`Kind::RedundantExchange`].
 ///
-/// The first exchange of each dat is never judged redundant (there is no
-/// prior validity to compare against), and reads before any exchange are
-/// not judged (the app may rely on initial-condition ghosts).
+/// The first exchange of each dat is never judged redundant (a write
+/// precedes it, or there is no prior validity to compare against), and
+/// reads before a dat's first write or exchange are not judged (the app may
+/// rely on initial-condition ghosts).
 ///
 /// Redundancies at exchange *sites* the recording proves always-redundant
 /// are promoted to [`ElisionCert`]s by [`exchange_scan`] and do not appear
@@ -118,10 +123,10 @@ struct ExchangeOcc {
 fn exchange_scan(app: &str, g: &DefUseGraph) -> (Vec<Violation>, Vec<ElisionCert>) {
     let mut violations = Vec::new();
     let mut certs = Vec::new();
+    if g.exchanges.is_empty() {
+        return (violations, certs);
+    }
     for (name, events) in &g.fields {
-        if !events.iter().any(|e| matches!(e, Event::Exchange { .. })) {
-            continue;
-        }
         // Site labels of this field's exchanges, in recording order — the
         // timeline's Exchange events were folded from `g.exchanges` in the
         // same order, so the k-th Exchange event is the k-th entry here.
@@ -132,21 +137,21 @@ fn exchange_scan(app: &str, g: &DefUseGraph) -> (Vec<Violation>, Vec<ElisionCert
             .map(|e| e.site.as_str())
             .collect();
         let mut occs: Vec<ExchangeOcc> = Vec::new();
-        // Ghost validity in cells; None until the first exchange.
+        // Ghost validity in cells; None until the first write or exchange.
         let mut valid: Option<isize> = None;
         let mut written_since_exchange = false;
         for ev in events {
             match ev {
                 Event::Loop { at, touch } => {
-                    if let (Touch::Read { radius }, Some(v)) = (touch, valid) {
-                        if *radius > v {
+                    if let (Touch::Read { reach, .. }, Some(v)) = (touch, valid) {
+                        if *reach > v {
                             violations.push(Violation {
                                 app: app.to_string(),
                                 kind: Kind::StaleHaloRead {
                                     dat: name.clone(),
                                     loop_name: g.loops[*at].name.clone(),
                                     at: *at,
-                                    required_radius: *radius,
+                                    required_radius: *reach,
                                     valid_depth: v,
                                 },
                             });
@@ -154,9 +159,7 @@ fn exchange_scan(app: &str, g: &DefUseGraph) -> (Vec<Violation>, Vec<ElisionCert
                     }
                     if touch.writes() {
                         written_since_exchange = true;
-                        if valid.is_some() {
-                            valid = Some(0);
-                        }
+                        valid = Some(0);
                     }
                 }
                 Event::Exchange { at, depth } => {
@@ -273,7 +276,7 @@ fn read_radius(g: &DefUseGraph, at: usize, name: &str) -> Option<isize> {
         .iter()
         .filter(|a| a.name == name)
         .filter_map(|a| match a.touch {
-            Touch::Read { radius } => Some(radius),
+            Touch::Read { radius, .. } => Some(radius),
             _ => None,
         })
         .max();

@@ -18,6 +18,7 @@
 use crate::registry;
 use bwb_apps::{acoustic, cloverleaf2d};
 use bwb_machine::{CommDistance, RankPlacement};
+use bwb_ops::{Binding, Step};
 use bwb_shmpi::event::{CommLog, CommOp};
 use bwb_shmpi::{CartComm, COLL_TAG_BASE};
 use bwb_trace::json::{obj, Json};
@@ -193,37 +194,29 @@ fn exchange_sends(
     }
 }
 
-/// CloverLeaf 2D: depth-2 cell halos (f64), depth-1 node-velocity halos.
-/// Per cycle the exchange sites run in execution order `cells0`, `vel0`,
-/// `cells1`, `cells2`, `vel1`; cell sites move six fields, velocity sites
-/// four. (`calc_dt`'s allreduce and the final density gather are
-/// collectives.)
+/// CloverLeaf 2D: the `Exchange` steps of its declared distributed chain,
+/// in order — depth-2 cell halos at the sites `cells0`, `cells1` and
+/// `cells2`, each of the fields [`cloverleaf2d::CELL_HALO_SITES`] lists for
+/// it, and depth-1 node-velocity halos at `vel0` and `vel1`; all f64.
+/// (`calc_dt`'s allreduce and the final density gather are collectives.)
 pub(crate) fn cloverleaf2d(n: usize) -> Vec<PhaseFlow> {
-    const CELL_FIELDS: [&str; 6] = [
-        "density0",
-        "energy0",
-        "pressure",
-        "viscosity",
-        "density1",
-        "energy1",
-    ];
-    const VEL_FIELDS: [&str; 4] = ["xvel0", "yvel0", "xvel1", "yvel1"];
     let cfg = registry::clover2_scaled_cfg();
     let cart = CartComm::balanced(n, 2);
+    let chain = cloverleaf2d::chain_spec(true);
+    // A dat's extent at nx = 0 is its points beyond the cell count: 0 for
+    // cell fields, 1 for node fields.
+    let zero = Binding::new().set("nx", 0);
     let mut phases = Vec::new();
-    let mut site = |site: &str, fields: &[&str], extra: usize, depth: usize| {
-        for f in fields {
-            let mut p = PhaseFlow::new(format!("{site}/{f}"));
-            exchange_sends(&cart, (cfg.nx, cfg.ny), extra, depth, &mut p);
-            phases.push(p);
-        }
-    };
     for _ in 0..cfg.iterations {
-        site("cells0", &CELL_FIELDS, 0, cloverleaf2d::HALO);
-        site("vel0", &VEL_FIELDS, 1, 1);
-        site("cells1", &CELL_FIELDS, 0, cloverleaf2d::HALO);
-        site("cells2", &CELL_FIELDS, 0, cloverleaf2d::HALO);
-        site("vel1", &VEL_FIELDS, 1, 1);
+        for step in &chain.body {
+            if let Step::Exchange { dat, depth, site } = *step {
+                let d = &chain.dats[dat];
+                let extra = d.extent[0].eval(&zero).expect("extent in nx") as usize;
+                let mut p = PhaseFlow::new(format!("{site}/{}", d.name));
+                exchange_sends(&cart, (cfg.nx, cfg.ny), extra, depth, &mut p);
+                phases.push(p);
+            }
+        }
     }
     phases
 }

@@ -563,6 +563,41 @@ mod tests {
         );
     }
 
+    /// Each CloverLeaf 2D cell halo site updates only the fields read
+    /// through it, so dropping one is a stale read: without energy1 at
+    /// `cells1`, the x remap reads energy ghosts that `pdv`'s write left
+    /// stale. No energy buffer is then exchanged anywhere, so only the rule
+    /// that judges every dat of an exchanging run can see it.
+    #[test]
+    fn a_dropped_clover_halo_field_is_a_stale_halo_read() {
+        let entry = entry("clover2d_dist").expect("registered");
+        let (mut chain, binding, iters) = entry.declared().expect("declared");
+        let clean = analyze_static(&chain, &binding, iters).expect("valid chain");
+        assert!(clean.clean(), "{:?}", clean.violations);
+        let e1 = chain.dats.iter().position(|d| d.name == "energy1").unwrap();
+        let dropped =
+            |s: &Step| matches!(s, Step::Exchange { dat, site: "cells1", .. } if *dat == e1);
+        assert_eq!(chain.body.iter().filter(|s| dropped(s)).count(), 1);
+        chain.body.retain(|s| !dropped(s));
+        let planted = analyze_static(&chain, &binding, iters).expect("valid chain");
+        assert!(!planted.violations.is_empty());
+        for v in &planted.violations {
+            let Kind::StaleHaloRead {
+                loop_name,
+                required_radius,
+                valid_depth,
+                ..
+            } = &v.kind
+            else {
+                panic!("{v:?}");
+            };
+            assert_eq!(
+                (loop_name.as_str(), *required_radius, *valid_depth),
+                ("advec_cell_x", 2, 0)
+            );
+        }
+    }
+
     /// `static_plan` is the executor-facing entry: it must produce a
     /// non-trivial plan for every declarable app and nothing for the rest.
     #[test]

@@ -40,10 +40,11 @@ fn fnv(h: u64, v: u64) -> u64 {
 
 #[cfg(debug_assertions)]
 thread_local! {
-    /// Per-rank (shmpi ranks are threads) hash of each dat's send strips as
-    /// of its last *real* site-labelled exchange, keyed by dat name. Used by
-    /// [`DistBlock2::elide_halo`] to debug-assert that skipping the exchange
-    /// was sound at runtime, not just in the recorded schedule.
+    /// Per-rank (shmpi ranks are threads) hash of each node dat's send
+    /// strips as of its last *real* site-labelled exchange, keyed by dat
+    /// name. Used by [`DistBlock2::elide_node_halo`] to debug-assert that
+    /// skipping the exchange was sound at runtime, not just in the recorded
+    /// schedule.
     static STRIP_HASHES: std::cell::RefCell<std::collections::HashMap<String, u64>> =
         std::cell::RefCell::new(std::collections::HashMap::new());
 }
@@ -222,11 +223,10 @@ impl DistBlock2 {
     /// Site-labelled per-dimension exchange. Communication is identical to
     /// [`Self::exchange_halo_dim`]; in addition, the final `dim == 1` pass
     /// notes ONE recording observation per logical exchange tagged with
-    /// `site`, so `dslcheck` can key elision certificates on `(site, dat)`
+    /// `site`, so `dslcheck` can key its halo analysis on `(site, dat)`
     /// (noting per-dim would make every y pass look redundant after its own
-    /// x pass). In debug builds the send-strip hash is refreshed after the
-    /// final pass, arming [`Self::elide_halo`]'s unchanged-data assert.
-    pub fn exchange_halo_dim_site<T: Copy + Send + BitHash + 'static>(
+    /// x pass).
+    pub fn exchange_halo_dim_site<T: Copy + Send + 'static>(
         &self,
         comm: &mut Comm,
         dat: &mut Dat2<T>,
@@ -238,85 +238,6 @@ impl DistBlock2 {
             crate::access::note_exchange_obs_site(dat.name(), depth, site);
         }
         self.exchange_halo_dim(comm, dat, depth, dim);
-        #[cfg(debug_assertions)]
-        if dim == 1 {
-            let h = self.strip_hash(dat, depth);
-            STRIP_HASHES.with(|m| {
-                m.borrow_mut().insert(dat.name().to_string(), h);
-            });
-        }
-    }
-
-    /// Skip a halo exchange certified redundant for `(site, dat)`. Emits a
-    /// `halo_elided` trace span carrying the bytes *not* sent, so measured
-    /// traffic reports can credit the elision. In debug builds, asserts that
-    /// this rank's send strips are bit-identical to the last real
-    /// site-labelled exchange — the runtime check of the property the
-    /// certificate proved from the recorded schedule. If no site-labelled
-    /// exchange of this dat has happened yet, the assert is skipped (the
-    /// certificate rules make that unreachable for certified sites).
-    pub fn elide_halo<T: Copy + Send + BitHash + 'static>(
-        &self,
-        dat: &Dat2<T>,
-        depth: usize,
-        site: &str,
-    ) {
-        let d = depth as isize;
-        let nx = self.nx() as isize;
-        let ny = self.ny() as isize;
-        let mut elems = 0usize;
-        for (dim, strip) in [
-            (0usize, (d * ny) as usize),
-            (1, (d * (nx + 2 * d)) as usize),
-        ] {
-            for dir in [-1isize, 1] {
-                if self.cart.shift(self.rank, dim, dir).is_some() {
-                    elems += strip;
-                }
-            }
-        }
-        let mut span = bwb_trace::span(bwb_trace::Cat::Halo, "halo_elided");
-        span.set_args(depth as f64, (elems * std::mem::size_of::<T>()) as f64, 0.0);
-        #[cfg(not(debug_assertions))]
-        let _ = (dat, site);
-        #[cfg(debug_assertions)]
-        {
-            let h = self.strip_hash(dat, depth);
-            STRIP_HASHES.with(|m| {
-                if let Some(prev) = m.borrow().get(dat.name()) {
-                    assert_eq!(
-                        *prev,
-                        h,
-                        "elided exchange at site {site:?}: send strips of {:?} changed \
-                         since the last real exchange",
-                        dat.name()
-                    );
-                }
-            });
-        }
-    }
-
-    /// FNV-1a over the bit patterns of this rank's send strips at `depth`:
-    /// the x columns `[0,d) ∪ [nx-d,nx)` over interior rows, then the y rows
-    /// `[0,d) ∪ [ny-d,ny)` extended into the x halos — exactly the data a
-    /// real exchange would pack.
-    #[cfg(debug_assertions)]
-    fn strip_hash<T: Copy + BitHash>(&self, dat: &Dat2<T>, depth: usize) -> u64 {
-        let d = depth as isize;
-        let nx = self.nx() as isize;
-        let ny = self.ny() as isize;
-        let mut h: u64 = crate::hash::FNV_OFFSET;
-        for j in 0..ny {
-            for i in (0..d).chain(nx - d..nx) {
-                h = fnv(h, dat.get(i, j).hash_bits());
-            }
-        }
-        for j in (0..d).chain(ny - d..ny) {
-            for i in -d..nx + d {
-                h = fnv(h, dat.get(i, j).hash_bits());
-            }
-        }
-        h
     }
 
     /// Ghost exchange for *node-centred* fields over this cell-decomposed
@@ -362,9 +283,14 @@ impl DistBlock2 {
         }
     }
 
-    /// Skip a node-halo exchange certified redundant for `(site, dat)` —
-    /// the node-field analogue of [`Self::elide_halo`], with the same
-    /// `halo_elided` trace span and debug-build send-strip assert.
+    /// Skip a node-halo exchange certified redundant for `(site, dat)`.
+    /// Emits a `halo_elided` trace span carrying the bytes *not* sent, so
+    /// measured traffic reports can credit the elision. In debug builds,
+    /// asserts that this rank's send strips are bit-identical to the last
+    /// real site-labelled exchange — the runtime check of the property the
+    /// certificate proved from the recorded schedule. If no site-labelled
+    /// exchange of this dat has happened yet, the assert is skipped (the
+    /// certificate rules make that unreachable for certified sites).
     pub fn elide_node_halo<T: Copy + Send + BitHash + 'static>(
         &self,
         dat: &Dat2<T>,
@@ -1049,7 +975,7 @@ mod tests {
     }
 
     #[test]
-    fn site_exchange_matches_plain_and_elision_is_sound() {
+    fn site_exchange_matches_plain() {
         let out = Universe::run(4, |c| {
             let b = DistBlock2::new(c, 8, 8);
             let s = b.start();
@@ -1067,9 +993,6 @@ mod tests {
                     same &= plain.get(i, j).to_bits() == site.get(i, j).to_bits();
                 }
             }
-            // The data has not changed since the exchange, so eliding the
-            // next one must pass the debug strip-hash assert.
-            b.elide_halo(&site, 2, "cells");
             same
         });
         assert!(out.results.iter().all(|&b| b));
@@ -1077,17 +1000,20 @@ mod tests {
 
     #[test]
     #[cfg(debug_assertions)]
-    fn strip_hash_tracks_boundary_changes_only() {
+    fn node_strip_hash_tracks_boundary_changes_only() {
         let b = DistBlock2::with_cart(0, bwb_shmpi::cart::CartComm::balanced(1, 2), 8, 8);
-        let mut d = b.alloc_f64("f", 1);
+        let mut d = Dat2::<f64>::new("f", 9, 9, 1);
         d.init_with(|i, j| gval(i as usize, j as usize));
-        let h0 = b.strip_hash(&d, 1);
+        let h0 = b.node_strip_hash(&d, 1);
         // Deep-interior change: outside every send strip, hash unchanged.
         d.set(4, 4, -1.0);
-        assert_eq!(b.strip_hash(&d, 1), h0);
-        // Boundary change: lands in a send strip, hash must move.
+        assert_eq!(b.node_strip_hash(&d, 1), h0);
+        // Node 0 is the shared interface line, not a send strip.
         d.set(0, 3, -2.0);
-        assert_ne!(b.strip_hash(&d, 1), h0);
+        assert_eq!(b.node_strip_hash(&d, 1), h0);
+        // Boundary change: lands in a send strip, hash must move.
+        d.set(1, 3, -3.0);
+        assert_ne!(b.node_strip_hash(&d, 1), h0);
     }
 
     #[test]
