@@ -1017,6 +1017,62 @@ mod tests {
     }
 
     #[test]
+    fn node_exchange_fills_every_ghost_node_from_the_global_field() {
+        // A node field over 7×5 cells has 8×6 global nodes; neighbouring
+        // ranks share their interface line. Every ghost node with a
+        // neighbour on each of its out-of-block sides (corners included)
+        // must equal the global field; every other point keeps its value.
+        const SENTINEL: f64 = -1.0;
+        let (gnx, gny) = (7, 5);
+        for dims in [[2, 1], [1, 2], [2, 2]] {
+            for depth in [1, 2] {
+                let size = dims[0] * dims[1];
+                let out = Universe::run(size, move |c| {
+                    let cart = CartComm::new(size, dims.to_vec(), vec![false, false]);
+                    let b = DistBlock2::with_cart(c.rank(), cart, gnx, gny);
+                    let s = b.start();
+                    let (nnx, nny) = (b.nx() as isize + 1, b.ny() as isize + 1);
+                    let mut d = Dat2::<f64>::new("node", b.nx() + 1, b.ny() + 1, 2);
+                    d.fill_all(SENTINEL);
+                    d.init_with(|i, j| gval(s[0] + i as usize, s[1] + j as usize));
+                    b.exchange_node_halo(c, &mut d, depth);
+                    // Does the block have a neighbour on the side of `k`?
+                    let side = |k: isize, n: isize, dim: usize| {
+                        (k >= 0 || !b.at_low_boundary(dim)) && (k < n || !b.at_high_boundary(dim))
+                    };
+                    let h = depth as isize;
+                    let mut wrong = Vec::new();
+                    for j in -2..nny + 2 {
+                        for i in -2..nnx + 2 {
+                            let reached = (-h..nnx + h).contains(&i)
+                                && (-h..nny + h).contains(&j)
+                                && side(i, nnx, 0)
+                                && side(j, nny, 1);
+                            let want = if reached {
+                                let gi = s[0] as isize + i;
+                                let gj = s[1] as isize + j;
+                                gval(gi as usize, gj as usize)
+                            } else {
+                                SENTINEL
+                            };
+                            if d.get(i, j).to_bits() != want.to_bits() {
+                                wrong.push((i, j, d.get(i, j), want));
+                            }
+                        }
+                    }
+                    wrong
+                });
+                for (rank, wrong) in out.results.iter().enumerate() {
+                    assert!(
+                        wrong.is_empty(),
+                        "{dims:?} depth {depth} rank {rank}: (i, j, got, want) {wrong:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn single_rank_exchange_is_noop() {
         let out = Universe::run(1, |c| {
             let b = DistBlock2::new(c, 5, 5);
