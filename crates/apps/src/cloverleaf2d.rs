@@ -12,7 +12,9 @@
 //! advection preserves the bandwidth-bound character — the paper's concern
 //! — while keeping the remap exactly conservative). The original's
 //! `reset_field` copies are buffer swaps here, and each halo site updates
-//! only the fields a later loop reads through it ([`CELL_HALO_SITES`]).
+//! only the fields a later loop reads through it: the cell sites of
+//! [`CELL_HALO_SITES`] and one node site for the velocities `advec_mom`
+//! reads.
 //!
 //! Closed reflective box; validation: exact mass conservation, bounded
 //! total energy, preserved mirror symmetry.
@@ -54,10 +56,9 @@ pub struct Config {
     pub mode: ExecMode,
     pub advection: Advection,
     /// Optimization plan from `dslcheck` certificates. `None` (or an empty
-    /// plan) runs the baseline schedule; a plan enables exactly the
-    /// transforms it certifies — fused `ideal_gas`+`viscosity` traversal
-    /// and elision of always-redundant velocity exchanges — all of which
-    /// are bit-identical to the baseline by construction.
+    /// plan) runs the baseline schedule; a plan that certifies it fuses the
+    /// `ideal_gas`+`viscosity` traversal, bit-identical to the baseline by
+    /// construction.
     pub plan: Option<OptPlan>,
 }
 
@@ -432,8 +433,7 @@ impl Clover2 {
     /// Structured per field — mirror-x, exchange-x, mirror-y, exchange-y —
     /// so the two exchange dimensions of one field form a single recorded
     /// exchange at the labelled `site`. Every field a site lists was
-    /// written since its previous exchange, so no plan certifies eliding
-    /// one.
+    /// written since its previous exchange, so none of them is redundant.
     fn update_halo_cells(
         &mut self,
         profile: &mut Profile,
@@ -530,36 +530,6 @@ impl Clover2 {
             0.0,
             t0.elapsed().as_secs_f64(),
         );
-    }
-
-    /// Exchange node-velocity halos between ranks. Exchanges the plan
-    /// certifies redundant at this `site` are elided (buffer names travel
-    /// with the velocity double-buffer swap, so the certificate's dat name
-    /// matches whatever buffer currently sits in each slot).
-    fn exchange_velocities(&mut self, comm: Option<&mut Comm>, site: &str) {
-        if let (Some(block), Some(comm)) = (self.dist.as_ref(), comm) {
-            let plan = if recording_active() {
-                None
-            } else {
-                self.cfg.plan.as_ref()
-            };
-            // Node fields are (nx+1)×(ny+1); the shared interface column is
-            // duplicated on both ranks, so a depth-1 exchange keeps ghosts
-            // consistent; interface nodes are computed identically on both
-            // sides from the same (exchanged) cell data.
-            for f in [
-                &mut self.xvel0,
-                &mut self.yvel0,
-                &mut self.xvel1,
-                &mut self.yvel1,
-            ] {
-                if plan.is_some_and(|p| p.elides(site, f.name())) {
-                    block.elide_node_halo(f, 1, site);
-                } else {
-                    block.exchange_node_halo_site(comm, f, 1, site);
-                }
-            }
-        }
     }
 
     /// EOS: p = (γ−1)ρe, ss = √(γp/ρ). Slice fast path: pointwise over
@@ -1027,17 +997,24 @@ impl Clover2 {
         let dt = self.calc_dt(profile, comm.as_deref_mut());
         self.accelerate(profile, dt);
         self.apply_velocity_bcs(profile);
-        self.exchange_velocities(comm.as_deref_mut(), "vel0");
+        // The one node halo site: only `advec_mom` reads node ghosts, and
+        // only those of the velocities `accelerate` just wrote. The shared
+        // interface line is computed identically on both ranks from the
+        // same exchanged cell data, so depth 1 suffices.
+        if let (Some(block), Some(c)) = (self.dist.as_ref(), comm.as_deref_mut()) {
+            for v in [&mut self.xvel1, &mut self.yvel1] {
+                block.exchange_node_halo_site(c, v, 1, "vel0");
+            }
+        }
         self.pdv(profile, dt);
         self.flux_calc(profile, dt);
         self.update_halo_cells(profile, comm.as_deref_mut(), "cells1");
         self.advec_cell_x(profile);
-        self.update_halo_cells(profile, comm.as_deref_mut(), "cells2");
+        self.update_halo_cells(profile, comm, "cells2");
         self.advec_cell_y(profile);
         self.advec_mom(profile, dt);
         self.reset_field();
         self.apply_velocity_bcs(profile);
-        self.exchange_velocities(comm, "vel1");
         dt
     }
 
@@ -1186,9 +1163,10 @@ fn viscosity_body(dx: f64, dy: f64, out: &mut RowOut2<f64>, ins: &RowIn2<f64>) {
 /// so they carry no contract.)
 ///
 /// `dist` declares the 4-rank distributed variant: the three cell-field
-/// halo-update sites ("cells0"/"cells1"/"cells2") and the two node-velocity
-/// sites ("vel0"/"vel1") each contribute their recorded exchanges, and the
-/// field-summary epilogue is absent (`run_distributed` gathers instead).
+/// halo-update sites ("cells0"/"cells1"/"cells2") and the node-velocity
+/// site "vel0" (xvel1 and yvel1, read through their halo by `advec_mom`)
+/// each contribute their recorded exchanges, and the field-summary
+/// epilogue is absent (`run_distributed` gathers instead).
 pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
     use bwb_ops::{Access, ChainSpec, DatDecl, Expr, Stencil as S, Step};
     let c = Expr::c;
@@ -1254,11 +1232,9 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
     // Donor-cell/van Leer upwind window along one axis.
     let x5 = || S::of2(&[(-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0)]);
     let y5 = || S::of2(&[(0, -2), (0, -1), (0, 0), (0, 1), (0, 2)]);
-    // `update_halo_cells` iterates its site's slots in table order and
-    // `exchange_velocities` its four velocities, noting one exchange per
-    // field on the dim-1 pass (mirror fills are hand loops and record
-    // nothing).
-    let vel_fields = [XV0, YV0, XV1, YV1];
+    // `update_halo_cells` iterates its site's slots in table order, noting
+    // one exchange per field on the dim-1 pass (mirror fills are hand loops
+    // and record nothing); `cycle` exchanges xvel1, then yvel1.
     let halo = |body: &mut Vec<Step>, fields: &[usize], depth: usize, site: &'static str| {
         if dist {
             body.extend(
@@ -1302,7 +1278,7 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
             (YV0, pt()),
         ],
     ));
-    halo(&mut body, &vel_fields, 1, "vel0");
+    halo(&mut body, &[XV1, YV1], 1, "vel0");
     body.push(lp(
         "pdv",
         cells(),
@@ -1359,7 +1335,6 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
     body.push(Step::Swap { a: E0, b: E1 });
     body.push(Step::Swap { a: XV0, b: WU });
     body.push(Step::Swap { a: YV0, b: WV });
-    halo(&mut body, &vel_fields, 1, "vel1");
     let epilogue = if dist {
         Vec::new()
     } else {

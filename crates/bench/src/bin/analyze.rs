@@ -98,27 +98,26 @@ fn dataflow_report(json_only: bool, export_dir: Option<&str>) -> usize {
 
     if !json_only {
         eprintln!(
-            "{:<14} {:>5} {:>4} {:>5} {:>4} {:>4} {:>3} {:>6} {:>8} {:>6}  status",
-            "app", "loops", "exch", "fuse", "grps", "elid", "nt", "elid%", "gain", "lints"
+            "{:<14} {:>5} {:>4} {:>5} {:>4} {:>3} {:>6} {:>8} {:>6}  status",
+            "app", "loops", "exch", "fuse", "grps", "nt", "elid%", "gain", "lints"
         );
         for r in &reports {
             if !r.analyzed {
                 let why = r.limitation.map(|l| l.label()).unwrap_or("limited");
                 eprintln!(
-                    "{:<14} {:>5}     -     -    -    -   -      -        -      -  limited ({why})",
+                    "{:<14} {:>5}     -     -    -   -      -        -      -  limited ({why})",
                     r.app, r.loops,
                 );
                 continue;
             }
             let status = if r.clean() { "ok" } else { "FAIL" };
             eprintln!(
-                "{:<14} {:>5} {:>4} {:>5} {:>4} {:>4} {:>3} {:>5.1}% {:>8.4} {:>6}  {status}",
+                "{:<14} {:>5} {:>4} {:>5} {:>4} {:>3} {:>5.1}% {:>8.4} {:>6}  {status}",
                 r.app,
                 r.loops,
                 r.exchanges,
                 r.fusion.legal_pairs(),
                 r.groups.len(),
-                r.elisions.len(),
                 r.nt.len(),
                 100.0 * r.traffic.elidable_fraction(),
                 r.traffic.streaming_gain_bound(),
@@ -153,27 +152,26 @@ fn static_report(json_only: bool, export_dir: Option<&str>) -> usize {
 
     if !json_only {
         eprintln!(
-            "{:<14} {:>5} {:>4} {:>4} {:>4} {:>3} {:>9} {:>6}  status",
-            "app", "loops", "exch", "grps", "elid", "nt", "static", "viol"
+            "{:<14} {:>5} {:>4} {:>4} {:>3} {:>9} {:>6}  status",
+            "app", "loops", "exch", "grps", "nt", "static", "viol"
         );
         for s in &statics {
             let r = &s.report;
             if !r.analyzed && r.violations.is_empty() {
                 let why = r.limitation.map(|l| l.label()).unwrap_or("limited");
                 eprintln!(
-                    "{:<14}     -    -    -    -   -         -      -  limited ({why})",
+                    "{:<14}     -    -    -   -         -      -  limited ({why})",
                     r.app
                 );
                 continue;
             }
             let status = if r.clean() { "ok" } else { "FAIL" };
             eprintln!(
-                "{:<14} {:>5} {:>4} {:>4} {:>4} {:>3} {:>7}us {:>6}  {status}",
+                "{:<14} {:>5} {:>4} {:>4} {:>3} {:>7}us {:>6}  {status}",
                 r.app,
                 r.loops,
                 r.exchanges,
                 r.groups.len(),
-                r.elisions.len(),
                 r.nt.len(),
                 s.nanos / 1_000,
                 r.violations.len(),
@@ -340,7 +338,7 @@ fn main() -> ExitCode {
     // JSON object for the concrete report, one for the parametric certs.
     let parametric = args.iter().any(|a| a == "--parametric");
     // `--export-plans <dir>` serializes each analyzed app's optimization
-    // plan (loop IR + fusion/elision/NT certificates) to `<dir>/<app>.json`
+    // plan (loop IR + fusion/NT certificates) to `<dir>/<app>.json`
     // for plan-guided executor runs; it implies `--dataflow`.
     let export_dir = args.iter().position(|a| a == "--export-plans").map(|i| {
         args.get(i + 1)

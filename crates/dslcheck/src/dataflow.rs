@@ -9,7 +9,7 @@ use crate::lints::{dead_stores, exchange_lints, fusion_groups, fusion_plan, Fusi
 use crate::traffic::{derive, nt_certs, AppTraffic, DEFAULT_RESIDENCY_BYTES};
 use crate::violation::Violation;
 use bwb_ops::access::{LoopSpec, Recording};
-use bwb_ops::plan::{lower_recording, ElisionCert, FusionGroupCert, LoopIr, NtCert, OptPlan};
+use bwb_ops::plan::{lower_recording, FusionGroupCert, LoopIr, NtCert, OptPlan};
 use bwb_trace::json::{obj, Json};
 
 /// Why the whole-chain analysis cannot soundly cover an app. Structured
@@ -75,8 +75,6 @@ pub struct DataflowReport {
     pub loop_ir: Vec<LoopIr>,
     /// Certified fusion groups (all-pairs legal maximal runs).
     pub groups: Vec<FusionGroupCert>,
-    /// Certified always-redundant exchange sites.
-    pub elisions: Vec<ElisionCert>,
     /// Certified streaming-store outputs (all-occurrence rule).
     pub nt: Vec<NtCert>,
 }
@@ -110,7 +108,6 @@ impl DataflowReport {
             traffic: derive(&g, residency_bytes),
             loop_ir: lower_recording(rec),
             groups: fusion_groups(&g),
-            elisions: crate::lints::elision_certs(&g),
             nt: nt_certs(&g, residency_bytes),
         }
     }
@@ -130,7 +127,6 @@ impl DataflowReport {
             traffic: AppTraffic::default(),
             loop_ir: Vec::new(),
             groups: Vec::new(),
-            elisions: Vec::new(),
             nt: Vec::new(),
         }
     }
@@ -148,13 +144,13 @@ impl DataflowReport {
             app: self.app.clone(),
             loops: self.loop_ir.clone(),
             groups: self.groups.clone(),
-            elisions: self.elisions.clone(),
+            elisions: Vec::new(),
             nt: self.nt.clone(),
         }
     }
 
-    /// One JSON object per app. Groups and elisions are the plan's own
-    /// certificate encodings.
+    /// One JSON object per app. Groups are the plan's own certificate
+    /// encoding.
     pub fn to_json(&self) -> Json {
         let nt = self
             .traffic
@@ -192,10 +188,6 @@ impl DataflowReport {
             (
                 "groups",
                 self.groups.iter().map(FusionGroupCert::to_json).collect(),
-            ),
-            (
-                "elisions",
-                self.elisions.iter().map(ElisionCert::to_json).collect(),
             ),
             (
                 "traffic",

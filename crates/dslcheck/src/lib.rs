@@ -74,8 +74,7 @@ pub use comm::{comm_check_all, CommReport};
 pub use dataflow::{DataflowReport, Limitation};
 pub use graph::DefUseGraph;
 pub use lints::{
-    check_fusion_claims, dead_stores, elision_certs, exchange_lints, fusion_groups, fusion_plan,
-    FusionPlan,
+    check_fusion_claims, dead_stores, exchange_lints, fusion_groups, fusion_plan, FusionPlan,
 };
 pub use placecheck::{
     certified_shard_policy, placement_check_all, placement_check_app, PlacementPlan,

@@ -1,5 +1,5 @@
 //! Whole-chain dataflow lints over a [`DefUseGraph`]: dead/overwritten
-//! stores, halo-exchange elision and missing-depth detection, and fusion
+//! stores, redundant-exchange and stale-halo detection, and fusion
 //! legality certification.
 //!
 //! Every rule here only *fires* on facts the recording proves; wherever the
@@ -9,7 +9,7 @@
 
 use crate::graph::{DefUseGraph, Event, Touch};
 use crate::violation::{Kind, Violation};
-use bwb_ops::plan::{ElisionCert, FusionGroupCert};
+use bwb_ops::plan::FusionGroupCert;
 use bwb_trace::json::{obj, Json};
 
 /// Dead-store detection: a field fully written by a pure-`Write` loop and
@@ -81,62 +81,12 @@ pub fn dead_stores(app: &str, g: &DefUseGraph) -> Vec<Violation> {
 /// precedes it, or there is no prior validity to compare against), and
 /// reads before a dat's first write or exchange are not judged (the app may
 /// rely on initial-condition ghosts).
-///
-/// Redundancies at exchange *sites* the recording proves always-redundant
-/// are promoted to [`ElisionCert`]s by [`exchange_scan`] and do not appear
-/// here — a certificate is an optimization license, not a defect. Unsited
-/// redundancies (exchanges recorded without a site label) remain
-/// violations: there is no call site an executor could elide.
 pub fn exchange_lints(app: &str, g: &DefUseGraph) -> Vec<Violation> {
-    exchange_scan(app, g).0
-}
-
-/// Halo-elision certificates: every `(site, dat)` whose recorded exchanges
-/// were *all* provably redundant. See [`exchange_scan`].
-pub fn elision_certs(g: &DefUseGraph) -> Vec<ElisionCert> {
-    exchange_scan("", g).1
-}
-
-/// One recorded exchange occurrence of one field, as judged by the halo
-/// validity state machine.
-struct ExchangeOcc {
-    site: String,
-    depth: usize,
-    /// The state machine had a prior validity to compare against (i.e. this
-    /// was not the field's first exchange).
-    judged: bool,
-    redundant: bool,
-    violation: Option<Violation>,
-}
-
-/// Run the halo validity state machine once, producing both the exchange
-/// violations and the elision certificates.
-///
-/// A `(site, dat)` pair earns an [`ElisionCert`] iff the site label is
-/// non-empty and **every** recorded exchange of `dat` at that site was
-/// judged redundant at one common depth. The first exchange of a dat is
-/// never judged (no prior validity), so a site covering it cannot certify —
-/// the conservative direction: an executor eliding that site would skip the
-/// exchange that establishes validity. Certified occurrences are removed
-/// from the violation list (their redundancy is the certificate's payload);
-/// everything else is reported exactly as before.
-fn exchange_scan(app: &str, g: &DefUseGraph) -> (Vec<Violation>, Vec<ElisionCert>) {
     let mut violations = Vec::new();
-    let mut certs = Vec::new();
     if g.exchanges.is_empty() {
-        return (violations, certs);
+        return violations;
     }
     for (name, events) in &g.fields {
-        // Site labels of this field's exchanges, in recording order — the
-        // timeline's Exchange events were folded from `g.exchanges` in the
-        // same order, so the k-th Exchange event is the k-th entry here.
-        let sites: Vec<&str> = g
-            .exchanges
-            .iter()
-            .filter(|e| &e.dat == name)
-            .map(|e| e.site.as_str())
-            .collect();
-        let mut occs: Vec<ExchangeOcc> = Vec::new();
         // Ghost validity in cells; None until the first write or exchange.
         let mut valid: Option<isize> = None;
         let mut written_since_exchange = false;
@@ -164,18 +114,9 @@ fn exchange_scan(app: &str, g: &DefUseGraph) -> (Vec<Violation>, Vec<ElisionCert
                 }
                 Event::Exchange { at, depth } => {
                     let d = *depth as isize;
-                    let site = sites.get(occs.len()).copied().unwrap_or("").to_string();
-                    let mut occ = ExchangeOcc {
-                        site,
-                        depth: *depth,
-                        judged: valid.is_some(),
-                        redundant: false,
-                        violation: None,
-                    };
                     match valid {
                         Some(v) if !written_since_exchange && v >= d => {
-                            occ.redundant = true;
-                            occ.violation = Some(Violation {
+                            violations.push(Violation {
                                 app: app.to_string(),
                                 kind: Kind::RedundantExchange {
                                     dat: name.clone(),
@@ -190,34 +131,11 @@ fn exchange_scan(app: &str, g: &DefUseGraph) -> (Vec<Violation>, Vec<ElisionCert
                         _ => valid = Some(d),
                     }
                     written_since_exchange = false;
-                    occs.push(occ);
                 }
             }
         }
-        // Partition per site: always-redundant non-empty sites certify.
-        let mut site_names: Vec<String> = occs.iter().map(|o| o.site.clone()).collect();
-        site_names.sort();
-        site_names.dedup();
-        for site in site_names {
-            let group: Vec<&ExchangeOcc> = occs.iter().filter(|o| o.site == site).collect();
-            let all_redundant = group.iter().all(|o| o.judged && o.redundant);
-            let one_depth = group.windows(2).all(|w| w[0].depth == w[1].depth);
-            if !site.is_empty() && all_redundant && one_depth {
-                certs.push(ElisionCert {
-                    site: site.clone(),
-                    dat: name.clone(),
-                    depth: group[0].depth,
-                });
-            } else {
-                violations.extend(
-                    occs.iter_mut()
-                        .filter(|o| o.site == site)
-                        .filter_map(|o| o.violation.take()),
-                );
-            }
-        }
     }
-    (violations, certs)
+    violations
 }
 
 /// One adjacent loop pair considered for fusion.

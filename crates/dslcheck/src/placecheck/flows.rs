@@ -171,9 +171,8 @@ pub const FLOW_APPS: [&str; 5] = {
 /// Face-neighbour sends of one `DistBlock2` exchange of an f64 field with
 /// `extra` more points per dimension than cells (0 for cell fields, 1 for
 /// node fields): dim-0 strips are `d × ny` elements, dim-1 strips are
-/// `d × (nx + 2d)` (rows extended into the x halos) — exactly the packing
-/// loops in `bwb_ops::halo::DistBlock2::{exchange_halo_dim,
-/// exchange_node_halo_inner}`.
+/// `d × (nx + 2d)` (rows extended into the x halos) — exactly the strips
+/// `bwb_ops::halo`'s face exchange packs.
 fn exchange_sends(
     cart: &CartComm,
     (gnx, gny): (usize, usize),
@@ -197,7 +196,7 @@ fn exchange_sends(
 /// CloverLeaf 2D: the `Exchange` steps of its declared distributed chain,
 /// in order — depth-2 cell halos at the sites `cells0`, `cells1` and
 /// `cells2`, each of the fields [`cloverleaf2d::CELL_HALO_SITES`] lists for
-/// it, and depth-1 node-velocity halos at `vel0` and `vel1`; all f64.
+/// it, and depth-1 xvel1/yvel1 halos at `vel0`; all f64.
 /// (`calc_dt`'s allreduce and the final density gather are collectives.)
 pub(crate) fn cloverleaf2d(n: usize) -> Vec<PhaseFlow> {
     let cfg = registry::clover2_scaled_cfg();

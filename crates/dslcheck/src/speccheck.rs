@@ -7,7 +7,7 @@
 //! dats. [`analyze_static`] validates that declaration, abstractly
 //! interprets it into a synthetic [`bwb_ops::access::Recording`], and runs
 //! the unmodified [`DataflowReport`] analyzers over it. For a declared app
-//! this is the one source of fusion / elision / streaming-store
+//! this is the one source of fusion / streaming-store
 //! certificates: `analyze --dataflow`, `analyze --static`, [`static_plan`]
 //! and the serve front end all read it.
 //!
@@ -27,7 +27,7 @@
 //!   proves is never exceeded (observed ⊆ declared).
 //! * **Halo-validity state machines.** `Step::Exchange` lands in the
 //!   timeline at its loop-ordinal position, driving the ghost
-//!   valid/stale/refreshed automaton the elision certifier walks — same
+//!   valid/stale/refreshed automaton the exchange lints walk — same
 //!   transitions, symbolic grid.
 //!
 //! # Soundness
@@ -47,9 +47,10 @@
 //!   offset and output access against the chain's derived
 //!   [`ChainSpec::loop_specs`].
 //!
-//! [`stability`] adds a parametricity check: the position-free cert
-//! projections must not change when the chain runs one more iteration,
-//! catching declarations that only coincidentally match at the CI size.
+//! [`stability`] adds a parametricity check: the chain must stay clean,
+//! and the position-free cert projections must not change, when it runs
+//! one more iteration, catching declarations that only coincidentally
+//! match at the CI size.
 //! A chain that does not validate (a shape stated with two contracts, an
 //! unbound parameter, a bad slot, inconsistent geometry) yields
 //! [`Kind::UnderspecifiedChain`] instead of certificates.
@@ -215,26 +216,22 @@ fn arg_diff(d: &ArgObs, r: &ArgObs) -> Option<(&'static str, String, String)> {
     .find(|(_, a, b)| a != b)
 }
 
-fn elision_set(r: &DataflowReport) -> BTreeSet<String> {
-    r.elisions
-        .iter()
-        .map(|e| format!("{}:{} depth {}", e.site, e.dat, e.depth))
-        .collect()
-}
-
 fn nt_set(r: &DataflowReport) -> BTreeSet<String> {
     r.nt.iter()
         .map(|n| format!("{}:{}", n.loop_name, n.dat))
         .collect()
 }
 
-/// Parametric-stability check: re-derive the certificates at one more
-/// body iteration and require the position-free projections to agree —
-/// elision and streaming-store certs are site/name-keyed and must be
-/// identical; every fusion-group *shape* (its name vector) present at
-/// `iters` must recur at `iters + 1`. A chain whose certs shift with the
-/// iteration count only coincidentally matched the recorded run, which is
-/// exactly the underspecification this flags.
+/// Parametric-stability check: re-run the analysis at one more body
+/// iteration. A chain clean at `iters` has every violation found there
+/// reported (a defect that needs one more iteration to appear, such as an
+/// exchange made redundant by the previous iteration's swaps, is still a
+/// defect), and the position-free certificate projections must agree — streaming-store
+/// certs are name-keyed and must be identical; every fusion-group *shape*
+/// (its name vector) present at `iters` must recur at `iters + 1`. A chain
+/// whose verdict shifts with the iteration count only coincidentally
+/// matched the recorded run, which is exactly the underspecification this
+/// flags.
 pub fn stability(spec: &ChainSpec, binding: &Binding, iters: usize) -> Vec<Violation> {
     let (a, b) = match (
         analyze_static(spec, binding, iters),
@@ -250,13 +247,14 @@ pub fn stability(spec: &ChainSpec, binding: &Binding, iters: usize) -> Vec<Viola
             kind: Kind::UnderspecifiedChain { detail },
         });
     };
-    if elision_set(&a) != elision_set(&b) {
+    // A chain that already fails at `iters` is reported by its own
+    // violations; one clean there must stay clean.
+    for v in b.violations.iter().filter(|_| a.clean()) {
         unstable(format!(
-            "elision certs unstable across iteration count: {:?} at {} vs {:?} at {}",
-            elision_set(&a),
-            iters,
-            elision_set(&b),
-            iters + 1
+            "at {} body iterations: [{}] {}",
+            iters + 1,
+            v.kind.tag(),
+            v.kind
         ));
     }
     if nt_set(&a) != nt_set(&b) {
@@ -542,17 +540,9 @@ mod tests {
                 }
             }
         }
-        // The declarations are worth having: the distributed clover chain
-        // must statically certify halo elisions, and the Store-All OpenSBLI
-        // chain the ten-loop RHS fusion group — without executing anything.
-        let cdist = reports
-            .iter()
-            .find(|r| r.report.app == "clover2d_dist")
-            .unwrap();
-        assert!(
-            !cdist.report.elisions.is_empty(),
-            "clover2d_dist: no static elision certificates"
-        );
+        // The declarations are worth having: the Store-All OpenSBLI chain
+        // must statically certify the ten-loop RHS fusion group — without
+        // executing anything.
         let sa = reports
             .iter()
             .find(|r| r.report.app == "opensbli_sa")
@@ -563,38 +553,85 @@ mod tests {
         );
     }
 
-    /// Each CloverLeaf 2D cell halo site updates only the fields read
-    /// through it, so dropping one is a stale read: without energy1 at
-    /// `cells1`, the x remap reads energy ghosts that `pdv`'s write left
-    /// stale. No energy buffer is then exchanged anywhere, so only the rule
-    /// that judges every dat of an exchanging run can see it.
+    /// Each CloverLeaf 2D halo site updates only the fields read through
+    /// it, so dropping one is a stale read:
+    /// - without energy1 at `cells1`, the x remap reads energy ghosts that
+    ///   `pdv`'s write left stale. No energy buffer is then exchanged
+    ///   anywhere, so only the rule that judges every dat of an exchanging
+    ///   run can see it.
+    /// - without xvel1 at `vel0`, `advec_mom` reads the node ghosts that
+    ///   `accelerate`'s write left stale.
     #[test]
     fn a_dropped_clover_halo_field_is_a_stale_halo_read() {
         let entry = entry("clover2d_dist").expect("registered");
-        let (mut chain, binding, iters) = entry.declared().expect("declared");
+        let (chain, binding, iters) = entry.declared().expect("declared");
         let clean = analyze_static(&chain, &binding, iters).expect("valid chain");
         assert!(clean.clean(), "{:?}", clean.violations);
-        let e1 = chain.dats.iter().position(|d| d.name == "energy1").unwrap();
-        let dropped =
-            |s: &Step| matches!(s, Step::Exchange { dat, site: "cells1", .. } if *dat == e1);
-        assert_eq!(chain.body.iter().filter(|s| dropped(s)).count(), 1);
-        chain.body.retain(|s| !dropped(s));
-        let planted = analyze_static(&chain, &binding, iters).expect("valid chain");
-        assert!(!planted.violations.is_empty());
-        for v in &planted.violations {
-            let Kind::StaleHaloRead {
-                loop_name,
-                required_radius,
-                valid_depth,
-                ..
-            } = &v.kind
-            else {
+        for (name, from, reader, radius) in [
+            ("energy1", "cells1", "advec_cell_x", 2),
+            ("xvel1", "vel0", "advec_mom", 1),
+        ] {
+            let mut chain = chain.clone();
+            let slot = chain.dats.iter().position(|d| d.name == name).unwrap();
+            let dropped = |s: &Step| matches!(s, Step::Exchange { dat, site, .. } if *dat == slot && *site == from);
+            assert_eq!(chain.body.iter().filter(|s| dropped(s)).count(), 1);
+            chain.body.retain(|s| !dropped(s));
+            let planted = analyze_static(&chain, &binding, iters).expect("valid chain");
+            assert!(!planted.violations.is_empty(), "{name} at {from}");
+            for v in &planted.violations {
+                let Kind::StaleHaloRead {
+                    loop_name,
+                    required_radius,
+                    valid_depth,
+                    ..
+                } = &v.kind
+                else {
+                    panic!("{name} at {from}: {v:?}");
+                };
+                assert_eq!(
+                    (loop_name.as_str(), *required_radius, *valid_depth),
+                    (reader, radius, 0),
+                    "{name} at {from}"
+                );
+            }
+        }
+    }
+
+    /// A defect that needs more body iterations to appear is still a
+    /// defect: the distributed clover chain is clean at 2, 3 and 4, and
+    /// a chain clean at `iters` but not at `iters + 1` fails `stability`.
+    #[test]
+    fn clover_dist_chain_is_clean_at_two_to_four_iterations() {
+        let (chain, binding, _) = entry("clover2d_dist").unwrap().declared().unwrap();
+        for iters in [2, 3, 4] {
+            let rep = analyze_static(&chain, &binding, iters).expect("valid chain");
+            assert!(rep.clean(), "{iters} iterations: {:?}", rep.violations);
+        }
+        // Exchange xvel0 at `vel0` and, after the swap, at a `vel1` site
+        // at the end of the body: the `vel1` exchange leaves the buffer
+        // valid for the next iteration's `vel0` one, which is redundant
+        // from the second iteration on.
+        let mut chain = chain;
+        let xv0 = chain.dats.iter().position(|d| d.name == "xvel0").unwrap();
+        let exchange = |site| Step::Exchange {
+            dat: xv0,
+            depth: 1,
+            site,
+        };
+        let vel0 = chain
+            .body
+            .iter()
+            .rposition(|s| matches!(s, Step::Exchange { site: "vel0", .. }));
+        chain.body.insert(vel0.unwrap() + 1, exchange("vel0"));
+        chain.body.push(exchange("vel1"));
+        assert!(analyze_static(&chain, &binding, 1).unwrap().clean());
+        let found = stability(&chain, &binding, 1);
+        assert!(!found.is_empty());
+        for v in &found {
+            let Kind::UnderspecifiedChain { detail } = &v.kind else {
                 panic!("{v:?}");
             };
-            assert_eq!(
-                (loop_name.as_str(), *required_radius, *valid_depth),
-                ("advec_cell_x", 2, 0)
-            );
+            assert!(detail.contains("redundant_exchange"), "{detail}");
         }
     }
 

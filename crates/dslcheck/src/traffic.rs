@@ -71,7 +71,7 @@ impl AppTraffic {
     }
 
     /// Fraction of write-allocate traffic the certified streaming stores
-    /// would elide. This is the per-app "elidable traffic" number the
+    /// save. This is the per-app "elidable traffic" number the
     /// experiment tables report.
     pub fn elidable_fraction(&self) -> f64 {
         let wa = self.moved_bytes_write_allocate();

@@ -236,6 +236,48 @@ fn planted_redundant_exchange_detected() {
 }
 
 #[test]
+fn redundant_exchange_at_its_own_site_is_a_violation() {
+    // The same redundancy with each exchange at its own call site: every
+    // exchange at site "again" moves still-valid ghosts. That is a defect
+    // to mend by deleting the call, whatever site it carries.
+    let rec = Recording {
+        loops: vec![
+            obs_loop("produce", vec![obs_arg("u", true, &[])], Vec::new()),
+            obs_loop(
+                "stencil",
+                vec![obs_arg("x", true, &[])],
+                vec![obs_arg("u", false, &[(0, 0, 0), (0, -1, 0), (0, 1, 0)])],
+            ),
+        ],
+        exchanges: vec![
+            ExchangeObs {
+                dat: "u".into(),
+                depth: 1,
+                at: 1,
+                site: "fresh".into(),
+            },
+            ExchangeObs {
+                dat: "u".into(),
+                depth: 1,
+                at: 2,
+                site: "again".into(),
+            },
+        ],
+    };
+    let g = DefUseGraph::build(&halo_specs(1), &rec);
+    let v = exchange_lints("fixture", &g);
+    assert_eq!(
+        v.iter().map(|v| &v.kind).collect::<Vec<_>>(),
+        [&Kind::RedundantExchange {
+            dat: "u".into(),
+            depth: 1,
+            at: 2,
+            prior_depth: 1,
+        }]
+    );
+}
+
+#[test]
 fn planted_stale_halo_read_detected() {
     // u is exchanged at depth 1 but the stencil reads it at radius 2: the
     // outer ghost ring is stale. The whole-chain generalization of the

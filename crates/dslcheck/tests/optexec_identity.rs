@@ -149,9 +149,9 @@ fn pointwise_twin_certifies_and_fuses() {
 
 #[test]
 fn exported_app_plans_round_trip_through_json() {
-    // Single-rank OpenSBLI (fusion certs) and 4-rank CloverLeaf2D
-    // (fusion + elision certs): the serialized form must parse back to an
-    // equal plan, so `analyze --export-plans` output is usable as-is.
+    // Single-rank OpenSBLI and 4-rank CloverLeaf2D (fusion certs): the
+    // serialized form must parse back to an equal plan, so
+    // `analyze --export-plans` output is usable as-is.
     let sbli_cfg = opensbli::Config {
         n: 12,
         iterations: 1,
@@ -194,14 +194,14 @@ fn exported_app_plans_round_trip_through_json() {
         &out.results[0],
     )
     .export_plan();
-    assert!(!plan.elisions.is_empty(), "expected elision certificates");
+    assert!(!plan.groups.is_empty(), "expected fusion certificates");
     assert_eq!(
         OptPlan::from_json(&plan.to_json().to_string()).unwrap(),
         plan
     );
 }
 
-// --- distributed bit-identity (fusion + halo elision together) -----------
+// --- distributed bit-identity ---------------------------------------------
 
 #[test]
 fn clover_dist_plan_guided_gathered_density_is_bit_identical() {
@@ -226,7 +226,7 @@ fn clover_dist_plan_guided_gathered_density_is_bit_identical() {
         &out.results[0],
     )
     .export_plan();
-    assert!(!plan.elisions.is_empty(), "expected elision certificates");
+    assert!(!plan.groups.is_empty(), "expected fusion certificates");
 
     let gathered = |plan: Option<OptPlan>| -> Vec<u64> {
         let cfg = cloverleaf2d::Config {

@@ -299,9 +299,9 @@ pub struct ExchangeObs {
     /// Loops completed in this session before the exchange.
     pub at: usize,
     /// Stable call-site label supplied by the app (empty when the app uses
-    /// the unlabelled exchange API). Elision certificates are keyed on
-    /// `(site, dat)`: only exchanges the app can name at runtime are
-    /// skippable, so unlabelled redundant exchanges stay plain violations.
+    /// the unlabelled exchange API). The declaration check matches it
+    /// against the declared chain's exchange sites, so a recorded exchange
+    /// must come from the call site its declaration names.
     pub site: String,
 }
 

@@ -16,7 +16,7 @@
 //! linear [`Expr`]s over named parameters like `n`, `nx`, so
 //! [`ChainSpec::instantiate`] synthesizes the exact
 //! [`crate::access::Recording`] a run *would* produce without executing a
-//! single kernel. The dataflow analyzer derives fusion / elision / NT
+//! single kernel. The dataflow analyzer derives fusion / NT
 //! certificates from that synthetic recording, and `dslcheck` validates
 //! the declaration by comparing a recorded run against the same
 //! instantiation, loop for loop and exchange for exchange.

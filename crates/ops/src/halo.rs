@@ -7,47 +7,11 @@ use crate::field::{Dat2, Dat3};
 use bwb_shmpi::bufpool;
 use bwb_shmpi::cart::CartComm;
 use bwb_shmpi::Comm;
+use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Tag space reserved for halo traffic (dim × direction encoded).
 pub const HALO_TAG_BASE: u32 = 0x4000_0000;
-
-/// Bit-exact element hashing for the halo-elision debug check. Hashes go
-/// through the bit pattern rather than `PartialEq` so `-0.0` vs `0.0` and
-/// NaN payload changes are detected — the elision certificate promises the
-/// strips are *byte*-identical, not merely numerically equal.
-pub trait BitHash: Copy {
-    fn hash_bits(self) -> u64;
-}
-
-impl BitHash for f64 {
-    fn hash_bits(self) -> u64 {
-        self.to_bits()
-    }
-}
-
-impl BitHash for f32 {
-    fn hash_bits(self) -> u64 {
-        u64::from(self.to_bits())
-    }
-}
-
-/// One FNV-1a step (shared constants with the serve-layer cache keys;
-/// see [`crate::hash`]).
-#[cfg(debug_assertions)]
-fn fnv(h: u64, v: u64) -> u64 {
-    crate::hash::step_u64(h, v)
-}
-
-#[cfg(debug_assertions)]
-thread_local! {
-    /// Per-rank (shmpi ranks are threads) hash of each node dat's send
-    /// strips as of its last *real* site-labelled exchange, keyed by dat
-    /// name. Used by [`DistBlock2::elide_node_halo`] to debug-assert that
-    /// skipping the exchange was sound at runtime, not just in the recorded
-    /// schedule.
-    static STRIP_HASHES: std::cell::RefCell<std::collections::HashMap<String, u64>> =
-        std::cell::RefCell::new(std::collections::HashMap::new());
-}
 
 /// The tag a halo message travelling along `dim` in the `positive`
 /// direction carries. Direction-encoded so that the two messages of one
@@ -56,6 +20,131 @@ thread_local! {
 /// commcheck and the tag-collision property tests).
 pub fn halo_tag(dim: usize, positive: bool) -> u32 {
     HALO_TAG_BASE + (dim as u32) * 2 + u32::from(positive)
+}
+
+/// A halo-padded dataset as a face exchange sees it: a name, an extent of
+/// up to three axes (a 2-D dat has one plane), and contiguous runs of
+/// points along `i`, in halo coordinates.
+trait Ghosted<T> {
+    fn name(&self) -> &str;
+    fn extent(&self) -> [isize; 3];
+    fn run(&self, i: Range<isize>, j: isize, k: isize) -> &[T];
+    fn run_mut(&mut self, i: Range<isize>, j: isize, k: isize) -> &mut [T];
+}
+
+impl<T: Copy> Ghosted<T> for Dat2<T> {
+    fn name(&self) -> &str {
+        self.name()
+    }
+    fn extent(&self) -> [isize; 3] {
+        [self.nx() as isize, self.ny() as isize, 1]
+    }
+    fn run(&self, i: Range<isize>, j: isize, _k: isize) -> &[T] {
+        let at = self.linear(i.start, j);
+        &self.raw()[at..=self.linear(i.end - 1, j)]
+    }
+    fn run_mut(&mut self, i: Range<isize>, j: isize, _k: isize) -> &mut [T] {
+        let at = self.linear(i.start, j);
+        let end = self.linear(i.end - 1, j);
+        &mut self.raw_mut()[at..=end]
+    }
+}
+
+impl<T: Copy> Ghosted<T> for Dat3<T> {
+    fn name(&self) -> &str {
+        self.name()
+    }
+    fn extent(&self) -> [isize; 3] {
+        [self.nx() as isize, self.ny() as isize, self.nz() as isize]
+    }
+    fn run(&self, i: Range<isize>, j: isize, k: isize) -> &[T] {
+        let at = self.linear(i.start, j, k);
+        &self.raw()[at..=self.linear(i.end - 1, j, k)]
+    }
+    fn run_mut(&mut self, i: Range<isize>, j: isize, k: isize) -> &mut [T] {
+        let at = self.linear(i.start, j, k);
+        let end = self.linear(i.end - 1, j, k);
+        &mut self.raw_mut()[at..=end]
+    }
+}
+
+/// One face exchange of `dat` along `dim` at `depth`: send the low strip
+/// to the low neighbour and the high strip to the high neighbour, then
+/// receive the high ghosts and the low ghosts. A strip spans `depth`
+/// points along `dim`, the axes before `dim` extended into their ghosts
+/// (so exchanging the axes in order fills edges and corners), and the
+/// axes after it over their interior. `shared` is how many points at each
+/// end of `dim` the block shares with its neighbour (1 on a node field's
+/// interface line, 0 for cells): the strips sent shift that far inward.
+///
+/// Pack buffers come from the rank-local [`bufpool`] and received buffers
+/// return to it, so steady-state exchanges reuse the allocations shipped
+/// over in the previous exchange.
+fn exchange_face<T: Copy + Send + 'static>(
+    cart: &CartComm,
+    rank: usize,
+    comm: &mut Comm,
+    dat: &mut impl Ghosted<T>,
+    dim: usize,
+    depth: usize,
+    shared: usize,
+) {
+    if depth == 0 {
+        return;
+    }
+    let (d, s) = (depth as isize, shared as isize);
+    let extent = dat.extent();
+    let n = extent[dim];
+    let strip = |lo: isize| -> [Range<isize>; 3] {
+        std::array::from_fn(|axis| match axis.cmp(&dim) {
+            Ordering::Less => -d..extent[axis] + d,
+            Ordering::Equal => lo..lo + d,
+            Ordering::Greater => 0..extent[axis],
+        })
+    };
+    let rows = |b: &[Range<isize>; 3]| {
+        let (j, k) = (b[1].clone(), b[2].clone());
+        k.flat_map(move |k| j.clone().map(move |j| (j, k)))
+    };
+    comm.set_comm_ctx(dat.name());
+    let low = cart.shift(rank, dim, -1);
+    let high = cart.shift(rank, dim, 1);
+    let mut xspan = bwb_trace::span(bwb_trace::Cat::Halo, "halo_exchange");
+    let mut sent_bytes = 0usize;
+    // My first strip is the low neighbour's high ghosts; my last, the high
+    // neighbour's low ghosts.
+    for (to, lo, positive) in [(low, s, false), (high, n - s - d, true)] {
+        let Some(to) = to else { continue };
+        let mut buf = bufpool::take::<T>();
+        {
+            let _p = bwb_trace::span(bwb_trace::Cat::Halo, "halo_pack");
+            let b = strip(lo);
+            for (j, k) in rows(&b) {
+                buf.extend_from_slice(dat.run(b[0].clone(), j, k));
+            }
+        }
+        sent_bytes += std::mem::size_of_val(buf.as_slice());
+        comm.send(to, halo_tag(dim, positive), buf);
+    }
+    for (from, lo, positive) in [(high, n, false), (low, -d, true)] {
+        let Some(from) = from else { continue };
+        let buf = comm.recv::<T>(from, halo_tag(dim, positive));
+        {
+            let _u = bwb_trace::span(bwb_trace::Cat::Halo, "halo_unpack");
+            let b = strip(lo);
+            let mut rest = buf.as_slice();
+            for (j, k) in rows(&b) {
+                let dst = dat.run_mut(b[0].clone(), j, k);
+                let (head, tail) = rest.split_at(dst.len());
+                dst.copy_from_slice(head);
+                rest = tail;
+            }
+            assert!(rest.is_empty(), "halo buffer size");
+        }
+        bufpool::put(buf);
+    }
+    xspan.set_args(dim as f64, d as f64, sent_bytes as f64);
+    comm.clear_comm_ctx();
 }
 
 /// One rank's share of a 2-D global block.
@@ -157,67 +246,7 @@ impl DistBlock2 {
         depth: usize,
         dim: usize,
     ) {
-        assert!(
-            depth <= dat.halo(),
-            "exchange depth {depth} exceeds halo {}",
-            dat.halo()
-        );
-        assert_eq!(dat.nx(), self.nx());
-        assert_eq!(dat.ny(), self.ny());
-        if depth == 0 {
-            return;
-        }
-        let d = depth as isize;
-        let nx = self.nx() as isize;
-        let ny = self.ny() as isize;
-
-        match dim {
-            0 => self.exchange_dim2(
-                comm,
-                0,
-                dat,
-                nx,
-                d,
-                |dat, lo, buf| {
-                    for j in 0..ny {
-                        for i in lo..lo + d {
-                            buf.push(dat.get(i, j));
-                        }
-                    }
-                },
-                |dat, lo, buf: &[T]| {
-                    let mut it = buf.iter().copied();
-                    for j in 0..ny {
-                        for i in lo..lo + d {
-                            dat.set(i, j, it.next().expect("halo buffer size"));
-                        }
-                    }
-                },
-            ),
-            1 => self.exchange_dim2(
-                comm,
-                1,
-                dat,
-                ny,
-                d,
-                |dat, lo, buf| {
-                    for j in lo..lo + d {
-                        for i in -d..nx + d {
-                            buf.push(dat.get(i, j));
-                        }
-                    }
-                },
-                |dat, lo, buf: &[T]| {
-                    let mut it = buf.iter().copied();
-                    for j in lo..lo + d {
-                        for i in -d..nx + d {
-                            dat.set(i, j, it.next().expect("halo buffer size"));
-                        }
-                    }
-                },
-            ),
-            _ => panic!("2-D block has dims 0 and 1"),
-        }
+        self.exchange_dim(comm, dat, depth, dim, 0);
     }
 
     /// Site-labelled per-dimension exchange. Communication is identical to
@@ -241,29 +270,24 @@ impl DistBlock2 {
     }
 
     /// Ghost exchange for *node-centred* fields over this cell-decomposed
-    /// block. A node field has `nx+1 × ny+1` local points and the interface
-    /// line is duplicated on both neighbouring ranks, so the strips shift
-    /// inward by one: the low rank's ghost at `-1` is the low neighbour's
-    /// node `n-1-d` (their last node equals our node 0), and the ghost at
-    /// `n+d` is the high neighbour's node `1+d-1`.
+    /// block: the cell exchange with its strips shifted one node inward. A
+    /// node field has `nx+1 × ny+1` local points and the interface line is
+    /// duplicated on both neighbouring ranks, so the ghost at `-1` is the
+    /// low neighbour's node `n-2` (their last node equals our node 0), and
+    /// the ghost at `n` is the high neighbour's node 1.
     pub fn exchange_node_halo<T: Copy + Send + 'static>(
         &self,
         comm: &mut Comm,
         dat: &mut Dat2<T>,
         depth: usize,
     ) {
-        if crate::access::recording_active() {
-            crate::access::note_exchange_obs(dat.name(), depth);
-        }
-        self.exchange_node_halo_inner(comm, dat, depth);
+        self.exchange_node_halo_site(comm, dat, depth, "");
     }
 
     /// Site-labelled node exchange (the node-field analogue of
     /// [`Self::exchange_halo_dim_site`]): the recording observation carries
-    /// `site`, so `dslcheck` can key elision certificates on `(site, dat)`,
-    /// and in debug builds the node send-strip hash is refreshed to arm
-    /// [`Self::elide_node_halo`]'s unchanged-data assert.
-    pub fn exchange_node_halo_site<T: Copy + Send + BitHash + 'static>(
+    /// `site`, so `dslcheck` can key its halo analysis on `(site, dat)`.
+    pub fn exchange_node_halo_site<T: Copy + Send + 'static>(
         &self,
         comm: &mut Comm,
         dat: &mut Dat2<T>,
@@ -273,256 +297,30 @@ impl DistBlock2 {
         if crate::access::recording_active() {
             crate::access::note_exchange_obs_site(dat.name(), depth, site);
         }
-        self.exchange_node_halo_inner(comm, dat, depth);
-        #[cfg(debug_assertions)]
-        {
-            let h = self.node_strip_hash(dat, depth);
-            STRIP_HASHES.with(|m| {
-                m.borrow_mut().insert(dat.name().to_string(), h);
-            });
-        }
+        self.exchange_dim(comm, dat, depth, 0, 1);
+        self.exchange_dim(comm, dat, depth, 1, 1);
     }
 
-    /// Skip a node-halo exchange certified redundant for `(site, dat)`.
-    /// Emits a `halo_elided` trace span carrying the bytes *not* sent, so
-    /// measured traffic reports can credit the elision. In debug builds,
-    /// asserts that this rank's send strips are bit-identical to the last
-    /// real site-labelled exchange — the runtime check of the property the
-    /// certificate proved from the recorded schedule. If no site-labelled
-    /// exchange of this dat has happened yet, the assert is skipped (the
-    /// certificate rules make that unreachable for certified sites).
-    pub fn elide_node_halo<T: Copy + Send + BitHash + 'static>(
-        &self,
-        dat: &Dat2<T>,
-        depth: usize,
-        site: &str,
-    ) {
-        let d = depth as isize;
-        let nnx = self.nx() as isize + 1;
-        let nny = self.ny() as isize + 1;
-        let mut elems = 0usize;
-        for (dim, strip) in [
-            (0usize, (d * nny) as usize),
-            (1, (d * (nnx + 2 * d)) as usize),
-        ] {
-            for dir in [-1isize, 1] {
-                if self.cart.shift(self.rank, dim, dir).is_some() {
-                    elems += strip;
-                }
-            }
-        }
-        let mut span = bwb_trace::span(bwb_trace::Cat::Halo, "halo_elided");
-        span.set_args(depth as f64, (elems * std::mem::size_of::<T>()) as f64, 0.0);
-        #[cfg(not(debug_assertions))]
-        let _ = (dat, site);
-        #[cfg(debug_assertions)]
-        {
-            let h = self.node_strip_hash(dat, depth);
-            STRIP_HASHES.with(|m| {
-                if let Some(prev) = m.borrow().get(dat.name()) {
-                    assert_eq!(
-                        *prev,
-                        h,
-                        "elided node exchange at site {site:?}: send strips of {:?} \
-                         changed since the last real exchange",
-                        dat.name()
-                    );
-                }
-            });
-        }
-    }
-
-    /// FNV-1a over this rank's node-field send strips at `depth`: the
-    /// interface-shifted columns `[1,1+d) ∪ [nnx−1−d,nnx−1)` over interior
-    /// rows, then the rows `[1,1+d) ∪ [nny−1−d,nny−1)` extended into the x
-    /// halos — exactly what [`Self::exchange_node_halo`] packs.
-    #[cfg(debug_assertions)]
-    fn node_strip_hash<T: Copy + BitHash>(&self, dat: &Dat2<T>, depth: usize) -> u64 {
-        let d = depth as isize;
-        let nnx = self.nx() as isize + 1;
-        let nny = self.ny() as isize + 1;
-        let mut h: u64 = crate::hash::FNV_OFFSET;
-        for j in 0..nny {
-            for i in (1..1 + d).chain(nnx - 1 - d..nnx - 1) {
-                h = fnv(h, dat.get(i, j).hash_bits());
-            }
-        }
-        for j in (1..1 + d).chain(nny - 1 - d..nny - 1) {
-            for i in -d..nnx + d {
-                h = fnv(h, dat.get(i, j).hash_bits());
-            }
-        }
-        h
-    }
-
-    fn exchange_node_halo_inner<T: Copy + Send + 'static>(
+    /// The face exchange of `dat` along `dim`. `shared` is how many points
+    /// each end of the block shares with its neighbour: 0 for cell fields,
+    /// 1 for node fields.
+    fn exchange_dim<T: Copy + Send + 'static>(
         &self,
         comm: &mut Comm,
         dat: &mut Dat2<T>,
         depth: usize,
-    ) {
-        assert!(depth <= dat.halo());
-        assert_eq!(dat.nx(), self.nx() + 1, "node field extent");
-        assert_eq!(dat.ny(), self.ny() + 1, "node field extent");
-        if depth == 0 {
-            return;
-        }
-        comm.set_comm_ctx(dat.name());
-        let d = depth as isize;
-        let nnx = self.nx() as isize + 1;
-        let nny = self.ny() as isize + 1;
-        let mut xspan = bwb_trace::span(bwb_trace::Cat::Halo, "halo_exchange_node");
-        let mut sent_bytes = 0usize;
-
-        // X pass: send columns [1, 1+d) low / [nnx-1-d, nnx-1) high.
-        let low = self.cart.shift(self.rank, 0, -1);
-        let high = self.cart.shift(self.rank, 0, 1);
-        let pack_cols = |dat: &Dat2<T>, lo: isize| {
-            let mut buf = bufpool::take::<T>();
-            buf.reserve((d * nny) as usize);
-            for j in 0..nny {
-                for i in lo..lo + d {
-                    buf.push(dat.get(i, j));
-                }
-            }
-            buf
-        };
-        let unpack_cols = |dat: &mut Dat2<T>, lo: isize, buf: Vec<T>| {
-            let mut it = buf.iter().copied();
-            for j in 0..nny {
-                for i in lo..lo + d {
-                    dat.set(i, j, it.next().expect("halo size"));
-                }
-            }
-            bufpool::put(buf);
-        };
-        if let Some(lo) = low {
-            let buf = pack_cols(dat, 1);
-            sent_bytes += std::mem::size_of_val(buf.as_slice());
-            comm.send(lo, halo_tag(0, false), buf);
-        }
-        if let Some(hi) = high {
-            let buf = pack_cols(dat, nnx - 1 - d);
-            sent_bytes += std::mem::size_of_val(buf.as_slice());
-            comm.send(hi, halo_tag(0, true), buf);
-        }
-        if let Some(hi) = high {
-            let buf = comm.recv::<T>(hi, halo_tag(0, false));
-            unpack_cols(dat, nnx, buf);
-        }
-        if let Some(lo) = low {
-            let buf = comm.recv::<T>(lo, halo_tag(0, true));
-            unpack_cols(dat, -d, buf);
-        }
-
-        // Y pass (extended into x halos).
-        let low = self.cart.shift(self.rank, 1, -1);
-        let high = self.cart.shift(self.rank, 1, 1);
-        let pack_rows = |dat: &Dat2<T>, lo: isize| {
-            let mut buf = bufpool::take::<T>();
-            buf.reserve((d * (nnx + 2 * d)) as usize);
-            for j in lo..lo + d {
-                for i in -d..nnx + d {
-                    buf.push(dat.get(i, j));
-                }
-            }
-            buf
-        };
-        let unpack_rows = |dat: &mut Dat2<T>, lo: isize, buf: Vec<T>| {
-            let mut it = buf.iter().copied();
-            for j in lo..lo + d {
-                for i in -d..nnx + d {
-                    dat.set(i, j, it.next().expect("halo size"));
-                }
-            }
-            bufpool::put(buf);
-        };
-        if let Some(lo) = low {
-            let buf = pack_rows(dat, 1);
-            sent_bytes += std::mem::size_of_val(buf.as_slice());
-            comm.send(lo, halo_tag(1, false), buf);
-        }
-        if let Some(hi) = high {
-            let buf = pack_rows(dat, nny - 1 - d);
-            sent_bytes += std::mem::size_of_val(buf.as_slice());
-            comm.send(hi, halo_tag(1, true), buf);
-        }
-        if let Some(hi) = high {
-            let buf = comm.recv::<T>(hi, halo_tag(1, false));
-            unpack_rows(dat, nny, buf);
-        }
-        if let Some(lo) = low {
-            let buf = comm.recv::<T>(lo, halo_tag(1, true));
-            unpack_rows(dat, -d, buf);
-        }
-        // Node exchange spans both dims; report dim = -1.
-        xspan.set_args(-1.0, d as f64, sent_bytes as f64);
-        comm.clear_comm_ctx();
-    }
-
-    /// One-dimension face exchange: pack low/high strips (strip geometry is
-    /// the caller's packing closure), exchange with both neighbours, unpack
-    /// into the halos. Pack buffers come from the rank-local [`bufpool`] and
-    /// received buffers return to it, so steady-state exchanges reuse the
-    /// allocations shipped over in the previous exchange.
-    #[allow(clippy::too_many_arguments)]
-    fn exchange_dim2<T, P, U>(
-        &self,
-        comm: &mut Comm,
         dim: usize,
-        dat: &mut Dat2<T>,
-        extent: isize,
-        d: isize,
-        pack: P,
-        mut unpack: U,
-    ) where
-        T: Copy + Send + 'static,
-        P: Fn(&Dat2<T>, isize, &mut Vec<T>),
-        U: FnMut(&mut Dat2<T>, isize, &[T]),
-    {
-        comm.set_comm_ctx(dat.name());
-        let low = self.cart.shift(self.rank, dim, -1);
-        let high = self.cart.shift(self.rank, dim, 1);
-        let mut xspan = bwb_trace::span(bwb_trace::Cat::Halo, "halo_exchange");
-        let mut sent_bytes = 0usize;
-        // Send to low neighbour: my first strip (their high halo).
-        if let Some(lo) = low {
-            let mut buf = bufpool::take::<T>();
-            {
-                let _p = bwb_trace::span(bwb_trace::Cat::Halo, "halo_pack");
-                pack(dat, 0, &mut buf);
-            }
-            sent_bytes += std::mem::size_of_val(buf.as_slice());
-            comm.send(lo, halo_tag(dim, false), buf);
-        }
-        // Send to high neighbour: my last strip (their low halo).
-        if let Some(hi) = high {
-            let mut buf = bufpool::take::<T>();
-            {
-                let _p = bwb_trace::span(bwb_trace::Cat::Halo, "halo_pack");
-                pack(dat, extent - d, &mut buf);
-            }
-            sent_bytes += std::mem::size_of_val(buf.as_slice());
-            comm.send(hi, halo_tag(dim, true), buf);
-        }
-        if let Some(hi) = high {
-            let buf = comm.recv::<T>(hi, halo_tag(dim, false));
-            {
-                let _u = bwb_trace::span(bwb_trace::Cat::Halo, "halo_unpack");
-                unpack(dat, extent, &buf);
-            }
-            bufpool::put(buf);
-        }
-        if let Some(lo) = low {
-            let buf = comm.recv::<T>(lo, halo_tag(dim, true));
-            {
-                let _u = bwb_trace::span(bwb_trace::Cat::Halo, "halo_unpack");
-                unpack(dat, -d, &buf);
-            }
-            bufpool::put(buf);
-        }
-        xspan.set_args(dim as f64, d as f64, sent_bytes as f64);
-        comm.clear_comm_ctx();
+        shared: usize,
+    ) {
+        assert!(
+            depth <= dat.halo(),
+            "exchange depth {depth} exceeds halo {}",
+            dat.halo()
+        );
+        assert_eq!(dat.nx(), self.nx() + shared, "{} extent", dat.name());
+        assert_eq!(dat.ny(), self.ny() + shared, "{} extent", dat.name());
+        assert!(dim < 2, "2-D block has dims 0 and 1");
+        exchange_face(&self.cart, self.rank, comm, dat, dim, depth, shared);
     }
 
     /// Gather the full global interior onto rank 0 (row-major), `None`
@@ -634,153 +432,9 @@ impl DistBlock3 {
             crate::access::note_exchange_obs(dat.name(), depth);
         }
         assert!(depth <= dat.halo());
-        if depth == 0 {
-            return;
+        for dim in 0..3 {
+            exchange_face(&self.cart, self.rank, comm, dat, dim, depth, 0);
         }
-        let d = depth as isize;
-        let (nx, ny, nz) = (self.nx() as isize, self.ny() as isize, self.nz() as isize);
-
-        // X faces: strips of (d × ny × nz), interior rows/planes.
-        self.exchange_dim3(
-            comm,
-            0,
-            dat,
-            nx,
-            |dat, lo, buf| {
-                for k in 0..nz {
-                    for j in 0..ny {
-                        for i in lo..lo + d {
-                            buf.push(dat.get(i, j, k));
-                        }
-                    }
-                }
-            },
-            |dat, lo, buf: &[T]| {
-                let mut it = buf.iter().copied();
-                for k in 0..nz {
-                    for j in 0..ny {
-                        for i in lo..lo + d {
-                            dat.set(i, j, k, it.next().expect("halo size"));
-                        }
-                    }
-                }
-            },
-            d,
-        );
-
-        // Y faces: extended in X.
-        self.exchange_dim3(
-            comm,
-            1,
-            dat,
-            ny,
-            |dat, lo, buf| {
-                for k in 0..nz {
-                    for j in lo..lo + d {
-                        for i in -d..nx + d {
-                            buf.push(dat.get(i, j, k));
-                        }
-                    }
-                }
-            },
-            |dat, lo, buf: &[T]| {
-                let mut it = buf.iter().copied();
-                for k in 0..nz {
-                    for j in lo..lo + d {
-                        for i in -d..nx + d {
-                            dat.set(i, j, k, it.next().expect("halo size"));
-                        }
-                    }
-                }
-            },
-            d,
-        );
-
-        // Z faces: extended in X and Y.
-        self.exchange_dim3(
-            comm,
-            2,
-            dat,
-            nz,
-            |dat, lo, buf| {
-                for k in lo..lo + d {
-                    for j in -d..ny + d {
-                        for i in -d..nx + d {
-                            buf.push(dat.get(i, j, k));
-                        }
-                    }
-                }
-            },
-            |dat, lo, buf: &[T]| {
-                let mut it = buf.iter().copied();
-                for k in lo..lo + d {
-                    for j in -d..ny + d {
-                        for i in -d..nx + d {
-                            dat.set(i, j, k, it.next().expect("halo size"));
-                        }
-                    }
-                }
-            },
-            d,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn exchange_dim3<T, P, U>(
-        &self,
-        comm: &mut Comm,
-        dim: usize,
-        dat: &mut Dat3<T>,
-        extent: isize,
-        pack: P,
-        mut unpack: U,
-        d: isize,
-    ) where
-        T: Copy + Send + 'static,
-        P: Fn(&Dat3<T>, isize, &mut Vec<T>),
-        U: FnMut(&mut Dat3<T>, isize, &[T]),
-    {
-        comm.set_comm_ctx(dat.name());
-        let low = self.cart.shift(self.rank, dim, -1);
-        let high = self.cart.shift(self.rank, dim, 1);
-        let mut xspan = bwb_trace::span(bwb_trace::Cat::Halo, "halo_exchange");
-        let mut sent_bytes = 0usize;
-        if let Some(lo) = low {
-            let mut buf = bufpool::take::<T>();
-            {
-                let _p = bwb_trace::span(bwb_trace::Cat::Halo, "halo_pack");
-                pack(dat, 0, &mut buf);
-            }
-            sent_bytes += std::mem::size_of_val(buf.as_slice());
-            comm.send(lo, halo_tag(dim, false), buf);
-        }
-        if let Some(hi) = high {
-            let mut buf = bufpool::take::<T>();
-            {
-                let _p = bwb_trace::span(bwb_trace::Cat::Halo, "halo_pack");
-                pack(dat, extent - d, &mut buf);
-            }
-            sent_bytes += std::mem::size_of_val(buf.as_slice());
-            comm.send(hi, halo_tag(dim, true), buf);
-        }
-        if let Some(hi) = high {
-            let buf = comm.recv::<T>(hi, halo_tag(dim, false));
-            {
-                let _u = bwb_trace::span(bwb_trace::Cat::Halo, "halo_unpack");
-                unpack(dat, extent, &buf);
-            }
-            bufpool::put(buf);
-        }
-        if let Some(lo) = low {
-            let buf = comm.recv::<T>(lo, halo_tag(dim, true));
-            {
-                let _u = bwb_trace::span(bwb_trace::Cat::Halo, "halo_unpack");
-                unpack(dat, -d, &buf);
-            }
-            bufpool::put(buf);
-        }
-        xspan.set_args(dim as f64, d as f64, sent_bytes as f64);
-        comm.clear_comm_ctx();
     }
 
     /// Gather the global interior to rank 0 (x-fastest row-major).
@@ -996,24 +650,6 @@ mod tests {
             same
         });
         assert!(out.results.iter().all(|&b| b));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    fn node_strip_hash_tracks_boundary_changes_only() {
-        let b = DistBlock2::with_cart(0, bwb_shmpi::cart::CartComm::balanced(1, 2), 8, 8);
-        let mut d = Dat2::<f64>::new("f", 9, 9, 1);
-        d.init_with(|i, j| gval(i as usize, j as usize));
-        let h0 = b.node_strip_hash(&d, 1);
-        // Deep-interior change: outside every send strip, hash unchanged.
-        d.set(4, 4, -1.0);
-        assert_eq!(b.node_strip_hash(&d, 1), h0);
-        // Node 0 is the shared interface line, not a send strip.
-        d.set(0, 3, -2.0);
-        assert_eq!(b.node_strip_hash(&d, 1), h0);
-        // Boundary change: lands in a send strip, hash must move.
-        d.set(1, 3, -3.0);
-        assert_ne!(b.node_strip_hash(&d, 1), h0);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //!
 //! One 64-bit FNV-1a implementation for everything in the workspace that
 //! needs a stable, dependency-free, cross-process hash: the serve layer's
-//! content-addressed cache keys (`bwb_serve::key`) and the halo-elision
-//! debug strip hash (`ops::halo`). Both previously carried private copies
-//! of the same constants; keeping them here guarantees the byte-wise and
-//! word-wise variants can never drift apart silently.
+//! content-addressed cache keys (`bwb_serve::key`) and the apps' golden
+//! hashes of field bits. Keeping one copy of the constants here guarantees
+//! the byte-wise and word-wise variants can never drift apart silently.
 //!
 //! The hash is deliberately *not* cryptographic — callers need stability
 //! and dispersion (cache addressing, change detection), not preimage
@@ -17,8 +16,8 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// One FNV-1a step folding a full 64-bit word into the state. Used where
-/// the input is a stream of words (bit patterns of floats in the halo
-/// strip hash) rather than bytes.
+/// the input is a stream of words (bit patterns of floats in a golden
+/// hash) rather than bytes.
 #[inline]
 pub fn step_u64(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(FNV_PRIME)

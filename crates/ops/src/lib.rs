@@ -82,7 +82,7 @@ pub use exec::{
     RowOut2, RowOut3,
 };
 pub use field::{Dat2, Dat3};
-pub use halo::{BitHash, DistBlock2, DistBlock3};
+pub use halo::{DistBlock2, DistBlock3};
 pub use ntstore::{nt_copy, NtElem};
 pub use optexec::{
     fused2_rows, fused3_planes, par_loop2_rows_nt, FusedLoop, FusedLoop2, FusedLoop3,

@@ -42,9 +42,11 @@ pub struct FusionGroupCert {
     pub names: Vec<String>,
 }
 
-/// A certified redundant exchange: every recorded exchange of `dat` at
-/// the site labelled `site` moved ghosts that were provably still valid,
-/// so the executor may skip it.
+/// A redundant exchange: every exchange of `dat` at the site labelled
+/// `site` moves ghosts that are still valid. No analyzer issues one and no
+/// executor reads one: a redundant exchange is a `RedundantExchange`
+/// violation, mended by deleting the exchange. The type stays so that
+/// plans keep their JSON form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElisionCert {
     pub site: String,
@@ -68,6 +70,9 @@ pub struct OptPlan {
     pub app: String,
     pub loops: Vec<LoopIr>,
     pub groups: Vec<FusionGroupCert>,
+    /// Always empty in plans this workspace derives (see [`ElisionCert`]).
+    /// Kept, with its JSON key, because the benchmark harness counts it in
+    /// `dslcheck.plan_certs`.
     pub elisions: Vec<ElisionCert>,
     pub nt: Vec<NtCert>,
 }
@@ -116,11 +121,6 @@ impl OptPlan {
                     .windows(names.len())
                     .any(|w| w.iter().map(String::as_str).eq(names.iter().copied()))
         })
-    }
-
-    /// Is skipping the exchange of `dat` at `site` certified?
-    pub fn elides(&self, site: &str, dat: &str) -> bool {
-        self.elisions.iter().any(|e| e.site == site && e.dat == dat)
     }
 
     /// May `loop_name`'s stores to `dat` bypass the cache?
@@ -398,11 +398,8 @@ mod tests {
     }
 
     #[test]
-    fn elision_and_nt_lookups() {
+    fn nt_lookups() {
         let plan = sample_plan();
-        assert!(plan.elides("cells1", "density0"));
-        assert!(!plan.elides("cells2", "density0"));
-        assert!(!plan.elides("cells1", "energy0"));
         assert!(plan.nt_certified("acoustic_update", "u_next"));
         assert!(!plan.nt_certified("acoustic_update", "u_prev"));
     }
