@@ -226,12 +226,12 @@ fn nt_set(r: &DataflowReport) -> BTreeSet<String> {
 /// iteration. A chain clean at `iters` has every violation found there
 /// reported (a defect that needs one more iteration to appear, such as an
 /// exchange made redundant by the previous iteration's swaps, is still a
-/// defect), and the position-free certificate projections must agree — streaming-store
-/// certs are name-keyed and must be identical; every fusion-group *shape*
-/// (its name vector) present at `iters` must recur at `iters + 1`. A chain
-/// whose verdict shifts with the iteration count only coincidentally
-/// matched the recorded run, which is exactly the underspecification this
-/// flags.
+/// defect), and the position-free certificate projections must agree —
+/// streaming-store certs are name-keyed and must be identical; every
+/// fusion-group *shape* (its name vector) present at `iters` must recur at
+/// `iters + 1`. A chain whose verdict shifts with the iteration count only
+/// coincidentally matched the recorded run, which is exactly the
+/// underspecification this flags.
 pub fn stability(spec: &ChainSpec, binding: &Binding, iters: usize) -> Vec<Violation> {
     let (a, b) = match (
         analyze_static(spec, binding, iters),
@@ -249,13 +249,15 @@ pub fn stability(spec: &ChainSpec, binding: &Binding, iters: usize) -> Vec<Viola
     };
     // A chain that already fails at `iters` is reported by its own
     // violations; one clean there must stay clean.
-    for v in b.violations.iter().filter(|_| a.clean()) {
-        unstable(format!(
-            "at {} body iterations: [{}] {}",
-            iters + 1,
-            v.kind.tag(),
-            v.kind
-        ));
+    if a.clean() {
+        for v in &b.violations {
+            unstable(format!(
+                "at {} body iterations: [{}] {}",
+                iters + 1,
+                v.kind.tag(),
+                v.kind
+            ));
+        }
     }
     if nt_set(&a) != nt_set(&b) {
         unstable(format!(
