@@ -107,8 +107,9 @@ pub fn characterize(app: AppId) -> AppCharacter {
                 dims: 2,
                 fields_exchanged_per_iter: cloverleaf2d::CELL_HALO_SITES
                     .iter()
-                    .map(|(_, slots)| slots.len() as f64)
-                    .sum(),
+                    .map(|(_, slots)| slots.len())
+                    .chain([cloverleaf2d::NODE_HALO_SITE.1.len()])
+                    .sum::<usize>() as f64,
                 reductions_per_iter: 1.0,
                 indirection: 0.0,
                 mpi_vec_available: false,

@@ -281,6 +281,13 @@ pub const CELL_HALO_SITES: [(&str, &[usize]); 3] = [
     ("cells2", &[D1, E1]),
 ];
 
+/// The node halo site, the slots it updates and its depth: only
+/// `advec_mom` reads node ghosts, and only those of the velocities
+/// `accelerate` just wrote. The shared interface line is computed
+/// identically on both ranks from the same exchanged cell data, so depth 1
+/// suffices.
+pub const NODE_HALO_SITE: (&str, &[usize], usize) = ("vel0", &[XV1, YV1], 1);
+
 /// The slots cell halo site `site` updates.
 pub fn cell_halo_slots(site: &str) -> &'static [usize] {
     let at = CELL_HALO_SITES.iter().position(|(s, _)| *s == site);
@@ -997,13 +1004,17 @@ impl Clover2 {
         let dt = self.calc_dt(profile, comm.as_deref_mut());
         self.accelerate(profile, dt);
         self.apply_velocity_bcs(profile);
-        // The one node halo site: only `advec_mom` reads node ghosts, and
-        // only those of the velocities `accelerate` just wrote. The shared
-        // interface line is computed identically on both ranks from the
-        // same exchanged cell data, so depth 1 suffices.
         if let (Some(block), Some(c)) = (self.dist.as_ref(), comm.as_deref_mut()) {
-            for v in [&mut self.xvel1, &mut self.yvel1] {
-                block.exchange_node_halo_site(c, v, 1, "vel0");
+            let (site, slots, depth) = NODE_HALO_SITE;
+            // The node fields in slot order, XV0 to YV1.
+            let nodes = [
+                &mut self.xvel0,
+                &mut self.xvel1,
+                &mut self.yvel0,
+                &mut self.yvel1,
+            ];
+            for &slot in slots {
+                block.exchange_node_halo_site(c, nodes[slot - XV0], depth, site);
             }
         }
         self.pdv(profile, dt);
@@ -1234,7 +1245,7 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
     let y5 = || S::of2(&[(0, -2), (0, -1), (0, 0), (0, 1), (0, 2)]);
     // `update_halo_cells` iterates its site's slots in table order, noting
     // one exchange per field on the dim-1 pass (mirror fills are hand loops
-    // and record nothing); `cycle` exchanges xvel1, then yvel1.
+    // and record nothing), and `cycle` the node site's slots the same way.
     let halo = |body: &mut Vec<Step>, fields: &[usize], depth: usize, site: &'static str| {
         if dist {
             body.extend(
@@ -1278,7 +1289,8 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
             (YV0, pt()),
         ],
     ));
-    halo(&mut body, &[XV1, YV1], 1, "vel0");
+    let (site, slots, depth) = NODE_HALO_SITE;
+    halo(&mut body, slots, depth, site);
     body.push(lp(
         "pdv",
         cells(),

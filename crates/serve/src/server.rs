@@ -6,27 +6,30 @@
 //! channel, a queued leader on the admission condvar) all happen on the
 //! connection worker that accepted the request.
 //!
-//! A connection worker blocks in `accept`, handles the connection it gets
-//! — one request, one response, close — and goes back to `accept`.
-//! [`Server::run`] starts as the only worker; whenever the last idle
-//! worker takes a connection it first starts one more, so somebody is
-//! always accepting and a slow job never stands between `/healthz` (or a
-//! cache hit) and the listener. Workers are reused, never retired before
-//! the drain: the pool's size is the largest number of requests that were
-//! ever open at once, plus one. Each keeps the stack pages its deepest
-//! job touched, which is what a long-lived server's resident set shows
-//! over a thread per connection (+0.6 to 1 MB, 2.5 to 3.7 %, under the
-//! benchmark's `serve_mix`).
+//! A connection worker blocks in `accept`, answers the requests of the
+//! connection it gets in order until the connection ends (see
+//! [`crate::http`]), and goes back to `accept`. [`Server::run`] starts as
+//! the only worker; whenever the last idle worker takes a connection it
+//! first starts one more, so somebody is always accepting and a slow job
+//! never stands between `/healthz` (or a cache hit) and the listener.
+//! Workers are reused, never retired before the drain: the pool's size is
+//! the largest number of connections that were ever open at once, plus
+//! one. Each keeps the stack pages its deepest job touched, which is what
+//! a long-lived server's resident set shows over a thread per connection
+//! (+0.6 to 1 MB, 2.5 to 3.7 %, under the benchmark's `serve_mix`).
 //!
 //! Nothing polls. A worker in `accept` learns about a drain because
 //! [`ServerState::begin_shutdown`] connects to the server's own address;
 //! the woken worker finds `draining` set and nothing in flight, leaves,
-//! and wakes the next one the same way. A peer has
-//! [`READ_DEADLINE`](crate::http::READ_DEADLINE) to send its request, so
-//! a connection that says nothing holds neither its worker nor the drain
-//! for longer than that. A handler that panics costs its
-//! request a `500` and nothing else: the in-flight count is released by a
-//! drop guard and the worker goes back to `accept`.
+//! and wakes the next one the same way. A connection is in flight from
+//! `accept` until its worker lets go of it. A kept connection waiting for
+//! its next request is idle: the drain shuts it down at once, so it holds
+//! nothing up, and during a drain every response closes its connection. A
+//! peer has [`READ_DEADLINE`](crate::http::READ_DEADLINE) to send a
+//! request, so a connection that says nothing holds neither its worker
+//! nor the drain for longer than that. A handler that panics costs its
+//! request a `500` and its connection, and nothing else: the in-flight
+//! count is released by a drop guard and the worker goes back to `accept`.
 //!
 //! Routes:
 //!
@@ -42,16 +45,16 @@
 
 use crate::cache::ResultCache;
 use crate::flight::SingleFlight;
-use crate::http::{read_request, Request, Response};
+use crate::http::{Request, RequestReader, Response, READ_DEADLINE};
 use crate::jobs::{ExecContext, Job, TraceStore};
 use crate::key::machine_fingerprint;
 use crate::shard::ShardPool;
 use bwb_machine::{platforms, Platform, ShardPolicy};
 use bwb_trace::json::obj;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
 
@@ -89,19 +92,55 @@ pub struct ServerState {
     ctx: ExecContext,
     machine: String,
     job_seq: AtomicU64,
-    /// Connections accepted and not yet answered.
+    /// Connections accepted and not yet let go of by their worker.
     inflight: AtomicUsize,
     draining: AtomicBool,
+    /// Kept connections waiting for their next request, which a drain
+    /// shuts down at once. `draining` is set under this lock, so no
+    /// connection is added after the drain has taken them.
+    idle: Mutex<Vec<Arc<TcpStream>>>,
     started: Instant,
     /// Where the listener can be reached from this host.
     wake_addr: SocketAddr,
 }
 
 impl ServerState {
-    /// Start draining: refuse new jobs, let in-flight ones finish.
+    /// Start draining: refuse new jobs, let in-flight ones finish, close
+    /// idle kept connections.
     pub fn begin_shutdown(&self) {
+        let mut idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
         self.draining.store(true, Ordering::SeqCst);
+        for stream in idle.drain(..) {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        drop(idle);
         self.wake_acceptor();
+    }
+
+    /// Wait, as an idle kept connection, for the first bytes of `stream`'s
+    /// next request. False when the connection is over instead: a drain
+    /// began or shut it down, or the peer closed it or sent nothing by
+    /// `deadline`.
+    fn await_next(
+        &self,
+        stream: &Arc<TcpStream>,
+        reader: &mut RequestReader,
+        deadline: Instant,
+    ) -> bool {
+        {
+            let mut idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
+            if self.is_draining() {
+                return false;
+            }
+            idle.push(Arc::clone(stream));
+        }
+        let got = reader.fill(stream, deadline);
+        let mut idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
+        let Some(at) = idle.iter().position(|s| Arc::ptr_eq(s, stream)) else {
+            return false;
+        };
+        idle.swap_remove(at);
+        matches!(got, Ok(n) if n > 0)
     }
 
     /// Get one worker out of `accept` so that it looks at `draining`: a
@@ -205,6 +244,7 @@ impl Server {
             job_seq: AtomicU64::new(0),
             inflight: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
+            idle: Mutex::default(),
             started: Instant::now(),
             wake_addr,
         });
@@ -226,7 +266,7 @@ impl Server {
 
     /// Serve connections on the calling thread and the workers it grows
     /// (see the module docs). Returns after
-    /// [`ServerState::begin_shutdown`] once all in-flight requests have
+    /// [`ServerState::begin_shutdown`] once all in-flight connections have
     /// drained and every worker has left.
     pub fn run(self) {
         let workers = Workers {
@@ -302,18 +342,39 @@ impl<'a> Workers<'a> {
     }
 }
 
-fn handle_connection(state: &ServerState, mut stream: TcpStream) {
-    // Unwind-safe to go on: what job code runs under is either released by
-    // a drop guard that leaves nothing half-done (the admission permit, the
-    // flight-table entry, the tracer session) or a lock that guards no data
-    // and is taken poisoned or not (a shard's gate, the tracer's); the
-    // cache and the flight table are touched around the job, not under it.
-    let response = catch_unwind(AssertUnwindSafe(|| match read_request(&mut stream) {
-        Ok(req) => route(state, &req),
-        Err(e) => Response::error(400, &e),
-    }))
-    .unwrap_or_else(|_| Response::error(500, "the handler panicked; see the server log"));
-    let _ = response.write_to(&mut stream);
+fn handle_connection(state: &ServerState, stream: TcpStream) {
+    let _ = stream.set_nodelay(true);
+    let stream = Arc::new(stream);
+    let mut reader = RequestReader::default();
+    // In flight until its first answer; after that, with no byte of the
+    // next request buffered, the connection is idle.
+    let mut answered = false;
+    loop {
+        let deadline = Instant::now() + READ_DEADLINE;
+        if answered && reader.is_empty() && !state.await_next(&stream, &mut reader, deadline) {
+            return;
+        }
+        answered = true;
+        // Unwind-safe to go on: what job code runs under is either released
+        // by a drop guard that leaves nothing half-done (the admission
+        // permit, the flight-table entry, the tracer session) or a lock that
+        // guards no data and is taken poisoned or not (a shard's gate, the
+        // tracer's); the cache and the flight table are touched around the
+        // job, not under it. The connection itself ends with the panic.
+        let (response, keep) =
+            catch_unwind(AssertUnwindSafe(|| match reader.next(&stream, deadline) {
+                Ok(req) => (route(state, &req), req.keep_alive()),
+                Err(e) => (Response::error(400, &e), false),
+            }))
+            .unwrap_or_else(|_| {
+                let panicked = Response::error(500, "the handler panicked; see the server log");
+                (panicked, false)
+            });
+        let keep = keep && !state.is_draining();
+        if response.keep_alive(keep).write_to(&mut &*stream).is_err() || !keep {
+            return;
+        }
+    }
 }
 
 fn route(state: &ServerState, req: &Request) -> Response {
@@ -361,10 +422,18 @@ fn handle_job(state: &ServerState, req: &Request) -> Response {
             .header("X-Job-Id", job_id.to_string());
     }
 
-    match state
-        .flight
-        .run_or_join(key, || job.execute(&state.ctx, job_id))
-    {
+    // The leader caches its payload before the flight lands: a request
+    // that comes after the flight is gone must find it in the cache, or it
+    // would lead a second execution whose payload (timings included)
+    // differs from the first.
+    let lead = || {
+        let payload = job.execute(&state.ctx, job_id);
+        if let Ok(p) = &payload {
+            state.cache.insert(key, p.clone());
+        }
+        payload
+    };
+    match state.flight.run_or_join(key, lead) {
         Err(full) => Response::error(429, "admission queue is full")
             .header("Retry-After", full.retry_after_secs.to_string()),
         Ok(outcome) => {
@@ -374,15 +443,10 @@ fn handle_job(state: &ServerState, req: &Request) -> Response {
                 "miss"
             };
             match outcome.payload {
-                Ok(payload) => {
-                    if !outcome.coalesced {
-                        state.cache.insert(key, payload.clone());
-                    }
-                    Response::json(200, payload)
-                        .header("X-Cache", cache_state)
-                        .header("X-Cache-Key", key.to_string())
-                        .header("X-Job-Id", job_id.to_string())
-                }
+                Ok(payload) => Response::json(200, payload)
+                    .header("X-Cache", cache_state)
+                    .header("X-Cache-Key", key.to_string())
+                    .header("X-Job-Id", job_id.to_string()),
                 Err(e) => Response::error(400, &e).header("X-Cache", cache_state),
             }
         }

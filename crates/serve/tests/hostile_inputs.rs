@@ -1,7 +1,10 @@
-//! Hostile request bodies: the JSON parser and the job-spec parser refuse
-//! them with an `Err` and never panic. The vendored proptest draws only
-//! numbers, so each case draws a `u64` seed and builds its input from it.
+//! Hostile requests: the HTTP framing, the JSON parser and the job-spec
+//! parser refuse them with an `Err` and never panic, and the framing finds
+//! the same requests however the bytes are split into reads. The vendored
+//! proptest draws only numbers, so each case draws a `u64` seed and builds
+//! its input from it.
 
+use bwb_serve::http::{parse_request, Request};
 use bwb_serve::Job;
 use bwb_trace::json::{parse, Json, ParseError, MAX_DEPTH};
 use proptest::prelude::*;
@@ -240,6 +243,143 @@ impl Gen {
         fields.push((field.to_string(), value));
         Json::Obj(fields)
     }
+
+    /// A well-formed request and its bytes. Bodies may hold CRLFs and
+    /// multi-byte characters, so only `Content-Length` can end them.
+    fn request(&mut self) -> (Request, Vec<u8>) {
+        let method = *self.pick(&["GET", "POST", "PUT", "DELETE"]);
+        let path = *self.pick(&["/job", "/healthz", "/stats", "/trace/7", "/"]);
+        let body = match self.below(4) {
+            0 => String::new(),
+            1 => self.json(3).to_string(),
+            2 => "a\r\n\r\nGET / HTTP/1.1\r\n\r\n\u{e9}".to_string(),
+            _ => self.noise(),
+        };
+        let mut headers: Vec<(String, String)> = Vec::new();
+        for (k, v) in [
+            ("Host", "127.0.0.1:8077"),
+            ("Connection", "keep-alive"),
+            ("Accept", "*/*"),
+            ("X-Empty", ""),
+        ] {
+            if self.below(2) == 0 {
+                headers.push((k.into(), v.into()));
+            }
+        }
+        if !body.is_empty() || self.below(2) == 0 {
+            let at = self.below(headers.len() + 1);
+            headers.insert(at, ("Content-Length".into(), body.len().to_string()));
+        }
+        let mut wire = format!("{method} {path} HTTP/1.1\r\n");
+        for (k, v) in &headers {
+            wire.push_str(&format!("{k}:{}{v}\r\n", self.pick(&["", " ", "  "])));
+        }
+        wire.push_str("\r\n");
+        wire.push_str(&body);
+        let request = Request {
+            method: method.into(),
+            path: path.into(),
+            version: "HTTP/1.1".into(),
+            headers,
+            body,
+        };
+        (request, wire.into_bytes())
+    }
+
+    /// A head biased towards HTTP punctuation and framing headers, with or
+    /// without its blank line, then maybe some body bytes.
+    fn garbage_head(&mut self) -> Vec<u8> {
+        const PIECES: &[&str] = &[
+            "GET",
+            "POST",
+            " ",
+            "/",
+            "HTTP/1.1",
+            "HTTP/1.0",
+            "\r\n",
+            "\r",
+            "\n",
+            ":",
+            "Content-Length",
+            "Transfer-Encoding: chunked",
+            "Connection: close",
+            "+",
+            "-",
+            "0",
+            "5",
+            "18446744073709551616",
+            "\u{e9}",
+        ];
+        let mut bytes = Vec::new();
+        for _ in 0..self.below(40) {
+            if self.below(8) == 0 {
+                bytes.push(self.next() as u8);
+            } else {
+                bytes.extend_from_slice(self.pick(PIECES).as_bytes());
+            }
+        }
+        if self.below(2) == 0 {
+            bytes.extend_from_slice(b"\r\n\r\n");
+        }
+        for _ in 0..self.below(16) {
+            bytes.push(self.next() as u8);
+        }
+        bytes
+    }
+}
+
+/// Feed `wire` to the framing in reads of random sizes, as a server does:
+/// every request completed so far, in order, and the outcome that stopped
+/// the feed (`Ok` with the bytes left over, or the first error).
+fn feed(g: &mut Gen, wire: &[u8]) -> (Vec<Request>, Result<usize, String>) {
+    let (mut buf, mut got, mut at) = (Vec::new(), Vec::new(), 0);
+    while at < wire.len() {
+        let n = 1 + g.below(wire.len() - at);
+        buf.extend_from_slice(&wire[at..at + n]);
+        at += n;
+        loop {
+            match parse_request(&buf) {
+                Ok(Some((request, len))) => {
+                    assert!(len > 0 && len <= buf.len(), "{len} of {}", buf.len());
+                    buf.drain(..len);
+                    got.push(request);
+                }
+                Ok(None) => break,
+                Err(e) => return (got, Err(e)),
+            }
+        }
+    }
+    (got, Ok(buf.len()))
+}
+
+#[test]
+fn two_requests_in_one_write_parse_as_two_in_order() {
+    let wire = b"POST /job HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}GET /stats HTTP/1.1\r\n\r\n";
+    let (first, len) = parse_request(wire).unwrap().expect("first");
+    assert_eq!((first.method.as_str(), first.body.as_str()), ("POST", "{}"));
+    let (second, rest) = parse_request(&wire[len..]).unwrap().expect("second");
+    assert_eq!(
+        (second.method.as_str(), second.path.as_str()),
+        ("GET", "/stats")
+    );
+    assert_eq!(len + rest, wire.len());
+}
+
+#[test]
+fn framing_in_doubt_is_refused() {
+    for head in [
+        "POST /job HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
+        "POST /job HTTP/1.1\r\nContent-Length: -5\r\n\r\nhello",
+        "POST /job HTTP/1.1\r\nContent-Length: 5 \r\nContent-Length: 2\r\n\r\nhello",
+        "POST /job HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello",
+        "POST /job HTTP/1.1\r\nContent-Length:\r\n\r\n",
+        "POST /job HTTP/1.1\r\nContent-Length: 0x5\r\n\r\nhello",
+        "POST /job HTTP/1.1\r\nContent-Length: 18446744073709551616\r\n\r\n",
+        "POST /job HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+        "POST /job HTTP/1.1\r\nContent-Length: 5\r\nTransfer-Encoding: identity\r\n\r\nhello",
+    ] {
+        assert!(parse_request(head.as_bytes()).is_err(), "accepted {head:?}");
+    }
 }
 
 #[test]
@@ -281,5 +421,41 @@ proptest! {
     fn hostile_job_specs_are_refused(seed in 0u64..u64::MAX) {
         let body = Gen(seed).hostile_job();
         prop_assert!(Job::parse(&body).is_err(), "accepted {body}");
+    }
+
+    #[test]
+    fn split_requests_parse_as_sent(seed in 0u64..u64::MAX) {
+        let mut g = Gen(seed);
+        let (sent, wires): (Vec<Request>, Vec<Vec<u8>>) =
+            (0..1 + g.below(3)).map(|_| g.request()).unzip();
+        let (got, rest) = feed(&mut g, &wires.concat());
+        prop_assert_eq!(rest, Ok(0));
+        prop_assert_eq!(got, sent);
+    }
+
+    #[test]
+    fn truncated_requests_wait_for_more(seed in 0u64..u64::MAX) {
+        let mut g = Gen(seed);
+        let (_, wire) = g.request();
+        let cut = g.below(wire.len());
+        prop_assert_eq!(parse_request(&wire[..cut]), Ok(None));
+    }
+
+    #[test]
+    fn garbage_heads_are_framed_the_same_however_split(seed in 0u64..u64::MAX) {
+        let mut g = Gen(seed);
+        let wire = g.garbage_head();
+        let whole = parse_request(&wire);
+        let (got, rest) = feed(&mut g, &wire);
+        match whole {
+            Ok(None) => prop_assert_eq!((got.len(), rest), (0, Ok(wire.len()))),
+            Ok(Some((request, len))) => {
+                prop_assert_eq!(got.first(), Some(&request));
+                if let Ok(rest) = rest {
+                    prop_assert!(rest <= wire.len() - len);
+                }
+            }
+            Err(e) => prop_assert_eq!((got.len(), rest), (0, Err(e))),
+        }
     }
 }
