@@ -29,6 +29,7 @@ use bwb_ops::{
 };
 use bwb_shmpi::{Comm, ReduceOp};
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -92,6 +93,7 @@ impl Config {
 }
 
 /// Van Leer flux limiter φ(r) = (r + |r|) / (1 + |r|).
+#[cfg(test)]
 #[inline]
 fn van_leer(r: f64) -> f64 {
     if r.is_finite() {
@@ -103,8 +105,9 @@ fn van_leer(r: f64) -> f64 {
 
 /// Face value of one advected quantity: the donor cell's `d`, with optional
 /// van Leer-limited reconstruction toward the face from its downstream
-/// (`down`) and upstream (`up`) neighbours.
-#[inline(always)]
+/// (`down`) and upstream (`up`) neighbours. The branchy reference of
+/// [`face_val_sel`].
+#[cfg(test)]
 fn face_val(scheme: Advection, vol: f64, fv: f64, d: f64, down: f64, up: f64) -> f64 {
     if scheme == Advection::DonorCell {
         return d;
@@ -121,12 +124,9 @@ fn face_val(scheme: Advection, vol: f64, fv: f64, d: f64, down: f64, up: f64) ->
 /// Mass and energy carried through one face by volume flux `fv`, from the
 /// four cells along the sweep axis around it: `w[1] | w[2]` share the face,
 /// `w[0]` and `w[3]` lie beyond them. Flux is from `w[1]` to `w[2]` when
-/// `fv > 0`. Pure, so a face evaluated for either of its two cells, or
-/// carried from one row to the next, gives the same bits.
-#[inline(always)]
+/// `fv > 0`. The branchy reference of [`face_pass`].
+#[cfg(test)]
 fn face_flux(scheme: Advection, vol: f64, fv: f64, rho: [f64; 4], e: [f64; 4]) -> (f64, f64) {
-    #[cfg(test)]
-    FACE_EVALS.with(|c| c.set(c.get() + 1));
     let val = |w: [f64; 4]| {
         if fv > 0.0 {
             face_val(scheme, vol, fv, w[1], w[2], w[0])
@@ -138,12 +138,88 @@ fn face_flux(scheme: Advection, vol: f64, fv: f64, rho: [f64; 4], e: [f64; 4]) -
     (m, m * val(e))
 }
 
-/// Element `x` of four consecutive windows starting at `w[k]`: with windows
-/// one cell apart along the sweep axis, the four cells around a face (see
-/// [`face_flux`]).
+/// [`face_val`] in select form: every operand is computed and each branch
+/// becomes a select of values already at hand, so a loop of faces
+/// vectorizes. Each lane runs the reference's expressions in its order, so
+/// the bits are the reference's, `±0.0` and non-finite `r` included.
 #[inline(always)]
-fn window4(w: &[&[f64]; 5], k: usize, x: usize) -> [f64; 4] {
-    [w[k][x], w[k + 1][x], w[k + 2][x], w[k + 3][x]]
+fn face_val_sel<const VAN_LEER: bool>(vol: f64, fv: f64, w: [f64; 4]) -> f64 {
+    let pos = fv > 0.0;
+    let d = if pos { w[1] } else { w[2] };
+    if !VAN_LEER {
+        return d;
+    }
+    let (down, up) = if pos { (w[2], w[0]) } else { (w[1], w[3]) };
+    let dd = down - d;
+    let r = (d - up) / dd;
+    let limited = (r + r.abs()) / (1.0 + r.abs());
+    let phi = if r.is_finite() { limited } else { 2.0 };
+    let sigma = (fv / vol).abs().min(1.0);
+    let reconstructed = d + 0.5 * phi * (1.0 - sigma) * dd;
+    if dd == 0.0 {
+        d
+    } else {
+        reconstructed
+    }
+}
+
+/// Mass and energy fluxes `(m[x], me[x])` of a run of faces: face `x` has
+/// volume flux `fv[x]` and the four cells `rho[k][x]`, `e[k][x]` around it
+/// in the order [`face_flux`] takes them. A plain loop over
+/// [`face_val_sel`], so it runs in vector lanes and gives each face the
+/// bits of [`face_flux`].
+///
+/// A van Leer face whose two cells are equal (`dd == 0`) takes the donor
+/// value, as donor cell does; a run of only such faces, a uniform stretch
+/// of the state, runs the donor-cell loop and skips five divisions a face.
+fn face_pass(
+    scheme: Advection,
+    vol: f64,
+    fv: &[f64],
+    rho: [&[f64]; 4],
+    e: [&[f64]; 4],
+    m: &mut [f64],
+    me: &mut [f64],
+) {
+    #[cfg(test)]
+    FACE_EVALS.with(|c| c.set(c.get() + fv.len() as u64));
+    if scheme == Advection::DonorCell || uniform(rho[1], rho[2]) && uniform(e[1], e[2]) {
+        faces::<false>(vol, fv, rho, e, m, me)
+    } else {
+        faces::<true>(vol, fv, rho, e, m, me)
+    }
+}
+
+/// True iff `a[x] - b[x] == 0.0` for every `x` of `a`: the `dd == 0` of
+/// [`face_val`] for either flux sign, since `-(a - b)` is exactly `b - a`.
+fn uniform(a: &[f64], b: &[f64]) -> bool {
+    let b = &b[..a.len()];
+    let mut all = true;
+    for x in 0..a.len() {
+        all &= a[x] - b[x] == 0.0;
+    }
+    all
+}
+
+#[inline(always)]
+fn faces<const VAN_LEER: bool>(
+    vol: f64,
+    fv: &[f64],
+    rho: [&[f64]; 4],
+    e: [&[f64]; 4],
+    m: &mut [f64],
+    me: &mut [f64],
+) {
+    // Every slice cut to one length: the loop checks no bound.
+    let n = fv.len();
+    let (rho, e) = (rho.map(|w| &w[..n]), e.map(|w| &w[..n]));
+    let (m, me) = (&mut m[..n], &mut me[..n]);
+    for x in 0..n {
+        let f = fv[x];
+        let mass = f * face_val_sel::<VAN_LEER>(vol, f, rho.map(|w| w[x]));
+        m[x] = mass;
+        me[x] = mass * face_val_sel::<VAN_LEER>(vol, f, e.map(|w| w[x]));
+    }
 }
 
 /// Remapped `(density, energy)` of one cell from the mass and energy
@@ -161,18 +237,49 @@ pub(crate) fn remap_cell(
     (mass / vol, energy_mass / mass.max(1e-300))
 }
 
-/// Cells per block of a remap row: the block's face fluxes live on the
-/// stack (two arrays of `X_BLOCK + 1` in the X sweep, of `X_BLOCK` high
-/// faces in the Y sweep) between the face pass and the cell pass, so
-/// neither pass carries a dependency from one point to the next.
+/// [`remap_cell`] over a run of cells: cell `x` has state `rho[x]`, `e[x]`,
+/// low-face fluxes `lo.0[x]`, `lo.1[x]` and high-face fluxes `hi.0[x]`,
+/// `hi.1[x]`, and its result goes to `d1[x]`, `e1[x]`.
+fn cell_pass(
+    vol: f64,
+    (rho, e): (&[f64], &[f64]),
+    lo: (&[f64], &[f64]),
+    hi: (&[f64], &[f64]),
+    d1: &mut [f64],
+    e1: &mut [f64],
+) {
+    let n = d1.len();
+    let (rho, e, e1) = (&rho[..n], &e[..n], &mut e1[..n]);
+    let (lo_m, lo_e, hi_m, hi_e) = (&lo.0[..n], &lo.1[..n], &hi.0[..n], &hi.1[..n]);
+    for x in 0..n {
+        (d1[x], e1[x]) = remap_cell(vol, rho[x], e[x], (lo_m[x], lo_e[x]), (hi_m[x], hi_e[x]));
+    }
+}
+
+/// Cells per block of a remap row: a block's face fluxes stay in L1
+/// between the face pass and the cell pass, and neither pass carries a
+/// dependency from one point to the next.
 const X_BLOCK: usize = 256;
+
+/// The four windows `w[k0..k0 + 4]`, each cut to elements `r`: with windows
+/// one cell apart along the sweep axis, the cells around a run of faces in
+/// the order [`face_pass`] takes them.
+fn window4<'a>(w: &[&'a [f64]; 5], k0: usize, r: Range<usize>) -> [&'a [f64]; 4] {
+    [0, 1, 2, 3].map(|k| &w[k0 + k][r.clone()])
+}
 
 /// Calls of the Y sweep, numbered process-wide: a carry left by one sweep
 /// never matches a row of another, even one of a different simulation.
 static Y_SWEEPS: AtomicU64 = AtomicU64::new(0);
 
-/// The high-face fluxes of the last row a thread remapped in the Y sweep,
-/// which are the low-face fluxes of the row above it.
+/// A thread's face-flux buffers for the remap sweeps. They persist from
+/// row to row and only grow, so no row zero-fills any; a row uses a prefix.
+///
+/// In the Y sweep, `m`/`e` hold the high-face fluxes of the last row the
+/// thread remapped, which are the low-face fluxes of the row above it, and
+/// `hi_m`/`hi_e` take the current row's high faces; the pairs trade places
+/// when the row finishes. The X sweep keeps one block's faces in
+/// `hi_m`/`hi_e`, which a Y row writes before it reads them.
 #[derive(Default)]
 struct FaceCarry {
     /// `(sweep call, row, width)` of the row whose high faces `m`/`e`
@@ -180,24 +287,36 @@ struct FaceCarry {
     key: Option<(u64, isize, usize)>,
     m: Vec<f64>,
     e: Vec<f64>,
+    hi_m: Vec<f64>,
+    hi_e: Vec<f64>,
 }
 
 impl FaceCarry {
-    /// Starts row `j` of sweep `call`, `n` faces wide, with `m`/`e` sized
-    /// to `n`. True iff they hold row `j - 1`'s high faces of the same
-    /// sweep and width, i.e. this row's low faces; otherwise the caller
-    /// evaluates those.
+    /// Starts row `j` of sweep `call`, `n` faces wide, with every buffer at
+    /// least `n` long. True iff `m`/`e` hold row `j - 1`'s high faces of the
+    /// same sweep and width, i.e. this row's low faces; otherwise the
+    /// caller evaluates those.
     fn begin(&mut self, call: u64, j: isize, n: usize) -> bool {
         let carried = self.key == Some((call, j - 1, n));
         self.key = None;
-        self.m.resize(n, 0.0);
-        self.e.resize(n, 0.0);
+        for v in [&mut self.m, &mut self.e, &mut self.hi_m, &mut self.hi_e] {
+            grow(v, n);
+        }
         carried
     }
 
-    /// Marks `m`/`e` as row `j`'s high faces.
+    /// Makes row `j`'s high faces, in `hi_m`/`hi_e`, the carry `m`/`e`.
     fn finish(&mut self, call: u64, j: isize, n: usize) {
+        std::mem::swap(&mut self.m, &mut self.hi_m);
+        std::mem::swap(&mut self.e, &mut self.hi_e);
         self.key = Some((call, j, n));
+    }
+}
+
+/// Lengthens `v` to at least `n`; never shortens it.
+fn grow(v: &mut Vec<f64>, n: usize) {
+    if v.len() < n {
+        v.resize(n, 0.0);
     }
 }
 
@@ -207,7 +326,7 @@ thread_local! {
 
 #[cfg(test)]
 thread_local! {
-    /// [`face_flux`] evaluations on this thread.
+    /// Faces [`face_pass`] evaluated on this thread.
     static FACE_EVALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -783,7 +902,9 @@ impl Clover2 {
     /// config). Reads density0/energy1 + vol_flux_x, writes the work arrays
     /// and swaps them into density1/energy1. Each face's limited flux is
     /// evaluated once per row — it is the outflow of the cell on its left
-    /// and the inflow of the cell on its right.
+    /// and the inflow of the cell on its right. Per block, a [`face_pass`]
+    /// puts the block's faces in the thread's [`FaceCarry`] and a
+    /// [`cell_pass`] reads them; both run in vector lanes.
     fn advec_cell_x(&mut self, profile: &mut Profile) {
         #[cfg(test)]
         if self.oracle {
@@ -811,37 +932,44 @@ impl Clover2 {
                 let (fv_lo, fv_hi) = (ins.row_off(2, 0, 0), ins.row_off(2, 1, 0));
                 let (d1, e1) = out.rows2(0, 1);
                 let n = d1.len();
-                let mut fm = [0.0; X_BLOCK + 1];
-                let mut fe = [0.0; X_BLOCK + 1];
-                // The row's first face is cell 0's low face.
-                (fm[0], fe[0]) = face_flux(
-                    scheme,
-                    vol,
-                    fv_lo[0],
-                    window4(&rho, 0, 0),
-                    window4(&e, 0, 0),
-                );
-                for b0 in (0..n).step_by(X_BLOCK) {
-                    let nb = X_BLOCK.min(n - b0);
-                    let r = rho.map(|w| &w[b0..b0 + nb]);
-                    let en = e.map(|w| &w[b0..b0 + nb]);
-                    let fv = &fv_hi[b0..b0 + nb];
-                    for x in 0..nb {
-                        (fm[x + 1], fe[x + 1]) =
-                            face_flux(scheme, vol, fv[x], window4(&r, 1, x), window4(&en, 1, x));
-                    }
-                    let (d1, e1) = (&mut d1[b0..b0 + nb], &mut e1[b0..b0 + nb]);
-                    for x in 0..nb {
-                        (d1[x], e1[x]) = remap_cell(
+                FACE_CARRY.with_borrow_mut(|carry| {
+                    // Face `x` of a block is its cell `x`'s low face.
+                    grow(&mut carry.hi_m, X_BLOCK.min(n) + 1);
+                    grow(&mut carry.hi_e, X_BLOCK.min(n) + 1);
+                    let (fm, fe) = (&mut carry.hi_m[..], &mut carry.hi_e[..]);
+                    // The row's first face is cell 0's low face.
+                    face_pass(
+                        scheme,
+                        vol,
+                        &fv_lo[..1],
+                        window4(&rho, 0, 0..1),
+                        window4(&e, 0, 0..1),
+                        &mut fm[..1],
+                        &mut fe[..1],
+                    );
+                    for b0 in (0..n).step_by(X_BLOCK) {
+                        let nb = X_BLOCK.min(n - b0);
+                        let b1 = b0 + nb;
+                        face_pass(
+                            scheme,
                             vol,
-                            r[2][x],
-                            en[2][x],
-                            (fm[x], fe[x]),
-                            (fm[x + 1], fe[x + 1]),
+                            &fv_hi[b0..b1],
+                            window4(&rho, 1, b0..b1),
+                            window4(&e, 1, b0..b1),
+                            &mut fm[1..=nb],
+                            &mut fe[1..=nb],
                         );
+                        cell_pass(
+                            vol,
+                            (&rho[2][b0..b1], &e[2][b0..b1]),
+                            (&fm[..nb], &fe[..nb]),
+                            (&fm[1..=nb], &fe[1..=nb]),
+                            &mut d1[b0..b1],
+                            &mut e1[b0..b1],
+                        );
+                        (fm[0], fe[0]) = (fm[nb], fe[nb]);
                     }
-                    (fm[0], fe[0]) = (fm[nb], fe[nb]);
-                }
+                });
             },
         );
         std::mem::swap(&mut self.density1, &mut self.work_d);
@@ -849,12 +977,13 @@ impl Clover2 {
     }
 
     /// Conservative remap, Y sweep, in the shape of [`Self::advec_cell_x`]:
-    /// per block, a face pass evaluates the row's high faces onto the stack
-    /// and a remap pass reads them. A row's low faces are the high faces of
-    /// the row below, so a thread that remapped row `j - 1` of this sweep
-    /// just before row `j` hands them over in its [`FaceCarry`]; the first
-    /// row of each scheduling chunk evaluates its low faces itself. Each
-    /// face is then evaluated once, plus once more per chunk boundary.
+    /// per block, a face pass evaluates the row's high faces into the
+    /// thread's [`FaceCarry`] and a cell pass reads them. A row's low faces
+    /// are the high faces of the row below, so a thread that remapped row
+    /// `j - 1` of this sweep just before row `j` hands them over in the
+    /// carry; the first row of each scheduling chunk evaluates its low
+    /// faces itself. Each face is then evaluated once, plus once more per
+    /// chunk boundary.
     fn advec_cell_y(&mut self, profile: &mut Profile) {
         #[cfg(test)]
         if self.oracle {
@@ -885,48 +1014,43 @@ impl Clover2 {
                 let (fv_lo, fv_hi) = (&ins.row_off(2, 0, 0)[..n], &ins.row_off(2, 0, 1)[..n]);
                 FACE_CARRY.with_borrow_mut(|carry| {
                     let carried = carry.begin(call, j, n);
+                    let FaceCarry {
+                        m: lo_m,
+                        e: lo_e,
+                        hi_m,
+                        hi_e,
+                        ..
+                    } = &mut *carry;
                     for b0 in (0..n).step_by(X_BLOCK) {
-                        let nb = X_BLOCK.min(n - b0);
-                        let r = rho.map(|w| &w[b0..b0 + nb]);
-                        let en = e.map(|w| &w[b0..b0 + nb]);
-                        let lo_m = &mut carry.m[b0..b0 + nb];
-                        let lo_e = &mut carry.e[b0..b0 + nb];
+                        let b1 = b0 + X_BLOCK.min(n - b0);
                         if !carried {
-                            let fv = &fv_lo[b0..b0 + nb];
-                            for x in 0..nb {
-                                (lo_m[x], lo_e[x]) = face_flux(
-                                    scheme,
-                                    vol,
-                                    fv[x],
-                                    window4(&r, 0, x),
-                                    window4(&en, 0, x),
-                                );
-                            }
-                        }
-                        let mut hi_m = [0.0; X_BLOCK];
-                        let mut hi_e = [0.0; X_BLOCK];
-                        let fv = &fv_hi[b0..b0 + nb];
-                        for x in 0..nb {
-                            (hi_m[x], hi_e[x]) = face_flux(
+                            face_pass(
                                 scheme,
                                 vol,
-                                fv[x],
-                                window4(&r, 1, x),
-                                window4(&en, 1, x),
+                                &fv_lo[b0..b1],
+                                window4(&rho, 0, b0..b1),
+                                window4(&e, 0, b0..b1),
+                                &mut lo_m[b0..b1],
+                                &mut lo_e[b0..b1],
                             );
                         }
-                        let (d1, e1) = (&mut d1[b0..b0 + nb], &mut e1[b0..b0 + nb]);
-                        for x in 0..nb {
-                            (d1[x], e1[x]) = remap_cell(
-                                vol,
-                                r[2][x],
-                                en[2][x],
-                                (lo_m[x], lo_e[x]),
-                                (hi_m[x], hi_e[x]),
-                            );
-                        }
-                        lo_m.copy_from_slice(&hi_m[..nb]);
-                        lo_e.copy_from_slice(&hi_e[..nb]);
+                        face_pass(
+                            scheme,
+                            vol,
+                            &fv_hi[b0..b1],
+                            window4(&rho, 1, b0..b1),
+                            window4(&e, 1, b0..b1),
+                            &mut hi_m[b0..b1],
+                            &mut hi_e[b0..b1],
+                        );
+                        cell_pass(
+                            vol,
+                            (&rho[2][b0..b1], &e[2][b0..b1]),
+                            (&lo_m[b0..b1], &lo_e[b0..b1]),
+                            (&hi_m[b0..b1], &hi_e[b0..b1]),
+                            &mut d1[b0..b1],
+                            &mut e1[b0..b1],
+                        );
                     }
                     carry.finish(call, j, n);
                 });
@@ -1949,6 +2073,139 @@ mod tests {
             assert_eq!(y, ((ny + 1) * nx) as u64, "{advection:?} y sweep");
             let x = face_evals(&mut sim, Clover2::advec_cell_x);
             assert_eq!(x, ((nx + 1) * ny) as u64, "{advection:?} x sweep");
+        }
+    }
+
+    /// A xorshift stream: deterministic draws for the face-pass cases.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn pick(&mut self, pool: &[f64]) -> f64 {
+            pool[(self.next() % pool.len() as u64) as usize]
+        }
+
+        /// From `pool` or, as often, an ordinary value in [-1, 1).
+        fn value(&mut self, pool: &[f64]) -> f64 {
+            match self.next() % 2 {
+                0 => self.pick(pool),
+                _ => (self.next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0,
+            }
+        }
+    }
+
+    /// Signed zeros, subnormals, `MIN_POSITIVE`, ordinary values, values one
+    /// ulp apart and magnitudes whose differences overflow.
+    const EDGES: [f64; 14] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE,
+        1e-300,
+        0.5,
+        1.0,
+        1.0 + f64::EPSILON,
+        -1.0,
+        2.5,
+        1e300,
+        -1e300,
+        f64::MAX,
+    ];
+
+    /// The four windows of one field around `n` faces, in shape `shape`:
+    /// 0 drawn by [`Draw::value`]; 1 `dd = ±0` at every face (equal cells, a
+    /// zero against a negative zero); 2 the same with one face not flat;
+    /// 3 `dd` one ulp or one subnormal step against an upstream difference
+    /// near 1e300, so `r` is not finite; 4 subnormal states.
+    fn windows(draw: &mut Draw, n: usize, shape: usize) -> [Vec<f64>; 4] {
+        let subnormal: Vec<f64> = (1..6)
+            .map(f64::from_bits)
+            .chain([-5e-324, 2e-310])
+            .collect();
+        let faces: Vec<[f64; 4]> = (0..n)
+            .map(|_| {
+                let mut c = [(); 4].map(|()| {
+                    if shape == 4 {
+                        draw.pick(&subnormal)
+                    } else {
+                        draw.value(&EDGES)
+                    }
+                });
+                match shape {
+                    1 | 2 => c[2] = if c[1] == 0.0 { -c[1] } else { c[1] },
+                    3 => {
+                        c[1] = draw.pick(&[1.0, -1.0, 5e-324, 0.0, 2.5]);
+                        c[2] = f64::from_bits(c[1].to_bits() + 1);
+                        c[0] = draw.pick(&[1e300, -1e300]);
+                        c[3] = -c[0];
+                    }
+                    _ => {}
+                }
+                c
+            })
+            .collect();
+        let mut w: [Vec<f64>; 4] = std::array::from_fn(|k| faces.iter().map(|c| c[k]).collect());
+        if shape == 2 && n > 0 {
+            let x = (draw.pick(&EDGES).to_bits() % n as u64) as usize;
+            w[2][x] = w[1][x] + 1.0;
+        }
+        w
+    }
+
+    #[test]
+    fn face_pass_bit_equals_the_branchy_face_flux() {
+        // Every width up to 40 meets each vector-remainder shape. With
+        // |fv| < 1, σ = |fv / vol| is mostly above ½, where 1 - σ is exact
+        // and so shows any other rounding of the division.
+        let vol = 1.1;
+        let mut draw = Draw(0x9e37_79b9_7f4a_7c15);
+        for n in 0..=40 {
+            for (shape, e_shape) in (0..5).flat_map(|a| (0..5).map(move |b| (a, b))) {
+                for alternating in [false, true] {
+                    // Face fluxes by [`Draw::value`], ±0.0 among them, or
+                    // with a sign that flips at every face.
+                    let fv: Vec<f64> = (0..n)
+                        .map(|x| {
+                            let f = draw.value(&EDGES);
+                            if !alternating {
+                                f
+                            } else if x % 2 == 0 {
+                                f.abs()
+                            } else {
+                                -f.abs()
+                            }
+                        })
+                        .collect();
+                    let rho = windows(&mut draw, n, shape);
+                    let e = windows(&mut draw, n, e_shape);
+                    for scheme in [Advection::DonorCell, Advection::VanLeer] {
+                        let (mut m, mut me) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+                        let (r, en) =
+                            (rho.each_ref().map(|w| &w[..]), e.each_ref().map(|w| &w[..]));
+                        face_pass(scheme, vol, &fv, r, en, &mut m, &mut me);
+                        for x in 0..n {
+                            let want =
+                                face_flux(scheme, vol, fv[x], r.map(|w| w[x]), en.map(|w| w[x]));
+                            assert_eq!(
+                                (m[x].to_bits(), me[x].to_bits()),
+                                (want.0.to_bits(), want.1.to_bits()),
+                                "{scheme:?} width {n} shapes {shape}/{e_shape} alternating \
+                                 {alternating} face {x}: fv {:e} rho {:?} e {:?}",
+                                fv[x],
+                                r.map(|w| w[x]),
+                                en.map(|w| w[x]),
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

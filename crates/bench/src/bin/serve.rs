@@ -14,23 +14,6 @@
 use bwb_core::machine::ShardPolicy;
 use bwb_core::serve::server::{Server, ServerConfig};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static STOP: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_sigint(_sig: i32) {
-    // Async-signal-safe: a single relaxed-ordering-free atomic store.
-    STOP.store(true, Ordering::SeqCst);
-}
-
-extern "C" {
-    /// POSIX `signal(2)`: always available on the linux-gnu targets this
-    /// workspace builds for; declared directly since the workspace vendors
-    /// no libc crate.
-    fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-}
-
-const SIGINT: i32 = 2;
 
 fn usage() -> ! {
     eprintln!(
@@ -67,10 +50,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // SAFETY: installing a handler that only stores to a static AtomicBool;
-    // `on_sigint` is async-signal-safe and `signal` is always available on
-    // the linux-gnu target.
-    unsafe { signal(SIGINT, on_sigint) };
+    bwb_bench::sigint::install();
 
     let server = match Server::bind(cfg.clone()) {
         Ok(s) => s,
@@ -91,7 +71,7 @@ fn main() -> ExitCode {
     let state = server.state();
     let watcher_state = server.state();
     std::thread::spawn(move || loop {
-        if STOP.load(Ordering::SeqCst) {
+        if bwb_bench::sigint::stopped() {
             watcher_state.begin_shutdown();
             return;
         }
