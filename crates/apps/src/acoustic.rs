@@ -324,10 +324,11 @@ fn leapfrog_update(
 /// swaps the driver performs; the update reads `u_curr` through the
 /// radius-[`RADIUS`] star and `u_prev` at the point. The distributed
 /// variant prepends the per-step `u_curr` exchange at depth [`RADIUS`]
-/// (`exchange_halo` records one site-less observation) and drops the
-/// energy reduction, which only the local registry run appends.
+/// (`exchange_halo` records one site-less observation over x and y: the
+/// 4-rank layout is 2 × 2 × 1, so z keeps its boundary ghosts) and drops
+/// the energy reduction, which only the local registry run appends.
 pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
-    use bwb_ops::{Access, ChainSpec, DatDecl, Expr, Stencil, Step};
+    use bwb_ops::{Access, Axes, ChainSpec, DatDecl, Expr, Stencil, Step};
     let c = Expr::c;
     let p = Expr::p;
     let dat = |name: &'static str| DatDecl {
@@ -343,6 +344,7 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
             dat: 1,
             depth: RADIUS,
             site: "",
+            axes: Axes::XY,
         });
     }
     body.push(Step::Loop {

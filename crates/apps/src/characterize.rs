@@ -82,6 +82,14 @@ fn derive(
     (bytes, flops, kernels_per_iter, small_frac)
 }
 
+/// Halo exchanges per iteration of a ranked app: the `Exchange` steps of
+/// its declared distributed chain, whose body spans `iters_per_body`
+/// iterations.
+fn exchanges_per_iter(chain: bwb_ops::ChainSpec, iters_per_body: usize) -> f64 {
+    let is_exchange = |s: &&bwb_ops::Step| matches!(s, bwb_ops::Step::Exchange { .. });
+    chain.body.iter().filter(is_exchange).count() as f64 / iters_per_body as f64
+}
+
 /// Characterize one application by running it at a small calibration size.
 pub fn characterize(app: AppId) -> AppCharacter {
     match app {
@@ -105,11 +113,7 @@ pub fn characterize(app: AppId) -> AppCharacter {
                 small_kernel_fraction: s,
                 stencil_reach: 2,
                 dims: 2,
-                fields_exchanged_per_iter: cloverleaf2d::CELL_HALO_SITES
-                    .iter()
-                    .map(|(_, slots)| slots.len())
-                    .chain([cloverleaf2d::NODE_HALO_SITE.1.len()])
-                    .sum::<usize>() as f64,
+                fields_exchanged_per_iter: exchanges_per_iter(cloverleaf2d::chain_spec(true), 1),
                 reductions_per_iter: 1.0,
                 indirection: 0.0,
                 mpi_vec_available: false,
@@ -133,6 +137,7 @@ pub fn characterize(app: AppId) -> AppCharacter {
                 small_kernel_fraction: s,
                 stencil_reach: 2,
                 dims: 3,
+                // 4 `update_halo` mirror fills per cycle × 6 cell fields.
                 fields_exchanged_per_iter: 24.0,
                 reductions_per_iter: 1.0,
                 indirection: 0.0,
@@ -157,7 +162,7 @@ pub fn characterize(app: AppId) -> AppCharacter {
                 small_kernel_fraction: s,
                 stencil_reach: 4, // 8th-order star: deep halos, big messages
                 dims: 3,
-                fields_exchanged_per_iter: 1.0,
+                fields_exchanged_per_iter: exchanges_per_iter(acoustic::chain_spec(true), 1),
                 reductions_per_iter: 0.0,
                 indirection: 0.0,
                 mpi_vec_available: false,
@@ -188,7 +193,8 @@ pub fn characterize(app: AppId) -> AppCharacter {
                 small_kernel_fraction: s,
                 stencil_reach: 2,
                 dims: 3,
-                fields_exchanged_per_iter: 15.0, // 5 fields × 3 RK stages
+                // `periodic_halos` of the 5 conserved fields × 3 RK stages.
+                fields_exchanged_per_iter: 15.0,
                 reductions_per_iter: 0.0,
                 indirection: 0.0,
                 mpi_vec_available: false,
@@ -213,7 +219,8 @@ pub fn characterize(app: AppId) -> AppCharacter {
                 small_kernel_fraction: s,
                 stencil_reach: 2,
                 dims: 2,
-                fields_exchanged_per_iter: 24.0, // 4 fields × 6 tendency fills
+                // The chain's body is the two-step period of the split order.
+                fields_exchanged_per_iter: exchanges_per_iter(miniweather::chain_spec(true), 2),
                 reductions_per_iter: 0.0,
                 indirection: 0.0,
                 mpi_vec_available: false,
@@ -239,6 +246,7 @@ pub fn characterize(app: AppId) -> AppCharacter {
                 small_kernel_fraction: s,
                 stencil_reach: 1,
                 dims: 0,
+                // An estimate: no ranked V-cycle exists to count it from.
                 fields_exchanged_per_iter: 8.0,
                 reductions_per_iter: 1.0,
                 indirection: 1.0, // heavily indirect (paper: "bound by
@@ -265,6 +273,7 @@ pub fn characterize(app: AppId) -> AppCharacter {
                 small_kernel_fraction: s,
                 stencil_reach: 1,
                 dims: 0,
+                // An estimate: Volna has no ranked run to count it from.
                 fields_exchanged_per_iter: 2.0,
                 reductions_per_iter: 1.0,
                 indirection: 0.6, // "less so than MG-CFD" (paper §3)
@@ -352,6 +361,48 @@ mod tests {
         assert!(characterize(AppId::MgCfd).mpi_vec_available);
         assert!(characterize(AppId::Volna).mpi_vec_available);
         assert!(!characterize(AppId::CloverLeaf2D).mpi_vec_available);
+    }
+
+    /// The model's exchange count is the run's: each ranked app's recorded
+    /// exchanges per step on 2 ranks equal `fields_exchanged_per_iter`.
+    #[test]
+    fn exchanges_per_iter_match_a_recorded_two_rank_run() {
+        use bwb_ops::access::with_recording_full;
+        use bwb_shmpi::{Comm, Universe};
+        let steps = 2;
+        let run = |app: AppId, c: &mut Comm| match app {
+            AppId::CloverLeaf2D => {
+                let cfg = cloverleaf2d::Config {
+                    nx: 16,
+                    ny: 16,
+                    iterations: steps,
+                    ..Default::default()
+                };
+                drop(cloverleaf2d::Clover2::run_distributed(c, cfg));
+            }
+            AppId::Acoustic => {
+                let cfg = acoustic::Config {
+                    n: 12,
+                    iterations: steps,
+                    ..Default::default()
+                };
+                drop(acoustic::Acoustic::run_distributed(c, cfg));
+            }
+            _ => {
+                let cfg = miniweather::Config {
+                    nx: 16,
+                    nz: 8,
+                    ..Default::default()
+                };
+                drop(miniweather::MiniWeather::run_distributed(c, cfg, steps));
+            }
+        };
+        for app in [AppId::CloverLeaf2D, AppId::Acoustic, AppId::MiniWeather] {
+            let out = Universe::run(2, move |c| with_recording_full(|| run(app, c)).1);
+            let per_step = out.results[0].exchanges.len() as f64 / steps as f64;
+            let model = characterize(app).fields_exchanged_per_iter;
+            assert_eq!(per_step, model, "{app:?}");
+        }
     }
 
     #[test]

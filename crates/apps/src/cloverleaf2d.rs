@@ -394,7 +394,7 @@ const FY: usize = 16;
 /// four cells around each node; `advec_cell_x` reads density0 (through the
 /// halo `cells0` left) and energy1 five cells wide; `advec_cell_y` reads
 /// the density1 and energy1 that the x sweep swapped in.
-pub const CELL_HALO_SITES: [(&str, &[usize]); 3] = [
+const CELL_HALO_SITES: [(&str, &[usize]); 3] = [
     ("cells0", &[D0, PR, VS]),
     ("cells1", &[E1]),
     ("cells2", &[D1, E1]),
@@ -405,7 +405,7 @@ pub const CELL_HALO_SITES: [(&str, &[usize]); 3] = [
 /// `accelerate` just wrote. The shared interface line is computed
 /// identically on both ranks from the same exchanged cell data, so depth 1
 /// suffices.
-pub const NODE_HALO_SITE: (&str, &[usize], usize) = ("vel0", &[XV1, YV1], 1);
+const NODE_HALO_SITE: (&str, &[usize], usize) = ("vel0", &[XV1, YV1], 1);
 
 /// The slots cell halo site `site` updates.
 pub fn cell_halo_slots(site: &str) -> &'static [usize] {
@@ -1300,10 +1300,11 @@ fn viscosity_body(dx: f64, dy: f64, out: &mut RowOut2<f64>, ins: &RowIn2<f64>) {
 /// `dist` declares the 4-rank distributed variant: the three cell-field
 /// halo-update sites ("cells0"/"cells1"/"cells2") and the node-velocity
 /// site "vel0" (xvel1 and yvel1, read through their halo by `advec_mom`)
-/// each contribute their recorded exchanges, and the field-summary
-/// epilogue is absent (`run_distributed` gathers instead).
+/// each contribute their recorded exchanges, over x and y (the 2 × 2
+/// layout splits both), and the field-summary epilogue is absent
+/// (`run_distributed` gathers instead).
 pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
-    use bwb_ops::{Access, ChainSpec, DatDecl, Expr, Stencil as S, Step};
+    use bwb_ops::{Access, Axes, ChainSpec, DatDecl, Expr, Stencil as S, Step};
     let c = Expr::c;
     let p = Expr::p;
     let pp = Expr::p_plus;
@@ -1372,11 +1373,12 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
     // and record nothing), and `cycle` the node site's slots the same way.
     let halo = |body: &mut Vec<Step>, fields: &[usize], depth: usize, site: &'static str| {
         if dist {
-            body.extend(
-                fields
-                    .iter()
-                    .map(|&dat| Step::Exchange { dat, depth, site }),
-            );
+            body.extend(fields.iter().map(|&dat| Step::Exchange {
+                dat,
+                depth,
+                site,
+                axes: Axes::XY,
+            }));
         }
     };
     let mut body = vec![

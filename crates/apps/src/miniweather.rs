@@ -16,11 +16,8 @@
 //! validation tests assert. Double precision, paper size 4000×2000.
 
 use crate::{AppId, AppRun};
-use bwb_ops::{par_loop2_reduce, par_loop2_rows, Dat2, ExecMode, Profile, Range2};
-use bwb_shmpi::Comm;
-
-/// Tag space for the distributed x-ring halo exchange.
-const MW_HALO_TAG: u32 = 0x6000_0000;
+use bwb_ops::{par_loop2_reduce, par_loop2_rows, Dat2, DistBlock2, ExecMode, Profile, Range2};
+use bwb_shmpi::{CartComm, Comm};
 
 // --- Physical constants (miniWeather reference values) ---
 pub const GRAV: f64 = 9.8;
@@ -85,6 +82,17 @@ impl Config {
             ..Config::default()
         }
     }
+}
+
+/// The 4th-order interface value and 3rd difference of one field at point
+/// `i`'s interface `off` (−1: the low one, 0: the high one), from the
+/// field's rows at offsets −2..=2 along the pass's axis.
+fn interface(rows: &[&[f64]; 5], i: usize, off: isize) -> (f64, f64) {
+    let v = |d: isize| rows[(off + d + 2) as usize][i];
+    let (s0, s1, s2, s3) = (v(-1), v(0), v(1), v(2));
+    let vals = -s0 / 12.0 + 7.0 * s1 / 12.0 + 7.0 * s2 / 12.0 - s3 / 12.0;
+    let d3 = -s0 + 3.0 * s1 - 3.0 * s2 + s3;
+    (vals, d3)
 }
 
 /// Hydrostatic background profiles.
@@ -152,10 +160,8 @@ pub struct MiniWeather {
     direction_switch: bool,
     /// Local x extent (= cfg.nx single-rank).
     local_nx: usize,
-    /// Global x index of the first owned column.
-    x_start: usize,
-    /// Ring neighbours (left, right) when decomposed over ranks.
-    ring: Option<(usize, usize)>,
+    /// This rank's x slab of the [`ring`] layout, when distributed.
+    block: Option<DistBlock2>,
 }
 
 const NAMES: [&str; 4] = ["dens", "umom", "wmom", "rhot"];
@@ -163,18 +169,14 @@ const NAMES: [&str; 4] = ["dens", "umom", "wmom", "rhot"];
 impl MiniWeather {
     /// Initialize the rising-thermal-bubble test case (single rank).
     pub fn new(cfg: Config) -> Self {
-        let nx = cfg.nx;
-        Self::new_local(cfg, 0, nx, None)
+        Self::new_on(cfg, None)
     }
 
-    /// Initialize one rank's x-slab of the global domain; `ring` gives the
-    /// periodic (left, right) neighbour ranks.
-    pub fn new_local(
-        cfg: Config,
-        x_start: usize,
-        local_nx: usize,
-        ring: Option<(usize, usize)>,
-    ) -> Self {
+    /// Initialize the whole domain, or `block`'s x slab of it.
+    fn new_on(cfg: Config, block: Option<DistBlock2>) -> Self {
+        let (x_start, local_nx) = block
+            .as_ref()
+            .map_or((0, cfg.nx), |b| (b.start()[0], b.nx()));
         let dx = cfg.xlen / cfg.nx as f64;
         let dz = cfg.zlen / cfg.nz as f64;
         let dt = (dx.min(dz) / MAX_SPEED) * cfg.cfl;
@@ -221,8 +223,7 @@ impl MiniWeather {
             tend,
             direction_switch: true,
             local_nx,
-            x_start,
-            ring,
+            block,
         }
     }
 
@@ -230,105 +231,49 @@ impl MiniWeather {
         self.dt
     }
 
-    /// Global x index of this rank's first owned column.
-    pub fn x_start(&self) -> usize {
-        self.x_start
-    }
-
-    /// Periodic x halos + rigid z halos for the given 4-field state
-    /// (single-rank path: x wraps locally).
-    fn fill_halos(fields: &mut [Dat2<f64>], nx: isize, nz: isize) {
-        for (id, f) in fields.iter_mut().enumerate() {
-            // x: periodic.
-            for k in -2..nz + 2 {
-                for h in 1..=2isize {
-                    f.set(-h, k, f.get(nx - h, k));
-                    f.set(nx - 1 + h, k, f.get(h - 1, k));
-                }
-            }
-            // z: zero-gradient for dens/umom/rhot, w = 0 at walls.
-            for i in -2..nx + 2 {
-                for h in 1..=2isize {
-                    if id == ID_WMOM {
-                        f.set(i, -h, 0.0);
-                        f.set(i, nz - 1 + h, 0.0);
-                    } else {
-                        f.set(i, -h, f.get(i, 0));
-                        f.set(i, nz - 1 + h, f.get(i, nz - 1));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Distributed x halos: ring exchange of the 2-deep edge columns with
-    /// the periodic (left, right) neighbours, then the local rigid-z fill.
-    fn fill_halos_ring(
-        fields: &mut [Dat2<f64>],
-        nx: isize,
-        nz: isize,
-        comm: &mut Comm,
-        left: usize,
-        right: usize,
-    ) {
-        const FIELD_NAMES: [&str; 4] = ["dens", "umom", "wmom", "rhot"];
-        for (id, f) in fields.iter_mut().enumerate() {
-            comm.set_comm_ctx(FIELD_NAMES.get(id).copied().unwrap_or("state"));
-            let tag = MW_HALO_TAG + id as u32;
-            let pack = |f: &Dat2<f64>, lo: isize| -> Vec<f64> {
-                let mut buf = Vec::with_capacity((2 * nz) as usize);
-                for k in 0..nz {
-                    for i in lo..lo + 2 {
-                        buf.push(f.get(i, k));
-                    }
-                }
-                buf
-            };
-            // Eager sends both ways, then receive (no deadlock).
-            comm.send(left, tag, pack(f, 0));
-            comm.send(right, tag + 16, pack(f, nx - 2));
-            let from_right = comm.recv::<f64>(right, tag);
-            let from_left = comm.recv::<f64>(left, tag + 16);
-            let mut itr = from_right.into_iter();
-            let mut itl = from_left.into_iter();
-            for k in 0..nz {
-                for i in nx..nx + 2 {
-                    f.set(i, k, itr.next().expect("halo size"));
-                }
-                for i in -2..0isize {
-                    f.set(i, k, itl.next().expect("halo size"));
-                }
-            }
-            // z: same rigid-wall rule, over the x-extended rows.
-            for i in -2..nx + 2 {
-                for h in 1..=2isize {
-                    if id == ID_WMOM {
-                        f.set(i, -h, 0.0);
-                        f.set(i, nz - 1 + h, 0.0);
-                    } else {
-                        f.set(i, -h, f.get(i, 0));
-                        f.set(i, nz - 1 + h, f.get(i, nz - 1));
-                    }
-                }
-            }
-        }
-        comm.clear_comm_ctx();
-    }
-
-    /// X-direction tendencies of `src` into `self.tend`.
-    fn tendencies_x(&mut self, profile: &mut Profile, use_tmp: bool, comm: Option<&mut Comm>) {
-        let (nx, nz) = (self.local_nx, self.cfg.nz);
-        let src = if use_tmp {
+    /// Fill the halos the next tendency loop reads in the state (`use_tmp`:
+    /// the RK temporaries): `mw_tend_x` reads x ghosts only, periodic, so
+    /// they come from the block's exchange when distributed and the local
+    /// wrap when not; `mw_tend_z` reads z ghosts only, the rigid walls every
+    /// rank fills locally (zero gradient for dens/umom/rhot, w = 0).
+    fn fill_halos(&mut self, use_tmp: bool, x_dir: bool, mut comm: Option<&mut Comm>) {
+        let (nx, nz) = (self.local_nx as isize, self.cfg.nz as isize);
+        let fields = if use_tmp {
             &mut self.state_tmp
         } else {
             &mut self.state
         };
-        match (self.ring, comm) {
-            (Some((l, r)), Some(c)) => {
-                Self::fill_halos_ring(src, nx as isize, nz as isize, c, l, r)
+        for (id, f) in fields.iter_mut().enumerate() {
+            match (x_dir, &self.block, comm.as_deref_mut()) {
+                (true, Some(block), Some(c)) => block.exchange_halo(c, f, 2),
+                (true, ..) => {
+                    for k in 0..nz {
+                        for h in 1..=2isize {
+                            f.set(-h, k, f.get(nx - h, k));
+                            f.set(nx - 1 + h, k, f.get(h - 1, k));
+                        }
+                    }
+                }
+                (false, ..) => {
+                    for i in 0..nx {
+                        for h in 1..=2isize {
+                            let (lo, hi) = if id == ID_WMOM {
+                                (0.0, 0.0)
+                            } else {
+                                (f.get(i, 0), f.get(i, nz - 1))
+                            };
+                            f.set(i, -h, lo);
+                            f.set(i, nz - 1 + h, hi);
+                        }
+                    }
+                }
             }
-            _ => Self::fill_halos(src, nx as isize, nz as isize),
         }
+    }
+
+    /// X-direction tendencies of `src` into `self.tend`.
+    fn tendencies_x(&mut self, profile: &mut Profile, use_tmp: bool) {
+        let (nx, nz) = (self.local_nx, self.cfg.nz);
         let src = if use_tmp {
             &self.state_tmp
         } else {
@@ -358,13 +303,7 @@ impl MiniWeather {
                 });
                 let kk = (j + 2) as usize;
                 let flux = |i: usize, off: isize, id_out: usize| -> f64 {
-                    let v = |id: usize, d: isize| rows[id][(off + d + 2) as usize][i];
-                    let stencil = |id: usize| {
-                        let (s0, s1, s2, s3) = (v(id, -1), v(id, 0), v(id, 1), v(id, 2));
-                        let vals = -s0 / 12.0 + 7.0 * s1 / 12.0 + 7.0 * s2 / 12.0 - s3 / 12.0;
-                        let d3 = -s0 + 3.0 * s1 - 3.0 * s2 + s3;
-                        (vals, d3)
-                    };
+                    let stencil = |id: usize| interface(&rows[id], i, off);
                     let (vd, d3d) = stencil(ID_DENS);
                     let (vu, d3u) = stencil(ID_UMOM);
                     let (vw, d3w) = stencil(ID_WMOM);
@@ -393,19 +332,8 @@ impl MiniWeather {
 
     /// Z-direction tendencies of `src` into `self.tend` (with gravity
     /// source and hydrostatic-pressure subtraction in the wmom flux).
-    fn tendencies_z(&mut self, profile: &mut Profile, use_tmp: bool, comm: Option<&mut Comm>) {
+    fn tendencies_z(&mut self, profile: &mut Profile, use_tmp: bool) {
         let (nx, nz) = (self.local_nx, self.cfg.nz);
-        let src = if use_tmp {
-            &mut self.state_tmp
-        } else {
-            &mut self.state
-        };
-        match (self.ring, comm) {
-            (Some((l, r)), Some(c)) => {
-                Self::fill_halos_ring(src, nx as isize, nz as isize, c, l, r)
-            }
-            _ => Self::fill_halos(src, nx as isize, nz as isize),
-        }
         let src = if use_tmp {
             &self.state_tmp
         } else {
@@ -440,13 +368,7 @@ impl MiniWeather {
                 let flux = |i: usize, off: isize, id_out: usize| -> f64 {
                     let iface = (j + off + 1) as usize; // interface index 0..=nz
                     let at_wall = iface == 0 || iface as isize == nz_i;
-                    let v = |id: usize, d: isize| rows[id][(off + d + 2) as usize][i];
-                    let stencil = |id: usize| {
-                        let (s0, s1, s2, s3) = (v(id, -1), v(id, 0), v(id, 1), v(id, 2));
-                        let vals = -s0 / 12.0 + 7.0 * s1 / 12.0 + 7.0 * s2 / 12.0 - s3 / 12.0;
-                        let d3 = -s0 + 3.0 * s1 - 3.0 * s2 + s3;
-                        (vals, d3)
-                    };
+                    let stencil = |id: usize| interface(&rows[id], i, off);
                     let (vd, d3d) = stencil(ID_DENS);
                     let (vu, d3u) = stencil(ID_UMOM);
                     let (vw, d3w) = stencil(ID_WMOM);
@@ -497,84 +419,64 @@ impl MiniWeather {
         );
     }
 
-    /// `dst = init + dt_frac·tend` over the interior, for all 4 fields.
-    fn apply_update(
-        &mut self,
-        profile: &mut Profile,
-        dst_is_tmp: bool,
-        init_is_tmp: bool,
-        dt_frac: f64,
-    ) {
-        let (nx, nz) = (self.local_nx, self.cfg.nz);
-        // Split borrows: destination vs init vs tend.
-        let (dst, init): (&mut Vec<Dat2<f64>>, &Vec<Dat2<f64>>) = match (dst_is_tmp, init_is_tmp) {
-            (true, false) => (&mut self.state_tmp, &self.state),
-            (false, false) => {
-                // dst == init == state: in-place x += dt·tend
-                let tend = &self.tend;
-                let mode = self.cfg.mode;
-                for (id, f) in self.state.iter_mut().enumerate() {
-                    par_loop2_rows(
-                        profile,
-                        "mw_update",
-                        mode,
-                        Range2::interior(nx, nz),
-                        &mut [f],
-                        &[&tend[id]],
-                        2.0,
-                        move |_j, out, ins| {
-                            let t = ins.row(0);
-                            let o = out.row(0);
-                            for i in 0..o.len() {
-                                o[i] += dt_frac * t[i];
-                            }
-                        },
-                    );
-                }
-                return;
-            }
-            _ => unreachable!("unsupported update combination"),
-        };
-        let tend = &self.tend;
-        let mode = self.cfg.mode;
+    /// `tmp = state + dt_frac·tend` (`to_tmp`) or `state += dt_frac·tend`
+    /// over the interior, for all 4 fields.
+    fn apply_update(&mut self, profile: &mut Profile, to_tmp: bool, dt_frac: f64) {
+        let (range, mode) = (Range2::interior(self.local_nx, self.cfg.nz), self.cfg.mode);
         for id in 0..4 {
-            par_loop2_rows(
-                profile,
-                "mw_update",
-                mode,
-                Range2::interior(nx, nz),
-                &mut [&mut dst[id]],
-                &[&init[id], &tend[id]],
-                2.0,
-                move |_j, out, ins| {
-                    let a = ins.row(0);
-                    let t = ins.row(1);
-                    let o = out.row(0);
-                    for i in 0..o.len() {
-                        o[i] = a[i] + dt_frac * t[i];
-                    }
-                },
-            );
+            let tend = &self.tend[id];
+            if to_tmp {
+                let (dst, init) = (&mut self.state_tmp[id], &self.state[id]);
+                par_loop2_rows(
+                    profile,
+                    "mw_update",
+                    mode,
+                    range,
+                    &mut [dst],
+                    &[init, tend],
+                    2.0,
+                    move |_j, out, ins| {
+                        let (a, t, o) = (ins.row(0), ins.row(1), out.row(0));
+                        for i in 0..o.len() {
+                            o[i] = a[i] + dt_frac * t[i];
+                        }
+                    },
+                );
+            } else {
+                par_loop2_rows(
+                    profile,
+                    "mw_update",
+                    mode,
+                    range,
+                    &mut [&mut self.state[id]],
+                    &[tend],
+                    2.0,
+                    move |_j, out, ins| {
+                        let (t, o) = (ins.row(0), out.row(0));
+                        for i in 0..o.len() {
+                            o[i] += dt_frac * t[i];
+                        }
+                    },
+                );
+            }
         }
     }
 
     /// One directional semi-discrete RK3 sub-cycle.
     fn direction_step(&mut self, profile: &mut Profile, x_dir: bool, mut comm: Option<&mut Comm>) {
         let dt = self.dt;
-        let tendf: fn(&mut Self, &mut Profile, bool, Option<&mut Comm>) = if x_dir {
+        let tendf = if x_dir {
             Self::tendencies_x
         } else {
             Self::tendencies_z
         };
-        // stage 1: tmp = state + dt/3 · T(state)
-        tendf(self, profile, false, comm.as_deref_mut());
-        self.apply_update(profile, true, false, dt / 3.0);
-        // stage 2: tmp = state + dt/2 · T(tmp)
-        tendf(self, profile, true, comm.as_deref_mut());
-        self.apply_update(profile, true, false, dt / 2.0);
-        // stage 3: state = state + dt · T(tmp)
-        tendf(self, profile, true, comm);
-        self.apply_update(profile, false, false, dt);
+        // Stage 1: tmp = state + dt/3 · T(state); stage 2: tmp = state +
+        // dt/2 · T(tmp); stage 3: state += dt · T(tmp).
+        for (stage, frac) in [(1, 3.0), (2, 2.0), (3, 1.0)] {
+            self.fill_halos(stage > 1, x_dir, comm.as_deref_mut());
+            tendf(self, profile, stage > 1);
+            self.apply_update(profile, stage < 3, dt / frac);
+        }
     }
 
     /// One full time step (x/z split, alternating order).
@@ -595,33 +497,26 @@ impl MiniWeather {
         self.direction_switch = !self.direction_switch;
     }
 
-    /// Distributed run: decompose the x axis over `comm.size()` ranks in a
-    /// periodic ring. Returns this rank's profile and (on rank 0) the
-    /// gathered global perturbation density field (x-major rows of nz).
+    /// Distributed run: decompose the x axis over the `comm.size()` ranks
+    /// of the [`ring`] layout (slabs differ by at most one column).
+    /// Returns this rank's profile and (on rank 0) the gathered global
+    /// perturbation density field (x-major rows of nz).
     pub fn run_distributed(
         comm: &mut Comm,
         cfg: Config,
         steps: usize,
     ) -> (Profile, Option<Vec<f64>>) {
-        let size = comm.size();
-        let rank = comm.rank();
-        assert_eq!(
-            cfg.nx % size,
-            0,
-            "nx must divide evenly for the ring decomposition"
-        );
-        let local_nx = cfg.nx / size;
-        let left = (rank + size - 1) % size;
-        let right = (rank + 1) % size;
-        let nz = cfg.nz;
+        let block = DistBlock2::with_cart(comm.rank(), ring(comm.size()), cfg.nx, cfg.nz);
+        let (local_nx, nz) = (block.nx(), cfg.nz);
         let mut profile = Profile::new();
-        let mut sim = MiniWeather::new_local(cfg, rank * local_nx, local_nx, Some((left, right)));
+        let mut sim = MiniWeather::new_on(cfg, Some(block));
         for it in 0..steps {
             let mut aspan = bwb_trace::span(bwb_trace::Cat::App, "mw_step");
             aspan.set_args(it as f64, 0.0, 0.0);
             sim.step_with(&mut profile, Some(comm));
         }
-        // Gather the density perturbation column-major per rank.
+        // Gather the density perturbation column-major per rank; the
+        // slabs follow the ranks in x order.
         let mut mine = Vec::with_capacity(local_nx * nz);
         for i in 0..local_nx as isize {
             for k in 0..nz as isize {
@@ -695,21 +590,30 @@ impl MiniWeather {
     }
 }
 
-/// Declared loop chain: two full time steps of the serial solver — the
-/// dimensional-split order alternates x,z / z,x via `direction_switch`, so
-/// a two-step body is the natural period — followed by the two
-/// `mw_totals` mass/energy reductions the registry run appends, every
-/// loop's access contract stated at its step. Slots 0‑3 are the state
-/// fields, 4‑7 the RK temporaries, 8‑11 the tendencies. Each directional
-/// sub-cycle is tend → 4 copy-updates, twice, then tend → 4 in-place
-/// updates: `mw_update` runs at two arities, copy-update
-/// (`dst = init + dt·tend`, two inputs) and in-place (`state += dt·tend`,
-/// one input, declared `ReadWrite`), and observations match on
-/// `(name, #outs, #ins)`. The distributed ring exchange is a hand-rolled
-/// `comm.send` fill that records nothing, so only the serial chain is
-/// declared.
-pub fn chain_spec() -> bwb_ops::ChainSpec {
-    use bwb_ops::{Access, ChainSpec, DatDecl, Expr, Stencil as S, Step};
+/// The layout a distributed run decomposes over: `size` ranks along x,
+/// periodic, and one along z, whose rigid walls every rank fills itself.
+pub fn ring(size: usize) -> CartComm {
+    CartComm::new(size, vec![size, 1], vec![true, false])
+}
+
+/// Declared loop chain: two full time steps — the dimensional-split order
+/// alternates x,z / z,x via `direction_switch`, so a two-step body is the
+/// natural period — every loop's access contract stated at its step.
+/// Slots 0‑3 are the state fields, 4‑7 the RK temporaries, 8‑11 the
+/// tendencies. Each directional sub-cycle is tend → 4 copy-updates, twice,
+/// then tend → 4 in-place updates: `mw_update` runs at two arities,
+/// copy-update (`dst = init + dt·tend`, two inputs) and in-place
+/// (`state += dt·tend`, one input, declared `ReadWrite`), and observations
+/// match on `(name, #outs, #ins)`.
+///
+/// `dist` declares a distributed rank: before each `mw_tend_x` the four
+/// fields it reads are exchanged at depth 2 over x, the one axis the
+/// [`ring`] layout splits and wraps (`exchange_halo` records one site-less
+/// observation each); the z walls `mw_tend_z` reads are filled locally and record
+/// nothing. The local chain instead ends with the two `mw_totals`
+/// mass/energy reductions the registry run appends.
+pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
+    use bwb_ops::{Access, Axes, ChainSpec, DatDecl, Expr, Stencil as S, Step};
     const SLOT_NAMES: [&str; 12] = [
         "dens",
         "umom",
@@ -754,16 +658,24 @@ pub fn chain_spec() -> bwb_ops::ChainSpec {
         } else {
             ("mw_tend_z", z5())
         };
-        let tend = |src: usize| {
-            lp(
+        let tend = |body: &mut Vec<Step>, src: usize| {
+            if dist && x_dir {
+                body.extend((src..src + 4).map(|dat| Step::Exchange {
+                    dat,
+                    depth: 2,
+                    site: "",
+                    axes: Axes::X,
+                }));
+            }
+            body.push(lp(
                 tend_name,
                 (8..12).map(w).collect(),
                 (src..src + 4).map(|s| (s, window.clone())).collect(),
-            )
+            ));
         };
         // Stages 1 and 2: tmp = state + frac·T(src), the copy arity.
         for src in [0usize, 4] {
-            body.push(tend(src));
+            tend(body, src);
             for id in 0..4 {
                 body.push(lp(
                     "mw_update",
@@ -773,7 +685,7 @@ pub fn chain_spec() -> bwb_ops::ChainSpec {
             }
         }
         // Stage 3: state += dt·T(tmp), the in-place arity.
-        body.push(tend(4));
+        tend(body, 4);
         for id in 0..4 {
             body.push(lp(
                 "mw_update",
@@ -785,15 +697,24 @@ pub fn chain_spec() -> bwb_ops::ChainSpec {
     for x_dir in [true, false, false, true] {
         dirstep(&mut body, x_dir);
     }
+    let epilogue = if dist {
+        Vec::new()
+    } else {
+        vec![
+            lp("mw_totals", vec![], vec![point(0)]),
+            lp("mw_totals", vec![], vec![point(3)]),
+        ]
+    };
     ChainSpec {
-        app: "miniweather",
+        app: if dist {
+            "miniweather_dist"
+        } else {
+            "miniweather"
+        },
         dats,
         prologue: Vec::new(),
         body,
-        epilogue: vec![
-            lp("mw_totals", vec![], vec![point(0)]),
-            lp("mw_totals", vec![], vec![point(3)]),
-        ],
+        epilogue,
     }
 }
 
@@ -903,37 +824,37 @@ mod tests {
     #[test]
     fn distributed_ring_matches_single_rank_bitwise() {
         use bwb_shmpi::Universe;
-        let cfg = Config {
-            nx: 48,
-            nz: 12,
-            sim_time: 0.0,
-            ..Config::default()
-        };
         let steps = 4;
-        // Serial reference (column-major like the distributed gather).
-        let single = {
-            let mut profile = Profile::new();
-            let mut sim = MiniWeather::new(cfg.clone());
-            for _ in 0..steps {
-                sim.step(&mut profile);
-            }
-            let mut v = Vec::new();
-            for i in 0..48isize {
-                for k in 0..12isize {
-                    v.push(sim.state[ID_DENS].get(i, k));
+        // 50 columns over 3 ranks leave slabs of 17, 17 and 16.
+        for (ranks, nx) in [(2usize, 48usize), (3, 48), (4, 48), (3, 50)] {
+            let cfg = Config {
+                nx,
+                nz: 12,
+                sim_time: 0.0,
+                ..Config::default()
+            };
+            // Serial reference (column-major like the distributed gather).
+            let single = {
+                let mut profile = Profile::new();
+                let mut sim = MiniWeather::new(cfg.clone());
+                for _ in 0..steps {
+                    sim.step(&mut profile);
                 }
-            }
-            v
-        };
-        for ranks in [2usize, 3, 4] {
-            let cfg2 = cfg.clone();
+                let mut v = Vec::new();
+                for i in 0..nx as isize {
+                    for k in 0..12isize {
+                        v.push(sim.state[ID_DENS].get(i, k));
+                    }
+                }
+                v
+            };
             let out = Universe::run(ranks, move |c| {
-                MiniWeather::run_distributed(c, cfg2.clone(), steps).1
+                MiniWeather::run_distributed(c, cfg.clone(), steps).1
             });
             let dist = out.results[0].as_ref().unwrap();
             assert_eq!(dist.len(), single.len());
             for (a, b) in dist.iter().zip(&single) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{ranks} ranks");
+                assert_eq!(a.to_bits(), b.to_bits(), "{ranks} ranks, nx = {nx}");
             }
         }
     }
@@ -942,7 +863,7 @@ mod tests {
     fn distributed_ring_wraps_periodically() {
         use bwb_shmpi::Universe;
         // 2 ranks: rank 0's left neighbour is rank 1 — messages must flow
-        // around the ring (sends counted on both ranks every tendency).
+        // around the ring (sends counted on both ranks every x tendency).
         let cfg = Config {
             nx: 16,
             nz: 8,
@@ -954,9 +875,10 @@ mod tests {
             c.stats()
         });
         for (rank, s) in out.results.iter().enumerate() {
-            // 2 steps × 2 directions × 3 stages × 4 fields × 2 sides = 96
-            // halo sends; non-root ranks add 1 gather message.
-            let expect = if rank == 0 { 96 } else { 97 };
+            // Only `mw_tend_x` reads x ghosts: 2 steps × 3 stages × 4
+            // fields × 2 sides = 48 halo sends (the z pass fills its walls
+            // locally); non-root ranks add 1 gather message.
+            let expect = if rank == 0 { 48 } else { 49 };
             assert_eq!(s.sends, expect, "rank {rank}");
         }
     }

@@ -66,7 +66,7 @@ fn access_report(json_only: bool) -> usize {
         for r in &reports {
             let status = if r.clean() { "ok" } else { "FAIL" };
             eprintln!(
-                "{:<14} {:>3} loop invocations checked ... {status}",
+                "{:<16} {:>3} loop invocations checked ... {status}",
                 r.app, r.loops_checked
             );
             print_violations(&r.violations);
@@ -98,21 +98,21 @@ fn dataflow_report(json_only: bool, export_dir: Option<&str>) -> usize {
 
     if !json_only {
         eprintln!(
-            "{:<14} {:>5} {:>4} {:>5} {:>4} {:>3} {:>6} {:>8} {:>6}  status",
+            "{:<16} {:>5} {:>4} {:>5} {:>4} {:>3} {:>6} {:>8} {:>6}  status",
             "app", "loops", "exch", "fuse", "grps", "nt", "elid%", "gain", "lints"
         );
         for r in &reports {
             if !r.analyzed {
                 let why = r.limitation.map(|l| l.label()).unwrap_or("limited");
                 eprintln!(
-                    "{:<14} {:>5}     -     -    -   -      -        -      -  limited ({why})",
+                    "{:<16} {:>5}     -     -    -   -      -        -      -  limited ({why})",
                     r.app, r.loops,
                 );
                 continue;
             }
             let status = if r.clean() { "ok" } else { "FAIL" };
             eprintln!(
-                "{:<14} {:>5} {:>4} {:>5} {:>4} {:>3} {:>5.1}% {:>8.4} {:>6}  {status}",
+                "{:<16} {:>5} {:>4} {:>5} {:>4} {:>3} {:>5.1}% {:>8.4} {:>6}  {status}",
                 r.app,
                 r.loops,
                 r.exchanges,
@@ -152,7 +152,7 @@ fn static_report(json_only: bool, export_dir: Option<&str>) -> usize {
 
     if !json_only {
         eprintln!(
-            "{:<14} {:>5} {:>4} {:>4} {:>3} {:>9} {:>6}  status",
+            "{:<16} {:>5} {:>4} {:>4} {:>3} {:>9} {:>6}  status",
             "app", "loops", "exch", "grps", "nt", "static", "viol"
         );
         for s in &statics {
@@ -160,14 +160,14 @@ fn static_report(json_only: bool, export_dir: Option<&str>) -> usize {
             if !r.analyzed && r.violations.is_empty() {
                 let why = r.limitation.map(|l| l.label()).unwrap_or("limited");
                 eprintln!(
-                    "{:<14}     -    -    -   -         -      -  limited ({why})",
+                    "{:<16}     -    -    -   -         -      -  limited ({why})",
                     r.app
                 );
                 continue;
             }
             let status = if r.clean() { "ok" } else { "FAIL" };
             eprintln!(
-                "{:<14} {:>5} {:>4} {:>4} {:>3} {:>7}us {:>6}  {status}",
+                "{:<16} {:>5} {:>4} {:>4} {:>3} {:>7}us {:>6}  {status}",
                 r.app,
                 r.loops,
                 r.exchanges,
@@ -208,7 +208,7 @@ fn parametric_report(json_only: bool) -> usize {
 
     if !json_only {
         eprintln!(
-            "{:<14} {:>9} {:>5} {:>6} {:>6} {:>7} {:>6} {:>11} {:>8}  status",
+            "{:<16} {:>9} {:>5} {:>6} {:>6} {:>7} {:>6} {:>11} {:>8}  status",
             "app", "family", "base", "phases", "match", "dlfree", "collfr", "crosschecks", "ms"
         );
         for r in &reports {
@@ -220,7 +220,7 @@ fn parametric_report(json_only: bool) -> usize {
                     .filter(|x| x.concrete_clean && x.template_match)
                     .count();
                 eprintln!(
-                    "{:<14} {:>9} {:>5} {:>6} {:>6} {:>7} {:>6} {:>8}/{:<2} {:>8.0}  {status}",
+                    "{:<16} {:>9} {:>5} {:>6} {:>6} {:>7} {:>6} {:>8}/{:<2} {:>8.0}  {status}",
                     r.app,
                     c.family,
                     c.base_ranks,
@@ -233,7 +233,7 @@ fn parametric_report(json_only: bool) -> usize {
                     c.verify_ms,
                 );
             } else {
-                eprintln!("{:<14} (template lift failed)  {status}", r.app);
+                eprintln!("{:<16} (template lift failed)  {status}", r.app);
             }
             print_violations(&r.violations);
         }
@@ -251,13 +251,13 @@ fn comm_report(json_only: bool) -> usize {
 
     if !json_only {
         eprintln!(
-            "{:<14} {:>5} {:>5} {:>5} {:>4} {:>4} {:>6}  status",
+            "{:<16} {:>5} {:>5} {:>5} {:>4} {:>4} {:>6}  status",
             "app", "sends", "recvs", "barr", "coll", "phs", "dlfree"
         );
         for r in &reports {
             let status = if r.clean() { "ok" } else { "FAIL" };
             eprintln!(
-                "{:<14} {:>5} {:>5} {:>5} {:>4} {:>4} {:>6}  {status}",
+                "{:<16} {:>5} {:>5} {:>5} {:>4} {:>4} {:>6}  {status}",
                 r.app,
                 r.sends,
                 r.recvs,
@@ -287,7 +287,7 @@ fn placement_report(json_only: bool, export_dir: Option<&str>) -> usize {
 
     if !json_only {
         eprintln!(
-            "{:<14} {:>6} {:>5} {:>22} {:>12} {:>12} {:>7} {:>6}  status",
+            "{:<16} {:>6} {:>5} {:>22} {:>12} {:>12} {:>7} {:>6}  status",
             "app", "ranks", "space", "best", "best_ns", "baseline_ns", "gain%", "viol"
         );
         for r in &reports {
@@ -299,7 +299,7 @@ fn placement_report(json_only: bool, export_dir: Option<&str>) -> usize {
                     0.0
                 };
                 eprintln!(
-                    "{:<14} {:>6} {:>5} {:>22} {:>12.0} {:>12.0} {:>6.1}% {:>6}  {status}",
+                    "{:<16} {:>6} {:>5} {:>22} {:>12.0} {:>12.0} {:>6.1}% {:>6}  {status}",
                     r.app,
                     p.ranks,
                     p.space.len(),

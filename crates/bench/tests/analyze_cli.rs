@@ -6,7 +6,7 @@
 use bwb_core::trace::json::{parse, Json};
 use std::process::Command;
 
-const RECORDED: [&str; 11] = [
+const RECORDED: [&str; 12] = [
     "cloverleaf2d",
     "clover2d_dist",
     "cloverleaf3d",
@@ -15,6 +15,7 @@ const RECORDED: [&str; 11] = [
     "opensbli_sa",
     "opensbli_sn",
     "miniweather",
+    "miniweather_dist",
     "mgcfd",
     "volna",
     "minibude",

@@ -13,7 +13,7 @@
 //! sound: the name travels with the buffer, so a name-keyed timeline is a
 //! buffer-keyed timeline.
 
-use bwb_ops::access::{Access, ExchangeObs, LoopSpec, Recording};
+use bwb_ops::access::{Access, Axes, ExchangeObs, LoopSpec, Recording};
 use std::collections::BTreeMap;
 
 /// How one loop touched one field, after joining declaration and
@@ -26,10 +26,11 @@ pub enum Touch {
     Write { full: bool },
     /// Input read at up to `radius` (max of declared stencil radius and
     /// observed offsets, so under-declaration cannot narrow the analysis),
-    /// of which `reach` cells lie past the interior: the ghost depth the
-    /// read needs valid over this loop's range (0 when every point it reads
-    /// is interior, as for node fields read around cells).
-    Read { radius: isize, reach: isize },
+    /// of which `reach[a]` cells lie past the interior along axis `a`: the
+    /// ghost depth the read needs valid on that axis over this loop's range
+    /// (0 when every point it reads is interior, as for node fields read
+    /// around cells).
+    Read { radius: isize, reach: [isize; 3] },
     /// Read-modify-write: declared `ReadWrite`/`Inc`, an observed
     /// read-back/increment, or an output of a loop with no matching
     /// contract (conservative: unknown kernels may read their outputs
@@ -54,10 +55,10 @@ impl Touch {
 pub enum Event {
     /// Loop `at` (index into [`DefUseGraph::loops`]) touched the field.
     Loop { at: usize, touch: Touch },
-    /// The field was halo-exchanged at `depth` after `at` loops had
-    /// completed (an exchange both reads the interior strips and refreshes
-    /// the ghosts).
-    Exchange { at: usize, depth: usize },
+    /// The field was halo-exchanged at `depth` over `axes` after `at` loops
+    /// had completed (an exchange both reads the interior strips and
+    /// refreshes the ghosts of those axes).
+    Exchange { at: usize, depth: usize, axes: Axes },
 }
 
 /// One argument of a loop node.
@@ -110,22 +111,25 @@ fn range_points(range: [isize; 6]) -> usize {
 }
 
 /// How many cells past the interior `[0, nx) × [0, ny) × [0, nz)` a read at
-/// `offsets` over `range` reaches, on any axis and side (0 if none).
+/// `offsets` over `range` reaches along each axis, on either side (0 if
+/// none).
 fn ghost_reach(
     range: [isize; 6],
     extent: (usize, usize, usize),
     offsets: impl Iterator<Item = (isize, isize, isize)>,
-) -> isize {
+) -> [isize; 3] {
+    let mut reach = [0; 3];
     if range_points(range) == 0 {
-        return 0;
+        return reach;
     }
     let ext = [extent.0, extent.1, extent.2].map(|n| n as isize);
-    let past = |o: [isize; 3]| {
-        (0..3)
-            .map(|a| (-range[2 * a] - o[a]).max(range[2 * a + 1] + o[a] - ext[a]))
-            .fold(0, isize::max)
-    };
-    offsets.map(|(x, y, z)| past([x, y, z])).fold(0, isize::max)
+    for (x, y, z) in offsets {
+        for (a, o) in [x, y, z].into_iter().enumerate() {
+            let past = (-range[2 * a] - o).max(range[2 * a + 1] + o - ext[a]);
+            reach[a] = reach[a].max(past);
+        }
+    }
+    reach
 }
 
 /// Does `range` cover the whole interior `[0, nx) × [0, ny) × [0, nz)`?
@@ -155,6 +159,7 @@ impl DefUseGraph {
                     .push(Event::Exchange {
                         at: e.at,
                         depth: e.depth,
+                        axes: e.axes,
                     });
                 exchange_idx += 1;
             }
@@ -227,6 +232,7 @@ impl DefUseGraph {
                 .push(Event::Exchange {
                     at: e.at,
                     depth: e.depth,
+                    axes: e.axes,
                 });
         }
 
@@ -266,15 +272,22 @@ mod tests {
         let reach = |extent, offs: &[(isize, isize, isize)]| {
             ghost_reach(cells, extent, offs.iter().copied())
         };
-        assert_eq!(reach((8, 6, 1), &[(0, 0, 0)]), 0);
-        assert_eq!(reach((8, 6, 1), &[(-2, 0, 0), (2, 0, 0)]), 2);
-        assert_eq!(reach((8, 6, 1), &[(0, 1, 0)]), 1);
+        assert_eq!(reach((8, 6, 1), &[(0, 0, 0)]), [0, 0, 0]);
+        assert_eq!(reach((8, 6, 1), &[(-2, 0, 0), (2, 0, 0)]), [2, 0, 0]);
+        assert_eq!(reach((8, 6, 1), &[(0, 1, 0)]), [0, 1, 0]);
+        // Each axis keeps its own reach: a z5 window past the z walls and
+        // an x3 one past the x edges, and a diagonal tap reaches both.
+        assert_eq!(
+            reach((8, 6, 1), &[(0, -2, 0), (0, 2, 0), (1, 0, 0)]),
+            [1, 2, 0]
+        );
+        assert_eq!(reach((8, 6, 1), &[(-1, -1, 0)]), [1, 1, 0]);
         // A node field read at a cell's four corners stays interior.
-        assert_eq!(reach((9, 7, 1), &[(0, 0, 0), (1, 1, 0)]), 0);
-        assert_eq!(reach((9, 7, 1), &[(-1, 0, 0)]), 1);
+        assert_eq!(reach((9, 7, 1), &[(0, 0, 0), (1, 1, 0)]), [0, 0, 0]);
+        assert_eq!(reach((9, 7, 1), &[(-1, 0, 0)]), [1, 0, 0]);
         assert_eq!(
             ghost_reach([0, 0, 0, 6, 0, 1], (8, 6, 1), [(-3, 0, 0)].into_iter()),
-            0
+            [0, 0, 0]
         );
     }
 
@@ -312,7 +325,7 @@ mod tests {
             l.ins[0].touch,
             Touch::Read {
                 radius: 0,
-                reach: 0
+                reach: [0, 0, 0]
             }
         );
         assert_eq!(l.bytes(), (2 * n * n * 8) as f64);

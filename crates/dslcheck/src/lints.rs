@@ -9,6 +9,7 @@
 
 use crate::graph::{DefUseGraph, Event, Touch};
 use crate::violation::{Kind, Violation};
+use bwb_ops::access::Axes;
 use bwb_ops::plan::FusionGroupCert;
 use bwb_trace::json::{obj, Json};
 
@@ -60,61 +61,68 @@ pub fn dead_stores(app: &str, g: &DefUseGraph) -> Vec<Violation> {
     out
 }
 
-/// Halo validity state machine over the exchange trace.
+/// Halo validity state machine over the exchange trace, one per axis.
 ///
-/// Only runs that exchange are judged — a run without exchanges maintains
-/// its ghosts by hand (mirror fills the recorder cannot see), and must not
-/// be second-guessed. In a run that exchanges, a rank's ghosts on a
-/// neighbour's side come from exchanges only, so every dat is judged, also
-/// one that is never exchanged (a buffer that swaps rotate through the
-/// slots may never sit in an exchanged one). Per dat:
+/// Only axes that some exchange of the run refreshes are judged — an axis
+/// no exchange refreshes has its ghosts maintained by hand (mirror or wall
+/// fills the recorder cannot see, or the local wrap of a single rank), and
+/// must not be second-guessed; a run without exchanges is judged on no
+/// axis. On a judged axis, a rank's ghosts on a neighbour's side come from
+/// exchanges only, so every dat is judged, also one that is never
+/// exchanged (a buffer that swaps rotate through the slots may never sit in
+/// an exchanged one). Per dat and judged axis:
 ///
 /// * an interior write invalidates the ghosts (validity 0);
-/// * an exchange at depth `d` establishes validity `d` (deepening a
-///   still-valid halo keeps the max);
-/// * a read that reaches `r > validity` cells past the interior over its
-///   loop's range is a [`Kind::StaleHaloRead`];
-/// * an exchange at depth `d ≤ validity` with no write since the previous
-///   exchange is a [`Kind::RedundantExchange`].
+/// * an exchange at depth `d` over the axis establishes validity `d`
+///   (deepening a still-valid halo keeps the max);
+/// * a read that reaches `r > validity` cells past the interior along the
+///   axis over its loop's range is a [`Kind::StaleHaloRead`];
+/// * an exchange at depth `d` with no write since the previous exchange,
+///   whose every axis is already valid to `d`, is a
+///   [`Kind::RedundantExchange`].
 ///
 /// The first exchange of each dat is never judged redundant (a write
 /// precedes it, or there is no prior validity to compare against), and
-/// reads before a dat's first write or exchange are not judged (the app may
-/// rely on initial-condition ghosts).
+/// reads on an axis before a dat's first write or exchange over it are not
+/// judged (the app may rely on initial-condition ghosts).
 pub fn exchange_lints(app: &str, g: &DefUseGraph) -> Vec<Violation> {
     let mut violations = Vec::new();
-    if g.exchanges.is_empty() {
-        return violations;
-    }
+    let judged = g.exchanges.iter().map(|e| e.axes);
+    let judged = judged.fold(Axes::default(), Axes::union);
     for (name, events) in &g.fields {
-        // Ghost validity in cells; None until the first write or exchange.
-        let mut valid: Option<isize> = None;
+        // Ghost validity in cells per axis; None until the first write or
+        // exchange over that axis.
+        let mut valid: [Option<isize>; 3] = [None; 3];
         let mut written_since_exchange = false;
         for ev in events {
             match ev {
                 Event::Loop { at, touch } => {
-                    if let (Touch::Read { reach, .. }, Some(v)) = (touch, valid) {
-                        if *reach > v {
+                    if let Touch::Read { reach, .. } = touch {
+                        let stale = judged.iter().find_map(|a| {
+                            valid[a].filter(|&v| reach[a] > v).map(|v| (reach[a], v))
+                        });
+                        if let Some((required_radius, valid_depth)) = stale {
                             violations.push(Violation {
                                 app: app.to_string(),
                                 kind: Kind::StaleHaloRead {
                                     dat: name.clone(),
                                     loop_name: g.loops[*at].name.clone(),
                                     at: *at,
-                                    required_radius: *reach,
-                                    valid_depth: v,
+                                    required_radius,
+                                    valid_depth,
                                 },
                             });
                         }
                     }
                     if touch.writes() {
                         written_since_exchange = true;
-                        valid = Some(0);
+                        valid = [Some(0); 3];
                     }
                 }
-                Event::Exchange { at, depth } => {
+                Event::Exchange { at, depth, axes } => {
                     let d = *depth as isize;
-                    match valid {
+                    let prior = axes.iter().map(|a| valid[a]).min().flatten();
+                    match prior {
                         Some(v) if !written_since_exchange && v >= d => {
                             violations.push(Violation {
                                 app: app.to_string(),
@@ -127,8 +135,14 @@ pub fn exchange_lints(app: &str, g: &DefUseGraph) -> Vec<Violation> {
                             });
                             // Validity keeps the deeper prior value.
                         }
-                        Some(v) if !written_since_exchange => valid = Some(v.max(d)),
-                        _ => valid = Some(d),
+                        _ => {
+                            for a in axes.iter() {
+                                valid[a] = match valid[a] {
+                                    Some(v) if !written_since_exchange => Some(v.max(d)),
+                                    _ => Some(d),
+                                };
+                            }
+                        }
                     }
                     written_since_exchange = false;
                 }
@@ -385,4 +399,73 @@ pub fn check_fusion_claims(app: &str, g: &DefUseGraph, claims: &[(&str, &str)]) 
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bwb_ops::{Access, Binding, ChainSpec, DatDecl, Expr, Stencil, Step};
+
+    /// write u → exchange u over `axes` → x5 read → write u → read along
+    /// the second axis (miniWeather's z) two past the interior.
+    fn z_read_after_write(axes: Axes) -> Vec<Violation> {
+        let (c, p) = (Expr::c, Expr::p);
+        let dat = |name| DatDecl {
+            name,
+            halo: 2,
+            extent: [p("n"), p("n"), c(1)],
+            elem_bytes: 8,
+        };
+        let lp = |name, outs, ins| Step::Loop {
+            name,
+            dims: 2,
+            range: [c(0), p("n"), c(0), p("n"), c(0), c(1)],
+            outs,
+            ins,
+        };
+        let write = || lp("produce", vec![(0, Access::Write)], vec![]);
+        let read = |name, window: &[(isize, isize)]| {
+            lp(
+                name,
+                vec![(1, Access::Write)],
+                vec![(0, Stencil::of2(window))],
+            )
+        };
+        let chain = ChainSpec {
+            app: "axes",
+            dats: vec![dat("u"), dat("t")],
+            prologue: vec![],
+            body: vec![
+                write(),
+                Step::Exchange {
+                    dat: 0,
+                    depth: 2,
+                    site: "",
+                    axes,
+                },
+                read("tend_x", &[(-2, 0), (2, 0)]),
+                write(),
+                read("tend_z", &[(0, -2), (0, 2)]),
+            ],
+            epilogue: vec![],
+        };
+        let rec = chain.instantiate(&Binding::new().set("n", 8), 1).unwrap();
+        exchange_lints("axes", &DefUseGraph::build(&chain.loop_specs(), &rec))
+    }
+
+    /// An axis no exchange refreshes keeps hand-filled ghosts and is not
+    /// judged; once the run exchanges it, the same read is stale.
+    #[test]
+    fn only_axes_some_exchange_refreshes_are_judged() {
+        assert_eq!(z_read_after_write(Axes::X), []);
+        let stale = Kind::StaleHaloRead {
+            dat: "u".into(),
+            loop_name: "tend_z".into(),
+            at: 3,
+            required_radius: 2,
+            valid_depth: 0,
+        };
+        let found = z_read_after_write(Axes::XY);
+        assert_eq!(found.iter().map(|v| &v.kind).collect::<Vec<_>>(), [&stale]);
+    }
 }

@@ -16,12 +16,12 @@
 //! point-to-point schedule.
 
 use crate::registry;
-use bwb_apps::{acoustic, cloverleaf2d};
 use bwb_machine::{CommDistance, RankPlacement};
-use bwb_ops::{Binding, Step};
+use bwb_ops::{Binding, ChainSpec, Step};
 use bwb_shmpi::event::{CommLog, CommOp};
 use bwb_shmpi::{CartComm, COLL_TAG_BASE};
 use bwb_trace::json::{obj, Json};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Largest rank count the flow models are certified for — matches the
@@ -168,117 +168,66 @@ pub const FLOW_APPS: [&str; 5] = {
     names
 };
 
-/// Face-neighbour sends of one `DistBlock2` exchange of an f64 field with
-/// `extra` more points per dimension than cells (0 for cell fields, 1 for
-/// node fields): dim-0 strips are `d × ny` elements, dim-1 strips are
-/// `d × (nx + 2d)` (rows extended into the x halos) — exactly the strips
-/// `bwb_ops::halo`'s face exchange packs.
-fn exchange_sends(
+/// A ranked structured app's halo phases, from the `Exchange` steps of its
+/// declared distributed `chain`, in order, over `iterations` body
+/// iterations on the layout `cart`. `axes` binds, per axis of `cart`, the
+/// chain parameter of the local extent and the global extent it splits.
+/// Each exchange is one phase of the face exchange `bwb_ops::halo` runs:
+/// per axis `d` with a neighbour, a strip of `depth` points along `d`, the
+/// axes before `d` extended into their ghosts and those after it over their
+/// interior, at the dat's local extent (a node field's is one point longer
+/// than its cells) and element size. (Collectives and the final gather are
+/// not point-to-point halo traffic.)
+pub(crate) fn chain_exchanges(
+    chain: &ChainSpec,
     cart: &CartComm,
-    (gnx, gny): (usize, usize),
-    extra: usize,
-    depth: usize,
-    out: &mut PhaseFlow,
-) {
-    for r in 0..cart.size() {
-        let nx = cart.decompose_1d(r, 0, gnx).1 + extra;
-        let ny = cart.decompose_1d(r, 1, gny).1 + extra;
-        for (dim, strip) in [(0usize, depth * ny), (1, depth * (nx + 2 * depth))] {
-            for dir in [-1isize, 1] {
-                if let Some(nbr) = cart.shift(r, dim, dir) {
-                    out.sends.push((r, nbr, (strip * 8) as u64));
-                }
-            }
-        }
-    }
-}
-
-/// CloverLeaf 2D: the `Exchange` steps of its declared distributed chain,
-/// in order — depth-2 cell halos at the sites `cells0`, `cells1` and
-/// `cells2`, each of the fields [`cloverleaf2d::CELL_HALO_SITES`] lists for
-/// it, and depth-1 xvel1/yvel1 halos at `vel0`; all f64.
-/// (`calc_dt`'s allreduce and the final density gather are collectives.)
-pub(crate) fn cloverleaf2d(n: usize) -> Vec<PhaseFlow> {
-    let cfg = registry::clover2_scaled_cfg();
-    let cart = CartComm::balanced(n, 2);
-    let chain = cloverleaf2d::chain_spec(true);
-    // A dat's extent at nx = 0 is its points beyond the cell count: 0 for
-    // cell fields, 1 for node fields.
-    let zero = Binding::new().set("nx", 0);
+    axes: &[(&'static str, usize)],
+    iterations: usize,
+) -> Vec<PhaseFlow> {
+    // Each rank's chain binding: its local extent per axis.
+    let bindings: Vec<Binding> = (0..cart.size())
+        .map(|r| {
+            axes.iter()
+                .enumerate()
+                .fold(Binding::new(), |b, (a, &(param, n))| {
+                    b.set(param, cart.decompose_1d(r, a, n).1 as isize)
+                })
+        })
+        .collect();
+    let body = (0..iterations).flat_map(|_| &chain.body);
+    let steps = chain.prologue.iter().chain(body).chain(&chain.epilogue);
     let mut phases = Vec::new();
-    for _ in 0..cfg.iterations {
-        for step in &chain.body {
-            if let Step::Exchange { dat, depth, site } = *step {
-                let d = &chain.dats[dat];
-                let extra = d.extent[0].eval(&zero).expect("extent in nx") as usize;
-                let mut p = PhaseFlow::new(format!("{site}/{}", d.name));
-                exchange_sends(&cart, (cfg.nx, cfg.ny), extra, depth, &mut p);
-                phases.push(p);
-            }
-        }
-    }
-    phases
-}
-
-/// Acoustic: radius-4 f32 halos over a balanced 3-D decomposition. Per
-/// iteration one exchange: X strips `d·ny·nz`, Y strips `d·(nx+2d)·nz`
-/// (X-extended), Z strips `d·(nx+2d)·(ny+2d)` (XY-extended) —
-/// `DistBlock3::exchange_halo`.
-pub(crate) fn acoustic(n: usize) -> Vec<PhaseFlow> {
-    let cfg = registry::acoustic_scaled_cfg();
-    let d = acoustic::RADIUS;
-    let cart = CartComm::balanced(n, 3);
-    let mut phases = Vec::new();
-    for it in 0..cfg.iterations {
-        let mut p = PhaseFlow::new(format!("u_curr@{it}"));
-        for r in 0..n {
-            let nx = cart.decompose_1d(r, 0, cfg.n).1;
-            let ny = cart.decompose_1d(r, 1, cfg.n).1;
-            let nz = cart.decompose_1d(r, 2, cfg.n).1;
-            let strips = [
-                d * ny * nz,
-                d * (nx + 2 * d) * nz,
-                d * (nx + 2 * d) * (ny + 2 * d),
-            ];
-            for (dim, strip) in strips.into_iter().enumerate() {
+    for step in steps {
+        let Step::Exchange {
+            dat, depth, site, ..
+        } = *step
+        else {
+            continue;
+        };
+        let d = &chain.dats[dat];
+        let ctx = format!("{site}/{}", d.name);
+        let mut p = PhaseFlow::new(ctx.trim_start_matches('/'));
+        for (r, binding) in bindings.iter().enumerate() {
+            let ext = d
+                .extent
+                .each_ref()
+                .map(|e| e.eval(binding).expect("extent bound per axis") as usize);
+            for dim in 0..cart.ndims() {
+                let points: usize = (0..3)
+                    .map(|a| match a.cmp(&dim) {
+                        Ordering::Less => ext[a] + 2 * depth,
+                        Ordering::Equal => depth,
+                        Ordering::Greater => ext[a],
+                    })
+                    .product();
                 for dir in [-1isize, 1] {
                     if let Some(nbr) = cart.shift(r, dim, dir) {
-                        p.sends.push((r, nbr, (strip * 4) as u64));
+                        p.sends.push((r, nbr, (points * d.elem_bytes) as u64));
                     }
                 }
             }
         }
         phases.push(p);
-    }
-    phases
-}
-
-/// miniWeather on its weak-scaled ring. Each step runs both
-/// dimensional-split passes (x then z, alternating order), each pass three
-/// RK3 stages, and *every* stage's tendencies call refreshes the ring
-/// halos of the four state fields: every rank ships its 2-deep edge
-/// columns (`2·nz` f64) to both periodic neighbours.
-pub(crate) fn miniweather(n: usize) -> Vec<PhaseFlow> {
-    const DIRS: usize = 2;
-    const RK_STAGES: usize = 3;
-    const FIELDS: [&str; 4] = ["dens", "umom", "wmom", "rhot"];
-    let strip = (2 * registry::miniweather_scaled_cfg(n).nz * 8) as u64;
-    let mut phases = Vec::new();
-    for step in 0..registry::MINIWEATHER_STEPS {
-        for dir in 0..DIRS {
-            for stage in 0..RK_STAGES {
-                for f in FIELDS {
-                    let mut p = PhaseFlow::new(format!("{f}@{step}.{dir}.{stage}"));
-                    for r in 0..n {
-                        let left = (r + n - 1) % n;
-                        let right = (r + 1) % n;
-                        p.sends.push((r, left, strip));
-                        p.sends.push((r, right, strip));
-                    }
-                    phases.push(p);
-                }
-            }
-        }
     }
     phases
 }

@@ -24,7 +24,7 @@ use bwb_apps::{
 use bwb_op2::{with_recording_u, ULoopObs, ULoopSpec};
 use bwb_ops::access::{with_recording_full, Recording};
 use bwb_ops::{Binding, ChainSpec, Profile};
-use bwb_shmpi::{Comm, Universe};
+use bwb_shmpi::{CartComm, Comm, Universe};
 
 /// An app's CI-sized local run under the engine's recorder.
 pub enum LocalRun {
@@ -91,7 +91,15 @@ pub const APPS: &[AppEntry] = &[
             base_ranks: 4,
             ci: clover2_ci,
             scaled: clover2_scaled,
-            flows: flows::cloverleaf2d,
+            flows: |n| {
+                let cfg = clover2_scaled_cfg();
+                flows::chain_exchanges(
+                    &cloverleaf2d::chain_spec(true),
+                    &CartComm::balanced(n, 2),
+                    &[("nx", cfg.nx), ("ny", cfg.ny)],
+                    cfg.iterations,
+                )
+            },
         }),
     },
     // Rank 0 of the 4-rank CI run: 24×24 over 2×2 ranks is 12×12 locally.
@@ -128,7 +136,17 @@ pub const APPS: &[AppEntry] = &[
             base_ranks: 8,
             ci: acoustic_ci,
             scaled: acoustic_scaled,
-            flows: flows::acoustic,
+            flows: |n| {
+                let acoustic::Config {
+                    n: g, iterations, ..
+                } = acoustic_scaled_cfg();
+                flows::chain_exchanges(
+                    &acoustic::chain_spec(true),
+                    &CartComm::balanced(n, 3),
+                    &[("nx", g), ("ny", g), ("nz", g)],
+                    iterations,
+                )
+            },
         }),
     },
     // Rank 0 of the 4-rank CI run: 16³ over (2,2,1) ranks is 8×8×16 locally.
@@ -159,7 +177,7 @@ pub const APPS: &[AppEntry] = &[
         name: "miniweather",
         local: LocalRun::Structured(miniweather_local),
         chain: Chain::Declared(
-            miniweather::chain_spec,
+            || miniweather::chain_spec(false),
             &[("nx", 24), ("nz", 12)],
             MINIWEATHER_STEPS / 2,
         ),
@@ -168,8 +186,28 @@ pub const APPS: &[AppEntry] = &[
             base_ranks: 4,
             ci: |c| miniweather_dist(c, miniweather_cfg()),
             scaled: |c| miniweather_dist(c, miniweather_scaled_cfg(c.size())),
-            flows: flows::miniweather,
+            flows: |n| {
+                let cfg = miniweather_scaled_cfg(n);
+                flows::chain_exchanges(
+                    &miniweather::chain_spec(true),
+                    &miniweather::ring(n),
+                    &[("nx", cfg.nx), ("nz", cfg.nz)],
+                    MINIWEATHER_STEPS / 2,
+                )
+            },
         }),
+    },
+    // Rank 0 of the 4-rank CI run: 24 columns over the 1 × 4 ring are 6
+    // locally.
+    AppEntry {
+        name: "miniweather_dist",
+        local: LocalRun::Structured(|| record_rank0(|c| miniweather_dist(c, miniweather_cfg()))),
+        chain: Chain::Declared(
+            || miniweather::chain_spec(true),
+            &[("nx", 6), ("nz", 12)],
+            MINIWEATHER_STEPS / 2,
+        ),
+        dist: None,
     },
     AppEntry {
         name: "mgcfd",
@@ -239,7 +277,7 @@ fn clover2_cfg() -> cloverleaf2d::Config {
     }
 }
 
-pub(crate) fn clover2_scaled_cfg() -> cloverleaf2d::Config {
+fn clover2_scaled_cfg() -> cloverleaf2d::Config {
     cloverleaf2d::Config {
         nx: 56,
         ny: 56,
@@ -288,7 +326,7 @@ fn acoustic_cfg() -> acoustic::Config {
     }
 }
 
-pub(crate) fn acoustic_scaled_cfg() -> acoustic::Config {
+fn acoustic_scaled_cfg() -> acoustic::Config {
     acoustic::Config {
         n: 42,
         ..acoustic_cfg()
@@ -332,7 +370,7 @@ fn opensbli_local(variant: opensbli::Variant) -> Recording {
     })
 }
 
-pub(crate) const MINIWEATHER_STEPS: usize = 2;
+const MINIWEATHER_STEPS: usize = 2;
 
 fn miniweather_cfg() -> miniweather::Config {
     miniweather::Config {
@@ -342,8 +380,8 @@ fn miniweather_cfg() -> miniweather::Config {
     }
 }
 
-/// Weak-scaled: the ring decomposition requires `nx % n == 0`.
-pub(crate) fn miniweather_scaled_cfg(n: usize) -> miniweather::Config {
+/// Weak-scaled: 8 columns per rank.
+fn miniweather_scaled_cfg(n: usize) -> miniweather::Config {
     miniweather::Config {
         nx: 8 * n,
         ..miniweather_cfg()
@@ -596,6 +634,7 @@ mod tests {
             "opensbli_sa",
             "opensbli_sn",
             "miniweather",
+            "miniweather_dist",
             "mgcfd",
             "volna",
             "minibude",
@@ -608,14 +647,13 @@ mod tests {
                 assert!(r.loops > 0, "{}: nothing recorded", r.app);
             }
         }
-        // The distributed recordings must carry their exchange streams.
-        let dist = reports.iter().find(|r| r.app == "acoustic_dist").unwrap();
-        assert!(dist.exchanges > 0, "no exchanges recorded");
-        // The distributed clover run must carry its exchanges, and the
+        // The distributed chains must carry their exchange streams, and the
         // Store-All OpenSBLI run certify the ten-loop RHS fusion group — the
         // certificate the plan-guided executor consumes.
-        let cdist = reports.iter().find(|r| r.app == "clover2d_dist").unwrap();
-        assert!(cdist.exchanges > 0, "clover2d_dist: no exchanges recorded");
+        for app in ["clover2d_dist", "acoustic_dist", "miniweather_dist"] {
+            let dist = reports.iter().find(|r| r.app == app).unwrap();
+            assert!(dist.exchanges > 0, "{app}: no exchanges recorded");
+        }
         let sa = reports.iter().find(|r| r.app == "opensbli_sa").unwrap();
         assert!(
             sa.groups.iter().any(|grp| grp.names.len() >= 10),

@@ -154,8 +154,8 @@ fn divergence(declared: &Recording, recorded: &Recording) -> Option<Kind> {
         let show = |e: Option<&ExchangeObs>| {
             e.map_or("nothing".into(), |e| {
                 format!(
-                    "'{}' depth {} site '{}' after loop #{}",
-                    e.dat, e.depth, e.site, e.at
+                    "'{}' depth {} over {} site '{}' after loop #{}",
+                    e.dat, e.depth, e.axes, e.site, e.at
                 )
             })
         };
@@ -362,7 +362,7 @@ pub fn static_plan(app: &str) -> Option<OptPlan> {
 mod tests {
     use super::*;
     use crate::registry::LocalRun;
-    use bwb_ops::{Access, DatDecl, Expr, Stencil, Step};
+    use bwb_ops::{Access, Axes, DatDecl, Expr, Stencil, Step};
 
     fn toy_chain() -> ChainSpec {
         let c = Expr::c;
@@ -474,6 +474,7 @@ mod tests {
             depth: 1,
             at: 2,
             site: String::new(),
+            axes: Axes::XY,
         });
         let (at, what, declared, _) = divergence(&rec);
         assert_eq!(
@@ -518,6 +519,7 @@ mod tests {
             "opensbli_sa",
             "opensbli_sn",
             "miniweather",
+            "miniweather_dist",
             "mgcfd",
             "volna",
             "minibude",
@@ -599,6 +601,32 @@ mod tests {
         }
     }
 
+    /// miniWeather's x exchanges are each needed: without the one of
+    /// `dens_tmp` before the second RK stage, `mw_tend_x` reads the x
+    /// ghosts the first stage's update left stale.
+    #[test]
+    fn a_dropped_miniweather_x_exchange_is_a_stale_halo_read() {
+        let (mut chain, binding, iters) = entry("miniweather_dist").unwrap().declared().unwrap();
+        let dropped = chain
+            .body
+            .iter()
+            .position(|s| matches!(s, Step::Exchange { dat: 4, .. }))
+            .unwrap();
+        chain.body.remove(dropped);
+        let planted = analyze_static(&chain, &binding, iters).expect("valid chain");
+        let kinds: Vec<&Kind> = planted.violations.iter().map(|v| &v.kind).collect();
+        assert_eq!(
+            kinds,
+            [&Kind::StaleHaloRead {
+                dat: "dens_tmp".into(),
+                loop_name: "mw_tend_x".into(),
+                at: 5,
+                required_radius: 2,
+                valid_depth: 0,
+            }]
+        );
+    }
+
     /// A defect that needs more body iterations to appear is still a
     /// defect: the distributed clover chain is clean at 2, 3 and 4, and
     /// a chain clean at `iters` but not at `iters + 1` fails `stability`.
@@ -619,6 +647,7 @@ mod tests {
             dat: xv0,
             depth: 1,
             site,
+            axes: Axes::XY,
         };
         let vel0 = chain
             .body

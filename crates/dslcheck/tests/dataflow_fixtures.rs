@@ -12,7 +12,7 @@
 use bwb_dslcheck::lints::{check_fusion_claims, dead_stores, exchange_lints, fusion_plan};
 use bwb_dslcheck::traffic::{check_streaming_claims, DEFAULT_RESIDENCY_BYTES};
 use bwb_dslcheck::{DataflowReport, DefUseGraph, Kind};
-use bwb_ops::access::{with_recording_full, ArgObs, ExchangeObs, LoopObs, Recording};
+use bwb_ops::access::{with_recording_full, ArgObs, Axes, ExchangeObs, LoopObs, Recording};
 use bwb_ops::{par_loop2, ArgSpec, Dat2, ExecMode, LoopSpec, Profile, Range2, Stencil};
 
 const N: usize = 8;
@@ -212,12 +212,14 @@ fn planted_redundant_exchange_detected() {
                 depth: 1,
                 at: 1,
                 site: String::new(),
+                axes: Axes::XY,
             },
             ExchangeObs {
                 dat: "u".into(),
                 depth: 1,
                 at: 2,
                 site: String::new(),
+                axes: Axes::XY,
             },
         ],
     };
@@ -255,12 +257,14 @@ fn redundant_exchange_at_its_own_site_is_a_violation() {
                 depth: 1,
                 at: 1,
                 site: "fresh".into(),
+                axes: Axes::XY,
             },
             ExchangeObs {
                 dat: "u".into(),
                 depth: 1,
                 at: 2,
                 site: "again".into(),
+                axes: Axes::XY,
             },
         ],
     };
@@ -296,6 +300,7 @@ fn planted_stale_halo_read_detected() {
             depth: 1,
             at: 1,
             site: String::new(),
+            axes: Axes::XY,
         }],
     };
     let g = DefUseGraph::build(&halo_specs(2), &rec);
@@ -334,12 +339,14 @@ fn correct_exchange_sequence_is_clean() {
                 depth: 2,
                 at: 1,
                 site: String::new(),
+                axes: Axes::XY,
             },
             ExchangeObs {
                 dat: "u".into(),
                 depth: 2,
                 at: 3,
                 site: String::new(),
+                axes: Axes::XY,
             },
         ],
     };

@@ -13,6 +13,7 @@
 //! synchronization and observes the exact access set of the kernel.
 //! Checkers in `bwb-dslcheck` diff observations against declarations.
 
+use bwb_shmpi::CartComm;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 
@@ -286,6 +287,40 @@ pub struct LoopObs {
     pub ins: Vec<ArgObs>,
 }
 
+/// The axes whose ghosts a halo exchange refreshes, as a bit set: bit `a`
+/// for axis `a` (x = 0, y = 1, z = 2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Axes(u8);
+
+impl Axes {
+    pub const X: Axes = Axes(0b001);
+    pub const XY: Axes = Axes(0b011);
+
+    /// The axes an exchange over `cart` refreshes: each axis split over
+    /// ranks or periodic. An axis of extent 1 that is not periodic has no
+    /// neighbour, so its ghosts are the physical boundary the app fills.
+    pub(crate) fn of_cart(cart: &CartComm) -> Axes {
+        let live = (0..cart.ndims()).filter(|&a| cart.dims()[a] > 1 || cart.periodic(a));
+        Axes(live.fold(0, |bits, a| bits | 1 << a))
+    }
+
+    /// The axes in the set, in order.
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        (0..3).filter(move |&a| self.0 & (1 << a) != 0)
+    }
+
+    pub fn union(self, other: Axes) -> Axes {
+        Axes(self.0 | other.0)
+    }
+}
+
+impl std::fmt::Display for Axes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.iter()
+            .try_for_each(|a| f.write_str(["x", "y", "z"][a]))
+    }
+}
+
 /// One recorded halo exchange, ordered against the loop stream.
 ///
 /// `at` is the number of loops completed before the exchange fired, so an
@@ -303,6 +338,8 @@ pub struct ExchangeObs {
     /// against the declared chain's exchange sites, so a recorded exchange
     /// must come from the call site its declaration names.
     pub site: String,
+    /// The axes whose ghosts the exchange refreshed.
+    pub axes: Axes,
 }
 
 /// Everything a recording session observed: the loop stream plus the halo
@@ -380,16 +417,14 @@ pub fn with_recording_full<R>(f: impl FnOnce() -> R) -> (R, Recording) {
     (result, rec)
 }
 
-/// Record a halo exchange of `dat` at `depth` (call only when
-/// [`recording_active`]). Invoked by the `halo` module so whole-program
-/// analyzers see exchanges ordered against the loop stream.
-pub(crate) fn note_exchange_obs(dat: &str, depth: usize) {
-    note_exchange_obs_site(dat, depth, "");
-}
-
-/// Like [`note_exchange_obs`] with a stable call-site label (see
-/// [`ExchangeObs::site`]).
-pub(crate) fn note_exchange_obs_site(dat: &str, depth: usize, site: &str) {
+/// Record, when a session is active, a halo exchange of `dat` at `depth`
+/// from call site `site` over the axes `cart` refreshes. Invoked by the
+/// `halo` module so whole-program analyzers see exchanges ordered against
+/// the loop stream.
+pub(crate) fn note_exchange_obs(dat: &str, depth: usize, site: &str, cart: &CartComm) {
+    if !recording_active() {
+        return;
+    }
     SESSION.with(|s| {
         let mut s = s.borrow_mut();
         let at = s.done.len();
@@ -398,6 +433,7 @@ pub(crate) fn note_exchange_obs_site(dat: &str, depth: usize, site: &str) {
             depth,
             at,
             site: site.to_string(),
+            axes: Axes::of_cart(cart),
         });
     });
 }
@@ -537,10 +573,10 @@ mod tests {
             end_loop();
         };
         let ((), rec) = with_recording_full(|| {
-            note_exchange_obs("u", 2);
+            note_exchange_obs("u", 2, "", &CartComm::balanced(4, 2));
             demo_loop("a");
             demo_loop("b");
-            note_exchange_obs("u", 1);
+            note_exchange_obs("u", 1, "", &CartComm::new(2, vec![2, 1], vec![false; 2]));
             demo_loop("c");
         });
         assert_eq!(rec.loops.len(), 3);
@@ -552,12 +588,14 @@ mod tests {
                     depth: 2,
                     at: 0,
                     site: String::new(),
+                    axes: Axes::XY,
                 },
                 ExchangeObs {
                     dat: "u".into(),
                     depth: 1,
                     at: 2,
                     site: String::new(),
+                    axes: Axes::X,
                 },
             ]
         );

@@ -26,7 +26,9 @@
 //! currently carry — exactly what `std::mem::swap` on two `Dat2`/`Dat3`
 //! handles does to the observed names in a real recording.
 
-use crate::access::{Access, ArgObs, ArgSpec, ExchangeObs, LoopObs, LoopSpec, Recording, Stencil};
+use crate::access::{
+    Access, ArgObs, ArgSpec, Axes, ExchangeObs, LoopObs, LoopSpec, Recording, Stencil,
+};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -173,6 +175,9 @@ pub enum Step {
         depth: usize,
         /// Call-site label; empty for the unlabelled exchange API.
         site: &'static str,
+        /// The axes whose ghosts it refreshes: those the described run's
+        /// layout splits or wraps.
+        axes: Axes,
     },
     /// `std::mem::swap` of two dataset handles: the slots swap runtime
     /// names from here on.
@@ -407,7 +412,12 @@ impl ChainSpec {
                         }
                         rec.loops.push(lo);
                     }
-                    Step::Exchange { dat, depth, site } => {
+                    Step::Exchange {
+                        dat,
+                        depth,
+                        site,
+                        axes,
+                    } => {
                         let name = names
                             .get(*dat)
                             .ok_or(ChainError::BadSlot {
@@ -420,6 +430,7 @@ impl ChainSpec {
                             depth: *depth,
                             at: rec.loops.len(),
                             site: (*site).to_string(),
+                            axes: *axes,
                         });
                     }
                     Step::Swap { a, b: bb } => {
@@ -484,6 +495,7 @@ mod tests {
                     dat: 0,
                     depth: 1,
                     site: "pre",
+                    axes: Axes::XY,
                 },
                 Step::Loop {
                     name: "toy_step",

@@ -3,6 +3,7 @@
 //! is used over MPI, with ghost cell exchanges triggered as needed before
 //! each bulk parallel computational step").
 
+use crate::access::note_exchange_obs;
 use crate::field::{Dat2, Dat3};
 use bwb_shmpi::bufpool;
 use bwb_shmpi::cart::CartComm;
@@ -228,33 +229,19 @@ impl DistBlock2 {
         dat: &mut Dat2<T>,
         depth: usize,
     ) {
-        if crate::access::recording_active() {
-            crate::access::note_exchange_obs(dat.name(), depth);
-        }
-        self.exchange_halo_dim(comm, dat, depth, 0);
-        self.exchange_halo_dim(comm, dat, depth, 1);
+        note_exchange_obs(dat.name(), depth, "", &self.cart);
+        self.exchange_dim(comm, dat, depth, 0, 0);
+        self.exchange_dim(comm, dat, depth, 1, 0);
     }
 
-    /// Exchange ghosts along one dimension only (0 = x, 1 = y). The y pass
-    /// ships rows extended into the x halos, so calling x then y fills the
-    /// corner ghosts; callers interleaving physical-boundary fills (mirror
-    /// x, exchange x, mirror y, exchange y) get consistent corners too.
-    pub fn exchange_halo_dim<T: Copy + Send + 'static>(
-        &self,
-        comm: &mut Comm,
-        dat: &mut Dat2<T>,
-        depth: usize,
-        dim: usize,
-    ) {
-        self.exchange_dim(comm, dat, depth, dim, 0);
-    }
-
-    /// Site-labelled per-dimension exchange. Communication is identical to
-    /// [`Self::exchange_halo_dim`]; in addition, the final `dim == 1` pass
-    /// notes ONE recording observation per logical exchange tagged with
-    /// `site`, so `dslcheck` can key its halo analysis on `(site, dat)`
-    /// (noting per-dim would make every y pass look redundant after its own
-    /// x pass).
+    /// Site-labelled exchange along one dimension only (0 = x, 1 = y). The
+    /// y pass ships rows extended into the x halos, so calling x then y
+    /// fills the corner ghosts; callers interleaving physical-boundary
+    /// fills (mirror x, exchange x, mirror y, exchange y) get consistent
+    /// corners too. The `dim == 1` pass notes ONE recording observation per
+    /// logical exchange tagged with `site`, so `dslcheck` can key its halo
+    /// analysis on `(site, dat)` (noting per-dim would make every y pass
+    /// look redundant after its own x pass).
     pub fn exchange_halo_dim_site<T: Copy + Send + 'static>(
         &self,
         comm: &mut Comm,
@@ -263,30 +250,19 @@ impl DistBlock2 {
         dim: usize,
         site: &str,
     ) {
-        if dim == 1 && crate::access::recording_active() {
-            crate::access::note_exchange_obs_site(dat.name(), depth, site);
+        if dim == 1 {
+            note_exchange_obs(dat.name(), depth, site, &self.cart);
         }
-        self.exchange_halo_dim(comm, dat, depth, dim);
+        self.exchange_dim(comm, dat, depth, dim, 0);
     }
 
-    /// Ghost exchange for *node-centred* fields over this cell-decomposed
-    /// block: the cell exchange with its strips shifted one node inward. A
-    /// node field has `nx+1 × ny+1` local points and the interface line is
-    /// duplicated on both neighbouring ranks, so the ghost at `-1` is the
-    /// low neighbour's node `n-2` (their last node equals our node 0), and
-    /// the ghost at `n` is the high neighbour's node 1.
-    pub fn exchange_node_halo<T: Copy + Send + 'static>(
-        &self,
-        comm: &mut Comm,
-        dat: &mut Dat2<T>,
-        depth: usize,
-    ) {
-        self.exchange_node_halo_site(comm, dat, depth, "");
-    }
-
-    /// Site-labelled node exchange (the node-field analogue of
-    /// [`Self::exchange_halo_dim_site`]): the recording observation carries
-    /// `site`, so `dslcheck` can key its halo analysis on `(site, dat)`.
+    /// Site-labelled ghost exchange for *node-centred* fields over this
+    /// cell-decomposed block: the cell exchange with its strips shifted one
+    /// node inward. A node field has `nx+1 × ny+1` local points and the
+    /// interface line is duplicated on both neighbouring ranks, so the
+    /// ghost at `-1` is the low neighbour's node `n-2` (their last node
+    /// equals our node 0), and the ghost at `n` is the high neighbour's
+    /// node 1. The recording observation carries `site`.
     pub fn exchange_node_halo_site<T: Copy + Send + 'static>(
         &self,
         comm: &mut Comm,
@@ -294,9 +270,7 @@ impl DistBlock2 {
         depth: usize,
         site: &str,
     ) {
-        if crate::access::recording_active() {
-            crate::access::note_exchange_obs_site(dat.name(), depth, site);
-        }
+        note_exchange_obs(dat.name(), depth, site, &self.cart);
         self.exchange_dim(comm, dat, depth, 0, 1);
         self.exchange_dim(comm, dat, depth, 1, 1);
     }
@@ -428,9 +402,7 @@ impl DistBlock3 {
         dat: &mut Dat3<T>,
         depth: usize,
     ) {
-        if crate::access::recording_active() {
-            crate::access::note_exchange_obs(dat.name(), depth);
-        }
+        note_exchange_obs(dat.name(), depth, "", &self.cart);
         assert!(depth <= dat.halo());
         for dim in 0..3 {
             exchange_face(&self.cart, self.rank, comm, dat, dim, depth, 0);
@@ -637,8 +609,7 @@ mod tests {
             let mut site = b.alloc_f64("sited", 2);
             plain.init_with(|i, j| gval(s[0] + i as usize, s[1] + j as usize));
             site.init_with(|i, j| gval(s[0] + i as usize, s[1] + j as usize));
-            b.exchange_halo_dim(c, &mut plain, 2, 0);
-            b.exchange_halo_dim(c, &mut plain, 2, 1);
+            b.exchange_halo(c, &mut plain, 2);
             b.exchange_halo_dim_site(c, &mut site, 2, 0, "cells");
             b.exchange_halo_dim_site(c, &mut site, 2, 1, "cells");
             let mut same = true;
@@ -671,7 +642,7 @@ mod tests {
                     let mut d = Dat2::<f64>::new("node", b.nx() + 1, b.ny() + 1, 2);
                     d.fill_all(SENTINEL);
                     d.init_with(|i, j| gval(s[0] + i as usize, s[1] + j as usize));
-                    b.exchange_node_halo(c, &mut d, depth);
+                    b.exchange_node_halo_site(c, &mut d, depth, "");
                     // Does the block have a neighbour on the side of `k`?
                     let side = |k: isize, n: isize, dim: usize| {
                         (k >= 0 || !b.at_low_boundary(dim)) && (k < n || !b.at_high_boundary(dim))

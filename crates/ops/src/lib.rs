@@ -73,7 +73,7 @@ pub mod profile;
 pub mod tiling;
 
 pub use access::{
-    recording_active, with_recording, Access, ArgObs, ArgSpec, LoopObs, LoopSpec, Stencil,
+    recording_active, with_recording, Access, ArgObs, ArgSpec, Axes, LoopObs, LoopSpec, Stencil,
 };
 pub use chain::{Binding, ChainError, ChainSpec, DatDecl, Expr, Step};
 pub use exec::{

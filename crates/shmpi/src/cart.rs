@@ -82,6 +82,11 @@ impl CartComm {
         self.size
     }
 
+    /// Does `dim` wrap around?
+    pub fn periodic(&self, dim: usize) -> bool {
+        self.periodic[dim]
+    }
+
     /// Row-major coordinates of `rank`.
     pub fn coords_of(&self, rank: usize) -> Vec<usize> {
         assert!(rank < self.size);
