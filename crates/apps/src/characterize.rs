@@ -8,10 +8,7 @@
 //! reach (halo volume), kernel-launch counts (SYCL overhead), indirection
 //! (latency sensitivity), and whether the MPI backend auto-vectorizes.
 
-use crate::{
-    acoustic, cloverleaf2d, cloverleaf3d, mgcfd, minibude, miniweather, opensbli, volna, AppId,
-};
-use bwb_ops::ExecMode;
+use crate::{AppId, AppRun};
 
 /// Scale-invariant description of one application's per-iteration work.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,12 +55,45 @@ impl AppCharacter {
     }
 }
 
-fn derive(
-    app: AppId,
-    profile: &bwb_ops::Profile,
-    points: usize,
-    iters: usize,
-) -> (f64, f64, f64, f64) {
+/// What `characterize` runs an app on, and the constants of its
+/// [`AppCharacter`] that a run does not measure (one per app row of the
+/// [app table](crate::table)).
+#[derive(Debug, Clone, Copy)]
+pub struct Calibration {
+    /// The small serial run the per-point rates are measured on.
+    pub run: fn() -> AppRun,
+    pub cache_bytes_per_point_iter: f64,
+    pub stencil_reach: usize,
+    pub exchanges: Exchanges,
+    pub reductions_per_iter: f64,
+    pub indirection: f64,
+    pub mpi_vec_available: bool,
+}
+
+/// Where an app's `fields_exchanged_per_iter` comes from.
+#[derive(Debug, Clone, Copy)]
+pub enum Exchanges {
+    /// The `Exchange` steps of the declared distributed chain
+    /// (`chain_spec(true)`), whose body spans this many iterations.
+    Chain(fn(bool) -> bwb_ops::ChainSpec, usize),
+    /// Stated, with its source beside it: the app has no ranked run.
+    Stated(f64),
+}
+
+impl Exchanges {
+    fn per_iter(self) -> f64 {
+        match self {
+            Exchanges::Chain(chain_spec, iters_per_body) => {
+                let body = chain_spec(true).body;
+                let is_exchange = |s: &&bwb_ops::Step| matches!(s, bwb_ops::Step::Exchange { .. });
+                body.iter().filter(is_exchange).count() as f64 / iters_per_body as f64
+            }
+            Exchanges::Stated(n) => n,
+        }
+    }
+}
+
+fn derive(profile: &bwb_ops::Profile, points: usize, iters: usize) -> (f64, f64, f64, f64) {
     let pi = (points * iters.max(1)) as f64;
     let bytes = profile.total_bytes() as f64 / pi;
     let flops = profile.total_flops() / pi;
@@ -78,235 +108,31 @@ fn derive(
         .map(|r| r.calls)
         .sum();
     let small_frac = small as f64 / launches.max(1) as f64;
-    let _ = app;
     (bytes, flops, kernels_per_iter, small_frac)
 }
 
-/// Halo exchanges per iteration of a ranked app: the `Exchange` steps of
-/// its declared distributed chain, whose body spans `iters_per_body`
-/// iterations.
-fn exchanges_per_iter(chain: bwb_ops::ChainSpec, iters_per_body: usize) -> f64 {
-    let is_exchange = |s: &&bwb_ops::Step| matches!(s, bwb_ops::Step::Exchange { .. });
-    chain.body.iter().filter(is_exchange).count() as f64 / iters_per_body as f64
-}
-
-/// Characterize one application by running it at a small calibration size.
+/// Characterize one application by running it at its calibration size.
 pub fn characterize(app: AppId) -> AppCharacter {
-    match app {
-        AppId::CloverLeaf2D => {
-            let run = cloverleaf2d::Clover2::run(cloverleaf2d::Config {
-                nx: 96,
-                ny: 96,
-                iterations: 5,
-                cfl: 0.5,
-                mode: ExecMode::Serial,
-                advection: cloverleaf2d::Advection::VanLeer,
-                plan: None,
-            });
-            let (b, f, k, s) = derive(app, &run.profile, run.points, run.iterations);
-            AppCharacter {
-                app,
-                bytes_per_point_iter: b,
-                cache_bytes_per_point_iter: 700.0,
-                flops_per_point_iter: f,
-                kernels_per_iter: k,
-                small_kernel_fraction: s,
-                stencil_reach: 2,
-                dims: 2,
-                fields_exchanged_per_iter: exchanges_per_iter(cloverleaf2d::chain_spec(true), 1),
-                reductions_per_iter: 1.0,
-                indirection: 0.0,
-                mpi_vec_available: false,
-                precision_bytes: 8,
-            }
-        }
-        AppId::CloverLeaf3D => {
-            let run = cloverleaf3d::Clover3::run(cloverleaf3d::Config {
-                n: 16,
-                iterations: 4,
-                cfl: 0.45,
-                mode: ExecMode::Serial,
-            });
-            let (b, f, k, s) = derive(app, &run.profile, run.points, run.iterations);
-            AppCharacter {
-                app,
-                bytes_per_point_iter: b,
-                cache_bytes_per_point_iter: 1500.0,
-                flops_per_point_iter: f,
-                kernels_per_iter: k,
-                small_kernel_fraction: s,
-                stencil_reach: 2,
-                dims: 3,
-                // 4 `update_halo` mirror fills per cycle × 6 cell fields.
-                fields_exchanged_per_iter: 24.0,
-                reductions_per_iter: 1.0,
-                indirection: 0.0,
-                mpi_vec_available: false,
-                precision_bytes: 8,
-            }
-        }
-        AppId::Acoustic => {
-            let run = acoustic::Acoustic::run(acoustic::Config {
-                n: 32,
-                iterations: 5,
-                courant: 0.3,
-                mode: ExecMode::Serial,
-            });
-            let (b, f, k, s) = derive(app, &run.profile, run.points, run.iterations);
-            AppCharacter {
-                app,
-                bytes_per_point_iter: b,
-                cache_bytes_per_point_iter: 150.0,
-                flops_per_point_iter: f,
-                kernels_per_iter: k,
-                small_kernel_fraction: s,
-                stencil_reach: 4, // 8th-order star: deep halos, big messages
-                dims: 3,
-                fields_exchanged_per_iter: exchanges_per_iter(acoustic::chain_spec(true), 1),
-                reductions_per_iter: 0.0,
-                indirection: 0.0,
-                mpi_vec_available: false,
-                precision_bytes: 4,
-            }
-        }
-        AppId::OpenSbliSa | AppId::OpenSbliSn => {
-            let variant = if app == AppId::OpenSbliSa {
-                opensbli::Variant::StoreAll
-            } else {
-                opensbli::Variant::StoreNone
-            };
-            let run = opensbli::OpenSbli::run(opensbli::Config {
-                n: 16,
-                iterations: 3,
-                variant,
-                nu: 0.02,
-                mode: ExecMode::Serial,
-                plan: None,
-            });
-            let (b, f, k, s) = derive(app, &run.profile, run.points, run.iterations);
-            AppCharacter {
-                app,
-                bytes_per_point_iter: b,
-                cache_bytes_per_point_iter: 1500.0,
-                flops_per_point_iter: f,
-                kernels_per_iter: k,
-                small_kernel_fraction: s,
-                stencil_reach: 2,
-                dims: 3,
-                // `periodic_halos` of the 5 conserved fields × 3 RK stages.
-                fields_exchanged_per_iter: 15.0,
-                reductions_per_iter: 0.0,
-                indirection: 0.0,
-                mpi_vec_available: false,
-                precision_bytes: 8,
-            }
-        }
-        AppId::MiniWeather => {
-            let run = miniweather::MiniWeather::run(miniweather::Config {
-                nx: 40,
-                nz: 20,
-                sim_time: 2.0,
-                mode: ExecMode::Serial,
-                ..miniweather::Config::default()
-            });
-            let (b, f, k, s) = derive(app, &run.profile, run.points, run.iterations);
-            AppCharacter {
-                app,
-                bytes_per_point_iter: b,
-                cache_bytes_per_point_iter: 800.0,
-                flops_per_point_iter: f,
-                kernels_per_iter: k,
-                small_kernel_fraction: s,
-                stencil_reach: 2,
-                dims: 2,
-                // The chain's body is the two-step period of the split order.
-                fields_exchanged_per_iter: exchanges_per_iter(miniweather::chain_spec(true), 2),
-                reductions_per_iter: 0.0,
-                indirection: 0.0,
-                mpi_vec_available: false,
-                precision_bytes: 8,
-            }
-        }
-        AppId::MgCfd => {
-            let run = mgcfd::MgCfd::run(mgcfd::Config {
-                n: 33,
-                levels: 3,
-                cycles: 3,
-                smooth_steps: 2,
-                mode: bwb_op2::ExecModeU::Serial,
-                seed: 7,
-            });
-            let (b, f, k, s) = derive(app, &run.profile, run.points, run.iterations);
-            AppCharacter {
-                app,
-                bytes_per_point_iter: b,
-                cache_bytes_per_point_iter: 1400.0,
-                flops_per_point_iter: f,
-                kernels_per_iter: k,
-                small_kernel_fraction: s,
-                stencil_reach: 1,
-                dims: 0,
-                // An estimate: no ranked V-cycle exists to count it from.
-                fields_exchanged_per_iter: 8.0,
-                reductions_per_iter: 1.0,
-                indirection: 1.0, // heavily indirect (paper: "bound by
-                // latencies and indirect memory accesses")
-                mpi_vec_available: true,
-                precision_bytes: 8,
-            }
-        }
-        AppId::Volna => {
-            let run = volna::Volna::run(volna::Config {
-                n: 32,
-                iterations: 10,
-                cfl: 0.4,
-                mode: bwb_op2::ExecModeU::Serial,
-                seed: 11,
-            });
-            let (b, f, k, s) = derive(app, &run.profile, run.points, run.iterations);
-            AppCharacter {
-                app,
-                bytes_per_point_iter: b,
-                cache_bytes_per_point_iter: 160.0,
-                flops_per_point_iter: f,
-                kernels_per_iter: k,
-                small_kernel_fraction: s,
-                stencil_reach: 1,
-                dims: 0,
-                // An estimate: Volna has no ranked run to count it from.
-                fields_exchanged_per_iter: 2.0,
-                reductions_per_iter: 1.0,
-                indirection: 0.6, // "less so than MG-CFD" (paper §3)
-                mpi_vec_available: true,
-                precision_bytes: 4,
-            }
-        }
-        AppId::MiniBude => {
-            let run = minibude::MiniBude::run(minibude::Config {
-                n_poses: 256,
-                n_ligand: 26,
-                n_protein: 128,
-                iterations: 2,
-                parallel: false,
-                seed: 5,
-            });
-            let (b, f, k, s) = derive(app, &run.profile, run.points, run.iterations);
-            AppCharacter {
-                app,
-                bytes_per_point_iter: b,
-                cache_bytes_per_point_iter: 3000.0,
-                flops_per_point_iter: f,
-                kernels_per_iter: k,
-                small_kernel_fraction: s,
-                stencil_reach: 0,
-                dims: 0,
-                fields_exchanged_per_iter: 0.0,
-                reductions_per_iter: 1.0,
-                indirection: 0.2,
-                mpi_vec_available: false,
-                precision_bytes: 4,
-            }
-        }
+    let desc = app.desc();
+    let c = desc.calibration;
+    let run = (c.run)();
+    // A structured app decomposes over its grid's axes; the others not.
+    let axes = (desc.extents)(16).into_iter().filter(|&e| e > 1).count();
+    let (b, f, k, s) = derive(&run.profile, run.points, run.iterations);
+    AppCharacter {
+        app,
+        bytes_per_point_iter: b,
+        flops_per_point_iter: f,
+        cache_bytes_per_point_iter: c.cache_bytes_per_point_iter,
+        kernels_per_iter: k,
+        small_kernel_fraction: s,
+        stencil_reach: c.stencil_reach,
+        dims: if app.is_structured() { axes } else { 0 },
+        fields_exchanged_per_iter: c.exchanges.per_iter(),
+        reductions_per_iter: c.reductions_per_iter,
+        indirection: c.indirection,
+        mpi_vec_available: c.mpi_vec_available,
+        precision_bytes: desc.precision_bytes,
     }
 }
 
@@ -367,39 +193,19 @@ mod tests {
     /// exchanges per step on 2 ranks equal `fields_exchanged_per_iter`.
     #[test]
     fn exchanges_per_iter_match_a_recorded_two_rank_run() {
+        use crate::jobspec::BenchSpec;
         use bwb_ops::access::with_recording_full;
-        use bwb_shmpi::{Comm, Universe};
-        let steps = 2;
-        let run = |app: AppId, c: &mut Comm| match app {
-            AppId::CloverLeaf2D => {
-                let cfg = cloverleaf2d::Config {
-                    nx: 16,
-                    ny: 16,
-                    iterations: steps,
-                    ..Default::default()
-                };
-                drop(cloverleaf2d::Clover2::run_distributed(c, cfg));
-            }
-            AppId::Acoustic => {
-                let cfg = acoustic::Config {
-                    n: 12,
-                    iterations: steps,
-                    ..Default::default()
-                };
-                drop(acoustic::Acoustic::run_distributed(c, cfg));
-            }
-            _ => {
-                let cfg = miniweather::Config {
-                    nx: 16,
-                    nz: 8,
-                    ..Default::default()
-                };
-                drop(miniweather::MiniWeather::run_distributed(c, cfg, steps));
-            }
-        };
+        use bwb_shmpi::Universe;
         for app in [AppId::CloverLeaf2D, AppId::Acoustic, AppId::MiniWeather] {
-            let out = Universe::run(2, move |c| with_recording_full(|| run(app, c)).1);
-            let per_step = out.results[0].exchanges.len() as f64 / steps as f64;
+            let spec = BenchSpec {
+                app,
+                n: 16,
+                iterations: 2,
+                ranks: 2,
+                parallel: false,
+            };
+            let out = Universe::run(2, move |c| with_recording_full(|| spec.run_ranked(c)).1);
+            let per_step = out.results[0].exchanges.len() as f64 / 2.0;
             let model = characterize(app).fields_exchanged_per_iter;
             assert_eq!(per_step, model, "{app:?}");
         }

@@ -2,25 +2,27 @@
 //!
 //! The serving layer (`bwb-serve`) accepts benchmark requests as small
 //! JSON documents naming an app, a grid size, an iteration count, and a
-//! rank count. This module is the bridge from that wire-level shape onto
-//! each application's own `Config`: one [`BenchSpec`] maps deterministically
-//! onto a per-app configuration, runs it, and folds the resulting
-//! [`AppRun`](crate::AppRun) into a flat, JSON-friendly [`BenchOutcome`].
+//! rank count. A [`BenchSpec`] is that request in normalized form; every
+//! per-app fact it needs (CI size, grid, dataset budget, summary, drivers)
+//! is its app's row of the [app table](crate::table), so this module holds
+//! no per-app code. A spec runs, and its [`AppRun`](crate::AppRun) folds
+//! into a flat, JSON-friendly [`BenchOutcome`].
 //!
 //! Two execution paths exist:
 //!
 //! * [`BenchSpec::run`] — in-process, `ranks == 1`, any app.
 //! * [`BenchSpec::run_ranked`] — the body to run inside each rank of a
-//!   `shmpi` universe for the distributed-capable apps (Acoustic,
-//!   CloverLeaf 2D, miniWeather). The caller owns universe construction
-//!   (the serve shard pool pins universes to carved core sets); per-rank
-//!   [`RankOutcome`]s are merged with [`BenchSpec::merge_ranked`].
+//!   `shmpi` universe for the apps whose row has a ranked driver
+//!   (CloverLeaf 2D, Acoustic, miniWeather). The caller owns universe
+//!   construction (the serve shard pool pins universes to carved core
+//!   sets); per-rank [`RankOutcome`]s are merged with
+//!   [`BenchSpec::merge_ranked`].
 //!
 //! [`BenchSpec::canonical`] renders the spec as a stable, order-fixed
 //! string — the cache-key material for the content-addressed result cache.
 
-use crate::{acoustic, cloverleaf2d, cloverleaf3d, mgcfd, minibude, miniweather, opensbli, volna};
-use crate::{AppId, AppRun};
+use crate::table::slugs_where;
+use crate::AppId;
 use bwb_op2::ExecModeU;
 use bwb_ops::{ExecMode, OptPlan};
 use bwb_shmpi::Comm;
@@ -65,8 +67,9 @@ pub struct BenchOutcome {
 pub struct RankOutcome {
     pub seconds: f64,
     pub bytes: u64,
-    /// Set on rank 0 only: validation quantity over the gathered field.
-    pub validation: Option<f64>,
+    /// Set on rank 0 only: the validation quantity over the gathered
+    /// global field, and that field's length (the run's points).
+    pub gathered: Option<(f64, usize)>,
 }
 
 /// A spec whose dataset would not fit in the host's memory. Allocating it
@@ -112,47 +115,10 @@ pub(crate) fn host_memory_bytes() -> f64 {
     })
 }
 
-/// The apps with a distributed (`run_distributed`) driver.
-pub const RANKED_APPS: [AppId; 3] = [AppId::Acoustic, AppId::CloverLeaf2D, AppId::MiniWeather];
-
-/// The apps whose run applies a `dslcheck` optimization plan.
-pub const PLAN_APPS: [AppId; 2] = [AppId::CloverLeaf2D, AppId::OpenSbliSa];
-
-impl AppId {
-    /// Wire-level name (kebab/flat case, stable across releases).
-    pub fn slug(self) -> &'static str {
-        match self {
-            AppId::MiniBude => "minibude",
-            AppId::CloverLeaf2D => "cloverleaf2d",
-            AppId::CloverLeaf3D => "cloverleaf3d",
-            AppId::Acoustic => "acoustic",
-            AppId::OpenSbliSa => "opensbli-sa",
-            AppId::OpenSbliSn => "opensbli-sn",
-            AppId::MgCfd => "mgcfd",
-            AppId::Volna => "volna",
-            AppId::MiniWeather => "miniweather",
-        }
-    }
-
-    /// Inverse of [`AppId::slug`].
-    pub fn from_slug(s: &str) -> Option<AppId> {
-        AppId::ALL.into_iter().find(|a| a.slug() == s)
-    }
-}
-
 impl BenchSpec {
-    /// A CI-sized spec for `app` (each app's own `Config::default` scale).
+    /// A CI-sized spec for `app`.
     pub fn small(app: AppId) -> BenchSpec {
-        let (n, iterations) = match app {
-            AppId::MiniBude => (128, 2),
-            AppId::CloverLeaf2D => (48, 20),
-            AppId::CloverLeaf3D => (16, 10),
-            AppId::Acoustic => (32, 10),
-            AppId::OpenSbliSa | AppId::OpenSbliSn => (24, 5),
-            AppId::MgCfd => (33, 5),
-            AppId::Volna => (32, 50),
-            AppId::MiniWeather => (64, 5),
-        };
+        let (n, iterations) = app.desc().small;
         BenchSpec {
             app,
             n,
@@ -177,35 +143,23 @@ impl BenchSpec {
 
     /// One-line human description of the concrete config the spec maps to.
     pub fn config_summary(&self) -> String {
-        match self.app {
-            AppId::MiniBude => format!("{} poses x {} iters", self.n, self.iterations),
-            AppId::CloverLeaf2D => format!("{0}x{0} x {1} iters", self.n, self.iterations),
-            AppId::MiniWeather => format!("{}x{} cells", self.n, self.n / 2),
-            AppId::MgCfd => format!("{0}x{0} fine grid, {1} V-cycles", self.n, self.iterations),
-            AppId::Volna => format!("{0}x{0} cells x {1} iters", self.n, self.iterations),
-            _ => format!("{0}^3 x {1} iters", self.n, self.iterations),
-        }
+        let d = self.app.desc();
+        let [_, nz, _] = (d.extents)(self.n);
+        d.summary
+            .replace("{n}", &self.n.to_string())
+            .replace("{nz}", &nz.to_string())
+            .replace("{it}", &self.iterations.to_string())
     }
 
     /// An upper estimate of the bytes a run of this spec allocates: its
-    /// points (`n`, `n²` or `n³`) times a per-point budget that covers
-    /// every field, halos, schedules and set-up's temporaries. Measured
-    /// peaks sit below it: CloverLeaf 2D at 2880² holds 133 B a cell,
-    /// MG-CFD at 2049² (four levels) 227 B a fine node. In `f64`, so no `n`
-    /// overflows it.
+    /// points times a per-point budget that covers every field, halos,
+    /// schedules and set-up's temporaries. Measured peaks sit below it:
+    /// CloverLeaf 2D at 2880² holds 133 B a cell, MG-CFD at 2049² (four
+    /// levels) 227 B a fine node. In `f64`, so no `n` overflows it.
     pub(crate) fn dataset_bytes(&self) -> f64 {
-        let n = self.n as f64;
-        let (points, bytes_per_point) = match self.app {
-            AppId::MiniBude => (n, 64.0),
-            AppId::CloverLeaf2D => (n * n, 320.0),
-            AppId::CloverLeaf3D => (n * n * n, 320.0),
-            AppId::Acoustic => (n * n * n, 64.0),
-            AppId::OpenSbliSa | AppId::OpenSbliSn => (n * n * n, 512.0),
-            AppId::MgCfd => (n * n, 512.0),
-            AppId::Volna => (n * n, 256.0),
-            AppId::MiniWeather => (n * (n / 2.0).max(8.0), 256.0),
-        };
-        points * bytes_per_point
+        let d = self.app.desc();
+        let points: f64 = (d.extents)(self.n).iter().map(|&e| e as f64).product();
+        points * d.bytes_per_point
     }
 
     /// Refuses the spec if its [`dataset_bytes`](Self::dataset_bytes)
@@ -233,11 +187,11 @@ impl BenchSpec {
             return Err("ranks must be positive".into());
         }
         if self.ranks > 1 {
-            if !RANKED_APPS.contains(&self.app) {
+            if self.app.desc().ranked.is_none() {
                 return Err(format!(
                     "app '{}' has no distributed driver (ranked apps: {})",
                     self.app.slug(),
-                    RANKED_APPS.map(|a| a.slug()).join(", ")
+                    slugs_where(|d| d.ranked.is_some())
                 ));
             }
             if !self.n.is_multiple_of(self.ranks) {
@@ -258,21 +212,21 @@ impl BenchSpec {
     }
 
     /// Like [`BenchSpec::run`] but threading a certified `dslcheck`
-    /// optimization plan into the config of the plan-consuming apps
-    /// ([`PLAN_APPS`]); `Err` for plan-oblivious apps when a plan is given.
+    /// optimization plan into the config of the apps whose row `takes_plan`;
+    /// `Err` for plan-oblivious apps when a plan is given.
     pub fn run_with_plan(&self, plan: Option<OptPlan>) -> Result<BenchOutcome, String> {
         self.validate()?;
         if self.ranks != 1 {
             return Err("BenchSpec::run is in-process; use run_ranked under a universe".into());
         }
-        if plan.is_some() && !PLAN_APPS.contains(&self.app) {
+        if plan.is_some() && !self.app.desc().takes_plan {
             return Err(format!(
                 "app '{}' does not consume optimization plans (plan apps: {})",
                 self.app.slug(),
-                PLAN_APPS.map(|a| a.slug()).join(", ")
+                slugs_where(|d| d.takes_plan)
             ));
         }
-        let run = self.run_app(plan);
+        let run = (self.app.desc().run)(self, plan);
         Ok(BenchOutcome {
             app: run.app,
             validation: run.validation,
@@ -285,7 +239,7 @@ impl BenchSpec {
         })
     }
 
-    fn mode(&self) -> ExecMode {
+    pub(crate) fn mode(&self) -> ExecMode {
         if self.parallel {
             ExecMode::Rayon
         } else {
@@ -293,7 +247,7 @@ impl BenchSpec {
         }
     }
 
-    fn mode_u(&self) -> ExecModeU {
+    pub(crate) fn mode_u(&self) -> ExecModeU {
         if self.parallel {
             ExecModeU::Colored
         } else {
@@ -301,115 +255,21 @@ impl BenchSpec {
         }
     }
 
-    fn run_app(&self, plan: Option<OptPlan>) -> AppRun {
-        match self.app {
-            AppId::MiniBude => minibude::MiniBude::run(minibude::Config {
-                n_poses: self.n,
-                iterations: self.iterations,
-                parallel: self.parallel,
-                ..minibude::Config::default()
-            }),
-            AppId::CloverLeaf2D => cloverleaf2d::Clover2::run(cloverleaf2d::Config {
-                nx: self.n,
-                ny: self.n,
-                iterations: self.iterations,
-                mode: self.mode(),
-                plan,
-                ..cloverleaf2d::Config::default()
-            }),
-            AppId::CloverLeaf3D => cloverleaf3d::Clover3::run(cloverleaf3d::Config {
-                n: self.n,
-                iterations: self.iterations,
-                mode: self.mode(),
-                ..cloverleaf3d::Config::default()
-            }),
-            AppId::Acoustic => acoustic::Acoustic::run(acoustic::Config {
-                n: self.n,
-                iterations: self.iterations,
-                mode: self.mode(),
-                ..acoustic::Config::default()
-            }),
-            AppId::OpenSbliSa | AppId::OpenSbliSn => opensbli::OpenSbli::run(opensbli::Config {
-                n: self.n,
-                iterations: self.iterations,
-                variant: if self.app == AppId::OpenSbliSa {
-                    opensbli::Variant::StoreAll
-                } else {
-                    opensbli::Variant::StoreNone
-                },
-                mode: self.mode(),
-                plan,
-                ..opensbli::Config::default()
-            }),
-            AppId::MgCfd => mgcfd::MgCfd::run(mgcfd::Config {
-                n: self.n,
-                cycles: self.iterations,
-                mode: self.mode_u(),
-                ..mgcfd::Config::default()
-            }),
-            AppId::Volna => volna::Volna::run(volna::Config {
-                n: self.n,
-                iterations: self.iterations,
-                mode: self.mode_u(),
-                ..volna::Config::default()
-            }),
-            AppId::MiniWeather => miniweather::MiniWeather::run(miniweather::Config {
-                nx: self.n,
-                nz: (self.n / 2).max(8),
-                mode: self.mode(),
-                ..miniweather::Config::default()
-            }),
-        }
-    }
-
     /// The per-rank body of a distributed run: call from inside a universe
-    /// closure (`Universe::run*`). Only valid for [`RANKED_APPS`] specs
-    /// that pass [`BenchSpec::validate`] with `ranks == comm.size()`.
+    /// closure (`Universe::run*`). Only valid for specs of an app with a
+    /// ranked driver that pass [`BenchSpec::validate`] with
+    /// `ranks == comm.size()`.
     pub fn run_ranked(&self, comm: &mut Comm) -> RankOutcome {
-        let (profile, gathered) = match self.app {
-            AppId::Acoustic => acoustic::Acoustic::run_distributed(
-                comm,
-                acoustic::Config {
-                    n: self.n,
-                    iterations: self.iterations,
-                    mode: self.mode(),
-                    ..acoustic::Config::default()
-                },
-            ),
-            AppId::CloverLeaf2D => cloverleaf2d::Clover2::run_distributed(
-                comm,
-                cloverleaf2d::Config {
-                    nx: self.n,
-                    ny: self.n,
-                    iterations: self.iterations,
-                    mode: self.mode(),
-                    ..cloverleaf2d::Config::default()
-                },
-            ),
-            AppId::MiniWeather => miniweather::MiniWeather::run_distributed(
-                comm,
-                miniweather::Config {
-                    nx: self.n,
-                    nz: (self.n / 2).max(8),
-                    mode: self.mode(),
-                    ..miniweather::Config::default()
-                },
-                self.iterations,
-            ),
-            other => panic!("app '{}' has no distributed driver", other.slug()),
+        let Some(ranked) = self.app.desc().ranked else {
+            panic!("app '{}' has no distributed driver", self.app.slug());
         };
+        let (profile, gathered) = ranked(self, comm);
         RankOutcome {
             seconds: profile.total_seconds(),
             bytes: profile.total_bytes() as u64,
             // Mean of the gathered global field: a scale-free validation
             // quantity that is identical for any rank count by construction.
-            validation: gathered.map(|f| {
-                if f.is_empty() {
-                    0.0
-                } else {
-                    f.iter().sum::<f64>() / f.len() as f64
-                }
-            }),
+            gathered: gathered.map(|f| (f.iter().sum::<f64>() / f.len().max(1) as f64, f.len())),
         }
     }
 
@@ -418,15 +278,10 @@ impl BenchSpec {
         assert!(!ranks.is_empty(), "merge_ranked needs at least one rank");
         let seconds = ranks.iter().map(|r| r.seconds).fold(0.0, f64::max);
         let bytes: u64 = ranks.iter().map(|r| r.bytes).sum();
-        let validation = ranks
+        let (validation, points) = ranks
             .iter()
-            .find_map(|r| r.validation)
-            .expect("rank 0 carries the gathered validation field");
-        let points = match self.app {
-            AppId::CloverLeaf2D => self.n * self.n,
-            AppId::MiniWeather => self.n * (self.n / 2).max(8),
-            _ => self.n.pow(3),
-        };
+            .find_map(|r| r.gathered)
+            .expect("rank 0 carries the gathered field");
         BenchOutcome {
             app: self.app,
             validation,
@@ -580,42 +435,32 @@ mod tests {
         }
     }
 
+    /// A ranked run's validation and points are the same bits at 1, 2
+    /// and 4 ranks, for every app with a ranked driver.
     #[test]
-    fn ranked_acoustic_matches_serial_validation() {
-        let spec = BenchSpec {
-            app: AppId::Acoustic,
-            n: 16,
-            iterations: 3,
-            ranks: 2,
-            parallel: false,
-        };
-        spec.validate().unwrap();
-        let sp = spec.clone();
-        let out = Universe::run(2, move |c| sp.run_ranked(c));
-        let merged = spec.merge_ranked(&out.results);
-        assert_eq!(merged.ranks, 2);
-        assert_eq!(merged.points, 16usize.pow(3));
-        // Same physics in process: the serial run's gathered-field mean is
-        // its validation? Not directly comparable (apps define their own
-        // quantity), but the distributed mean must be finite and nonzero.
-        assert!(merged.validation.is_finite());
-        assert!(merged.bytes > 0 && merged.seconds > 0.0);
-    }
-
-    #[test]
-    fn ranked_miniweather_runs_under_a_universe() {
-        let spec = BenchSpec {
-            app: AppId::MiniWeather,
-            n: 16,
-            iterations: 2,
-            ranks: 2,
-            parallel: false,
-        };
-        spec.validate().unwrap();
-        let sp = spec.clone();
-        let out = Universe::run(2, move |c| sp.run_ranked(c));
-        let merged = spec.merge_ranked(&out.results);
-        assert_eq!(merged.ranks, 2);
-        assert!(merged.validation.is_finite());
+    fn ranked_runs_are_bit_equal_at_1_2_and_4_ranks() {
+        for app in AppId::ALL.into_iter().filter(|a| a.desc().ranked.is_some()) {
+            let runs = [1, 2, 4].map(|ranks| {
+                let spec = BenchSpec {
+                    app,
+                    n: 16,
+                    iterations: 3,
+                    ranks,
+                    parallel: false,
+                };
+                spec.validate().unwrap();
+                let sp = spec.clone();
+                let out = Universe::run(ranks, move |c| sp.run_ranked(c));
+                let merged = spec.merge_ranked(&out.results);
+                assert_eq!(merged.ranks, ranks);
+                assert!(merged.validation.is_finite(), "{app:?}");
+                assert!(merged.bytes > 0 && merged.seconds > 0.0, "{app:?}");
+                (merged.validation.to_bits(), merged.points)
+            });
+            assert!(runs.iter().all(|r| *r == runs[0]), "{app:?}: {runs:?}");
+            if app == AppId::Acoustic {
+                assert_eq!(runs[0].1, 16usize.pow(3));
+            }
+        }
     }
 }

@@ -21,6 +21,8 @@
 //! returning the app's [`AppRun`] (loop profile + physics validation
 //! quantities), and tests asserting the physics: conservation, symmetry,
 //! convergence, or reference values.
+//! [`table::APPS`] states each app once for everything outside its module:
+//! identity, sizes, drivers and the model's calibration.
 
 pub mod acoustic;
 pub mod characterize;
@@ -31,9 +33,11 @@ pub mod mgcfd;
 pub mod minibude;
 pub mod miniweather;
 pub mod opensbli;
+pub mod table;
 pub mod volna;
 
 use bwb_ops::Profile;
+pub use table::{AppDesc, Mesh, APPS};
 
 /// Identifies one of the paper's applications (Figure 3–8 rows/columns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,47 +66,44 @@ impl AppId {
         AppId::MiniWeather,
     ];
 
-    /// The structured-mesh apps of Figure 3.
-    pub const STRUCTURED: [AppId; 6] = [
-        AppId::CloverLeaf2D,
-        AppId::CloverLeaf3D,
-        AppId::Acoustic,
-        AppId::OpenSbliSa,
-        AppId::OpenSbliSn,
-        AppId::MiniWeather,
-    ];
+    /// This app's row of [`APPS`].
+    pub fn desc(self) -> &'static AppDesc {
+        &APPS[self as usize]
+    }
 
-    /// The unstructured-mesh apps of Figure 4.
-    pub const UNSTRUCTURED: [AppId; 2] = [AppId::MgCfd, AppId::Volna];
+    /// Wire-level name (kebab/flat case, stable across releases).
+    pub fn slug(self) -> &'static str {
+        self.desc().slug
+    }
+
+    /// Inverse of [`AppId::slug`].
+    pub fn from_slug(s: &str) -> Option<AppId> {
+        AppId::ALL.into_iter().find(|a| a.slug() == s)
+    }
 
     pub fn label(self) -> &'static str {
-        match self {
-            AppId::MiniBude => "miniBUDE",
-            AppId::CloverLeaf2D => "CloverLeaf 2D",
-            AppId::CloverLeaf3D => "CloverLeaf 3D",
-            AppId::Acoustic => "Acoustic",
-            AppId::OpenSbliSa => "OpenSBLI SA",
-            AppId::OpenSbliSn => "OpenSBLI SN",
-            AppId::MgCfd => "MG-CFD",
-            AppId::Volna => "Volna",
-            AppId::MiniWeather => "miniWeather",
-        }
+        self.desc().label
+    }
+
+    /// The apps on `mesh`, in [`AppId::ALL`] order (Figures 3 and 4).
+    pub fn on(mesh: Mesh) -> Vec<AppId> {
+        AppId::ALL
+            .into_iter()
+            .filter(|a| a.desc().mesh == mesh)
+            .collect()
     }
 
     pub fn is_structured(self) -> bool {
-        AppId::STRUCTURED.contains(&self)
+        self.desc().mesh == Mesh::Structured
     }
 
     pub fn is_unstructured(self) -> bool {
-        AppId::UNSTRUCTURED.contains(&self)
+        self.desc().mesh == Mesh::Unstructured
     }
 
     /// Bytes per floating-point value (paper §3 gives each app's precision).
     pub fn precision_bytes(self) -> usize {
-        match self {
-            AppId::MiniBude | AppId::Acoustic | AppId::Volna => 4,
-            _ => 8,
-        }
+        self.desc().precision_bytes
     }
 }
 
@@ -135,11 +136,13 @@ mod tests {
 
     #[test]
     fn app_sets_are_consistent() {
-        for a in AppId::STRUCTURED {
+        assert_eq!(AppId::on(Mesh::Structured).len(), 6);
+        for a in AppId::on(Mesh::Structured) {
             assert!(a.is_structured());
             assert!(!a.is_unstructured());
         }
-        for a in AppId::UNSTRUCTURED {
+        assert_eq!(AppId::on(Mesh::Unstructured), [AppId::MgCfd, AppId::Volna]);
+        for a in AppId::on(Mesh::Unstructured) {
             assert!(a.is_unstructured());
         }
         assert!(!AppId::MiniBude.is_structured());

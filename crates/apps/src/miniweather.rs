@@ -82,6 +82,13 @@ impl Config {
             ..Config::default()
         }
     }
+
+    /// The time step the CFL number allows on this grid.
+    fn dt(&self) -> f64 {
+        let dx = self.xlen / self.nx as f64;
+        let dz = self.zlen / self.nz as f64;
+        (dx.min(dz) / MAX_SPEED) * self.cfl
+    }
 }
 
 /// The 4th-order interface value and 3rd difference of one field at point
@@ -179,7 +186,7 @@ impl MiniWeather {
             .map_or((0, cfg.nx), |b| (b.start()[0], b.nx()));
         let dx = cfg.xlen / cfg.nx as f64;
         let dz = cfg.zlen / cfg.nz as f64;
-        let dt = (dx.min(dz) / MAX_SPEED) * cfg.cfl;
+        let dt = cfg.dt();
         let bg = Background::new(cfg.nz, dz);
         let mk = |tagged: &str| -> Vec<Dat2<f64>> {
             NAMES
@@ -497,6 +504,16 @@ impl MiniWeather {
         self.direction_switch = !self.direction_switch;
     }
 
+    /// `steps` full time steps: the one step loop of the in-process and
+    /// the ranked driver.
+    fn advance(&mut self, profile: &mut Profile, steps: usize, mut comm: Option<&mut Comm>) {
+        for it in 0..steps {
+            let mut aspan = bwb_trace::span(bwb_trace::Cat::App, "mw_step");
+            aspan.set_args(it as f64, 0.0, 0.0);
+            self.step_with(profile, comm.as_deref_mut());
+        }
+    }
+
     /// Distributed run: decompose the x axis over the `comm.size()` ranks
     /// of the [`ring`] layout (slabs differ by at most one column).
     /// Returns this rank's profile and (on rank 0) the gathered global
@@ -510,11 +527,7 @@ impl MiniWeather {
         let (local_nx, nz) = (block.nx(), cfg.nz);
         let mut profile = Profile::new();
         let mut sim = MiniWeather::new_on(cfg, Some(block));
-        for it in 0..steps {
-            let mut aspan = bwb_trace::span(bwb_trace::Cat::App, "mw_step");
-            aspan.set_args(it as f64, 0.0, 0.0);
-            sim.step_with(&mut profile, Some(comm));
-        }
+        sim.advance(&mut profile, steps, Some(comm));
         // Gather the density perturbation column-major per rank; the
         // slabs follow the ranks in x order.
         let mut mine = Vec::with_capacity(local_nx * nz);
@@ -564,16 +577,18 @@ impl MiniWeather {
 
     /// Run for the configured simulated time.
     pub fn run(cfg: Config) -> AppRun {
+        let steps = (cfg.sim_time / cfg.dt()).ceil() as usize;
+        Self::run_steps(cfg, steps)
+    }
+
+    /// Run `steps` time steps, whatever `sim_time` says (the ranked
+    /// driver's count, so a job spec's `iterations` mean the same here).
+    pub fn run_steps(cfg: Config, steps: usize) -> AppRun {
         let mut profile = Profile::new();
         let points = cfg.nx * cfg.nz;
         let mut sim = MiniWeather::new(cfg);
         let (m0, t0) = sim.totals(&mut profile);
-        let steps = (sim.cfg.sim_time / sim.dt).ceil() as usize;
-        for it in 0..steps {
-            let mut aspan = bwb_trace::span(bwb_trace::Cat::App, "mw_step");
-            aspan.set_args(it as f64, 0.0, 0.0);
-            sim.step(&mut profile);
-        }
+        sim.advance(&mut profile, steps, None);
         let (m1, t1) = sim.totals(&mut profile);
         // Validation: relative drift of conserved totals (θ′ total is
         // nonzero; ρ′ total starts at 0, so normalize by the background

@@ -10,30 +10,13 @@
 use bwb_core::apps::characterize::characterize;
 use bwb_core::apps::AppId;
 use bwb_core::machine::platforms;
-use bwb_core::perfmodel::{paper_scale, predict, ModelInput, RunConfig};
+use bwb_core::perfmodel::{
+    best_config, paper_scale, predict_paper, Parallelization, RunConfig, Zmm,
+};
 use bwb_core::report::Table;
 
 fn best_seconds(p: &bwb_core::machine::Platform, app: AppId) -> f64 {
-    let ch = characterize(app);
-    let (points, iterations) = paper_scale(app);
-    let configs = if app.is_unstructured() {
-        RunConfig::unstructured_set()
-    } else {
-        RunConfig::structured_set()
-    };
-    configs
-        .iter()
-        .filter_map(|&config| {
-            predict(&ModelInput {
-                platform: p,
-                character: &ch,
-                config,
-                points,
-                iterations,
-            })
-        })
-        .map(|pr| pr.seconds)
-        .fold(f64::INFINITY, f64::min)
+    best_config(p, &characterize(app)).0
 }
 
 /// Ablation 1: sweep the Xeon MAX's achievable bandwidth from DDR-class to
@@ -108,7 +91,6 @@ fn ablate_latency() {
 /// CloverLeaf observation as a dose-response curve.
 fn ablate_launch_overhead() {
     println!("## Ablation 3: per-kernel launch overhead vs SYCL penalty\n");
-    use bwb_core::perfmodel::{Compiler, Parallelization, Zmm};
     let mut t = Table::new(&[
         "launch µs",
         "CloverLeaf 2D SYCL/OpenMP",
@@ -119,22 +101,10 @@ fn ablate_launch_overhead() {
         p.kernel_launch_overhead_us = us;
         let rel = |app: AppId| {
             let ch = characterize(app);
-            let (points, iterations) = paper_scale(app);
             let tfor = |par: Parallelization| {
-                predict(&ModelInput {
-                    platform: &p,
-                    character: &ch,
-                    config: RunConfig {
-                        compiler: Compiler::OneApi,
-                        zmm: Zmm::High,
-                        hyperthreading: false,
-                        par,
-                    },
-                    points,
-                    iterations,
-                })
-                .unwrap()
-                .seconds
+                predict_paper(&p, &ch, RunConfig::oneapi(par, Zmm::High, false))
+                    .unwrap()
+                    .seconds
             };
             tfor(Parallelization::MpiSyclFlat) / tfor(Parallelization::MpiOpenMp)
         };
@@ -157,20 +127,9 @@ fn ablate_tiling_reuse() {
     for reuse in [2.0, 4.0, 8.0, 16.0] {
         let mut cells = vec![format!("{reuse:.0}")];
         for p in platforms::all_cpus() {
-            let cfg = RunConfig {
-                compiler: bwb_core::perfmodel::Compiler::OneApi,
-                zmm: bwb_core::perfmodel::Zmm::High,
-                hyperthreading: p.topology.smt_per_core > 1,
-                par: bwb_core::perfmodel::Parallelization::Mpi,
-            };
-            let pr = predict(&ModelInput {
-                platform: &p,
-                character: &ch,
-                config: cfg,
-                points,
-                iterations,
-            })
-            .unwrap();
+            let ht = p.topology.smt_per_core > 1;
+            let cfg = RunConfig::oneapi(Parallelization::Mpi, Zmm::High, ht);
+            let pr = predict_paper(&p, &ch, cfg).unwrap();
             let bytes = points as f64 * ch.bytes_per_point_iter * iterations as f64;
             let t_dram = pr.t_bandwidth / reuse;
             let t_llc = bytes * 0.75 / (p.llc_stream_bw_gbs() * 1e9);

@@ -1,4 +1,5 @@
-//! `trace` CLI: run one application under the bwb-trace recorder, write a
+//! `trace` CLI: run one application's CI-sized job spec
+//! (`BenchSpec::small`, on `--ranks` ranks) under the bwb-trace recorder, write a
 //! Perfetto-loadable Chrome `trace_event` JSON to `target/trace/<app>.json`,
 //! and print an ASCII summary (rollup table, flamegraph, per-thread
 //! timeline) to stdout.
@@ -9,105 +10,53 @@
 //! cargo run --release -p bwb-bench --bin trace -- --list
 //! ```
 //!
-//! Exit status is nonzero if the recorded trace fails well-formedness
-//! validation or the exported JSON fails the trace_event schema check —
-//! CI runs this as the trace smoke test.
+//! Exit status is nonzero if the spec is refused (`BenchSpec::validate`:
+//! say, ranks for an app without a distributed driver), the recorded trace
+//! fails well-formedness validation, or the exported JSON fails the
+//! trace_event schema check — CI runs this as the trace smoke test.
 
-use bwb_core::apps::{
-    acoustic, cloverleaf2d, cloverleaf3d, mgcfd, minibude, miniweather, opensbli, volna,
-};
+use bwb_core::apps::jobspec::BenchSpec;
+use bwb_core::apps::AppId;
 use bwb_core::machine::{platforms, Roofline};
 use bwb_core::shmpi::Universe;
 use bwb_core::trace;
 use std::process::ExitCode;
 
-const APPS: &[&str] = &[
-    "acoustic",
-    "cloverleaf2d",
-    "cloverleaf3d",
-    "mgcfd",
-    "minibude",
-    "miniweather",
-    "opensbli-sa",
-    "opensbli-sn",
-    "volna",
-];
-
-/// Run one app (CI-sized default config) with tracing enabled. `ranks > 1`
-/// selects the distributed driver where the app has one.
-fn run_traced(app: &str, ranks: usize) -> Result<trace::Trace, String> {
-    let ((), tr) = trace::with_tracing(|| match app {
-        "acoustic" => {
-            let cfg = acoustic::Config::default();
-            if ranks > 1 {
-                let _ = Universe::run(ranks, move |c| {
-                    acoustic::Acoustic::run_distributed(c, cfg.clone()).1
-                });
-            } else {
-                let _ = acoustic::Acoustic::run(cfg);
-            }
+/// Run `app`'s CI-sized spec on `ranks` ranks with tracing enabled: in
+/// process at one rank, on the app's ranked driver above it.
+fn run_traced(app: AppId, ranks: usize) -> Result<trace::Trace, String> {
+    let spec = BenchSpec {
+        ranks,
+        ..BenchSpec::small(app)
+    };
+    spec.validate()?;
+    let (run, tr) = trace::with_tracing(|| {
+        if ranks > 1 {
+            Universe::run(ranks, |c| spec.run_ranked(c));
+            Ok(())
+        } else {
+            spec.run().map(drop)
         }
-        "cloverleaf2d" => {
-            let cfg = cloverleaf2d::Config::default();
-            if ranks > 1 {
-                let _ = Universe::run(ranks, move |c| {
-                    cloverleaf2d::Clover2::run_distributed(c, cfg.clone()).1
-                });
-            } else {
-                let _ = cloverleaf2d::Clover2::run(cfg);
-            }
-        }
-        "cloverleaf3d" => {
-            let _ = cloverleaf3d::Clover3::run(cloverleaf3d::Config::default());
-        }
-        "mgcfd" => {
-            let _ = mgcfd::MgCfd::run(mgcfd::Config::default());
-        }
-        "minibude" => {
-            let _ = minibude::MiniBude::run(minibude::Config::default());
-        }
-        "miniweather" => {
-            let _ = miniweather::MiniWeather::run(miniweather::Config::default());
-        }
-        "opensbli-sa" => {
-            let _ = opensbli::OpenSbli::run(opensbli::Config {
-                variant: opensbli::Variant::StoreAll,
-                ..opensbli::Config::default()
-            });
-        }
-        "opensbli-sn" => {
-            let _ = opensbli::OpenSbli::run(opensbli::Config {
-                variant: opensbli::Variant::StoreNone,
-                ..opensbli::Config::default()
-            });
-        }
-        "volna" => {
-            let _ = volna::Volna::run(volna::Config::default());
-        }
-        other => panic!("unknown app '{other}' (use --list)"),
     });
-    Ok(tr)
+    run.map(|()| tr)
 }
 
 fn main() -> ExitCode {
     eprintln!("{}", bwb_core::machine::codegen());
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list") {
-        for a in APPS {
-            println!("{a}");
+        for a in AppId::ALL {
+            println!("{}", a.slug());
         }
         return ExitCode::SUCCESS;
     }
-    let app = match args.iter().find(|a| !a.starts_with("--")) {
-        Some(a) if APPS.contains(&a.as_str()) => a.clone(),
-        Some(a) => {
-            eprintln!("unknown app '{a}'; use --list");
-            return ExitCode::FAILURE;
-        }
-        None => {
-            eprintln!("usage: trace <app> [--ranks N] [--out DIR] | --list");
-            return ExitCode::FAILURE;
-        }
+    let Some(name) = args.iter().find(|a| !a.starts_with("--")) else {
+        eprintln!("usage: trace <app> [--ranks N] [--out DIR] | --list");
+        return ExitCode::FAILURE;
+    };
+    let Some(app) = AppId::from_slug(name) else {
+        eprintln!("unknown app '{name}'; use --list");
+        return ExitCode::FAILURE;
     };
     let ranks = args
         .iter()
@@ -122,7 +71,7 @@ fn main() -> ExitCode {
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::PathBuf::from("target/trace"));
 
-    let tr = match run_traced(&app, ranks) {
+    let tr = match run_traced(app, ranks) {
         Ok(tr) => tr,
         Err(e) => {
             eprintln!("trace run failed: {e}");
@@ -166,7 +115,7 @@ fn main() -> ExitCode {
         eprintln!("cannot create {}: {e}", out_dir.display());
         return ExitCode::FAILURE;
     }
-    let path = out_dir.join(format!("{app}.json"));
+    let path = out_dir.join(format!("{name}.json"));
     if let Err(e) = std::fs::write(&path, &json) {
         eprintln!("cannot write {}: {e}", path.display());
         return ExitCode::FAILURE;
@@ -174,7 +123,7 @@ fn main() -> ExitCode {
 
     // ASCII summary.
     println!(
-        "trace of {app} ({} threads, {} events, {} dropped)",
+        "trace of {name} ({} threads, {} events, {} dropped)",
         tr.threads.len(),
         tr.total_events(),
         tr.total_dropped()

@@ -4,7 +4,7 @@
 use bwb_apps::characterize::characterize;
 use bwb_apps::AppId;
 use bwb_machine::platforms;
-use bwb_perfmodel::{paper_scale, predict, ModelInput, RunConfig};
+use bwb_perfmodel::{paper_scale, predict_paper, RunConfig};
 
 fn main() {
     let plats = platforms::all_platforms();
@@ -20,14 +20,7 @@ fn main() {
             ch.kernels_per_iter
         );
         for p in &plats {
-            let cfg = RunConfig::recommended();
-            if let Some(pr) = predict(&ModelInput {
-                platform: p,
-                character: &ch,
-                config: cfg,
-                points,
-                iterations,
-            }) {
+            if let Some(pr) = predict_paper(p, &ch, RunConfig::recommended()) {
                 println!(
                     "  {:16} T={:8.3}s bw={:8.3} fl={:8.3} lat={:8.3} c$={:7.3} mpi={:8.3} ln={:7.3} effBW={:6.0} ({:4.2} of stream) mpi%={:4.1} gf={:6.0}",
                     p.kind.label(),

@@ -1,6 +1,8 @@
 //! The configuration space of the paper's §5: compiler × ZMM usage ×
 //! hyperthreading × parallelization.
 
+use bwb_apps::AppId;
+
 /// Compiler family (paper §5 item 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Compiler {
@@ -105,15 +107,20 @@ impl RunConfig {
         )
     }
 
+    /// A OneAPI-compiled configuration (the compiler of Figures 7–9).
+    pub fn oneapi(par: Parallelization, zmm: Zmm, hyperthreading: bool) -> Self {
+        RunConfig {
+            compiler: Compiler::OneApi,
+            zmm,
+            hyperthreading,
+            par,
+        }
+    }
+
     /// The paper's default recommendation (§5): MPI+OpenMP, OneAPI,
     /// ZMM high, HT disabled.
     pub fn recommended() -> Self {
-        RunConfig {
-            compiler: Compiler::OneApi,
-            zmm: Zmm::High,
-            hyperthreading: false,
-            par: Parallelization::MpiOpenMp,
-        }
+        RunConfig::oneapi(Parallelization::MpiOpenMp, Zmm::High, false)
     }
 
     /// The Figure 3 configuration set for structured-mesh apps: MPI and
@@ -149,6 +156,16 @@ impl RunConfig {
             }
         }
         out
+    }
+
+    /// The configuration set `app` is searched over: Figure 4's for the
+    /// unstructured-mesh apps, Figure 3's for the rest.
+    pub fn set_for(app: AppId) -> Vec<RunConfig> {
+        if app.is_unstructured() {
+            RunConfig::unstructured_set()
+        } else {
+            RunConfig::structured_set()
+        }
     }
 
     /// The Figure 4 configuration set for unstructured-mesh apps: adds the

@@ -5,9 +5,9 @@
 //! reported values. Figures 1–2 live in `bwb-stream` / `bwb-machine`.
 
 use crate::config::{Compiler, Parallelization, RunConfig, Zmm};
-use crate::model::{paper_scale, predict, ModelInput};
+use crate::model::{best_config, paper_scale, predict_paper};
 use bwb_apps::characterize::{characterize, AppCharacter};
-use bwb_apps::AppId;
+use bwb_apps::{AppId, Mesh};
 use bwb_machine::{platforms, Platform, PlatformKind};
 
 /// A normalized-slowdown matrix (Figures 3 & 4): configurations × apps,
@@ -54,37 +54,16 @@ impl SlowdownMatrix {
     }
 }
 
-fn predict_seconds(p: &Platform, ch: &AppCharacter, config: RunConfig) -> Option<f64> {
-    let (points, iterations) = paper_scale(ch.app);
-    predict(&ModelInput {
-        platform: p,
-        character: ch,
-        config,
-        points,
-        iterations,
-    })
-    .map(|pr| pr.seconds)
-}
-
-fn build_matrix(p: &Platform, apps: &[AppId], configs: &[RunConfig]) -> SlowdownMatrix {
+fn build_matrix(p: &Platform, apps: Vec<AppId>, configs: &[RunConfig]) -> SlowdownMatrix {
     let chars: Vec<AppCharacter> = apps.iter().map(|&a| characterize(a)).collect();
-    // Per-app best time over the feasible configurations.
-    let best: Vec<f64> = chars
-        .iter()
-        .map(|ch| {
-            configs
-                .iter()
-                .filter_map(|&c| predict_seconds(p, ch, c))
-                .fold(f64::INFINITY, f64::min)
-        })
-        .collect();
+    let best: Vec<f64> = chars.iter().map(|ch| best_config(p, ch).0).collect();
     let mut rows: Vec<SlowdownRow> = configs
         .iter()
         .map(|&config| {
             let slowdowns: Vec<Option<f64>> = chars
                 .iter()
                 .zip(&best)
-                .map(|(ch, &b)| predict_seconds(p, ch, config).map(|t| t / b))
+                .map(|(ch, &b)| predict_paper(p, ch, config).map(|pr| pr.seconds / b))
                 .collect();
             let feasible: Vec<f64> = slowdowns.iter().flatten().copied().collect();
             let mean = if feasible.is_empty() {
@@ -102,19 +81,23 @@ fn build_matrix(p: &Platform, apps: &[AppId], configs: &[RunConfig]) -> Slowdown
     rows.sort_by(|a, b| a.mean.partial_cmp(&b.mean).unwrap());
     SlowdownMatrix {
         platform: p.name.clone(),
-        apps: apps.to_vec(),
+        apps,
         rows,
     }
 }
 
 /// Figure 3: structured-mesh configuration matrix.
 pub fn figure3_structured_matrix(p: &Platform) -> SlowdownMatrix {
-    build_matrix(p, &AppId::STRUCTURED, &RunConfig::structured_set())
+    build_matrix(p, AppId::on(Mesh::Structured), &RunConfig::structured_set())
 }
 
 /// Figure 4: unstructured-mesh configuration matrix (MG-CFD, Volna).
 pub fn figure4_unstructured_matrix(p: &Platform) -> SlowdownMatrix {
-    build_matrix(p, &AppId::UNSTRUCTURED, &RunConfig::unstructured_set())
+    build_matrix(
+        p,
+        AppId::on(Mesh::Unstructured),
+        &RunConfig::unstructured_set(),
+    )
 }
 
 /// Figure 5: speedup of each parallelization over pure MPI on the Xeon MAX
@@ -156,17 +139,14 @@ pub fn figure5_parallelization_speedups() -> Vec<ParSpeedup> {
                             if par.is_sycl() && compiler == Compiler::Classic {
                                 continue;
                             }
-                            if let Some(t) = predict_seconds(
-                                &max,
-                                &ch,
-                                RunConfig {
-                                    compiler,
-                                    zmm,
-                                    hyperthreading: ht,
-                                    par,
-                                },
-                            ) {
-                                best = best.min(t);
+                            let config = RunConfig {
+                                compiler,
+                                zmm,
+                                hyperthreading: ht,
+                                par,
+                            };
+                            if let Some(pr) = predict_paper(&max, &ch, config) {
+                                best = best.min(pr.seconds);
                             }
                         }
                     }
@@ -200,20 +180,11 @@ pub fn figure6_platform_comparison() -> Vec<PlatformComparison> {
         .iter()
         .map(|&app| {
             let ch = characterize(app);
-            let configs = if app.is_unstructured() {
-                RunConfig::unstructured_set()
-            } else {
-                RunConfig::structured_set()
-            };
             let best: Vec<(PlatformKind, f64, String)> = plats
                 .iter()
                 .map(|p| {
-                    let (t, label) = configs
-                        .iter()
-                        .filter_map(|&c| predict_seconds(p, &ch, c).map(|t| (t, c.label())))
-                        .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap())
-                        .expect("at least one feasible configuration");
-                    (p.kind, t, label)
+                    let (t, config) = best_config(p, &ch);
+                    (p.kind, t, config.label())
                 })
                 .collect();
             let get = |k: PlatformKind| best.iter().find(|(p, _, _)| *p == k).unwrap().1;
@@ -253,23 +224,11 @@ pub fn figure7_mpi_fractions() -> Vec<MpiFractionEntry> {
     let mut out = Vec::new();
     for &app in &apps {
         let ch = characterize(app);
-        let (points, iterations) = paper_scale(app);
         for p in &plats {
             let frac = |par: Parallelization| {
-                predict(&ModelInput {
-                    platform: p,
-                    character: &ch,
-                    config: RunConfig {
-                        compiler: Compiler::OneApi,
-                        zmm: Zmm::High,
-                        hyperthreading: false,
-                        par,
-                    },
-                    points,
-                    iterations,
-                })
-                .map(|pr| pr.mpi_fraction)
-                .unwrap_or(f64::NAN)
+                predict_paper(p, &ch, RunConfig::oneapi(par, Zmm::High, false))
+                    .map(|pr| pr.mpi_fraction)
+                    .unwrap_or(f64::NAN)
             };
             out.push(MpiFractionEntry {
                 app,
@@ -306,15 +265,8 @@ pub fn figure8_effective_bandwidth() -> Vec<EffectiveBandwidthEntry> {
     let mut out = Vec::new();
     for &app in &apps {
         let ch = characterize(app);
-        let (points, iterations) = paper_scale(app);
         for p in &plats {
-            if let Some(pr) = predict(&ModelInput {
-                platform: p,
-                character: &ch,
-                config: RunConfig::recommended(),
-                points,
-                iterations,
-            }) {
+            if let Some(pr) = predict_paper(p, &ch, RunConfig::recommended()) {
                 out.push(EffectiveBandwidthEntry {
                     app,
                     platform: p.kind,
@@ -354,24 +306,12 @@ pub fn figure9_tiling() -> Vec<TilingEntry> {
     let (points, iterations) = paper_scale(AppId::CloverLeaf2D);
     // Paper setup: OneAPI, ZMM high, pure MPI with HT (AOCC on the EPYC —
     // compiler factors fold into the same quality term).
-    let cfg_for = |p: &Platform| RunConfig {
-        compiler: Compiler::OneApi,
-        zmm: Zmm::High,
-        hyperthreading: p.topology.smt_per_core > 1,
-        par: Parallelization::Mpi,
-    };
     platforms::all_platforms()
         .iter()
         .map(|p| {
-            let cfg = cfg_for(p);
-            let pr = predict(&ModelInput {
-                platform: p,
-                character: &ch,
-                config: cfg,
-                points,
-                iterations,
-            })
-            .expect("CloverLeaf runs everywhere");
+            let cfg =
+                RunConfig::oneapi(Parallelization::Mpi, Zmm::High, p.topology.smt_per_core > 1);
+            let pr = predict_paper(p, &ch, cfg).expect("CloverLeaf runs everywhere");
             let untiled = pr.seconds;
             let tiled = if p.is_gpu {
                 // The paper's A100 bar is the untiled CUDA version.

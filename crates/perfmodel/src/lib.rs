@@ -26,4 +26,4 @@ pub mod figures;
 pub mod model;
 
 pub use config::{Compiler, Parallelization, RunConfig, Zmm};
-pub use model::{paper_scale, predict, ModelInput, Prediction};
+pub use model::{best_config, paper_scale, predict, predict_paper, ModelInput, Prediction};

@@ -134,16 +134,29 @@ pub struct Prediction {
 
 /// The paper's problem scale per application: (points, iterations).
 pub fn paper_scale(app: AppId) -> (usize, usize) {
-    match app {
-        AppId::CloverLeaf2D => (7680 * 7680, 50),
-        AppId::CloverLeaf3D => (408 * 408 * 408, 50),
-        AppId::Acoustic => (320 * 320 * 320, 10),
-        AppId::OpenSbliSa | AppId::OpenSbliSn => (320 * 320 * 320, 20),
-        AppId::MiniWeather => (4000 * 2000, 90), // sim time 1.0 at dt≈11 ms
-        AppId::MgCfd => (8_000_000, 25),
-        AppId::Volna => (30_000_000, 200),
-        AppId::MiniBude => (65_536, 30),
-    }
+    app.desc().paper_scale
+}
+
+/// [`predict`] `ch`'s app at its [`paper_scale`] under `config`.
+pub fn predict_paper(p: &Platform, ch: &AppCharacter, config: RunConfig) -> Option<Prediction> {
+    let (points, iterations) = paper_scale(ch.app);
+    predict(&ModelInput {
+        platform: p,
+        character: ch,
+        config,
+        points,
+        iterations,
+    })
+}
+
+/// The fastest configuration of [`RunConfig::set_for`] `ch`'s app on `p`
+/// at paper scale, as (seconds, configuration); the first of equals.
+pub fn best_config(p: &Platform, ch: &AppCharacter) -> (f64, RunConfig) {
+    RunConfig::set_for(ch.app)
+        .into_iter()
+        .filter_map(|c| predict_paper(p, ch, c).map(|pr| (pr.seconds, c)))
+        .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap())
+        .expect("at least one feasible configuration")
 }
 
 /// Per-(app, compiler) code-quality runtime multiplier (≥ 1 is slower).
@@ -425,31 +438,11 @@ pub fn predict(input: &ModelInput) -> Option<Prediction> {
 mod tests {
     use super::*;
     use bwb_apps::characterize::characterize;
+    use bwb_apps::Mesh;
     use bwb_machine::platforms;
 
-    fn best_time(app: AppId, p: &Platform, set: &[RunConfig]) -> f64 {
-        let ch = characterize(app);
-        let (points, iterations) = paper_scale(app);
-        set.iter()
-            .filter_map(|&config| {
-                predict(&ModelInput {
-                    platform: p,
-                    character: &ch,
-                    config,
-                    points,
-                    iterations,
-                })
-            })
-            .map(|pr| pr.seconds)
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    fn config_set(app: AppId) -> Vec<RunConfig> {
-        if app.is_unstructured() {
-            RunConfig::unstructured_set()
-        } else {
-            RunConfig::structured_set()
-        }
+    fn best_time(app: AppId, p: &Platform) -> f64 {
+        best_config(p, &characterize(app)).0
     }
 
     #[test]
@@ -466,8 +459,7 @@ mod tests {
             (AppId::MiniBude, 1.9, 0.7),
         ];
         for (app, expect, tol) in bands {
-            let set = config_set(app);
-            let s = best_time(app, &icx, &set) / best_time(app, &max, &set);
+            let s = best_time(app, &icx) / best_time(app, &max);
             assert!(
                 (s - expect).abs() < tol,
                 "{}: modelled speedup {s:.2}, paper {expect}",
@@ -480,10 +472,7 @@ mod tests {
     fn bandwidth_bound_apps_gain_more_than_compute_bound() {
         let max = platforms::xeon_max_9480();
         let icx = platforms::xeon_8360y();
-        let s = |app: AppId| {
-            let set = config_set(app);
-            best_time(app, &icx, &set) / best_time(app, &max, &set)
-        };
+        let s = |app: AppId| best_time(app, &icx) / best_time(app, &max);
         assert!(s(AppId::CloverLeaf2D) > s(AppId::OpenSbliSn));
         assert!(s(AppId::OpenSbliSn) > s(AppId::MiniBude) * 0.9);
     }
@@ -492,62 +481,33 @@ mod tests {
     fn minibude_classic_does_not_run() {
         let max = platforms::xeon_max_9480();
         let ch = characterize(AppId::MiniBude);
-        let (points, iterations) = paper_scale(AppId::MiniBude);
         let cfg = RunConfig {
             compiler: Compiler::Classic,
             zmm: Zmm::High,
             hyperthreading: false,
             par: Parallelization::MpiOpenMp,
         };
-        assert!(predict(&ModelInput {
-            platform: &max,
-            character: &ch,
-            config: cfg,
-            points,
-            iterations
-        })
-        .is_none());
+        assert!(predict_paper(&max, &ch, cfg).is_none());
     }
 
     #[test]
     fn ht_on_epyc_is_infeasible() {
         let amd = platforms::epyc_7v73x();
         let ch = characterize(AppId::CloverLeaf2D);
-        let (points, iterations) = paper_scale(AppId::CloverLeaf2D);
-        let cfg = RunConfig {
-            compiler: Compiler::OneApi,
-            zmm: Zmm::Default,
-            hyperthreading: true,
-            par: Parallelization::Mpi,
-        };
-        assert!(predict(&ModelInput {
-            platform: &amd,
-            character: &ch,
-            config: cfg,
-            points,
-            iterations
-        })
-        .is_none());
+        let cfg = RunConfig::oneapi(Parallelization::Mpi, Zmm::Default, true);
+        assert!(predict_paper(&amd, &ch, cfg).is_none());
     }
 
     #[test]
     fn zmm_high_helps_compute_bound_minibude_by_tens_of_percent() {
         let max = platforms::xeon_max_9480();
         let ch = characterize(AppId::MiniBude);
-        let (points, iterations) = paper_scale(AppId::MiniBude);
         let t = |zmm: Zmm| {
-            predict(&ModelInput {
-                platform: &max,
-                character: &ch,
-                config: RunConfig {
-                    compiler: Compiler::OneApi,
-                    zmm,
-                    hyperthreading: false,
-                    par: Parallelization::MpiOpenMp,
-                },
-                points,
-                iterations,
-            })
+            predict_paper(
+                &max,
+                &ch,
+                RunConfig::oneapi(Parallelization::MpiOpenMp, zmm, false),
+            )
             .unwrap()
             .seconds
         };
@@ -562,20 +522,12 @@ mod tests {
     fn zmm_choice_negligible_for_bandwidth_bound() {
         let max = platforms::xeon_max_9480();
         let ch = characterize(AppId::CloverLeaf2D);
-        let (points, iterations) = paper_scale(AppId::CloverLeaf2D);
         let t = |zmm: Zmm| {
-            predict(&ModelInput {
-                platform: &max,
-                character: &ch,
-                config: RunConfig {
-                    compiler: Compiler::OneApi,
-                    zmm,
-                    hyperthreading: false,
-                    par: Parallelization::MpiOpenMp,
-                },
-                points,
-                iterations,
-            })
+            predict_paper(
+                &max,
+                &ch,
+                RunConfig::oneapi(Parallelization::MpiOpenMp, zmm, false),
+            )
             .unwrap()
             .seconds
         };
@@ -590,20 +542,12 @@ mod tests {
     fn ht_hurts_minibude_by_about_28_percent() {
         let max = platforms::xeon_max_9480();
         let ch = characterize(AppId::MiniBude);
-        let (points, iterations) = paper_scale(AppId::MiniBude);
         let t = |ht: bool| {
-            predict(&ModelInput {
-                platform: &max,
-                character: &ch,
-                config: RunConfig {
-                    compiler: Compiler::OneApi,
-                    zmm: Zmm::High,
-                    hyperthreading: ht,
-                    par: Parallelization::MpiOpenMp,
-                },
-                points,
-                iterations,
-            })
+            predict_paper(
+                &max,
+                &ch,
+                RunConfig::oneapi(Parallelization::MpiOpenMp, Zmm::High, ht),
+            )
             .unwrap()
             .seconds
         };
@@ -614,22 +558,14 @@ mod tests {
     #[test]
     fn ht_helps_unstructured_apps() {
         let max = platforms::xeon_max_9480();
-        for app in AppId::UNSTRUCTURED {
+        for app in AppId::on(Mesh::Unstructured) {
             let ch = characterize(app);
-            let (points, iterations) = paper_scale(app);
             let t = |ht: bool| {
-                predict(&ModelInput {
-                    platform: &max,
-                    character: &ch,
-                    config: RunConfig {
-                        compiler: Compiler::OneApi,
-                        zmm: Zmm::High,
-                        hyperthreading: ht,
-                        par: Parallelization::MpiVec,
-                    },
-                    points,
-                    iterations,
-                })
+                predict_paper(
+                    &max,
+                    &ch,
+                    RunConfig::oneapi(Parallelization::MpiVec, Zmm::High, ht),
+                )
                 .unwrap()
                 .seconds
             };
@@ -640,24 +576,12 @@ mod tests {
     #[test]
     fn mpi_vec_beats_other_parallelizations_on_unstructured() {
         let max = platforms::xeon_max_9480();
-        for app in AppId::UNSTRUCTURED {
+        for app in AppId::on(Mesh::Unstructured) {
             let ch = characterize(app);
-            let (points, iterations) = paper_scale(app);
             let t = |par: Parallelization| {
-                predict(&ModelInput {
-                    platform: &max,
-                    character: &ch,
-                    config: RunConfig {
-                        compiler: Compiler::OneApi,
-                        zmm: Zmm::High,
-                        hyperthreading: true,
-                        par,
-                    },
-                    points,
-                    iterations,
-                })
-                .unwrap()
-                .seconds
+                predict_paper(&max, &ch, RunConfig::oneapi(par, Zmm::High, true))
+                    .unwrap()
+                    .seconds
             };
             let vec = t(Parallelization::MpiVec);
             let mpi = t(Parallelization::Mpi);
@@ -682,22 +606,10 @@ mod tests {
         let max = platforms::xeon_max_9480();
         let rel = |app: AppId| {
             let ch = characterize(app);
-            let (points, iterations) = paper_scale(app);
             let t = |par: Parallelization| {
-                predict(&ModelInput {
-                    platform: &max,
-                    character: &ch,
-                    config: RunConfig {
-                        compiler: Compiler::OneApi,
-                        zmm: Zmm::Default,
-                        hyperthreading: false,
-                        par,
-                    },
-                    points,
-                    iterations,
-                })
-                .unwrap()
-                .seconds
+                predict_paper(&max, &ch, RunConfig::oneapi(par, Zmm::Default, false))
+                    .unwrap()
+                    .seconds
             };
             t(Parallelization::MpiSyclFlat) / t(Parallelization::MpiOpenMp)
         };
@@ -725,15 +637,7 @@ mod tests {
         ];
         for (app, expect, tol) in bands {
             let ch = characterize(app);
-            let (points, iterations) = paper_scale(app);
-            let pr = predict(&ModelInput {
-                platform: &max,
-                character: &ch,
-                config: RunConfig::recommended(),
-                points,
-                iterations,
-            })
-            .unwrap();
+            let pr = predict_paper(&max, &ch, RunConfig::recommended()).unwrap();
             let frac = pr.effective_gbs / stream;
             assert!(
                 (frac - expect).abs() < tol,
@@ -751,16 +655,8 @@ mod tests {
         let icx = platforms::xeon_8360y();
         for app in [AppId::CloverLeaf2D, AppId::OpenSbliSn, AppId::Acoustic] {
             let ch = characterize(app);
-            let (points, iterations) = paper_scale(app);
             let frac = |p: &Platform| {
-                let pr = predict(&ModelInput {
-                    platform: p,
-                    character: &ch,
-                    config: RunConfig::recommended(),
-                    points,
-                    iterations,
-                })
-                .unwrap();
+                let pr = predict_paper(p, &ch, RunConfig::recommended()).unwrap();
                 pr.effective_gbs / p.measured_triad_gbs
             };
             assert!(
@@ -776,22 +672,10 @@ mod tests {
         let max = platforms::xeon_max_9480();
         for app in [AppId::CloverLeaf2D, AppId::Acoustic, AppId::OpenSbliSa] {
             let ch = characterize(app);
-            let (points, iterations) = paper_scale(app);
             let f = |par: Parallelization| {
-                predict(&ModelInput {
-                    platform: &max,
-                    character: &ch,
-                    config: RunConfig {
-                        compiler: Compiler::OneApi,
-                        zmm: Zmm::High,
-                        hyperthreading: false,
-                        par,
-                    },
-                    points,
-                    iterations,
-                })
-                .unwrap()
-                .mpi_fraction
+                predict_paper(&max, &ch, RunConfig::oneapi(par, Zmm::High, false))
+                    .unwrap()
+                    .mpi_fraction
             };
             assert!(
                 f(Parallelization::MpiOpenMp) < f(Parallelization::Mpi),
@@ -809,20 +693,12 @@ mod tests {
         let icx = platforms::xeon_8360y();
         for app in [AppId::CloverLeaf3D, AppId::OpenSbliSa, AppId::Acoustic] {
             let ch = characterize(app);
-            let (points, iterations) = paper_scale(app);
             let f = |p: &Platform| {
-                predict(&ModelInput {
-                    platform: p,
-                    character: &ch,
-                    config: RunConfig {
-                        compiler: Compiler::OneApi,
-                        zmm: Zmm::High,
-                        hyperthreading: false,
-                        par: Parallelization::Mpi,
-                    },
-                    points,
-                    iterations,
-                })
+                predict_paper(
+                    p,
+                    &ch,
+                    RunConfig::oneapi(Parallelization::Mpi, Zmm::High, false),
+                )
                 .unwrap()
                 .mpi_fraction
             };
@@ -840,8 +716,7 @@ mod tests {
         let max = platforms::xeon_max_9480();
         let a100 = platforms::a100_pcie_40gb();
         for app in [AppId::CloverLeaf2D, AppId::OpenSbliSn, AppId::Acoustic] {
-            let set = config_set(app);
-            let r = best_time(app, &max, &set) / best_time(app, &a100, &set);
+            let r = best_time(app, &max) / best_time(app, &a100);
             assert!(
                 r > 1.0 && r < 2.5,
                 "{}: A100 speedup over MAX {r:.2} (paper: 1.1-2.1×)",
@@ -854,19 +729,11 @@ mod tests {
     fn minibude_achieves_about_6_tflops_on_max() {
         let max = platforms::xeon_max_9480();
         let ch = characterize(AppId::MiniBude);
-        let (points, iterations) = paper_scale(AppId::MiniBude);
-        let pr = predict(&ModelInput {
-            platform: &max,
-            character: &ch,
-            config: RunConfig {
-                compiler: Compiler::OneApi,
-                zmm: Zmm::High,
-                hyperthreading: false,
-                par: Parallelization::MpiOpenMp,
-            },
-            points,
-            iterations,
-        })
+        let pr = predict_paper(
+            &max,
+            &ch,
+            RunConfig::oneapi(Parallelization::MpiOpenMp, Zmm::High, false),
+        )
         .unwrap();
         let tflops = pr.achieved_gflops / 1000.0;
         assert!(

@@ -7,7 +7,7 @@
 //!   one app; `ranks > 1` routes through the sharded pinned-universe pool;
 //!   the optional `plan` is a `dslcheck` optimization-plan document (as
 //!   exported by an `analyze` job) threaded into the app's config, and
-//!   refused for an app outside `bwb_apps::jobspec::PLAN_APPS`; the
+//!   refused for an app whose app-table row does not `takes_plan`; the
 //!   optional `placement` pins a ranked run's shard policy
 //!   (`one-per-numa` | `packed`) — omitted, the pool runs placecheck's
 //!   certified policy for that app/rank count.

@@ -11,7 +11,7 @@
 use bwb_core::apps::characterize::characterize;
 use bwb_core::apps::AppId;
 use bwb_core::machine::platforms;
-use bwb_core::perfmodel::{paper_scale, predict, ModelInput, RunConfig};
+use bwb_core::perfmodel::best_config;
 
 fn main() {
     let apps = [
@@ -48,27 +48,9 @@ fn main() {
     println!();
     for app in apps {
         let ch = characterize(app);
-        let (points, iterations) = paper_scale(app);
         print!("{:14}", app.label());
         for p in &plats {
-            let configs = if app.is_unstructured() {
-                RunConfig::unstructured_set()
-            } else {
-                RunConfig::structured_set()
-            };
-            let best = configs
-                .iter()
-                .filter_map(|&config| {
-                    predict(&ModelInput {
-                        platform: p,
-                        character: &ch,
-                        config,
-                        points,
-                        iterations,
-                    })
-                })
-                .map(|pr| pr.seconds)
-                .fold(f64::INFINITY, f64::min);
+            let (best, _) = best_config(p, &ch);
             print!("  {:>24.3}", best);
         }
         println!();
