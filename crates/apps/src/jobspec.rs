@@ -435,6 +435,45 @@ mod tests {
         }
     }
 
+    #[test]
+    fn ranked_acoustic_matches_serial_validation() {
+        let spec = BenchSpec {
+            app: AppId::Acoustic,
+            n: 16,
+            iterations: 3,
+            ranks: 2,
+            parallel: false,
+        };
+        spec.validate().unwrap();
+        let sp = spec.clone();
+        let out = Universe::run(2, move |c| sp.run_ranked(c));
+        let merged = spec.merge_ranked(&out.results);
+        assert_eq!(merged.ranks, 2);
+        assert_eq!(merged.points, 16usize.pow(3));
+        // Apps define their own validation quantity, so the serial and
+        // distributed figures are not directly comparable; the distributed
+        // one must be finite.
+        assert!(merged.validation.is_finite());
+        assert!(merged.bytes > 0 && merged.seconds > 0.0);
+    }
+
+    #[test]
+    fn ranked_miniweather_runs_under_a_universe() {
+        let spec = BenchSpec {
+            app: AppId::MiniWeather,
+            n: 16,
+            iterations: 2,
+            ranks: 2,
+            parallel: false,
+        };
+        spec.validate().unwrap();
+        let sp = spec.clone();
+        let out = Universe::run(2, move |c| sp.run_ranked(c));
+        let merged = spec.merge_ranked(&out.results);
+        assert_eq!(merged.ranks, 2);
+        assert!(merged.validation.is_finite());
+    }
+
     /// A ranked run's validation and points are the same bits at 1, 2
     /// and 4 ranks, for every app with a ranked driver.
     #[test]
