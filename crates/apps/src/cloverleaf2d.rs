@@ -330,11 +330,12 @@ thread_local! {
     static FACE_EVALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Reflective ghosts in x over the interior rows: ghost `-hh` mirrors
-/// interior column `hh - 1`, ghost `nx - 1 + hh` mirrors `nx - hh`.
-fn mirror_x(f: &mut Dat2<f64>, low: bool, high: bool) {
-    let (h, nx, ny, pitch) = (f.halo(), f.nx(), f.ny(), f.pitch());
-    for row in f.raw_mut().chunks_exact_mut(pitch).skip(h).take(ny) {
+/// Reflective ghosts in x over rows `rows`: ghost `-hh` mirrors interior
+/// column `hh - 1`, ghost `nx - 1 + hh` mirrors `nx - hh`.
+fn mirror_x(f: &mut Dat2<f64>, rows: Range<isize>, low: bool, high: bool) {
+    let (h, nx) = (f.halo(), f.nx());
+    for j in rows {
+        let row = f.padded_row_mut(j);
         if low {
             for hh in 1..=h {
                 row[h - hh] = row[h + hh - 1];
@@ -351,18 +352,42 @@ fn mirror_x(f: &mut Dat2<f64>, low: bool, high: bool) {
 /// Reflective ghosts in y: whole padded rows (x ghosts included), ghost
 /// row `-hh` mirrors interior row `hh - 1`, `ny - 1 + hh` mirrors `ny - hh`.
 fn mirror_y(f: &mut Dat2<f64>, low: bool, high: bool) {
-    let (h, ny, pitch) = (f.halo(), f.ny(), f.pitch());
-    let data = f.raw_mut();
-    let mut copy_row =
-        |src: usize, dst: usize| data.copy_within(src * pitch..(src + 1) * pitch, dst * pitch);
+    let (h, ny) = (f.halo() as isize, f.ny() as isize);
     if low {
         for hh in 1..=h {
-            copy_row(h + hh - 1, h - hh);
+            f.copy_row(hh - 1, -hh);
         }
     }
     if high {
         for hh in 1..=h {
-            copy_row(h + ny - hh, h + ny - 1 + hh);
+            f.copy_row(ny - hh, ny - 1 + hh);
+        }
+    }
+}
+
+/// Zero normal velocity on the walls `(low x, high x, low y, high y)`
+/// over node rows `js` of the x and y velocities `u` and `v`.
+fn wall_velocities(
+    walls: (bool, bool, bool, bool),
+    u: &mut Dat2<f64>,
+    v: &mut Dat2<f64>,
+    js: Range<isize>,
+) {
+    let (low_x, high_x, low_y, high_y) = walls;
+    // The last node index along x and along y.
+    let (last, top) = (u.nx() - 1, v.ny() as isize - 1);
+    for j in js.clone() {
+        let row = u.padded_row_mut(j);
+        if low_x {
+            row[HALO] = 0.0;
+        }
+        if high_x {
+            row[HALO + last] = 0.0;
+        }
+    }
+    for (wall, j) in [(low_y, 0), (high_y, top)] {
+        if wall && js.contains(&j) {
+            v.padded_row_mut(j)[HALO..=HALO + last].fill(0.0);
         }
     }
 }
@@ -413,6 +438,153 @@ pub fn cell_halo_slots(site: &str) -> &'static [usize] {
     CELL_HALO_SITES[at.expect("a cell halo site")].1
 }
 
+/// The loops [`Clover2::cycle`] runs after `calc_dt`, in chain order: the
+/// loops a banded cycle runs band by band.
+const BANDED: [&str; 7] = [
+    "accelerate",
+    "pdv",
+    "flux_calc_x",
+    "flux_calc_y",
+    "advec_cell_x",
+    "advec_cell_y",
+    "advec_mom",
+];
+const ACC: usize = 0;
+const PDV: usize = 1;
+const FLX: usize = 2;
+const FLY: usize = 3;
+const ADX: usize = 4;
+const ADY: usize = 5;
+const MOM: usize = 6;
+
+/// The slots whose buffers a banded cycle holds as row windows: those the
+/// chain after `calc_dt` writes and reads and nothing else reads.
+const WINDOWS: [usize; 7] = [XV1, YV1, E1, FX, FY, WD, WE];
+
+/// The slots a banded cycle leaves unused: `advec_cell_y` and `advec_mom`
+/// write the state they replace, which is legal because every loop that
+/// reads those rows of the state runs ahead of them.
+const SPARE: [usize; 3] = [D1, WU, WV];
+
+/// How a banded cycle runs the loops of [`BANDED`], read off the stencils
+/// of [`chain_spec`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct BandSchedule {
+    /// Rows each loop runs ahead of the band's end: as far as the rows a
+    /// later loop of the chain reads of its output, ahead of that loop.
+    lead: [isize; 7],
+    /// Per window (in [`WINDOWS`] order) and loop: the row offsets
+    /// `lo..=hi` around its current row at which the loop touches the
+    /// window's buffer, if it does.
+    touch: [[Option<(isize, isize)>; 7]; 7],
+    /// The datasets of the chain.
+    dats: usize,
+}
+
+impl BandSchedule {
+    /// The schedule, derived once per process.
+    fn get() -> Self {
+        static SCHED: std::sync::OnceLock<BandSchedule> = std::sync::OnceLock::new();
+        *SCHED.get_or_init(Self::derive)
+    }
+
+    /// Follows the buffers through the chain's swaps from `calc_dt` on, so
+    /// a loop's reads are matched with the loop that wrote the buffer; then
+    /// takes the leads from the last loop back.
+    fn derive() -> Self {
+        use bwb_ops::Step;
+        let spec = chain_spec(false);
+        let after_dt = spec
+            .body
+            .iter()
+            .position(|s| {
+                matches!(
+                    s,
+                    Step::Loop {
+                        name: "calc_dt",
+                        ..
+                    }
+                )
+            })
+            .expect("the chain has calc_dt")
+            + 1;
+        // Buffers are named by the slot they start the chain in.
+        let mut buf: Vec<usize> = (0..spec.dats.len()).collect();
+        // Per loop: the buffers written, and the buffers read with their
+        // row offsets.
+        let mut loops = Vec::new();
+        for step in &spec.body[after_dt..] {
+            match step {
+                Step::Loop {
+                    name, outs, ins, ..
+                } => {
+                    assert_eq!(BANDED.get(loops.len()), Some(name), "chain order");
+                    let writes: Vec<usize> = outs.iter().map(|&(slot, _)| buf[slot]).collect();
+                    let reads: Vec<(usize, isize, isize)> = ins
+                        .iter()
+                        .map(|(slot, st)| {
+                            let dj = || st.offsets().map(|o| o.1);
+                            (buf[*slot], dj().min().unwrap(), dj().max().unwrap())
+                        })
+                        .collect();
+                    loops.push((writes, reads));
+                }
+                Step::Swap { a, b } => buf.swap(*a, *b),
+                Step::Exchange { .. } => {}
+            }
+        }
+        assert_eq!(loops.len(), BANDED.len(), "chain order");
+        // A loop's output that a later loop reads: `fed[l]` holds the
+        // buffers loop `l` writes for the chain. The last writer of the
+        // others is the state a banded cycle writes in place.
+        let mut lead = [0isize; 7];
+        let mut fed: [Vec<usize>; 7] = Default::default();
+        for l in (0..7).rev() {
+            for c in l + 1..7 {
+                for &(b, _, hi) in &loops[c].1 {
+                    let wrote = |m: usize| loops[m].0.contains(&b);
+                    if wrote(l) && !(l + 1..c).any(wrote) {
+                        lead[l] = lead[l].max(lead[c] + hi);
+                        fed[l].push(b);
+                    }
+                }
+            }
+        }
+        let touch = WINDOWS.map(|slot| {
+            std::array::from_fn(|l| {
+                let reads = loops[l].1.iter().filter(|r| r.0 == slot);
+                let rows = reads.map(|r| (r.1, r.2));
+                let rows = rows.chain(fed[l].contains(&slot).then_some((0, 0)));
+                rows.reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)))
+            })
+        });
+        BandSchedule {
+            lead,
+            touch,
+            dats: spec.dats.len(),
+        }
+    }
+
+    /// The padded rows window `w` needs for bands of `rows`: a band's rows
+    /// plus the spread of the loops' reach around it, and room for the
+    /// y-wall mirrors, which write [`HALO`] rows past the last interior
+    /// row once the x sweep has written it.
+    fn window_rows(&self, w: usize, rows: usize) -> usize {
+        let reach = self.touch[w].iter().zip(self.lead);
+        let hi = reach.clone().filter_map(|(t, lead)| t.map(|t| lead + t.1));
+        let lo = reach.filter_map(|(t, _)| t.map(|t| t.0));
+        let spread = hi.max().unwrap() - lo.min().unwrap();
+        rows + spread as usize + HALO
+    }
+}
+
+/// Rows per band of a banded cycle over `nx` cells: a quarter of the LLC
+/// holds one band of every dataset of the chain.
+fn band_rows(nx: usize) -> usize {
+    let row_bytes = (nx + 2 * HALO) * std::mem::size_of::<f64>() * BandSchedule::get().dats;
+    (bwb_machine::probe::llc_bytes() as usize / 4 / row_bytes).max(1)
+}
+
 /// The solver state (one rank's sub-block when distributed).
 pub struct Clover2 {
     cfg: Config,
@@ -442,6 +614,11 @@ pub struct Clover2 {
     // Face-centred volume fluxes:
     vol_flux_x: Dat2<f64>,
     vol_flux_y: Dat2<f64>,
+    /// Rows per band when the loops after `calc_dt` run band by band
+    /// ([`Self::banded_chain`]); `None` when the grid is one band.
+    band: Option<usize>,
+    /// The banded cycle's leads and window reach.
+    sched: BandSchedule,
     /// Run `advec_cell_x/y`, `advec_mom` and `calc_dt` as the per-point
     /// closure kernels they were ported from (the tests' reference).
     #[cfg(test)]
@@ -453,29 +630,54 @@ impl Clover2 {
     /// ambient (ρ=0.2, e=1.0) with an energetic dense square in the lower
     /// left quadrant (ρ=1.0, e=2.5).
     pub fn new(cfg: Config) -> Self {
-        Self::build(cfg, None, [0, 0], None)
+        let rows = band_rows(cfg.nx);
+        Self::build(cfg, None, [0, 0], None, rows)
     }
 
     /// Distributed setup: each rank owns a sub-block of the global grid.
     pub fn new_distributed(comm: &Comm, cfg: Config) -> Self {
         let block = DistBlock2::new(comm, cfg.nx, cfg.ny);
         let start = block.start();
-        Self::build(cfg, Some((block.nx(), block.ny())), start, Some(block))
+        let local = Some((block.nx(), block.ny()));
+        Self::build(cfg, local, start, Some(block), usize::MAX)
     }
 
+    /// Builds the state, banded with `rows` rows per band where the grid
+    /// has more node rows and bands apply: on one rank, outside a
+    /// recording (which must see the loop stream [`chain_spec`] declares),
+    /// and with at least [`HALO`] cells along each axis for the wall
+    /// mirrors to read.
     fn build(
         cfg: Config,
         local: Option<(usize, usize)>,
         start: [usize; 2],
         dist: Option<DistBlock2>,
+        rows: usize,
     ) -> Self {
         let (nx, ny) = local.unwrap_or((cfg.nx, cfg.ny));
         let dx = 10.0 / cfg.nx as f64;
         let dy = 10.0 / cfg.ny as f64;
-        let cell = |n: &str| Dat2::<f64>::new(n, nx, ny, HALO);
-        let node = |n: &str| Dat2::<f64>::new(n, nx + 1, ny + 1, HALO);
-        let mut density0 = cell("density0");
-        let mut energy0 = cell("energy0");
+        let sched = BandSchedule::get();
+        let banded = dist.is_none() && !recording_active() && nx.min(ny) >= HALO && rows <= ny;
+        let band = banded.then_some(rows);
+        // A window in a banded cycle, a whole field otherwise. A banded
+        // cycle writes the state in place, so the buffers of [`SPARE`]
+        // hold one row there.
+        let dat = |slot: usize, n: &str, nx: usize, ny: usize| {
+            let window = WINDOWS.iter().position(|&w| w == slot);
+            match (band, window) {
+                (Some(rows), Some(w)) => {
+                    let held = sched.window_rows(w, rows).min(ny + 2 * HALO);
+                    Dat2::window(n, nx, ny, HALO, held)
+                }
+                (Some(_), None) if SPARE.contains(&slot) => Dat2::window(n, nx, ny, HALO, 1),
+                _ => Dat2::new(n, nx, ny, HALO),
+            }
+        };
+        let cell = |slot, n: &str| dat(slot, n, nx, ny);
+        let node = |slot, n: &str| dat(slot, n, nx + 1, ny + 1);
+        let mut density0 = Dat2::new("density0", nx, ny, HALO);
+        let mut energy0 = Dat2::new("energy0", nx, ny, HALO);
 
         // Global-coordinate initial state.
         let gnx = cfg.nx;
@@ -505,23 +707,25 @@ impl Clover2 {
             dx,
             dy,
             dist,
-            density1: cell("density1"),
-            energy1: cell("energy1"),
-            pressure: cell("pressure"),
-            viscosity: cell("viscosity"),
-            soundspeed: cell("soundspeed"),
-            work_d: cell("work_d"),
-            work_e: cell("work_e"),
-            xvel0: node("xvel0"),
-            xvel1: node("xvel1"),
-            yvel0: node("yvel0"),
-            yvel1: node("yvel1"),
-            work_u: node("work_u"),
-            work_v: node("work_v"),
-            vol_flux_x: Dat2::new("vol_flux_x", nx + 1, ny, HALO),
-            vol_flux_y: Dat2::new("vol_flux_y", nx, ny + 1, HALO),
+            density1: cell(D1, "density1"),
+            energy1: cell(E1, "energy1"),
+            pressure: cell(PR, "pressure"),
+            viscosity: cell(VS, "viscosity"),
+            soundspeed: cell(SS, "soundspeed"),
+            work_d: cell(WD, "work_d"),
+            work_e: cell(WE, "work_e"),
+            xvel0: node(XV0, "xvel0"),
+            xvel1: node(XV1, "xvel1"),
+            yvel0: node(YV0, "yvel0"),
+            yvel1: node(YV1, "yvel1"),
+            work_u: node(WU, "work_u"),
+            work_v: node(WV, "work_v"),
+            vol_flux_x: dat(FX, "vol_flux_x", nx + 1, ny),
+            vol_flux_y: dat(FY, "vol_flux_y", nx, ny + 1),
             density0,
             energy0,
+            band,
+            sched,
             cfg,
             #[cfg(test)]
             oracle: false,
@@ -546,8 +750,14 @@ impl Clover2 {
         Range2::interior(self.nx, self.ny)
     }
 
-    fn nodes(&self) -> Range2 {
-        Range2::interior(self.nx + 1, self.ny + 1)
+    /// The cells of rows `js`.
+    fn cell_rows(&self, js: Range<isize>) -> Range2 {
+        Range2::new(0, self.nx as isize, js.start, js.end)
+    }
+
+    /// The nodes of node rows `js`.
+    fn node_rows(&self, js: Range<isize>) -> Range2 {
+        Range2::new(0, self.nx as isize + 1, js.start, js.end)
     }
 
     /// Reflective physical boundaries + inter-rank halo exchange of the cell
@@ -569,11 +779,6 @@ impl Clover2 {
         let slots = cell_halo_slots(site);
         let (low_x, high_x, low_y, high_y) = self.walls();
         let block = self.dist.as_ref();
-        // Ghost points filled per field: HALO columns over the interior
-        // rows per x wall, HALO x-extended rows per y wall.
-        let points = HALO
-            * ((low_x as usize + high_x as usize) * self.ny
-                + (low_y as usize + high_y as usize) * (self.nx + 2 * HALO));
         let t0 = Instant::now();
         let mut comm_seconds = 0.0;
         // The cell fields in slot order, D0 to VS.
@@ -594,68 +799,53 @@ impl Clover2 {
         };
         for &slot in slots {
             let f = &mut *cells[slot];
-            mirror_x(f, low_x, high_x);
+            mirror_x(f, 0..f.ny() as isize, low_x, high_x);
             exchange(f, 0);
             // Mirror Y copies x-extended rows (reads the x ghosts above).
             mirror_y(f, low_y, high_y);
             exchange(f, 1);
         }
-        let total = t0.elapsed().as_secs_f64();
-        // One record per field, mirroring how OPS launches one small
-        // update_halo kernel per field — the granularity the SYCL
-        // launch-overhead analysis (paper §5.1) depends on.
+        self.record_halo(
+            profile,
+            slots.len(),
+            t0.elapsed().as_secs_f64() - comm_seconds,
+        );
+    }
+
+    /// Records the mirror fills of `fields` cell fields that took `seconds`
+    /// in all: one record per field, mirroring how OPS launches one small
+    /// update_halo kernel per field — the granularity the SYCL
+    /// launch-overhead analysis (paper §5.1) depends on. A field's points
+    /// are HALO columns over the interior rows per x wall, and HALO
+    /// x-extended rows per y wall.
+    fn record_halo(&self, profile: &mut Profile, fields: usize, seconds: f64) {
+        let (low_x, high_x, low_y, high_y) = self.walls();
+        let points = HALO
+            * ((low_x as usize + high_x as usize) * self.ny
+                + (low_y as usize + high_y as usize) * (self.nx + 2 * HALO));
         let per = points.max(1);
-        for _ in slots {
-            profile.record(
-                "update_halo",
-                per,
-                per * 16,
-                0.0,
-                (total - comm_seconds) / slots.len() as f64,
-            );
+        for _ in 0..fields {
+            profile.record("update_halo", per, per * 16, 0.0, seconds / fields as f64);
         }
     }
 
-    /// Reflective node-velocity boundary: zero normal velocity on walls.
+    /// Reflective node-velocity boundary: zero normal velocity on walls,
+    /// of the state's velocities and `accelerate`'s.
     fn apply_velocity_bcs(&mut self, profile: &mut Profile) {
         let t0 = Instant::now();
-        let (nnx, nny) = (self.nx, self.ny); // last node indices
+        let (walls, nodes) = (self.walls(), 0..self.ny as isize + 1);
+        wall_velocities(walls, &mut self.xvel0, &mut self.yvel0, nodes.clone());
+        wall_velocities(walls, &mut self.xvel1, &mut self.yvel1, nodes);
+        self.record_velocity_bcs(profile, t0.elapsed().as_secs_f64());
+    }
+
+    /// Records one velocity boundary update over two pairs of velocities.
+    fn record_velocity_bcs(&self, profile: &mut Profile, seconds: f64) {
         let (low_x, high_x, low_y, high_y) = self.walls();
-        for v in [&mut self.xvel0, &mut self.xvel1] {
-            let pitch = v.pitch();
-            for row in v.raw_mut().chunks_exact_mut(pitch).skip(HALO).take(nny + 1) {
-                if low_x {
-                    row[HALO] = 0.0;
-                }
-                if high_x {
-                    row[HALO + nnx] = 0.0;
-                }
-            }
-        }
-        for v in [&mut self.yvel0, &mut self.yvel1] {
-            let pitch = v.pitch();
-            let data = v.raw_mut();
-            let mut zero_row = |j: usize| {
-                let start = (HALO + j) * pitch + HALO;
-                data[start..=start + nnx].fill(0.0);
-            };
-            if low_y {
-                zero_row(0);
-            }
-            if high_y {
-                zero_row(nny);
-            }
-        }
         let points = 2
-            * ((low_x as usize + high_x as usize) * (nny + 1)
-                + (low_y as usize + high_y as usize) * (nnx + 1));
-        profile.record(
-            "update_halo_vel",
-            points,
-            points * 8,
-            0.0,
-            t0.elapsed().as_secs_f64(),
-        );
+            * ((low_x as usize + high_x as usize) * (self.ny + 1)
+                + (low_y as usize + high_y as usize) * (self.nx + 1));
+        profile.record("update_halo_vel", points, points * 8, 0.0, seconds);
     }
 
     /// EOS: p = (γ−1)ρe, ss = √(γp/ρ). Slice fast path: pointwise over
@@ -757,15 +947,16 @@ impl Clover2 {
         }
     }
 
-    /// Nodal acceleration from pressure + viscosity gradients.
-    fn accelerate(&mut self, profile: &mut Profile, dt: f64) {
+    /// Nodal acceleration from pressure + viscosity gradients, over node
+    /// rows `js`.
+    fn accelerate(&mut self, profile: &mut Profile, dt: f64, js: Range<isize>) {
         let (dx, dy) = (self.dx, self.dy);
         let vol = dx * dy;
         par_loop2_rows(
             profile,
             "accelerate",
             self.cfg.mode,
-            self.nodes(),
+            self.node_rows(js),
             &mut [&mut self.xvel1, &mut self.yvel1],
             &[
                 &self.density0,
@@ -808,15 +999,16 @@ impl Clover2 {
         );
     }
 
-    /// PdV work: internal-energy update from the velocity divergence.
-    /// (Density is updated exclusively by the conservative remap.)
-    fn pdv(&mut self, profile: &mut Profile, dt: f64) {
+    /// PdV work over cell rows `js`: internal-energy update from the
+    /// velocity divergence. (Density is updated exclusively by the
+    /// conservative remap.)
+    fn pdv(&mut self, profile: &mut Profile, dt: f64, js: Range<isize>) {
         let (dx, dy) = (self.dx, self.dy);
         par_loop2_rows(
             profile,
             "pdv",
             self.cfg.mode,
-            self.cells(),
+            self.cell_rows(js),
             &mut [&mut self.energy1],
             &[
                 &self.density0,
@@ -852,15 +1044,15 @@ impl Clover2 {
         );
     }
 
-    /// Face volume fluxes from the time-centred node velocities.
-    fn flux_calc(&mut self, profile: &mut Profile, dt: f64) {
-        let (dx, dy, nx, ny) = (self.dx, self.dy, self.nx, self.ny);
-        let mode = self.cfg.mode;
+    /// X-face volume fluxes over rows `js` from the time-centred node
+    /// velocities.
+    fn flux_calc_x(&mut self, profile: &mut Profile, dt: f64, js: Range<isize>) {
+        let dy = self.dy;
         par_loop2_rows(
             profile,
             "flux_calc_x",
-            mode,
-            Range2::new(0, nx as isize + 1, 0, ny as isize),
+            self.cfg.mode,
+            Range2::new(0, self.nx as isize + 1, js.start, js.end),
             &mut [&mut self.vol_flux_x],
             &[&self.xvel0, &self.xvel1],
             5.0,
@@ -876,11 +1068,16 @@ impl Clover2 {
                 }
             },
         );
+    }
+
+    /// Y-face volume fluxes over face rows `js`.
+    fn flux_calc_y(&mut self, profile: &mut Profile, dt: f64, js: Range<isize>) {
+        let dx = self.dx;
         par_loop2_rows(
             profile,
             "flux_calc_y",
-            mode,
-            Range2::new(0, nx as isize, 0, ny as isize + 1),
+            self.cfg.mode,
+            Range2::new(0, self.nx as isize, js.start, js.end),
             &mut [&mut self.vol_flux_y],
             &[&self.yvel0, &self.yvel1],
             5.0,
@@ -898,16 +1095,18 @@ impl Clover2 {
         );
     }
 
-    /// Conservative remap, X sweep (donor-cell or van Leer per the
-    /// config). Reads density0/energy1 + vol_flux_x, writes the work arrays
-    /// and swaps them into density1/energy1. Each face's limited flux is
+    /// Conservative remap, X sweep over rows `js` (donor-cell or van Leer
+    /// per the config). Reads density0/energy1 + vol_flux_x and writes the
+    /// work arrays, which [`Self::swap_remap`] makes density1/energy1 in a
+    /// one-band cycle. Each face's limited flux is
     /// evaluated once per row — it is the outflow of the cell on its left
     /// and the inflow of the cell on its right. Per block, a [`face_pass`]
     /// puts the block's faces in the thread's [`FaceCarry`] and a
     /// [`cell_pass`] reads them; both run in vector lanes.
-    fn advec_cell_x(&mut self, profile: &mut Profile) {
+    fn advec_cell_x(&mut self, profile: &mut Profile, js: Range<isize>) {
         #[cfg(test)]
         if self.oracle {
+            assert!(self.band.is_none(), "the closure kernels run one band");
             return self.advec_cell_x_closure(profile);
         }
         let vol = self.dx * self.dy;
@@ -916,7 +1115,7 @@ impl Clover2 {
             profile,
             "advec_cell_x",
             self.cfg.mode,
-            self.cells(),
+            self.cell_rows(js),
             &mut [&mut self.work_d, &mut self.work_e],
             &[&self.density0, &self.energy1, &self.vol_flux_x],
             if scheme == Advection::VanLeer {
@@ -972,6 +1171,10 @@ impl Clover2 {
                 });
             },
         );
+    }
+
+    /// Makes a remap sweep's output, in the work arrays, density1/energy1.
+    fn swap_remap(&mut self) {
         std::mem::swap(&mut self.density1, &mut self.work_d);
         std::mem::swap(&mut self.energy1, &mut self.work_e);
     }
@@ -984,21 +1187,42 @@ impl Clover2 {
     /// carry; the first row of each scheduling chunk evaluates its low
     /// faces itself. Each face is then evaluated once, plus once more per
     /// chunk boundary.
-    fn advec_cell_y(&mut self, profile: &mut Profile) {
+    ///
+    /// Over rows `js`. A one-band cycle reads density1/energy1 and writes
+    /// the work arrays, as the x sweep does; a banded cycle reads the x
+    /// sweep's output in the work arrays and writes density0/energy0.
+    fn advec_cell_y(&mut self, profile: &mut Profile, js: Range<isize>) {
         #[cfg(test)]
         if self.oracle {
+            assert!(self.band.is_none(), "the closure kernels run one band");
             return self.advec_cell_y_closure(profile);
         }
         let vol = self.dx * self.dy;
         let scheme = self.cfg.advection;
         let call = Y_SWEEPS.fetch_add(1, Ordering::Relaxed);
+        let (range, mode) = (self.cell_rows(js), self.cfg.mode);
+        let Clover2 {
+            density0: d0,
+            energy0: e0,
+            density1: d1,
+            energy1: e1,
+            work_d: wd,
+            work_e: we,
+            vol_flux_y: fy,
+            band,
+            ..
+        } = self;
+        let ([d_out, e_out], [d_in, e_in]) = match band {
+            None => ([wd, we], [&*d1, &*e1]),
+            Some(_) => ([d0, e0], [&*wd, &*we]),
+        };
         par_loop2_rows(
             profile,
             "advec_cell_y",
-            self.cfg.mode,
-            self.cells(),
-            &mut [&mut self.work_d, &mut self.work_e],
-            &[&self.density1, &self.energy1, &self.vol_flux_y],
+            mode,
+            range,
+            &mut [d_out, e_out],
+            &[d_in, e_in, fy],
             if scheme == Advection::VanLeer {
                 38.0
             } else {
@@ -1056,23 +1280,29 @@ impl Clover2 {
                 });
             },
         );
-        std::mem::swap(&mut self.density1, &mut self.work_d);
-        std::mem::swap(&mut self.energy1, &mut self.work_e);
     }
 
-    /// Upwind momentum advection (both sweeps fused per direction).
-    fn advec_mom(&mut self, profile: &mut Profile, dt: f64) {
+    /// Upwind momentum advection (both sweeps fused per direction) over
+    /// node rows `js`: into work_u/work_v in a one-band cycle, into
+    /// xvel0/yvel0 in a banded one.
+    fn advec_mom(&mut self, profile: &mut Profile, dt: f64, js: Range<isize>) {
         #[cfg(test)]
         if self.oracle {
+            assert!(self.band.is_none(), "the closure kernels run one band");
             return self.advec_mom_closure(profile, dt);
         }
         let (dx, dy) = (self.dx, self.dy);
+        let range = self.node_rows(js);
+        let [u_out, v_out] = match self.band {
+            None => [&mut self.work_u, &mut self.work_v],
+            Some(_) => [&mut self.xvel0, &mut self.yvel0],
+        };
         par_loop2_rows(
             profile,
             "advec_mom",
             self.cfg.mode,
-            self.nodes(),
-            &mut [&mut self.work_u, &mut self.work_v],
+            range,
+            &mut [u_out, v_out],
             &[&self.xvel1, &self.yvel1],
             20.0,
             move |_j, out, ins| {
@@ -1126,7 +1356,18 @@ impl Clover2 {
         }
         self.update_halo_cells(profile, comm.as_deref_mut(), "cells0");
         let dt = self.calc_dt(profile, comm.as_deref_mut());
-        self.accelerate(profile, dt);
+        match self.band {
+            None => self.chain(profile, comm, dt),
+            Some(rows) => self.banded_chain(profile, dt, rows),
+        }
+        dt
+    }
+
+    /// The loops after `calc_dt` over the whole grid, with their halo
+    /// sites and buffer swaps: the stream [`chain_spec`] declares.
+    fn chain(&mut self, profile: &mut Profile, mut comm: Option<&mut Comm>, dt: f64) {
+        let (cells, nodes) = (0..self.ny as isize, 0..self.ny as isize + 1);
+        self.accelerate(profile, dt, nodes.clone());
         self.apply_velocity_bcs(profile);
         if let (Some(block), Some(c)) = (self.dist.as_ref(), comm.as_deref_mut()) {
             let (site, slots, depth) = NODE_HALO_SITE;
@@ -1141,16 +1382,110 @@ impl Clover2 {
                 block.exchange_node_halo_site(c, nodes[slot - XV0], depth, site);
             }
         }
-        self.pdv(profile, dt);
-        self.flux_calc(profile, dt);
+        self.pdv(profile, dt, cells.clone());
+        self.flux_calc_x(profile, dt, cells.clone());
+        self.flux_calc_y(profile, dt, nodes.clone());
         self.update_halo_cells(profile, comm.as_deref_mut(), "cells1");
-        self.advec_cell_x(profile);
+        self.advec_cell_x(profile, cells.clone());
+        self.swap_remap();
         self.update_halo_cells(profile, comm, "cells2");
-        self.advec_cell_y(profile);
-        self.advec_mom(profile, dt);
+        self.advec_cell_y(profile, cells);
+        self.swap_remap();
+        self.advec_mom(profile, dt, nodes);
         self.reset_field();
         self.apply_velocity_bcs(profile);
-        dt
+    }
+
+    /// The loops after `calc_dt` band by band, on one rank. Band `b` ends
+    /// at row `(b + 1) · rows`; each loop runs to that row plus its lead,
+    /// from where it stopped in the band before, so a loop reads rows the
+    /// loops before it wrote in this band or the last, while they are
+    /// still in cache. The seven temporaries are windows that slide up
+    /// with the bands; `advec_cell_y` and `advec_mom` write the state in
+    /// place, so nothing is swapped. The profile gets one record per loop
+    /// and halo site, as [`Self::chain`] leaves, summed over the bands.
+    fn banded_chain(&mut self, profile: &mut Profile, dt: f64, rows: usize) {
+        let ny = self.ny as isize;
+        // The rows of each loop of [`BANDED`]: nodes, cells or faces.
+        let extent = [ny + 1, ny, ny, ny + 1, ny, ny, ny + 1];
+        let walls = self.walls();
+        let mut band = Profile::new();
+        let mut done = [0isize; 7];
+        let (mut bcs, mut cells1, mut cells2) = (0.0, 0.0, 0.0);
+        let mut end = 0;
+        while done[MOM] < extent[MOM] {
+            end += rows as isize;
+            let js: [Range<isize>; 7] = std::array::from_fn(|l| {
+                done[l]..(end + self.sched.lead[l]).clamp(done[l], extent[l])
+            });
+            self.slide_windows(&js);
+            self.accelerate(&mut band, dt, js[ACC].clone());
+            let t = Instant::now();
+            wall_velocities(walls, &mut self.xvel1, &mut self.yvel1, js[ACC].clone());
+            bcs += t.elapsed().as_secs_f64();
+            self.pdv(&mut band, dt, js[PDV].clone());
+            self.flux_calc_x(&mut band, dt, js[FLX].clone());
+            self.flux_calc_y(&mut band, dt, js[FLY].clone());
+            // `advec_cell_x` reads energy1 five cells wide along x only.
+            let t = Instant::now();
+            mirror_x(&mut self.energy1, js[PDV].clone(), walls.0, walls.1);
+            cells1 += t.elapsed().as_secs_f64();
+            self.advec_cell_x(&mut band, js[ADX].clone());
+            // `advec_cell_y` reads the x sweep's output five cells wide
+            // along y only: its y-wall mirrors, in the band that writes
+            // the last of the rows each one copies.
+            let t = Instant::now();
+            let wrote = |j: isize| js[ADX].contains(&j);
+            let (low, high) = (wrote(HALO as isize - 1), wrote(ny - 1));
+            mirror_y(&mut self.work_d, low, high);
+            mirror_y(&mut self.work_e, low, high);
+            cells2 += t.elapsed().as_secs_f64();
+            self.advec_cell_y(&mut band, js[ADY].clone());
+            self.advec_mom(&mut band, dt, js[MOM].clone());
+            done = js.map(|r| r.end);
+        }
+        for r in band.records() {
+            profile.record(&r.name, r.points, r.bytes, r.flops, r.seconds);
+        }
+        self.record_velocity_bcs(profile, bcs);
+        self.record_halo(profile, cell_halo_slots("cells1").len(), cells1);
+        self.record_halo(profile, cell_halo_slots("cells2").len(), cells2);
+        let t = Instant::now();
+        wall_velocities(walls, &mut self.xvel0, &mut self.yvel0, 0..ny + 1);
+        self.record_velocity_bcs(profile, t.elapsed().as_secs_f64());
+    }
+
+    /// Slides each window to hold the rows the loops touch over rows `js`
+    /// (in [`BANDED`] order), from the lowest. The velocity windows' ghost
+    /// rows then read 0, as a whole field's never-written halo does.
+    fn slide_windows(&mut self, js: &[Range<isize>; 7]) {
+        let (sched, ny) = (self.sched, self.ny as isize);
+        let windows = [
+            &mut self.xvel1,
+            &mut self.yvel1,
+            &mut self.energy1,
+            &mut self.vol_flux_x,
+            &mut self.vol_flux_y,
+            &mut self.work_d,
+            &mut self.work_e,
+        ];
+        for (w, f) in windows.into_iter().enumerate() {
+            let reach = sched.touch[w].iter().zip(js);
+            let touched = reach.filter(|(_, r)| !r.is_empty());
+            let Some(from) = touched
+                .filter_map(|(t, r)| Some(r.start + t.as_ref()?.0))
+                .min()
+            else {
+                continue;
+            };
+            let top = (f.ny() + f.halo()) as isize;
+            f.slide(from.min(top - f.rows().len() as isize));
+            if [XV1, YV1].contains(&WINDOWS[w]) {
+                for j in f.rows().filter(|j| !(0..=ny).contains(j)) {
+                    f.padded_row_mut(j).fill(0.0);
+                }
+            }
+        }
     }
 
     /// Field summary: (total mass, total energy incl. kinetic).
@@ -1535,8 +1870,7 @@ impl Clover2 {
     }
 
     /// Conservative remap, X sweep (donor-cell or van Leer per the
-    /// config). Reads density0/energy1 + vol_flux_x, writes the work arrays
-    /// and swaps them into density1/energy1.
+    /// config). Reads density0/energy1 + vol_flux_x, writes the work arrays.
     fn advec_cell_x_closure(&mut self, profile: &mut Profile) {
         let vol = self.dx * self.dy;
         let scheme = self.cfg.advection;
@@ -1587,8 +1921,6 @@ impl Clover2 {
                 out.set(1, energy_mass / mass.max(1e-300));
             },
         );
-        std::mem::swap(&mut self.density1, &mut self.work_d);
-        std::mem::swap(&mut self.energy1, &mut self.work_e);
     }
 
     /// Conservative remap, Y sweep.
@@ -1639,8 +1971,6 @@ impl Clover2 {
                 out.set(1, energy_mass / mass.max(1e-300));
             },
         );
-        std::mem::swap(&mut self.density1, &mut self.work_d);
-        std::mem::swap(&mut self.energy1, &mut self.work_e);
     }
 
     /// Upwind momentum advection (both sweeps fused per direction).
@@ -1650,7 +1980,7 @@ impl Clover2 {
             profile,
             "advec_mom",
             self.cfg.mode,
-            self.nodes(),
+            self.node_rows(0..self.ny as isize + 1),
             &mut [&mut self.work_u, &mut self.work_v],
             &[&self.xvel1, &self.yvel1],
             20.0,
@@ -1674,6 +2004,15 @@ impl Clover2 {
                 out.set(1, v - dt * upwind(1, u, v));
             },
         );
+    }
+}
+
+#[cfg(test)]
+impl Clover2 {
+    /// The single-rank state with bands of `rows` rows, where the grid has
+    /// more node rows than that and bands apply.
+    fn with_band(cfg: Config, rows: usize) -> Self {
+        Self::build(cfg, None, [0, 0], None, rows)
     }
 }
 
@@ -2014,8 +2353,9 @@ mod tests {
                         advection,
                         ..Config::default()
                     };
-                    let rows = five_cycles(Clover2::new(cfg.clone()), false, None);
-                    let oracle = five_cycles(Clover2::new(cfg), true, None);
+                    let rows =
+                        five_cycles(Clover2::with_band(cfg.clone(), usize::MAX), false, None);
+                    let oracle = five_cycles(Clover2::with_band(cfg, usize::MAX), true, None);
                     assert!(
                         rows == oracle,
                         "{nx}x{ny} {advection:?} {mode:?}: state differs from the closure kernels"
@@ -2054,10 +2394,11 @@ mod tests {
         }
     }
 
-    /// `face_flux` evaluations of one sweep, on this thread.
-    fn face_evals(sim: &mut Clover2, sweep: fn(&mut Clover2, &mut Profile)) -> u64 {
+    /// `face_flux` evaluations of one sweep over every row, on this thread.
+    fn face_evals(sim: &mut Clover2, sweep: fn(&mut Clover2, &mut Profile, Range<isize>)) -> u64 {
         FACE_EVALS.with(|c| c.set(0));
-        sweep(sim, &mut Profile::new());
+        let rows = 0..sim.ny as isize;
+        sweep(sim, &mut Profile::new(), rows);
         FACE_EVALS.with(|c| c.get())
     }
 
@@ -2065,12 +2406,13 @@ mod tests {
     fn each_face_is_evaluated_once_per_sweep() {
         let (nx, ny) = (37, 23);
         for advection in [Advection::DonorCell, Advection::VanLeer] {
-            let mut sim = Clover2::new(Config {
+            let cfg = Config {
                 nx,
                 ny,
                 advection,
                 ..Config::default()
-            });
+            };
+            let mut sim = Clover2::with_band(cfg, usize::MAX);
             let y = face_evals(&mut sim, Clover2::advec_cell_y);
             assert_eq!(y, ((ny + 1) * nx) as u64, "{advection:?} y sweep");
             let x = face_evals(&mut sim, Clover2::advec_cell_x);
@@ -2327,21 +2669,29 @@ mod tests {
             (Advection::DonorCell, 0xd09f_5a2e_ae63_4cf0_u64),
             (Advection::VanLeer, 0x3450_5512_24a0_2d2d),
         ] {
-            for mode in [ExecMode::Serial, ExecMode::Rayon] {
-                let mut sim = Clover2::new(Config {
+            // One band, and bands of 1, 7 and 20 rows.
+            for (mode, rows) in [ExecMode::Serial, ExecMode::Rayon]
+                .into_iter()
+                .flat_map(|m| [usize::MAX, 1, 7, 20].map(|r| (m, r)))
+            {
+                let cfg = Config {
                     nx: 131,
                     ny: 77,
                     mode,
                     advection,
                     ..Config::default()
-                });
+                };
+                let mut sim = Clover2::with_band(cfg, rows);
                 let mut profile = Profile::new();
                 let dts: Vec<u64> = (0..25)
                     .map(|_| sim.cycle(&mut profile, None).to_bits())
                     .collect();
                 let state = [&sim.density0, &sim.energy0, &sim.xvel0, &sim.yvel0];
                 let hash = fnv(state.into_iter().flat_map(interior_bits).chain(dts));
-                assert_eq!(hash, golden, "{advection:?} {mode:?}: {hash:#018x}");
+                assert_eq!(
+                    hash, golden,
+                    "{advection:?} {mode:?} bands of {rows}: {hash:#018x}"
+                );
             }
         }
     }
@@ -2368,5 +2718,140 @@ mod tests {
                 assert_eq!(hash, golden, "{advection:?} on {ranks} ranks: {hash:#018x}");
             }
         }
+    }
+
+    #[test]
+    fn band_schedule_reads_the_leads_off_the_stencils() {
+        let sched = BandSchedule::derive();
+        // accelerate, pdv, flux_calc_x, flux_calc_y, advec_cell_x,
+        // advec_cell_y, advec_mom.
+        assert_eq!(sched.lead, [3, 2, 2, 1, 2, 0, 0]);
+        // Rows each window holds beyond a band's: xvel1 and yvel1 from
+        // advec_mom's first row - 1 to accelerate's last; energy1 and
+        // vol_flux_x the x sweep's rows; vol_flux_y from the y sweep's first
+        // row to flux_calc_y's last; work_d and work_e from the y sweep's
+        // first row - 2 to the x sweep's last. Each plus the mirror depth.
+        let extra = (0..7).map(|w| sched.window_rows(w, 10) - 10);
+        assert_eq!(extra.collect::<Vec<_>>(), [6, 6, 4, 4, 3, 6, 6]);
+        // pdv touches xvel1 at its own row and the next; advec_cell_y
+        // touches energy1 not at all, since it writes the state.
+        assert_eq!(sched.touch[0][PDV], Some((0, 1)));
+        assert_eq!(sched.touch[2][ADY], None);
+    }
+
+    /// The interior bits of the state a banded cycle keeps, and the steps.
+    fn banded_state(sim: &Clover2, dts: &[f64]) -> Vec<Vec<u64>> {
+        let state = [
+            &sim.density0,
+            &sim.energy0,
+            &sim.pressure,
+            &sim.viscosity,
+            &sim.soundspeed,
+            &sim.xvel0,
+            &sim.yvel0,
+        ];
+        let mut all: Vec<Vec<u64>> = state.map(|f| interior_bits(f).collect()).into();
+        all.push(dts.iter().map(|v| v.to_bits()).collect());
+        all
+    }
+
+    /// `cycles` cycles with bands of `rows` rows: the state, and the
+    /// profile without its seconds.
+    fn run_banded(cfg: &Config, rows: usize, cycles: usize) -> (Vec<Vec<u64>>, Vec<String>) {
+        let mut sim = Clover2::with_band(cfg.clone(), rows);
+        let mut profile = Profile::new();
+        let dts: Vec<f64> = (0..cycles).map(|_| sim.cycle(&mut profile, None)).collect();
+        let records = profile.records().into_iter();
+        let counts = records.map(|r| {
+            format!(
+                "{} {} {} {} {}",
+                r.name, r.calls, r.points, r.bytes, r.flops
+            )
+        });
+        (banded_state(&sim, &dts), counts.collect())
+    }
+
+    #[test]
+    fn banded_cycles_equal_the_one_band_cycle() {
+        // Odd extents drawn from a fixed stream, the small ones, and rows
+        // wide enough that Rayon splits a band of 7 into three chunks.
+        let mut draw = Draw(0x2545_f491_4f6c_dd1d);
+        let mut extents = vec![(2, 2), (3, 5), (37, 53), (2049, 11)];
+        extents.extend((0..3).map(|_| {
+            let mut odd = || 5 + 2 * (draw.next() % 28) as usize;
+            (odd(), odd())
+        }));
+        for (nx, ny) in extents {
+            for advection in [Advection::DonorCell, Advection::VanLeer] {
+                for mode in [ExecMode::Serial, ExecMode::Rayon] {
+                    let cfg = Config {
+                        nx,
+                        ny,
+                        mode,
+                        advection,
+                        ..Config::default()
+                    };
+                    let whole = run_banded(&cfg, usize::MAX, 8);
+                    for rows in [1, 2, 3, 7, ny - 1, ny, ny + 1]
+                        .into_iter()
+                        .filter(|&r| r > 0)
+                    {
+                        let banded = Clover2::with_band(cfg.clone(), rows).band;
+                        assert_eq!(banded.is_some(), rows <= ny, "{nx}x{ny} bands of {rows}");
+                        assert!(
+                            run_banded(&cfg, rows, 8) == whole,
+                            "{nx}x{ny} {advection:?} {mode:?} bands of {rows}: differs from one band"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_loop_one_row_short_of_its_lead_fails_loudly() {
+        let cfg = Config {
+            nx: 29,
+            ny: 41,
+            advection: Advection::VanLeer,
+            ..Config::default()
+        };
+        let whole = run_banded(&cfg, usize::MAX, 10).0;
+        let sched = BandSchedule::derive();
+        for l in (0..7).filter(|&l| sched.lead[l] > 0) {
+            let run = std::panic::catch_unwind(|| {
+                let mut sim = Clover2::with_band(cfg.clone(), 5);
+                sim.sched.lead[l] -= 1;
+                let mut profile = Profile::new();
+                let dts: Vec<f64> = (0..10).map(|_| sim.cycle(&mut profile, None)).collect();
+                banded_state(&sim, &dts)
+            });
+            assert!(
+                run.as_ref().map_or(true, |state| *state != whole),
+                "{} one row short of its lead went unnoticed",
+                BANDED[l]
+            );
+        }
+    }
+
+    #[test]
+    fn grids_that_fit_one_band_keep_whole_fields() {
+        let cfg = Config::default();
+        // `new` bands only where the host's LLC band is shorter than the grid.
+        let rows = band_rows(cfg.nx);
+        assert_eq!(
+            Clover2::new(cfg.clone()).band,
+            (rows <= cfg.ny).then_some(rows)
+        );
+        let sim = Clover2::with_band(cfg.clone(), cfg.ny + 1);
+        assert_eq!(sim.band, None);
+        assert_eq!(sim.xvel1.rows(), -2..cfg.ny as isize + 3);
+        let banded = Clover2::with_band(cfg, 7);
+        assert_eq!(banded.band, Some(7));
+        assert_eq!(banded.xvel1.rows().len(), 7 + 6);
+        assert_eq!(banded.density1.rows().len(), 1);
+        // Distributed blocks run one band whatever the band height.
+        let bands = Universe::run(2, |c| Clover2::new_distributed(c, Config::default()).band);
+        assert!(bands.results.iter().all(Option::is_none));
     }
 }

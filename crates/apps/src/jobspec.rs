@@ -100,6 +100,36 @@ impl std::fmt::Display for DatasetTooLarge {
 
 impl std::error::Error for DatasetTooLarge {}
 
+/// A ranked spec whose thinnest slab is thinner than the app's exchange
+/// depth: a face exchange would ship ghosts the neighbour does not own,
+/// and the field would differ from the one-rank run.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SlabTooThin {
+    app: AppId,
+    n: usize,
+    ranks: usize,
+    /// The app's [`Ranked::depth`](crate::table::Ranked::depth).
+    depth: usize,
+    /// The thinnest rank's slab along a split axis.
+    slab: usize,
+}
+
+impl std::fmt::Display for SlabTooThin {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "app '{}' at n={} on ranks={} has slabs {} points thick, thinner than its exchange depth {}",
+            self.app.slug(),
+            self.n,
+            self.ranks,
+            self.slab,
+            self.depth
+        )
+    }
+}
+
+impl std::error::Error for SlabTooThin {}
+
 /// The host's physical memory in bytes: `MemTotal` in `/proc/meminfo`, or
 /// 16 GiB where that cannot be read.
 pub(crate) fn host_memory_bytes() -> f64 {
@@ -194,15 +224,38 @@ impl BenchSpec {
                     slugs_where(|d| d.ranked.is_some())
                 ));
             }
-            if !self.n.is_multiple_of(self.ranks) {
-                return Err(format!(
-                    "n={} must divide evenly over ranks={}",
-                    self.n, self.ranks
-                ));
-            }
+            self.check_slabs().map_err(|e| e.to_string())?;
         }
         self.check_size(host_memory_bytes())
             .map_err(|e| e.to_string())
+    }
+
+    /// Refuses a ranked spec if any rank's slab along a split axis is
+    /// thinner than the app's exchange depth. A slab is the axis' extent
+    /// over the layout's ranks along it, rounded down.
+    pub(crate) fn check_slabs(&self) -> Result<(), SlabTooThin> {
+        let desc = self.app.desc();
+        let Some(ranked) = desc.ranked else {
+            return Ok(());
+        };
+        let layout = (ranked.layout)(self.ranks);
+        let extents = (desc.extents)(self.n);
+        let split = layout
+            .dims()
+            .iter()
+            .zip(extents)
+            .filter(|(&parts, _)| parts > 1);
+        let slab = split.map(|(&parts, n)| n / parts).min();
+        match slab {
+            Some(slab) if slab < ranked.depth => Err(SlabTooThin {
+                app: self.app,
+                n: self.n,
+                ranks: self.ranks,
+                depth: ranked.depth,
+                slab,
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// In-process run (`ranks` must be 1 — ranked runs go through a
@@ -263,7 +316,7 @@ impl BenchSpec {
         let Some(ranked) = self.app.desc().ranked else {
             panic!("app '{}' has no distributed driver", self.app.slug());
         };
-        let (profile, gathered) = ranked(self, comm);
+        let (profile, gathered) = (ranked.run)(self, comm);
         RankOutcome {
             seconds: profile.total_seconds(),
             bytes: profile.total_bytes() as u64,
@@ -302,6 +355,7 @@ impl BenchSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acoustic;
     use bwb_shmpi::Universe;
 
     #[test]
@@ -350,11 +404,70 @@ mod tests {
         s.ranks = 2;
         assert!(s.validate().unwrap_err().contains("no distributed driver"));
         let mut s = BenchSpec::small(AppId::Acoustic);
-        s.n = 33;
-        s.ranks = 2;
-        assert!(s.validate().unwrap_err().contains("divide evenly"));
+        s.n = 9;
+        s.ranks = 3;
+        assert_eq!(
+            s.check_slabs(),
+            Err(SlabTooThin {
+                app: AppId::Acoustic,
+                n: 9,
+                ranks: 3,
+                depth: acoustic::RADIUS,
+                slab: 3
+            })
+        );
+        let refused = s.validate().unwrap_err();
+        assert!(
+            refused.contains("n=9 on ranks=3") && refused.contains("depth 4"),
+            "{refused}"
+        );
+        // A slab as thick as the depth is enough, with a remainder or not.
+        for (app, n, ranks) in [
+            (AppId::Acoustic, 12, 3),
+            (AppId::Acoustic, 33, 2),
+            (AppId::CloverLeaf2D, 5, 2),
+            (AppId::MiniWeather, 9, 4),
+        ] {
+            let s = BenchSpec {
+                app,
+                n,
+                ranks,
+                ..BenchSpec::small(app)
+            };
+            assert_eq!(s.validate(), Ok(()), "{app:?} n={n} ranks={ranks}");
+        }
+        for (app, n, ranks) in [(AppId::CloverLeaf2D, 3, 2), (AppId::MiniWeather, 7, 4)] {
+            let s = BenchSpec {
+                app,
+                n,
+                ranks,
+                ..BenchSpec::small(app)
+            };
+            assert!(s.check_slabs().is_err(), "{app:?} n={n} ranks={ranks}");
+        }
         s.n = 0;
         assert!(s.validate().is_err());
+    }
+
+    /// Slabs of 5, 4 and 4 planes hold Acoustic's 4-deep exchanges: the
+    /// run is the one-rank run, bit for bit.
+    #[test]
+    fn acoustic_on_slabs_as_thick_as_its_depth_equals_one_rank() {
+        let runs = [1, 3].map(|ranks| {
+            let spec = BenchSpec {
+                app: AppId::Acoustic,
+                n: 13,
+                iterations: 3,
+                ranks,
+                parallel: false,
+            };
+            spec.validate().unwrap();
+            let sp = spec.clone();
+            let out = Universe::run(ranks, move |c| sp.run_ranked(c));
+            let merged = spec.merge_ranked(&out.results);
+            (merged.validation.to_bits(), merged.points)
+        });
+        assert_eq!(runs[0], runs[1]);
     }
 
     #[test]

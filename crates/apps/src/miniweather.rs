@@ -20,6 +20,8 @@ use bwb_ops::{par_loop2_reduce, par_loop2_rows, Dat2, DistBlock2, ExecMode, Prof
 use bwb_shmpi::{CartComm, Comm};
 
 // --- Physical constants (miniWeather reference values) ---
+/// Ghost depth of the state fields, and of their halo exchanges.
+pub const HALO: usize = 2;
 pub const GRAV: f64 = 9.8;
 pub const CP: f64 = 1004.0;
 pub const CV: f64 = 717.0;
@@ -191,7 +193,7 @@ impl MiniWeather {
         let mk = |tagged: &str| -> Vec<Dat2<f64>> {
             NAMES
                 .iter()
-                .map(|n| Dat2::new(&format!("{n}{tagged}"), local_nx, cfg.nz, 2))
+                .map(|n| Dat2::new(&format!("{n}{tagged}"), local_nx, cfg.nz, HALO))
                 .collect()
         };
         let mut state = mk("");
@@ -252,7 +254,7 @@ impl MiniWeather {
         };
         for (id, f) in fields.iter_mut().enumerate() {
             match (x_dir, &self.block, comm.as_deref_mut()) {
-                (true, Some(block), Some(c)) => block.exchange_halo(c, f, 2),
+                (true, Some(block), Some(c)) => block.exchange_halo(c, f, HALO),
                 (true, ..) => {
                     for k in 0..nz {
                         for h in 1..=2isize {

@@ -12,7 +12,8 @@ use crate::characterize::{Calibration, Exchanges};
 use crate::jobspec::BenchSpec;
 use crate::{acoustic, cloverleaf2d, cloverleaf3d, mgcfd, minibude, miniweather, opensbli, volna};
 use crate::{AppId, AppRun};
-use bwb_ops::{OptPlan, Profile};
+use bwb_ops::{DistBlock2, DistBlock3, OptPlan, Profile};
+use bwb_shmpi::cart::CartComm;
 use bwb_shmpi::Comm;
 
 /// Which DSL's mesh an app runs on (Figure 3 or Figure 4).
@@ -27,6 +28,18 @@ pub enum Mesh {
 /// The per-rank body of a ranked run: this rank's profile and, on rank 0,
 /// the gathered global field.
 pub type RankedDriver = fn(&BenchSpec, &mut Comm) -> (Profile, Option<Vec<f64>>);
+
+/// An app's distributed run.
+#[derive(Debug, Clone, Copy)]
+pub struct Ranked {
+    pub run: RankedDriver,
+    /// The Cartesian layout the driver splits the grid's
+    /// [`extents`](AppDesc::extents) over, for a number of ranks.
+    pub layout: fn(usize) -> CartComm,
+    /// The deepest ghost layer a face exchange fills, in points along the
+    /// split axis: every rank's slab must be at least this thick.
+    pub depth: usize,
+}
 
 /// One app, as the job-spec layer, the tracer and the model see it.
 #[derive(Debug)]
@@ -52,8 +65,8 @@ pub struct AppDesc {
     pub paper_scale: (usize, usize),
     /// Runs a spec in process, applying the plan where `takes_plan`.
     pub run: fn(&BenchSpec, Option<OptPlan>) -> AppRun,
-    /// The distributed driver, where the app has one.
-    pub ranked: Option<RankedDriver>,
+    /// The distributed run, where the app has one.
+    pub ranked: Option<Ranked>,
     /// Whether `run` applies a `dslcheck` optimization plan.
     pub takes_plan: bool,
     pub calibration: Calibration,
@@ -163,7 +176,11 @@ pub static APPS: [AppDesc; 9] = [
         summary: "{n}x{n} x {it} iters",
         paper_scale: (7680 * 7680, 50),
         run: |s, plan| cloverleaf2d::Clover2::run(clover2d(s, plan)),
-        ranked: Some(|s, c| cloverleaf2d::Clover2::run_distributed(c, clover2d(s, None))),
+        ranked: Some(Ranked {
+            run: |s, c| cloverleaf2d::Clover2::run_distributed(c, clover2d(s, None)),
+            layout: DistBlock2::layout,
+            depth: cloverleaf2d::HALO,
+        }),
         takes_plan: true,
         calibration: Calibration {
             run: || {
@@ -225,7 +242,11 @@ pub static APPS: [AppDesc; 9] = [
         summary: "{n}^3 x {it} iters",
         paper_scale: (320 * 320 * 320, 10),
         run: |s, _| acoustic::Acoustic::run(acoustic(s)),
-        ranked: Some(|s, c| acoustic::Acoustic::run_distributed(c, acoustic(s))),
+        ranked: Some(Ranked {
+            run: |s, c| acoustic::Acoustic::run_distributed(c, acoustic(s)),
+            layout: DistBlock3::layout,
+            depth: acoustic::RADIUS,
+        }),
         takes_plan: false,
         calibration: Calibration {
             run: || spec_run(AppId::Acoustic, 32, 5),
@@ -341,8 +362,10 @@ pub static APPS: [AppDesc; 9] = [
         summary: "{n}x{nz} cells",
         paper_scale: (4000 * 2000, 90), // sim time 1.0 at dt≈11 ms
         run: |s, _| miniweather::MiniWeather::run_steps(miniweather(s), s.iterations),
-        ranked: Some(|s, c| {
-            miniweather::MiniWeather::run_distributed(c, miniweather(s), s.iterations)
+        ranked: Some(Ranked {
+            run: |s, c| miniweather::MiniWeather::run_distributed(c, miniweather(s), s.iterations),
+            layout: miniweather::ring,
+            depth: miniweather::HALO,
         }),
         takes_plan: false,
         calibration: Calibration {

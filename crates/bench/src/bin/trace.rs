@@ -20,6 +20,7 @@ use bwb_core::apps::AppId;
 use bwb_core::machine::{platforms, Roofline};
 use bwb_core::shmpi::Universe;
 use bwb_core::trace;
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// Run `app`'s CI-sized spec on `ranks` ranks with tracing enabled: in
@@ -41,35 +42,71 @@ fn run_traced(app: AppId, ranks: usize) -> Result<trace::Trace, String> {
     run.map(|()| tr)
 }
 
+const USAGE: &str = "usage: trace <app> [--ranks N] [--out DIR] | --list";
+
+/// What the command line asks for.
+enum Cli {
+    List,
+    Trace {
+        name: String,
+        ranks: usize,
+        out_dir: PathBuf,
+    },
+}
+
+/// Parses the arguments: flags with their values, in any order around the
+/// one app name.
+fn parse(args: &[String]) -> Result<Cli, String> {
+    let (mut name, mut ranks, mut out_dir) = (None, 1, PathBuf::from("target/trace"));
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or(format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--list" => return Ok(Cli::List),
+            "--ranks" => {
+                let v = value()?;
+                ranks = v
+                    .parse()
+                    .map_err(|_| format!("--ranks '{v}' is not a count"))?;
+            }
+            "--out" => out_dir = PathBuf::from(value()?),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+            app if name.is_none() => name = Some(app.to_owned()),
+            extra => return Err(format!("a second app '{extra}'")),
+        }
+    }
+    let name = name.ok_or("no app named")?;
+    Ok(Cli::Trace {
+        name,
+        ranks,
+        out_dir,
+    })
+}
+
 fn main() -> ExitCode {
     eprintln!("{}", bwb_core::machine::codegen());
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--list") {
-        for a in AppId::ALL {
-            println!("{}", a.slug());
+    let (name, ranks, out_dir) = match parse(&args) {
+        Ok(Cli::List) => {
+            for a in AppId::ALL {
+                println!("{}", a.slug());
+            }
+            return ExitCode::SUCCESS;
         }
-        return ExitCode::SUCCESS;
-    }
-    let Some(name) = args.iter().find(|a| !a.starts_with("--")) else {
-        eprintln!("usage: trace <app> [--ranks N] [--out DIR] | --list");
-        return ExitCode::FAILURE;
+        Ok(Cli::Trace {
+            name,
+            ranks,
+            out_dir,
+        }) => (name, ranks, out_dir),
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
     };
-    let Some(app) = AppId::from_slug(name) else {
+    let Some(app) = AppId::from_slug(&name) else {
         eprintln!("unknown app '{name}'; use --list");
         return ExitCode::FAILURE;
     };
-    let ranks = args
-        .iter()
-        .position(|a| a == "--ranks")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1);
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("target/trace"));
 
     let tr = match run_traced(app, ranks) {
         Ok(tr) => tr,

@@ -34,6 +34,32 @@ fn ranks_select_the_ranked_driver() {
 }
 
 #[test]
+fn flags_may_come_before_the_app() {
+    let (out, _) = trace(&["--ranks", "2", "miniweather"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.starts_with("trace of miniweather (2 threads,"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn a_bad_ranks_value_or_an_unknown_flag_prints_the_usage() {
+    for args in [
+        &["miniweather", "--ranks", "two"][..],
+        &["miniweather", "--rank", "2"],
+        &["miniweather", "--ranks"],
+    ] {
+        let (out, dir) = trace(args);
+        assert!(!out.status.success(), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("usage: trace <app>"), "{args:?}: {stderr}");
+        assert!(!dir.join("miniweather.json").exists(), "{args:?}");
+    }
+}
+
+#[test]
 fn ranks_without_a_distributed_driver_are_refused() {
     let (out, dir) = trace(&["volna", "--ranks", "2"]);
     assert!(!out.status.success());

@@ -91,9 +91,51 @@ pub fn measure_thread_latency(round_trips: u64) -> LatencyProbe {
     }
 }
 
+/// The LLC size assumed where sysfs does not report one: 32 MiB.
+pub const LLC_FALLBACK_BYTES: u64 = 32 << 20;
+
+/// The largest cache the kernel reports for cpu0, in bytes, or
+/// [`LLC_FALLBACK_BYTES`] where sysfs has no cache sizes (off Linux, in a
+/// sandbox). Read once per process.
+pub fn llc_bytes() -> u64 {
+    static LLC: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+    *LLC.get_or_init(|| {
+        (0..8)
+            .filter_map(|i| {
+                let path = format!("/sys/devices/system/cpu/cpu0/cache/index{i}/size");
+                parse_cache_size(&std::fs::read_to_string(path).ok()?)
+            })
+            .max()
+            .unwrap_or(LLC_FALLBACK_BYTES)
+    })
+}
+
+/// A sysfs cache size (`"48K"`, `"2048K"`, `"300M"`) in bytes.
+fn parse_cache_size(s: &str) -> Option<u64> {
+    let s = s.trim();
+    let (digits, unit) = match s.as_bytes().last()? {
+        b'K' => (&s[..s.len() - 1], 1 << 10),
+        b'M' => (&s[..s.len() - 1], 1 << 20),
+        b'G' => (&s[..s.len() - 1], 1 << 30),
+        _ => (s, 1),
+    };
+    Some(digits.parse::<u64>().ok()? * unit)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cache_sizes_parse_with_their_unit() {
+        assert_eq!(parse_cache_size("48K\n"), Some(48 << 10));
+        assert_eq!(parse_cache_size("307200K"), Some(300 << 20));
+        assert_eq!(parse_cache_size("2M"), Some(2 << 20));
+        assert_eq!(parse_cache_size("512"), Some(512));
+        assert_eq!(parse_cache_size("K"), None);
+        assert_eq!(parse_cache_size(""), None);
+        assert!(llc_bytes() > 0);
+    }
 
     #[test]
     fn probe_returns_plausible_latency() {

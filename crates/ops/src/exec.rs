@@ -133,9 +133,13 @@ impl From<Range2> for Range3 {
 /// check or move along it.
 #[derive(Clone, Copy)]
 pub(crate) struct Geom {
-    /// Halo depth: coordinates start at `-halo` on every checked axis.
-    halo: isize,
-    /// Valid coordinates on each axis: `n + 2·halo` (`1` on a 2-D `k` axis).
+    /// Added to a point's coordinates to give its storage coordinates: the
+    /// halo depth on each axis, except on the `j` axis of a
+    /// [`Dat2::window`], where it is minus the first row held. Folding the
+    /// window's origin in here costs an access nothing.
+    origin: [isize; 3],
+    /// Valid storage coordinates on each axis: `n + 2·halo` (the rows held
+    /// on a window's `j` axis, `1` on a 2-D `k` axis).
     ext: [usize; 3],
     /// Elements between neighbours along `j` (the pitch) and `k` (the slab).
     stride: [usize; 2],
@@ -143,14 +147,14 @@ pub(crate) struct Geom {
 
 impl Geom {
     /// Storage offset of the `width` points that start at `p` and run
-    /// along `i`, or `None` if any of them leaves `[-halo, n + halo)` on
-    /// any axis of a rank-`D` dataset. Every point, row and stencil offset goes
-    /// through here in every build, so no access can wrap into a
-    /// neighbouring row or plane, and every offset lies inside the
-    /// allocation.
+    /// along `i`, or `None` if any of them leaves the padded extent (the
+    /// rows held, for a window) on any axis of a rank-`D` dataset. Every
+    /// point, row and stencil offset goes through here in every build, so
+    /// no access can wrap into a neighbouring row or plane, and every
+    /// offset lies inside the allocation.
     #[inline]
     fn offset<const D: usize>(&self, p: [isize; 3], width: usize) -> Option<usize> {
-        let [x, y, z] = p.map(|c| c.wrapping_add(self.halo) as usize);
+        let [x, y, z] = [0, 1, 2].map(|a| p[a].wrapping_add(self.origin[a]) as usize);
         // `&`, not `&&`: one branch for all axes.
         let inside = (width <= self.ext[0])
             & (x <= self.ext[0].wrapping_sub(width))
@@ -178,10 +182,10 @@ pub(crate) trait Field<T: Copy, const D: usize> {
 
 impl<T: Copy> Field<T, 2> for Dat2<T> {
     fn geom(&self) -> Geom {
-        let h = self.halo();
+        let (h, rows) = (self.halo() as isize, self.rows());
         Geom {
-            halo: h as isize,
-            ext: [self.pitch(), self.ny() + 2 * h, 1],
+            origin: [h, -rows.start, 0],
+            ext: [self.pitch(), rows.len(), 1],
             stride: [self.pitch(), self.raw().len()],
         }
     }
@@ -205,7 +209,7 @@ impl<T: Copy> Field<T, 3> for Dat3<T> {
     fn geom(&self) -> Geom {
         let h = self.halo();
         Geom {
-            halo: h as isize,
+            origin: [h as isize; 3],
             ext: [self.pitch(), self.ny() + 2 * h, self.nz() + 2 * h],
             stride: [self.pitch(), self.slab()],
         }
@@ -269,7 +273,7 @@ impl<T: Copy> WView<T> {
         WView {
             ptr,
             g: Geom {
-                halo: 0,
+                origin: [0; 3],
                 ext: [len, usize::MAX, 1],
                 stride: [0, 0],
             },
@@ -1602,5 +1606,104 @@ mod tests {
         );
         assert_eq!(s, 7.0);
         assert_eq!(prof.get("none").map(|r| (r.calls, r.points)), Some((1, 0)));
+    }
+
+    /// A window of 3 rows over a 4 × 6 field of halo 1, slid to hold rows
+    /// 2..5, and a whole field whose values name their point.
+    fn window_and_source() -> (Dat2<f64>, Dat2<f64>) {
+        let mut win = Dat2::<f64>::window("w", 4, 6, 1, 3);
+        win.slide(2);
+        let mut src = Dat2::<f64>::new("s", 4, 6, 1);
+        src.init_with(|i, j| (10 * j + i) as f64);
+        (win, src)
+    }
+
+    #[test]
+    fn window_views_address_global_rows() {
+        let (mut win, src) = window_and_source();
+        for mode in [ExecMode::Serial, ExecMode::Rayon] {
+            par_loop2_rows(
+                &mut Profile::new(),
+                "into_window",
+                mode,
+                Range2::new(0, 4, 3, 5),
+                &mut [&mut win],
+                &[&src],
+                0.0,
+                |_j, out, ins| out.row(0).copy_from_slice(ins.row_off(0, 0, -1)),
+            );
+            // Row j holds the source's row j - 1, in storage row j - 2.
+            assert_eq!(win.get(1, 3), 21.0);
+            assert_eq!(&win.raw()[2 * 6 + 1..2 * 6 + 5], &[30.0, 31.0, 32.0, 33.0]);
+            let mut back = Dat2::<f64>::new("b", 4, 6, 1);
+            par_loop2_rows(
+                &mut Profile::new(),
+                "from_window",
+                mode,
+                Range2::new(0, 4, 2, 4),
+                &mut [&mut back],
+                &[&win],
+                0.0,
+                |_j, out, ins| out.row(0).copy_from_slice(ins.row_off(0, 0, 1)),
+            );
+            assert_eq!(back.get(3, 2), 23.0);
+            assert_eq!(back.get(0, 3), 30.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the padded extent")]
+    fn window_refuses_a_read_below_its_rows() {
+        let (win, _) = window_and_source();
+        let mut out = Dat2::<f64>::new("o", 4, 6, 1);
+        par_loop2_rows(
+            &mut Profile::new(),
+            "below",
+            ExecMode::Serial,
+            Range2::new(0, 4, 2, 3),
+            &mut [&mut out],
+            &[&win],
+            0.0,
+            |_j, out, ins| out.row(0).copy_from_slice(ins.row_off(0, 0, -1)),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the padded extent")]
+    fn window_refuses_a_write_above_its_rows() {
+        let (mut win, src) = window_and_source();
+        par_loop2_rows(
+            &mut Profile::new(),
+            "above",
+            ExecMode::Serial,
+            Range2::new(0, 4, 4, 6),
+            &mut [&mut win],
+            &[&src],
+            0.0,
+            |_j, out, ins| out.row(0).copy_from_slice(ins.row(0)),
+        );
+    }
+
+    #[test]
+    fn window_slide_keeps_the_rows_it_still_holds() {
+        let mut win = Dat2::<f64>::window("w", 2, 8, 1, 4);
+        for j in win.rows() {
+            win.padded_row_mut(j).fill(j as f64);
+        }
+        win.slide(1);
+        assert_eq!(win.rows(), 1..5);
+        assert_eq!((win.get(0, 1), win.get(1, 2)), (1.0, 2.0));
+        win.slide(0);
+        assert_eq!((win.get(0, 1), win.get(0, 2)), (1.0, 2.0));
+        // Past every row held: nothing is kept, and nothing is refused.
+        win.slide(5);
+        assert_eq!(win.rows(), 5..9);
+        win.copy_row(5, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside field")]
+    fn window_refuses_to_slide_past_the_halo() {
+        Dat2::<f64>::window("w", 2, 8, 1, 4).slide(7);
     }
 }

@@ -6,10 +6,16 @@
 //! ghost points. Storage is row-major (`i` fastest), matching the memory
 //! layout the paper's kernels stream through. Storage comes from
 //! [`storage::zeroed`], on 2 MiB pages where the kernel allows.
+//!
+//! A [`Dat2::window`] stores only some padded rows of its field: rows
+//! `row0..row0 + R`, addressed by their global `j` like any other field.
+//! [`Dat2::slide`] moves it up the field. A point outside the rows held is
+//! outside the field as far as every accessor and loop view is concerned.
 
 use bwb_machine::storage;
+use std::ops::Range;
 
-/// A 2-D halo-padded field.
+/// A 2-D halo-padded field, or a window of its rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dat2<T> {
     name: String,
@@ -17,6 +23,8 @@ pub struct Dat2<T> {
     ny: usize,
     halo: usize,
     pitch: usize,
+    /// Global `j` of storage row 0: `-halo` for a whole field.
+    row0: isize,
     data: Vec<T>,
 }
 
@@ -25,14 +33,26 @@ impl<T: Copy + Default> Dat2<T> {
     /// zero-initialized.
     pub fn new(name: &str, nx: usize, ny: usize, halo: usize) -> Self {
         assert!(nx > 0 && ny > 0, "field {name} must have positive extent");
+        Self::window(name, nx, ny, halo, ny + 2 * halo)
+    }
+
+    /// A window of `rows` padded rows over an `nx × ny` field of halo
+    /// `halo`, zero-initialized and holding rows `-halo..rows - halo`.
+    pub fn window(name: &str, nx: usize, ny: usize, halo: usize, rows: usize) -> Self {
+        assert!(nx > 0 && ny > 0, "field {name} must have positive extent");
+        assert!(
+            rows > 0 && rows <= ny + 2 * halo,
+            "window of {rows} rows over field {name} of {} padded rows",
+            ny + 2 * halo
+        );
         let pitch = nx + 2 * halo;
-        let rows = ny + 2 * halo;
         Dat2 {
             name: name.to_owned(),
             nx,
             ny,
             halo,
             pitch,
+            row0: -(halo as isize),
             data: storage::zeroed(pitch * rows),
         }
     }
@@ -64,20 +84,59 @@ impl<T: Copy> Dat2<T> {
         self.nx * self.ny
     }
 
+    /// The global rows the storage holds: `-halo..ny + halo` for a whole
+    /// field.
+    pub fn rows(&self) -> Range<isize> {
+        self.row0..self.row0 + (self.data.len() / self.pitch) as isize
+    }
+
+    /// Moves a window to hold the rows from `row0`. Rows held before and
+    /// after keep their values; the others hold stale values until written.
+    pub fn slide(&mut self, row0: isize) {
+        let (h, held) = (self.halo as isize, self.rows().len() as isize);
+        assert!(
+            row0 >= -h && row0 + held <= self.ny as isize + h,
+            "window of {held} rows at {row0} outside field '{}'",
+            self.name
+        );
+        let (shift, pitch) = (row0 - self.row0, self.pitch as isize);
+        if shift > 0 && shift < held {
+            self.data.copy_within((shift * pitch) as usize.., 0);
+        } else if shift < 0 && -shift < held {
+            let keep = ((held + shift) * pitch) as usize;
+            self.data.copy_within(..keep, (-shift * pitch) as usize);
+        }
+        self.row0 = row0;
+    }
+
     #[inline]
     pub(crate) fn linear(&self, i: isize, j: isize) -> usize {
         let h = self.halo as isize;
         debug_assert!(
-            i >= -h && i < self.nx as isize + h && j >= -h && j < self.ny as isize + h,
-            "index ({i},{j}) outside field '{}' ({}x{} halo {})",
+            i >= -h && i < self.nx as isize + h && self.rows().contains(&j),
+            "index ({i},{j}) outside field '{}' ({}x{} halo {}, rows {:?})",
             self.name,
             self.nx,
             self.ny,
-            self.halo
+            self.halo,
+            self.rows()
         );
         let ii = (i + h) as usize;
-        let jj = (j + h) as usize;
+        let jj = (j - self.row0) as usize;
         jj * self.pitch + ii
+    }
+
+    /// Padded row `j`, its x ghosts included.
+    pub fn padded_row_mut(&mut self, j: isize) -> &mut [T] {
+        let at = self.linear(-(self.halo as isize), j);
+        &mut self.data[at..at + self.pitch]
+    }
+
+    /// Copies padded row `src` over padded row `dst`.
+    pub fn copy_row(&mut self, src: isize, dst: isize) {
+        let h = -(self.halo as isize);
+        let (src, dst) = (self.linear(h, src), self.linear(h, dst));
+        self.data.copy_within(src..src + self.pitch, dst);
     }
 
     /// Read one point (interior or halo coordinates).
@@ -107,17 +166,20 @@ impl<T: Copy> Dat2<T> {
         self.data.fill(v);
     }
 
-    /// Initialize interior points from a function of (i, j).
+    /// Initialize interior points from a function of (i, j), a row at a
+    /// time.
     pub fn init_with(&mut self, f: impl Fn(isize, isize) -> T) {
+        let (h, nx) = (self.halo, self.nx);
         for j in 0..self.ny as isize {
-            for i in 0..self.nx as isize {
-                self.set(i, j, f(i, j));
+            let row = &mut self.padded_row_mut(j)[h..h + nx];
+            for (i, v) in row.iter_mut().enumerate() {
+                *v = f(i as isize, j);
             }
         }
     }
 
-    /// Raw storage (including halos) — used by the halo exchanger and the
-    /// parallel executor.
+    /// Raw storage (including halos; a window's rows only) — used by the
+    /// halo exchanger and the parallel executor.
     pub fn raw(&self) -> &[T] {
         &self.data
     }

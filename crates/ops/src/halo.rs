@@ -96,6 +96,12 @@ fn exchange_face<T: Copy + Send + 'static>(
     let (d, s) = (depth as isize, shared as isize);
     let extent = dat.extent();
     let n = extent[dim];
+    // A thinner slab would ship ghosts it does not own, or its own ghosts.
+    debug_assert!(
+        d + s <= n,
+        "'{}': a slab of {n} along axis {dim} is thinner than the exchange depth {depth} + {shared}",
+        dat.name()
+    );
     let strip = |lo: isize| -> [Range<isize>; 3] {
         std::array::from_fn(|axis| match axis.cmp(&dim) {
             Ordering::Less => -d..extent[axis] + d,
@@ -162,8 +168,12 @@ impl DistBlock2 {
     /// Decompose a `gnx × gny` block over `comm.size()` ranks with a
     /// balanced 2-D factorization.
     pub fn new(comm: &Comm, gnx: usize, gny: usize) -> Self {
-        let cart = CartComm::balanced(comm.size(), 2);
-        Self::with_cart(comm.rank(), cart, gnx, gny)
+        Self::with_cart(comm.rank(), Self::layout(comm.size()), gnx, gny)
+    }
+
+    /// The Cartesian layout [`Self::new`] splits a block over `size` ranks.
+    pub fn layout(size: usize) -> CartComm {
+        CartComm::balanced(size, 2)
     }
 
     /// Decompose with an explicit Cartesian layout.
@@ -338,8 +348,12 @@ pub struct DistBlock3 {
 
 impl DistBlock3 {
     pub fn new(comm: &Comm, gnx: usize, gny: usize, gnz: usize) -> Self {
-        let cart = CartComm::balanced(comm.size(), 3);
-        Self::with_cart(comm.rank(), cart, gnx, gny, gnz)
+        Self::with_cart(comm.rank(), Self::layout(comm.size()), gnx, gny, gnz)
+    }
+
+    /// The Cartesian layout [`Self::new`] splits a block over `size` ranks.
+    pub fn layout(size: usize) -> CartComm {
+        CartComm::balanced(size, 3)
     }
 
     pub fn with_cart(rank: usize, cart: CartComm, gnx: usize, gny: usize, gnz: usize) -> Self {

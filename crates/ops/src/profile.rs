@@ -63,24 +63,27 @@ impl Profile {
         Self::default()
     }
 
-    /// Record one invocation (called by the loop drivers).
+    /// Record one invocation (called by the loop drivers). Only a loop's
+    /// first record allocates its name.
     pub fn record(&mut self, name: &str, points: usize, bytes: usize, flops: f64, seconds: f64) {
-        let e = self
-            .loops
-            .entry(name.to_owned())
-            .or_insert_with(|| LoopRecord {
+        let add = |e: &mut LoopRecord| {
+            e.calls += 1;
+            e.points += points;
+            e.bytes += bytes;
+            e.flops += flops;
+            e.seconds += seconds;
+        };
+        match self.loops.get_mut(name) {
+            Some(e) => add(e),
+            None => add(self.loops.entry(name.to_owned()).or_insert(LoopRecord {
                 name: name.to_owned(),
                 calls: 0,
                 points: 0,
                 bytes: 0,
                 flops: 0.0,
                 seconds: 0.0,
-            });
-        e.calls += 1;
-        e.points += points;
-        e.bytes += bytes;
-        e.flops += flops;
-        e.seconds += seconds;
+            })),
+        }
     }
 
     /// All records, name-ordered.
