@@ -11,10 +11,11 @@
 //! limiting simplified to donor-cell (documented substitution: first-order
 //! advection preserves the bandwidth-bound character — the paper's concern
 //! — while keeping the remap exactly conservative). The original's
-//! `reset_field` copies are buffer swaps here, and each halo site updates
-//! only the fields a later loop reads through it: the cell sites of
-//! [`CELL_HALO_SITES`] and one node site for the velocities `advec_mom`
-//! reads.
+//! `reset_field` copies have no counterpart: the remap and the momentum
+//! advection write the state in place. Each halo site updates only the
+//! fields a later loop reads through it, along the axes it reads: the cell
+//! sites of [`CELL_HALO_SITES`] and one node site for the velocities
+//! `advec_mom` reads.
 //!
 //! Closed reflective box; validation: exact mass conservation, bounded
 //! total energy, preserved mirror symmetry.
@@ -24,7 +25,7 @@
 
 use crate::{AppId, AppRun};
 use bwb_ops::{
-    fused2_rows, par_loop2_rows, par_loop2_rows_reduce, recording_active, Dat2, DistBlock2,
+    fused2_rows, par_loop2_rows, par_loop2_rows_reduce, recording_active, Axes, Dat2, DistBlock2,
     ExecMode, FusedLoop2, OptPlan, Profile, Range2, RowIn2, RowOut2,
 };
 use bwb_shmpi::{Comm, ReduceOp};
@@ -393,36 +394,32 @@ fn wall_velocities(
 }
 
 // Dataset slots: struct-field identity, and the index in [`chain_spec`]'s
-// dats. A slot names a role, not a buffer: buffers trade slots at every
-// swap, and their runtime names travel with them.
+// dats.
 const D0: usize = 0;
-const D1: usize = 1;
-const E0: usize = 2;
-const E1: usize = 3;
-const PR: usize = 4;
-const VS: usize = 5;
-const SS: usize = 6;
-const WD: usize = 7;
-const WE: usize = 8;
-const XV0: usize = 9;
-const XV1: usize = 10;
-const YV0: usize = 11;
-const YV1: usize = 12;
-const WU: usize = 13;
-const WV: usize = 14;
-const FX: usize = 15;
-const FY: usize = 16;
+const E0: usize = 1;
+const E1: usize = 2;
+const PR: usize = 3;
+const VS: usize = 4;
+const SS: usize = 5;
+const WD: usize = 6;
+const WE: usize = 7;
+const XV0: usize = 8;
+const XV1: usize = 9;
+const YV0: usize = 10;
+const YV1: usize = 11;
+const FX: usize = 12;
+const FY: usize = 13;
 
-/// The cell halo sites in cycle order, each with the slots it updates:
-/// those that a later loop reads through their halo before the slot is
-/// next written. `accelerate` reads density0, pressure and viscosity at the
-/// four cells around each node; `advec_cell_x` reads density0 (through the
-/// halo `cells0` left) and energy1 five cells wide; `advec_cell_y` reads
-/// the density1 and energy1 that the x sweep swapped in.
-const CELL_HALO_SITES: [(&str, &[usize]); 3] = [
-    ("cells0", &[D0, PR, VS]),
-    ("cells1", &[E1]),
-    ("cells2", &[D1, E1]),
+/// The cell halo sites in cycle order, each with the axes along which a
+/// later loop reads its slots through their halo, and those slots.
+/// `accelerate` reads density0, pressure and viscosity at the four cells
+/// around each node; `advec_cell_x` reads density0 (through the halo
+/// `cells0` left) and energy1 five cells wide along x; `advec_cell_y`
+/// reads the x sweep's output in work_d/work_e five cells wide along y.
+const CELL_HALO_SITES: [(&str, Axes, &[usize]); 3] = [
+    ("cells0", Axes::XY, &[D0, PR, VS]),
+    ("cells1", Axes::X, &[E1]),
+    ("cells2", Axes::Y, &[WD, WE]),
 ];
 
 /// The node halo site, the slots it updates and its depth: only
@@ -432,14 +429,15 @@ const CELL_HALO_SITES: [(&str, &[usize]); 3] = [
 /// suffices.
 const NODE_HALO_SITE: (&str, &[usize], usize) = ("vel0", &[XV1, YV1], 1);
 
-/// The slots cell halo site `site` updates.
-pub fn cell_halo_slots(site: &str) -> &'static [usize] {
-    let at = CELL_HALO_SITES.iter().position(|(s, _)| *s == site);
-    CELL_HALO_SITES[at.expect("a cell halo site")].1
+/// The axes and slots of cell halo site `site`.
+fn cell_halo_site(site: &str) -> (Axes, &'static [usize]) {
+    let at = CELL_HALO_SITES.iter().position(|(s, ..)| *s == site);
+    let (_, axes, slots) = CELL_HALO_SITES[at.expect("a cell halo site")];
+    (axes, slots)
 }
 
-/// The loops [`Clover2::cycle`] runs after `calc_dt`, in chain order: the
-/// loops a banded cycle runs band by band.
+/// The loops [`Clover2::cycle`] runs after `calc_dt`, in chain order, band
+/// by band.
 const BANDED: [&str; 7] = [
     "accelerate",
     "pdv",
@@ -457,17 +455,12 @@ const ADX: usize = 4;
 const ADY: usize = 5;
 const MOM: usize = 6;
 
-/// The slots whose buffers a banded cycle holds as row windows: those the
-/// chain after `calc_dt` writes and reads and nothing else reads.
+/// The slots held as row windows: those the chain after `calc_dt` writes
+/// and reads and nothing else reads.
 const WINDOWS: [usize; 7] = [XV1, YV1, E1, FX, FY, WD, WE];
 
-/// The slots a banded cycle leaves unused: `advec_cell_y` and `advec_mom`
-/// write the state they replace, which is legal because every loop that
-/// reads those rows of the state runs ahead of them.
-const SPARE: [usize; 3] = [D1, WU, WV];
-
-/// How a banded cycle runs the loops of [`BANDED`], read off the stencils
-/// of [`chain_spec`].
+/// How the cycle runs the loops of [`BANDED`] band by band, read off the
+/// stencils of [`chain_spec`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct BandSchedule {
     /// Rows each loop runs ahead of the band's end: as far as the rows a
@@ -488,61 +481,45 @@ impl BandSchedule {
         *SCHED.get_or_init(Self::derive)
     }
 
-    /// Follows the buffers through the chain's swaps from `calc_dt` on, so
-    /// a loop's reads are matched with the loop that wrote the buffer; then
-    /// takes the leads from the last loop back.
+    /// Matches each loop's reads after `calc_dt` with the loop that last
+    /// wrote the slot, then takes the leads from the last loop back.
     fn derive() -> Self {
         use bwb_ops::Step;
         let spec = chain_spec(false);
-        let after_dt = spec
-            .body
-            .iter()
-            .position(|s| {
-                matches!(
-                    s,
-                    Step::Loop {
-                        name: "calc_dt",
-                        ..
-                    }
+        let steps = spec.body.iter().filter_map(|s| match s {
+            Step::Loop {
+                name, outs, ins, ..
+            } => Some((*name, outs, ins)),
+            _ => None,
+        });
+        // Per loop: its name, the slots written, and the slots read with
+        // their row offsets.
+        let loops: Vec<_> = steps
+            .skip_while(|l| l.0 != "calc_dt")
+            .skip(1)
+            .map(|(name, outs, ins)| {
+                let reads = ins.iter().map(|(slot, st)| {
+                    let dj = || st.offsets().map(|o| o.1);
+                    (*slot, dj().min().unwrap(), dj().max().unwrap())
+                });
+                (
+                    name,
+                    outs.iter().map(|o| o.0).collect::<Vec<_>>(),
+                    reads.collect::<Vec<_>>(),
                 )
             })
-            .expect("the chain has calc_dt")
-            + 1;
-        // Buffers are named by the slot they start the chain in.
-        let mut buf: Vec<usize> = (0..spec.dats.len()).collect();
-        // Per loop: the buffers written, and the buffers read with their
-        // row offsets.
-        let mut loops = Vec::new();
-        for step in &spec.body[after_dt..] {
-            match step {
-                Step::Loop {
-                    name, outs, ins, ..
-                } => {
-                    assert_eq!(BANDED.get(loops.len()), Some(name), "chain order");
-                    let writes: Vec<usize> = outs.iter().map(|&(slot, _)| buf[slot]).collect();
-                    let reads: Vec<(usize, isize, isize)> = ins
-                        .iter()
-                        .map(|(slot, st)| {
-                            let dj = || st.offsets().map(|o| o.1);
-                            (buf[*slot], dj().min().unwrap(), dj().max().unwrap())
-                        })
-                        .collect();
-                    loops.push((writes, reads));
-                }
-                Step::Swap { a, b } => buf.swap(*a, *b),
-                Step::Exchange { .. } => {}
-            }
-        }
-        assert_eq!(loops.len(), BANDED.len(), "chain order");
+            .collect();
+        let names: Vec<&str> = loops.iter().map(|l| l.0).collect();
+        assert_eq!(names, BANDED, "chain order");
         // A loop's output that a later loop reads: `fed[l]` holds the
-        // buffers loop `l` writes for the chain. The last writer of the
-        // others is the state a banded cycle writes in place.
+        // slots loop `l` writes for the chain. The others it writes are
+        // the state, written in place.
         let mut lead = [0isize; 7];
         let mut fed: [Vec<usize>; 7] = Default::default();
         for l in (0..7).rev() {
             for c in l + 1..7 {
-                for &(b, _, hi) in &loops[c].1 {
-                    let wrote = |m: usize| loops[m].0.contains(&b);
+                for &(b, _, hi) in &loops[c].2 {
+                    let wrote = |m: usize| loops[m].1.contains(&b);
                     if wrote(l) && !(l + 1..c).any(wrote) {
                         lead[l] = lead[l].max(lead[c] + hi);
                         fed[l].push(b);
@@ -552,7 +529,7 @@ impl BandSchedule {
         }
         let touch = WINDOWS.map(|slot| {
             std::array::from_fn(|l| {
-                let reads = loops[l].1.iter().filter(|r| r.0 == slot);
+                let reads = loops[l].2.iter().filter(|r| r.0 == slot);
                 let rows = reads.map(|r| (r.1, r.2));
                 let rows = rows.chain(fed[l].contains(&slot).then_some((0, 0)));
                 rows.reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)))
@@ -578,14 +555,17 @@ impl BandSchedule {
     }
 }
 
-/// Rows per band of a banded cycle over `nx` cells: a quarter of the LLC
-/// holds one band of every dataset of the chain.
+/// Rows per band over `nx` cells: a quarter of the LLC holds one band of
+/// every dataset of the chain.
 fn band_rows(nx: usize) -> usize {
     let row_bytes = (nx + 2 * HALO) * std::mem::size_of::<f64>() * BandSchedule::get().dats;
     (bwb_machine::probe::llc_bytes() as usize / 4 / row_bytes).max(1)
 }
 
-/// The solver state (one rank's sub-block when distributed).
+/// The solver state (one rank's sub-block when distributed). After
+/// `calc_dt` a cycle runs one pass, band by band ([`Self::banded_chain`]);
+/// the seven in-cycle temporaries of [`WINDOWS`] are row windows sized for
+/// one band, whole fields when the grid is one band.
 pub struct Clover2 {
     cfg: Config,
     /// Local cell counts.
@@ -596,7 +576,6 @@ pub struct Clover2 {
     dist: Option<DistBlock2>,
     // Cell-centred:
     density0: Dat2<f64>,
-    density1: Dat2<f64>,
     energy0: Dat2<f64>,
     energy1: Dat2<f64>,
     pressure: Dat2<f64>,
@@ -609,15 +588,12 @@ pub struct Clover2 {
     xvel1: Dat2<f64>,
     yvel0: Dat2<f64>,
     yvel1: Dat2<f64>,
-    work_u: Dat2<f64>,
-    work_v: Dat2<f64>,
     // Face-centred volume fluxes:
     vol_flux_x: Dat2<f64>,
     vol_flux_y: Dat2<f64>,
-    /// Rows per band when the loops after `calc_dt` run band by band
-    /// ([`Self::banded_chain`]); `None` when the grid is one band.
-    band: Option<usize>,
-    /// The banded cycle's leads and window reach.
+    /// Rows per band, at most the `ny + 1` node rows: one band then.
+    band: usize,
+    /// The bands' leads and window reach.
     sched: BandSchedule,
     /// Run `advec_cell_x/y`, `advec_mom` and `calc_dt` as the per-point
     /// closure kernels they were ported from (the tests' reference).
@@ -634,7 +610,8 @@ impl Clover2 {
         Self::build(cfg, None, [0, 0], None, rows)
     }
 
-    /// Distributed setup: each rank owns a sub-block of the global grid.
+    /// Distributed setup: each rank owns a sub-block of the global grid and
+    /// runs one band, so its halo sites exchange whole fields.
     pub fn new_distributed(comm: &Comm, cfg: Config) -> Self {
         let block = DistBlock2::new(comm, cfg.nx, cfg.ny);
         let start = block.start();
@@ -642,11 +619,8 @@ impl Clover2 {
         Self::build(cfg, local, start, Some(block), usize::MAX)
     }
 
-    /// Builds the state, banded with `rows` rows per band where the grid
-    /// has more node rows and bands apply: on one rank, outside a
-    /// recording (which must see the loop stream [`chain_spec`] declares),
-    /// and with at least [`HALO`] cells along each axis for the wall
-    /// mirrors to read.
+    /// Builds the state with bands of `rows` rows, or one band under a
+    /// recording, which must see the loop stream [`chain_spec`] declares.
     fn build(
         cfg: Config,
         local: Option<(usize, usize)>,
@@ -658,21 +632,17 @@ impl Clover2 {
         let dx = 10.0 / cfg.nx as f64;
         let dy = 10.0 / cfg.ny as f64;
         let sched = BandSchedule::get();
-        let banded = dist.is_none() && !recording_active() && nx.min(ny) >= HALO && rows <= ny;
-        let band = banded.then_some(rows);
-        // A window in a banded cycle, a whole field otherwise. A banded
-        // cycle writes the state in place, so the buffers of [`SPARE`]
-        // hold one row there.
-        let dat = |slot: usize, n: &str, nx: usize, ny: usize| {
+        let band = if recording_active() { usize::MAX } else { rows }.min(ny + 1);
+        // A window where the node rows take more than one band, a whole
+        // field otherwise.
+        let dat = |slot: usize, n: &str, fx: usize, fy: usize| {
+            let whole = fy + 2 * HALO;
             let window = WINDOWS.iter().position(|&w| w == slot);
-            match (band, window) {
-                (Some(rows), Some(w)) => {
-                    let held = sched.window_rows(w, rows).min(ny + 2 * HALO);
-                    Dat2::window(n, nx, ny, HALO, held)
-                }
-                (Some(_), None) if SPARE.contains(&slot) => Dat2::window(n, nx, ny, HALO, 1),
-                _ => Dat2::new(n, nx, ny, HALO),
-            }
+            let held = match window.filter(|_| band <= ny) {
+                Some(w) => sched.window_rows(w, band).min(whole),
+                None => whole,
+            };
+            Dat2::window(n, fx, fy, HALO, held)
         };
         let cell = |slot, n: &str| dat(slot, n, nx, ny);
         let node = |slot, n: &str| dat(slot, n, nx + 1, ny + 1);
@@ -707,7 +677,6 @@ impl Clover2 {
             dx,
             dy,
             dist,
-            density1: cell(D1, "density1"),
             energy1: cell(E1, "energy1"),
             pressure: cell(PR, "pressure"),
             viscosity: cell(VS, "viscosity"),
@@ -718,8 +687,6 @@ impl Clover2 {
             xvel1: node(XV1, "xvel1"),
             yvel0: node(YV0, "yvel0"),
             yvel1: node(YV1, "yvel1"),
-            work_u: node(WU, "work_u"),
-            work_v: node(WV, "work_v"),
             vol_flux_x: dat(FX, "vol_flux_x", nx + 1, ny),
             vol_flux_y: dat(FY, "vol_flux_y", nx, ny + 1),
             density0,
@@ -760,65 +727,92 @@ impl Clover2 {
         Range2::new(0, self.nx as isize + 1, js.start, js.end)
     }
 
-    /// Reflective physical boundaries + inter-rank halo exchange of the cell
-    /// fields `site` updates ([`CELL_HALO_SITES`]). The small per-face
-    /// mirror loops are CloverLeaf's "update_halo" boundary kernels — the
-    /// many small kernels the paper blames for SYCL's launch-overhead
-    /// penalty.
-    ///
-    /// Structured per field — mirror-x, exchange-x, mirror-y, exchange-y —
-    /// so the two exchange dimensions of one field form a single recorded
-    /// exchange at the labelled `site`. Every field a site lists was
-    /// written since its previous exchange, so none of them is redundant.
-    fn update_halo_cells(
-        &mut self,
-        profile: &mut Profile,
-        mut comm: Option<&mut Comm>,
-        site: &str,
-    ) {
-        let slots = cell_halo_slots(site);
-        let (low_x, high_x, low_y, high_y) = self.walls();
-        let block = self.dist.as_ref();
-        let t0 = Instant::now();
-        let mut comm_seconds = 0.0;
-        // The cell fields in slot order, D0 to VS.
-        let cells = [
-            &mut self.density0,
-            &mut self.density1,
-            &mut self.energy0,
-            &mut self.energy1,
-            &mut self.pressure,
-            &mut self.viscosity,
+    /// The block, if distributed, and the datasets in slot order.
+    fn dats_mut(&mut self) -> (Option<&DistBlock2>, [&mut Dat2<f64>; 14]) {
+        let Clover2 {
+            dist,
+            density0,
+            energy0,
+            energy1,
+            pressure,
+            viscosity,
+            soundspeed,
+            work_d,
+            work_e,
+            xvel0,
+            xvel1,
+            yvel0,
+            yvel1,
+            vol_flux_x,
+            vol_flux_y,
+            ..
+        } = self;
+        let dats = [
+            density0, energy0, energy1, pressure, viscosity, soundspeed, work_d, work_e, xvel0,
+            xvel1, yvel0, yvel1, vol_flux_x, vol_flux_y,
         ];
-        let mut exchange = |f: &mut Dat2<f64>, dim: usize| {
-            if let (Some(b), Some(c)) = (block, comm.as_deref_mut()) {
-                let tc = Instant::now();
-                b.exchange_halo_dim_site(c, f, HALO, dim, site);
-                comm_seconds += tc.elapsed().as_secs_f64();
-            }
-        };
-        for &slot in slots {
-            let f = &mut *cells[slot];
-            mirror_x(f, 0..f.ny() as isize, low_x, high_x);
-            exchange(f, 0);
-            // Mirror Y copies x-extended rows (reads the x ghosts above).
-            mirror_y(f, low_y, high_y);
-            exchange(f, 1);
-        }
-        self.record_halo(
-            profile,
-            slots.len(),
-            t0.elapsed().as_secs_f64() - comm_seconds,
-        );
+        (dist.as_ref(), dats)
     }
 
-    /// Records the mirror fills of `fields` cell fields that took `seconds`
-    /// in all: one record per field, mirroring how OPS launches one small
-    /// update_halo kernel per field — the granularity the SYCL
+    /// Cell halo site `site` ([`CELL_HALO_SITES`]) after its fields'
+    /// interior rows `js` were written: per field and axis of the site, the
+    /// reflective ghosts on the physical walls and, on a distributed block,
+    /// the exchange along that axis. The x mirrors cover rows `js`; a y-wall
+    /// mirror runs once `js` holds the last interior row it copies. Returns
+    /// the seconds of the mirror fills. These small per-face loops are
+    /// CloverLeaf's "update_halo" boundary kernels — the many small kernels
+    /// the paper blames for SYCL's launch-overhead penalty.
+    fn update_halo_cells(
+        &mut self,
+        mut comm: Option<&mut Comm>,
+        site: &str,
+        js: Range<isize>,
+    ) -> f64 {
+        let (axes, slots) = cell_halo_site(site);
+        let (low_x, high_x, low_y, high_y) = self.walls();
+        let ny = self.ny as isize;
+        let (low_y, high_y) = (
+            low_y && js.contains(&((HALO as isize).min(ny) - 1)),
+            high_y && js.contains(&(ny - 1)),
+        );
+        let mut seconds = 0.0;
+        let mut fill = |f: &mut Dat2<f64>, axis: usize| {
+            let t = Instant::now();
+            match axis {
+                0 => mirror_x(f, js.clone(), low_x, high_x),
+                _ => mirror_y(f, low_y, high_y),
+            }
+            seconds += t.elapsed().as_secs_f64();
+        };
+        let (block, dats) = self.dats_mut();
+        for &slot in slots {
+            let f = &mut *dats[slot];
+            match (block, comm.as_deref_mut()) {
+                (Some(b), Some(c)) => b.exchange_halo_site(c, f, HALO, axes, site, &mut fill),
+                _ => axes.iter().for_each(|axis| fill(f, axis)),
+            }
+        }
+        seconds
+    }
+
+    /// On a distributed block, the node halo site [`NODE_HALO_SITE`].
+    fn update_halo_velocities(&mut self, comm: Option<&mut Comm>) {
+        let (site, slots, depth) = NODE_HALO_SITE;
+        if let ((Some(block), dats), Some(c)) = (self.dats_mut(), comm) {
+            for &slot in slots {
+                block.exchange_node_halo_site(c, dats[slot], depth, site);
+            }
+        }
+    }
+
+    /// Records the mirror fills of cell halo site `site` that took
+    /// `seconds` in all: one record per field, mirroring how OPS launches
+    /// one small update_halo kernel per field — the granularity the SYCL
     /// launch-overhead analysis (paper §5.1) depends on. A field's points
     /// are HALO columns over the interior rows per x wall, and HALO
     /// x-extended rows per y wall.
-    fn record_halo(&self, profile: &mut Profile, fields: usize, seconds: f64) {
+    fn record_halo(&self, profile: &mut Profile, site: &str, seconds: f64) {
+        let fields = cell_halo_site(site).1.len();
         let (low_x, high_x, low_y, high_y) = self.walls();
         let points = HALO
             * ((low_x as usize + high_x as usize) * self.ny
@@ -827,16 +821,6 @@ impl Clover2 {
         for _ in 0..fields {
             profile.record("update_halo", per, per * 16, 0.0, seconds / fields as f64);
         }
-    }
-
-    /// Reflective node-velocity boundary: zero normal velocity on walls,
-    /// of the state's velocities and `accelerate`'s.
-    fn apply_velocity_bcs(&mut self, profile: &mut Profile) {
-        let t0 = Instant::now();
-        let (walls, nodes) = (self.walls(), 0..self.ny as isize + 1);
-        wall_velocities(walls, &mut self.xvel0, &mut self.yvel0, nodes.clone());
-        wall_velocities(walls, &mut self.xvel1, &mut self.yvel1, nodes);
-        self.record_velocity_bcs(profile, t0.elapsed().as_secs_f64());
     }
 
     /// Records one velocity boundary update over two pairs of velocities.
@@ -1097,17 +1081,14 @@ impl Clover2 {
 
     /// Conservative remap, X sweep over rows `js` (donor-cell or van Leer
     /// per the config). Reads density0/energy1 + vol_flux_x and writes the
-    /// work arrays, which [`Self::swap_remap`] makes density1/energy1 in a
-    /// one-band cycle. Each face's limited flux is
-    /// evaluated once per row — it is the outflow of the cell on its left
+    /// work arrays. Each face's limited flux is evaluated once per row — it is the outflow of the cell on its left
     /// and the inflow of the cell on its right. Per block, a [`face_pass`]
     /// puts the block's faces in the thread's [`FaceCarry`] and a
     /// [`cell_pass`] reads them; both run in vector lanes.
     fn advec_cell_x(&mut self, profile: &mut Profile, js: Range<isize>) {
         #[cfg(test)]
         if self.oracle {
-            assert!(self.band.is_none(), "the closure kernels run one band");
-            return self.advec_cell_x_closure(profile);
+            return self.advec_cell_x_closure(profile, js);
         }
         let vol = self.dx * self.dy;
         let scheme = self.cfg.advection;
@@ -1173,12 +1154,6 @@ impl Clover2 {
         );
     }
 
-    /// Makes a remap sweep's output, in the work arrays, density1/energy1.
-    fn swap_remap(&mut self) {
-        std::mem::swap(&mut self.density1, &mut self.work_d);
-        std::mem::swap(&mut self.energy1, &mut self.work_e);
-    }
-
     /// Conservative remap, Y sweep, in the shape of [`Self::advec_cell_x`]:
     /// per block, a face pass evaluates the row's high faces into the
     /// thread's [`FaceCarry`] and a cell pass reads them. A row's low faces
@@ -1188,41 +1163,24 @@ impl Clover2 {
     /// faces itself. Each face is then evaluated once, plus once more per
     /// chunk boundary.
     ///
-    /// Over rows `js`. A one-band cycle reads density1/energy1 and writes
-    /// the work arrays, as the x sweep does; a banded cycle reads the x
-    /// sweep's output in the work arrays and writes density0/energy0.
+    /// Over rows `js`: reads the x sweep's output in the work arrays and
+    /// writes density0/energy0, whose rows every earlier loop of the cycle
+    /// has read by then.
     fn advec_cell_y(&mut self, profile: &mut Profile, js: Range<isize>) {
         #[cfg(test)]
         if self.oracle {
-            assert!(self.band.is_none(), "the closure kernels run one band");
-            return self.advec_cell_y_closure(profile);
+            return self.advec_cell_y_closure(profile, js);
         }
         let vol = self.dx * self.dy;
         let scheme = self.cfg.advection;
         let call = Y_SWEEPS.fetch_add(1, Ordering::Relaxed);
-        let (range, mode) = (self.cell_rows(js), self.cfg.mode);
-        let Clover2 {
-            density0: d0,
-            energy0: e0,
-            density1: d1,
-            energy1: e1,
-            work_d: wd,
-            work_e: we,
-            vol_flux_y: fy,
-            band,
-            ..
-        } = self;
-        let ([d_out, e_out], [d_in, e_in]) = match band {
-            None => ([wd, we], [&*d1, &*e1]),
-            Some(_) => ([d0, e0], [&*wd, &*we]),
-        };
         par_loop2_rows(
             profile,
             "advec_cell_y",
-            mode,
-            range,
-            &mut [d_out, e_out],
-            &[d_in, e_in, fy],
+            self.cfg.mode,
+            self.cell_rows(js),
+            &mut [&mut self.density0, &mut self.energy0],
+            &[&self.work_d, &self.work_e, &self.vol_flux_y],
             if scheme == Advection::VanLeer {
                 38.0
             } else {
@@ -1283,26 +1241,19 @@ impl Clover2 {
     }
 
     /// Upwind momentum advection (both sweeps fused per direction) over
-    /// node rows `js`: into work_u/work_v in a one-band cycle, into
-    /// xvel0/yvel0 in a banded one.
+    /// node rows `js`, from xvel1/yvel1 into xvel0/yvel0.
     fn advec_mom(&mut self, profile: &mut Profile, dt: f64, js: Range<isize>) {
         #[cfg(test)]
         if self.oracle {
-            assert!(self.band.is_none(), "the closure kernels run one band");
-            return self.advec_mom_closure(profile, dt);
+            return self.advec_mom_closure(profile, dt, js);
         }
         let (dx, dy) = (self.dx, self.dy);
-        let range = self.node_rows(js);
-        let [u_out, v_out] = match self.band {
-            None => [&mut self.work_u, &mut self.work_v],
-            Some(_) => [&mut self.xvel0, &mut self.yvel0],
-        };
         par_loop2_rows(
             profile,
             "advec_mom",
             self.cfg.mode,
-            range,
-            &mut [u_out, v_out],
+            self.node_rows(js),
+            &mut [&mut self.xvel0, &mut self.yvel0],
             &[&self.xvel1, &self.yvel1],
             20.0,
             move |_j, out, ins| {
@@ -1328,15 +1279,6 @@ impl Clover2 {
         );
     }
 
-    /// Reset: advected quantities become the next step's initial state, by
-    /// swapping buffers where the original copies them.
-    fn reset_field(&mut self) {
-        std::mem::swap(&mut self.density0, &mut self.density1);
-        std::mem::swap(&mut self.energy0, &mut self.energy1);
-        std::mem::swap(&mut self.xvel0, &mut self.work_u);
-        std::mem::swap(&mut self.yvel0, &mut self.work_v);
-    }
-
     /// One full hydro cycle; returns the dt used.
     pub fn cycle(&mut self, profile: &mut Profile, mut comm: Option<&mut Comm>) -> f64 {
         // Plan-guided fused traversal when the plan certifies the group
@@ -1354,102 +1296,63 @@ impl Clover2 {
             self.ideal_gas(profile);
             self.viscosity_kernel(profile);
         }
-        self.update_halo_cells(profile, comm.as_deref_mut(), "cells0");
+        let cells = 0..self.ny as isize;
+        let seconds = self.update_halo_cells(comm.as_deref_mut(), "cells0", cells);
+        self.record_halo(profile, "cells0", seconds);
         let dt = self.calc_dt(profile, comm.as_deref_mut());
-        match self.band {
-            None => self.chain(profile, comm, dt),
-            Some(rows) => self.banded_chain(profile, dt, rows),
-        }
+        self.banded_chain(profile, comm, dt);
         dt
     }
 
-    /// The loops after `calc_dt` over the whole grid, with their halo
-    /// sites and buffer swaps: the stream [`chain_spec`] declares.
-    fn chain(&mut self, profile: &mut Profile, mut comm: Option<&mut Comm>, dt: f64) {
-        let (cells, nodes) = (0..self.ny as isize, 0..self.ny as isize + 1);
-        self.accelerate(profile, dt, nodes.clone());
-        self.apply_velocity_bcs(profile);
-        if let (Some(block), Some(c)) = (self.dist.as_ref(), comm.as_deref_mut()) {
-            let (site, slots, depth) = NODE_HALO_SITE;
-            // The node fields in slot order, XV0 to YV1.
-            let nodes = [
-                &mut self.xvel0,
-                &mut self.xvel1,
-                &mut self.yvel0,
-                &mut self.yvel1,
-            ];
-            for &slot in slots {
-                block.exchange_node_halo_site(c, nodes[slot - XV0], depth, site);
-            }
-        }
-        self.pdv(profile, dt, cells.clone());
-        self.flux_calc_x(profile, dt, cells.clone());
-        self.flux_calc_y(profile, dt, nodes.clone());
-        self.update_halo_cells(profile, comm.as_deref_mut(), "cells1");
-        self.advec_cell_x(profile, cells.clone());
-        self.swap_remap();
-        self.update_halo_cells(profile, comm, "cells2");
-        self.advec_cell_y(profile, cells);
-        self.swap_remap();
-        self.advec_mom(profile, dt, nodes);
-        self.reset_field();
-        self.apply_velocity_bcs(profile);
-    }
-
-    /// The loops after `calc_dt` band by band, on one rank. Band `b` ends
-    /// at row `(b + 1) · rows`; each loop runs to that row plus its lead,
-    /// from where it stopped in the band before, so a loop reads rows the
-    /// loops before it wrote in this band or the last, while they are
-    /// still in cache. The seven temporaries are windows that slide up
-    /// with the bands; `advec_cell_y` and `advec_mom` write the state in
-    /// place, so nothing is swapped. The profile gets one record per loop
-    /// and halo site, as [`Self::chain`] leaves, summed over the bands.
-    fn banded_chain(&mut self, profile: &mut Profile, dt: f64, rows: usize) {
+    /// The loops after `calc_dt` band by band, with their halo sites: the
+    /// stream [`chain_spec`] declares when the grid is one band. Band `b`
+    /// ends at row `(b + 1) · rows`; each loop runs to that row plus its
+    /// lead, from where it stopped in the band before, so a loop reads rows
+    /// the loops before it wrote in this band or the last, while they are
+    /// still in cache. The seven temporaries are windows that slide up with
+    /// the bands; `advec_cell_y` and `advec_mom` write the state in place.
+    /// The profile gets one record per loop and halo site per cycle, summed
+    /// over the bands, each loop's with the slides of the windows it is
+    /// the first to touch in a band.
+    fn banded_chain(&mut self, profile: &mut Profile, mut comm: Option<&mut Comm>, dt: f64) {
         let ny = self.ny as isize;
         // The rows of each loop of [`BANDED`]: nodes, cells or faces.
         let extent = [ny + 1, ny, ny, ny + 1, ny, ny, ny + 1];
         let walls = self.walls();
         let mut band = Profile::new();
         let mut done = [0isize; 7];
+        let mut slides = [0.0; 7];
         let (mut bcs, mut cells1, mut cells2) = (0.0, 0.0, 0.0);
         let mut end = 0;
         while done[MOM] < extent[MOM] {
-            end += rows as isize;
+            end += self.band as isize;
             let js: [Range<isize>; 7] = std::array::from_fn(|l| {
                 done[l]..(end + self.sched.lead[l]).clamp(done[l], extent[l])
             });
-            self.slide_windows(&js);
+            self.slide_windows(&js, &mut slides);
             self.accelerate(&mut band, dt, js[ACC].clone());
             let t = Instant::now();
             wall_velocities(walls, &mut self.xvel1, &mut self.yvel1, js[ACC].clone());
             bcs += t.elapsed().as_secs_f64();
+            self.update_halo_velocities(comm.as_deref_mut());
             self.pdv(&mut band, dt, js[PDV].clone());
             self.flux_calc_x(&mut band, dt, js[FLX].clone());
             self.flux_calc_y(&mut band, dt, js[FLY].clone());
-            // `advec_cell_x` reads energy1 five cells wide along x only.
-            let t = Instant::now();
-            mirror_x(&mut self.energy1, js[PDV].clone(), walls.0, walls.1);
-            cells1 += t.elapsed().as_secs_f64();
+            cells1 += self.update_halo_cells(comm.as_deref_mut(), "cells1", js[PDV].clone());
             self.advec_cell_x(&mut band, js[ADX].clone());
-            // `advec_cell_y` reads the x sweep's output five cells wide
-            // along y only: its y-wall mirrors, in the band that writes
-            // the last of the rows each one copies.
-            let t = Instant::now();
-            let wrote = |j: isize| js[ADX].contains(&j);
-            let (low, high) = (wrote(HALO as isize - 1), wrote(ny - 1));
-            mirror_y(&mut self.work_d, low, high);
-            mirror_y(&mut self.work_e, low, high);
-            cells2 += t.elapsed().as_secs_f64();
+            cells2 += self.update_halo_cells(comm.as_deref_mut(), "cells2", js[ADX].clone());
             self.advec_cell_y(&mut band, js[ADY].clone());
             self.advec_mom(&mut band, dt, js[MOM].clone());
             done = js.map(|r| r.end);
         }
         for r in band.records() {
-            profile.record(&r.name, r.points, r.bytes, r.flops, r.seconds);
+            let l = BANDED.iter().position(|&n| n == r.name);
+            let seconds = r.seconds + slides[l.expect("a banded loop")];
+            profile.record(&r.name, r.points, r.bytes, r.flops, seconds);
         }
         self.record_velocity_bcs(profile, bcs);
-        self.record_halo(profile, cell_halo_slots("cells1").len(), cells1);
-        self.record_halo(profile, cell_halo_slots("cells2").len(), cells2);
+        self.record_halo(profile, "cells1", cells1);
+        self.record_halo(profile, "cells2", cells2);
         let t = Instant::now();
         wall_velocities(walls, &mut self.xvel0, &mut self.yvel0, 0..ny + 1);
         self.record_velocity_bcs(profile, t.elapsed().as_secs_f64());
@@ -1458,26 +1361,25 @@ impl Clover2 {
     /// Slides each window to hold the rows the loops touch over rows `js`
     /// (in [`BANDED`] order), from the lowest. The velocity windows' ghost
     /// rows then read 0, as a whole field's never-written halo does.
-    fn slide_windows(&mut self, js: &[Range<isize>; 7]) {
+    /// Adds to `seconds`, per loop, the time of the slides of the windows
+    /// it is the first to touch.
+    fn slide_windows(&mut self, js: &[Range<isize>; 7], seconds: &mut [f64; 7]) {
         let (sched, ny) = (self.sched, self.ny as isize);
-        let windows = [
-            &mut self.xvel1,
-            &mut self.yvel1,
-            &mut self.energy1,
-            &mut self.vol_flux_x,
-            &mut self.vol_flux_y,
-            &mut self.work_d,
-            &mut self.work_e,
-        ];
-        for (w, f) in windows.into_iter().enumerate() {
-            let reach = sched.touch[w].iter().zip(js);
-            let touched = reach.filter(|(_, r)| !r.is_empty());
-            let Some(from) = touched
-                .filter_map(|(t, r)| Some(r.start + t.as_ref()?.0))
-                .min()
-            else {
+        let (_, dats) = self.dats_mut();
+        let windows = dats.into_iter().enumerate().filter_map(|(slot, f)| {
+            let w = WINDOWS.iter().position(|&w| w == slot)?;
+            Some((w, f))
+        });
+        for (w, f) in windows {
+            let t = Instant::now();
+            let mut touched = (0..7).filter_map(|l| {
+                let t = sched.touch[w][l].filter(|_| !js[l].is_empty())?;
+                Some((l, js[l].start + t.0))
+            });
+            let Some((first, mut from)) = touched.next() else {
                 continue;
             };
+            from = touched.fold(from, |m, (_, j)| m.min(j));
             let top = (f.ny() + f.halo()) as isize;
             f.slide(from.min(top - f.rows().len() as isize));
             if [XV1, YV1].contains(&WINDOWS[w]) {
@@ -1485,6 +1387,7 @@ impl Clover2 {
                     f.padded_row_mut(j).fill(0.0);
                 }
             }
+            seconds[first] += t.elapsed().as_secs_f64();
         }
     }
 
@@ -1621,11 +1524,13 @@ fn viscosity_body(dx: f64, dy: f64, out: &mut RowOut2<f64>, ins: &RowIn2<f64>) {
     }
 }
 
-/// Declared loop chain: the exact ordered loop/exchange/swap stream one
-/// [`Clover2::cycle`] materializes at runtime (plus the two
-/// `field_summary` reductions the single-rank registry run appends),
-/// written down symbolically over the parametric local grid `(nx, ny)`,
-/// with every loop's access contract stated at its step. Instantiating
+/// Declared loop chain: the exact ordered loop/exchange stream one
+/// [`Clover2::cycle`] materializes at runtime in one band, as on a
+/// distributed block and under a recording (plus the two `field_summary`
+/// reductions the single-rank registry run appends), written down
+/// symbolically over the parametric local grid `(nx, ny)`, with every
+/// loop's access contract stated at its step. Bands run the same loops
+/// over the same rows, each split into bands. Instantiating
 /// this chain must reproduce, observation for observation, what
 /// [`bwb_ops::access::with_recording_full`] records from a live run —
 /// `dslcheck`'s declaration check asserts exactly that.
@@ -1635,9 +1540,9 @@ fn viscosity_body(dx: f64, dy: f64, out: &mut RowOut2<f64>, ins: &RowIn2<f64>) {
 /// `dist` declares the 4-rank distributed variant: the three cell-field
 /// halo-update sites ("cells0"/"cells1"/"cells2") and the node-velocity
 /// site "vel0" (xvel1 and yvel1, read through their halo by `advec_mom`)
-/// each contribute their recorded exchanges, over x and y (the 2 × 2
-/// layout splits both), and the field-summary epilogue is absent
-/// (`run_distributed` gathers instead).
+/// each contribute their recorded exchanges, over the axes the site's
+/// readers read (the 2 × 2 layout splits both), and the field-summary
+/// epilogue is absent (`run_distributed` gathers instead).
 pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
     use bwb_ops::{Access, Axes, ChainSpec, DatDecl, Expr, Stencil as S, Step};
     let c = Expr::c;
@@ -1658,7 +1563,6 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
     };
     let dats = vec![
         cell("density0"),
-        cell("density1"),
         cell("energy0"),
         cell("energy1"),
         cell("pressure"),
@@ -1670,8 +1574,6 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
         node("xvel1"),
         node("yvel0"),
         node("yvel1"),
-        node("work_u"),
-        node("work_v"),
         DatDecl {
             name: "vol_flux_x",
             halo: h,
@@ -1704,17 +1606,22 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
     let x5 = || S::of2(&[(-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0)]);
     let y5 = || S::of2(&[(0, -2), (0, -1), (0, 0), (0, 1), (0, 2)]);
     // `update_halo_cells` iterates its site's slots in table order, noting
-    // one exchange per field on the dim-1 pass (mirror fills are hand loops
-    // and record nothing), and `cycle` the node site's slots the same way.
-    let halo = |body: &mut Vec<Step>, fields: &[usize], depth: usize, site: &'static str| {
+    // one exchange per field over the site's axes (mirror fills are hand
+    // loops and record nothing), and `update_halo_velocities` the node
+    // site's slots the same way, over both axes.
+    let halo = |body: &mut Vec<Step>, fields: &[usize], depth, site, axes| {
         if dist {
             body.extend(fields.iter().map(|&dat| Step::Exchange {
                 dat,
                 depth,
                 site,
-                axes: Axes::XY,
+                axes,
             }));
         }
+    };
+    let cell_halo = |body: &mut Vec<Step>, site: &'static str| {
+        let (axes, slots) = cell_halo_site(site);
+        halo(body, slots, HALO, site, axes);
     };
     let mut body = vec![
         lp(
@@ -1730,7 +1637,7 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
             vec![(D0, pt()), (XV0, quad()), (YV0, quad())],
         ),
     ];
-    halo(&mut body, cell_halo_slots("cells0"), HALO, "cells0");
+    cell_halo(&mut body, "cells0");
     let diag = || S::of2(&[(0, 0), (1, 1)]);
     body.push(lp(
         "calc_dt",
@@ -1751,7 +1658,7 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
         ],
     ));
     let (site, slots, depth) = NODE_HALO_SITE;
-    halo(&mut body, slots, depth, site);
+    halo(&mut body, slots, depth, site, Axes::XY);
     body.push(lp(
         "pdv",
         cells(),
@@ -1780,34 +1687,26 @@ pub fn chain_spec(dist: bool) -> bwb_ops::ChainSpec {
         vec![w(FY)],
         vec![(YV0, i_pair()), (YV1, i_pair())],
     ));
-    halo(&mut body, cell_halo_slots("cells1"), HALO, "cells1");
+    cell_halo(&mut body, "cells1");
     body.push(lp(
         "advec_cell_x",
         cells(),
         vec![w(WD), w(WE)],
         vec![(D0, x5()), (E1, x5()), (FX, i_pair())],
     ));
-    body.push(Step::Swap { a: D1, b: WD });
-    body.push(Step::Swap { a: E1, b: WE });
-    halo(&mut body, cell_halo_slots("cells2"), HALO, "cells2");
+    cell_halo(&mut body, "cells2");
     body.push(lp(
         "advec_cell_y",
         cells(),
-        vec![w(WD), w(WE)],
-        vec![(D1, y5()), (E1, y5()), (FY, j_pair())],
+        vec![w(D0), w(E0)],
+        vec![(WD, y5()), (WE, y5()), (FY, j_pair())],
     ));
-    body.push(Step::Swap { a: D1, b: WD });
-    body.push(Step::Swap { a: E1, b: WE });
     body.push(lp(
         "advec_mom",
         nodes(),
-        vec![w(WU), w(WV)],
+        vec![w(XV0), w(YV0)],
         vec![(XV1, S::plus2(1)), (YV1, S::plus2(1))],
     ));
-    body.push(Step::Swap { a: D0, b: D1 });
-    body.push(Step::Swap { a: E0, b: E1 });
-    body.push(Step::Swap { a: XV0, b: WU });
-    body.push(Step::Swap { a: YV0, b: WV });
     let epilogue = if dist {
         Vec::new()
     } else {
@@ -1869,16 +1768,17 @@ impl Clover2 {
         }
     }
 
-    /// Conservative remap, X sweep (donor-cell or van Leer per the
-    /// config). Reads density0/energy1 + vol_flux_x, writes the work arrays.
-    fn advec_cell_x_closure(&mut self, profile: &mut Profile) {
+    /// Conservative remap, X sweep over rows `js` (donor-cell or van Leer
+    /// per the config). Reads density0/energy1 + vol_flux_x, writes the
+    /// work arrays.
+    fn advec_cell_x_closure(&mut self, profile: &mut Profile, js: Range<isize>) {
         let vol = self.dx * self.dy;
         let scheme = self.cfg.advection;
         bwb_ops::par_loop2(
             profile,
             "advec_cell_x",
             self.cfg.mode,
-            self.cells(),
+            self.cell_rows(js),
             &mut [&mut self.work_d, &mut self.work_e],
             &[&self.density0, &self.energy1, &self.vol_flux_x],
             if scheme == Advection::VanLeer {
@@ -1923,17 +1823,18 @@ impl Clover2 {
         );
     }
 
-    /// Conservative remap, Y sweep.
-    fn advec_cell_y_closure(&mut self, profile: &mut Profile) {
+    /// Conservative remap, Y sweep over rows `js`: from the work arrays
+    /// into density0/energy0.
+    fn advec_cell_y_closure(&mut self, profile: &mut Profile, js: Range<isize>) {
         let vol = self.dx * self.dy;
         let scheme = self.cfg.advection;
         bwb_ops::par_loop2(
             profile,
             "advec_cell_y",
             self.cfg.mode,
-            self.cells(),
-            &mut [&mut self.work_d, &mut self.work_e],
-            &[&self.density1, &self.energy1, &self.vol_flux_y],
+            self.cell_rows(js),
+            &mut [&mut self.density0, &mut self.energy0],
+            &[&self.work_d, &self.work_e, &self.vol_flux_y],
             if scheme == Advection::VanLeer {
                 38.0
             } else {
@@ -1973,15 +1874,16 @@ impl Clover2 {
         );
     }
 
-    /// Upwind momentum advection (both sweeps fused per direction).
-    fn advec_mom_closure(&mut self, profile: &mut Profile, dt: f64) {
+    /// Upwind momentum advection (both sweeps fused per direction) over
+    /// node rows `js`, from xvel1/yvel1 into xvel0/yvel0.
+    fn advec_mom_closure(&mut self, profile: &mut Profile, dt: f64, js: Range<isize>) {
         let (dx, dy) = (self.dx, self.dy);
         bwb_ops::par_loop2(
             profile,
             "advec_mom",
             self.cfg.mode,
-            self.node_rows(0..self.ny as isize + 1),
-            &mut [&mut self.work_u, &mut self.work_v],
+            self.node_rows(js),
+            &mut [&mut self.xvel0, &mut self.yvel0],
             &[&self.xvel1, &self.yvel1],
             20.0,
             move |_i, _j, out, ins| {
@@ -2009,8 +1911,8 @@ impl Clover2 {
 
 #[cfg(test)]
 impl Clover2 {
-    /// The single-rank state with bands of `rows` rows, where the grid has
-    /// more node rows than that and bands apply.
+    /// The single-rank state with bands of `rows` rows, one band where the
+    /// grid has no more node rows than that or a recording is active.
     fn with_band(cfg: Config, rows: usize) -> Self {
         Self::build(cfg, None, [0, 0], None, rows)
     }
@@ -2300,11 +2202,10 @@ mod tests {
         assert!(dt > 0.0 && dt < 1.0, "dt = {dt}");
     }
 
-    /// Every bit of the solver state, plus the time steps taken.
-    fn state_bits(sim: &Clover2, dts: &[f64]) -> Vec<Vec<u64>> {
-        let mut all: Vec<Vec<u64>> = [
+    /// The datasets in slot order.
+    fn dats(sim: &Clover2) -> [&Dat2<f64>; 14] {
+        [
             &sim.density0,
-            &sim.density1,
             &sim.energy0,
             &sim.energy1,
             &sim.pressure,
@@ -2316,14 +2217,17 @@ mod tests {
             &sim.xvel1,
             &sim.yvel0,
             &sim.yvel1,
-            &sim.work_u,
-            &sim.work_v,
             &sim.vol_flux_x,
             &sim.vol_flux_y,
         ]
-        .iter()
-        .map(|f| f.raw().iter().map(|v| v.to_bits()).collect())
-        .collect();
+    }
+
+    /// Every bit of the solver state, plus the time steps taken.
+    fn state_bits(sim: &Clover2, dts: &[f64]) -> Vec<Vec<u64>> {
+        let mut all: Vec<Vec<u64>> = dats(sim)
+            .iter()
+            .map(|f| f.raw().iter().map(|v| v.to_bits()).collect())
+            .collect();
         all.push(dts.iter().map(|v| v.to_bits()).collect());
         all
     }
@@ -2776,7 +2680,7 @@ mod tests {
         // Odd extents drawn from a fixed stream, the small ones, and rows
         // wide enough that Rayon splits a band of 7 into three chunks.
         let mut draw = Draw(0x2545_f491_4f6c_dd1d);
-        let mut extents = vec![(2, 2), (3, 5), (37, 53), (2049, 11)];
+        let mut extents = vec![(1, 37), (37, 1), (2, 2), (3, 5), (37, 53), (2049, 11)];
         extents.extend((0..3).map(|_| {
             let mut odd = || 5 + 2 * (draw.next() % 28) as usize;
             (odd(), odd())
@@ -2796,8 +2700,8 @@ mod tests {
                         .into_iter()
                         .filter(|&r| r > 0)
                     {
-                        let banded = Clover2::with_band(cfg.clone(), rows).band;
-                        assert_eq!(banded.is_some(), rows <= ny, "{nx}x{ny} bands of {rows}");
+                        let band = Clover2::with_band(cfg.clone(), rows).band;
+                        assert_eq!(band, rows.min(ny + 1), "{nx}x{ny} bands of {rows}");
                         assert!(
                             run_banded(&cfg, rows, 8) == whole,
                             "{nx}x{ny} {advection:?} {mode:?} bands of {rows}: differs from one band"
@@ -2834,24 +2738,66 @@ mod tests {
         }
     }
 
+    /// True iff every dataset of `sim` is a whole field.
+    fn whole_fields(sim: &Clover2) -> bool {
+        let whole = |f: &&Dat2<f64>| f.rows().len() == f.ny() + 2 * HALO;
+        dats(sim).iter().all(whole)
+    }
+
     #[test]
     fn grids_that_fit_one_band_keep_whole_fields() {
         let cfg = Config::default();
-        // `new` bands only where the host's LLC band is shorter than the grid.
-        let rows = band_rows(cfg.nx);
-        assert_eq!(
-            Clover2::new(cfg.clone()).band,
-            (rows <= cfg.ny).then_some(rows)
-        );
+        // `new` takes the host's LLC band, one band where the grid fits it.
+        let sim = Clover2::new(cfg.clone());
+        assert_eq!(sim.band, band_rows(cfg.nx).min(cfg.ny + 1));
+        assert!(sim.band < cfg.ny + 1 || whole_fields(&sim));
         let sim = Clover2::with_band(cfg.clone(), cfg.ny + 1);
-        assert_eq!(sim.band, None);
-        assert_eq!(sim.xvel1.rows(), -2..cfg.ny as isize + 3);
-        let banded = Clover2::with_band(cfg, 7);
-        assert_eq!(banded.band, Some(7));
-        assert_eq!(banded.xvel1.rows().len(), 7 + 6);
-        assert_eq!(banded.density1.rows().len(), 1);
-        // Distributed blocks run one band whatever the band height.
-        let bands = Universe::run(2, |c| Clover2::new_distributed(c, Config::default()).band);
-        assert!(bands.results.iter().all(Option::is_none));
+        assert!(whole_fields(&sim));
+        // Bands hold the seven temporaries as windows, every other field
+        // whole; no buffer is left one row long.
+        let banded = Clover2::with_band(cfg.clone(), 7);
+        assert_eq!(banded.band, 7);
+        for (slot, f) in dats(&banded).into_iter().enumerate() {
+            let window = WINDOWS.iter().position(|&w| w == slot);
+            let want = window.map_or(f.ny() + 2 * HALO, |w| banded.sched.window_rows(w, 7));
+            assert_eq!(f.rows().len(), want, "{}", f.name());
+        }
+        // Distributed blocks run one band on whole fields, whatever the band
+        // height.
+        let out = Universe::run(2, |c| {
+            let sim = Clover2::new_distributed(c, Config::default());
+            sim.band == sim.ny + 1 && whole_fields(&sim)
+        });
+        assert!(out.results.iter().all(|&one| one));
+    }
+
+    #[test]
+    fn a_recording_runs_one_band_over_the_declared_stream() {
+        // Bands of 3 on a grid of 10 rows, built and run under a recording:
+        // each loop runs once over its whole range, as `chain_spec` declares.
+        let (nx, ny) = (12, 10);
+        let ((), loops) = bwb_ops::with_recording(|| {
+            let mut profile = Profile::new();
+            let mut sim = Clover2::with_band(
+                Config {
+                    nx,
+                    ny,
+                    ..Config::default()
+                },
+                3,
+            );
+            assert_eq!(sim.band, ny + 1);
+            sim.cycle(&mut profile, None);
+            sim.field_summary(&mut profile);
+        });
+        let binding = bwb_ops::Binding::new()
+            .set("nx", nx as isize)
+            .set("ny", ny as isize);
+        let declared = chain_spec(false).instantiate(&binding, 1).expect("bound");
+        let stream = |l: &bwb_ops::LoopObs| (l.name.clone(), l.range);
+        assert_eq!(
+            loops.iter().map(stream).collect::<Vec<_>>(),
+            declared.loops.iter().map(stream).collect::<Vec<_>>()
+        );
     }
 }

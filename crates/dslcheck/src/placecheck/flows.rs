@@ -17,7 +17,7 @@
 
 use crate::registry;
 use bwb_machine::{CommDistance, RankPlacement};
-use bwb_ops::{Binding, ChainSpec, Step};
+use bwb_ops::{Axes, Binding, ChainSpec, Step};
 use bwb_shmpi::event::{CommLog, CommOp};
 use bwb_shmpi::{CartComm, COLL_TAG_BASE};
 use bwb_trace::json::{obj, Json};
@@ -173,11 +173,14 @@ pub const FLOW_APPS: [&str; 5] = {
 /// iterations on the layout `cart`. `axes` binds, per axis of `cart`, the
 /// chain parameter of the local extent and the global extent it splits.
 /// Each exchange is one phase of the face exchange `bwb_ops::halo` runs:
-/// per axis `d` with a neighbour, a strip of `depth` points along `d`, the
+/// per axis `d` it passes over with a neighbour, a strip of `depth` points
+/// along `d`, the
 /// axes before `d` extended into their ghosts and those after it over their
 /// interior, at the dat's local extent (a node field's is one point longer
 /// than its cells) and element size. (Collectives and the final gather are
-/// not point-to-point halo traffic.)
+/// not point-to-point halo traffic.) An exchange passes over the axes it
+/// declares and over every axis no exchange of the chain declares: one the
+/// described run did not split, so the declaration is silent on it.
 pub(crate) fn chain_exchanges(
     chain: &ChainSpec,
     cart: &CartComm,
@@ -196,14 +199,22 @@ pub(crate) fn chain_exchanges(
         .collect();
     let body = (0..iterations).flat_map(|_| &chain.body);
     let steps = chain.prologue.iter().chain(body).chain(&chain.epilogue);
+    let declared = steps.clone().fold(Axes::default(), |all, step| match step {
+        Step::Exchange { axes, .. } => all.union(*axes),
+        _ => all,
+    });
     let mut phases = Vec::new();
     for step in steps {
         let Step::Exchange {
-            dat, depth, site, ..
+            dat,
+            depth,
+            site,
+            axes,
         } = *step
         else {
             continue;
         };
+        let passes = |d: usize| axes.iter().any(|a| a == d) || !declared.iter().any(|a| a == d);
         let d = &chain.dats[dat];
         let ctx = format!("{site}/{}", d.name);
         let mut p = PhaseFlow::new(ctx.trim_start_matches('/'));
@@ -212,7 +223,7 @@ pub(crate) fn chain_exchanges(
                 .extent
                 .each_ref()
                 .map(|e| e.eval(binding).expect("extent bound per axis") as usize);
-            for dim in 0..cart.ndims() {
+            for dim in (0..cart.ndims()).filter(|&d| passes(d)) {
                 let points: usize = (0..3)
                     .map(|a| match a.cmp(&dim) {
                         Ordering::Less => ext[a] + 2 * depth,

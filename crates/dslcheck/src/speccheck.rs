@@ -565,6 +565,8 @@ mod tests {
     ///   run can see it.
     /// - without xvel1 at `vel0`, `advec_mom` reads the node ghosts that
     ///   `accelerate`'s write left stale.
+    /// - without work_d at `cells2`, the y remap reads the y ghosts that the
+    ///   x remap's write left stale.
     #[test]
     fn a_dropped_clover_halo_field_is_a_stale_halo_read() {
         let entry = entry("clover2d_dist").expect("registered");
@@ -574,6 +576,7 @@ mod tests {
         for (name, from, reader, radius) in [
             ("energy1", "cells1", "advec_cell_x", 2),
             ("xvel1", "vel0", "advec_mom", 1),
+            ("work_d", "cells2", "advec_cell_y", 2),
         ] {
             let mut chain = chain.clone();
             let slot = chain.dats.iter().position(|d| d.name == name).unwrap();
@@ -637,10 +640,10 @@ mod tests {
             let rep = analyze_static(&chain, &binding, iters).expect("valid chain");
             assert!(rep.clean(), "{iters} iterations: {:?}", rep.violations);
         }
-        // Exchange xvel0 at `vel0` and, after the swap, at a `vel1` site
-        // at the end of the body: the `vel1` exchange leaves the buffer
-        // valid for the next iteration's `vel0` one, which is redundant
-        // from the second iteration on.
+        // Exchange xvel0 at `vel0` and, after `advec_mom` writes it, at a
+        // `vel1` site at the end of the body: the `vel1` exchange leaves the
+        // field valid for the next iteration's `vel0` one, which is
+        // redundant from the second iteration on.
         let mut chain = chain;
         let xv0 = chain.dats.iter().position(|d| d.name == "xvel0").unwrap();
         let exchange = |site| Step::Exchange {

@@ -294,6 +294,7 @@ pub struct Axes(u8);
 
 impl Axes {
     pub const X: Axes = Axes(0b001);
+    pub const Y: Axes = Axes(0b010);
     pub const XY: Axes = Axes(0b011);
 
     /// The axes an exchange over `cart` refreshes: each axis split over
@@ -311,6 +312,10 @@ impl Axes {
 
     pub fn union(self, other: Axes) -> Axes {
         Axes(self.0 | other.0)
+    }
+
+    pub(crate) fn intersection(self, other: Axes) -> Axes {
+        Axes(self.0 & other.0)
     }
 }
 
@@ -418,10 +423,10 @@ pub fn with_recording_full<R>(f: impl FnOnce() -> R) -> (R, Recording) {
 }
 
 /// Record, when a session is active, a halo exchange of `dat` at `depth`
-/// from call site `site` over the axes `cart` refreshes. Invoked by the
-/// `halo` module so whole-program analyzers see exchanges ordered against
-/// the loop stream.
-pub(crate) fn note_exchange_obs(dat: &str, depth: usize, site: &str, cart: &CartComm) {
+/// from call site `site` that refreshed the ghosts of `axes`. Invoked by
+/// the `halo` module so whole-program analyzers see exchanges ordered
+/// against the loop stream.
+pub(crate) fn note_exchange_obs(dat: &str, depth: usize, site: &str, axes: Axes) {
     if !recording_active() {
         return;
     }
@@ -433,7 +438,7 @@ pub(crate) fn note_exchange_obs(dat: &str, depth: usize, site: &str, cart: &Cart
             depth,
             at,
             site: site.to_string(),
-            axes: Axes::of_cart(cart),
+            axes,
         });
     });
 }
@@ -573,10 +578,11 @@ mod tests {
             end_loop();
         };
         let ((), rec) = with_recording_full(|| {
-            note_exchange_obs("u", 2, "", &CartComm::balanced(4, 2));
+            note_exchange_obs("u", 2, "", Axes::of_cart(&CartComm::balanced(4, 2)));
             demo_loop("a");
             demo_loop("b");
-            note_exchange_obs("u", 1, "", &CartComm::new(2, vec![2, 1], vec![false; 2]));
+            let one_split = CartComm::new(2, vec![2, 1], vec![false; 2]);
+            note_exchange_obs("u", 1, "", Axes::of_cart(&one_split));
             demo_loop("c");
         });
         assert_eq!(rec.loops.len(), 3);

@@ -3,7 +3,7 @@
 //! is used over MPI, with ghost cell exchanges triggered as needed before
 //! each bulk parallel computational step").
 
-use crate::access::note_exchange_obs;
+use crate::access::{note_exchange_obs, Axes};
 use crate::field::{Dat2, Dat3};
 use bwb_shmpi::bufpool;
 use bwb_shmpi::cart::CartComm;
@@ -239,31 +239,34 @@ impl DistBlock2 {
         dat: &mut Dat2<T>,
         depth: usize,
     ) {
-        note_exchange_obs(dat.name(), depth, "", &self.cart);
+        note_exchange_obs(dat.name(), depth, "", Axes::of_cart(&self.cart));
         self.exchange_dim(comm, dat, depth, 0, 0);
         self.exchange_dim(comm, dat, depth, 1, 0);
     }
 
-    /// Site-labelled exchange along one dimension only (0 = x, 1 = y). The
-    /// y pass ships rows extended into the x halos, so calling x then y
-    /// fills the corner ghosts; callers interleaving physical-boundary
-    /// fills (mirror x, exchange x, mirror y, exchange y) get consistent
-    /// corners too. The `dim == 1` pass notes ONE recording observation per
-    /// logical exchange tagged with `site`, so `dslcheck` can key its halo
-    /// analysis on `(site, dat)` (noting per-dim would make every y pass
-    /// look redundant after its own x pass).
-    pub fn exchange_halo_dim_site<T: Copy + Send + 'static>(
+    /// Site-labelled exchange along each axis of `axes` in order (0 = x,
+    /// 1 = y), each pass preceded by `fill(dat, axis)`: the app's
+    /// physical-boundary fill of that axis. The y pass ships rows extended
+    /// into the x halos, so filling and exchanging x before y gives
+    /// consistent corners. Notes ONE recording observation tagged with
+    /// `site`, carrying the axes exchanged that have a neighbour, so
+    /// `dslcheck` keys its halo analysis on `(site, dat)` and judges only
+    /// the ghosts the exchange refreshed.
+    pub fn exchange_halo_site<T: Copy + Send + 'static>(
         &self,
         comm: &mut Comm,
         dat: &mut Dat2<T>,
         depth: usize,
-        dim: usize,
+        axes: Axes,
         site: &str,
+        mut fill: impl FnMut(&mut Dat2<T>, usize),
     ) {
-        if dim == 1 {
-            note_exchange_obs(dat.name(), depth, site, &self.cart);
+        let live = axes.intersection(Axes::of_cart(&self.cart));
+        note_exchange_obs(dat.name(), depth, site, live);
+        for dim in axes.iter() {
+            fill(dat, dim);
+            self.exchange_dim(comm, dat, depth, dim, 0);
         }
-        self.exchange_dim(comm, dat, depth, dim, 0);
     }
 
     /// Site-labelled ghost exchange for *node-centred* fields over this
@@ -280,7 +283,7 @@ impl DistBlock2 {
         depth: usize,
         site: &str,
     ) {
-        note_exchange_obs(dat.name(), depth, site, &self.cart);
+        note_exchange_obs(dat.name(), depth, site, Axes::of_cart(&self.cart));
         self.exchange_dim(comm, dat, depth, 0, 1);
         self.exchange_dim(comm, dat, depth, 1, 1);
     }
@@ -416,7 +419,7 @@ impl DistBlock3 {
         dat: &mut Dat3<T>,
         depth: usize,
     ) {
-        note_exchange_obs(dat.name(), depth, "", &self.cart);
+        note_exchange_obs(dat.name(), depth, "", Axes::of_cart(&self.cart));
         assert!(depth <= dat.halo());
         for dim in 0..3 {
             exchange_face(&self.cart, self.rank, comm, dat, dim, depth, 0);
@@ -624,8 +627,7 @@ mod tests {
             plain.init_with(|i, j| gval(s[0] + i as usize, s[1] + j as usize));
             site.init_with(|i, j| gval(s[0] + i as usize, s[1] + j as usize));
             b.exchange_halo(c, &mut plain, 2);
-            b.exchange_halo_dim_site(c, &mut site, 2, 0, "cells");
-            b.exchange_halo_dim_site(c, &mut site, 2, 1, "cells");
+            b.exchange_halo_site(c, &mut site, 2, Axes::XY, "cells", |_, _| {});
             let mut same = true;
             for j in -2..b.ny() as isize + 2 {
                 for i in -2..b.nx() as isize + 2 {
@@ -635,6 +637,28 @@ mod tests {
             same
         });
         assert!(out.results.iter().all(|&b| b));
+    }
+
+    #[test]
+    fn site_exchange_records_the_axes_it_exchanged() {
+        // Two ranks split x only: y has no neighbour, so a y pass refreshes
+        // no ghost the recording could judge.
+        let out = Universe::run(2, |c| {
+            let b = DistBlock2::new(c, 8, 8);
+            let mut f = b.alloc_f64("f", 2);
+            let mut filled = Vec::new();
+            let ((), rec) = crate::access::with_recording_full(|| {
+                for axes in [Axes::XY, Axes::X, Axes::Y] {
+                    b.exchange_halo_site(c, &mut f, 2, axes, "s", |_, a| filled.push(a));
+                }
+            });
+            let axes: Vec<Axes> = rec.exchanges.iter().map(|e| e.axes).collect();
+            (axes, filled)
+        });
+        for (axes, filled) in out.results {
+            assert_eq!(axes, [Axes::X, Axes::X, Axes::default()]);
+            assert_eq!(filled, [0, 1, 0, 1]);
+        }
     }
 
     #[test]
